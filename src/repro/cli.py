@@ -176,6 +176,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         figure_2b_latency,
         figure_2c_coverage,
     )
+    from repro.obs.export import atomic_write
 
     lines = ["# RESULTS — fast reproduction pass", ""]
     report = figure_2a_constellation()
@@ -237,7 +238,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     lines.append("")
     content = "\n".join(lines)
-    with open(args.output, "w") as handle:
+    with atomic_write(args.output) as handle:
         handle.write(content)
     print(f"wrote {args.output} ({len(lines)} lines)")
     return 0
@@ -444,12 +445,11 @@ def _cmd_demand_sweep(args: argparse.Namespace) -> int:
 def _cmd_scale_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.scale import scale_sweep
 
-    spatial = {"auto": None, "on": True, "off": False}[args.spatial]
     try:
         rows = scale_sweep(
             satellite_counts=tuple(args.satellites),
             epochs=args.epochs, max_range_km=args.range_km,
-            spatial=spatial, delta=not args.no_delta,
+            delta=not args.no_delta,
             compare_digests=not args.no_digest_check, jobs=args.jobs,
         )
     except ValueError as exc:
@@ -781,10 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="snapshot epochs over one orbital period")
     pss.add_argument("--range-km", type=float, default=3000.0,
                      help="hard ISL range limit, km")
-    pss.add_argument("--spatial", choices=("auto", "on", "off"),
-                     default="auto",
-                     help="grid-pruned candidate discovery (auto "
-                          "switches on fleet size; results identical)")
     pss.add_argument("--no-delta", action="store_true",
                      help="rebuild every epoch from scratch instead of "
                           "the incremental delta path")

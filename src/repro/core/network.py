@@ -253,9 +253,6 @@ class OpenSpaceNetwork:
             :meth:`NetworkSnapshot.digest`); ``False`` restores the
             always-full-rebuild path, the oracle the digest gates
             compare against.
-        spatial_index: Forwarded to the ISL builder: ``True``/``False``
-            force grid-pruned or all-pairs candidate discovery, ``None``
-            switches on fleet size.
     """
 
     def __init__(self, satellites: Sequence[SpacecraftSpec],
@@ -265,8 +262,7 @@ class OpenSpaceNetwork:
                  gateway_dish_m: float = 3.5,
                  snapshot_cache_size: int = 64,
                  snapshot_cache_quantum_s: float = 0.0,
-                 snapshot_delta: bool = True,
-                 spatial_index: Optional[bool] = None):
+                 snapshot_delta: bool = True):
         if not satellites:
             raise ValueError("need at least one satellite")
         if snapshot_cache_size < 0:
@@ -280,7 +276,6 @@ class OpenSpaceNetwork:
         self._builder = IslTopologyBuilder(
             [spec.to_isl_node() for spec in self.satellites],
             max_range_km=max_isl_range_km,
-            spatial_index=spatial_index,
         )
         self._propagators = {
             spec.satellite_id: KeplerPropagator(spec.elements)
@@ -507,29 +502,21 @@ class OpenSpaceNetwork:
             for index, (sat_id, _) in enumerate(self._propagator_order)
         }
 
-    def _ground_edge(self, spec: SpacecraftSpec, sat_pos: np.ndarray,
-                     station: GroundStation, station_pos: np.ndarray,
-                     elevation: float,
-                     distance: float) -> Optional[dict]:
-        """Edge attributes for a satellite-station link, or None if unusable."""
-        capacity = 0.0
-        if spec.ground_terminal is not None:
-            station_terminal = RFTerminal(
-                band_name=spec.ground_terminal.band_name,
-                tx_power_w=50.0,
-                dish_diameter_m=self.gateway_dish_m,
-                noise_temp_k=180.0,
-                mass_kg=400.0,
-                unit_cost_usd=500_000.0,
-            )
-            budget = rf_link_budget(
-                spec.ground_terminal, station_terminal, distance,
-                elevation_rad=elevation,
-                rain_rate_mm_h=station.rain_rate_mm_h,
-            )
-            capacity = achievable_rate_bps(budget.snr_db, budget.bandwidth_hz)
-        if capacity <= 0.0:
-            return None
+    def _station_terminal(self, band_name: str) -> RFTerminal:
+        """The gateway dish a station points at a satellite's ground band."""
+        return RFTerminal(
+            band_name=band_name,
+            tx_power_w=50.0,
+            dish_diameter_m=self.gateway_dish_m,
+            noise_temp_k=180.0,
+            mass_kg=400.0,
+            unit_cost_usd=500_000.0,
+        )
+
+    @staticmethod
+    def _ground_attrs(station: GroundStation, capacity: float,
+                      distance: float) -> dict:
+        """Edge attributes of a usable satellite-station link."""
         return {
             "delay_s": distance / SPEED_OF_LIGHT_KM_S,
             "capacity_bps": min(capacity, station.backhaul_capacity_bps),
@@ -538,6 +525,25 @@ class OpenSpaceNetwork:
             "queue_delay_s": station.queue_delay_s(),
             "kind": "ground_link",
         }
+
+    def _ground_edge(self, spec: SpacecraftSpec, sat_pos: np.ndarray,
+                     station: GroundStation, station_pos: np.ndarray,
+                     elevation: float,
+                     distance: float) -> Optional[dict]:
+        """Edge attributes for a satellite-station link, or None if unusable."""
+        capacity = 0.0
+        if spec.ground_terminal is not None:
+            budget = rf_link_budget(
+                spec.ground_terminal,
+                self._station_terminal(spec.ground_terminal.band_name),
+                distance,
+                elevation_rad=elevation,
+                rain_rate_mm_h=station.rain_rate_mm_h,
+            )
+            capacity = achievable_rate_bps(budget.snr_db, budget.bandwidth_hz)
+        if capacity <= 0.0:
+            return None
+        return self._ground_attrs(station, capacity, distance)
 
     def snapshot(self, time_s: float,
                  users: Sequence[UserTerminal] = ()) -> NetworkSnapshot:
@@ -638,24 +644,40 @@ class OpenSpaceNetwork:
             if not alive:
                 continue
             # One vectorized elevation pass per station; link budgets run
-            # only for the satellites above the mask.
+            # only for the satellites above the mask, one batched pass per
+            # satellite ground terminal (the same values, edge for edge,
+            # as the scalar _ground_edge).
             elevations = elevation_angles(station_pos, alive_matrix)
             mask_rad = math.radians(max(
                 self.ground_elevation_mask_deg, station.min_elevation_deg
             ))
             deltas = alive_matrix - station_pos
             distances = np.sqrt((deltas * deltas).sum(axis=-1))
-            for index in np.nonzero(elevations >= mask_rad)[0]:
-                spec = alive[int(index)]
-                attrs = self._ground_edge(
-                    spec, positions[spec.satellite_id], station, station_pos,
-                    elevation=float(elevations[index]),
-                    distance=float(distances[index]),
+            visible = np.flatnonzero(elevations >= mask_rad)
+            groups: Dict[RFTerminal, List[int]] = {}
+            for index in visible.tolist():
+                terminal = alive[index].ground_terminal
+                if terminal is not None:
+                    groups.setdefault(terminal, []).append(index)
+            capacities = np.zeros(len(alive))
+            for terminal, indices in groups.items():
+                rows = np.asarray(indices, dtype=np.int64)
+                budgets = rf_link_budget_arrays(
+                    terminal, self._station_terminal(terminal.band_name),
+                    distances[rows], elevations_rad=elevations[rows],
+                    rain_rate_mm_h=station.rain_rate_mm_h,
                 )
-                if attrs is not None:
-                    graph.add_edge(spec.satellite_id, station.station_id,
-                                   **attrs)
-                    pairs.add((spec.satellite_id, station.station_id))
+                capacities[rows] = achievable_rate_bps_array(
+                    budgets.snr_db, budgets.bandwidth_hz
+                )
+            for index in visible[~(capacities[visible] <= 0.0)].tolist():
+                spec = alive[index]
+                graph.add_edge(
+                    spec.satellite_id, station.station_id,
+                    **self._ground_attrs(station, float(capacities[index]),
+                                         float(distances[index])),
+                )
+                pairs.add((spec.satellite_id, station.station_id))
         return frozenset(pairs)
 
     def _full_base_snapshot(self, time_s: float) -> NetworkSnapshot:

@@ -4,13 +4,13 @@ For every swept fleet size this experiment builds a Walker-Delta
 constellation, walks one full orbital period in equal epochs, and builds
 the network snapshot at each epoch twice: once through the incremental
 delta path (:class:`repro.core.network.OpenSpaceNetwork` with
-``snapshot_delta=True``, grid-pruned candidate discovery) and once as an
-independent full rebuild.  Each row reports the topology-churn numbers
-the delta machinery exploits (edges appeared/disappeared per epoch,
-churn fraction, CSR structure reuses) plus a user-visible latency probe
-(gateway-to-gateway shortest-path delay), and asserts the tentpole
-invariant: the delta-built snapshot digest is byte-identical to the full
-rebuild at every epoch.
+``snapshot_delta=True``) and once as an independent full rebuild.  Each
+row reports the topology-churn numbers the delta machinery exploits
+(edges appeared/disappeared per epoch, churn fraction, CSR structure
+reuses) plus a user-visible latency probe (gateway-to-gateway
+shortest-path delay), and asserts the central invariant: the
+delta-built snapshot digest is byte-identical to the full rebuild at
+every epoch.
 
 Every row is a pure function of the arguments — no randomness — so the
 sweep prints byte-identical rows at any ``--jobs`` count (the
@@ -66,8 +66,7 @@ def _probe_latency_ms(graph: nx.Graph) -> float:
 
 def _scale_point(args: tuple) -> Dict:
     """One fleet size, self-contained for process-pool execution."""
-    (satellites, epochs, max_range_km, spatial, delta_enabled,
-     compare_digests) = args
+    satellites, epochs, max_range_km, delta_enabled, compare_digests = args
     planes = plane_count_for(satellites)
     constellation = walker_delta(satellites, planes)
     period_s = next(iter(constellation)).period_s
@@ -77,13 +76,13 @@ def _scale_point(args: tuple) -> Dict:
     stations = default_station_network()
     network = OpenSpaceNetwork(
         fleet, stations, max_isl_range_km=max_range_km,
-        snapshot_delta=delta_enabled, spatial_index=spatial,
+        snapshot_delta=delta_enabled,
     )
     reference: Optional[OpenSpaceNetwork] = None
     if compare_digests:
         reference = OpenSpaceNetwork(
             fleet, stations, max_isl_range_km=max_range_km,
-            snapshot_delta=False, spatial_index=spatial,
+            snapshot_delta=False,
         )
         # Both networks must share one batched time grid: numpy's
         # vectorized trig can round the final ulp differently for
@@ -138,7 +137,6 @@ def _scale_point(args: tuple) -> Dict:
 def scale_sweep(satellite_counts: Sequence[int] = (48, 180),
                 epochs: int = 6,
                 max_range_km: float = 3000.0,
-                spatial: Optional[bool] = None,
                 delta: bool = True,
                 compare_digests: bool = True,
                 jobs: int = 1) -> List[Dict]:
@@ -148,9 +146,6 @@ def scale_sweep(satellite_counts: Sequence[int] = (48, 180),
         satellite_counts: Walker-Delta fleet sizes to sweep.
         epochs: Snapshot epochs spread over one full orbital period.
         max_range_km: Hard ISL range limit.
-        spatial: ``True`` forces grid-pruned candidate discovery,
-            ``False`` forces all-pairs, ``None`` auto-switches on fleet
-            size.  Results are identical either way.
         delta: Build snapshots through the incremental delta path
             (``False`` measures the full-rebuild-every-epoch baseline).
         compare_digests: Also build every epoch through an independent
@@ -172,8 +167,8 @@ def scale_sweep(satellite_counts: Sequence[int] = (48, 180),
         raise ValueError(f"range must be positive, got {max_range_km}")
 
     points = [
-        (int(count), int(epochs), float(max_range_km), spatial,
-         bool(delta), bool(compare_digests))
+        (int(count), int(epochs), float(max_range_km), bool(delta),
+         bool(compare_digests))
         for count in satellite_counts
     ]
     with _obs.active().span("experiment.scale.sweep", points=len(points)):

@@ -19,6 +19,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.export import atomic_write
+
 #: Separator inside an ISL-link target ("satA|satB"); satellite ids use
 #: dashes, so the pipe is unambiguous.
 LINK_SEPARATOR = "|"
@@ -233,7 +235,8 @@ class FaultSchedule:
         return cls.from_jsonable(json.loads(text))
 
     def save(self, path: str) -> None:
-        with open(path, "w") as handle:
+        """Write the schedule as JSON; a failed write keeps the old file."""
+        with atomic_write(path) as handle:
             handle.write(self.to_json())
             handle.write("\n")
 

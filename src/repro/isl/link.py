@@ -13,13 +13,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
-from repro.phy.linkbudget import LinkBudget
-from repro.phy.modulation import achievable_rate_bps
-from repro.phy.optical import OpticalTerminal, optical_link_budget
-from repro.phy.rf import RFTerminal, rf_link_budget
+from repro.phy.linkbudget import LinkBudget, LinkBudgetArrays
+from repro.phy.modulation import achievable_rate_bps, achievable_rate_bps_array
+from repro.phy.optical import (
+    OpticalTerminal,
+    optical_link_budget,
+    optical_link_budget_arrays,
+)
+from repro.phy.rf import RFTerminal, rf_link_budget, rf_link_budget_arrays
 
 Terminal = Union[RFTerminal, OpticalTerminal]
 
@@ -111,21 +117,38 @@ def _evaluate(node_a: str, node_b: str, tech: LinkTechnology,
     )
 
 
+def terminals_by_technology(terminals: Sequence[Terminal]
+                            ) -> Dict[LinkTechnology, Terminal]:
+    """The first terminal of each ISL technology a spacecraft carries."""
+    by_tech: Dict[LinkTechnology, Terminal] = {}
+    for terminal in terminals:
+        tech = technology_of(terminal)
+        if tech is not None:
+            by_tech.setdefault(tech, terminal)
+    return by_tech
+
+
+def common_technologies(by_tech_a: Dict[LinkTechnology, Terminal],
+                        by_tech_b: Dict[LinkTechnology, Terminal],
+                        ) -> List[LinkTechnology]:
+    """Technologies both sides carry, in :class:`LinkTechnology` order.
+
+    The order is fixed by the enum declaration, never by set iteration
+    (which follows string hashes), so a capacity tie between technologies
+    resolves the same way in every process.
+    """
+    return [tech for tech in LinkTechnology
+            if tech in by_tech_a and tech in by_tech_b]
+
+
 def candidate_links(node_a: str, terminals_a: Sequence[Terminal],
                     node_b: str, terminals_b: Sequence[Terminal],
                     distance_km: float) -> Iterable[IslLink]:
-    """Every mutually supported technology pairing between two spacecraft."""
-    by_tech_a = {}
-    by_tech_b = {}
-    for terminal in terminals_a:
-        tech = technology_of(terminal)
-        if tech is not None:
-            by_tech_a.setdefault(tech, terminal)
-    for terminal in terminals_b:
-        tech = technology_of(terminal)
-        if tech is not None:
-            by_tech_b.setdefault(tech, terminal)
-    for tech in by_tech_a.keys() & by_tech_b.keys():
+    """Every mutually supported technology pairing between two spacecraft,
+    in :class:`LinkTechnology` declaration order."""
+    by_tech_a = terminals_by_technology(terminals_a)
+    by_tech_b = terminals_by_technology(terminals_b)
+    for tech in common_technologies(by_tech_a, by_tech_b):
         yield _evaluate(
             node_a, node_b, tech, by_tech_a[tech], by_tech_b[tech], distance_km
         )
@@ -165,3 +188,144 @@ def best_link_between(node_a: str, terminals_a: Sequence[Terminal],
         if best is None or link.capacity_bps > best.capacity_bps:
             best = link
     return best
+
+
+@dataclass(frozen=True)
+class _TechnologyArrays:
+    """One technology's budgets and capacities over a batch of ranges."""
+
+    technology: LinkTechnology
+    budgets: LinkBudgetArrays
+    capacity_bps: np.ndarray
+    #: Optical only: the per-edge Shannon term and the 2 bps/Hz
+    #: electrical-bandwidth ceiling it is clipped to.
+    shannon_bps: Optional[np.ndarray] = None
+    ceiling_bps: Optional[float] = None
+
+    def links_at(self, indices: np.ndarray, nodes_a: Sequence[str],
+                 nodes_b: Sequence[str],
+                 distances_km: Sequence[float]) -> List[IslLink]:
+        """The :class:`IslLink` :func:`_evaluate` builds, per listed
+        usable edge.
+
+        Field types follow the scalar path too, since snapshot digests
+        hash reprs: the path loss stays a numpy float64, an
+        edge-independent extra loss stays the scalar it was computed as,
+        and the optical capacity is the float64 Shannon term unless the
+        ceiling binds.
+        """
+        budgets = self.budgets
+        path_loss = list(budgets.path_loss_db[indices])
+        extra = budgets.extra_loss_db
+        extras = (list(extra[indices]) if isinstance(extra, np.ndarray)
+                  else [extra] * len(path_loss))
+        if self.shannon_bps is None:
+            capacities = self.capacity_bps[indices].tolist()
+        else:
+            # The scalar path's min(shannon, ceiling) on float64 items.
+            capacities = [min(shannon, self.ceiling_bps)
+                          for shannon in self.shannon_bps[indices]]
+        return [
+            IslLink(node_a, node_b, self.technology, distance_km,
+                    LinkBudget(budgets.tx_power_dbw, budgets.tx_gain_dbi,
+                               budgets.rx_gain_dbi, loss, extra_loss,
+                               budgets.noise_power_dbw, budgets.bandwidth_hz),
+                    capacity)
+            for node_a, node_b, distance_km, loss, extra_loss, capacity in zip(
+                nodes_a, nodes_b, distances_km, path_loss, extras, capacities)
+        ]
+
+
+def _evaluate_arrays(tech: LinkTechnology, term_a: Terminal,
+                     term_b: Terminal,
+                     distances_km: np.ndarray) -> _TechnologyArrays:
+    """The array counterpart of :func:`_evaluate` (same values per edge)."""
+    if tech is LinkTechnology.OPTICAL:
+        budgets = optical_link_budget_arrays(term_a, term_b, distances_km)
+        shannon = budgets.shannon_capacity_bps
+        ceiling = 2.0 * min(term_a.data_bandwidth_hz, term_b.data_bandwidth_hz)
+        capacity = np.where(budgets.snr_db < 3.0, 0.0,
+                            np.minimum(shannon, ceiling))
+        return _TechnologyArrays(tech, budgets, capacity, shannon, ceiling)
+    budgets = rf_link_budget_arrays(term_a, term_b, distances_km)
+    capacity = achievable_rate_bps_array(budgets.snr_db, budgets.bandwidth_hz)
+    return _TechnologyArrays(tech, budgets, capacity)
+
+
+class BestLinkArrays:
+    """:func:`best_link_between` for a batch of ranges between one pair
+    of terminal sets.
+
+    Every mutually supported technology is priced once over the whole
+    batch; per edge the choice is the scalar path's — the first
+    technology, in declaration order, with strictly the highest usable
+    capacity — so :meth:`links_at` returns exactly the links
+    :func:`best_link_between` would.
+
+    Args:
+        terminals_a: ISL terminals of every edge's first endpoint.
+        terminals_b: ISL terminals of every edge's second endpoint.
+        distances_km: Slant ranges, one per edge.
+        prefer_optical: When False, optical candidates are skipped.
+
+    Raises:
+        ValueError: For a non-positive range when the sides share any
+            technology (the scalar path prices every shared technology,
+            skipped optical included, before choosing).
+    """
+
+    def __init__(self, terminals_a: Sequence[Terminal],
+                 terminals_b: Sequence[Terminal],
+                 distances_km: np.ndarray, prefer_optical: bool = True):
+        distances = np.asarray(distances_km, dtype=float)
+        by_tech_a = terminals_by_technology(terminals_a)
+        by_tech_b = terminals_by_technology(terminals_b)
+        techs = common_technologies(by_tech_a, by_tech_b)
+        if techs and np.any(distances <= 0.0):
+            raise ValueError(f"distance must be positive, got {distances}")
+        self._options: List[_TechnologyArrays] = []
+        best = np.full(distances.shape, -1, dtype=np.intp)
+        best_capacity = np.zeros(distances.shape)
+        for tech in techs:
+            if not prefer_optical and tech is LinkTechnology.OPTICAL:
+                continue
+            option = _evaluate_arrays(tech, by_tech_a[tech], by_tech_b[tech],
+                                      distances)
+            # Usable means capacity > 0, so a zero floor doubles as "no
+            # link yet"; a later technology must beat the best strictly.
+            better = option.capacity_bps > best_capacity
+            best = np.where(better, len(self._options), best)
+            best_capacity = np.where(better, option.capacity_bps, best_capacity)
+            self._options.append(option)
+        self._choice = best
+
+    @property
+    def usable(self) -> np.ndarray:
+        """Per edge, True when some candidate closes."""
+        return self._choice >= 0
+
+    def links_at(self, indices: np.ndarray, nodes_a: Sequence[str],
+                 nodes_b: Sequence[str],
+                 distances_km: Sequence[float]) -> List[Optional[IslLink]]:
+        """The selected link of each listed edge (None where none closes).
+
+        Args:
+            indices: Edge positions in the batch.
+            nodes_a: First endpoint id per listed edge.
+            nodes_b: Second endpoint id per listed edge.
+            distances_km: Range per listed edge, stored on the link.
+        """
+        indices = np.asarray(indices, dtype=np.intp)
+        choice = self._choice[indices]
+        links: List[Optional[IslLink]] = [None] * indices.size
+        for option_index, option in enumerate(self._options):
+            where = np.flatnonzero(choice == option_index).tolist()
+            if not where:
+                continue
+            made = option.links_at(
+                indices[where], [nodes_a[i] for i in where],
+                [nodes_b[i] for i in where], [distances_km[i] for i in where],
+            )
+            for at, link in zip(where, made):
+                links[at] = link
+        return links

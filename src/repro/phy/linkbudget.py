@@ -15,6 +15,7 @@ Python loop — the property tests under ``tests/properties`` pin this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -85,14 +86,16 @@ class LinkBudgetArrays(_LinkBudgetMath):
     The terminal-side quantities (powers, gains, noise, bandwidth) are
     scalars; the geometry-side quantities (``path_loss_db``, and
     ``extra_loss_db`` when it includes elevation-dependent terms) are
-    arrays over the edge axis.  All derived properties broadcast.
+    arrays over the edge axis.  An edge-independent ``extra_loss_db``
+    stays the scalar the per-edge path computes.  All derived properties
+    broadcast.
     """
 
     tx_power_dbw: float
     tx_gain_dbi: float
     rx_gain_dbi: float
     path_loss_db: np.ndarray
-    extra_loss_db: np.ndarray
+    extra_loss_db: Union[float, np.ndarray]
     noise_power_dbw: float
     bandwidth_hz: float
 

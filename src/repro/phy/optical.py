@@ -146,7 +146,7 @@ def optical_link_budget_arrays(tx: OpticalTerminal, rx: OpticalTerminal,
         tx_gain_dbi=tx.tx_gain_dbi,
         rx_gain_dbi=rx.rx_gain_dbi,
         path_loss_db=path_loss,
-        extra_loss_db=np.full_like(path_loss, extra),
+        extra_loss_db=extra,
         noise_power_dbw=noise_power_dbw(bandwidth, 1000.0),
         bandwidth_hz=bandwidth,
     )

@@ -156,9 +156,9 @@ def rf_link_budget_arrays(tx: RFTerminal, rx: RFTerminal,
     band = tx.band
     distances = np.asarray(distances_km, dtype=float)
     path_loss = free_space_path_loss_db(distances, band.centre_frequency_hz)
-    extra = np.full_like(
-        path_loss, tx.implementation_loss_db + rx.implementation_loss_db
-    )
+    # Edge-independent unless the band is atmospheric: kept as the
+    # scalar the per-edge path computes (LinkBudgetArrays broadcasts).
+    extra = tx.implementation_loss_db + rx.implementation_loss_db
     if band.atmospheric:
         if elevations_rad is None:
             elevations = np.full_like(distances, math.pi / 2.0)

@@ -46,12 +46,6 @@ class TestScaleSweep:
         assert rows[0]["delta_builds"] == 0
         assert rows[0]["digests_match"] is True
 
-    def test_spatial_flag_does_not_change_results(self, rows):
-        forced_on = scale_sweep(**SMALL, spatial=True)
-        forced_off = scale_sweep(**SMALL, spatial=False)
-        assert canonical(forced_on) == canonical(rows)
-        assert canonical(forced_off) == canonical(rows)
-
     def test_jobs_equivalence(self, rows):
         two_counts = scale_sweep(satellite_counts=(48, 60), epochs=2)
         parallel = scale_sweep(satellite_counts=(48, 60), epochs=2,

@@ -123,6 +123,20 @@ class TestFaultSchedule:
         schedule.save(str(path))
         assert FaultSchedule.load(str(path)).events == schedule.events
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "sched.json"
+        FaultSchedule(events=[_event("f1")], horizon_s=60.0).save(str(path))
+        before = path.read_text()
+
+        def exploding_to_json(self, indent=2):
+            raise RuntimeError("serializer died mid-write")
+
+        monkeypatch.setattr(FaultSchedule, "to_json", exploding_to_json)
+        with pytest.raises(RuntimeError):
+            FaultSchedule(events=[_event("f2")], horizon_s=90.0).save(str(path))
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_combine_merges(self):
         merged = combine(
             FaultSchedule(events=[_event("a")], horizon_s=100.0),

@@ -1,14 +1,22 @@
 """Tests for the ISL link abstraction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.isl.link import (
+    BestLinkArrays,
     IslLink,
     LinkTechnology,
     best_link_between,
     candidate_links,
     technology_of,
 )
+from repro.phy.modulation import achievable_rate_bps
 from repro.phy.optical import OpticalTerminal
 from repro.phy.rf import (
     standard_ku_space_terminal,
@@ -57,6 +65,40 @@ class TestCandidateLinks:
         links = list(candidate_links("x", terms, "y", terms, 1000.0))
         assert len(links) == 3
 
+    def test_order_is_declaration_order(self):
+        terms = [
+            OpticalTerminal(),
+            standard_sband_isl_terminal(),
+            standard_uhf_isl_terminal(),
+        ]
+        links = candidate_links("x", terms, "y", terms, 1000.0)
+        assert [link.technology for link in links] == list(LinkTechnology)
+
+    def test_order_does_not_depend_on_hash_seed(self):
+        # Set iteration follows the enum-name string hashes; seeds 0 and
+        # 1 ordered the technologies differently when candidates came
+        # from a set intersection.
+        script = (
+            "from repro.isl.link import candidate_links\n"
+            "from repro.phy.optical import OpticalTerminal\n"
+            "from repro.phy.rf import (standard_sband_isl_terminal,\n"
+            "                          standard_uhf_isl_terminal)\n"
+            "terms = [standard_uhf_isl_terminal(),\n"
+            "         standard_sband_isl_terminal(), OpticalTerminal()]\n"
+            "links = candidate_links('x', terms, 'y', terms, 1000.0)\n"
+            "print([link.technology.name for link in links])\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        orders = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True,
+                                    check=True)
+            orders.append(result.stdout)
+        assert orders[0] == orders[1]
+        assert orders[0].strip() == str([tech.name for tech in LinkTechnology])
+
 
 class TestBestLink:
     FULL = [
@@ -90,6 +132,55 @@ class TestBestLink:
     def test_rejects_zero_distance(self):
         with pytest.raises(ValueError):
             best_link_between("a", self.FULL, "b", self.FULL, 0.0)
+
+    def test_exact_capacity_tie_goes_to_first_declared(self):
+        sband = standard_sband_isl_terminal()
+        rf_capacity = best_link_between("a", [sband], "b", [sband],
+                                        100.0).capacity_bps
+        assert rf_capacity == achievable_rate_bps(100.0, 10e6)  # top MODCOD
+        # A laser whose 2 bps/Hz ceiling equals the S-band rate exactly.
+        laser = OpticalTerminal(data_bandwidth_hz=rf_capacity / 2.0)
+        terms = [laser, sband]
+        optical = best_link_between("a", [laser], "b", [laser], 100.0)
+        assert optical.capacity_bps == rf_capacity
+        link = best_link_between("a", terms, "b", terms, 100.0)
+        assert link.technology is LinkTechnology.RF_SBAND
+        (batched,) = BestLinkArrays(terms, terms, np.array([100.0])).links_at(
+            np.array([0]), ["a"], ["b"], [100.0])
+        assert repr(batched) == repr(link)
+
+
+class TestBestLinkArrays:
+    FULL = TestBestLink.FULL
+
+    def test_matches_scalar_per_edge(self):
+        distances = [50.0, 900.0, 2000.0, 8000.0, 45000.0, 90000.0]
+        for prefer_optical in (True, False):
+            batch = BestLinkArrays(self.FULL, TestBestLink.RF_ONLY + [
+                OpticalTerminal(tx_power_w=0.01)], np.array(distances),
+                prefer_optical=prefer_optical)
+            links = batch.links_at(np.arange(len(distances)),
+                                   ["a"] * len(distances),
+                                   ["b"] * len(distances), distances)
+            for distance, usable, link in zip(distances, batch.usable,
+                                              links):
+                expected = best_link_between(
+                    "a", self.FULL, "b", TestBestLink.RF_ONLY + [
+                        OpticalTerminal(tx_power_w=0.01)],
+                    distance, prefer_optical=prefer_optical)
+                assert repr(link) == repr(expected)
+                assert usable == (expected is not None)
+
+    def test_no_common_technology_is_unusable(self):
+        batch = BestLinkArrays([standard_uhf_isl_terminal()],
+                               [OpticalTerminal()], np.array([0.0, 10.0]))
+        assert not batch.usable.any()
+
+    def test_rejects_zero_distance_even_for_skipped_optical(self):
+        laser = [OpticalTerminal()]
+        with pytest.raises(ValueError):
+            BestLinkArrays(laser, laser, np.array([0.0]),
+                           prefer_optical=False)
 
 
 class TestIslLinkProperties:

@@ -1,10 +1,8 @@
-"""Tests for spatial candidate pruning and topology snapshot deltas."""
+"""Tests for topology snapshot deltas."""
 
-import numpy as np
 import pytest
 
 from repro.isl.topology import (
-    SPATIAL_AUTO_THRESHOLD,
     IslNode,
     IslTopologyBuilder,
     TopologyDelta,
@@ -33,47 +31,6 @@ def edge_payload(snapshot):
         (min(u, v), max(u, v), repr(sorted(data.items())))
         for u, v, data in snapshot.graph.edges(data=True)
     )
-
-
-class TestSpatialEquivalence:
-    def test_spatial_and_dense_snapshots_identical(self):
-        nodes, positions_at = walker_fixture()
-        grid = IslTopologyBuilder(nodes, max_range_km=3000.0,
-                                  spatial_index=True)
-        dense = IslTopologyBuilder(nodes, max_range_km=3000.0,
-                                   spatial_index=False)
-        for t in (0.0, 1234.5, 4000.0):
-            positions = positions_at(t)
-            a = grid.snapshot(t, positions)
-            b = dense.snapshot(t, positions)
-            assert a.link_count > 0
-            assert edge_payload(a) == edge_payload(b)
-
-    def test_spatial_respects_exclusions(self):
-        nodes, positions_at = walker_fixture()
-        grid = IslTopologyBuilder(nodes, max_range_km=3000.0,
-                                  spatial_index=True)
-        dense = IslTopologyBuilder(nodes, max_range_km=3000.0,
-                                   spatial_index=False)
-        excluded = ["w0", "w13", "w77"]
-        positions = positions_at(0.0)
-        a = grid.snapshot(0.0, positions, exclude=excluded)
-        b = dense.snapshot(0.0, positions, exclude=excluded)
-        assert edge_payload(a) == edge_payload(b)
-        assert all(name not in a.graph for name in excluded)
-
-    def test_auto_threshold_picks_spatial_for_large_fleets(self):
-        builder = IslTopologyBuilder(rf_nodes_small())
-        assert not builder._use_spatial(SPATIAL_AUTO_THRESHOLD - 1)
-        assert builder._use_spatial(SPATIAL_AUTO_THRESHOLD)
-        forced = IslTopologyBuilder(rf_nodes_small(), spatial_index=True)
-        assert forced._use_spatial(2)
-
-
-def rf_nodes_small():
-    return [
-        IslNode(f"s{i}", [standard_sband_isl_terminal()]) for i in range(3)
-    ]
 
 
 class TestSnapshotDelta:

@@ -506,14 +506,15 @@ class TestScaleCommand:
         assert len(rows) == 1
         assert rows[0].split()[-1] == "ok"
 
-    def test_sweep_byte_identical_across_jobs_and_spatial(self, capsys):
+    def test_sweep_byte_identical_across_jobs(self, capsys):
         assert main(self.QUICK_SWEEP) == 0
         first = capsys.readouterr().out
         assert main(self.QUICK_SWEEP + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == first
-        for mode in ("on", "off"):
-            assert main(self.QUICK_SWEEP + ["--spatial", mode]) == 0
-            assert capsys.readouterr().out == first
+
+    def test_spatial_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(self.QUICK_SWEEP + ["--spatial", "on"])
 
     def test_no_digest_check_prints_placeholder(self, capsys):
         assert main(self.QUICK_SWEEP + ["--no-digest-check"]) == 0
@@ -555,3 +556,19 @@ class TestReportCommand:
         assert "Figure 2(b)" in content
         assert "Key ablations" in content
         assert "resilience" in content
+
+    def test_failed_write_keeps_previous_report(self, tmp_path, capsys,
+                                                monkeypatch):
+        import repro.obs.export as export
+
+        output = tmp_path / "RESULTS.md"
+        output.write_text("previous report\n")
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(export.os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            main(["report", "--output", str(output), "--trials", "2"])
+        assert output.read_text() == "previous report\n"
+        assert list(tmp_path.iterdir()) == [output]
