@@ -2,8 +2,8 @@
 # Seeded end-to-end smoke contract, shared by every smoke matrix case.
 #
 # Runs one `repro` sweep twice and proves the output byte-identical,
-# then reruns it with extra flags (a different --jobs count or routing
-# backend) and proves that changes nothing either.  With EVENTS=true the
+# then reruns it with extra flags (a different --jobs count) and proves
+# that changes nothing either.  With EVENTS=true the
 # telemetry stream joins the contract: a double-run to the same
 # --events-out path must match byte for byte (the manifest embeds the
 # output path, so both runs share one), and the rerun's stream must

@@ -6,19 +6,16 @@ Measures these things and writes them to ``BENCH_parallel.json``:
    pre-vectorization per-element loops, kept here as the honest
    baseline) against the broadcast paths for orbit propagation, relay
    mesh construction, and a Figure 2(b)-shaped sweep.
-2. **Routing-backend speedup** — the networkx shortest-path stack
-   against the compiled-sparse (CSR + batched multi-source Dijkstra)
-   backend, for all-pairs proactive precompute and for the Figure 2(b)
-   relay hot path.
-3. **Mega-constellation scale** — wall-clock records (no ratio) for a
+2. **Wall-clock records** (no ratio) — all-pairs proactive precompute
+   and time-expanded DTN planning on the CSR shortest-path stack, a
    2880-satellite snapshot and a 10k-satellite orbital period, plus the
    delta-vs-full digest proof.
-4. **Observability overhead** — an event-instrumented flow simulation
+3. **Observability overhead** — an event-instrumented flow simulation
    with the recorder enabled vs disabled; gates the promise that a
    disabled recorder costs one attribute check per emit site.
-5. **Determinism** — SHA-256 digests of each sweep's output at
-   ``jobs=1`` vs ``jobs=2``, on the CSR vs networkx backend, and on the
-   batched tensor engine vs the scalar walk; they must be identical.
+4. **Determinism** — SHA-256 digests of each sweep's output at
+   ``jobs=1`` vs ``jobs=2``, and on the batched tensor engine vs the
+   scalar walk; they must be identical.
 
 Speedups are wall-clock *ratios* measured on the same machine in the
 same run, so they transfer across hardware; ``--check`` gates the
@@ -51,13 +48,10 @@ from repro.experiments.figure2 import (
     DEFAULT_GATEWAY_SITE,
     DEFAULT_USER_SITE,
     _relay_latency_batch_s,
-    _relay_latency_s,
     figure_2b_latency,
-    figure_2c_coverage,
 )
 from repro.experiments.demand import demand_sweep
 from repro.experiments.disrupted import disrupted_sweep
-from repro.experiments.reliability import reliability_sweep
 from repro.experiments.resilience_dynamic import dynamic_resilience_sweep
 from repro.experiments.scale import plane_count_for, scale_sweep
 from repro.ground.station import default_station_network
@@ -69,7 +63,6 @@ from repro.orbits.visibility import (
     slant_range,
 )
 from repro.orbits.walker import iridium_like, random_constellation, walker_delta
-from repro.routing.csr import default_backend, set_default_backend
 from repro.routing.proactive import ProactiveRouter
 from repro.routing.timeexpanded import TimeExpandedRouter
 
@@ -192,15 +185,16 @@ def bench_propagation() -> dict:
 
 
 def bench_relay_mesh() -> dict:
-    """Relay-graph construction for one 70-satellite epoch."""
+    """Relay mesh plus shortest path for one 70-satellite epoch."""
     rng = np.random.default_rng(7)
     positions = random_constellation(70, rng).positions_at(0.0)
     user_eci = ecef_to_eci(DEFAULT_USER_SITE.ecef(), 0.0)
     gateway_eci = ecef_to_eci(DEFAULT_GATEWAY_SITE.ecef(), 0.0)
     scalar_s = _timeit(lambda: _scalar_relay_latency_s(
         positions, user_eci, gateway_eci))
-    vectorized_s = _timeit(lambda: _relay_latency_s(
-        positions, user_eci, gateway_eci, min_elevation_deg=0.0))
+    vectorized_s = _timeit(lambda: _relay_latency_batch_s(
+        positions[:, None, :], user_eci[None, :], gateway_eci[None, :],
+        min_elevation_deg=0.0))
     return {"scalar_s": scalar_s, "vectorized_s": vectorized_s,
             "speedup": scalar_s / vectorized_s}
 
@@ -228,57 +222,21 @@ def bench_figure2_sweep() -> dict:
 
 
 def bench_routing_precompute() -> dict:
-    """All-pairs proactive precompute: networkx vs the CSR backend.
+    """All-pairs proactive precompute: wall-clock record, no ratio.
 
-    This is the acceptance measurement for the compiled-sparse routing
-    backend: batched multi-source Dijkstra plus lazy route
-    materialization must beat the eager per-source networkx loop by
-    >= 5x on an all-pairs table at reference-fleet scale.
+    Two reference-fleet snapshots, every ordered pair: one batched
+    multi-source Dijkstra per snapshot, routes materialized lazily.
     """
     stations = default_station_network()
     fleet = build_fleet(iridium_like(), "bench", SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, stations)
     snapshots = [network.snapshot(t) for t in (0.0, 300.0)]
 
-    def precompute(backend):
-        table = ProactiveRouter(backend=backend).precompute(snapshots)
-        return table.route_count
+    def precompute():
+        return ProactiveRouter().precompute(snapshots).route_count
 
-    counts = {backend: precompute(backend)
-              for backend in ("networkx", "csr")}
-    assert counts["networkx"] == counts["csr"], counts
-    nx_s = _timeit(lambda: precompute("networkx"), repeat=2)
-    csr_s = _timeit(lambda: precompute("csr"), repeat=2)
-    return {"scalar_s": nx_s, "vectorized_s": csr_s,
-            "speedup": nx_s / csr_s}
-
-
-def bench_routing_relay() -> dict:
-    """Figure 2(b) relay hot path: per-epoch networkx vs batched CSR.
-
-    One trial's worth of epochs at the largest swept fleet size, with
-    propagation excluded so the ratio isolates the shortest-path work
-    the CSR backend replaces.
-    """
-    count, epochs = 70, 12
-    rng = np.random.default_rng(7)
-    times = np.linspace(0.0, 86400.0, epochs, endpoint=False)
-    positions_all = random_constellation(count, rng).positions_over(times)
-    user_ecis = np.stack([ecef_to_eci(DEFAULT_USER_SITE.ecef(), float(t))
-                          for t in times])
-    gateway_ecis = np.stack([ecef_to_eci(DEFAULT_GATEWAY_SITE.ecef(),
-                                         float(t)) for t in times])
-
-    def networkx_epochs():
-        return [_relay_latency_s(positions_all[:, k, :], user_ecis[k],
-                                 gateway_ecis[k])
-                for k in range(epochs)]
-
-    nx_s = _timeit(networkx_epochs)
-    csr_s = _timeit(lambda: _relay_latency_batch_s(
-        positions_all, user_ecis, gateway_ecis))
-    return {"scalar_s": nx_s, "vectorized_s": csr_s,
-            "speedup": nx_s / csr_s}
+    routes = precompute()
+    return {"precompute_s": _timeit(precompute, repeat=2), "routes": routes}
 
 
 def bench_obs_overhead() -> dict:
@@ -433,9 +391,8 @@ def bench_demand_fluid() -> dict:
     })
     demand = offered_load_bps(grid.users[occupied], grid.lon_deg[occupied],
                               hour_utc=20.0)
-    # Route mapping is shared setup (the CSR-vs-networkx benchmarks
-    # already price the Dijkstra work); the ratio isolates the fluid
-    # fixed point itself.
+    # Route mapping is shared setup; the ratio isolates the fluid fixed
+    # point itself.
     paths = map_cells_to_routes(graph, cell_ids)
 
     result = run_fluid(graph, cell_ids, demand, paths=paths)
@@ -458,14 +415,13 @@ def bench_demand_fluid() -> dict:
 
 
 def bench_dtn() -> dict:
-    """Time-expanded earliest-arrival planning: networkx vs CSR.
+    """Time-expanded earliest-arrival planning: wall-clock record, no ratio.
 
     The DTN scheduler's hot path is one contact plan answering many
     earliest-arrival queries (every buffered bundle, at every epoch,
-    against every candidate gateway).  The CSR backend builds the
-    time-expanded adjacency once and memoizes one single-source run per
-    distinct start node, so the ratio grows with the query count; the
-    networkx reference re-runs Dijkstra per query.
+    against every candidate gateway).  The time-expanded adjacency is
+    compiled once and one single-source run is memoized per distinct
+    start node.
     """
     stations = default_station_network()
     fleet = build_fleet(iridium_like(), "bench", SizeClass.MEDIUM)
@@ -475,27 +431,13 @@ def bench_dtn() -> dict:
     sources = sorted(s.satellite_id for s in network.satellites)[:12]
     targets = sorted(st.station_id for st in stations)[:6]
 
-    def plan(backend):
-        router = TimeExpandedRouter(snapshots, backend=backend)
+    def plan():
+        router = TimeExpandedRouter(snapshots)
         return [router.earliest_arrival(source, target, 0.0)
                 for source in sources for target in targets]
 
-    def arrivals(routes):
-        return [None if r is None else r.arrival_s for r in routes]
-
-    nx_routes = arrivals(plan("networkx"))
-    csr_routes = arrivals(plan("csr"))
-    assert len(nx_routes) == len(csr_routes)
-    assert all(
-        (a is None) == (b is None)
-        and (a is None or math.isclose(a, b, rel_tol=1e-9))
-        for a, b in zip(nx_routes, csr_routes)
-    ), "CSR earliest-arrival plans diverged from networkx"
-    nx_s = _timeit(lambda: plan("networkx"), repeat=2)
-    csr_s = _timeit(lambda: plan("csr"), repeat=2)
-    return {"scalar_s": nx_s, "vectorized_s": csr_s,
-            "speedup": nx_s / csr_s,
-            "queries": len(nx_routes)}
+    queries = len(plan())
+    return {"plan_s": _timeit(plan, repeat=2), "queries": queries}
 
 
 #: Fleet size for the mega-constellation completion record inside
@@ -587,39 +529,6 @@ def bench_determinism(jobs: int) -> dict:
     }
 
 
-def bench_backend_equivalence() -> dict:
-    """Digest each seeded sweep on the CSR and networkx backends.
-
-    The CSR backend must be a pure performance change: every sweep
-    output is bitwise identical to the networkx reference.
-    """
-
-    def both(fn):
-        original = default_backend()
-        digests = {}
-        try:
-            for backend in ("csr", "networkx"):
-                set_default_backend(backend)
-                digests[backend] = _digest(fn())
-        finally:
-            set_default_backend(original)
-        digests["match"] = digests["csr"] == digests["networkx"]
-        return digests
-
-    return {
-        "figure2b": both(lambda: figure_2b_latency(
-            satellite_counts=(10, 25), trials=2, epochs=3, seed=42,
-            jobs=1)),
-        "figure2c": both(lambda: figure_2c_coverage(
-            satellite_counts=(4, 12), trials=2, seed=42, jobs=1)),
-        "faults": both(lambda: dynamic_resilience_sweep(
-            mtbf_hours=(1.0,), horizon_s=1200.0, epochs=3, jobs=1)),
-        "reliability": both(lambda: reliability_sweep(
-            loss_rates=(0.0, 0.2), flap_mtbf_hours=(0.0,),
-            horizon_s=600.0, probes=2, jobs=1)),
-    }
-
-
 def bench_engine_equivalence(jobs: int) -> dict:
     """Digest the figure2/faults sweeps on the scalar vs batched engine.
 
@@ -652,7 +561,6 @@ BENCH_CASES = {
     "relay_mesh": bench_relay_mesh,
     "figure2_sweep": bench_figure2_sweep,
     "routing_precompute": bench_routing_precompute,
-    "routing_relay": bench_routing_relay,
     "obs_overhead": bench_obs_overhead,
     "demand_fluid": bench_demand_fluid,
     "dtn": bench_dtn,
@@ -663,7 +571,7 @@ BENCH_CASES = {
 #: Digest-section pseudo-cases accepted by ``--only`` alongside the
 #: timed cases in :data:`BENCH_CASES` (e.g. the CI smoke path pairs
 #: ``figure2_sweep`` with ``engine_equivalence``).
-SECTION_CASES = ("determinism", "backend_equivalence", "engine_equivalence")
+SECTION_CASES = ("determinism", "engine_equivalence")
 
 
 def run_all(jobs: int, only=None) -> dict:
@@ -694,9 +602,6 @@ def run_all(jobs: int, only=None) -> dict:
     result["determinism"] = (
         bench_determinism(jobs) if "determinism" in sections else {}
     )
-    result["backend_equivalence"] = (
-        bench_backend_equivalence() if "backend_equivalence" in sections else {}
-    )
     result["engine_equivalence"] = (
         bench_engine_equivalence(jobs) if "engine_equivalence" in sections else {}
     )
@@ -710,11 +615,6 @@ def check(result: dict, baseline: dict, tolerance: float) -> list:
         if not case["match"]:
             problems.append(
                 f"determinism: {name} parallel digest diverges from serial"
-            )
-    for name, case in result.get("backend_equivalence", {}).items():
-        if not case["match"]:
-            problems.append(
-                f"backend: {name} CSR digest diverges from networkx"
             )
     for name, case in result.get("engine_equivalence", {}).items():
         if not case["match"]:
@@ -758,9 +658,9 @@ def main(argv=None) -> int:
                              "baseline")
     parser.add_argument("--only", nargs="+", metavar="NAME", default=None,
                         help="run only the named benchmark cases; digest "
-                             "sections (determinism, backend_equivalence, "
-                             "engine_equivalence) run only when named "
-                             "(incompatible with --check)")
+                             "sections (determinism, engine_equivalence) "
+                             "run only when named (incompatible with "
+                             "--check)")
     parser.add_argument("--scale-satellites", type=int,
                         default=MEGA_SCALE_SATELLITES, metavar="N",
                         help="fleet size for the scale benchmark's "
@@ -781,8 +681,13 @@ def main(argv=None) -> int:
     print(f"wrote {args.output}")
     for name, case in result["benchmarks"].items():
         if "speedup" not in case:
-            print(f"  {name:>15}: {case['snapshot_s'] * 1000:.1f} ms per "
-                  f"{case['snapshot_satellites']}-satellite snapshot")
+            # Wall-clock records: every top-level "*_s" field.
+            timings = ", ".join(
+                f"{key} {value * 1000:.1f} ms"
+                for key, value in sorted(case.items())
+                if key.endswith("_s")
+            )
+            print(f"  {name:>15}: {timings}")
             continue
         print(f"  {name:>15}: {case['speedup']:6.2f}x "
               f"({case['scalar_s'] * 1000:.1f} ms -> "
@@ -790,9 +695,6 @@ def main(argv=None) -> int:
     for name, case in result["determinism"].items():
         status = "ok" if case["match"] else "DIVERGED"
         print(f"  determinism {name}: {status}")
-    for name, case in result["backend_equivalence"].items():
-        status = "ok" if case["match"] else "DIVERGED"
-        print(f"  backend {name}: {status}")
     for name, case in result["engine_equivalence"].items():
         status = "ok" if case["match"] else "DIVERGED"
         print(f"  engine {name}: {status}")

@@ -18,7 +18,7 @@ from repro.core.network import OpenSpaceNetwork
 from repro.experiments.figure2 import (
     DEFAULT_GATEWAY_SITE,
     DEFAULT_USER_SITE,
-    _relay_latency_s,
+    _relay_latency_batch_s,
     figure_2b_latency,
 )
 from repro.ground.station import default_station_network
@@ -47,9 +47,9 @@ def test_perf_vectorized_relay_mesh(benchmark):
     user_eci = ecef_to_eci(DEFAULT_USER_SITE.ecef(), 0.0)
     gateway_eci = ecef_to_eci(DEFAULT_GATEWAY_SITE.ecef(), 0.0)
 
-    latency = benchmark(_relay_latency_s, positions, user_eci, gateway_eci,
-                        0.0)
-    assert latency is None or latency > 0.0
+    (latency,) = benchmark(_relay_latency_batch_s, positions[:, None, :],
+                           user_eci[None, :], gateway_eci[None, :], 0.0)
+    assert latency > 0.0
 
 
 def test_perf_snapshot_cache_warm(benchmark):

@@ -589,13 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the sweep grid (1 = serial; results "
              "are identical for every value)")
-    # Shortest-path backend selector, shared likewise.  Output is
-    # byte-identical across backends; networkx is the digest reference.
-    jobs_flags.add_argument(
-        "--routing-backend", choices=("csr", "networkx"), default=None,
-        metavar="NAME",
-        help="shortest-path backend: csr (scipy, default when available) "
-             "or networkx (reference; results are identical)")
 
     p2a = sub.add_parser("figure2a", parents=[obs_flags],
                          help="reference constellation report")
@@ -612,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="scalar",
                      help="sweep-point engine: scalar event walk (oracle) "
                           "or the batched tensor pipeline (identical "
-                          "results; needs the csr backend)")
+                          "results)")
     p2b.set_defaults(func=_cmd_figure2b)
 
     p2c = sub.add_parser("figure2c", parents=[obs_flags, jobs_flags],
@@ -863,10 +856,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend = getattr(args, "routing_backend", None)
-    if backend is not None:
-        from repro.routing.csr import set_default_backend
-        set_default_backend(backend)
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics_out", None)
     events_path = getattr(args, "events_out", None)

@@ -34,19 +34,15 @@ from repro.orbits.visibility import elevation_angles
 from repro.phy.modulation import achievable_rate_bps, achievable_rate_bps_array
 from repro.phy.rf import RFTerminal, rf_link_budget, rf_link_budget_arrays
 from repro.routing.csr import (
-    BACKEND_CSR,
-    HAVE_SCIPY,
     NO_PREDECESSOR,
     CsrAdjacency,
     block_diagonal_dijkstra,
-    resolve_backend,
 )
 from repro.routing.metrics import (
     PROPAGATION_ONLY,
     EdgeCostModel,
     RouteMetrics,
     path_metrics,
-    shortest_path,
 )
 
 
@@ -177,16 +173,12 @@ class NetworkSnapshot:
 
     def route(self, source: str, target: str,
               cost_model: Optional[EdgeCostModel] = None,
-              backend: Optional[str] = None) -> Optional[RouteMetrics]:
+              ) -> Optional[RouteMetrics]:
         """Cheapest route between two nodes, or None when disconnected."""
-        if resolve_backend(backend) == BACKEND_CSR:
-            if source not in self.graph or target not in self.graph:
-                return None
-            adjacency = self.csr_adjacency(cost_model)
-            path = adjacency.single_source(source).path(source, target)
-        else:
-            path = shortest_path(self.graph, source, target, cost_model,
-                                 backend=backend)
+        if source not in self.graph or target not in self.graph:
+            return None
+        adjacency = self.csr_adjacency(cost_model)
+        path = adjacency.single_source(source).path(source, target)
         if path is None:
             return None
         return path_metrics(self.graph, path)
@@ -200,31 +192,21 @@ class NetworkSnapshot:
     def nearest_ground_station_route(
         self, source: str,
         cost_model: Optional[EdgeCostModel] = None,
-        backend: Optional[str] = None,
     ) -> Optional[RouteMetrics]:
         """Best route from a node to any ground station.
 
-        With the CSR backend this costs one single-source Dijkstra (the
-        snapshot memoizes it per source) instead of one per station.
+        One single-source Dijkstra (the snapshot memoizes it per source)
+        covers every station.
         """
-        stations = self.nodes_of_kind("ground_station")
+        if source not in self.graph:
+            return None
+        paths = self.csr_adjacency(cost_model).single_source(source)
         best: Optional[RouteMetrics] = None
-        if resolve_backend(backend) == BACKEND_CSR:
-            if source not in self.graph:
-                return None
-            paths = self.csr_adjacency(cost_model).single_source(source)
-            for station in stations:
-                path = paths.path(source, station)
-                if path is None:
-                    continue
-                metrics = path_metrics(self.graph, path)
-                if best is None or metrics.total_delay_s < best.total_delay_s:
-                    best = metrics
-            return best
-        for station in stations:
-            metrics = self.route(source, station, cost_model, backend=backend)
-            if metrics is None:
+        for station in self.nodes_of_kind("ground_station"):
+            path = paths.path(source, station)
+            if path is None:
                 continue
+            metrics = path_metrics(self.graph, path)
             if best is None or metrics.total_delay_s < best.total_delay_s:
                 best = metrics
         return best
@@ -921,8 +903,7 @@ class OpenSpaceNetwork:
         :meth:`NetworkSnapshot.nearest_ground_station_route`) — same
         float64 operations on the same values, same station iteration
         order, same strict ``<`` tie-breaking; the engine digest gates
-        and ``tests/core/test_network_batched.py`` enforce it.  Without
-        scipy the method falls back to the scalar loop.
+        and ``tests/core/test_network_batched.py`` enforce it.
 
         Args:
             time_s: Probe instant.
@@ -937,17 +918,6 @@ class OpenSpaceNetwork:
         users = list(users)
         if not users:
             return {}
-        if not HAVE_SCIPY:
-            results: Dict[str, Optional[List[str]]] = {}
-            for user in users:
-                snap = self.snapshot(time_s, users=[user])
-                metrics = snap.nearest_ground_station_route(
-                    user.user_id, cost_model
-                )
-                results[user.user_id] = (
-                    None if metrics is None else list(metrics.path)
-                )
-            return results
         model = cost_model or PROPAGATION_ONLY
         base = self.snapshot(time_s)
         adjacency = base.csr_adjacency(model)

@@ -26,12 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs as _obs
-from repro.routing.csr import (
-    BACKEND_CSR,
-    CsrAdjacency,
-    delay_weight,
-    resolve_backend,
-)
+from repro.routing.csr import CsrAdjacency, delay_weight
 
 #: Utilization is clamped below 1 when deriving queueing-delay
 #: inflation so saturated links price as very expensive, not infinite.
@@ -152,15 +147,12 @@ def weighted_percentile(values: np.ndarray, weights: np.ndarray,
 
 
 def map_cells_to_routes(graph, cell_ids: Sequence[str],
-                        backend: Optional[str] = None,
                         ) -> List[Optional[List[str]]]:
     """Serving route (cell → cheapest gateway) for every cell at once.
 
-    Under the CSR backend this is one batched multi-source Dijkstra for
-    the whole cell set, then an argmin over the gateway columns of the
-    distance matrix (first-listed gateway wins ties, matching the
-    per-source routers).  The networkx fallback runs one single-source
-    search per cell.
+    One batched multi-source Dijkstra for the whole cell set, then an
+    argmin over the gateway columns of the distance matrix (first-listed
+    gateway wins ties, matching the per-source routers).
 
     Returns:
         One node path per cell id, ``None`` where no gateway is
@@ -173,45 +165,23 @@ def map_cells_to_routes(graph, cell_ids: Sequence[str],
     cell_list = list(cell_ids)
     if not gateways or not cell_list:
         return [None] * len(cell_list)
-    if resolve_backend(backend) == BACKEND_CSR:
-        adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
-        known = [cell for cell in cell_list if cell in adjacency]
-        paths_by_cell: Dict[str, Optional[List[str]]] = {}
-        if known:
-            shortest = adjacency.shortest_paths(known)
-            gateway_cols = np.asarray(
-                [adjacency.index[g] for g in gateways], dtype=np.int64
-            )
-            distances = shortest.dist[:, gateway_cols]
-            best = np.argmin(distances, axis=1)
-            for row, cell in enumerate(known):
-                column = int(best[row])
-                if not np.isfinite(distances[row, column]):
-                    paths_by_cell[cell] = None
-                    continue
-                paths_by_cell[cell] = shortest.path(cell, gateways[column])
-        return [paths_by_cell.get(cell) for cell in cell_list]
-
-    import networkx as nx
-
-    results: List[Optional[List[str]]] = []
-    for cell in cell_list:
-        if cell not in graph:
-            results.append(None)
-            continue
-        best_cost = float("inf")
-        best_path = None
-        for gateway in gateways:
-            try:
-                cost, path = nx.single_source_dijkstra(
-                    graph, cell, gateway, weight="delay_s"
-                )
-            except nx.NetworkXNoPath:
+    adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
+    known = [cell for cell in cell_list if cell in adjacency]
+    paths_by_cell: Dict[str, Optional[List[str]]] = {}
+    if known:
+        shortest = adjacency.shortest_paths(known)
+        gateway_cols = np.asarray(
+            [adjacency.index[g] for g in gateways], dtype=np.int64
+        )
+        distances = shortest.dist[:, gateway_cols]
+        best = np.argmin(distances, axis=1)
+        for row, cell in enumerate(known):
+            column = int(best[row])
+            if not np.isfinite(distances[row, column]):
+                paths_by_cell[cell] = None
                 continue
-            if cost < best_cost:
-                best_cost, best_path = cost, path
-        results.append(best_path)
-    return results
+            paths_by_cell[cell] = shortest.path(cell, gateways[column])
+    return [paths_by_cell.get(cell) for cell in cell_list]
 
 
 def waterfill_rates(demand_bps: np.ndarray, entry_flow: np.ndarray,
@@ -300,7 +270,6 @@ def waterfill_rates(demand_bps: np.ndarray, entry_flow: np.ndarray,
 
 
 def run_fluid(graph, cell_ids: Sequence[str], demand_bps: Sequence[float],
-              backend: Optional[str] = None,
               paths: Optional[Sequence[Optional[List[str]]]] = None,
               ) -> FluidResult:
     """Evaluate the fluid fixed point for one snapshot and demand vector.
@@ -311,7 +280,6 @@ def run_fluid(graph, cell_ids: Sequence[str], demand_bps: Sequence[float],
             and ``delay_s``.
         cell_ids: Aggregate-flow source nodes (cell terminals).
         demand_bps: Offered load per cell, parallel to ``cell_ids``.
-        backend: Routing backend (``None`` = process default).
         paths: Pre-computed routes (skips the Dijkstra stage); mainly
             for benchmarks isolating the waterfilling stage.
 
@@ -327,7 +295,7 @@ def run_fluid(graph, cell_ids: Sequence[str], demand_bps: Sequence[float],
     recorder = _obs.active()
     with recorder.span("demand.fluid", cells=len(cell_list)):
         if paths is None:
-            paths = map_cells_to_routes(graph, cell_list, backend=backend)
+            paths = map_cells_to_routes(graph, cell_list)
         else:
             paths = list(paths)
         routed = np.asarray(

@@ -101,14 +101,12 @@ class DtnScheduler:
         buffer_bytes: Per-node custody budget (``inf`` = unbounded).
         destinations: Delivery sinks for any-gateway bundles; defaults
             to every ground station id.
-        backend: Routing backend override for the time-expanded router.
     """
 
     def __init__(self, network, sensors, custody: CustodyTransfer,
                  epoch_times: Sequence[float],
                  buffer_bytes: float = float("inf"),
-                 destinations: Optional[Sequence[str]] = None,
-                 backend: Optional[str] = None):
+                 destinations: Optional[Sequence[str]] = None):
         epoch_times = [float(t) for t in epoch_times]
         if not epoch_times:
             raise ValueError("need at least one epoch time")
@@ -134,7 +132,6 @@ class DtnScheduler:
         if not self.destinations:
             raise ValueError("need at least one destination")
         self._destination_set = frozenset(self.destinations)
-        self.backend = backend
         self.buffers: Dict[str, BundleBuffer] = {}
         self._pending: List[Bundle] = []
         self._router: Optional[TimeExpandedRouter] = None
@@ -242,9 +239,7 @@ class DtnScheduler:
             self.network.snapshot(time_s, users=self.sensors)
             for time_s in self.epoch_times[k:]
         ]
-        self._router = TimeExpandedRouter(
-            snapshots, horizon_s=self.horizon_s, backend=self.backend,
-        )
+        self._router = TimeExpandedRouter(snapshots, horizon_s=self.horizon_s)
         self._plan_fault_epoch = fault_epoch
         self._plan_count += 1
         if recorder.enabled and self._plan_count > 1:

@@ -88,7 +88,7 @@ def _demand_point(args: tuple) -> Dict:
     constellation size and local solar time.
     """
     (satellites, hour, row_index, total_users, bands, equator_columns,
-     distribution, spread_deg, seed, duration_s, backend) = args
+     distribution, spread_deg, seed, duration_s) = args
     spec = GridSpec(bands=bands, equator_columns=equator_columns)
     rng = np.random.default_rng(
         derive_seed(seed, "demand-grid", total_users, distribution)
@@ -114,7 +114,7 @@ def _demand_point(args: tuple) -> Dict:
     demand = offered_load_bps(grid.users[occupied], grid.lon_deg[occupied],
                               hour_utc=hour)
 
-    result = run_fluid(graph, cell_ids, demand, backend=backend)
+    result = run_fluid(graph, cell_ids, demand)
     state = congestion_state(result)
     state.inflate_queue_delays(graph)
     _obs.active().sample_health(time_s, graph,
@@ -155,7 +155,6 @@ def demand_sweep(satellite_counts: Sequence[int] = (24, 66),
                  spread_deg: float = 6.0,
                  seed: int = 7,
                  duration_s: float = 3600.0,
-                 backend: str = None,
                  jobs: int = 1) -> List[Dict]:
     """Peak-hour congestion and revenue vs constellation size.
 
@@ -171,7 +170,6 @@ def demand_sweep(satellite_counts: Sequence[int] = (24, 66),
         spread_deg: Cluster spread for the underserved distribution.
         seed: Root seed; the population grid derives from it.
         duration_s: Settlement interval each point's rates sustain.
-        backend: Routing backend (``None`` = process default).
         jobs: Worker processes; every job count yields identical rows.
 
     Returns:
@@ -186,8 +184,7 @@ def demand_sweep(satellite_counts: Sequence[int] = (24, 66),
 
     points = [
         (int(count), float(hour), row_index, total_users, bands,
-         equator_columns, distribution, spread_deg, seed, duration_s,
-         backend)
+         equator_columns, distribution, spread_deg, seed, duration_s)
         for row_index, (count, hour) in enumerate(
             (count, hour)
             for count in satellite_counts for hour in hours_utc)

@@ -17,7 +17,7 @@ every job count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -100,8 +100,7 @@ def run_disrupted_scenario(network: OpenSpaceNetwork,
                            loss: float = 0.0,
                            channel_seed: int = 0,
                            max_attempts: int = 4,
-                           timeout_s: float = 0.5,
-                           backend: Optional[str] = None) -> Dict:
+                           timeout_s: float = 0.5) -> Dict:
     """Run one blackout scenario through the DTN plane.
 
     Args:
@@ -115,7 +114,6 @@ def run_disrupted_scenario(network: OpenSpaceNetwork,
         channel_seed: Seed of the channel's delivery draws.
         max_attempts: Custody retransmission bound.
         timeout_s: Per-attempt custody timeout, seconds.
-        backend: Routing backend override.
 
     Returns:
         Aggregate row (delivery ratio/delay, custody retransmissions,
@@ -129,7 +127,7 @@ def run_disrupted_scenario(network: OpenSpaceNetwork,
         policy=RetryPolicy(max_attempts=max_attempts, timeout_s=timeout_s),
     )
     scheduler = DtnScheduler(network, sensors, custody, epoch_times,
-                             buffer_bytes=buffer_bytes, backend=backend)
+                             buffer_bytes=buffer_bytes)
     for bundle in bundles:
         scheduler.submit(bundle)
     injector = FaultInjector(network, channel=channel)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import networkx as nx
 import numpy as np
@@ -38,14 +38,11 @@ from repro.orbits.visibility import (
     coverage_fraction,
     elevation_angles,
     line_of_sight_mask,
-    pairwise_line_of_sight,
-    pairwise_slant_ranges,
     worst_case_coverage_fraction,
 )
 from repro.orbits.walker import iridium_like, random_constellation
 from repro.parallel import derive_seed, run_grid
 from repro.phy.rf import standard_sband_isl_terminal
-from repro.routing.csr import BACKEND_CSR, resolve_backend
 from repro.simulation.batched import ground_eci_track, merge_trial_epochs
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.metrics import SeriesCollector
@@ -128,56 +125,6 @@ def _figure_2a_constellation(time_s: float) -> ConstellationReport:
     )
 
 
-def _relay_latency_s(positions: np.ndarray, user_eci: np.ndarray,
-                     gateway_eci: np.ndarray,
-                     min_elevation_deg: float = 10.0,
-                     max_isl_range_km: float = 6000.0) -> Optional[float]:
-    """The paper's Figure 2(b) measurement for one constellation state.
-
-    Shortest propagation path: user -> pickup satellite -> (ISLs) ->
-    relay satellite -> ground station.  Pure geometry — every
-    line-of-sight pair within ISL range is a usable relay hop, matching
-    the paper's "simplified simulation".
-
-    Returns None when the user or gateway sees no satellite, or the relay
-    graph does not connect them.
-    """
-    count = positions.shape[0]
-    mask_rad = math.radians(min_elevation_deg)
-    graph = nx.Graph()
-    graph.add_node("user")
-    graph.add_node("gateway")
-    graph.add_nodes_from(range(count))
-    # Access edges and the full relay mesh come from vectorized
-    # elevation/range/line-of-sight passes; only graph assembly loops.
-    for endpoint, ground_eci in (("user", user_eci), ("gateway", gateway_eci)):
-        elevations = elevation_angles(ground_eci, positions)
-        deltas = positions - np.asarray(ground_eci, dtype=float)
-        ranges = np.sqrt((deltas * deltas).sum(axis=-1))
-        for i in np.nonzero(elevations >= mask_rad)[0]:
-            graph.add_edge(endpoint, int(i),
-                           delay_s=float(ranges[i]) / SPEED_OF_LIGHT_KM_S)
-    if count >= 2:
-        distances = pairwise_slant_ranges(positions)
-        feasible = (
-            (distances <= max_isl_range_km)
-            & pairwise_line_of_sight(positions)
-        )
-        rows_idx, cols_idx = np.triu_indices(count, k=1)
-        keep = feasible[rows_idx, cols_idx]
-        for i, j in zip(rows_idx[keep], cols_idx[keep]):
-            graph.add_edge(int(i), int(j),
-                           delay_s=float(distances[i, j]) / SPEED_OF_LIGHT_KM_S)
-    with _obs.span("routing.relay.shortest_path",
-                   nodes=graph.number_of_nodes(),
-                   edges=graph.number_of_edges()):
-        try:
-            return nx.dijkstra_path_length(graph, "user", "gateway",
-                                           weight="delay_s")
-        except nx.NetworkXNoPath:
-            return None
-
-
 def _relay_latency_batch_s(positions_all: np.ndarray,
                            user_ecis: np.ndarray,
                            gateway_ecis: np.ndarray,
@@ -190,9 +137,9 @@ def _relay_latency_batch_s(positions_all: np.ndarray,
     from the vectorized elevation/range/line-of-sight masks, with no
     intermediate ``networkx`` graph, then answers every epoch's
     user→gateway distance with one multi-source Dijkstra.  Per-edge
-    weights are elementwise ``range / c`` divisions of the same float64
-    values the scalar path uses, so distances are bit-identical to
-    :func:`_relay_latency_s`.
+    weights are elementwise ``range / c`` divisions, and an epoch's
+    block is disjoint from every other, so each epoch's distance is
+    bit-identical to a standalone single-epoch search.
 
     Args:
         positions_all: ``(N, K, 3)`` satellite ECI positions over epochs.
@@ -231,8 +178,7 @@ def _relay_latency_batch_s(positions_all: np.ndarray,
     if count >= 2:
         # Candidate pairs: upper triangle only, with the line-of-sight
         # test (the expensive segment geometry) restricted to pairs that
-        # already pass the range gate.  Same elementwise float ops on the
-        # same values as the per-epoch scalar path, so same bits.
+        # already pass the range gate.
         rows_idx, cols_idx = np.triu_indices(count, k=1)
         diff = pts[:, rows_idx, :] - pts[:, cols_idx, :]
         distances = np.sqrt((diff * diff).sum(axis=-1))
@@ -270,7 +216,7 @@ def _figure_2b_point(args: tuple) -> Dict:
     seed, so results are identical at any job count.
     """
     (count, trials, epochs, point_seed, altitude_km,
-     user_site, gateway_site, backend, engine) = args
+     user_site, gateway_site, engine) = args
     rng = np.random.default_rng(point_seed)
     epoch_times = np.linspace(0.0, 86400.0, epochs, endpoint=False)
     recorder = _obs.active()
@@ -288,7 +234,7 @@ def _figure_2b_point(args: tuple) -> Dict:
         # and every float is bit-identical to the scalar engine's.
         with recorder.span("experiment.figure2b.sweep_point",
                            satellites=count, trials=trials, epochs=epochs,
-                           backend=backend, engine=engine):
+                           engine=engine):
             trial_tensors = []
             for _ in range(trials):
                 constellation = random_constellation(count, rng,
@@ -319,66 +265,45 @@ def _figure_2b_point(args: tuple) -> Dict:
         return {"count": count, "samples": samples,
                 "reached": reached, "total": total}
 
-    def sample_epoch(positions: np.ndarray, time_s: float,
-                     precomputed_s: Optional[float] = None) -> None:
-        """Evaluate one (constellation, epoch) relay measurement."""
+    def sample_epoch(latency_s: float) -> None:
+        """Record one (constellation, epoch) relay measurement."""
         nonlocal reached, total
         total += 1
-        if precomputed_s is not None:
-            # CSR backend: this epoch's latency came from the trial's
-            # batched csgraph call; the event just records it.
-            latency = precomputed_s if math.isfinite(precomputed_s) else None
-        else:
-            user_eci = ecef_to_eci(user_site.ecef(), time_s)
-            gateway_eci = ecef_to_eci(gateway_site.ecef(), time_s)
-            with recorder.phase("figure2b.relay_path"):
-                latency = _relay_latency_s(positions, user_eci, gateway_eci,
-                                           min_elevation_deg=0.0)
-        if latency is not None:
-            samples.append(latency * 1000.0)
+        if math.isfinite(latency_s):
+            samples.append(latency_s * 1000.0)
             reached += 1
             if recorder.enabled:
                 recorder.observe("figure2b.latency_ms",
-                                 latency * 1000.0, label=str(count))
+                                 latency_s * 1000.0, label=str(count))
 
-    use_csr = backend == BACKEND_CSR
     with recorder.span("experiment.figure2b.sweep_point",
-                       satellites=count, trials=trials, epochs=epochs,
-                       backend=backend):
+                       satellites=count, trials=trials, epochs=epochs):
         for _ in range(trials):
             constellation = random_constellation(count, rng,
                                                  altitude_km=altitude_km)
             # One broadcast propagation covers every epoch of the trial.
             with recorder.phase("figure2b.propagate"):
                 positions_all = constellation.positions_over(epoch_times)
-            batch_latencies = None
-            if use_csr:
-                user_ecis = np.stack([
-                    ecef_to_eci(user_site.ecef(), float(t))
-                    for t in epoch_times
-                ])
-                gateway_ecis = np.stack([
-                    ecef_to_eci(gateway_site.ecef(), float(t))
-                    for t in epoch_times
-                ])
-                with recorder.phase("figure2b.relay_path"):
-                    batch_latencies = _relay_latency_batch_s(
-                        positions_all, user_ecis, gateway_ecis,
-                        min_elevation_deg=0.0,
-                    )
+            user_ecis = np.stack([
+                ecef_to_eci(user_site.ecef(), float(t)) for t in epoch_times
+            ])
+            gateway_ecis = np.stack([
+                ecef_to_eci(gateway_site.ecef(), float(t))
+                for t in epoch_times
+            ])
+            with recorder.phase("figure2b.relay_path"):
+                latencies = _relay_latency_batch_s(
+                    positions_all, user_ecis, gateway_ecis,
+                    min_elevation_deg=0.0,
+                )
             # The epoch samples run as discrete events so the sweep
             # exercises (and is measured through) the same engine the
             # protocol simulations use.
             engine = SimulationEngine()
-            for k, time_s in enumerate(epoch_times):
-                precomputed = (
-                    float(batch_latencies[k])
-                    if batch_latencies is not None else None
-                )
+            for time_s, latency_s in zip(epoch_times, latencies):
                 engine.schedule(
                     float(time_s),
-                    lambda pos=positions_all[:, k, :], t=float(time_s),
-                        pre=precomputed: sample_epoch(pos, t, pre),
+                    lambda value=float(latency_s): sample_epoch(value),
                     label="figure2b.epoch",
                 )
             engine.run()
@@ -395,7 +320,6 @@ def figure_2b_latency(satellite_counts: Sequence[int] = tuple(
                       user_site: GeodeticPoint = DEFAULT_USER_SITE,
                       gateway_site: GeodeticPoint = DEFAULT_GATEWAY_SITE,
                       jobs: int = 1,
-                      backend: Optional[str] = None,
                       engine: str = "scalar") -> Dict:
     """Propagation latency vs constellation size (paper Figure 2(b)).
 
@@ -409,18 +333,16 @@ def figure_2b_latency(satellite_counts: Sequence[int] = tuple(
 
     Each satellite count is an independent sweep point with its own
     derived seed, so ``jobs > 1`` fans points across processes without
-    changing any value in the result.  ``backend`` picks the shortest-path
-    implementation (``"csr"`` batches every epoch of a trial into one
-    :func:`scipy.sparse.csgraph.dijkstra` call; ``"networkx"`` is the
-    per-epoch reference); both produce bit-identical latencies.
+    changing any value in the result.
 
     ``engine`` selects how a sweep point executes: ``"scalar"`` walks
-    trials through the discrete-event engine (the oracle), ``"batched"``
+    trials through the discrete-event engine (the oracle), one
+    :func:`scipy.sparse.csgraph.dijkstra` call per trial; ``"batched"``
     flattens all of a point's trials and epochs into one tensor pipeline
     — one merged ``(sats, trials * epochs, 3)`` position tensor, one
-    vectorized geometry pass, one block-diagonal shortest-path call —
-    and requires the CSR backend.  Both engines return bit-identical
-    results (the benchmark digest gate holds them together).
+    vectorized geometry pass, one block-diagonal shortest-path call.
+    Both engines return bit-identical results (the benchmark digest gate
+    holds them together).
 
     Returns:
         ``{"series": [...rows...], "reachability": {count: fraction}}``
@@ -433,18 +355,10 @@ def figure_2b_latency(satellite_counts: Sequence[int] = tuple(
         raise ValueError(f"need at least one epoch, got {epochs}")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    # Resolve the backend here so worker processes get a concrete name in
-    # their args rather than relying on inheriting the parent's default.
-    backend = resolve_backend(backend)
-    if engine == "batched" and backend != BACKEND_CSR:
-        raise ValueError(
-            "the batched engine needs the csr backend (scipy); "
-            f"resolved backend is {backend!r}"
-        )
     points = [
         (int(count), trials, epochs,
          derive_seed(seed, "figure2b", int(count)),
-         altitude_km, user_site, gateway_site, backend, engine)
+         altitude_km, user_site, gateway_site, engine)
         for count in satellite_counts
     ]
     results = run_grid(_figure_2b_point, points, jobs=jobs, label="figure2b")

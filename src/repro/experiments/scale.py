@@ -22,14 +22,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
-
 from repro import obs as _obs
 from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
 from repro.parallel import run_grid
+from repro.routing.csr import CsrAdjacency, delay_weight
 
 FLEET_OWNER = "scale-fleet"
 
@@ -52,14 +51,14 @@ def plane_count_for(satellites: int) -> int:
     return min(divisors, key=lambda d: (abs(d - target), d))
 
 
-def _probe_latency_ms(graph: nx.Graph) -> float:
+def _probe_latency_ms(graph) -> float:
     """Shortest-path delay between the probe gateways, NaN if unreachable."""
     src, dst = PROBE_STATIONS
     if src not in graph or dst not in graph:
         return math.nan
-    try:
-        delay_s = nx.dijkstra_path_length(graph, src, dst, weight="delay_s")
-    except nx.NetworkXNoPath:
+    adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
+    delay_s = adjacency.single_source(src).distance(src, dst)
+    if not math.isfinite(delay_s):
         return math.nan
     return delay_s * 1000.0
 

@@ -105,14 +105,14 @@ class ResilientRouter:
             Per-source exchange results (an artificial failed result with
             reason ``"unreachable"`` when no path existed).
         """
-        from repro.routing.csr import BACKEND_CSR, CsrAdjacency, resolve_backend
-        from repro.routing.metrics import PROPAGATION_ONLY, shortest_path
+        from repro.routing.csr import CsrAdjacency
+        from repro.routing.metrics import PROPAGATION_ONLY
 
         # One single-source Dijkstra from the anchor covers every push
-        # under the CSR backend (dissemination is anchor-rooted).
+        # (dissemination is anchor-rooted).
         anchor_paths = None
         if (self.exchange is not None and self.channel is not None
-                and resolve_backend(None) == BACKEND_CSR and anchor in graph):
+                and anchor in graph):
             adjacency = CsrAdjacency.from_graph(graph,
                                                 weight=PROPAGATION_ONLY)
             anchor_paths = adjacency.single_source(anchor)
@@ -124,10 +124,8 @@ class ResilientRouter:
                 results[source] = ExchangeResult(ok=True, attempts=1,
                                                  elapsed_s=0.0)
                 continue
-            if anchor_paths is not None:
-                path = anchor_paths.path(anchor, source)
-            else:
-                path = shortest_path(graph, anchor, source)
+            path = (anchor_paths.path(anchor, source)
+                    if anchor_paths is not None else None)
             if path is None:
                 result = ExchangeResult(ok=False, attempts=0, elapsed_s=0.0,
                                         reason="unreachable")

@@ -13,23 +13,12 @@ Three routing regimes from the paper:
 * **Distributed on-demand** (:mod:`repro.routing.distributed`) — the
   reactive baseline from the LEO routing literature the paper cites.
 
-All regimes share the compiled-sparse shortest-path backend
+All regimes share one shortest-path implementation
 (:mod:`repro.routing.csr`, batched multi-source Dijkstra over CSR
-arrays via scipy) with the original networkx implementation kept as a
-fallback and digest reference; see :func:`repro.routing.csr.set_default_backend`.
+arrays via scipy).
 """
 
-from repro.routing.csr import (
-    BACKEND_CSR,
-    BACKEND_NETWORKX,
-    CsrAdjacency,
-    ShortestPaths,
-    available_backends,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
-    shortest_path_csr,
-)
+from repro.routing.csr import CsrAdjacency, ShortestPaths, shortest_path_csr
 from repro.routing.metrics import EdgeCostModel, RouteMetrics, path_metrics
 from repro.routing.proactive import ProactiveRouter, RoutingTable, StaticRoute
 from repro.routing.qos import QosRequirement, QosRouter
@@ -44,14 +33,8 @@ from repro.routing.timeexpanded import StoreAndForwardRoute, TimeExpandedRouter
 from repro.routing.stability import EpochChurn, StabilityReport, route_churn
 
 __all__ = [
-    "BACKEND_CSR",
-    "BACKEND_NETWORKX",
     "CsrAdjacency",
     "ShortestPaths",
-    "available_backends",
-    "default_backend",
-    "resolve_backend",
-    "set_default_backend",
     "shortest_path_csr",
     "EdgeCostModel",
     "RouteMetrics",

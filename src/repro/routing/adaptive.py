@@ -22,12 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.routing.csr import (
-    BACKEND_CSR,
-    CsrAdjacency,
-    delay_weight,
-    resolve_backend,
-)
+from repro.routing.csr import CsrAdjacency, delay_weight
 from repro.simulation.flowsim import ActiveFlow
 from repro.simulation.traffic import FlowSpec
 
@@ -55,40 +50,24 @@ def _committed_load(active_flows: Sequence[ActiveFlow],
 
 
 def _best_gateway_path(graph: nx.Graph, source: str,
-                       gateways: Sequence[str], weight,
-                       backend: Optional[str]) -> Optional[List[str]]:
+                       gateways: Sequence[str],
+                       weight) -> Optional[List[str]]:
     """Cheapest source→gateway path, first-listed gateway winning ties.
 
-    One single-source Dijkstra covers every candidate gateway under the
-    CSR backend; the networkx path runs one search per gateway (the
-    original behavior and digest reference).  Both compare costs with
-    strict ``<`` in gateway order, so selection is identical.
+    One single-source Dijkstra covers every candidate gateway; costs
+    compare with strict ``<`` in gateway order.
     """
-    if resolve_backend(backend) == BACKEND_CSR:
-        csr_weight = delay_weight if weight == "delay_s" else weight
-        adjacency = CsrAdjacency.from_graph(graph, weight=csr_weight)
-        paths = adjacency.single_source(source)
-        best_gateway: Optional[str] = None
-        best_cost = float("inf")
-        for gateway in gateways:
-            cost = paths.distance(source, gateway)
-            if cost < best_cost:
-                best_cost, best_gateway = cost, gateway
-        if best_gateway is None:
-            return None
-        return paths.path(source, best_gateway)
-    best_path: Optional[List[str]] = None
+    adjacency = CsrAdjacency.from_graph(graph, weight=weight)
+    paths = adjacency.single_source(source)
+    best_gateway: Optional[str] = None
     best_cost = float("inf")
     for gateway in gateways:
-        try:
-            cost, path = nx.single_source_dijkstra(
-                graph, source, gateway, weight=weight
-            )
-        except nx.NetworkXNoPath:
-            continue
+        cost = paths.distance(source, gateway)
         if cost < best_cost:
-            best_cost, best_path = cost, path
-    return best_path
+            best_cost, best_gateway = cost, gateway
+    if best_gateway is None:
+        return None
+    return paths.path(source, best_gateway)
 
 
 @dataclass
@@ -99,15 +78,13 @@ class StaticNearestRouter:
     correct geometry, no view of runtime load.
     """
 
-    backend: Optional[str] = None
-
     def __call__(self, graph: nx.Graph, flow: FlowSpec,
                  active_flows: List[ActiveFlow]) -> Optional[List[str]]:
         gateways = _gateway_nodes(graph)
         if flow.user_id not in graph or not gateways:
             return None
         return _best_gateway_path(graph, flow.user_id, gateways,
-                                  "delay_s", self.backend)
+                                  delay_weight)
 
 
 @dataclass
@@ -134,7 +111,6 @@ class LoadAdaptiveRouter:
     congestion_weight: float = 1.0
     assumed_flow_rate_bps: float = 10e6
     background_load_bps: Optional[Dict[Tuple[str, str], float]] = None
-    backend: Optional[str] = None
     #: Diagnostic: how many admissions diverted from the nearest gateway.
     diversions: int = field(default=0)
 
@@ -161,10 +137,10 @@ class LoadAdaptiveRouter:
             return delay + congestion
 
         best_path = _best_gateway_path(graph, flow.user_id, gateways,
-                                       weight, self.backend)
+                                       weight)
         if best_path is None:
             return None
-        nearest = StaticNearestRouter(backend=self.backend)(graph, flow, [])
+        nearest = StaticNearestRouter()(graph, flow, [])
         if nearest is not None and best_path[-1] != nearest[-1]:
             self.diversions += 1
         return best_path

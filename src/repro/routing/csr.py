@@ -1,28 +1,17 @@
-"""Compiled-sparse (CSR) routing backend.
+"""Compiled-sparse (CSR) shortest paths: the one routing implementation.
 
 Every routing layer in the stack reduces to the same primitive: shortest
-paths over a snapshot graph whose edges carry additive costs.  The
-networkx implementation runs a Python binary heap per source; this module
-compiles a snapshot into an index-mapped CSR adjacency (node→int index
-table plus ``indptr``/``indices``/``data`` arrays) and answers **batched
-multi-source Dijkstra** through :func:`scipy.sparse.csgraph.dijkstra` —
-one C call for any number of sources, with paths reconstructed lazily
-from the predecessor matrix.
+paths over a snapshot graph whose edges carry additive costs.  This
+module compiles a snapshot into an index-mapped CSR adjacency (node→int
+index table plus ``indptr``/``indices``/``data`` arrays) and answers
+**batched multi-source Dijkstra** through
+:func:`scipy.sparse.csgraph.dijkstra` — one C call for any number of
+sources, with paths reconstructed lazily from the predecessor matrix.
 
 This is the pre-computation the paper says proactive routing should make
 cheap ("pre-computation of static routes between any set of satellites
 and fixed ground infrastructure", §2.3): the contact plan for a whole
 epoch is two dense arrays, not a dict of path objects.
-
-Backend selection
------------------
-
-``"csr"`` (the default whenever scipy is importable) and ``"networkx"``
-(the pure-Python reference, kept both as a fallback for scipy-less
-environments and as the digest-equality oracle the test suite compares
-against).  Consumers accept a ``backend=`` argument and resolve ``None``
-through :func:`resolve_backend`, so one :func:`set_default_backend` call
-(or the ``--routing-backend`` CLI flag) switches the whole stack.
 
 Determinism
 -----------
@@ -31,10 +20,9 @@ The CSR build is fully deterministic: nodes are indexed in graph
 insertion order and each row's neighbors are sorted by index (a stable
 lexsort over ``(row, col)``), so repeated builds of the same snapshot
 produce byte-identical arrays and scipy's Dijkstra returns the same
-distances and predecessors every time.  Distances are exactly equal to
-the networkx backend's (same IEEE additions along the same unique
-shortest path); where several equal-cost paths exist the two backends
-may pick different ones, but always with identical path cost.
+distances and predecessors every time.  Where several equal-cost paths
+exist, the tie breaks by that stable neighbour order.  The test suite
+checks distances bit for bit against a networkx Dijkstra oracle.
 """
 
 from __future__ import annotations
@@ -42,74 +30,17 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix as _scipy_csr_matrix
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.routing.metrics import EdgeCostModel, PROPAGATION_ONLY
-
-try:  # scipy is a core dependency, but the networkx backend keeps the
-    # stack alive (and the digest oracle honest) when it is absent.
-    from scipy.sparse import csr_matrix as _scipy_csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_csr_matrix = None
-    _scipy_dijkstra = None
-    HAVE_SCIPY = False
 
 #: scipy.sparse.csgraph's "no predecessor" sentinel.
 NO_PREDECESSOR = -9999
 
-BACKEND_CSR = "csr"
-BACKEND_NETWORKX = "networkx"
-_BACKENDS = (BACKEND_CSR, BACKEND_NETWORKX)
-
-_default_backend = BACKEND_CSR if HAVE_SCIPY else BACKEND_NETWORKX
-
 #: An edge weight: a cost model, or ``(u, v, data) -> float | None``
 #: where ``None`` (or a non-finite value) drops the edge entirely.
 WeightSpec = Union[EdgeCostModel, Callable[[Hashable, Hashable, dict], Optional[float]], None]
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The backend names :func:`resolve_backend` accepts."""
-    return _BACKENDS
-
-
-def default_backend() -> str:
-    """The backend used when a consumer passes ``backend=None``."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> None:
-    """Switch the process-wide default routing backend.
-
-    Raises:
-        ValueError: For unknown backend names.
-        RuntimeError: When asking for ``"csr"`` without scipy installed.
-    """
-    global _default_backend
-    _default_backend = resolve_backend(name)
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a ``backend=`` argument to a concrete backend name.
-
-    ``None`` means the process default (CSR when scipy is available).
-    Explicitly requesting ``"csr"`` without scipy raises instead of
-    silently degrading, so a mis-provisioned environment fails loudly.
-    """
-    if name is None:
-        return _default_backend
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown routing backend {name!r}; expected one of {_BACKENDS}"
-        )
-    if name == BACKEND_CSR and not HAVE_SCIPY:
-        raise RuntimeError(
-            "routing backend 'csr' requires scipy; install scipy or use "
-            "backend='networkx'"
-        )
-    return name
 
 
 def _weight_callable(weight: WeightSpec) -> Callable[[Hashable, Hashable, dict], Optional[float]]:
@@ -246,8 +177,6 @@ class CsrAdjacency:
 
     def matrix(self):
         """The scipy ``csr_matrix`` view over the weight arrays."""
-        if not HAVE_SCIPY:
-            raise RuntimeError("scipy unavailable; CSR backend disabled")
         if self._matrix is None:
             self._matrix = _scipy_csr_matrix(
                 (self.data, self.indices, self.indptr),
@@ -504,8 +433,6 @@ def block_diagonal_dijkstra(
         column ``offsets[k] + j``; predecessors are global indices with
         :data:`NO_PREDECESSOR` outside the tree.
     """
-    if not HAVE_SCIPY:
-        raise RuntimeError("scipy unavailable; CSR backend disabled")
     if len(blocks) != len(sources):
         raise ValueError(
             f"need one source per block, got {len(sources)} sources "
@@ -541,7 +468,7 @@ def block_diagonal_dijkstra(
 
 def shortest_path_csr(graph, source: Hashable, target: Hashable,
                       weight: WeightSpec = None) -> Optional[List[Hashable]]:
-    """One-shot single-pair shortest path through the CSR backend.
+    """One-shot single-pair shortest path.
 
     Builds the adjacency, runs one single-source Dijkstra, reconstructs
     the path.  Layers that issue many queries against one snapshot

@@ -127,20 +127,9 @@ def path_metrics(graph: nx.Graph, path: Sequence[str]) -> RouteMetrics:
 
 def shortest_path(graph: nx.Graph, source: str, target: str,
                   cost_model: Optional[EdgeCostModel] = None,
-                  backend: Optional[str] = None) -> Optional[List[str]]:
-    """Dijkstra shortest path under a cost model; None when unreachable.
+                  ) -> Optional[List[str]]:
+    """Dijkstra shortest path under a cost model (propagation delay by
+    default); None when unreachable."""
+    from repro.routing.csr import shortest_path_csr  # csr imports this module
 
-    Args:
-        backend: Routing backend name (``"csr"`` or ``"networkx"``);
-            ``None`` uses the process default (CSR when scipy is
-            available).
-    """
-    from repro.routing import csr as _csr
-
-    model = cost_model or PROPAGATION_ONLY
-    if _csr.resolve_backend(backend) == _csr.BACKEND_CSR:
-        return _csr.shortest_path_csr(graph, source, target, weight=model)
-    try:
-        return nx.dijkstra_path(graph, source, target, weight=model.weight_fn())
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        return None
+    return shortest_path_csr(graph, source, target, weight=cost_model)

@@ -7,19 +7,13 @@ infrastructure."  The :class:`ProactiveRouter` consumes a series of
 topology snapshots and precomputes, for each snapshot epoch, all-pairs (or
 selected-pairs) static routes; at run time a lookup is O(1).
 
-Two epoch representations back the table:
-
-* :class:`MaterializedEpoch` — a plain dict of eagerly built
-  :class:`StaticRoute` objects (the networkx backend, and anything tests
-  hand-construct).
-* :class:`LazyCsrEpoch` — distance + predecessor matrices from one
-  batched multi-source :func:`scipy.sparse.csgraph.dijkstra` call
-  (:mod:`repro.routing.csr`); :class:`StaticRoute` objects are
-  materialized on first lookup instead of all-pairs up front.
-
-Both maintain a by-source index (O(out-degree) contact-plan slices for
-dissemination) and a node→route-keys inverted index (fault invalidation
-touches only affected routes instead of rescanning every epoch).
+Each epoch is a :class:`LazyCsrEpoch`: distance + predecessor matrices
+from one batched multi-source :func:`scipy.sparse.csgraph.dijkstra` call
+(:mod:`repro.routing.csr`), with :class:`StaticRoute` objects
+materialized on first lookup instead of all-pairs up front.  It keeps a
+by-source index (O(out-degree) contact-plan slices for dissemination)
+and a node→route-keys inverted index (fault invalidation touches only
+affected routes instead of rescanning every epoch).
 """
 
 from __future__ import annotations
@@ -27,11 +21,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs as _obs
+from repro.routing.csr import CsrAdjacency
 from repro.routing.metrics import (
     EdgeCostModel,
     PROPAGATION_ONLY,
@@ -63,60 +56,6 @@ class StaticRoute:
     @property
     def path(self) -> List[str]:
         return self.metrics.path
-
-
-class MaterializedEpoch(dict):
-    """An epoch's routes as an eager ``{(src, dst): StaticRoute}`` dict.
-
-    Plain dicts passed to :meth:`RoutingTable.add_epoch` are wrapped in
-    this class, so table internals can rely on the epoch-store protocol
-    (:meth:`from_source`, :meth:`keys_through`, :meth:`discard_route`)
-    while external callers keep full dict behavior.  The lazy secondary
-    indexes assume mutation goes through :meth:`discard_route`; deleting
-    keys directly desynchronizes them.
-    """
-
-    def __init__(self, routes: Optional[Dict[RouteKey, StaticRoute]] = None):
-        super().__init__(routes or {})
-        self._by_source: Optional[Dict[str, Dict[str, StaticRoute]]] = None
-        self._through: Optional[Dict[str, Set[RouteKey]]] = None
-
-    # -- epoch-store protocol -------------------------------------------
-
-    def from_source(self, source: str) -> Dict[str, StaticRoute]:
-        """The source's slice of the plan, O(out-degree) after the first
-        call builds the by-source index."""
-        if self._by_source is None:
-            by_source: Dict[str, Dict[str, StaticRoute]] = {}
-            for (src, dst), route in self.items():
-                by_source.setdefault(src, {})[dst] = route
-            self._by_source = by_source
-        return dict(self._by_source.get(source, {}))
-
-    def keys_through(self, node: str) -> Iterable[RouteKey]:
-        """Keys of routes whose path traverses ``node`` (endpoints
-        included); first call builds the inverted index."""
-        if self._through is None:
-            through: Dict[str, Set[RouteKey]] = {}
-            for key, route in self.items():
-                for hop in route.path:
-                    through.setdefault(hop, set()).add(key)
-            self._through = through
-        return tuple(self._through.get(node, ()))
-
-    def discard_route(self, key: RouteKey) -> bool:
-        """Remove one route, keeping secondary indexes consistent."""
-        route = self.pop(key, None)
-        if route is None:
-            return False
-        if self._by_source is not None:
-            self._by_source.get(key[0], {}).pop(key[1], None)
-        if self._through is not None:
-            for hop in route.path:
-                keys = self._through.get(hop)
-                if keys is not None:
-                    keys.discard(key)
-        return True
 
 
 class LazyCsrEpoch:
@@ -246,30 +185,20 @@ class LazyCsrEpoch:
         return True
 
 
-EpochStore = Union[MaterializedEpoch, LazyCsrEpoch]
-
-
 @dataclass
 class RoutingTable:
     """Per-epoch route store with binary-search time lookup."""
 
     epochs_s: List[float] = field(default_factory=list)
-    routes: List[EpochStore] = field(default_factory=list)
+    routes: List[LazyCsrEpoch] = field(default_factory=list)
 
-    def add_epoch(self, epoch_s: float,
-                  epoch_routes: Union[Dict[RouteKey, StaticRoute], EpochStore],
-                  ) -> None:
-        """Append an epoch; epochs must be added in increasing time order.
-
-        Plain route dicts are wrapped in :class:`MaterializedEpoch`.
-        """
+    def add_epoch(self, epoch_s: float, epoch_routes: LazyCsrEpoch) -> None:
+        """Append an epoch; epochs must be added in increasing time order."""
         if self.epochs_s and epoch_s <= self.epochs_s[-1]:
             raise ValueError(
                 f"epochs must be strictly increasing; got {epoch_s} after "
                 f"{self.epochs_s[-1]}"
             )
-        if not isinstance(epoch_routes, (MaterializedEpoch, LazyCsrEpoch)):
-            epoch_routes = MaterializedEpoch(epoch_routes)
         self.epochs_s.append(epoch_s)
         self.routes.append(epoch_routes)
 
@@ -306,24 +235,18 @@ class ProactiveRouter:
     Args:
         cost_model: Edge-cost model used for the precomputation; defaults
             to pure propagation delay (the paper's latency metric).
-        backend: Routing backend (``"csr"`` or ``"networkx"``); ``None``
-            uses the process default (see :mod:`repro.routing.csr`).
     """
 
-    def __init__(self, cost_model: Optional[EdgeCostModel] = None,
-                 backend: Optional[str] = None):
+    def __init__(self, cost_model: Optional[EdgeCostModel] = None):
         self.cost_model = cost_model or PROPAGATION_ONLY
-        self.backend = backend
         self.table = RoutingTable()
 
     def precompute(self, snapshots: Sequence, pairs: Optional[Sequence[RouteKey]] = None,
                    horizon_s: Optional[float] = None) -> RoutingTable:
         """Build the routing table over a series of topology snapshots.
 
-        With the CSR backend each snapshot costs one batched multi-source
-        Dijkstra; routes materialize lazily on lookup.  The networkx
-        backend eagerly builds every :class:`StaticRoute` (the original
-        behavior and the digest reference).
+        Each snapshot costs one batched multi-source Dijkstra; routes
+        materialize lazily on lookup.
 
         Args:
             snapshots: :class:`~repro.isl.topology.TopologySnapshot` objects
@@ -336,8 +259,6 @@ class ProactiveRouter:
         Returns:
             The populated :class:`RoutingTable` (also kept on the router).
         """
-        from repro.routing import csr as _csr
-
         if not snapshots:
             raise ValueError("need at least one snapshot to precompute routes")
         times = [snap.time_s for snap in snapshots]
@@ -347,13 +268,11 @@ class ProactiveRouter:
             step = times[-1] - times[-2] if len(times) > 1 else 60.0
             horizon_s = times[-1] + step
 
-        backend = _csr.resolve_backend(self.backend)
         self.table = RoutingTable()
         recorder = _obs.active()
         with recorder.span("routing.proactive.precompute",
                            snapshots=len(snapshots),
-                           pairs="all" if pairs is None else len(pairs),
-                           backend=backend):
+                           pairs="all" if pairs is None else len(pairs)):
             for snap, valid_until in zip(snapshots, times[1:] + [horizon_s]):
                 graph = snap.graph
                 if pairs is None:
@@ -365,14 +284,8 @@ class ProactiveRouter:
                     for src, dst in pairs:
                         wanted_by_source.setdefault(src, set()).add(dst)
                 wanted_sources = [s for s in wanted_sources if s in graph]
-                if backend == _csr.BACKEND_CSR:
-                    epoch: EpochStore = self._csr_epoch(
-                        snap, graph, wanted_sources, wanted_by_source,
-                        valid_until)
-                else:
-                    epoch = self._networkx_epoch(
-                        snap, graph, wanted_sources, wanted_by_source,
-                        valid_until)
+                epoch = self._csr_epoch(snap, graph, wanted_sources,
+                                        wanted_by_source, valid_until)
                 if recorder.enabled:
                     recorder.count("routing.proactive.routes", len(epoch))
                     recorder.count("routing.proactive.epochs")
@@ -381,8 +294,6 @@ class ProactiveRouter:
 
     def _csr_epoch(self, snap, graph, sources, wanted_by_source,
                    valid_until_s: float) -> LazyCsrEpoch:
-        from repro.routing.csr import CsrAdjacency
-
         csr_of = getattr(snap, "csr_adjacency", None)
         if csr_of is not None:
             adjacency = csr_of(self.cost_model)
@@ -396,30 +307,6 @@ class ProactiveRouter:
             valid_until_s=valid_until_s,
             wanted_by_source=wanted_by_source,
         )
-
-    def _networkx_epoch(self, snap, graph, sources, wanted_by_source,
-                        valid_until_s: float) -> MaterializedEpoch:
-        weight = self.cost_model.weight_fn()
-        epoch = MaterializedEpoch()
-        for source in sources:
-            _dist, paths = nx.single_source_dijkstra(
-                graph, source, weight=weight
-            )
-            targets = (None if wanted_by_source is None
-                       else wanted_by_source.get(source))
-            for target, path in paths.items():
-                if target == source:
-                    continue
-                if targets is not None and target not in targets:
-                    continue
-                epoch[(source, target)] = StaticRoute(
-                    source=source,
-                    target=target,
-                    valid_from_s=snap.time_s,
-                    valid_until_s=valid_until_s,
-                    metrics=path_metrics(graph, path),
-                )
-        return epoch
 
     def invalidate_routes_through(self, elements: Sequence[str],
                                   from_time_s: float = 0.0) -> int:

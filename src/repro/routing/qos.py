@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.routing.csr import BACKEND_CSR, resolve_backend, shortest_path_csr
+from repro.routing.csr import shortest_path_csr
 from repro.routing.metrics import EdgeCostModel, RouteMetrics, path_metrics
 
 
@@ -91,11 +91,9 @@ class QosRouter:
     Args:
         cost_model: Cost model for ranking admissible paths.  The default
             prices queueing delay at par and visitor tariffs lightly, so
-            cheap-but-congested RF detours lose to clean paths.
-        backend: Routing backend; ``None`` uses the process default.  The
-            CSR backend folds the admission filter into the weight
-            function (inadmissible edges never enter the arrays) instead
-            of routing over a ``subgraph_view``.
+            cheap-but-congested RF detours lose to clean paths.  The
+            admission filter folds into the weight function, so
+            inadmissible edges never enter the CSR arrays.
         link_utilization: Standing per-link utilization from the fluid
             demand plane (canonical sorted ``(u, v)`` keys,
             ``load / capacity``).  When set, each edge's cost gains an
@@ -109,13 +107,11 @@ class QosRouter:
     MAX_UTILIZATION = 0.99
 
     def __init__(self, cost_model: Optional[EdgeCostModel] = None,
-                 backend: Optional[str] = None,
                  link_utilization: Optional[Dict[Tuple[str, str],
                                                  float]] = None):
         self.cost_model = cost_model or EdgeCostModel(
             queue_weight=1.0, tariff_weight=0.002
         )
-        self.backend = backend
         self.link_utilization = link_utilization
 
     def _congestion_cost(self, u: str, v: str, data: dict) -> float:
@@ -129,13 +125,6 @@ class QosRouter:
             return 0.0
         delay = float(data.get("delay_s", 0.0))
         return delay * utilization / (1.0 - utilization)
-
-    def _admissible_subgraph(self, graph: nx.Graph,
-                             requirement: QosRequirement) -> nx.Graph:
-        """View of the graph keeping only edges the requirement admits."""
-        def edge_ok(u, v):
-            return requirement.admits_edge(graph[u][v])
-        return nx.subgraph_view(graph, filter_edge=edge_ok)
 
     def _admissible_weight(self, requirement: QosRequirement):
         """Weight callable that drops edges the requirement rejects."""
@@ -160,26 +149,10 @@ class QosRouter:
         """
         if source not in graph or target not in graph:
             return QosRouteResult(None, False, "endpoint not in topology")
-        if resolve_backend(self.backend) == BACKEND_CSR:
-            path = shortest_path_csr(
-                graph, source, target,
-                weight=self._admissible_weight(requirement),
-            )
-        else:
-            admissible = self._admissible_subgraph(graph, requirement)
-            base_weight = self.cost_model.weight_fn()
-            if self.link_utilization:
-                def weight(u, v, data):
-                    return (base_weight(u, v, data)
-                            + self._congestion_cost(u, v, data))
-            else:
-                weight = base_weight
-            try:
-                path = nx.dijkstra_path(
-                    admissible, source, target, weight=weight,
-                )
-            except nx.NetworkXNoPath:
-                path = None
+        path = shortest_path_csr(
+            graph, source, target,
+            weight=self._admissible_weight(requirement),
+        )
         if path is None:
             return QosRouteResult(
                 None, False,

@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.routing.metrics import (
     EdgeCostModel,
     PROPAGATION_ONLY,
     path_metrics,
+    shortest_path,
 )
 
 
@@ -84,15 +83,6 @@ class StabilityReport:
         return orbit_period_s / self.epoch_length_s
 
 
-def _route(graph: nx.Graph, source: str, target: str,
-           model: EdgeCostModel) -> Optional[List[str]]:
-    try:
-        return nx.dijkstra_path(graph, source, target,
-                                weight=model.weight_fn())
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        return None
-
-
 def route_churn(snapshots: Sequence,
                 pairs: Sequence[Tuple[str, str]],
                 cost_model: Optional[EdgeCostModel] = None) -> StabilityReport:
@@ -116,7 +106,8 @@ def route_churn(snapshots: Sequence,
         epoch_length_s=snapshots[1].time_s - snapshots[0].time_s
     )
     previous_routes: Dict[Tuple[str, str], Optional[List[str]]] = {
-        pair: _route(snapshots[0].graph, *pair, model) for pair in pairs
+        pair: shortest_path(snapshots[0].graph, *pair, model)
+        for pair in pairs
     }
     previous_snap = snapshots[0]
     for snap in snapshots[1:]:
@@ -126,7 +117,7 @@ def route_churn(snapshots: Sequence,
         latency_deltas: List[float] = []
         current_routes: Dict[Tuple[str, str], Optional[List[str]]] = {}
         for pair in pairs:
-            new_path = _route(snap.graph, *pair, model)
+            new_path = shortest_path(snap.graph, *pair, model)
             current_routes[pair] = new_path
             old_path = previous_routes[pair]
             if old_path is None:

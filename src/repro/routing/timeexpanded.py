@@ -21,17 +21,13 @@ sparse-deployment ablation reports against instantaneous-path routing.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.routing.csr import (
-    BACKEND_CSR,
-    CsrAdjacency,
-    delay_weight,
-    resolve_backend,
-)
+from repro.routing.csr import CsrAdjacency, delay_weight
 
 
 @dataclass(frozen=True)
@@ -67,20 +63,19 @@ class TimeExpandedRouter:
         snapshots: Time-ordered objects with ``time_s`` and ``graph``
             (``TopologySnapshot`` / ``NetworkSnapshot`` both qualify).
         horizon_s: End of the final epoch; defaults to the last snapshot
-            time plus the preceding epoch length.
-        backend: Routing backend; ``None`` uses the process default.  The
-            CSR backend builds the time-expanded adjacency once and
-            memoizes one single-source run per distinct departure node.
+            time plus the preceding epoch length.  Must lie after the
+            last snapshot time.
+
+    The time-expanded adjacency is compiled once, on the first query,
+    and one single-source run is memoized per distinct departure node.
     """
 
-    def __init__(self, snapshots: Sequence, horizon_s: Optional[float] = None,
-                 backend: Optional[str] = None):
+    def __init__(self, snapshots: Sequence, horizon_s: Optional[float] = None):
         # Materialize first: a generator input must not be half-consumed
         # by the emptiness check or the time scan below.
         snapshots = list(snapshots)
         if not snapshots:
             raise ValueError("need at least one snapshot")
-        self.backend = backend
         self._csr: Optional[CsrAdjacency] = None
         times = [snap.time_s for snap in snapshots]
         if any(b <= a for a, b in zip(times[:-1], times[1:])):
@@ -90,6 +85,11 @@ class TimeExpandedRouter:
         if horizon_s is None:
             step = times[-1] - times[-2] if len(times) > 1 else 60.0
             horizon_s = times[-1] + step
+        elif horizon_s <= times[-1]:
+            raise ValueError(
+                f"horizon {horizon_s} must lie after the last snapshot "
+                f"time {times[-1]}"
+            )
         self.horizon_s = horizon_s
         self._graph = self._build()
 
@@ -118,7 +118,11 @@ class TimeExpandedRouter:
         return graph
 
     def _epoch_at(self, time_s: float) -> int:
-        import bisect
+        if time_s >= self.horizon_s:
+            raise ValueError(
+                f"departure {time_s} is at or after the plan horizon "
+                f"{self.horizon_s}"
+            )
         index = bisect.bisect_right(self.epoch_times, time_s) - 1
         if index < 0:
             raise ValueError(
@@ -139,6 +143,10 @@ class TimeExpandedRouter:
         Returns:
             The route, or None when the bundle cannot be delivered within
             the plan horizon.
+
+        Raises:
+            ValueError: When ``departure_s`` precedes the first epoch or
+                is at or after the horizon.
         """
         start_epoch = self._epoch_at(departure_s)
         start = (source, start_epoch)
@@ -150,51 +158,25 @@ class TimeExpandedRouter:
                 source=source, target=target, departure_s=departure_s,
                 arrival_s=departure_s, hops=(), epochs_waited=0,
             )
-        if resolve_backend(self.backend) == BACKEND_CSR:
-            if self._csr is None:
-                self._csr = CsrAdjacency.from_graph(
-                    self._graph, weight=delay_weight
-                )
-            sp = self._csr.single_source(start)
-            best_node = None
-            best_cost = float("inf")
-            # Increasing-k order makes tie-breaking deterministic (the
-            # networkx path iterates a set; exact-tie arrivals are
-            # measure-zero with float contact delays).
-            for k in range(start_epoch, len(self.snapshots)):
-                node = (target, k)
-                if node not in self._csr:
-                    continue
-                cost = sp.distance(start, node)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_node = node
-            if best_node is None:
-                return None
-            path = sp.path(start, best_node)
-        else:
-            targets = {
-                (target, k) for k in range(start_epoch, len(self.snapshots))
-                if (target, k) in self._graph
-            }
-            if not targets:
-                return None
-            try:
-                lengths, paths = nx.single_source_dijkstra(
-                    self._graph, start, weight="delay_s"
-                )
-            except nx.NodeNotFound:
-                return None
-            best_node = None
-            best_cost = float("inf")
-            for node in targets:
-                cost = lengths.get(node)
-                if cost is not None and cost < best_cost:
-                    best_cost = cost
-                    best_node = node
-            if best_node is None:
-                return None
-            path = paths[best_node]
+        if self._csr is None:
+            self._csr = CsrAdjacency.from_graph(self._graph,
+                                                weight=delay_weight)
+        sp = self._csr.single_source(start)
+        best_node = None
+        best_cost = float("inf")
+        # Increasing-k order: an exact-tie arrival goes to the earliest
+        # epoch copy of the target.
+        for k in range(start_epoch, len(self.snapshots)):
+            node = (target, k)
+            if node not in self._csr:
+                continue
+            cost = sp.distance(start, node)
+            if cost < best_cost:
+                best_cost = cost
+                best_node = node
+        if best_node is None:
+            return None
+        path = sp.path(start, best_node)
         hops: List[Tuple[float, str, str]] = []
         clock = departure_s
         waits = 0

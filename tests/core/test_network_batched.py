@@ -103,11 +103,3 @@ class TestGatewayProbePaths:
         for time_s in times:
             assert (primed.gateway_probe_paths(float(time_s), users)
                     == cold.gateway_probe_paths(float(time_s), users))
-
-    def test_scalar_fallback_without_scipy(self, users, monkeypatch):
-        # The fallback loop must produce the same dict the array path
-        # does (it *is* the oracle, reached when scipy is absent).
-        net = _make_network()
-        fast = net.gateway_probe_paths(300.0, users)
-        monkeypatch.setattr("repro.core.network.HAVE_SCIPY", False)
-        assert net.gateway_probe_paths(300.0, users) == fast

@@ -16,6 +16,8 @@ from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
 from repro.orbits.walker import iridium_like
+from repro.routing.metrics import path_metrics
+from tests.routing import oracle
 
 
 def _make_network(**kwargs):
@@ -26,6 +28,18 @@ def _make_network(**kwargs):
 def _make_user(user_id="u-cache"):
     return UserTerminal(user_id, GeodeticPoint(-1.29, 36.82), "cache-op",
                         min_elevation_deg=10.0)
+
+
+def _oracle_nearest(snap, source):
+    """Nearest-gateway route metrics from the networkx oracle."""
+    _dist, paths = oracle.dijkstra(snap.graph, source)
+    candidates = [
+        path_metrics(snap.graph, paths[station])
+        for station in snap.nodes_of_kind("ground_station")
+        if station in paths
+    ]
+    return min(candidates, key=lambda metrics: metrics.total_delay_s,
+               default=None)
 
 
 @pytest.fixture(scope="module")
@@ -214,27 +228,23 @@ class TestSnapshotCsrCache:
         assert other is not default_adj
 
     def test_route_backends_agree(self, network):
-        pytest.importorskip("scipy")
+        # The snapshot's CSR routes match the networkx oracle.
         snap = network.snapshot(500.0, users=[_make_user()])
         stations = snap.nodes_of_kind("ground_station")
         assert stations
-        for backend in ("csr", "networkx"):
-            metrics = snap.route("u-cache", stations[0], backend=backend)
-            nearest = snap.nearest_ground_station_route(
-                "u-cache", backend=backend)
-            if backend == "csr":
-                csr_metrics, csr_nearest = metrics, nearest
-        if csr_metrics is None:
+        metrics = snap.route("u-cache", stations[0])
+        reference = oracle.path(snap.graph, "u-cache", stations[0])
+        if reference is None:
             assert metrics is None
         else:
-            assert metrics.total_delay_s == csr_metrics.total_delay_s
-            assert metrics.path == csr_metrics.path
-        assert csr_nearest is not None and nearest is not None
-        assert nearest.total_delay_s == csr_nearest.total_delay_s
-        assert nearest.path == csr_nearest.path
+            assert metrics.path == reference
+        nearest = snap.nearest_ground_station_route("u-cache")
+        expected = _oracle_nearest(snap, "u-cache")
+        assert nearest is not None and expected is not None
+        assert nearest.total_delay_s == expected.total_delay_s
+        assert nearest.path == expected.path
 
     def test_refresh_csr_tracks_graph_mutation(self):
-        pytest.importorskip("scipy")
         import numpy as np
 
         network = _make_network(snapshot_cache_size=4)
@@ -249,8 +259,7 @@ class TestSnapshotCsrCache:
         assert snap.csr_adjacency() is adjacency  # same object, new data
         assert not np.array_equal(adjacency.data, before)
         route = snap.nearest_ground_station_route(user.user_id)
-        reference = snap.nearest_ground_station_route(
-            user.user_id, backend="networkx")
+        reference = _oracle_nearest(snap, user.user_id)
         assert (route is None) == (reference is None)
         if route is not None:
             assert route.total_delay_s == reference.total_delay_s

@@ -13,6 +13,7 @@ from repro.demand.fluid import run_fluid
 from repro.routing.adaptive import LoadAdaptiveRouter
 from repro.routing.qos import BEST_EFFORT, QosRouter
 from repro.simulation.traffic import FlowSpec
+from tests.routing import oracle
 
 
 def loaded_graph():
@@ -101,13 +102,14 @@ class TestRoutingIntegration:
         graph = loaded_graph()
         _, result = congested_result()
         util = congestion_state(result).utilization
+        router = QosRouter(link_utilization=util)
         for requirement in (BEST_EFFORT,):
-            csr = QosRouter(backend="csr", link_utilization=util).route(
-                graph, "cell-00000", "gw", requirement)
-            ref = QosRouter(backend="networkx",
-                            link_utilization=util).route(
-                graph, "cell-00000", "gw", requirement)
-            assert csr.metrics.path == ref.metrics.path
+            routed = router.route(graph, "cell-00000", "gw", requirement)
+            reference = oracle.path(
+                graph, "cell-00000", "gw",
+                weight=router._admissible_weight(requirement))
+            assert routed.metrics.path == reference == [
+                "cell-00000", "sat-long", "gw"]
 
     def test_inflated_queue_delay_feeds_default_cost_model(self):
         # The alternative wiring: write queue delay onto the snapshot

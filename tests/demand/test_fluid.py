@@ -10,6 +10,8 @@ from repro.demand.fluid import (
     waterfill_rates,
     weighted_percentile,
 )
+from repro.routing.csr import delay_weight
+from tests.routing import oracle
 
 
 def star_graph():
@@ -110,10 +112,21 @@ class TestRouteMapping:
         assert paths == [None]
 
     def test_backends_agree(self):
+        # Each cell's route is the oracle's path to its nearest gateway
+        # (first-listed gateway on ties).
+        graph = star_graph()
+        graph.add_node("gw-far", kind="ground_station", owner="gs-op")
+        graph.add_edge("cell-00001", "gw-far", delay_s=0.006,
+                       capacity_bps=10e6)
         cells = ["cell-00000", "cell-00001", "cell-00002"]
-        csr = map_cells_to_routes(star_graph(), cells, backend="csr")
-        ref = map_cells_to_routes(star_graph(), cells, backend="networkx")
-        assert csr == ref
+        expected = []
+        for cell in cells:
+            dist, paths = oracle.dijkstra(graph, cell, weight=delay_weight)
+            reachable = [g for g in ("gw", "gw-far") if g in dist]
+            nearest = min(reachable, key=dist.__getitem__, default=None)
+            expected.append(None if nearest is None else paths[nearest])
+        assert map_cells_to_routes(graph, cells) == expected
+        assert expected[1] == ["cell-00001", "gw-far"]
 
 
 class TestRunFluid:

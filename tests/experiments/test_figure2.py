@@ -107,10 +107,9 @@ class TestFigure2c:
 
 
 class TestRelayBackendEquality:
-    """The batched CSR relay path is bit-identical to the scalar one."""
+    """The batched CSR relay path is bit-identical to the networkx oracle."""
 
     def test_batch_matches_scalar_per_epoch(self):
-        pytest.importorskip("scipy")
         import math
 
         import numpy as np
@@ -119,10 +118,10 @@ class TestRelayBackendEquality:
             DEFAULT_GATEWAY_SITE,
             DEFAULT_USER_SITE,
             _relay_latency_batch_s,
-            _relay_latency_s,
         )
         from repro.orbits.coordinates import ecef_to_eci
         from repro.orbits.walker import random_constellation
+        from tests.routing import oracle
 
         rng = np.random.default_rng(99)
         times = np.linspace(0.0, 86400.0, 5, endpoint=False)
@@ -141,24 +140,61 @@ class TestRelayBackendEquality:
                                            gateway_ecis,
                                            min_elevation_deg=0.0)
             for k in range(len(times)):
-                scalar = _relay_latency_s(positions_all[:, k, :],
-                                          user_ecis[k], gateway_ecis[k],
-                                          min_elevation_deg=0.0)
+                scalar = oracle.relay_latency_s(
+                    positions_all[:, k, :], user_ecis[k], gateway_ecis[k],
+                    min_elevation_deg=0.0)
                 if scalar is None:
                     assert math.isinf(batch[k])
                 else:
                     assert batch[k] == scalar  # bit-identical, not approx
 
     def test_sweep_output_identical_across_backends(self):
-        pytest.importorskip("scipy")
+        # The whole sweep, re-derived epoch by epoch with the oracle.
         import json
 
-        kwargs = dict(satellite_counts=[4, 16, 30], trials=2, epochs=3,
-                      seed=13)
-        csr_result = figure_2b_latency(**kwargs, backend="csr")
-        nx_result = figure_2b_latency(**kwargs, backend="networkx")
-        assert (json.dumps(csr_result, sort_keys=True)
-                == json.dumps(nx_result, sort_keys=True))
+        import numpy as np
+
+        from repro.experiments.figure2 import (
+            DEFAULT_GATEWAY_SITE,
+            DEFAULT_USER_SITE,
+        )
+        from repro.orbits.coordinates import ecef_to_eci
+        from repro.orbits.walker import random_constellation
+        from repro.parallel import derive_seed
+        from repro.simulation.metrics import SeriesCollector
+        from tests.routing import oracle
+
+        counts, trials, epochs, seed = [4, 16, 30], 2, 3, 13
+        result = figure_2b_latency(satellite_counts=counts, trials=trials,
+                                   epochs=epochs, seed=seed)
+        times = np.linspace(0.0, 86400.0, epochs, endpoint=False)
+        series = SeriesCollector("latency_ms")
+        reachability = {}
+        for count in counts:
+            rng = np.random.default_rng(derive_seed(seed, "figure2b", count))
+            reached = 0
+            for _ in range(trials):
+                positions_all = random_constellation(
+                    count, rng).positions_over(times)
+                for k, time_s in enumerate(times):
+                    latency = oracle.relay_latency_s(
+                        positions_all[:, k, :],
+                        ecef_to_eci(DEFAULT_USER_SITE.ecef(), float(time_s)),
+                        ecef_to_eci(DEFAULT_GATEWAY_SITE.ecef(),
+                                    float(time_s)),
+                        min_elevation_deg=0.0)
+                    if latency is not None:
+                        series.add(count, latency * 1000.0)
+                        reached += 1
+            reachability[count] = reached / (trials * epochs)
+        rows = []
+        for x in series.xs():
+            stats = series.summary_at(x)
+            rows.append({"x": x, "mean": stats.mean, "p50": stats.p50,
+                         "p95": stats.p95, "n": stats.count})
+        expected = {"series": rows, "reachability": reachability}
+        assert (json.dumps(result, sort_keys=True)
+                == json.dumps(expected, sort_keys=True))
 
 
 class TestEngineEquality:
@@ -186,9 +222,3 @@ class TestEngineEquality:
         with pytest.raises(ValueError, match="unknown engine"):
             figure_2b_latency(satellite_counts=[4], trials=1, epochs=2,
                               engine="turbo")
-
-    def test_batched_engine_requires_csr_backend(self):
-        pytest.importorskip("scipy")
-        with pytest.raises(ValueError, match="batched"):
-            figure_2b_latency(satellite_counts=[4], trials=1, epochs=2,
-                              engine="batched", backend="networkx")

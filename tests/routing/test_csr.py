@@ -1,9 +1,9 @@
-"""Tests for the compiled-sparse (CSR) routing backend.
+"""Tests for the compiled-sparse (CSR) shortest-path implementation.
 
-Covers the ISSUE-5 edge cases — disconnected components, single-node and
-empty graphs, non-string node ids, fault-masked exclusion — plus backend
-registry semantics, in-place weight refresh, and networkx equality on
-distances and path costs.
+Covers the edge cases — disconnected components, single-node and empty
+graphs, non-string node ids, fault-masked exclusion — plus in-place
+weight refresh, and equality with the networkx oracle on distances and
+path costs.
 """
 
 import math
@@ -12,18 +12,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.routing import csr
-from repro.routing.csr import (
-    BACKEND_CSR,
-    BACKEND_NETWORKX,
-    CsrAdjacency,
-    delay_weight,
-    shortest_path_csr,
-)
+from repro.routing.csr import CsrAdjacency, delay_weight, shortest_path_csr
 from repro.routing.metrics import EdgeCostModel, shortest_path
-
-pytestmark = pytest.mark.skipif(not csr.HAVE_SCIPY,
-                                reason="scipy unavailable")
+from tests.routing import oracle
 
 
 def line_graph():
@@ -32,33 +23,6 @@ def line_graph():
     graph.add_edge("b", "c", delay_s=0.02)
     graph.add_edge("a", "c", delay_s=0.05)
     return graph
-
-
-class TestBackendRegistry:
-    def test_available_and_default(self):
-        assert csr.available_backends() == (BACKEND_CSR, BACKEND_NETWORKX)
-        assert csr.default_backend() in csr.available_backends()
-
-    def test_resolve_none_is_default(self):
-        assert csr.resolve_backend(None) == csr.default_backend()
-
-    def test_resolve_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown routing backend"):
-            csr.resolve_backend("quantum")
-
-    def test_set_default_roundtrip(self):
-        original = csr.default_backend()
-        try:
-            csr.set_default_backend(BACKEND_NETWORKX)
-            assert csr.default_backend() == BACKEND_NETWORKX
-            assert csr.resolve_backend(None) == BACKEND_NETWORKX
-        finally:
-            csr.set_default_backend(original)
-
-    def test_explicit_csr_without_scipy_raises(self, monkeypatch):
-        monkeypatch.setattr(csr, "HAVE_SCIPY", False)
-        with pytest.raises(RuntimeError, match="requires scipy"):
-            csr.resolve_backend(BACKEND_CSR)
 
 
 class TestCsrAdjacencyBuild:
@@ -146,9 +110,9 @@ class TestDisconnected:
         assert math.isinf(paths.distance("a", "island"))
         with pytest.raises(nx.NetworkXNoPath):
             nx.dijkstra_path(graph, "a", "island", weight="delay_s")
-        # Both backends of the shared helper agree: None, no exception.
-        assert shortest_path(graph, "a", "island", backend="csr") is None
-        assert shortest_path(graph, "a", "island", backend="networkx") is None
+        # The shared helper agrees with the oracle: None, no exception.
+        assert shortest_path(graph, "a", "island") is None
+        assert oracle.path(graph, "a", "island") is None
 
     def test_two_components(self):
         graph = nx.Graph()
@@ -209,9 +173,8 @@ class TestNetworkxEquality:
         adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
         paths = adjacency.shortest_paths(list(graph.nodes))
         for source in graph.nodes:
-            nx_dist, _nx_paths = nx.single_source_dijkstra(
-                graph, source, weight="delay_s"
-            )
+            nx_dist, _nx_paths = oracle.dijkstra(graph, source,
+                                                 weight=delay_weight)
             for target in graph.nodes:
                 expected = nx_dist.get(target, float("inf"))
                 assert paths.distance(source, target) == expected
@@ -224,8 +187,7 @@ class TestNetworkxEquality:
             data["delay_s"] = float(rng.uniform(0.001, 0.1))
 
         def path_cost(path):
-            return sum(graph[u][v]["delay_s"]
-                       for u, v in zip(path[:-1], path[1:]))
+            return oracle.path_cost(graph, path, weight=delay_weight)
 
         adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
         paths = adjacency.shortest_paths(list(graph.nodes))
@@ -234,10 +196,9 @@ class TestNetworkxEquality:
                 if source == target:
                     continue
                 csr_path = paths.path(source, target)
-                try:
-                    nx_path = nx.dijkstra_path(graph, source, target,
-                                               weight="delay_s")
-                except nx.NetworkXNoPath:
+                nx_path = oracle.path(graph, source, target,
+                                      weight=delay_weight)
+                if nx_path is None:
                     assert csr_path is None
                     continue
                 assert csr_path is not None
@@ -252,8 +213,9 @@ class TestNetworkxEquality:
         graph.add_edge("b", "c", delay_s=0.01, capacity_bps=1e9)
         graph.add_edge("a", "c", delay_s=0.018, capacity_bps=1e9)
         model = EdgeCostModel(queue_weight=1.0, tariff_weight=0.002)
-        assert (shortest_path(graph, "a", "c", model, backend="csr")
-                == shortest_path(graph, "a", "c", model, backend="networkx"))
+        assert (shortest_path(graph, "a", "c", model)
+                == oracle.path(graph, "a", "c", model)
+                == ["a", "c"])
 
     def test_multi_source_matches_single_source(self):
         graph = line_graph()

@@ -1,9 +1,14 @@
 """Tests for proactive (precomputed) routing."""
 
+import bisect
+from types import SimpleNamespace
+
 import networkx as nx
 import pytest
 
+from repro.routing.metrics import path_metrics
 from repro.routing.proactive import ProactiveRouter, RoutingTable
+from tests.routing import oracle
 
 
 class FakeSnapshot:
@@ -154,29 +159,67 @@ class TestInvalidation:
     def test_empty_table_noop(self):
         assert ProactiveRouter().invalidate_routes_through(["a"]) == 0
 
-def _scan_invalidate(table, elements, from_time_s):
-    """Reference implementation: linear scan over materialized routes.
 
-    Mirrors the pre-index behavior so the inverted-index path can be
-    checked for identical dropped counts and identical survivors.
+class OracleRouter:
+    """The reference proactive table, built from the oracle's paths.
+
+    Answers the :class:`ProactiveRouter` calls the tests make with
+    linear scans over per-epoch eager ``{(src, dst): path}`` tables —
+    the pre-index behavior the inverted indexes must reproduce.
     """
-    import bisect
 
-    affected = set(elements)
-    if not affected or not table.epochs_s:
-        return 0
-    start = max(0, bisect.bisect_right(table.epochs_s, from_time_s) - 1)
-    dropped = 0
-    for index in range(start, len(table.routes)):
-        epoch = table.routes[index]
-        doomed = [
-            key for key, route in list(epoch.items())
-            if affected.intersection(route.path)
-        ]
-        for key in doomed:
-            del epoch[key]
-        dropped += len(doomed)
-    return dropped
+    def __init__(self, snapshots):
+        self.snapshots = list(snapshots)
+        self.epochs_s = [snap.time_s for snap in self.snapshots]
+        self.tables = [oracle.all_pairs_paths(snap.graph)
+                       for snap in self.snapshots]
+
+    @property
+    def route_count(self):
+        return sum(len(table) for table in self.tables)
+
+    def _index(self, time_s):
+        return max(0, bisect.bisect_right(self.epochs_s, time_s) - 1)
+
+    def route(self, source, target, time_s):
+        index = self._index(time_s)
+        path = self.tables[index].get((source, target))
+        if path is None:
+            return None
+        graph = self.snapshots[index].graph
+        return SimpleNamespace(path=path, metrics=path_metrics(graph, path))
+
+    def routes_from(self, source, time_s):
+        table = self.tables[self._index(time_s)]
+        return {dst: self.route(src, dst, time_s)
+                for src, dst in table if src == source}
+
+    def _drop(self, from_time_s, doomed):
+        dropped = 0
+        for table in self.tables[self._index(from_time_s):]:
+            keys = [key for key, path in table.items() if doomed(path)]
+            for key in keys:
+                del table[key]
+            dropped += len(keys)
+        return dropped
+
+    def invalidate_routes_through(self, elements, from_time_s=0.0):
+        return self._drop(from_time_s, set(elements).intersection)
+
+    def invalidate_routes_through_edges(self, edges, from_time_s=0.0):
+        cut = {frozenset(edge) for edge in edges if edge[0] != edge[1]}
+        return self._drop(from_time_s, lambda path: any(
+            frozenset(hop) in cut for hop in zip(path[:-1], path[1:])))
+
+
+def _router(table, snapshots):
+    """The CSR router (``"csr"``) or the oracle reference (``"networkx"``)
+    over the same snapshots."""
+    if table == "networkx":
+        return OracleRouter(snapshots)
+    router = ProactiveRouter()
+    router.precompute(snapshots)
+    return router
 
 
 def _table_as_dicts(router, times, nodes):
@@ -196,36 +239,29 @@ def _table_as_dicts(router, times, nodes):
 
 
 class TestBackendEquivalence:
-    """CSR and networkx epochs answer identically."""
+    """CSR epochs answer identically to the networkx oracle's tables."""
 
     def test_tables_match_across_backends(self, snapshots):
-        pytest.importorskip("scipy")
-        csr_router = ProactiveRouter(backend="csr")
-        nx_router = ProactiveRouter(backend="networkx")
-        csr_router.precompute(snapshots)
-        nx_router.precompute(snapshots)
-        assert csr_router.table.route_count == nx_router.table.route_count
+        router = _router("csr", snapshots)
+        reference = OracleRouter(snapshots)
+        assert router.table.route_count == reference.route_count
         times, nodes = (10.0, 70.0, 130.0), ("a", "b", "c")
-        assert (_table_as_dicts(csr_router, times, nodes)
-                == _table_as_dicts(nx_router, times, nodes))
+        assert (_table_as_dicts(router, times, nodes)
+                == _table_as_dicts(reference, times, nodes))
 
     def test_routes_from_matches_across_backends(self, snapshots):
-        pytest.importorskip("scipy")
-        csr_router = ProactiveRouter(backend="csr")
-        nx_router = ProactiveRouter(backend="networkx")
-        csr_router.precompute(snapshots)
-        nx_router.precompute(snapshots)
+        router = _router("csr", snapshots)
+        reference = OracleRouter(snapshots)
         for time_s in (0.0, 70.0):
             for source in ("a", "b", "c", "ghost"):
-                csr_slice = csr_router.routes_from(source, time_s)
-                nx_slice = nx_router.routes_from(source, time_s)
-                assert set(csr_slice) == set(nx_slice)
+                csr_slice = router.routes_from(source, time_s)
+                ref_slice = reference.routes_from(source, time_s)
+                assert set(csr_slice) == set(ref_slice)
                 for target, route in csr_slice.items():
-                    assert route.path == nx_slice[target].path
+                    assert route.path == ref_slice[target].path
 
     def test_selected_pairs_csr(self, snapshots):
-        pytest.importorskip("scipy")
-        router = ProactiveRouter(backend="csr")
+        router = ProactiveRouter()
         table = router.precompute(snapshots[:1], pairs=[("a", "c")])
         assert table.lookup("a", "c", 0.0) is not None
         assert table.lookup("c", "a", 0.0) is None
@@ -234,7 +270,7 @@ class TestBackendEquivalence:
 
 
 class TestInvalidationIndexMatchesScan:
-    """The inverted-index invalidation equals the scan implementation."""
+    """The inverted-index invalidation equals the oracle's scan."""
 
     @pytest.mark.parametrize("elements,from_time_s", [
         (["b"], 0.0),
@@ -245,39 +281,33 @@ class TestInvalidationIndexMatchesScan:
     ])
     def test_dropped_count_and_survivors_match(self, snapshots, elements,
                                                from_time_s):
-        indexed = ProactiveRouter(backend="networkx")
-        indexed.precompute(snapshots)
-        reference = ProactiveRouter(backend="networkx")
-        reference.precompute(snapshots)
+        indexed = _router("csr", snapshots)
+        reference = OracleRouter(snapshots)
 
         dropped_indexed = indexed.invalidate_routes_through(
             elements, from_time_s=from_time_s)
-        dropped_scan = _scan_invalidate(reference.table, elements,
-                                        from_time_s)
+        dropped_scan = reference.invalidate_routes_through(
+            elements, from_time_s=from_time_s)
         assert dropped_indexed == dropped_scan
         times, nodes = (10.0, 70.0, 130.0), ("a", "b", "c")
         assert (_table_as_dicts(indexed, times, nodes)
                 == _table_as_dicts(reference, times, nodes))
 
     def test_csr_epoch_invalidation_matches_scan(self, snapshots):
-        pytest.importorskip("scipy")
-        lazy = ProactiveRouter(backend="csr")
-        lazy.precompute(snapshots)
-        reference = ProactiveRouter(backend="networkx")
-        reference.precompute(snapshots)
+        lazy = _router("csr", snapshots)
+        reference = OracleRouter(snapshots)
 
         dropped_lazy = lazy.invalidate_routes_through(["b"], from_time_s=0.0)
-        dropped_scan = _scan_invalidate(reference.table, ["b"], 0.0)
+        dropped_scan = reference.invalidate_routes_through(["b"],
+                                                           from_time_s=0.0)
         assert dropped_lazy == dropped_scan
-        assert lazy.table.route_count == reference.table.route_count
+        assert lazy.table.route_count == reference.route_count
         times, nodes = (10.0, 70.0, 130.0), ("a", "b", "c")
         assert (_table_as_dicts(lazy, times, nodes)
                 == _table_as_dicts(reference, times, nodes))
 
     def test_repeated_invalidation_is_idempotent(self, snapshots):
-        pytest.importorskip("scipy")
-        router = ProactiveRouter(backend="csr")
-        router.precompute(snapshots)
+        router = _router("csr", snapshots)
         first = router.invalidate_routes_through(["b"], from_time_s=0.0)
         assert first > 0
         assert router.invalidate_routes_through(["b"], from_time_s=0.0) == 0
@@ -285,8 +315,7 @@ class TestInvalidationIndexMatchesScan:
 
 class TestLazyMaterialization:
     def test_lookup_materializes_once(self, snapshots):
-        pytest.importorskip("scipy")
-        router = ProactiveRouter(backend="csr")
+        router = ProactiveRouter()
         router.precompute(snapshots)
         epoch = router.table.routes[0]
         assert not epoch._cache  # nothing materialized yet
@@ -295,8 +324,7 @@ class TestLazyMaterialization:
         assert router.route("a", "c", 10.0) is route  # cached object
 
     def test_route_count_without_materialization(self, snapshots):
-        pytest.importorskip("scipy")
-        router = ProactiveRouter(backend="csr")
+        router = ProactiveRouter()
         table = router.precompute(snapshots)
         assert table.route_count == 18
         assert not any(epoch._cache for epoch in table.routes)
@@ -310,13 +338,9 @@ def chain_snapshots():
 
 
 class TestEdgeInvalidation:
-    @pytest.mark.parametrize("backend", ["networkx", "csr"])
-    def test_only_routes_riding_the_edge_drop(self, chain_snapshots,
-                                              backend):
-        if backend == "csr":
-            pytest.importorskip("scipy")
-        router = ProactiveRouter(backend=backend)
-        router.precompute(chain_snapshots)
+    @pytest.mark.parametrize("table", ["networkx", "csr"])
+    def test_only_routes_riding_the_edge_drop(self, chain_snapshots, table):
+        router = _router(table, chain_snapshots)
         # Cutting b-c severs every route crossing the middle of the
         # chain (4 ordered pairs x 2 epochs) but leaves a<->b and c<->d.
         dropped = router.invalidate_routes_through_edges([("c", "b")])
@@ -326,10 +350,8 @@ class TestEdgeInvalidation:
         assert router.route("a", "c", 10.0) is None
         assert router.route("a", "d", 70.0) is None
 
-    @pytest.mark.parametrize("backend", ["networkx", "csr"])
-    def test_visiting_both_endpoints_without_edge_survives(self, backend):
-        if backend == "csr":
-            pytest.importorskip("scipy")
+    @pytest.mark.parametrize("table", ["networkx", "csr"])
+    def test_visiting_both_endpoints_without_edge_survives(self, table):
         # The d->e shortest path is d-a-b-c-e: it visits BOTH endpoints
         # of the expensive direct (a, c) edge, but never hops it (a and
         # c are not consecutive). Endpoint-intersection candidates must
@@ -338,8 +360,7 @@ class TestEdgeInvalidation:
             ("d", "a", 0.01), ("a", "b", 0.01), ("b", "c", 0.01),
             ("c", "e", 0.01), ("a", "c", 1.0),
         ])]
-        router = ProactiveRouter(backend=backend)
-        router.precompute(snaps)
+        router = _router(table, snaps)
         assert router.route("d", "e", 0.0).path == ["d", "a", "b", "c", "e"]
         dropped = router.invalidate_routes_through_edges([("a", "c")])
         assert dropped == 0  # no shortest path actually rides a-c
@@ -347,7 +368,7 @@ class TestEdgeInvalidation:
         assert router.route("a", "c", 0.0) is not None
 
     def test_from_time_scopes_to_later_epochs(self, chain_snapshots):
-        router = ProactiveRouter(backend="networkx")
+        router = ProactiveRouter()
         router.precompute(chain_snapshots)
         dropped = router.invalidate_routes_through_edges(
             [("b", "c")], from_time_s=60.0
@@ -357,7 +378,7 @@ class TestEdgeInvalidation:
         assert router.route("a", "d", 70.0) is None
 
     def test_self_pairs_and_empty_input_are_noops(self, chain_snapshots):
-        router = ProactiveRouter(backend="networkx")
+        router = ProactiveRouter()
         router.precompute(chain_snapshots)
         assert router.invalidate_routes_through_edges([]) == 0
         assert router.invalidate_routes_through_edges([("a", "a")]) == 0
@@ -368,14 +389,9 @@ class TestEdgeInvalidation:
             [("a", "b")]
         ) == 0
 
-    @pytest.mark.parametrize("backend", ["networkx", "csr"])
-    def test_edge_order_within_pair_is_ignored(self, chain_snapshots,
-                                               backend):
-        if backend == "csr":
-            pytest.importorskip("scipy")
-        forward = ProactiveRouter(backend=backend)
-        forward.precompute(chain_snapshots)
-        reverse = ProactiveRouter(backend=backend)
-        reverse.precompute(chain_snapshots)
+    @pytest.mark.parametrize("table", ["networkx", "csr"])
+    def test_edge_order_within_pair_is_ignored(self, chain_snapshots, table):
+        forward = _router(table, chain_snapshots)
+        reverse = _router(table, chain_snapshots)
         assert forward.invalidate_routes_through_edges([("b", "c")]) == \
             reverse.invalidate_routes_through_edges([("c", "b")])

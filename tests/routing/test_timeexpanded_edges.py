@@ -1,12 +1,13 @@
 """Edge-case tests for time-expanded store-and-forward routing."""
 
+import bisect
+
 import networkx as nx
 import pytest
 
-from repro.routing.csr import HAVE_SCIPY
+from repro.routing.csr import delay_weight
 from repro.routing.timeexpanded import TimeExpandedRouter
-
-BACKENDS = ["networkx"] + (["csr"] if HAVE_SCIPY else [])
+from tests.routing import oracle
 
 
 class FakeSnapshot:
@@ -16,6 +17,32 @@ class FakeSnapshot:
         self.graph.add_nodes_from(nodes)
         for u, v, delay in edges:
             self.graph.add_edge(u, v, delay_s=delay)
+
+
+def _oracle_arrival(router, source, target, departure_s):
+    """Earliest arrival by networkx Dijkstra over the router's contact
+    graph, or None when the bundle cannot be delivered."""
+    start_epoch = bisect.bisect_right(router.epoch_times, departure_s) - 1
+    start = (source, start_epoch)
+    if start not in router._graph:
+        return None
+    dist, _paths = oracle.dijkstra(router._graph, start, weight=delay_weight)
+    arrivals = [dist[(target, k)]
+                for k in range(start_epoch, len(router.snapshots))
+                if (target, k) in dist]
+    return departure_s + min(arrivals) if arrivals else None
+
+
+def _arrival(planner, router, source, target, departure_s):
+    """Arrival time from the CSR router or the oracle; None if undeliverable."""
+    if planner == "networkx":
+        return _oracle_arrival(router, source, target, departure_s)
+    route = router.earliest_arrival(source, target, departure_s)
+    return None if route is None else route.arrival_s
+
+
+#: Each clipping case runs on the router and on the oracle.
+PLANNERS = ["csr", "networkx"]
 
 
 @pytest.fixture
@@ -59,23 +86,23 @@ class TestSourceEqualsTarget:
 
 
 class TestHorizonClipping:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unreachable_within_horizon(self, backend):
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_unreachable_within_horizon(self, planner):
         # c exists but never has a contact: no plan can reach it.
         snaps = [
             FakeSnapshot(0.0, [("a", "b", 0.01)]),
             FakeSnapshot(60.0, [("a", "b", 0.01)]),
         ]
-        router = TimeExpandedRouter(snaps, backend=backend)
-        assert router.earliest_arrival("a", "c", 0.0) is None
+        router = TimeExpandedRouter(snaps)
+        assert _arrival(planner, router, "a", "c", 0.0) is None
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_late_departure_clips_past_contacts(self, intermittent, backend):
-        router = TimeExpandedRouter(intermittent, backend=backend)
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_late_departure_clips_past_contacts(self, intermittent, planner):
+        router = TimeExpandedRouter(intermittent)
         # The only a-b contact lives in epoch 0: departing in epoch 1 or
         # later, that contact is history and a can no longer reach c.
-        assert router.earliest_arrival("a", "c", 60.0) is None
-        assert router.earliest_arrival("a", "c", 59.999) is not None
+        assert _arrival(planner, router, "a", "c", 60.0) is None
+        assert _arrival(planner, router, "a", "c", 59.999) is not None
 
     def test_contact_after_departure_epoch_still_usable(self, intermittent):
         router = TimeExpandedRouter(intermittent)
@@ -121,17 +148,57 @@ class TestDeliveryRatioDeterminism:
         assert len(ratios) == 1
 
     def test_backends_agree(self, intermittent):
+        # Arrivals and the delivery ratio match the networkx oracle run
+        # over the same time-expanded contact graph.
+        router = TimeExpandedRouter(intermittent)
         pairs = [("a", "c"), ("c", "a"), ("a", "b"), ("b", "c")]
-        ratios = {
-            TimeExpandedRouter(intermittent,
-                               backend=backend).delivery_ratio(pairs, 0.0)
-            for backend in BACKENDS
-        }
-        assert len(ratios) == 1
+        delivered = 0
+        for source, target in pairs:
+            expected = _oracle_arrival(router, source, target, 0.0)
+            assert _arrival("csr", router, source, target, 0.0) == expected
+            delivered += expected is not None
+        assert delivered == 3
+        assert router.delivery_ratio(pairs, 0.0) == delivered / len(pairs)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_routes_identical_across_instances(self, intermittent, backend):
-        first = TimeExpandedRouter(intermittent, backend=backend)
-        second = TimeExpandedRouter(intermittent, backend=backend)
+    def test_routes_identical_across_instances(self, intermittent):
+        first = TimeExpandedRouter(intermittent)
+        second = TimeExpandedRouter(intermittent)
         assert (first.earliest_arrival("a", "c", 0.0)
                 == second.earliest_arrival("a", "c", 0.0))
+
+
+class TestPlanHorizon:
+    """The plan answers nothing at or after its horizon (180 s here)."""
+
+    def test_departure_after_horizon_rejected(self, intermittent):
+        router = TimeExpandedRouter(intermittent)
+        assert router.horizon_s == 180.0
+        # The only b-c contact lies in 120-180 s; a bundle handed over
+        # at 500 s cannot ride it.
+        with pytest.raises(ValueError, match="horizon"):
+            router.earliest_arrival("b", "c", 500.0)
+        with pytest.raises(ValueError, match="horizon"):
+            router.earliest_arrival("b", "c", 180.0)
+
+    def test_departure_just_inside_horizon_still_served(self, intermittent):
+        router = TimeExpandedRouter(intermittent)
+        route = router.earliest_arrival("b", "c", 179.0)
+        assert route is not None
+        assert route.arrival_s == pytest.approx(179.01)
+
+    def test_delivery_ratio_after_horizon_rejected(self, intermittent):
+        router = TimeExpandedRouter(intermittent)
+        with pytest.raises(ValueError, match="horizon"):
+            router.delivery_ratio([("b", "c")], 10_000.0)
+
+    @pytest.mark.parametrize("horizon_s", [120.0, 60.0])
+    def test_explicit_horizon_must_follow_last_snapshot(self, intermittent,
+                                                        horizon_s):
+        with pytest.raises(ValueError, match="horizon"):
+            TimeExpandedRouter(intermittent, horizon_s=horizon_s)
+
+    def test_explicit_horizon_sets_plan_end(self, intermittent):
+        router = TimeExpandedRouter(intermittent, horizon_s=120.5)
+        assert router.earliest_arrival("b", "c", 120.4) is not None
+        with pytest.raises(ValueError, match="horizon"):
+            router.earliest_arrival("b", "c", 120.5)
