@@ -31,8 +31,13 @@ from repro.isl.topology import (
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.kepler import KeplerPropagator, batch_positions
 from repro.orbits.visibility import elevation_angles
-from repro.phy.modulation import achievable_rate_bps, achievable_rate_bps_array
-from repro.phy.rf import RFTerminal, rf_link_budget, rf_link_budget_arrays
+from repro.phy.modulation import achievable_rate_bps_array
+from repro.phy.rf import RFTerminal, rf_link_budget_arrays
+
+# The scalar oracles of the array budgets stay importable from here,
+# where benchmarks/e2e/tracer.py looks them up.
+from repro.phy.modulation import achievable_rate_bps  # noqa: F401
+from repro.phy.rf import rf_link_budget  # noqa: F401
 from repro.routing.csr import (
     NO_PREDECESSOR,
     CsrAdjacency,
@@ -44,6 +49,20 @@ from repro.routing.metrics import (
     RouteMetrics,
     path_metrics,
 )
+
+
+#: User x satellite pairs per chunk of the access-link elevation pass, so
+#: each ``(users, satellites, 3)`` float64 temporary stays under ~1 MB.
+_ACCESS_CHUNK_PAIRS = 40_000
+
+
+def _value_codes(items: Sequence, rows: np.ndarray) -> Tuple[list, np.ndarray]:
+    """Group ``items[rows]`` by value: the distinct values, and each row's
+    index into them.  Only the distinct rows' items are hashed."""
+    seen, inverse = np.unique(rows, return_inverse=True)
+    codes: Dict[object, int] = {}
+    index = [codes.setdefault(items[row], len(codes)) for row in seen.tolist()]
+    return list(codes), np.asarray(index, dtype=np.int64)[inverse]
 
 
 @dataclass(frozen=True)
@@ -160,16 +179,6 @@ class NetworkSnapshot:
                 repr((node_a, node_b, sorted(data.items()))).encode()
             )
         return hasher.hexdigest()
-
-    def refresh_csr(self) -> None:
-        """Recompute cached CSR weight arrays from the live edge dicts.
-
-        Called after in-place edge-attribute updates (see
-        :meth:`OpenSpaceNetwork.refresh_edge_weights`) so cached
-        adjacencies track the graph without a structural rebuild.
-        """
-        for model, adjacency in self._csr_cache.items():
-            adjacency.refresh_weights(model)
 
     def route(self, source: str, target: str,
               cost_model: Optional[EdgeCostModel] = None,
@@ -508,24 +517,16 @@ class OpenSpaceNetwork:
             "kind": "ground_link",
         }
 
-    def _ground_edge(self, spec: SpacecraftSpec, sat_pos: np.ndarray,
-                     station: GroundStation, station_pos: np.ndarray,
-                     elevation: float,
-                     distance: float) -> Optional[dict]:
-        """Edge attributes for a satellite-station link, or None if unusable."""
-        capacity = 0.0
-        if spec.ground_terminal is not None:
-            budget = rf_link_budget(
-                spec.ground_terminal,
-                self._station_terminal(spec.ground_terminal.band_name),
-                distance,
-                elevation_rad=elevation,
-                rain_rate_mm_h=station.rain_rate_mm_h,
-            )
-            capacity = achievable_rate_bps(budget.snr_db, budget.bandwidth_hz)
-        if capacity <= 0.0:
-            return None
-        return self._ground_attrs(station, capacity, distance)
+    @staticmethod
+    def _access_attrs(spec: SpacecraftSpec, capacity: float,
+                      distance: float) -> dict:
+        """Edge attributes of a usable user-satellite access link."""
+        return {
+            "delay_s": distance / SPEED_OF_LIGHT_KM_S,
+            "capacity_bps": capacity,
+            "owner": spec.owner,
+            "kind": "access_link",
+        }
 
     def snapshot(self, time_s: float,
                  users: Sequence[UserTerminal] = ()) -> NetworkSnapshot:
@@ -534,7 +535,8 @@ class OpenSpaceNetwork:
         Satellites are joined by the ISL topology builder; each ground
         station connects to every satellite above its elevation mask whose
         ground link closes; each user connects to every satellite above
-        the user's mask (capacity from the user terminal's budget).
+        the user's mask whose access link closes (capacity from the
+        satellite's ground terminal and the user's terminal).
 
         Elements named in the current fault state (see
         :meth:`set_fault_state`) are excluded: failed satellites never
@@ -544,10 +546,11 @@ class OpenSpaceNetwork:
         Results are cached per ``(time bucket, fault epoch, user set)``
         — repeated queries for the same instant return the **same**
         :class:`NetworkSnapshot` object, so treat snapshot graphs as
-        read-only (every in-repo consumer does).  A user-specific
-        snapshot whose no-user base graph is cached is built
-        incrementally: the base is copied and only the access links are
-        recomputed.
+        read-only.  A snapshot with users copies the no-user base graph
+        and adds every user's access links from one array pass
+        (:meth:`_price_access_links`, shared with
+        :meth:`gateway_probe_paths`): the user nodes first, then the
+        links user by user, satellites in fleet order.
         """
         key = self._cache_key(time_s, users)
         cached = self._cache_get(key)
@@ -557,18 +560,95 @@ class OpenSpaceNetwork:
         if not users:
             self._cache_put(key, base)
             return base
+        users = list(users)
+        alive = self._alive_satellites()
+        user_rows, sat_rows, distances, capacities = self._price_access_links(
+            time_s, users, alive, base.isl_snapshot.positions
+        )
         graph = base.graph.copy()
-        positions = base.isl_snapshot.positions
-        alive = [
-            spec for spec in self.satellites
-            if spec.satellite_id not in self._failed_satellites
-        ]
         for user in users:
-            self._add_user_edges(graph, user, alive, positions, time_s)
+            graph.add_node(user.user_id, kind="user", owner=user.home_provider)
+        graph.add_edges_from(
+            (users[row].user_id, alive[column].satellite_id,
+             self._access_attrs(alive[column], capacity, distance))
+            for row, column, distance, capacity in zip(
+                user_rows.tolist(), sat_rows.tolist(), distances.tolist(),
+                capacities.tolist(),
+            )
+        )
         snap = NetworkSnapshot(time_s=time_s, graph=graph,
                                isl_snapshot=base.isl_snapshot)
         self._cache_put(key, snap)
         return snap
+
+    def _price_access_links(
+        self, time_s: float, users: Sequence[UserTerminal],
+        alive: Sequence[SpacecraftSpec], positions: Dict[str, np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every user access link that closes, priced in one array pass.
+
+        One elevation pass over users x ``alive`` satellites, in chunks
+        of users that keep each geometry temporary near 1 MB; slant
+        ranges only for the pairs above each user's mask; one
+        :func:`~repro.phy.rf.rf_link_budget_arrays` call per (satellite
+        ground terminal, user terminal) group.  Satellites without a
+        ground terminal price at zero, and zero-capacity links are
+        dropped.  Every value equals the scalar per-user overlay's, bit
+        for bit (the oracle in ``tests/core/oracle.py``).
+
+        Returns:
+            ``(user_rows, sat_rows, distances_km, capacities_bps)``, one
+            entry per closing link, indexing ``users`` and ``alive``;
+            user-major, satellites ascending within each user.
+        """
+        if not users or not alive:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0), np.empty(0)
+        sat_matrix = np.stack([positions[spec.satellite_id] for spec in alive])
+        user_matrix = np.stack([user.position_eci(time_s) for user in users])
+        masks = np.array([math.radians(user.min_elevation_deg)
+                          for user in users])
+        chunk = max(1, _ACCESS_CHUNK_PAIRS // len(alive))
+        user_parts, sat_parts, elevation_parts = [], [], []
+        for start in range(0, len(users), chunk):
+            elevations = elevation_angles(
+                user_matrix[start:start + chunk, None, :], sat_matrix[None]
+            )
+            rows, columns = np.nonzero(
+                elevations >= masks[start:start + chunk, None]
+            )
+            user_parts.append(rows + start)
+            sat_parts.append(columns)
+            elevation_parts.append(elevations[rows, columns])
+        user_rows = np.concatenate(user_parts)
+        sat_rows = np.concatenate(sat_parts)
+        elevations = np.concatenate(elevation_parts)
+        deltas = sat_matrix[sat_rows] - user_matrix[user_rows]
+        distances = np.sqrt((deltas * deltas).sum(axis=-1))
+
+        sat_terminals, sat_codes = _value_codes(
+            [spec.ground_terminal for spec in alive], sat_rows
+        )
+        user_terminals, user_codes = _value_codes(
+            [user.terminal for user in users], user_rows
+        )
+        groups = sat_codes * len(user_terminals) + user_codes
+        capacities = np.zeros(user_rows.shape[0])
+        for group in np.unique(groups).tolist():
+            sat_terminal = sat_terminals[group // len(user_terminals)]
+            if sat_terminal is None:
+                continue
+            rows = np.flatnonzero(groups == group)
+            budgets = rf_link_budget_arrays(
+                sat_terminal, user_terminals[group % len(user_terminals)],
+                distances[rows], elevations_rad=elevations[rows],
+            )
+            capacities[rows] = achievable_rate_bps_array(
+                budgets.snr_db, budgets.bandwidth_hz
+            )
+        keep = ~(capacities <= 0.0)
+        return (user_rows[keep], sat_rows[keep], distances[keep],
+                capacities[keep])
 
     def _base_snapshot(self, time_s: float) -> NetworkSnapshot:
         """The no-user snapshot (ISLs + ground stations), cached.
@@ -628,7 +708,7 @@ class OpenSpaceNetwork:
             # One vectorized elevation pass per station; link budgets run
             # only for the satellites above the mask, one batched pass per
             # satellite ground terminal (the same values, edge for edge,
-            # as the scalar _ground_edge).
+            # as a scalar rf_link_budget loop).
             elevations = elevation_angles(station_pos, alive_matrix)
             mask_rad = math.radians(max(
                 self.ground_elevation_mask_deg, station.min_elevation_deg
@@ -771,139 +851,26 @@ class OpenSpaceNetwork:
             recorder.count("network.snapshot.delta_build")
         return snap
 
-    def _add_user_edges(self, graph: nx.Graph, user: UserTerminal,
-                        alive: Sequence[SpacecraftSpec],
-                        positions: Dict[str, np.ndarray],
-                        time_s: float) -> None:
-        """Attach one user node and its access links to ``graph``."""
-        user_pos = user.position_eci(time_s)
-        graph.add_node(user.user_id, kind="user", owner=user.home_provider)
-        if not alive:
-            return
-        mask_rad = math.radians(user.min_elevation_deg)
-        alive_matrix = np.stack(
-            [positions[spec.satellite_id] for spec in alive]
-        )
-        elevations = elevation_angles(user_pos, alive_matrix)
-        deltas = alive_matrix - user_pos
-        distances = np.sqrt((deltas * deltas).sum(axis=-1))
-        for index in np.nonzero(elevations >= mask_rad)[0]:
-            spec = alive[int(index)]
-            distance = float(distances[index])
-            capacity = 0.0
-            if spec.ground_terminal is not None:
-                budget = rf_link_budget(
-                    spec.ground_terminal, user.terminal, distance,
-                    elevation_rad=float(elevations[index]),
-                )
-                capacity = achievable_rate_bps(
-                    budget.snr_db, budget.bandwidth_hz
-                )
-            if capacity <= 0.0:
-                continue
-            graph.add_edge(
-                user.user_id, spec.satellite_id,
-                delay_s=distance / SPEED_OF_LIGHT_KM_S,
-                capacity_bps=capacity,
-                owner=spec.owner,
-                kind="access_link",
-            )
-
-    def refresh_edge_weights(self, snap: NetworkSnapshot,
-                             users: Sequence[UserTerminal] = ()) -> int:
-        """Recompute ground/access edge weights of a snapshot in place.
-
-        The incremental path for "only link budgets changed": when
-        station operating state (rain rate, queue occupancy, tariffs)
-        moves but geometry has not, the snapshot's topology is still
-        valid — only the edge attributes need recomputing.  Satellite
-        positions are reused from the snapshot; no propagation, ISL
-        assignment, or graph reconstruction runs.
-
-        Args:
-            snap: A snapshot previously built by :meth:`snapshot`.
-            users: User terminals whose access links should also be
-                refreshed (matched by ``user_id``).
-
-        Returns:
-            The number of edges whose attributes were recomputed.
-        """
-        positions = snap.isl_snapshot.positions
-        users_by_id = {user.user_id: user for user in users}
-        refreshed = 0
-        for node_a, node_b, data in snap.graph.edges(data=True):
-            kind = data.get("kind")
-            if kind == "ground_link":
-                sat_id, station_id = (
-                    (node_a, node_b) if node_a in positions else (node_b, node_a)
-                )
-                station = self._station_by_id.get(station_id)
-                spec = self._spec_by_id.get(sat_id)
-                if station is None or spec is None:
-                    continue
-                station_pos = station.position_eci(snap.time_s)
-                sat_pos = positions[sat_id]
-                elevation = float(elevation_angles(station_pos, sat_pos[None, :])[0])
-                delta = sat_pos - station_pos
-                attrs = self._ground_edge(
-                    spec, sat_pos, station, station_pos,
-                    elevation=elevation,
-                    distance=float(np.sqrt((delta * delta).sum())),
-                )
-                if attrs is not None:
-                    data.update(attrs)
-                    refreshed += 1
-            elif kind == "access_link" and users_by_id:
-                user_id, sat_id = (
-                    (node_a, node_b) if node_b in positions else (node_b, node_a)
-                )
-                user = users_by_id.get(user_id)
-                spec = self._spec_by_id.get(sat_id)
-                if user is None or spec is None or spec.ground_terminal is None:
-                    continue
-                user_pos = user.position_eci(snap.time_s)
-                delta = positions[sat_id] - user_pos
-                distance = float(np.sqrt((delta * delta).sum()))
-                budget = rf_link_budget(
-                    spec.ground_terminal, user.terminal, distance,
-                    elevation_rad=float(
-                        elevation_angles(user_pos, positions[sat_id][None, :])[0]
-                    ),
-                )
-                capacity = achievable_rate_bps(budget.snr_db, budget.bandwidth_hz)
-                if capacity > 0.0:
-                    data["delay_s"] = distance / SPEED_OF_LIGHT_KM_S
-                    data["capacity_bps"] = capacity
-                    refreshed += 1
-        if refreshed:
-            # Cached CSR adjacencies hold the edge dicts by reference;
-            # recompute their weight arrays in place (no rebuild).
-            snap.refresh_csr()
-        return refreshed
-
     def gateway_probe_paths(
         self, time_s: float, users: Sequence[UserTerminal],
         cost_model: Optional[EdgeCostModel] = None,
     ) -> Dict[str, Optional[List[str]]]:
         """Batched nearest-gateway probe for many users at one instant.
 
-        The array fast path behind ``--engine batched``: instead of one
-        user-specific snapshot (graph copy, per-edge Python link
-        budgets, CSR rebuild, single-source Dijkstra) per user, the base
-        snapshot's CSR adjacency is compiled once, each user's access
-        links are evaluated as stacked edge arrays
-        (:func:`~repro.phy.rf.rf_link_budget_arrays` +
-        :func:`~repro.phy.modulation.achievable_rate_bps_array`),
-        appended as a leaf via
+        Builds no user snapshot.  The base snapshot's CSR adjacency is
+        compiled once; every user's access links come from the same
+        array pass that :meth:`snapshot` adds to its graph
+        (:meth:`_price_access_links`); each user joins the adjacency as
+        a leaf via
         :meth:`~repro.routing.csr.CsrAdjacency.append_leaf_arrays`, and
         every user's search runs in one block-diagonal Dijkstra.
 
-        The result is bitwise identical to the scalar probe
+        The result is bitwise identical to the per-user probe
         (``snapshot(time_s, users=[user])`` +
-        :meth:`NetworkSnapshot.nearest_ground_station_route`) — same
-        float64 operations on the same values, same station iteration
-        order, same strict ``<`` tie-breaking; the engine digest gates
-        and ``tests/core/test_network_batched.py`` enforce it.
+        :meth:`NetworkSnapshot.nearest_ground_station_route`) — the same
+        access-link values, the same station iteration order, the same
+        strict ``<`` tie-breaking; ``tests/core/test_network_batched.py``
+        holds it to per-user probes over the scalar overlay oracle.
 
         Args:
             time_s: Probe instant.
@@ -923,60 +890,27 @@ class OpenSpaceNetwork:
         adjacency = base.csr_adjacency(model)
         stations = base.nodes_of_kind("ground_station")
         alive = self._alive_satellites()
-        positions = base.isl_snapshot.positions
-        alive_matrix = (
-            np.stack([positions[spec.satellite_id] for spec in alive])
-            if alive else np.empty((0, 3))
+        user_rows, sat_rows, distances, capacities = self._price_access_links(
+            time_s, users, alive, base.isl_snapshot.positions
         )
+        # The links are user-major: user ``row`` owns one contiguous run.
+        bounds = np.searchsorted(user_rows, np.arange(len(users) + 1)).tolist()
+        sat_list = sat_rows.tolist()
+        distance_list = distances.tolist()
+        capacity_list = capacities.tolist()
         blocks = []
         access_attrs: List[Dict[str, dict]] = []
-        for user in users:
+        for row in range(len(users)):
             attrs_by_sat: Dict[str, dict] = {}
             neighbor_idx: List[int] = []
             weights: List[float] = []
-            if alive:
-                user_pos = user.position_eci(time_s)
-                mask_rad = math.radians(user.min_elevation_deg)
-                elevations = elevation_angles(user_pos, alive_matrix)
-                deltas = alive_matrix - user_pos
-                distances = np.sqrt((deltas * deltas).sum(axis=-1))
-                # Group the visible satellites by ground terminal so each
-                # distinct hardware profile gets one batched budget pass.
-                groups: Dict[RFTerminal, List[int]] = {}
-                for index in np.nonzero(elevations >= mask_rad)[0]:
-                    spec = alive[int(index)]
-                    if spec.ground_terminal is None:
-                        continue
-                    groups.setdefault(spec.ground_terminal, []).append(
-                        int(index)
-                    )
-                for terminal, indices in groups.items():
-                    rows = np.asarray(indices, dtype=np.int64)
-                    budgets = rf_link_budget_arrays(
-                        terminal, user.terminal, distances[rows],
-                        elevations_rad=elevations[rows],
-                    )
-                    capacities = achievable_rate_bps_array(
-                        budgets.snr_db, budgets.bandwidth_hz
-                    )
-                    for position, index in enumerate(indices):
-                        capacity = float(capacities[position])
-                        if capacity <= 0.0:
-                            continue
-                        spec = alive[index]
-                        attrs = {
-                            "delay_s": (
-                                float(distances[index]) / SPEED_OF_LIGHT_KM_S
-                            ),
-                            "capacity_bps": capacity,
-                            "owner": spec.owner,
-                            "kind": "access_link",
-                        }
-                        attrs_by_sat[spec.satellite_id] = attrs
-                        neighbor_idx.append(
-                            adjacency.index[spec.satellite_id]
-                        )
-                        weights.append(model.edge_cost(attrs))
+            for link in range(bounds[row], bounds[row + 1]):
+                spec = alive[sat_list[link]]
+                attrs = self._access_attrs(spec, capacity_list[link],
+                                           distance_list[link])
+                attrs_by_sat[spec.satellite_id] = attrs
+                neighbor_idx.append(adjacency.index[spec.satellite_id])
+                weights.append(model.edge_cost(attrs))
             access_attrs.append(attrs_by_sat)
             blocks.append(adjacency.append_leaf_arrays(
                 np.asarray(neighbor_idx, dtype=np.int64),

@@ -76,8 +76,9 @@ class SpatialGridIndex:
             must have positive norm (a spacecraft is never at the
             geocenter).
         cell_size_deg: Angular cell size; one value for latitude bands
-            and longitude columns.  Smaller cells prune harder but cost
-            more bucket scans per query.
+            and longitude columns (columns shrink to the nearest width
+            that divides 360 degrees).  Smaller cells prune harder but
+            cost more bucket scans per query.
     """
 
     def __init__(self, positions_km: np.ndarray, cell_size_deg: float = 8.0):
@@ -100,6 +101,10 @@ class SpatialGridIndex:
 
         self.n_lat_bands = int(math.ceil(180.0 / self.cell_size_deg))
         self.n_lon_cols = int(math.ceil(360.0 / self.cell_size_deg))
+        # Columns split 360 degrees evenly, so the one across the
+        # antimeridian is as wide as the rest and a column reach counted
+        # in widths holds across the seam.
+        self._col_deg = 360.0 / self.n_lon_cols
 
         lat_deg = np.degrees(np.arcsin(np.clip(pos[:, 2] / np.where(
             radius > 0.0, radius, 1.0), -1.0, 1.0)))
@@ -112,7 +117,7 @@ class SpatialGridIndex:
             0, self.n_lat_bands - 1,
         )
         self._col = (
-            np.floor((lon_deg + 180.0) / self.cell_size_deg).astype(np.int64)
+            np.floor((lon_deg + 180.0) / self._col_deg).astype(np.int64)
             % self.n_lon_cols
         )
 
@@ -161,7 +166,7 @@ class SpatialGridIndex:
         if denom <= _POLAR_COS_EPS or sin_half_sq >= denom:
             return self.n_lon_cols
         dlon_deg = math.degrees(2.0 * math.asin(math.sqrt(sin_half_sq / denom)))
-        return int(dlon_deg // self.cell_size_deg) + 1
+        return int(dlon_deg // self._col_deg) + 1
 
     # -- queries --------------------------------------------------------
 
@@ -254,7 +259,7 @@ class SpatialGridIndex:
             self.n_lat_bands - 1,
             max(0, int((lat_q + 90.0) // self.cell_size_deg)),
         )
-        col_q = int((lon_q + 180.0) // self.cell_size_deg) % self.n_lon_cols
+        col_q = int((lon_q + 180.0) // self._col_deg) % self.n_lon_cols
         cos_q = math.cos(math.radians(lat_q))
 
         parts = []

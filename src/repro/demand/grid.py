@@ -32,6 +32,9 @@ from repro.simulation.traffic import UNDERSERVED_REGIONS, UserPopulation
 #: Cell-id format shared by the grid, the fluid engine, and exports.
 CELL_ID_FORMAT = "cell-{index:05d}"
 
+#: Subscriber placement models :func:`population_grid` accepts.
+DISTRIBUTIONS = ("uniform_land", "underserved")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -224,8 +227,8 @@ def population_grid(total_users: int, rng: np.random.Generator,
         weights = _underserved_weights(lat_deg, lon_deg, spread_deg) * area
     else:
         raise ValueError(
-            f"unknown distribution {distribution!r}; expected "
-            "'uniform_land' or 'underserved'"
+            f"unknown distribution {distribution!r}; expected one of "
+            f"{DISTRIBUTIONS}"
         )
     total = weights.sum()
     if total <= 0.0:

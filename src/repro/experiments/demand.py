@@ -33,7 +33,7 @@ from repro.demand.congestion import (
     settle_demand,
 )
 from repro.demand.fluid import run_fluid, weighted_percentile
-from repro.demand.grid import GridSpec, population_grid
+from repro.demand.grid import DISTRIBUTIONS, GridSpec, population_grid
 from repro.demand.profile import offered_load_bps
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
@@ -174,13 +174,30 @@ def demand_sweep(satellite_counts: Sequence[int] = (24, 66),
 
     Returns:
         One row dict per ``satellite_counts x hours_utc`` point.
+
+    Raises:
+        ValueError: For an empty grid or an out-of-range argument,
+            before any fleet is built.
     """
+    if not satellite_counts:
+        raise ValueError("satellite_counts must name at least one fleet size")
+    if not hours_utc:
+        raise ValueError("hours_utc must name at least one hour")
     for count in satellite_counts:
         if count < 1:
             raise ValueError(f"need at least one satellite, got {count}")
     for hour in hours_utc:
         if not 0.0 <= hour < 24.0:
             raise ValueError(f"hour must be in [0, 24), got {hour}")
+    for name, value in (("total_users", total_users), ("bands", bands),
+                        ("equator_columns", equator_columns)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if not duration_s > 0.0:
+        raise ValueError(f"duration_s must be > 0, got {duration_s}")
+    if distribution not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {distribution!r}; "
+                         f"expected one of {DISTRIBUTIONS}")
 
     points = [
         (int(count), float(hour), row_index, total_users, bands,

@@ -76,10 +76,8 @@ class CsrAdjacency:
     store both directions explicitly, so scipy always runs in directed
     mode and explicit zero-weight edges stay edges.
 
-    The per-entry edge-attribute dicts are retained (by reference) so
-    :meth:`refresh_weights` can recompute ``data`` in place after an
-    in-place attribute refresh (e.g.
-    :meth:`~repro.core.network.OpenSpaceNetwork.refresh_edge_weights`)
+    The per-entry ``(u, v, data)`` triples are retained so
+    :meth:`structure_clone` can reprice a structurally identical graph
     without rebuilding the structure.
     """
 
@@ -105,8 +103,7 @@ class CsrAdjacency:
         """Compile a networkx graph (or DiGraph) into a CSR adjacency.
 
         Args:
-            graph: The snapshot graph.  Edge attribute dicts are kept by
-                reference for :meth:`refresh_weights`.
+            graph: The snapshot graph.
             weight: Cost model or ``(u, v, data)`` callable; a ``None``
                 or non-finite return drops that edge (the QoS/adaptive
                 routers use this to express admission filters).
@@ -184,33 +181,6 @@ class CsrAdjacency:
             )
         return self._matrix
 
-    def refresh_weights(self, weight: WeightSpec = None) -> int:
-        """Recompute ``data`` in place from the live edge-attribute dicts.
-
-        The structural arrays are untouched: this is the incremental
-        path for "only link budgets moved".  Edges whose weight became
-        inadmissible (``None``/non-finite) get ``inf`` — unreachable
-        without a rebuild.
-
-        Returns:
-            The number of entries whose weight changed.
-        """
-        weight_fn = _weight_callable(weight if weight is not None
-                                     else self._weight)
-        changed = 0
-        data = self.data
-        for k, (u, v, entry) in enumerate(self._edge_dicts):
-            cost = weight_fn(u, v, entry)
-            value = float(cost) if cost is not None and np.isfinite(cost) \
-                else np.inf
-            if data[k] != value:
-                data[k] = value
-                changed += 1
-        if changed:
-            self._matrix = None
-            self._sp_cache.clear()
-        return changed
-
     def structure_clone(self, graph) -> "CsrAdjacency":
         """A new adjacency sharing this one's structure arrays.
 
@@ -263,8 +233,7 @@ class CsrAdjacency:
         """Dijkstra from one source, memoized per adjacency.
 
         Repeated queries against the same snapshot (nearest-gateway
-        scans, per-pair lookups) reuse the first computation; the cache
-        is cleared by :meth:`refresh_weights`.
+        scans, per-pair lookups) reuse the first computation.
         """
         cached = self._sp_cache.get(source)
         if cached is None:

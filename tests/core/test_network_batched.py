@@ -3,11 +3,12 @@
 ``OpenSpaceNetwork.gateway_probe_paths`` answers every monitored user
 with one block-diagonal Dijkstra; the faults sweep's ``--engine
 batched`` mode stands on it.  The contract is bitwise: the same path,
-node for node, as the per-user snapshot probe — through fault state,
-primed position grids, and the no-scipy fallback.
+node for node, as a per-user probe over the scalar access-link overlay
+(``tests/core/oracle.py``) — through fault state, primed position grids,
+and a fleet of mixed satellite and user terminals.
 """
 
-from typing import List, Optional
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from repro.core.network import OpenSpaceNetwork
 from repro.experiments.availability import SAMPLE_SITES
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
+from repro.orbits.coordinates import GeodeticPoint
 from repro.orbits.walker import iridium_like
-
-pytest.importorskip("scipy")
+from repro.phy.rf import RFTerminal
+from repro.routing.metrics import EdgeCostModel
+from tests.core import oracle
 
 
 def _make_network(**kwargs):
@@ -34,14 +37,9 @@ def _users():
     ]
 
 
-def _scalar_probe(network, user, time_s) -> Optional[List[str]]:
-    snap = network.snapshot(time_s, users=[user])
-    metrics = snap.nearest_ground_station_route(user.user_id)
-    return None if metrics is None else list(metrics.path)
-
-
-def _scalar_probes(network, users, time_s):
-    return {u.user_id: _scalar_probe(network, u, time_s) for u in users}
+def _scalar_probes(network, users, time_s, cost_model=None):
+    return {u.user_id: oracle.probe(network, time_s, u, cost_model)
+            for u in users}
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +101,37 @@ class TestGatewayProbePaths:
         for time_s in times:
             assert (primed.gateway_probe_paths(float(time_s), users)
                     == cold.gateway_probe_paths(float(time_s), users))
+
+    def test_matches_oracle_on_mixed_fleet(self):
+        # Every third satellite carries a weaker Ku terminal and every
+        # seventh none at all; users alternate between two Ku terminals.
+        weak = RFTerminal(band_name="ku_downlink", tx_power_w=2.0,
+                          antenna_gain_dbi=24.0, noise_temp_k=700.0)
+        fleet = build_fleet(iridium_like(), "probe-op", SizeClass.MEDIUM)
+        for index, spec in enumerate(fleet):
+            if index % 7 == 0:
+                fleet[index] = dataclasses.replace(spec, ground_terminal=None)
+            elif index % 3 == 0:
+                fleet[index] = dataclasses.replace(spec, ground_terminal=weak)
+        small_dish = RFTerminal(band_name="ku_downlink", tx_power_w=1.0,
+                                dish_diameter_m=0.3, noise_temp_k=400.0)
+        users = [
+            UserTerminal(f"u-{index}", GeodeticPoint(lat, lon), "probe-op",
+                         min_elevation_deg=mask)
+            for index, (lat, lon, mask) in enumerate([
+                (-33.9, 151.2, 10.0), (1.3, 103.8, 25.0), (51.5, 0.0, 10.0),
+                (64.8, -147.7, 0.0), (-1.3, 36.8, 40.0), (35.7, 139.7, 10.0),
+            ])
+        ]
+        for user in users[::2]:
+            user.terminal = small_dish
+        net = OpenSpaceNetwork(fleet, default_station_network())
+        net.set_fault_state(failed_satellites=[fleet[4].satellite_id])
+        tariffs = EdgeCostModel(tariff_weight=0.002)
+        routed = 0
+        for time_s in (0.0, 700.0, 2900.0):
+            for model in (None, tariffs):
+                batched = net.gateway_probe_paths(time_s, users, model)
+                assert batched == _scalar_probes(net, users, time_s, model)
+                routed += sum(path is not None for path in batched.values())
+        assert routed > 0

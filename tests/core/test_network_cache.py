@@ -3,11 +3,13 @@
 The cache is keyed by ``(time bucket, fault epoch, user set)``; these
 tests pin the contract: warm queries return the same object, fault-state
 changes invalidate implicitly, ``cache_size=0`` disables caching, time
-quantization buckets nearby instants, and ``refresh_edge_weights``
-recomputes link attributes without rebuilding topology.
+quantization buckets nearby instants, and a station-state change followed
+by ``invalidate_snapshot_cache()`` yields a snapshot built from the new
+state.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.interop import SizeClass, build_fleet
@@ -15,7 +17,10 @@ from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
+from repro.orbits.visibility import elevation_angles
 from repro.orbits.walker import iridium_like
+from repro.phy.modulation import achievable_rate_bps
+from repro.phy.rf import rf_link_budget
 from repro.routing.metrics import path_metrics
 from tests.routing import oracle
 
@@ -28,6 +33,18 @@ def _make_network(**kwargs):
 def _make_user(user_id="u-cache"):
     return UserTerminal(user_id, GeodeticPoint(-1.29, 36.82), "cache-op",
                         min_elevation_deg=10.0)
+
+
+def _ground_links(snap):
+    """``(satellite, station, attrs)`` for every ground link."""
+    links = []
+    for node_a, node_b, data in snap.graph.edges(data=True):
+        if data.get("kind") == "ground_link":
+            kind_a = snap.graph.nodes[node_a]["kind"]
+            sat, station = ((node_a, node_b) if kind_a == "satellite"
+                            else (node_b, node_a))
+            links.append((sat, station, data))
+    return links
 
 
 def _oracle_nearest(snap, source):
@@ -151,8 +168,6 @@ class TestPrimedPositions:
     TIMES = [0.0, 450.0, 900.0, 1350.0]
 
     def test_primed_positions_bitwise_equal_lazy(self):
-        import numpy as np
-
         primed = _make_network()
         assert primed.prime_positions(self.TIMES) == len(self.TIMES)
         cold = _make_network()
@@ -177,45 +192,51 @@ class TestPrimedPositions:
         assert net.prime_positions([]) == 0
 
 
-class TestRefreshEdgeWeights:
-    def test_refresh_recomputes_without_rebuilding(self, network):
-        snap = network.snapshot(500.0)
-        edges_before = set(snap.graph.edges)
-        refreshed = network.refresh_edge_weights(snap)
-        ground_links = [
-            (a, b) for a, b, d in snap.graph.edges(data=True)
-            if d.get("kind") == "ground_link"
-        ]
-        assert refreshed == len(ground_links) > 0
-        assert set(snap.graph.edges) == edges_before
+class TestStationStateChange:
+    """Station state (rain, queues, tariffs) changes take a new snapshot.
 
-    def test_refresh_covers_user_access_links(self):
-        net = _make_network(snapshot_cache_size=0)
-        user = _make_user("u-refresh")
-        snap = net.snapshot(0.0, users=[user])
-        access = [
-            (a, b) for a, b, d in snap.graph.edges(data=True)
-            if d.get("kind") == "access_link"
-        ]
-        refreshed = net.refresh_edge_weights(snap, users=[user])
-        ground = [
-            (a, b) for a, b, d in snap.graph.edges(data=True)
-            if d.get("kind") == "ground_link"
-        ]
-        assert refreshed == len(ground) + len(access)
-        assert len(access) > 0
+    After the change, ``invalidate_snapshot_cache()`` and ``snapshot()``
+    rebuild every ground link from the new state: links that stopped
+    closing are gone, and the survivors carry the new budgets.
+    """
 
-    def test_refresh_preserves_route_viability(self, network):
-        user = _make_user("u-route")
-        snap = network.snapshot(600.0, users=[user])
-        stations = snap.nodes_of_kind("ground_station")
-        path_before = snap.route(user.user_id, stations[0])
-        network.refresh_edge_weights(snap, users=[user])
-        assert snap.route(user.user_id, stations[0]) == path_before
+    def test_rain_leaves_only_links_that_close(self):
+        fleet = build_fleet(iridium_like(), "cache-op", SizeClass.MEDIUM)
+        stations = default_station_network()
+        net = OpenSpaceNetwork(fleet, stations)
+        clear_sky = _ground_links(net.snapshot(0.0))
+        for station in stations:
+            station.rain_rate_mm_h = 100.0
+        net.invalidate_snapshot_cache()
+        rainy = net.snapshot(0.0)
+        links = _ground_links(rainy)
+        assert 0 < len(links) < len(clear_sky)
+
+        positions = net.satellite_positions(0.0)
+        specs = {spec.satellite_id: spec for spec in fleet}
+        by_id = {station.station_id: station for station in stations}
+        for sat_id, station_id, data in links:
+            spec, station = specs[sat_id], by_id[station_id]
+            station_pos = station.position_eci(0.0)
+            delta = positions[sat_id] - station_pos
+            budget = rf_link_budget(
+                spec.ground_terminal,
+                net._station_terminal(spec.ground_terminal.band_name),
+                float(np.sqrt((delta * delta).sum())),
+                elevation_rad=float(elevation_angles(
+                    station_pos, positions[sat_id][None, :])[0]),
+                rain_rate_mm_h=station.rain_rate_mm_h,
+            )
+            capacity = achievable_rate_bps(budget.snr_db, budget.bandwidth_hz)
+            assert capacity > 0.0
+            assert data["capacity_bps"] == min(capacity,
+                                               station.backhaul_capacity_bps)
+        fresh = OpenSpaceNetwork(fleet, stations).snapshot(0.0)
+        assert rainy.digest() == fresh.digest()
 
 
 class TestSnapshotCsrCache:
-    """CSR adjacencies cached on the snapshot, refreshed in place."""
+    """CSR adjacencies cached on the snapshot."""
 
     def test_adjacency_cached_per_cost_model(self, network):
         pytest.importorskip("scipy")
@@ -243,44 +264,3 @@ class TestSnapshotCsrCache:
         assert nearest is not None and expected is not None
         assert nearest.total_delay_s == expected.total_delay_s
         assert nearest.path == expected.path
-
-    def test_refresh_csr_tracks_graph_mutation(self):
-        import numpy as np
-
-        network = _make_network(snapshot_cache_size=4)
-        user = _make_user()
-        snap = network.snapshot(600.0, users=[user])
-        adjacency = snap.csr_adjacency()
-        before = adjacency.data.copy()
-        for _u, _v, data in snap.graph.edges(data=True):
-            if data.get("kind") == "ground_link":
-                data["delay_s"] = data["delay_s"] * 3.0
-        snap.refresh_csr()
-        assert snap.csr_adjacency() is adjacency  # same object, new data
-        assert not np.array_equal(adjacency.data, before)
-        route = snap.nearest_ground_station_route(user.user_id)
-        reference = _oracle_nearest(snap, user.user_id)
-        assert (route is None) == (reference is None)
-        if route is not None:
-            assert route.total_delay_s == reference.total_delay_s
-
-    def test_refresh_edge_weights_keeps_adjacency_consistent(self):
-        pytest.importorskip("scipy")
-        import numpy as np
-        from repro.routing.csr import CsrAdjacency
-
-        network = _make_network(snapshot_cache_size=4)
-        user = _make_user()
-        snap = network.snapshot(700.0, users=[user])
-        adjacency = snap.csr_adjacency()  # cached before the refresh
-        # Desynchronize the arrays, then let the network-level refresh
-        # recompute attributes; the cached adjacency must end up equal
-        # to a cold rebuild from the refreshed graph.
-        for _u, _v, data in snap.graph.edges(data=True):
-            if data.get("kind") == "ground_link":
-                data["delay_s"] = data["delay_s"] * 3.0
-        refreshed = network.refresh_edge_weights(snap, users=[user])
-        assert refreshed > 0
-        rebuilt = CsrAdjacency.from_graph(snap.graph)
-        assert np.array_equal(adjacency.data, rebuilt.data)
-        assert np.array_equal(adjacency.indices, rebuilt.indices)

@@ -65,6 +65,27 @@ class TestDemandSweep:
         with pytest.raises(ValueError, match="hour"):
             demand_sweep(hours_utc=(24.5,))
 
+    @pytest.mark.parametrize("argument, value", [
+        ("satellite_counts", ()),
+        ("hours_utc", ()),
+        ("total_users", 0),
+        ("bands", 0),
+        ("equator_columns", 0),
+        ("duration_s", 0.0),
+        ("duration_s", -60.0),
+        ("distribution", "martian"),
+    ])
+    def test_bad_argument_named_before_any_point_runs(self, argument, value,
+                                                      monkeypatch):
+        import repro.experiments.demand as demand_module
+
+        def no_grid(*_args, **_kwargs):
+            raise AssertionError("validation must precede the sweep")
+
+        monkeypatch.setattr(demand_module, "run_grid", no_grid)
+        with pytest.raises(ValueError, match=argument):
+            demand_sweep(**{**SMALL, argument: value})
+
 
 class TestHelpers:
     def test_plane_count_deterministic_and_bounded(self):

@@ -1,7 +1,7 @@
 """Property-based tests for the spatial grid's superset guarantee."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.spatial import SpatialGridIndex
@@ -24,6 +24,9 @@ class TestSpatialSupersetProperties:
            cell_deg=st.floats(min_value=2.0, max_value=45.0),
            max_range_km=st.floats(min_value=10.0, max_value=20_000.0))
     @settings(max_examples=40, deadline=None)
+    # 43 degree cells leave a 16 degree column at the antimeridian; a
+    # pair 17 degrees apart across it spans three columns.
+    @example(seed=0, count=27, cell_deg=43.0, max_range_km=2462.0)
     def test_candidates_superset_of_within_range_pairs(
             self, seed, count, cell_deg, max_range_km):
         positions = _positions(seed, count)

@@ -1,9 +1,9 @@
 """Tests for the compiled-sparse (CSR) shortest-path implementation.
 
 Covers the edge cases — disconnected components, single-node and empty
-graphs, non-string node ids, fault-masked exclusion — plus in-place
-weight refresh, and equality with the networkx oracle on distances and
-path costs.
+graphs, non-string node ids, fault-masked exclusion — plus structure
+clones that reprice an unchanged edge set, and equality with the
+networkx oracle on distances and path costs.
 """
 
 import math
@@ -130,24 +130,32 @@ class TestDisconnected:
         assert shortest_path_csr(graph, "ghost", "a") is None
 
 
-class TestRefreshWeights:
-    def test_in_place_refresh_changes_routes(self):
+class TestStructureClone:
+    """``structure_clone`` reprices a graph with the same edge set."""
+
+    def test_clone_reprices_changed_weights(self):
         graph = line_graph()
         adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
         assert adjacency.single_source("a").path("a", "c") == ["a", "b", "c"]
-        graph["a"]["b"]["delay_s"] = 1.0
-        changed = adjacency.refresh_weights(delay_weight)
-        assert changed == 2  # both stored directions of the a-b edge
-        paths = adjacency.single_source("a")
+        moved = graph.copy()
+        moved["a"]["b"]["delay_s"] = 1.0
+        clone = adjacency.structure_clone(moved)
+        assert clone.indptr is adjacency.indptr
+        assert clone.indices is adjacency.indices
+        paths = clone.single_source("a")
         assert paths.path("a", "c") == ["a", "c"]
         assert paths.distance("a", "c") == 0.05
+        # The template still routes over the graph it was built from.
+        assert adjacency.single_source("a").path("a", "c") == ["a", "b", "c"]
 
-    def test_refresh_noop_returns_zero(self):
+    def test_clone_of_unchanged_graph_keeps_weights(self):
         graph = line_graph()
         adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
-        assert adjacency.refresh_weights(delay_weight) == 0
+        clone = adjacency.structure_clone(graph.copy())
+        assert np.array_equal(clone.data, adjacency.data)
+        assert clone.nodes is adjacency.nodes
 
-    def test_refresh_inadmissible_becomes_unreachable(self):
+    def test_clone_inadmissible_edge_becomes_unreachable(self):
         graph = nx.Graph()
         graph.add_edge("a", "b", delay_s=1.0, capacity_bps=1e6)
 
@@ -158,9 +166,10 @@ class TestRefreshWeights:
 
         adjacency = CsrAdjacency.from_graph(graph, weight=admissible)
         assert adjacency.single_source("a").path("a", "b") == ["a", "b"]
-        graph["a"]["b"]["capacity_bps"] = 0.0
-        adjacency.refresh_weights(admissible)
-        assert adjacency.single_source("a").path("a", "b") is None
+        cut = graph.copy()
+        cut["a"]["b"]["capacity_bps"] = 0.0
+        clone = adjacency.structure_clone(cut)
+        assert clone.single_source("a").path("a", "b") is None
 
 
 class TestNetworkxEquality:

@@ -95,6 +95,19 @@ class TestDemand:
         assert main(["demand", "sweep", "--satellites", "24",
                      "--hours", "25"]) != 0
 
+    @pytest.mark.parametrize("flag, argument", [
+        ("--users", "total_users"),
+        ("--bands", "bands"),
+        ("--equator-columns", "equator_columns"),
+        ("--duration", "duration_s"),
+    ])
+    def test_sweep_rejects_non_positive_sizes(self, capsys, flag, argument):
+        assert main(["demand", "sweep", "--satellites", "24",
+                     "--hours", "20", flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert "bad demand sweep options:" in err
+        assert argument in err
+
 
 class TestObservability:
     def test_trace_covers_engine_routing_and_experiment(self, capsys,
