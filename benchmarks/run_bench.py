@@ -8,8 +8,7 @@ Measures these things and writes them to ``BENCH_parallel.json``:
    mesh construction, and a Figure 2(b)-shaped sweep.
 2. **Wall-clock records** (no ratio) — all-pairs proactive precompute
    and time-expanded DTN planning on the CSR shortest-path stack, a
-   2880-satellite snapshot and a 10k-satellite orbital period, plus the
-   delta-vs-full digest proof.
+   2880-satellite snapshot and a 10k-satellite orbital period.
 3. **Observability overhead** — an event-instrumented flow simulation
    with the recorder enabled vs disabled; gates the promise that a
    disabled recorder costs one attribute check per emit site.
@@ -449,35 +448,26 @@ MEGA_SCALE_SATELLITES = 10_000
 def bench_scale() -> dict:
     """Mega-constellation topology build: wall-clock records, no ratio.
 
-    Times one full snapshot of a 2880-satellite Walker Delta fleet,
-    proves the delta path (delta-built digests equal full rebuilds over
-    an orbital period) and records that a ``MEGA_SCALE_SATELLITES``-
-    satellite fleet completes one full orbital period through the delta
-    path.  There is no slower reference to compare against, so the case
-    carries no ``speedup`` and stays out of the baseline gate.
+    Times one full snapshot of a 2880-satellite Walker Delta fleet and
+    records that a ``MEGA_SCALE_SATELLITES``-satellite fleet completes
+    one full orbital period.  There is no slower reference to compare
+    against, so the case carries no ``speedup`` and stays out of the
+    baseline gate.
     """
     count = 2880
     fleet = build_fleet(walker_delta(count, plane_count_for(count)),
                         "bench-scale", SizeClass.MEDIUM)
     snapshot_s = _timeit(lambda: OpenSpaceNetwork(
         fleet, [], max_isl_range_km=3000.0, snapshot_cache_size=0,
-        snapshot_delta=False,
     ).snapshot(0.0), repeat=2)
-
-    digest_rows = scale_sweep(satellite_counts=(360,), epochs=4,
-                              compare_digests=True)
-    assert all(row["digests_match"] for row in digest_rows), \
-        "delta-built snapshot digest diverged from full rebuild"
 
     start = time.perf_counter()
     mega = scale_sweep(satellite_counts=(MEGA_SCALE_SATELLITES,),
-                       epochs=4, compare_digests=False)[0]
+                       epochs=4)[0]
     mega_s = time.perf_counter() - start
     return {
         "snapshot_satellites": count,
         "snapshot_s": snapshot_s,
-        "digest_satellites": 360,
-        "digests_match": True,
         "mega": {
             "satellites": mega["satellites"],
             "planes": mega["planes"],

@@ -19,9 +19,9 @@ reproduction without writing any code:
 * ``demand sweep`` — the million-user fluid traffic plane: diurnal
   congestion (utilization, delay inflation) and settlement revenue vs
   constellation size, byte-identical at any ``--jobs`` count;
-* ``scale sweep`` — mega-constellation scale: topology churn, CSR
-  structure reuse, and the delta-vs-full snapshot digest proof over one
-  orbital period, byte-identical at any ``--jobs`` count;
+* ``scale sweep`` — mega-constellation scale: topology churn, snapshot
+  build counts, and gateway probe latency over one orbital period,
+  byte-identical at any ``--jobs`` count;
 * ``dtn sweep`` — disrupted communications: IoT telemetry evacuated
   from a regional gateway blackout through the store-and-forward
   bundle plane (delivery ratio/delay, custody retransmissions, buffer
@@ -448,39 +448,24 @@ def _cmd_scale_sweep(args: argparse.Namespace) -> int:
     try:
         rows = scale_sweep(
             satellite_counts=tuple(args.satellites),
-            epochs=args.epochs, max_range_km=args.range_km,
-            delta=not args.no_delta,
-            compare_digests=not args.no_digest_check, jobs=args.jobs,
+            epochs=args.epochs, max_range_km=args.range_km, jobs=args.jobs,
         )
     except ValueError as exc:
         print(f"bad scale sweep options: {exc}", file=sys.stderr)
         return 1
     print("sats planes epochs edges degree churn_mean churn_max "
-          "full delta appeared gone reuse latency_ms reach digests")
-    failed = False
+          "full delta appeared gone latency_ms reach")
     for row in rows:
         latency = row["probe_latency_ms"]
         latency_text = f"{latency:10.3f}" if latency == latency else (
             "        --")
-        if row["digests_match"] is None:
-            digest_text = "   --"
-        elif row["digests_match"]:
-            digest_text = "   ok"
-        else:
-            digest_text = " FAIL"
-            failed = True
         print(f"{row['satellites']:>4} {row['planes']:>6} "
               f"{row['epochs']:>6} {row['mean_isl_edges']:>8.1f} "
               f"{row['mean_degree']:>6.2f} {row['churn_mean']:>10.4f} "
               f"{row['churn_max']:>9.4f} {row['full_builds']:>4} "
               f"{row['delta_builds']:>5} {row['edges_appeared']:>8} "
-              f"{row['edges_disappeared']:>4} {row['structure_reuses']:>5} "
-              f"{latency_text} {row['probe_reachable_epochs']:>5} "
-              f"{digest_text}")
-    if failed:
-        print("delta-built snapshot digest diverged from full rebuild",
-              file=sys.stderr)
-        return 1
+              f"{row['edges_disappeared']:>4} "
+              f"{latency_text} {row['probe_reachable_epochs']:>5}")
     return 0
 
 
@@ -761,11 +746,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pscl = sub.add_parser("scale",
                           help="mega-constellation topology churn and "
-                               "delta-snapshot proof")
+                               "probe latency")
     scl_sub = pscl.add_subparsers(dest="scale_command", required=True)
     pss = scl_sub.add_parser(
         "sweep", parents=[obs_flags, jobs_flags],
-        help="topology churn & delta-vs-full digests vs fleet size "
+        help="topology churn & probe latency vs fleet size "
              "over one orbital period")
     pss.add_argument("--satellites", type=int, nargs="+",
                      default=[48, 180],
@@ -774,12 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="snapshot epochs over one orbital period")
     pss.add_argument("--range-km", type=float, default=3000.0,
                      help="hard ISL range limit, km")
-    pss.add_argument("--no-delta", action="store_true",
-                     help="rebuild every epoch from scratch instead of "
-                          "the incremental delta path")
-    pss.add_argument("--no-digest-check", action="store_true",
-                     help="skip the delta-vs-full digest comparison "
-                          "(halves the work)")
     pss.set_defaults(func=_cmd_scale_sweep)
 
     pdtn = sub.add_parser("dtn",

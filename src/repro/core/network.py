@@ -70,22 +70,20 @@ class SnapshotDelta:
     """What changed between one base snapshot and the previous one.
 
     Recorded by :class:`OpenSpaceNetwork` on every base-snapshot build
-    (see :attr:`OpenSpaceNetwork.last_snapshot_delta`) so incremental
-    consumers — route invalidation, churn accounting, the scale sweep —
-    know exactly which edges moved without diffing graphs themselves.
+    (see :attr:`OpenSpaceNetwork.last_snapshot_delta`) so churn
+    accounting (the scale sweep, the stage tracer) knows which edges
+    moved without diffing graphs itself.  Recording never changes what
+    the snapshot holds.
 
     Attributes:
         time_s: The new snapshot's timestamp.
-        base_time_s: The previous snapshot's timestamp (None on a full
-            rebuild with no usable predecessor).
+        base_time_s: The previous base snapshot's timestamp (None when
+            none was built before).
         isl: The ISL-layer edge delta, or None on a full rebuild.
         ground_appeared: Station links present now but not previously.
         ground_disappeared: Station links present previously, gone now.
-        structure_unchanged: True when the combined edge set (ISLs and
-            ground links) is identical to the previous snapshot's, which
-            lets cached CSR adjacencies be reused structurally.
-        full_rebuild: True when the snapshot was assembled from scratch
-            (first build, fault-state change, or delta disabled).
+        full_rebuild: True when no delta was recorded (first build,
+            fault-state change, or delta recording disabled).
     """
 
     time_s: float
@@ -93,22 +91,7 @@ class SnapshotDelta:
     isl: Optional[TopologyDelta]
     ground_appeared: Tuple[Tuple[str, str], ...] = ()
     ground_disappeared: Tuple[Tuple[str, str], ...] = ()
-    structure_unchanged: bool = False
     full_rebuild: bool = False
-
-    @property
-    def changed_edge_count(self) -> int:
-        isl_changed = self.isl.changed_count if self.isl is not None else 0
-        return (isl_changed + len(self.ground_appeared)
-                + len(self.ground_disappeared))
-
-    @property
-    def disappeared_edges(self) -> Tuple[Tuple[str, str], ...]:
-        """Every edge that vanished, ISL and ground alike — the set to
-        feed :meth:`~repro.routing.proactive.ProactiveRouter.
-        invalidate_routes_through_edges`."""
-        isl_gone = self.isl.disappeared if self.isl is not None else ()
-        return tuple(isl_gone) + tuple(self.ground_disappeared)
 
 
 @dataclass
@@ -134,13 +117,6 @@ class NetworkSnapshot:
     _csr_cache: Dict[EdgeCostModel, CsrAdjacency] = field(
         default_factory=dict, repr=False, compare=False,
     )
-    #: A structurally identical predecessor snapshot (set by the delta
-    #: build path when no edges appeared or disappeared); its cached
-    #: adjacencies seed ours via ``structure_clone`` instead of a full
-    #: CSR rebuild.
-    _csr_source: Optional["NetworkSnapshot"] = field(
-        default=None, repr=False, compare=False,
-    )
 
     def csr_adjacency(self, cost_model: Optional[EdgeCostModel] = None,
                       ) -> CsrAdjacency:
@@ -148,13 +124,7 @@ class NetworkSnapshot:
         model = cost_model or PROPAGATION_ONLY
         adjacency = self._csr_cache.get(model)
         if adjacency is None:
-            source = self._csr_source
-            if source is not None:
-                template = source._csr_cache.get(model)
-                if template is not None:
-                    adjacency = template.structure_clone(self.graph)
-            if adjacency is None:
-                adjacency = CsrAdjacency.from_graph(self.graph, weight=model)
+            adjacency = CsrAdjacency.from_graph(self.graph, weight=model)
             self._csr_cache[model] = adjacency
         return adjacency
 
@@ -164,8 +134,9 @@ class NetworkSnapshot:
         Nodes and edges are serialized in sorted order with sorted
         attribute keys, so the digest depends only on graph *content* —
         never on insertion order.  This is the equality witness the
-        delta-vs-full-rebuild gates compare: a delta-built snapshot must
-        hash identically to a from-scratch build at the same instant.
+        tests compare: a snapshot served after any call history (cache,
+        delta recording, position priming) must hash identically to a
+        fresh network's build at the same instant and fault state.
         """
         hasher = hashlib.sha256()
         hasher.update(repr(self.time_s).encode())
@@ -233,17 +204,14 @@ class OpenSpaceNetwork:
         gateway_dish_m: Station-side dish diameter used when deriving the
             station terminal matched to each satellite's ground band.
         snapshot_cache_size: Maximum cached :meth:`snapshot` results
-            (LRU).  ``0`` disables caching entirely.
-        snapshot_cache_quantum_s: Time-bucket width for cache keys.  The
-            default ``0.0`` keys on the exact request time (a hit
-            requires the same instant); a positive quantum trades
-            sub-quantum staleness for hits across nearby times.
-        snapshot_delta: Build each base snapshot as a delta on the
-            previous one (graph copy + changed edges) instead of from
-            scratch.  Content is byte-identical either way (see
-            :meth:`NetworkSnapshot.digest`); ``False`` restores the
-            always-full-rebuild path, the oracle the digest gates
-            compare against.
+            (LRU), keyed on the exact request time.  ``0`` disables
+            caching entirely.
+        snapshot_delta: Record the edge delta of each base snapshot
+            against the previous one (:attr:`last_snapshot_delta`,
+            :attr:`delta_stats`).  Every base snapshot is assembled from
+            scratch either way, so content never depends on it.  The
+            keyword stays because the end-to-end benchmark passes
+            ``snapshot_delta=False`` for its reference builds.
     """
 
     def __init__(self, satellites: Sequence[SpacecraftSpec],
@@ -252,7 +220,6 @@ class OpenSpaceNetwork:
                  ground_elevation_mask_deg: float = 10.0,
                  gateway_dish_m: float = 3.5,
                  snapshot_cache_size: int = 64,
-                 snapshot_cache_quantum_s: float = 0.0,
                  snapshot_delta: bool = True):
         if not satellites:
             raise ValueError("need at least one satellite")
@@ -283,7 +250,6 @@ class OpenSpaceNetwork:
         self._failed_stations: frozenset = frozenset()
         self._failed_links: frozenset = frozenset()
         self.snapshot_cache_size = snapshot_cache_size
-        self.snapshot_cache_quantum_s = snapshot_cache_quantum_s
         self._fault_epoch = 0
         self._snapshot_cache: "OrderedDict[tuple, NetworkSnapshot]" = (
             OrderedDict()
@@ -291,16 +257,17 @@ class OpenSpaceNetwork:
         self.snapshot_delta_enabled = snapshot_delta
         #: The delta recorded by the most recent base-snapshot build.
         self.last_snapshot_delta: Optional[SnapshotDelta] = None
-        #: Cumulative build accounting (deterministic per call sequence).
+        #: Cumulative build accounting (deterministic per call sequence):
+        #: ``delta_builds`` counts the base builds that recorded a delta,
+        #: ``full_builds`` the rest.
         self.delta_stats: Dict[str, int] = {
             "full_builds": 0,
             "delta_builds": 0,
             "edges_appeared": 0,
             "edges_disappeared": 0,
             "edges_persisted": 0,
-            "structure_reuses": 0,
         }
-        self._delta_prev: Optional[NetworkSnapshot] = None
+        self._delta_prev: Optional[TopologySnapshot] = None
         self._delta_prev_epoch: int = -1
         self._delta_prev_ground: FrozenSet[Tuple[str, str]] = frozenset()
         self._primed_positions: Dict[float, Dict[str, np.ndarray]] = {}
@@ -380,19 +347,17 @@ class OpenSpaceNetwork:
         """Cache key for a snapshot request, or None when uncacheable."""
         if self.snapshot_cache_size <= 0:
             return None
-        quantum = self.snapshot_cache_quantum_s
-        time_key = (
-            float(time_s) if quantum <= 0.0
-            else int(round(time_s / quantum))
-        )
+        # Every user field the overlay reads: the node's owner, the
+        # access-link geometry and mask, and the terminal that prices it.
         try:
             users_key = tuple(
-                (user.user_id, user.location, user.min_elevation_deg)
+                (user.user_id, user.location, user.home_provider,
+                 user.terminal, user.min_elevation_deg)
                 for user in users
             )
         except TypeError:  # unhashable location — skip caching, stay correct
             return None
-        return (time_key, self._fault_epoch, users_key)
+        return (float(time_s), self._fault_epoch, users_key)
 
     def _cache_get(self, key: Optional[tuple]) -> Optional["NetworkSnapshot"]:
         if key is None:
@@ -484,15 +449,6 @@ class OpenSpaceNetwork:
             for index, (sat_id, _) in enumerate(self._propagator_order)
         }
 
-    def satellite_positions_over(self, times_s) -> Dict[str, np.ndarray]:
-        """ECI positions over a time grid; ``{sat_id: (T, 3) array}``."""
-        propagators = [prop for _, prop in self._propagator_order]
-        positions = batch_positions(propagators, times_s)
-        return {
-            sat_id: positions[index]
-            for index, (sat_id, _) in enumerate(self._propagator_order)
-        }
-
     def _station_terminal(self, band_name: str) -> RFTerminal:
         """The gateway dish a station points at a satellite's ground band."""
         return RFTerminal(
@@ -543,7 +499,7 @@ class OpenSpaceNetwork:
         enter the ISL build, failed stations take no node, and failed
         links lose their edge even when geometry would close it.
 
-        Results are cached per ``(time bucket, fault epoch, user set)``
+        Results are cached per ``(time, fault epoch, user set)``
         — repeated queries for the same instant return the **same**
         :class:`NetworkSnapshot` object, so treat snapshot graphs as
         read-only.  A snapshot with users copies the no-user base graph
@@ -653,32 +609,84 @@ class OpenSpaceNetwork:
     def _base_snapshot(self, time_s: float) -> NetworkSnapshot:
         """The no-user snapshot (ISLs + ground stations), cached.
 
-        Built as a delta on the previous base snapshot whenever one
-        exists under the same fault epoch (and delta building is
-        enabled); otherwise assembled from scratch.  Both paths produce
-        content-identical snapshots — :meth:`NetworkSnapshot.digest` is
-        the gate that keeps the delta path a proof, not a fork.
+        Every build is one assembly: a fresh ISL build, a copy of its
+        graph with the satellite attributes, failed links removed, and
+        the ground stations attached.  With delta recording on and a
+        previous base snapshot in the same fault epoch, the builder also
+        diffs the ISL edge set against that one (see
+        :meth:`_record_delta`); the snapshot is the same either way.
         """
         key = self._cache_key(time_s, ())
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        prev = self._delta_prev
-        snap = None
-        if (self.snapshot_delta_enabled and prev is not None
+        positions = self.satellite_positions(time_s)
+        exclude = self._failed_satellites or None
+        isl_delta: Optional[TopologyDelta] = None
+        if (self.snapshot_delta_enabled and self._delta_prev is not None
                 and self._delta_prev_epoch == self._fault_epoch):
-            snap = self._delta_base_snapshot(time_s, prev)
-        if snap is None:
-            snap = self._full_base_snapshot(time_s)
-        # Only the immediate predecessor is kept as a CSR structure
-        # template; breaking the older link bounds the chain at two
-        # generations instead of retaining every epoch ever built.
-        if prev is not None:
-            prev._csr_source = None
-        self._delta_prev = snap
+            isl_snap, isl_delta = self._builder.snapshot_delta(
+                time_s, positions, exclude=exclude,
+                previous=self._delta_prev,
+            )
+        else:
+            isl_snap = self._builder.snapshot(time_s, positions,
+                                              exclude=exclude)
+        graph = isl_snap.graph.copy()
+        alive = self._alive_satellites()
+        for spec in alive:
+            graph.nodes[spec.satellite_id]["kind"] = "satellite"
+            graph.nodes[spec.satellite_id]["owner"] = spec.owner
+        for node_a, node_b in self._failed_links:
+            if graph.has_edge(node_a, node_b):
+                graph.remove_edge(node_a, node_b)
+        ground_pairs = self._attach_ground(graph, time_s, positions, alive)
+        self._record_delta(time_s, isl_delta, ground_pairs)
+        self._delta_prev = isl_snap
         self._delta_prev_epoch = self._fault_epoch
+        self._delta_prev_ground = ground_pairs
+        snap = NetworkSnapshot(time_s=time_s, graph=graph,
+                               isl_snapshot=isl_snap)
         self._cache_put(key, snap)
         return snap
+
+    def _record_delta(self, time_s: float,
+                      isl_delta: Optional[TopologyDelta],
+                      ground_pairs: FrozenSet[Tuple[str, str]]) -> None:
+        """Book one base build in :attr:`last_snapshot_delta` and
+        :attr:`delta_stats`: a delta build when ``isl_delta`` compares
+        against a predecessor, a full build otherwise."""
+        prev = self._delta_prev
+        base_time_s = prev.time_s if prev is not None else None
+        stats = self.delta_stats
+        recorder = _obs.active()
+        if isl_delta is None or isl_delta.full_rebuild:
+            self.last_snapshot_delta = SnapshotDelta(
+                time_s=time_s, base_time_s=base_time_s, isl=None,
+                full_rebuild=True,
+            )
+            stats["full_builds"] += 1
+            if recorder.enabled:
+                recorder.count("network.snapshot.full_build")
+            return
+        prev_ground = self._delta_prev_ground
+        ground_appeared = tuple(sorted(ground_pairs - prev_ground))
+        ground_disappeared = tuple(sorted(prev_ground - ground_pairs))
+        self.last_snapshot_delta = SnapshotDelta(
+            time_s=time_s,
+            base_time_s=base_time_s,
+            isl=isl_delta,
+            ground_appeared=ground_appeared,
+            ground_disappeared=ground_disappeared,
+        )
+        stats["delta_builds"] += 1
+        stats["edges_appeared"] += len(isl_delta.appeared) + len(ground_appeared)
+        stats["edges_disappeared"] += (
+            len(isl_delta.disappeared) + len(ground_disappeared)
+        )
+        stats["edges_persisted"] += len(isl_delta.persisted)
+        if recorder.enabled:
+            recorder.count("network.snapshot.delta_build")
 
     def _alive_satellites(self) -> List[SpacecraftSpec]:
         return [
@@ -741,115 +749,6 @@ class OpenSpaceNetwork:
                 )
                 pairs.add((spec.satellite_id, station.station_id))
         return frozenset(pairs)
-
-    def _full_base_snapshot(self, time_s: float) -> NetworkSnapshot:
-        """Assemble the base snapshot from scratch."""
-        prev = self._delta_prev
-        positions = self.satellite_positions(time_s)
-        isl_snap = self._builder.snapshot(
-            time_s, positions, exclude=self._failed_satellites or None
-        )
-        graph = isl_snap.graph.copy()
-        alive = self._alive_satellites()
-        for spec in alive:
-            graph.nodes[spec.satellite_id]["kind"] = "satellite"
-            graph.nodes[spec.satellite_id]["owner"] = spec.owner
-        for node_a, node_b in self._failed_links:
-            if graph.has_edge(node_a, node_b):
-                graph.remove_edge(node_a, node_b)
-        ground_pairs = self._attach_ground(graph, time_s, positions, alive)
-
-        snap = NetworkSnapshot(time_s=time_s, graph=graph,
-                               isl_snapshot=isl_snap)
-        self._delta_prev_ground = ground_pairs
-        self.last_snapshot_delta = SnapshotDelta(
-            time_s=time_s,
-            base_time_s=prev.time_s if prev is not None else None,
-            isl=None,
-            full_rebuild=True,
-        )
-        self.delta_stats["full_builds"] += 1
-        recorder = _obs.active()
-        if recorder.enabled:
-            recorder.count("network.snapshot.full_build")
-        return snap
-
-    def _delta_base_snapshot(self, time_s: float,
-                             prev: NetworkSnapshot,
-                             ) -> Optional[NetworkSnapshot]:
-        """Assemble the base snapshot as a delta on ``prev``.
-
-        Returns None when no comparable previous topology exists (the
-        participating node set changed), sending the caller down the
-        full path.  The previous snapshot is never mutated — it may
-        still be served from the snapshot cache.
-        """
-        positions = self.satellite_positions(time_s)
-        isl_snap, isl_delta = self._builder.snapshot_delta(
-            time_s, positions, exclude=self._failed_satellites or None,
-            previous=prev.isl_snapshot,
-        )
-        if isl_delta.full_rebuild:
-            return None
-        graph = prev.graph.copy()
-        failed = self._failed_links
-        new_edges = isl_snap.graph.edges
-        for pair in isl_delta.disappeared:
-            if graph.has_edge(*pair):
-                graph.remove_edge(*pair)
-        for pair in isl_delta.appeared:
-            if pair in failed:
-                continue
-            graph.add_edge(pair[0], pair[1], **new_edges[pair])
-        for pair in isl_delta.persisted:
-            if pair in failed:
-                continue
-            # Weight-refresh in place: the link was re-budgeted at the
-            # new distance, but the edge (and the copied attr dict)
-            # persists.
-            graph.edges[pair].update(new_edges[pair])
-        # Ground geometry moves every epoch (stations rotate with the
-        # Earth), so station links are recomputed outright.
-        stale_ground = [
-            (u, v) for u, v, data in graph.edges(data=True)
-            if data.get("kind") == "ground_link"
-        ]
-        graph.remove_edges_from(stale_ground)
-        alive = self._alive_satellites()
-        ground_pairs = self._attach_ground(graph, time_s, positions, alive)
-
-        prev_ground = self._delta_prev_ground
-        ground_appeared = tuple(sorted(ground_pairs - prev_ground))
-        ground_disappeared = tuple(sorted(prev_ground - ground_pairs))
-        structure_unchanged = (
-            not isl_delta.appeared and not isl_delta.disappeared
-            and not ground_appeared and not ground_disappeared
-        )
-        snap = NetworkSnapshot(time_s=time_s, graph=graph,
-                               isl_snapshot=isl_snap)
-        if structure_unchanged:
-            snap._csr_source = prev
-            self.delta_stats["structure_reuses"] += 1
-        self._delta_prev_ground = ground_pairs
-        self.last_snapshot_delta = SnapshotDelta(
-            time_s=time_s,
-            base_time_s=prev.time_s,
-            isl=isl_delta,
-            ground_appeared=ground_appeared,
-            ground_disappeared=ground_disappeared,
-            structure_unchanged=structure_unchanged,
-        )
-        stats = self.delta_stats
-        stats["delta_builds"] += 1
-        stats["edges_appeared"] += len(isl_delta.appeared) + len(ground_appeared)
-        stats["edges_disappeared"] += (
-            len(isl_delta.disappeared) + len(ground_disappeared)
-        )
-        stats["edges_persisted"] += len(isl_delta.persisted)
-        recorder = _obs.active()
-        if recorder.enabled:
-            recorder.count("network.snapshot.delta_build")
-        return snap
 
     def gateway_probe_paths(
         self, time_s: float, users: Sequence[UserTerminal],

@@ -1,16 +1,11 @@
-"""Mega-constellation scale sweep: topology churn and delta-vs-full proof.
+"""Mega-constellation scale sweep: topology churn and probe latency.
 
 For every swept fleet size this experiment builds a Walker-Delta
 constellation, walks one full orbital period in equal epochs, and builds
-the network snapshot at each epoch twice: once through the incremental
-delta path (:class:`repro.core.network.OpenSpaceNetwork` with
-``snapshot_delta=True``) and once as an independent full rebuild.  Each
-row reports the topology-churn numbers the delta machinery exploits
-(edges appeared/disappeared per epoch, churn fraction, CSR structure
-reuses) plus a user-visible latency probe (gateway-to-gateway
-shortest-path delay), and asserts the central invariant: the
-delta-built snapshot digest is byte-identical to the full rebuild at
-every epoch.
+the network snapshot at each epoch.  Each row reports the topology churn
+the snapshot deltas record (edges appeared/disappeared per epoch, churn
+fraction, full vs delta-recorded builds) plus a user-visible latency
+probe (gateway-to-gateway shortest-path delay).
 
 Every row is a pure function of the arguments — no randomness — so the
 sweep prints byte-identical rows at any ``--jobs`` count (the
@@ -20,7 +15,7 @@ sweep prints byte-identical rows at any ``--jobs`` count (the
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro import obs as _obs
 from repro.core.interop import SizeClass, build_fleet
@@ -65,35 +60,20 @@ def _probe_latency_ms(graph) -> float:
 
 def _scale_point(args: tuple) -> Dict:
     """One fleet size, self-contained for process-pool execution."""
-    satellites, epochs, max_range_km, delta_enabled, compare_digests = args
+    satellites, epochs, max_range_km = args
     planes = plane_count_for(satellites)
     constellation = walker_delta(satellites, planes)
     period_s = next(iter(constellation)).period_s
     times = [k * period_s / epochs for k in range(epochs)]
 
     fleet = build_fleet(constellation, FLEET_OWNER, SizeClass.MEDIUM)
-    stations = default_station_network()
-    network = OpenSpaceNetwork(
-        fleet, stations, max_isl_range_km=max_range_km,
-        snapshot_delta=delta_enabled,
-    )
-    reference: Optional[OpenSpaceNetwork] = None
-    if compare_digests:
-        reference = OpenSpaceNetwork(
-            fleet, stations, max_isl_range_km=max_range_km,
-            snapshot_delta=False,
-        )
-        # Both networks must share one batched time grid: numpy's
-        # vectorized trig can round the final ulp differently for
-        # different array shapes, so digests only compare like-for-like
-        # when both sides prime (or neither does).
-        network.prime_positions(times)
-        reference.prime_positions(times)
+    network = OpenSpaceNetwork(fleet, default_station_network(),
+                               max_isl_range_km=max_range_km)
+    network.prime_positions(times)
 
     edge_counts: List[int] = []
     churn: List[float] = []
     latencies: List[float] = []
-    digests_match = True
     for t in times:
         snap = network.snapshot(t)
         edge_counts.append(snap.isl_snapshot.link_count)
@@ -101,9 +81,6 @@ def _scale_point(args: tuple) -> Dict:
         last = network.last_snapshot_delta
         if last is not None and last.isl is not None:
             churn.append(last.isl.churn_fraction)
-        if reference is not None:
-            if snap.digest() != reference.snapshot(t).digest():
-                digests_match = False
 
     stats = network.delta_stats
     reachable = [ms for ms in latencies if ms == ms]
@@ -123,33 +100,24 @@ def _scale_point(args: tuple) -> Dict:
         "delta_builds": int(stats["delta_builds"]),
         "edges_appeared": int(stats["edges_appeared"]),
         "edges_disappeared": int(stats["edges_disappeared"]),
-        "structure_reuses": int(stats["structure_reuses"]),
         "probe_latency_ms": (
             float(sum(reachable) / len(reachable)) if reachable
             else math.nan
         ),
         "probe_reachable_epochs": len(reachable),
-        "digests_match": bool(digests_match) if compare_digests else None,
     }
 
 
 def scale_sweep(satellite_counts: Sequence[int] = (48, 180),
                 epochs: int = 6,
                 max_range_km: float = 3000.0,
-                delta: bool = True,
-                compare_digests: bool = True,
                 jobs: int = 1) -> List[Dict]:
-    """Topology churn and delta-vs-full digests vs constellation size.
+    """Topology churn and probe latency vs constellation size.
 
     Args:
         satellite_counts: Walker-Delta fleet sizes to sweep.
         epochs: Snapshot epochs spread over one full orbital period.
         max_range_km: Hard ISL range limit.
-        delta: Build snapshots through the incremental delta path
-            (``False`` measures the full-rebuild-every-epoch baseline).
-        compare_digests: Also build every epoch through an independent
-            full-rebuild network and assert byte-identical digests
-            (doubles the work; the point of the exercise).
         jobs: Worker processes; every job count yields identical rows.
 
     Returns:
@@ -166,8 +134,7 @@ def scale_sweep(satellite_counts: Sequence[int] = (48, 180),
         raise ValueError(f"range must be positive, got {max_range_km}")
 
     points = [
-        (int(count), int(epochs), float(max_range_km), bool(delta),
-         bool(compare_digests))
+        (int(count), int(epochs), float(max_range_km))
         for count in satellite_counts
     ]
     with _obs.active().span("experiment.scale.sweep", points=len(points)):

@@ -381,8 +381,9 @@ class IslTopologyBuilder:
         over freshly evaluated geometry — persisting a link requires
         re-evaluating its budget at the new distance anyway), so the
         result is byte-identical to :meth:`snapshot`.  The delta tells
-        incremental consumers (graph overlays, CSR structure reuse,
-        route invalidation) exactly which edges changed.
+        churn accounting (see
+        :attr:`repro.core.network.OpenSpaceNetwork.last_snapshot_delta`)
+        exactly which edges changed.
 
         Args:
             time_s: Snapshot timestamp.

@@ -75,25 +75,18 @@ class CsrAdjacency:
     by neighbor index (deterministic tie ordering).  Undirected graphs
     store both directions explicitly, so scipy always runs in directed
     mode and explicit zero-weight edges stay edges.
-
-    The per-entry ``(u, v, data)`` triples are retained so
-    :meth:`structure_clone` can reprice a structurally identical graph
-    without rebuilding the structure.
     """
 
     __slots__ = ("nodes", "index", "indptr", "indices", "data",
-                 "_edge_dicts", "_weight", "_matrix", "_sp_cache")
+                 "_matrix", "_sp_cache")
 
     def __init__(self, nodes: List[Hashable], indptr: np.ndarray,
-                 indices: np.ndarray, data: np.ndarray,
-                 edge_dicts: List[dict], weight: WeightSpec):
+                 indices: np.ndarray, data: np.ndarray):
         self.nodes = nodes
         self.index: Dict[Hashable, int] = {n: i for i, n in enumerate(nodes)}
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        self._edge_dicts = edge_dicts
-        self._weight = weight
         self._matrix = None
         self._sp_cache: Dict[Hashable, "ShortestPaths"] = {}
 
@@ -122,7 +115,6 @@ class CsrAdjacency:
         rows: List[int] = []
         cols: List[int] = []
         weights: List[float] = []
-        dicts: List[dict] = []
         for u, v, data in graph.edges(data=True):
             iu = index.get(u)
             iv = index.get(v)
@@ -134,12 +126,10 @@ class CsrAdjacency:
             rows.append(iu)
             cols.append(iv)
             weights.append(float(cost))
-            dicts.append((u, v, data))
             if not directed:
                 rows.append(iv)
                 cols.append(iu)
                 weights.append(float(cost))
-                dicts.append((v, u, data))
 
         count = len(nodes)
         row_arr = np.asarray(rows, dtype=np.int64)
@@ -151,12 +141,11 @@ class CsrAdjacency:
         row_arr = row_arr[order]
         col_arr = col_arr[order]
         data_arr = data_arr[order]
-        edge_dicts = [dicts[k] for k in order]
         indptr = np.zeros(count + 1, dtype=np.int64)
         if row_arr.size:
             np.cumsum(np.bincount(row_arr, minlength=count), out=indptr[1:])
         return cls(nodes, indptr, col_arr.astype(np.int32, copy=False),
-                   data_arr, edge_dicts, weight)
+                   data_arr)
 
     # -- structure -----------------------------------------------------
 
@@ -180,32 +169,6 @@ class CsrAdjacency:
                 shape=(self.node_count, self.node_count),
             )
         return self._matrix
-
-    def structure_clone(self, graph) -> "CsrAdjacency":
-        """A new adjacency sharing this one's structure arrays.
-
-        The incremental path for consecutive snapshots whose edge *set*
-        did not change (the common mega-constellation epoch): the
-        ``indptr``/``indices`` arrays and node table are reused by
-        reference and only the weight array is recomputed, from
-        ``graph``'s live edge-attribute dicts — no edge iteration, no
-        lexsort.  ``graph`` must contain exactly the same nodes and
-        edges as the graph this adjacency was built from (callers assert
-        that via their snapshot delta); a missing edge raises
-        ``KeyError``.  Weight callables are invoked with the orientation
-        recorded at the original build, which is indistinguishable for
-        the undirected snapshot graphs this is used on.
-        """
-        edges = graph.edges
-        edge_dicts = [(u, v, edges[u, v]) for u, v, _old in self._edge_dicts]
-        weight_fn = _weight_callable(self._weight)
-        data = np.empty(len(edge_dicts), dtype=np.float64)
-        for k, (u, v, entry) in enumerate(edge_dicts):
-            cost = weight_fn(u, v, entry)
-            data[k] = float(cost) if cost is not None and np.isfinite(cost) \
-                else np.inf
-        return CsrAdjacency(self.nodes, self.indptr, self.indices, data,
-                            edge_dicts, self._weight)
 
     # -- shortest paths ------------------------------------------------
 

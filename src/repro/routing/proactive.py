@@ -349,76 +349,6 @@ class ProactiveRouter:
                            elements=len(affected), routes=dropped)
         return dropped
 
-    def invalidate_routes_through_edges(
-        self, edges: Sequence[Tuple[str, str]],
-        from_time_s: float = 0.0,
-    ) -> int:
-        """Drop precomputed routes that traverse any of the given edges.
-
-        The edge-granular companion to :meth:`invalidate_routes_through`
-        — the hook the incremental snapshot path feeds (see
-        :attr:`~repro.core.network.SnapshotDelta.disappeared_edges`):
-        when an epoch delta reports which ISLs or ground links vanished,
-        only routes actually riding those edges are dropped, not every
-        route touching their endpoints.  Edges that merely *appeared*
-        need no invalidation — existing routes stay feasible, just
-        possibly no longer optimal until the next precompute.
-
-        Candidate routes come from intersecting the two endpoints'
-        inverted indexes; each candidate's path is then checked for the
-        hop being consecutive (either direction), so routes that visit
-        both endpoints without using the edge survive.
-
-        Args:
-            edges: ``(u, v)`` node-id pairs; order within a pair does
-                not matter.
-            from_time_s: Invalidate in the epoch covering this time and
-                every later epoch.
-
-        Returns:
-            The number of routes dropped.
-        """
-        pairs = {frozenset(pair) for pair in edges if pair[0] != pair[1]}
-        if not pairs or not self.table.epochs_s:
-            return 0
-        start = bisect.bisect_right(self.table.epochs_s, from_time_s) - 1
-        start = max(0, start)
-        dropped = 0
-        for index in range(start, len(self.table.routes)):
-            epoch = self.table.routes[index]
-            doomed: Set[RouteKey] = set()
-            for pair in pairs:
-                node_a, node_b = tuple(pair)
-                candidates = set(epoch.keys_through(node_a))
-                candidates &= set(epoch.keys_through(node_b))
-                for key in candidates:
-                    if key in doomed:
-                        continue
-                    route = epoch.get(key)
-                    if route is None:
-                        continue
-                    hops = route.path
-                    for hop_a, hop_b in zip(hops[:-1], hops[1:]):
-                        if frozenset((hop_a, hop_b)) == pair:
-                            doomed.add(key)
-                            break
-            for key in doomed:
-                if epoch.discard_route(key):
-                    dropped += 1
-        recorder = _obs.active()
-        if recorder.enabled and dropped:
-            recorder.count("routing.proactive.invalidated_edges", dropped)
-            recorder.event(
-                "route.invalidated_edges", from_time_s,
-                subject=",".join(
-                    "-".join(sorted(pair)) for pair in sorted(
-                        tuple(sorted(p)) for p in pairs
-                    )[:4]
-                ),
-                edges=len(pairs), routes=dropped,
-            )
-        return dropped
-
     def routes_from(self, source: str,
                     time_s: float) -> Dict[str, StaticRoute]:
         """A source node's slice of the contact plan at one instant.

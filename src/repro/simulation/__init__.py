@@ -8,13 +8,8 @@ series for the experiment drivers.
 """
 
 from repro.simulation.batched import (
-    TransitionMasks,
-    contact_mask,
-    contact_spans,
-    epoch_position_tensor,
     ground_eci_track,
     merge_trial_epochs,
-    transition_masks,
 )
 from repro.simulation.engine import Event, SimulationEngine
 from repro.simulation.traffic import (
@@ -50,13 +45,8 @@ from repro.simulation.config import (
 )
 
 __all__ = [
-    "TransitionMasks",
-    "contact_mask",
-    "contact_spans",
-    "epoch_position_tensor",
     "ground_eci_track",
     "merge_trial_epochs",
-    "transition_masks",
     "Event",
     "SimulationEngine",
     "FlowSpec",

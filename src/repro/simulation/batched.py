@@ -1,52 +1,28 @@
-"""Batched-array epoch engine: tensor pipelines over whole experiments.
+"""Batched-array epoch helpers for the figure2 engine.
 
-The scalar experiment drivers walk one (constellation, epoch) state at a
-time — propagate, budget each edge, route, sample.  This module holds the
-array counterparts that flatten those walks into a handful of vectorized
-passes: every epoch's fleet positions as one ``(epochs, sats, 3)``
-tensor, ground tracks as ``(epochs, 3)`` arrays, visibility as boolean
-``(epochs, sats)`` contact masks, and handover/association transitions
-as diffs over those masks.
+The figure2 batched engine runs every trial's every epoch through one
+block-diagonal shortest-path call.  This module holds the two array
+helpers it needs: a fixed ground site's ECI track over an epoch grid,
+and the merge of per-trial ``(sats, epochs, 3)`` position tensors along
+the epoch axis.
 
-Everything here preserves the repo's reproducibility contract: a batched
-pass must be **bitwise identical** to the scalar walk it replaces, which
-the experiment drivers enforce with digest gates (see DESIGN.md, "Array
-pipeline invariants").  The helpers therefore run the same float64
-elementwise operations on the same values as the scalar paths — never a
+Both preserve the repo's reproducibility contract: a batched pass must
+be **bitwise identical** to the scalar walk it replaces (see DESIGN.md,
+"Array pipeline invariants"), so they run the same float64 operations on
+the same values as the scalar paths — never a
 mathematically-equivalent-but-differently-rounded formulation.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci
-from repro.orbits.kepler import batch_positions
-from repro.orbits.visibility import elevation_angles
 
-
-def epoch_position_tensor(propagators: Sequence, times_s) -> np.ndarray:
-    """Every epoch's fleet positions as one ``(epochs, sats, 3)`` tensor.
-
-    One batched propagation for the whole grid; row ``e`` is bitwise
-    identical to stacking the per-satellite ``states_at(times[e])``
-    solves (the flat Kepler path is shape-independent; pinned by
-    ``tests/orbits/test_kepler.py``).
-
-    Args:
-        propagators: Kepler propagators, one per satellite.
-        times_s: 1-D array of epoch times.
-
-    Returns:
-        ``(len(times_s), len(propagators), 3)`` C-contiguous positions.
-    """
-    times = np.asarray(times_s, dtype=float)
-    stacked = batch_positions(list(propagators), times)  # (N, T, 3)
-    return np.ascontiguousarray(stacked.transpose(1, 0, 2))
+# Stays importable from here, where benchmarks/e2e/tracer.py looks it up.
+from repro.orbits.kepler import batch_positions  # noqa: F401
 
 
 def ground_eci_track(site: GeodeticPoint, times_s) -> np.ndarray:
@@ -76,120 +52,3 @@ def merge_trial_epochs(tensors: Sequence[np.ndarray]) -> np.ndarray:
     if not tensors:
         raise ValueError("need at least one trial tensor")
     return np.concatenate(list(tensors), axis=1)
-
-
-def contact_mask(ground_ecis: np.ndarray, positions: np.ndarray,
-                 min_elevation_deg: float = 10.0) -> np.ndarray:
-    """Visibility of every satellite from a ground track, ``(E, N)`` bool.
-
-    ``mask[e, s]`` is True when satellite ``s`` sits at or above the
-    elevation mask as seen from the ground position at epoch ``e`` —
-    the same ``elevation >= radians(mask)`` comparison the scalar
-    snapshot/contact paths make, broadcast over the epoch axis.
-
-    Args:
-        ground_ecis: ``(E, 3)`` ground ECI positions per epoch.
-        positions: ``(E, N, 3)`` satellite positions per epoch, or a
-            static ``(N, 3)`` set broadcast over every epoch.
-        min_elevation_deg: Elevation mask in degrees.
-    """
-    ground = np.asarray(ground_ecis, dtype=float)
-    pts = np.asarray(positions, dtype=float)
-    elevations = elevation_angles(ground[:, None, :], pts)
-    return elevations >= math.radians(min_elevation_deg)
-
-
-@dataclass(frozen=True)
-class TransitionMasks:
-    """Association/handover transitions as vectorized epoch-axis masks.
-
-    All four masks are ``(epochs, sats)`` boolean arrays derived from a
-    contact mask by diffing along the epoch axis.  Epoch 0 has no
-    predecessor: every satellite visible then counts as *acquired*
-    (initial association) and nothing counts as dropped or sustained.
-
-    Attributes:
-        visible: The input contact mask.
-        acquired: Visible now, not at the previous epoch — the epochs at
-            which a user would associate with (or hand over to) the
-            satellite.
-        dropped: Visible at the previous epoch, not now — the serving
-            set losses that force a handover.
-        sustained: Visible at both — contacts a successor planner can
-            keep without any control-plane event.
-    """
-
-    visible: np.ndarray
-    acquired: np.ndarray
-    dropped: np.ndarray
-    sustained: np.ndarray
-
-    @property
-    def association_count(self) -> int:
-        """Total acquisitions across the grid (contact passes begun)."""
-        return int(self.acquired.sum())
-
-    @property
-    def drops_per_epoch(self) -> np.ndarray:
-        """``(epochs,)`` count of contacts lost entering each epoch."""
-        return self.dropped.sum(axis=1)
-
-    @property
-    def passes_per_satellite(self) -> np.ndarray:
-        """``(sats,)`` count of distinct contact passes per satellite."""
-        return self.acquired.sum(axis=0)
-
-
-def transition_masks(mask: np.ndarray) -> TransitionMasks:
-    """Diff a contact mask into :class:`TransitionMasks`.
-
-    Pure boolean array work — no Python scales with epochs or fleet
-    size.  ``tests/simulation/test_batched.py`` pins the semantics
-    against a per-epoch scalar reference.
-    """
-    visible = np.asarray(mask, dtype=bool)
-    if visible.ndim != 2:
-        raise ValueError(f"contact mask must be 2-D, got shape {visible.shape}")
-    previous = np.zeros_like(visible)
-    previous[1:] = visible[:-1]
-    return TransitionMasks(
-        visible=visible,
-        acquired=visible & ~previous,
-        dropped=~visible & previous,
-        sustained=visible & previous,
-    )
-
-
-def contact_spans(mask: np.ndarray,
-                  times_s) -> List[Tuple[int, float, float]]:
-    """Coarse contact spans from a grid mask, one tuple per pass.
-
-    The vectorized counterpart of the coarse scan inside
-    :func:`repro.orbits.contact.contact_windows`: each maximal run of
-    visible epochs becomes ``(satellite_index, rise_time, set_time)``
-    where the times are the first and last *visible grid instants*
-    (the bracket the scalar helper refines by bisection).  Spans come
-    back ordered by satellite, then rise time.
-    """
-    visible = np.asarray(mask, dtype=bool)
-    times = np.asarray(times_s, dtype=float)
-    if visible.ndim != 2:
-        raise ValueError(f"contact mask must be 2-D, got shape {visible.shape}")
-    if times.shape[0] != visible.shape[0]:
-        raise ValueError(
-            f"need one time per epoch: {times.shape[0]} times for "
-            f"{visible.shape[0]} epochs"
-        )
-    by_sat = visible.T  # (N, E)
-    pad = np.zeros((by_sat.shape[0], 1), dtype=np.int8)
-    edges = np.diff(
-        np.concatenate([pad, by_sat.astype(np.int8), pad], axis=1), axis=1
-    )
-    rise_sat, rise_idx = np.nonzero(edges == 1)
-    _set_sat, set_idx = np.nonzero(edges == -1)
-    # nonzero is row-major, so rises and sets pair up per satellite in
-    # epoch order (every run has exactly one of each).
-    return [
-        (int(sat), float(times[start]), float(times[stop - 1]))
-        for sat, start, stop in zip(rise_sat, rise_idx, set_idx)
-    ]

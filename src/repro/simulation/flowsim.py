@@ -109,7 +109,9 @@ def max_min_fair_rates(flows: Sequence[ActiveFlow],
 
     Classic water-filling: repeatedly find the most constrained link
     (capacity / unfrozen flows), freeze its flows at that fair share, and
-    continue with residual capacities.
+    continue with residual capacities.  A flow that crosses no
+    finite-capacity link is never constrained and gets an infinite
+    rate, as in :func:`repro.demand.fluid.waterfill_rates`.
 
     Args:
         flows: Active flows; ``rate_bps`` is overwritten.
@@ -136,6 +138,9 @@ def max_min_fair_rates(flows: Sequence[ActiveFlow],
                 best_share = share
                 best_edge = edge
         if best_edge is None:
+            for flow in flows:
+                if id(flow) in unfrozen:
+                    flow.rate_bps = float("inf")
             break
         # Freeze every unfrozen flow on the bottleneck edge.
         for flow in users[best_edge]:

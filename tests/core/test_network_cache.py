@@ -1,12 +1,14 @@
 """Snapshot-cache correctness tests for :class:`OpenSpaceNetwork`.
 
-The cache is keyed by ``(time bucket, fault epoch, user set)``; these
-tests pin the contract: warm queries return the same object, fault-state
-changes invalidate implicitly, ``cache_size=0`` disables caching, time
-quantization buckets nearby instants, and a station-state change followed
-by ``invalidate_snapshot_cache()`` yields a snapshot built from the new
-state.
+The cache is keyed by ``(time, fault epoch, user set)``; these tests pin
+the contract: warm queries return the same object, fault-state changes
+invalidate implicitly, ``cache_size=0`` disables caching, every user
+field the overlay reads is part of the key, and a station-state change
+followed by ``invalidate_snapshot_cache()`` yields a snapshot built from
+the new state.
 """
+
+import dataclasses
 
 import networkx as nx
 import numpy as np
@@ -141,11 +143,25 @@ class TestSnapshotCache:
         assert len(net._snapshot_cache) == 2
         assert net.snapshot(0.0) is not oldest
 
-    def test_quantum_buckets_nearby_times(self):
-        net = _make_network(snapshot_cache_quantum_s=10.0)
-        snap = net.snapshot(100.0)
-        assert net.snapshot(104.0) is snap
-        assert net.snapshot(94.0) is not snap
+    def test_user_owner_and_terminal_are_part_of_the_key(self):
+        # Same id, site and mask, but another home provider and a larger
+        # dish: the overlay must be rebuilt, not served from the cache.
+        first = _make_user()
+        second = UserTerminal(
+            first.user_id, first.location, "other-op",
+            terminal=dataclasses.replace(first.terminal,
+                                         dish_diameter_m=2.0),
+            min_elevation_deg=first.min_elevation_deg,
+        )
+        net = _make_network()
+        stale = net.snapshot(600.0, users=[first])
+        served = net.snapshot(600.0, users=[second])
+        assert served is not stale
+        fresh = _make_network(snapshot_cache_size=0).snapshot(
+            600.0, users=[second]
+        )
+        assert served.digest() == fresh.digest()
+        assert served.graph.nodes[first.user_id]["owner"] == "other-op"
 
     def test_unhashable_user_sets_bypass_cache(self, network):
         user = _make_user("u-bypass")

@@ -1,19 +1,18 @@
-"""Tests for incremental snapshot deltas in OpenSpaceNetwork.
+"""Tests for snapshot delta recording in OpenSpaceNetwork.
 
-The delta path is a proof, not a fork: every delta-built snapshot must
-hash byte-identical to an independent full rebuild of the same instant.
-These tests pin that invariant, the fault-epoch fallback, CSR structure
-reuse, and the batched position cache.
+Every base snapshot is assembled from scratch; delta recording only
+books what changed since the previous one.  These tests pin that a
+network recording deltas hashes byte-identical to one that does not,
+the delta bookkeeping and its fault-epoch fallback, and the batched
+position cache.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
-from repro.routing.csr import CsrAdjacency
 
 
 def walker_network(count=60, planes=6, stations=True, **kwargs):
@@ -22,13 +21,6 @@ def walker_network(count=60, planes=6, stations=True, **kwargs):
     ground = default_station_network() if stations else []
     return OpenSpaceNetwork(fleet, ground, max_isl_range_km=3000.0,
                             **kwargs)
-
-
-def ring_network(**kwargs):
-    """A single-plane ring: pairwise distances are constant, so the
-    topology never churns and every delta build reuses structure."""
-    fleet = build_fleet(walker_delta(16, 1), "ring", SizeClass.MEDIUM)
-    return OpenSpaceNetwork(fleet, [], max_isl_range_km=3000.0, **kwargs)
 
 
 EPOCH_TIMES = [0.0, 120.0, 240.0, 360.0, 480.0, 600.0]
@@ -86,16 +78,6 @@ class TestDeltaBookkeeping:
         assert net.delta_stats["full_builds"] == 1
         assert net.delta_stats["delta_builds"] == 1
 
-    def test_disappeared_edges_feed_route_invalidation(self):
-        net = walker_network()
-        net.snapshot(0.0)
-        net.snapshot(300.0)
-        delta = net.last_snapshot_delta
-        gone = delta.disappeared_edges
-        assert set(delta.isl.disappeared) <= set(gone)
-        assert set(delta.ground_disappeared) <= set(gone)
-        assert delta.changed_edge_count >= len(gone)
-
     def test_cached_snapshot_does_not_rebuild(self):
         net = walker_network()
         net.snapshot(0.0)
@@ -135,40 +117,6 @@ class TestFaultEpochFallback:
             assert not a.graph.has_edge(*pair)
             assert a.digest() == b.digest()
         assert delta_net.delta_stats["delta_builds"] > 0
-
-
-class TestStructureReuse:
-    def test_static_ring_reuses_csr_structure(self):
-        net = ring_network()
-        s0 = net.snapshot(0.0)
-        a0 = s0.csr_adjacency()
-        s1 = net.snapshot(10.0)
-        a1 = s1.csr_adjacency()
-        assert net.delta_stats["structure_reuses"] == 1
-        assert net.last_snapshot_delta.structure_unchanged
-        # Structure arrays are shared by reference; only weights differ.
-        assert a1.indptr is a0.indptr
-        assert a1.indices is a0.indices
-        assert a1 is not a0
-        fresh = CsrAdjacency.from_graph(s1.graph)
-        assert np.array_equal(a1.data, fresh.data)
-
-    def test_chain_is_bounded_to_two_generations(self):
-        net = ring_network()
-        s0 = net.snapshot(0.0)
-        net.snapshot(10.0)
-        assert s0._csr_source is None  # never had one (full build)
-        s2 = net.snapshot(20.0)
-        assert s2._csr_source is not None
-        assert s2._csr_source._csr_source is None
-
-    def test_churny_fleet_rarely_reuses(self):
-        net = walker_network()
-        for t in EPOCH_TIMES:
-            net.snapshot(t)
-        # Ground-station geometry changes every epoch, so full-network
-        # structure reuse must not trigger here.
-        assert net.delta_stats["structure_reuses"] == 0
 
 
 class TestPrimedPositions:

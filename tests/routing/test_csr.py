@@ -130,48 +130,6 @@ class TestDisconnected:
         assert shortest_path_csr(graph, "ghost", "a") is None
 
 
-class TestStructureClone:
-    """``structure_clone`` reprices a graph with the same edge set."""
-
-    def test_clone_reprices_changed_weights(self):
-        graph = line_graph()
-        adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
-        assert adjacency.single_source("a").path("a", "c") == ["a", "b", "c"]
-        moved = graph.copy()
-        moved["a"]["b"]["delay_s"] = 1.0
-        clone = adjacency.structure_clone(moved)
-        assert clone.indptr is adjacency.indptr
-        assert clone.indices is adjacency.indices
-        paths = clone.single_source("a")
-        assert paths.path("a", "c") == ["a", "c"]
-        assert paths.distance("a", "c") == 0.05
-        # The template still routes over the graph it was built from.
-        assert adjacency.single_source("a").path("a", "c") == ["a", "b", "c"]
-
-    def test_clone_of_unchanged_graph_keeps_weights(self):
-        graph = line_graph()
-        adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
-        clone = adjacency.structure_clone(graph.copy())
-        assert np.array_equal(clone.data, adjacency.data)
-        assert clone.nodes is adjacency.nodes
-
-    def test_clone_inadmissible_edge_becomes_unreachable(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b", delay_s=1.0, capacity_bps=1e6)
-
-        def admissible(_u, _v, data):
-            if data.get("capacity_bps", 0.0) <= 0.0:
-                return None
-            return data["delay_s"]
-
-        adjacency = CsrAdjacency.from_graph(graph, weight=admissible)
-        assert adjacency.single_source("a").path("a", "b") == ["a", "b"]
-        cut = graph.copy()
-        cut["a"]["b"]["capacity_bps"] = 0.0
-        clone = adjacency.structure_clone(cut)
-        assert clone.single_source("a").path("a", "b") is None
-
-
 class TestNetworkxEquality:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_graph_distances_bit_equal(self, seed):

@@ -194,7 +194,8 @@ class OracleRouter:
         return {dst: self.route(src, dst, time_s)
                 for src, dst in table if src == source}
 
-    def _drop(self, from_time_s, doomed):
+    def invalidate_routes_through(self, elements, from_time_s=0.0):
+        doomed = set(elements).intersection
         dropped = 0
         for table in self.tables[self._index(from_time_s):]:
             keys = [key for key, path in table.items() if doomed(path)]
@@ -202,14 +203,6 @@ class OracleRouter:
                 del table[key]
             dropped += len(keys)
         return dropped
-
-    def invalidate_routes_through(self, elements, from_time_s=0.0):
-        return self._drop(from_time_s, set(elements).intersection)
-
-    def invalidate_routes_through_edges(self, edges, from_time_s=0.0):
-        cut = {frozenset(edge) for edge in edges if edge[0] != edge[1]}
-        return self._drop(from_time_s, lambda path: any(
-            frozenset(hop) in cut for hop in zip(path[:-1], path[1:])))
 
 
 def _router(table, snapshots):
@@ -329,69 +322,3 @@ class TestLazyMaterialization:
         assert table.route_count == 18
         assert not any(epoch._cache for epoch in table.routes)
 
-
-@pytest.fixture
-def chain_snapshots():
-    """Two epochs of a static a-b-c-d chain."""
-    edges = [("a", "b", 0.01), ("b", "c", 0.01), ("c", "d", 0.01)]
-    return [FakeSnapshot(0.0, edges), FakeSnapshot(60.0, edges)]
-
-
-class TestEdgeInvalidation:
-    @pytest.mark.parametrize("table", ["networkx", "csr"])
-    def test_only_routes_riding_the_edge_drop(self, chain_snapshots, table):
-        router = _router(table, chain_snapshots)
-        # Cutting b-c severs every route crossing the middle of the
-        # chain (4 ordered pairs x 2 epochs) but leaves a<->b and c<->d.
-        dropped = router.invalidate_routes_through_edges([("c", "b")])
-        assert dropped == 16
-        assert router.route("a", "b", 10.0) is not None
-        assert router.route("d", "c", 10.0) is not None
-        assert router.route("a", "c", 10.0) is None
-        assert router.route("a", "d", 70.0) is None
-
-    @pytest.mark.parametrize("table", ["networkx", "csr"])
-    def test_visiting_both_endpoints_without_edge_survives(self, table):
-        # The d->e shortest path is d-a-b-c-e: it visits BOTH endpoints
-        # of the expensive direct (a, c) edge, but never hops it (a and
-        # c are not consecutive). Endpoint-intersection candidates must
-        # be path-checked, not dropped wholesale.
-        snaps = [FakeSnapshot(0.0, [
-            ("d", "a", 0.01), ("a", "b", 0.01), ("b", "c", 0.01),
-            ("c", "e", 0.01), ("a", "c", 1.0),
-        ])]
-        router = _router(table, snaps)
-        assert router.route("d", "e", 0.0).path == ["d", "a", "b", "c", "e"]
-        dropped = router.invalidate_routes_through_edges([("a", "c")])
-        assert dropped == 0  # no shortest path actually rides a-c
-        assert router.route("d", "e", 0.0) is not None
-        assert router.route("a", "c", 0.0) is not None
-
-    def test_from_time_scopes_to_later_epochs(self, chain_snapshots):
-        router = ProactiveRouter()
-        router.precompute(chain_snapshots)
-        dropped = router.invalidate_routes_through_edges(
-            [("b", "c")], from_time_s=60.0
-        )
-        assert dropped == 8  # second epoch only
-        assert router.route("a", "d", 10.0) is not None
-        assert router.route("a", "d", 70.0) is None
-
-    def test_self_pairs_and_empty_input_are_noops(self, chain_snapshots):
-        router = ProactiveRouter()
-        router.precompute(chain_snapshots)
-        assert router.invalidate_routes_through_edges([]) == 0
-        assert router.invalidate_routes_through_edges([("a", "a")]) == 0
-        assert router.invalidate_routes_through_edges(
-            [("nope", "missing")]
-        ) == 0
-        assert ProactiveRouter().invalidate_routes_through_edges(
-            [("a", "b")]
-        ) == 0
-
-    @pytest.mark.parametrize("table", ["networkx", "csr"])
-    def test_edge_order_within_pair_is_ignored(self, chain_snapshots, table):
-        forward = _router(table, chain_snapshots)
-        reverse = _router(table, chain_snapshots)
-        assert forward.invalidate_routes_through_edges([("b", "c")]) == \
-            reverse.invalidate_routes_through_edges([("c", "b")])

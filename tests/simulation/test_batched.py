@@ -1,68 +1,18 @@
-"""Tensor-pipeline helpers must match their scalar walks bit for bit.
+"""The figure2 array helpers must match their scalar walks bit for bit.
 
-``repro.simulation.batched`` is the array engine behind the figure2 and
-faults sweeps' ``--engine batched`` mode, so every helper here is held to
-the reproducibility contract: identical float64 bits to the scalar path
-it replaces, not just numerical closeness.  These tests pin that for the
-epoch position tensor, ground tracks, trial merging, contact masks, and
-the transition/span diffs.
+``repro.simulation.batched`` holds the ground-track and trial-merge
+helpers behind the figure2 batched engine, so each is held to the
+reproducibility contract: identical float64 bits to the scalar path it
+replaces, not just numerical closeness.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci
-from repro.orbits.visibility import elevation_angle
-from repro.orbits.walker import random_constellation
-from repro.simulation.batched import (
-    TransitionMasks,
-    contact_mask,
-    contact_spans,
-    epoch_position_tensor,
-    ground_eci_track,
-    merge_trial_epochs,
-    transition_masks,
-)
+from repro.simulation.batched import ground_eci_track, merge_trial_epochs
 
 SITE = GeodeticPoint(-1.29, 36.82)  # Nairobi, as in the figure2 driver
-
-
-def _fleet(count=12, seed=7):
-    return random_constellation(count, np.random.default_rng(seed))
-
-
-class TestEpochPositionTensor:
-    def test_shape_and_contiguity(self):
-        props = _fleet().propagators()
-        times = np.linspace(0.0, 5400.0, 5)
-        tensor = epoch_position_tensor(props, times)
-        assert tensor.shape == (5, len(props), 3)
-        assert tensor.flags["C_CONTIGUOUS"]
-
-    def test_bitwise_matches_per_epoch_solves(self):
-        # The flat Kepler path is shape-independent: solving one epoch at
-        # a time must give the same bits as the whole grid at once.
-        props = _fleet().propagators()
-        times = np.linspace(0.0, 5400.0, 4)
-        tensor = epoch_position_tensor(props, times)
-        for e, t in enumerate(times):
-            reference = np.array(
-                [prop.positions_at(float(t))[0] for prop in props]
-            )
-            assert np.array_equal(tensor[e], reference)
-
-    def test_bitwise_matches_per_satellite_grids(self):
-        props = _fleet().propagators()
-        times = np.linspace(0.0, 5400.0, 4)
-        tensor = epoch_position_tensor(props, times)
-        for s, prop in enumerate(props):
-            assert np.array_equal(tensor[:, s, :], prop.positions_at(times))
-
-    def test_empty_time_grid(self):
-        props = _fleet(count=3).propagators()
-        assert epoch_position_tensor(props, []).shape == (0, 3, 3)
 
 
 class TestGroundEciTrack:
@@ -87,133 +37,3 @@ class TestMergeTrialEpochs:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             merge_trial_epochs([])
-
-
-class TestContactMask:
-    def test_matches_scalar_elevation_checks(self):
-        times = np.linspace(0.0, 5400.0, 5)
-        props = _fleet().propagators()
-        positions = epoch_position_tensor(props, times)
-        ground = ground_eci_track(SITE, times)
-        mask = contact_mask(ground, positions, min_elevation_deg=10.0)
-        assert mask.shape == (5, len(props))
-        assert mask.dtype == bool
-        threshold = math.radians(10.0)
-        for e in range(5):
-            for s in range(len(props)):
-                expected = (
-                    elevation_angle(ground[e], positions[e, s]) >= threshold
-                )
-                assert mask[e, s] == expected
-
-    def test_static_positions_broadcast_over_epochs(self):
-        props = _fleet(count=6).propagators()
-        static = np.array([p.position_at(0.0) for p in props])
-        times = np.array([0.0, 600.0])
-        ground = ground_eci_track(SITE, times)
-        mask = contact_mask(ground, static, min_elevation_deg=0.0)
-        assert mask.shape == (2, 6)
-
-
-def _reference_transitions(visible):
-    """Per-epoch python reference for the mask diffs."""
-    epochs, sats = visible.shape
-    acquired = np.zeros_like(visible)
-    dropped = np.zeros_like(visible)
-    sustained = np.zeros_like(visible)
-    for e in range(epochs):
-        for s in range(sats):
-            was = visible[e - 1, s] if e > 0 else False
-            acquired[e, s] = visible[e, s] and not was
-            dropped[e, s] = was and not visible[e, s]
-            sustained[e, s] = visible[e, s] and was
-    return acquired, dropped, sustained
-
-
-class TestTransitionMasks:
-    def test_matches_python_reference(self):
-        rng = np.random.default_rng(11)
-        visible = rng.random((7, 9)) < 0.4
-        masks = transition_masks(visible)
-        acquired, dropped, sustained = _reference_transitions(visible)
-        assert np.array_equal(masks.visible, visible)
-        assert np.array_equal(masks.acquired, acquired)
-        assert np.array_equal(masks.dropped, dropped)
-        assert np.array_equal(masks.sustained, sustained)
-
-    def test_epoch_zero_visibility_counts_as_acquisition(self):
-        visible = np.array([[True, False], [True, True]])
-        masks = transition_masks(visible)
-        assert masks.acquired[0].tolist() == [True, False]
-        assert not masks.dropped[0].any()
-        assert not masks.sustained[0].any()
-        assert masks.sustained[1].tolist() == [True, False]
-
-    def test_summary_properties(self):
-        visible = np.array([
-            [True, False, True],
-            [False, False, True],
-            [True, True, True],
-        ])
-        masks = transition_masks(visible)
-        assert isinstance(masks, TransitionMasks)
-        # Passes: sat 0 twice (epochs 0 and 2), sat 1 once, sat 2 once.
-        assert masks.association_count == 4
-        assert masks.passes_per_satellite.tolist() == [2, 1, 1]
-        assert masks.drops_per_epoch.tolist() == [0, 1, 0]
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            transition_masks(np.zeros(4, dtype=bool))
-
-
-def _reference_spans(visible, times):
-    """Per-satellite python scan for maximal visible runs."""
-    spans = []
-    for s in range(visible.shape[1]):
-        start = None
-        for e in range(visible.shape[0]):
-            if visible[e, s] and start is None:
-                start = e
-            elif not visible[e, s] and start is not None:
-                spans.append((s, float(times[start]), float(times[e - 1])))
-                start = None
-        if start is not None:
-            spans.append((s, float(times[start]), float(times[-1])))
-    return spans
-
-
-class TestContactSpans:
-    def test_matches_python_reference(self):
-        rng = np.random.default_rng(23)
-        visible = rng.random((12, 8)) < 0.5
-        times = np.linspace(0.0, 1100.0, 12)
-        assert contact_spans(visible, times) == _reference_spans(
-            visible, times
-        )
-
-    def test_run_touching_grid_edges(self):
-        visible = np.array([[True], [True], [False], [True]])
-        times = np.array([0.0, 10.0, 20.0, 30.0])
-        assert contact_spans(visible, times) == [
-            (0, 0.0, 10.0), (0, 30.0, 30.0),
-        ]
-
-    def test_no_contacts(self):
-        assert contact_spans(np.zeros((4, 3), dtype=bool),
-                             np.arange(4.0)) == []
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="2-D"):
-            contact_spans(np.zeros(3, dtype=bool), np.arange(3.0))
-        with pytest.raises(ValueError, match="one time per epoch"):
-            contact_spans(np.zeros((3, 2), dtype=bool), np.arange(4.0))
-
-    def test_real_fleet_spans_bracket_visibility(self):
-        times = np.linspace(0.0, 5400.0, 30)
-        props = _fleet().propagators()
-        mask = contact_mask(ground_eci_track(SITE, times),
-                            epoch_position_tensor(props, times))
-        spans = _reference_spans(mask, times)
-        assert contact_spans(mask, times) == spans
-        assert spans, "expected at least one contact in an orbital period"

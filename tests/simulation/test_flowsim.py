@@ -71,6 +71,14 @@ class TestMaxMinFair:
         assert dead.rate_bps == pytest.approx(0.0)
         assert alive.rate_bps == pytest.approx(5e6)
 
+    def test_flow_crossing_no_finite_capacity_is_unconstrained(self):
+        capped = make_flow("capped", ["a", "b"])
+        free = make_flow("free", ["b", "c"])
+        max_min_fair_rates([capped, free],
+                           {("a", "b"): 5e6, ("b", "c"): float("inf")})
+        assert capped.rate_bps == pytest.approx(5e6)
+        assert free.rate_bps == float("inf")
+
     def test_fairness_invariant_no_flow_below_fair_share(self):
         # On every edge, a flow's rate may fall below the edge's equal
         # split only because it is bottlenecked elsewhere — never below
@@ -142,6 +150,17 @@ class TestFlowSimulator:
         # 8 Mbps and its remaining 4 Mb finish at 2.0 s.
         assert by_id["f1"].finish_s == pytest.approx(1.5)
         assert by_id["f2"].finish_s == pytest.approx(2.0)
+
+    def test_uncapacitated_path_completes_at_admission(self):
+        # An edge without capacity_bps has infinite capacity, so the
+        # flow is never starved: it finishes the instant it arrives.
+        graph = nx.Graph()
+        graph.add_edge("u", "s")
+        sim = FlowSimulator(graph, fixed_router(["u", "s"]))
+        result = sim.run([FlowSpec("f1", "u", 0.0, 1e6)])
+        assert len(result.completed) == 1
+        assert result.rejected == []
+        assert result.completed[0].finish_s == 0.0
 
     def test_rejection_when_no_route(self, simple_graph):
         sim = FlowSimulator(simple_graph, fixed_router(None))
