@@ -367,7 +367,7 @@ def _cmd_faults_replay(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"no such schedule file: {args.schedule}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:  # FaultScheduleError, or undecodable text
         print(f"malformed schedule file: {exc}", file=sys.stderr)
         return 1
     horizon = args.horizon if args.horizon is not None else schedule.horizon_s

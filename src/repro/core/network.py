@@ -13,7 +13,9 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import networkx as nx
 import numpy as np
@@ -27,6 +29,7 @@ from repro.isl.topology import (
     IslTopologyBuilder,
     TopologyDelta,
     TopologySnapshot,
+    isl_edge_attrs,
 )
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.kepler import KeplerPropagator, batch_positions
@@ -51,8 +54,8 @@ from repro.routing.metrics import (
 )
 
 
-#: User x satellite pairs per chunk of the access-link elevation pass, so
-#: each ``(users, satellites, 3)`` float64 temporary stays under ~1 MB.
+#: Ground x satellite pairs per chunk of the access-link elevation pass,
+#: so each ``(rows, satellites, 3)`` float64 temporary stays under ~1 MB.
 _ACCESS_CHUNK_PAIRS = 40_000
 
 
@@ -65,6 +68,95 @@ def _value_codes(items: Sequence, rows: np.ndarray) -> Tuple[list, np.ndarray]:
     return list(codes), np.asarray(index, dtype=np.int64)[inverse]
 
 
+def content_digest(time_s: float, nodes: Iterable[Tuple[str, dict]],
+                   edges: Iterable[Tuple[str, str, dict]]) -> str:
+    """Content hash of a snapshot's nodes and edges in canonical order.
+
+    ``nodes`` yields ``(id, attrs)`` sorted by id; ``edges`` yields
+    ``(min id, max id, attrs)`` sorted by that id pair.  Attribute keys
+    are hashed in sorted order, so the digest depends only on content,
+    never on insertion order.
+    """
+    hasher = hashlib.sha256()
+    hasher.update(repr(time_s).encode())
+    for node, data in nodes:
+        hasher.update(repr((node, sorted(data.items()))).encode())
+    for node_a, node_b, data in edges:
+        hasher.update(repr((node_a, node_b, sorted(data.items()))).encode())
+    return hasher.hexdigest()
+
+
+class _PricedLinks(NamedTuple):
+    """Satellite-to-ground links that close, one entry per link.
+
+    ``rows`` index the ground side (stations, then users, as priced);
+    ``sats`` index the alive satellites.
+    """
+
+    rows: np.ndarray
+    sats: np.ndarray
+    distance_km: np.ndarray
+    capacity_bps: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "_PricedLinks":
+        none = np.empty(0, dtype=np.int64)
+        return cls(none, none, np.empty(0), np.empty(0))
+
+
+class _StationRecord(NamedTuple):
+    """A station's link attributes, read once when its snapshot is built."""
+
+    station_id: str
+    owner: str
+    backhaul_capacity_bps: float
+    tariff_per_gb: float
+    queue_delay_s: float
+
+    @classmethod
+    def of(cls, station: GroundStation) -> "_StationRecord":
+        return cls(station.station_id, station.owner,
+                   station.backhaul_capacity_bps,
+                   station.visitor_tariff_per_gb(), station.queue_delay_s())
+
+
+class SnapshotEdges(NamedTuple):
+    """Per-edge arrays of a :class:`NetworkSnapshot`, one entry per edge.
+
+    Edges come as ISLs (acceptance order, failed links dropped), then
+    station links (station-major), then user access links (user-major);
+    satellites ascend within each ground node.  Attributes an edge kind
+    lacks hold 0.0, which is what :meth:`EdgeCostModel.edge_cost`
+    defaults them to.  These are the attributes the cost models read;
+    the graph view and the digest take each edge's kind and owner from
+    its position and its endpoints' records.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    delay_s: np.ndarray
+    capacity_bps: np.ndarray
+    tariff_per_gb: np.ndarray
+    queue_delay_s: np.ndarray
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["SnapshotEdges"]) -> "SnapshotEdges":
+        return cls(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _edge_part(u: np.ndarray, v: np.ndarray, distance_km: np.ndarray,
+               capacity_bps: np.ndarray,
+               tariff_per_gb: Optional[np.ndarray] = None,
+               queue_delay_s: Optional[np.ndarray] = None) -> SnapshotEdges:
+    zeros = np.zeros(u.shape[0])
+    return SnapshotEdges(
+        u.astype(np.int32, copy=False), v.astype(np.int32, copy=False),
+        distance_km / SPEED_OF_LIGHT_KM_S, capacity_bps,
+        zeros if tariff_per_gb is None else tariff_per_gb,
+        zeros if queue_delay_s is None else queue_delay_s,
+    )
+
+
 @dataclass(frozen=True)
 class SnapshotDelta:
     """What changed between one base snapshot and the previous one.
@@ -73,15 +165,14 @@ class SnapshotDelta:
     (see :attr:`OpenSpaceNetwork.last_snapshot_delta`) so churn
     accounting (the scale sweep, the stage tracer) knows which edges
     moved without diffing graphs itself.  Recording never changes what
-    the snapshot holds.
+    the snapshot holds.  Station links are diffed as int keys; their
+    ``(satellite_id, station_id)`` tuples are built only when read.
 
     Attributes:
         time_s: The new snapshot's timestamp.
         base_time_s: The previous base snapshot's timestamp (None when
             none was built before).
         isl: The ISL-layer edge delta, or None on a full rebuild.
-        ground_appeared: Station links present now but not previously.
-        ground_disappeared: Station links present previously, gone now.
         full_rebuild: True when no delta was recorded (first build,
             fault-state change, or delta recording disabled).
     """
@@ -89,85 +180,282 @@ class SnapshotDelta:
     time_s: float
     base_time_s: Optional[float]
     isl: Optional[TopologyDelta]
-    ground_appeared: Tuple[Tuple[str, str], ...] = ()
-    ground_disappeared: Tuple[Tuple[str, str], ...] = ()
     full_rebuild: bool = False
+    #: ``(appeared keys, disappeared keys, satellite ids, station ids)``,
+    #: each key ``satellite * len(station ids) + station``.
+    _ground: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def _ground_pairs(self, which: int) -> Tuple[Tuple[str, str], ...]:
+        if self._ground is None:
+            return ()
+        keys, sat_ids, station_ids = (self._ground[which], self._ground[2],
+                                      self._ground[3])
+        sats, stations = np.divmod(keys, len(station_ids))
+        return tuple(sorted(
+            (sat_ids[sat], station_ids[station])
+            for sat, station in zip(sats.tolist(), stations.tolist())
+        ))
+
+    @cached_property
+    def ground_appeared(self) -> Tuple[Tuple[str, str], ...]:
+        """Station links present now but not previously."""
+        return self._ground_pairs(0)
+
+    @cached_property
+    def ground_disappeared(self) -> Tuple[Tuple[str, str], ...]:
+        """Station links present previously, gone now."""
+        return self._ground_pairs(1)
 
 
-@dataclass
 class NetworkSnapshot:
-    """The whole-network graph at one instant.
+    """The whole network at one instant, held as arrays.
 
-    Nodes carry a ``kind`` attribute (``"satellite"``, ``"ground_station"``
-    or ``"user"``) and an ``owner`` attribute; edges carry ``delay_s``,
-    ``capacity_bps`` and (for ground edges) ``owner``, ``tariff_per_gb``,
-    ``queue_delay_s``.
+    Node order is fixed: the alive satellites in fleet order, the alive
+    ground stations in station order, then the users in request order.
+    :attr:`edges` holds every edge's endpoints, delay, capacity, tariff
+    and queue delay; CSR compiles, probes and the digest read those
+    arrays.  :meth:`route` and :meth:`nearest_ground_station_route`
+    search the CSR and price the path on :attr:`graph`.
+
+    :attr:`graph` is a networkx view derived from the arrays on first
+    read and cached.  Nodes carry a ``kind`` attribute
+    (``"satellite"``, ``"ground_station"`` or ``"user"``) and an
+    ``owner`` attribute; edges carry ``delay_s``, ``capacity_bps`` and
+    (for ground edges) ``owner``, ``tariff_per_gb``, ``queue_delay_s``.
+    A satellite's neighbours run: lower-index ISL neighbours ascending,
+    higher-index ones in acceptance order, stations, users; a ground
+    node's neighbours are its satellites ascending.  Mutating the view
+    changes neither the arrays nor any CSR compiled from them.
 
     Attributes:
         time_s: Snapshot timestamp.
-        graph: The combined graph.
         isl_snapshot: The satellite-only topology this was built from.
+        nodes: Node ids in node order.
+        edges: :class:`SnapshotEdges`; endpoints index :attr:`nodes`.
     """
 
-    time_s: float
-    graph: nx.Graph
-    isl_snapshot: TopologySnapshot
-    #: Per-cost-model CSR adjacencies, built lazily and kept alongside the
-    #: snapshot so every router sharing the snapshot shares the arrays.
-    _csr_cache: Dict[EdgeCostModel, CsrAdjacency] = field(
-        default_factory=dict, repr=False, compare=False,
-    )
+    def __init__(self, time_s: float, isl_snapshot: TopologySnapshot,
+                 satellite_owners: Sequence[str],
+                 stations: Sequence[_StationRecord],
+                 isl_kept: Optional[np.ndarray],
+                 ground: _PricedLinks, fleet_positions: np.ndarray,
+                 users: Sequence[Tuple[str, str]] = (),
+                 access: Optional[_PricedLinks] = None,
+                 base_edges: Optional[SnapshotEdges] = None):
+        self.time_s = time_s
+        self.isl_snapshot = isl_snapshot
+        self._satellite_owners = list(satellite_owners)
+        self._stations = list(stations)
+        self._users = list(users)
+        #: Positions of the ISL links no fault severs (None: all of them).
+        self._isl_kept = isl_kept
+        self._isl_count = (len(isl_snapshot.links) if isl_kept is None
+                           else isl_kept.shape[0])
+        self._ground = ground
+        self._access = access if access is not None else _PricedLinks.empty()
+        self._fleet_positions = fleet_positions
+        satellites = len(isl_snapshot.node_ids)
+        self._first_station = satellites
+        self._first_user = satellites + len(self._stations)
+        self.nodes = (isl_snapshot.node_ids
+                      + [record.station_id for record in self._stations]
+                      + [user_id for user_id, _ in self._users])
+        if base_edges is None:
+            base_edges = self._base_edges()
+        access = self._access
+        self.edges = SnapshotEdges.concatenate([base_edges, _edge_part(
+            access.rows + self._first_user, access.sats,
+            access.distance_km, access.capacity_bps,
+        )])
+        #: Per-cost-model CSR adjacencies, built lazily and kept alongside
+        #: the snapshot so every router sharing the snapshot shares them.
+        self._csr_cache: Dict[EdgeCostModel, CsrAdjacency] = {}
+
+    def _base_edges(self) -> SnapshotEdges:
+        links = self.isl_snapshot.links
+        kept = self._isl_kept
+        ground = self._ground
+        stations = self._stations
+        backhaul = np.array([r.backhaul_capacity_bps for r in stations],
+                            dtype=float)
+        tariff = np.array([r.tariff_per_gb for r in stations], dtype=float)
+        queue = np.array([r.queue_delay_s for r in stations], dtype=float)
+        if kept is not None:
+            links = links.take(kept)
+        return SnapshotEdges.concatenate([
+            _edge_part(links.node_a, links.node_b, links.distance_km,
+                       links.capacity_bps),
+            _edge_part(ground.sats, ground.rows + self._first_station,
+                       ground.distance_km,
+                       np.minimum(ground.capacity_bps, backhaul[ground.rows]),
+                       tariff[ground.rows], queue[ground.rows]),
+        ])
+
+    def with_users(self, users: Sequence[UserTerminal],
+                   access: _PricedLinks) -> "NetworkSnapshot":
+        """This no-user snapshot plus ``users`` and their access links."""
+        return NetworkSnapshot(
+            self.time_s, self.isl_snapshot, self._satellite_owners,
+            self._stations, self._isl_kept, self._ground,
+            self._fleet_positions,
+            users=[(user.user_id, user.home_provider) for user in users],
+            access=access,
+            base_edges=self.edges,
+        )
+
+    # -- arrays --------------------------------------------------------
 
     def csr_adjacency(self, cost_model: Optional[EdgeCostModel] = None,
                       ) -> CsrAdjacency:
-        """The snapshot's CSR adjacency under a cost model (cached)."""
+        """The snapshot's CSR adjacency under a cost model (cached).
+
+        Compiled from :attr:`edges` with one vectorized
+        :meth:`EdgeCostModel.edge_costs` call, equal bit for bit to
+        ``CsrAdjacency.from_graph(self.graph, weight=cost_model)``.
+        """
         model = cost_model or PROPAGATION_ONLY
         adjacency = self._csr_cache.get(model)
         if adjacency is None:
-            adjacency = CsrAdjacency.from_graph(self.graph, weight=model)
+            edges = self.edges
+            adjacency = CsrAdjacency.from_edges(
+                self.nodes, edges.u, edges.v,
+                model.edge_costs(edges.delay_s, edges.queue_delay_s,
+                                 edges.tariff_per_gb, edges.capacity_bps),
+            )
             self._csr_cache[model] = adjacency
         return adjacency
 
-    def digest(self) -> str:
-        """Canonical content hash of the snapshot graph.
+    def nodes_of_kind(self, kind: str) -> List[str]:
+        if kind == "satellite":
+            return self.nodes[:self._first_station]
+        if kind == "ground_station":
+            return self.nodes[self._first_station:self._first_user]
+        if kind == "user":
+            return self.nodes[self._first_user:]
+        return []
 
-        Nodes and edges are serialized in sorted order with sorted
-        attribute keys, so the digest depends only on graph *content* —
-        never on insertion order.  This is the equality witness the
-        tests compare: a snapshot served after any call history (cache,
-        delta recording, position priming) must hash identically to a
-        fresh network's build at the same instant and fault state.
+    @cached_property
+    def _index(self) -> Dict[str, int]:
+        return {node: i for i, node in enumerate(self.nodes)}
+
+    @cached_property
+    def _hops(self) -> Tuple[Dict[int, int], list, list]:
+        """Edge lookup by ``low * N + high`` key, with per-edge delays
+        and queue delays as Python floats."""
+        edges = self.edges
+        low = np.minimum(edges.u, edges.v).astype(np.int64)
+        high = np.maximum(edges.u, edges.v)
+        keys = (low * len(self.nodes) + high).tolist()
+        return (dict(zip(keys, range(len(keys)))), edges.delay_s.tolist(),
+                edges.queue_delay_s.tolist())
+
+    def _edge_between(self, a: int, b: int) -> int:
+        low, high = (a, b) if a < b else (b, a)
+        return self._hops[0][low * len(self.nodes) + high]
+
+    # -- graph view and digest -----------------------------------------
+
+    def _node_attrs(self, index: int) -> dict:
+        """The graph view's attribute dict of node ``index``."""
+        if index < self._first_station:
+            return {"owner": self._satellite_owners[index],
+                    "kind": "satellite"}
+        if index < self._first_user:
+            return {"kind": "ground_station",
+                    "owner": self._stations[index - self._first_station].owner}
+        return {"kind": "user",
+                "owner": self._users[index - self._first_user][1]}
+
+    def _edge_attrs(self, edge: int) -> dict:
+        """The graph view's attribute dict of edge ``edge``."""
+        isl_count = self._isl_count
+        if edge < isl_count:
+            kept = self._isl_kept
+            return isl_edge_attrs(self.isl_snapshot.link_objects[
+                edge if kept is None else int(kept[edge])])
+        edge -= isl_count
+        ground = self._ground
+        if edge < ground.rows.shape[0]:
+            record = self._stations[int(ground.rows[edge])]
+            return {
+                "delay_s": float(ground.distance_km[edge]) / SPEED_OF_LIGHT_KM_S,
+                "capacity_bps": min(float(ground.capacity_bps[edge]),
+                                    record.backhaul_capacity_bps),
+                "owner": record.owner,
+                "tariff_per_gb": record.tariff_per_gb,
+                "queue_delay_s": record.queue_delay_s,
+                "kind": "ground_link",
+            }
+        edge -= ground.rows.shape[0]
+        access = self._access
+        return {
+            "delay_s": float(access.distance_km[edge]) / SPEED_OF_LIGHT_KM_S,
+            "capacity_bps": float(access.capacity_bps[edge]),
+            "owner": self._satellite_owners[int(access.sats[edge])],
+            "kind": "access_link",
+        }
+
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The networkx view of the snapshot (see the class docstring).
+
+        Edges are added by low endpoint, then ISLs in acceptance order,
+        then ground edges by far endpoint, which gives every node the
+        neighbour order the class docstring states.
         """
-        hasher = hashlib.sha256()
-        hasher.update(repr(self.time_s).encode())
-        for node, data in sorted(self.graph.nodes(data=True)):
-            hasher.update(repr((node, sorted(data.items()))).encode())
-        for node_a, node_b, data in sorted(
-            (min(a, b), max(a, b), d)
-            for a, b, d in self.graph.edges(data=True)
-        ):
-            hasher.update(
-                repr((node_a, node_b, sorted(data.items()))).encode()
-            )
-        return hasher.hexdigest()
+        nodes = self.nodes
+        edges = self.edges
+        low = np.minimum(edges.u, edges.v)
+        high = np.maximum(edges.u, edges.v)
+        isl_rank = (np.arange(self._isl_count) if self._isl_kept is None
+                    else self._isl_kept)
+        rank = np.concatenate([
+            isl_rank, len(self.isl_snapshot.links) + high[self._isl_count:],
+        ])
+        graph = nx.Graph()
+        graph.add_nodes_from((node, self._node_attrs(index))
+                             for index, node in enumerate(nodes))
+        graph.add_edges_from(
+            (nodes[low[edge]], nodes[high[edge]], self._edge_attrs(edge))
+            for edge in np.lexsort((rank, low)).tolist()
+        )
+        return graph
+
+    def digest(self) -> str:
+        """Canonical content hash of the snapshot: the
+        :func:`content_digest` of :attr:`graph`'s nodes and edges,
+        computed from the arrays without building the view.
+
+        This is the equality witness the tests compare: a snapshot
+        served after any call history (cache, delta recording, position
+        priming) must hash identically to a fresh network's build at the
+        same instant and fault state.
+        """
+        nodes = self.nodes
+        first = [nodes[i] for i in self.edges.u.tolist()]
+        second = [nodes[i] for i in self.edges.v.tolist()]
+        pairs = [(a, b) if a <= b else (b, a) for a, b in zip(first, second)]
+        return content_digest(
+            self.time_s,
+            ((nodes[index], self._node_attrs(index))
+             for index in sorted(range(len(nodes)), key=nodes.__getitem__)),
+            (pairs[edge] + (self._edge_attrs(edge),)
+             for edge in sorted(range(len(pairs)), key=pairs.__getitem__)),
+        )
+
+    # -- routes --------------------------------------------------------
 
     def route(self, source: str, target: str,
               cost_model: Optional[EdgeCostModel] = None,
               ) -> Optional[RouteMetrics]:
         """Cheapest route between two nodes, or None when disconnected."""
-        if source not in self.graph or target not in self.graph:
+        if source not in self._index or target not in self._index:
             return None
         adjacency = self.csr_adjacency(cost_model)
         path = adjacency.single_source(source).path(source, target)
         if path is None:
             return None
         return path_metrics(self.graph, path)
-
-    def nodes_of_kind(self, kind: str) -> List[str]:
-        return [
-            node for node, data in self.graph.nodes(data=True)
-            if data.get("kind") == kind
-        ]
 
     def nearest_ground_station_route(
         self, source: str,
@@ -178,7 +466,7 @@ class NetworkSnapshot:
         One single-source Dijkstra (the snapshot memoizes it per source)
         covers every station.
         """
-        if source not in self.graph:
+        if source not in self._index:
             return None
         paths = self.csr_adjacency(cost_model).single_source(source)
         best: Optional[RouteMetrics] = None
@@ -235,11 +523,9 @@ class OpenSpaceNetwork:
             [spec.to_isl_node() for spec in self.satellites],
             max_range_km=max_isl_range_km,
         )
-        self._propagators = {
-            spec.satellite_id: KeplerPropagator(spec.elements)
-            for spec in self.satellites
-        }
-        self._propagator_order = list(self._propagators.items())
+        self._propagators = [KeplerPropagator(spec.elements)
+                             for spec in self.satellites]
+        self._fleet_ids = [spec.satellite_id for spec in self.satellites]
         self._spec_by_id = {
             spec.satellite_id: spec for spec in self.satellites
         }
@@ -269,8 +555,9 @@ class OpenSpaceNetwork:
         }
         self._delta_prev: Optional[TopologySnapshot] = None
         self._delta_prev_epoch: int = -1
-        self._delta_prev_ground: FrozenSet[Tuple[str, str]] = frozenset()
-        self._primed_positions: Dict[float, Dict[str, np.ndarray]] = {}
+        self._delta_prev_ground = np.empty(0, dtype=np.int64)
+        #: Primed instants -> ``(N, 3)`` fleet positions (matrix columns).
+        self._primed_positions: Dict[float, np.ndarray] = {}
 
     @classmethod
     def from_federation(cls, federation: Federation,
@@ -284,7 +571,7 @@ class OpenSpaceNetwork:
 
     # -- fault state ---------------------------------------------------
     # The repro.faults injector drives these; snapshot() consults them so
-    # failed elements vanish from the graph exactly as if the network had
+    # failed elements vanish from snapshots exactly as if the network had
     # been built from the surviving fleet alone (degree slots included).
 
     def set_fault_state(self, failed_satellites: Sequence[str] = (),
@@ -327,7 +614,7 @@ class OpenSpaceNetwork:
     # -- snapshot cache ------------------------------------------------
     # Snapshots are pure functions of (time, fault state, user set), so
     # repeated queries inside flowsim/sessionsim/handover loops reuse the
-    # built graph instead of re-running propagation, the greedy ISL
+    # built snapshot instead of re-running propagation, the greedy ISL
     # assignment, and every link budget.  The fault injector invalidates
     # implicitly: every set_fault_state()/clear_fault_state() bumps the
     # fault epoch that is part of every cache key.
@@ -420,17 +707,21 @@ class OpenSpaceNetwork:
         times = [float(t) for t in times_s]
         if not times:
             return 0
-        propagators = [prop for _, prop in self._propagator_order]
-        positions = batch_positions(propagators, times)
+        positions = batch_positions(self._propagators, times)
         for column, time_s in enumerate(times):
-            self._primed_positions[time_s] = {
-                sat_id: positions[index, column]
-                for index, (sat_id, _) in enumerate(self._propagator_order)
-            }
+            self._primed_positions[time_s] = positions[:, column, :]
         return len(times)
 
     def clear_primed_positions(self) -> None:
         self._primed_positions.clear()
+
+    def _position_matrix(self, time_s: float) -> np.ndarray:
+        """``(N, 3)`` ECI positions of the fleet in fleet order: a primed
+        column, or one batched propagation."""
+        primed = self._primed_positions.get(float(time_s))
+        if primed is not None:
+            return primed
+        return batch_positions(self._propagators, time_s)[:, 0, :]
 
     def satellite_positions(self, time_s: float) -> Dict[str, np.ndarray]:
         """ECI position of every satellite at ``time_s``.
@@ -439,15 +730,7 @@ class OpenSpaceNetwork:
         :func:`~repro.orbits.kepler.batch_positions`), unless the
         instant was primed via :meth:`prime_positions`.
         """
-        primed = self._primed_positions.get(float(time_s))
-        if primed is not None:
-            return primed
-        propagators = [prop for _, prop in self._propagator_order]
-        positions = batch_positions(propagators, time_s)[:, 0, :]
-        return {
-            sat_id: positions[index]
-            for index, (sat_id, _) in enumerate(self._propagator_order)
-        }
+        return dict(zip(self._fleet_ids, self._position_matrix(time_s)))
 
     def _station_terminal(self, band_name: str) -> RFTerminal:
         """The gateway dish a station points at a satellite's ground band."""
@@ -460,33 +743,9 @@ class OpenSpaceNetwork:
             unit_cost_usd=500_000.0,
         )
 
-    @staticmethod
-    def _ground_attrs(station: GroundStation, capacity: float,
-                      distance: float) -> dict:
-        """Edge attributes of a usable satellite-station link."""
-        return {
-            "delay_s": distance / SPEED_OF_LIGHT_KM_S,
-            "capacity_bps": min(capacity, station.backhaul_capacity_bps),
-            "owner": station.owner,
-            "tariff_per_gb": station.visitor_tariff_per_gb(),
-            "queue_delay_s": station.queue_delay_s(),
-            "kind": "ground_link",
-        }
-
-    @staticmethod
-    def _access_attrs(spec: SpacecraftSpec, capacity: float,
-                      distance: float) -> dict:
-        """Edge attributes of a usable user-satellite access link."""
-        return {
-            "delay_s": distance / SPEED_OF_LIGHT_KM_S,
-            "capacity_bps": capacity,
-            "owner": spec.owner,
-            "kind": "access_link",
-        }
-
     def snapshot(self, time_s: float,
                  users: Sequence[UserTerminal] = ()) -> NetworkSnapshot:
-        """Build the whole-network graph at one instant.
+        """Build the whole-network snapshot at one instant.
 
         Satellites are joined by the ISL topology builder; each ground
         station connects to every satellite above its elevation mask whose
@@ -501,12 +760,10 @@ class OpenSpaceNetwork:
 
         Results are cached per ``(time, fault epoch, user set)``
         — repeated queries for the same instant return the **same**
-        :class:`NetworkSnapshot` object, so treat snapshot graphs as
-        read-only.  A snapshot with users copies the no-user base graph
-        and adds every user's access links from one array pass
-        (:meth:`_price_access_links`, shared with
-        :meth:`gateway_probe_paths`): the user nodes first, then the
-        links user by user, satellites in fleet order.
+        :class:`NetworkSnapshot` object.  A snapshot with users extends
+        the no-user base snapshot with every user's access links from
+        one array pass (:meth:`_price_access_links`, shared with the
+        station links and :meth:`gateway_probe_paths`).
         """
         key = self._cache_key(time_s, users)
         cached = self._cache_get(key)
@@ -517,110 +774,114 @@ class OpenSpaceNetwork:
             self._cache_put(key, base)
             return base
         users = list(users)
-        alive = self._alive_satellites()
-        user_rows, sat_rows, distances, capacities = self._price_access_links(
-            time_s, users, alive, base.isl_snapshot.positions
+        access = self._price_access_links(
+            time_s, (), users, self._alive_indices(), base._fleet_positions
         )
-        graph = base.graph.copy()
-        for user in users:
-            graph.add_node(user.user_id, kind="user", owner=user.home_provider)
-        graph.add_edges_from(
-            (users[row].user_id, alive[column].satellite_id,
-             self._access_attrs(alive[column], capacity, distance))
-            for row, column, distance, capacity in zip(
-                user_rows.tolist(), sat_rows.tolist(), distances.tolist(),
-                capacities.tolist(),
-            )
-        )
-        snap = NetworkSnapshot(time_s=time_s, graph=graph,
-                               isl_snapshot=base.isl_snapshot)
+        snap = base.with_users(users, access)
         self._cache_put(key, snap)
         return snap
 
     def _price_access_links(
-        self, time_s: float, users: Sequence[UserTerminal],
-        alive: Sequence[SpacecraftSpec], positions: Dict[str, np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every user access link that closes, priced in one array pass.
+        self, time_s: float, stations: Sequence[GroundStation],
+        users: Sequence[UserTerminal], alive: np.ndarray,
+        fleet_positions: np.ndarray,
+    ) -> _PricedLinks:
+        """Every station and user link that closes, in one array pass.
 
-        One elevation pass over users x ``alive`` satellites, in chunks
-        of users that keep each geometry temporary near 1 MB; slant
-        ranges only for the pairs above each user's mask; one
+        The ground rows are ``stations`` then ``users``.  One elevation
+        pass over ground rows x ``alive`` satellites, in chunks of rows
+        that keep each geometry temporary near 1 MB; slant ranges only
+        for the pairs above each row's mask (a station's is the larger
+        of the network mask and its own); one
         :func:`~repro.phy.rf.rf_link_budget_arrays` call per (satellite
-        ground terminal, user terminal) group.  Satellites without a
-        ground terminal price at zero, and zero-capacity links are
-        dropped.  Every value equals the scalar per-user overlay's, bit
-        for bit (the oracle in ``tests/core/oracle.py``).
+        ground terminal, ground-side terminal, rain rate) group.  A
+        station prices against the gateway dish matched to the
+        satellite's band under its rain rate, a user against its own
+        terminal in clear sky.  Satellites without a ground terminal
+        price at zero, and zero-capacity links are dropped.  Every value
+        equals the scalar per-link budget's, bit for bit (the oracle in
+        ``tests/core/oracle.py``).
 
         Returns:
-            ``(user_rows, sat_rows, distances_km, capacities_bps)``, one
-            entry per closing link, indexing ``users`` and ``alive``;
-            user-major, satellites ascending within each user.
+            One entry per closing link, row-major, satellites ascending
+            within each row; ``sats`` index ``alive``.
         """
-        if not users or not alive:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0), np.empty(0)
-        sat_matrix = np.stack([positions[spec.satellite_id] for spec in alive])
-        user_matrix = np.stack([user.position_eci(time_s) for user in users])
-        masks = np.array([math.radians(user.min_elevation_deg)
-                          for user in users])
-        chunk = max(1, _ACCESS_CHUNK_PAIRS // len(alive))
-        user_parts, sat_parts, elevation_parts = [], [], []
-        for start in range(0, len(users), chunk):
+        grounds = list(stations) + list(users)
+        if not grounds or not alive.size:
+            return _PricedLinks.empty()
+        sat_matrix = fleet_positions[alive]
+        ground_matrix = np.stack([g.position_eci(time_s) for g in grounds])
+        masks = np.array(
+            [math.radians(max(self.ground_elevation_mask_deg,
+                              station.min_elevation_deg))
+             for station in stations]
+            + [math.radians(user.min_elevation_deg) for user in users]
+        )
+        chunk = max(1, _ACCESS_CHUNK_PAIRS // alive.size)
+        row_parts, sat_parts, elevation_parts = [], [], []
+        for start in range(0, len(grounds), chunk):
             elevations = elevation_angles(
-                user_matrix[start:start + chunk, None, :], sat_matrix[None]
+                ground_matrix[start:start + chunk, None, :], sat_matrix[None]
             )
             rows, columns = np.nonzero(
                 elevations >= masks[start:start + chunk, None]
             )
-            user_parts.append(rows + start)
+            row_parts.append(rows + start)
             sat_parts.append(columns)
             elevation_parts.append(elevations[rows, columns])
-        user_rows = np.concatenate(user_parts)
+        ground_rows = np.concatenate(row_parts)
         sat_rows = np.concatenate(sat_parts)
         elevations = np.concatenate(elevation_parts)
-        deltas = sat_matrix[sat_rows] - user_matrix[user_rows]
+        deltas = sat_matrix[sat_rows] - ground_matrix[ground_rows]
         distances = np.sqrt((deltas * deltas).sum(axis=-1))
 
         sat_terminals, sat_codes = _value_codes(
-            [spec.ground_terminal for spec in alive], sat_rows
+            [self.satellites[index].ground_terminal
+             for index in alive.tolist()], sat_rows
         )
-        user_terminals, user_codes = _value_codes(
-            [user.terminal for user in users], user_rows
+        sides, side_codes = _value_codes(
+            [("gateway", station.rain_rate_mm_h) for station in stations]
+            + [("user", user.terminal) for user in users], ground_rows
         )
-        groups = sat_codes * len(user_terminals) + user_codes
-        capacities = np.zeros(user_rows.shape[0])
+        groups = sat_codes * len(sides) + side_codes
+        capacities = np.zeros(ground_rows.shape[0])
         for group in np.unique(groups).tolist():
-            sat_terminal = sat_terminals[group // len(user_terminals)]
+            sat_terminal = sat_terminals[group // len(sides)]
             if sat_terminal is None:
                 continue
+            side, value = sides[group % len(sides)]
+            if side == "gateway":
+                ground_terminal = self._station_terminal(sat_terminal.band_name)
+                rain_rate = value
+            else:
+                ground_terminal, rain_rate = value, 0.0
             rows = np.flatnonzero(groups == group)
             budgets = rf_link_budget_arrays(
-                sat_terminal, user_terminals[group % len(user_terminals)],
-                distances[rows], elevations_rad=elevations[rows],
+                sat_terminal, ground_terminal, distances[rows],
+                elevations_rad=elevations[rows], rain_rate_mm_h=rain_rate,
             )
             capacities[rows] = achievable_rate_bps_array(
                 budgets.snr_db, budgets.bandwidth_hz
             )
         keep = ~(capacities <= 0.0)
-        return (user_rows[keep], sat_rows[keep], distances[keep],
-                capacities[keep])
+        return _PricedLinks(ground_rows[keep], sat_rows[keep],
+                            distances[keep], capacities[keep])
 
     def _base_snapshot(self, time_s: float) -> NetworkSnapshot:
         """The no-user snapshot (ISLs + ground stations), cached.
 
-        Every build is one assembly: a fresh ISL build, a copy of its
-        graph with the satellite attributes, failed links removed, and
-        the ground stations attached.  With delta recording on and a
-        previous base snapshot in the same fault epoch, the builder also
-        diffs the ISL edge set against that one (see
-        :meth:`_record_delta`); the snapshot is the same either way.
+        Every build is one assembly: a fresh ISL build over the fleet
+        position matrix, failed links dropped by pair key, and the
+        station links priced.  With delta recording on and a previous
+        base snapshot in the same fault epoch, the builder also diffs the
+        ISL pair keys against that one (see :meth:`_record_delta`); the
+        snapshot is the same either way.
         """
         key = self._cache_key(time_s, ())
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        positions = self.satellite_positions(time_s)
+        positions = self._position_matrix(time_s)
         exclude = self._failed_satellites or None
         isl_delta: Optional[TopologyDelta] = None
         if (self.snapshot_delta_enabled and self._delta_prev is not None
@@ -632,27 +893,42 @@ class OpenSpaceNetwork:
         else:
             isl_snap = self._builder.snapshot(time_s, positions,
                                               exclude=exclude)
-        graph = isl_snap.graph.copy()
-        alive = self._alive_satellites()
-        for spec in alive:
-            graph.nodes[spec.satellite_id]["kind"] = "satellite"
-            graph.nodes[spec.satellite_id]["owner"] = spec.owner
-        for node_a, node_b in self._failed_links:
-            if graph.has_edge(node_a, node_b):
-                graph.remove_edge(node_a, node_b)
-        ground_pairs = self._attach_ground(graph, time_s, positions, alive)
-        self._record_delta(time_s, isl_delta, ground_pairs)
+        alive = self._alive_indices()
+        station_index = [index for index, station
+                         in enumerate(self.ground_stations)
+                         if station.station_id not in self._failed_stations]
+        stations = [self.ground_stations[index] for index in station_index]
+        ground = self._price_access_links(time_s, stations, (), alive,
+                                          positions)
+        snap = NetworkSnapshot(
+            time_s, isl_snap,
+            [self.satellites[index].owner for index in alive.tolist()],
+            [_StationRecord.of(station) for station in stations],
+            self._kept_links(isl_snap), ground, positions,
+        )
+        ground_keys = (alive[ground.sats] * len(self.ground_stations)
+                       + np.asarray(station_index, dtype=np.int64)[ground.rows])
+        self._record_delta(time_s, isl_delta, ground_keys)
         self._delta_prev = isl_snap
         self._delta_prev_epoch = self._fault_epoch
-        self._delta_prev_ground = ground_pairs
-        snap = NetworkSnapshot(time_s=time_s, graph=graph,
-                               isl_snapshot=isl_snap)
+        self._delta_prev_ground = ground_keys
         self._cache_put(key, snap)
         return snap
 
+    def _kept_links(self, isl_snap: TopologySnapshot) -> Optional[np.ndarray]:
+        """Positions of the ISL links no fault severs (None: all)."""
+        if not self._failed_links:
+            return None
+        index = isl_snap._index
+        node_count = len(isl_snap.node_ids)
+        failed = [min(index[a], index[b]) * node_count + max(index[a], index[b])
+                  for a, b in self._failed_links
+                  if a in index and b in index]
+        return np.flatnonzero(~np.isin(isl_snap.pair_keys(), failed))
+
     def _record_delta(self, time_s: float,
                       isl_delta: Optional[TopologyDelta],
-                      ground_pairs: FrozenSet[Tuple[str, str]]) -> None:
+                      ground_keys: np.ndarray) -> None:
         """Book one base build in :attr:`last_snapshot_delta` and
         :attr:`delta_stats`: a delta build when ``isl_delta`` compares
         against a predecessor, a full build otherwise."""
@@ -670,85 +946,31 @@ class OpenSpaceNetwork:
                 recorder.count("network.snapshot.full_build")
             return
         prev_ground = self._delta_prev_ground
-        ground_appeared = tuple(sorted(ground_pairs - prev_ground))
-        ground_disappeared = tuple(sorted(prev_ground - ground_pairs))
+        ground_appeared = np.setdiff1d(ground_keys, prev_ground)
+        ground_disappeared = np.setdiff1d(prev_ground, ground_keys)
         self.last_snapshot_delta = SnapshotDelta(
             time_s=time_s,
             base_time_s=base_time_s,
             isl=isl_delta,
-            ground_appeared=ground_appeared,
-            ground_disappeared=ground_disappeared,
+            _ground=(ground_appeared, ground_disappeared, self._fleet_ids,
+                     [station.station_id for station in self.ground_stations]),
         )
         stats["delta_builds"] += 1
-        stats["edges_appeared"] += len(isl_delta.appeared) + len(ground_appeared)
-        stats["edges_disappeared"] += (
-            len(isl_delta.disappeared) + len(ground_disappeared)
-        )
-        stats["edges_persisted"] += len(isl_delta.persisted)
+        stats["edges_appeared"] += (len(isl_delta.appeared_pairs)
+                                    + len(ground_appeared))
+        stats["edges_disappeared"] += (len(isl_delta.disappeared_pairs)
+                                       + len(ground_disappeared))
+        stats["edges_persisted"] += len(isl_delta.persisted_pairs)
         if recorder.enabled:
             recorder.count("network.snapshot.delta_build")
 
-    def _alive_satellites(self) -> List[SpacecraftSpec]:
-        return [
-            spec for spec in self.satellites
-            if spec.satellite_id not in self._failed_satellites
-        ]
-
-    def _attach_ground(self, graph: nx.Graph, time_s: float,
-                       positions: Dict[str, np.ndarray],
-                       alive: Sequence[SpacecraftSpec],
-                       ) -> FrozenSet[Tuple[str, str]]:
-        """Add station nodes + ground links; returns the link pairs."""
-        alive_matrix = (
-            np.stack([positions[spec.satellite_id] for spec in alive])
-            if alive else np.empty((0, 3))
-        )
-        pairs = set()
-        for station in self.ground_stations:
-            if station.station_id in self._failed_stations:
-                continue
-            station_pos = station.position_eci(time_s)
-            graph.add_node(
-                station.station_id, kind="ground_station", owner=station.owner
-            )
-            if not alive:
-                continue
-            # One vectorized elevation pass per station; link budgets run
-            # only for the satellites above the mask, one batched pass per
-            # satellite ground terminal (the same values, edge for edge,
-            # as a scalar rf_link_budget loop).
-            elevations = elevation_angles(station_pos, alive_matrix)
-            mask_rad = math.radians(max(
-                self.ground_elevation_mask_deg, station.min_elevation_deg
-            ))
-            deltas = alive_matrix - station_pos
-            distances = np.sqrt((deltas * deltas).sum(axis=-1))
-            visible = np.flatnonzero(elevations >= mask_rad)
-            groups: Dict[RFTerminal, List[int]] = {}
-            for index in visible.tolist():
-                terminal = alive[index].ground_terminal
-                if terminal is not None:
-                    groups.setdefault(terminal, []).append(index)
-            capacities = np.zeros(len(alive))
-            for terminal, indices in groups.items():
-                rows = np.asarray(indices, dtype=np.int64)
-                budgets = rf_link_budget_arrays(
-                    terminal, self._station_terminal(terminal.band_name),
-                    distances[rows], elevations_rad=elevations[rows],
-                    rain_rate_mm_h=station.rain_rate_mm_h,
-                )
-                capacities[rows] = achievable_rate_bps_array(
-                    budgets.snr_db, budgets.bandwidth_hz
-                )
-            for index in visible[~(capacities[visible] <= 0.0)].tolist():
-                spec = alive[index]
-                graph.add_edge(
-                    spec.satellite_id, station.station_id,
-                    **self._ground_attrs(station, float(capacities[index]),
-                                         float(distances[index])),
-                )
-                pairs.add((spec.satellite_id, station.station_id))
-        return frozenset(pairs)
+    def _alive_indices(self) -> np.ndarray:
+        """Fleet indices of the satellites no fault removed, ascending."""
+        if not self._failed_satellites:
+            return np.arange(len(self.satellites))
+        return np.array([index for index, sat_id in enumerate(self._fleet_ids)
+                         if sat_id not in self._failed_satellites],
+                        dtype=np.int64)
 
     def gateway_probe_paths(
         self, time_s: float, users: Sequence[UserTerminal],
@@ -756,20 +978,21 @@ class OpenSpaceNetwork:
     ) -> Dict[str, Optional[List[str]]]:
         """Batched nearest-gateway probe for many users at one instant.
 
-        Builds no user snapshot.  The base snapshot's CSR adjacency is
-        compiled once; every user's access links come from the same
-        array pass that :meth:`snapshot` adds to its graph
+        Builds no user snapshot and no graph.  The base snapshot's CSR
+        adjacency is compiled once; every user's access links come from
+        the same array pass that :meth:`snapshot` uses
         (:meth:`_price_access_links`); each user joins the adjacency as
         a leaf via
         :meth:`~repro.routing.csr.CsrAdjacency.append_leaf_arrays`, and
-        every user's search runs in one block-diagonal Dijkstra.
+        every user's search runs in one block-diagonal Dijkstra.  Path
+        delays come from the snapshot's edge arrays.
 
         The result is bitwise identical to the per-user probe
         (``snapshot(time_s, users=[user])`` +
         :meth:`NetworkSnapshot.nearest_ground_station_route`) — the same
         access-link values, the same station iteration order, the same
         strict ``<`` tie-breaking; ``tests/core/test_network_batched.py``
-        holds it to per-user probes over the scalar overlay oracle.
+        holds it to per-user probes over the graph-built oracle.
 
         Args:
             time_s: Probe instant.
@@ -787,86 +1010,72 @@ class OpenSpaceNetwork:
         model = cost_model or PROPAGATION_ONLY
         base = self.snapshot(time_s)
         adjacency = base.csr_adjacency(model)
-        stations = base.nodes_of_kind("ground_station")
-        alive = self._alive_satellites()
-        user_rows, sat_rows, distances, capacities = self._price_access_links(
-            time_s, users, alive, base.isl_snapshot.positions
+        access = self._price_access_links(
+            time_s, (), users, self._alive_indices(), base._fleet_positions
         )
-        # The links are user-major: user ``row`` owns one contiguous run.
-        bounds = np.searchsorted(user_rows, np.arange(len(users) + 1)).tolist()
-        sat_list = sat_rows.tolist()
-        distance_list = distances.tolist()
-        capacity_list = capacities.tolist()
-        blocks = []
-        access_attrs: List[Dict[str, dict]] = []
-        for row in range(len(users)):
-            attrs_by_sat: Dict[str, dict] = {}
-            neighbor_idx: List[int] = []
-            weights: List[float] = []
-            for link in range(bounds[row], bounds[row + 1]):
-                spec = alive[sat_list[link]]
-                attrs = self._access_attrs(spec, capacity_list[link],
-                                           distance_list[link])
-                attrs_by_sat[spec.satellite_id] = attrs
-                neighbor_idx.append(adjacency.index[spec.satellite_id])
-                weights.append(model.edge_cost(attrs))
-            access_attrs.append(attrs_by_sat)
-            blocks.append(adjacency.append_leaf_arrays(
-                np.asarray(neighbor_idx, dtype=np.int64),
-                np.asarray(weights, dtype=np.float64),
-            ))
+        access_delay = access.distance_km / SPEED_OF_LIGHT_KM_S
+        zeros = np.zeros(access_delay.shape[0])
+        weights = model.edge_costs(access_delay, zeros, zeros,
+                                   access.capacity_bps)
+        # The links are row-major: user ``row`` owns one contiguous run;
+        # an alive satellite's index is its node index.
+        bounds = np.searchsorted(access.rows,
+                                 np.arange(len(users) + 1)).tolist()
+        blocks = [
+            adjacency.append_leaf_arrays(access.sats[start:stop],
+                                         weights[start:stop])
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        ]
         leaf = adjacency.node_count
         dist, pred, offsets = block_diagonal_dijkstra(
             blocks, [leaf] * len(users)
         )
-        graph = base.graph
+        _, delays, queues = base._hops
+        sat_list = access.sats.tolist()
+        access_delays = access_delay.tolist()
+        stations = range(base._first_station, base._first_user)
         nodes = adjacency.nodes
         results = {}
         for row, user in enumerate(users):
+            first_hop = dict(zip(sat_list[bounds[row]:bounds[row + 1]],
+                                 access_delays[bounds[row]:bounds[row + 1]]))
             offset = int(offsets[row])
             row_dist = dist[row]
             row_pred = pred[row]
             source_global = offset + leaf
             best_delay: Optional[float] = None
-            best_path: Optional[List[str]] = None
+            best_path: Optional[List[int]] = None
             for station in stations:
-                column = offset + adjacency.index[station]
+                column = offset + station
                 if not np.isfinite(row_dist[column]):
                     continue
                 reversed_idx = [column]
                 cursor = column
-                broken = False
                 while cursor != source_global:
                     cursor = int(row_pred[cursor])
                     if cursor == NO_PREDECESSOR:
-                        broken = True
                         break
                     reversed_idx.append(cursor)
-                if broken:
+                if cursor != source_global:
                     continue
-                path = [
-                    user.user_id if local == leaf else nodes[local]
-                    for local in (g - offset for g in reversed(reversed_idx))
-                ]
+                path = [index - offset for index in reversed(reversed_idx)]
                 # Replicate path_metrics: propagation and queueing delays
                 # accumulate separately in path order, then sum.  The
-                # first hop's attributes come from the arrays above (the
-                # values the scalar snapshot would have stored).
-                propagation = 0.0
+                # access hop has no queue delay.
+                propagation = first_hop[path[1]]
                 queueing = 0.0
-                hop_data = [access_attrs[row][path[1]]]
-                hop_data.extend(
-                    graph.get_edge_data(node_a, node_b)
-                    for node_a, node_b in zip(path[1:-1], path[2:])
-                )
-                for data in hop_data:
-                    propagation += float(data.get("delay_s", 0.0))
-                    queueing += float(data.get("queue_delay_s", 0.0))
+                for node_a, node_b in zip(path[1:-1], path[2:]):
+                    edge = base._edge_between(node_a, node_b)
+                    propagation += delays[edge]
+                    queueing += queues[edge]
                 total_delay = propagation + queueing
                 if best_delay is None or total_delay < best_delay:
                     best_delay = total_delay
                     best_path = path
-            results[user.user_id] = best_path
+            results[user.user_id] = (
+                None if best_path is None
+                else [user.user_id] + [nodes[index] for index in best_path[1:]]
+            )
         return results
 
     def user_to_internet_latency_s(self, user: UserTerminal, time_s: float,

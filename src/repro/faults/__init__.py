@@ -19,6 +19,7 @@ from repro.faults.model import (
     FaultEvent,
     FaultKind,
     FaultSchedule,
+    FaultScheduleError,
     Transition,
     combine,
     link_target,
@@ -50,6 +51,7 @@ __all__ = [
     "FaultEvent",
     "FaultKind",
     "FaultSchedule",
+    "FaultScheduleError",
     "Transition",
     "combine",
     "link_target",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -24,6 +25,15 @@ from repro.obs.export import atomic_write
 #: Separator inside an ISL-link target ("satA|satB"); satellite ids use
 #: dashes, so the pipe is unambiguous.
 LINK_SEPARATOR = "|"
+
+#: Fields every serialized fault event must carry.
+_EVENT_FIELDS = ("fault_id", "kind", "targets", "start_s")
+
+
+class FaultScheduleError(ValueError):
+    """A schedule document that does not describe a fault schedule; the
+    message names the offending field and, inside ``events``, the event
+    index."""
 
 
 class FaultKind(enum.Enum):
@@ -221,10 +231,33 @@ class FaultSchedule:
 
     @classmethod
     def from_jsonable(cls, data: Dict) -> "FaultSchedule":
-        return cls(
-            events=[FaultEvent.from_dict(row) for row in data.get("events", [])],
-            horizon_s=float(data.get("horizon_s", 0.0)),
-        )
+        """Parse :meth:`to_jsonable` output.
+
+        ``horizon_s`` may be absent (read as 0, "no horizon").
+
+        Raises:
+            FaultScheduleError: For a document that is not an object,
+                a missing or non-list ``events``, an event that is not an
+                object, lacks a field, names an unknown ``kind``, holds a
+                non-string id or target or a non-finite time, or any
+                value the schedule rejects.
+        """
+        if not isinstance(data, dict):
+            raise FaultScheduleError(
+                f"schedule must be a JSON object, got {type(data).__name__}")
+        if "events" not in data:
+            raise FaultScheduleError("schedule lacks field 'events'")
+        rows = data["events"]
+        if not isinstance(rows, list):
+            raise FaultScheduleError(
+                f"field 'events' must be a list, got {type(rows).__name__}")
+        events = [_event_from_jsonable(row, index)
+                  for index, row in enumerate(rows)]
+        horizon_s = _finite(data.get("horizon_s", 0.0), "field 'horizon_s'")
+        try:
+            return cls(events=events, horizon_s=horizon_s)
+        except ValueError as exc:
+            raise FaultScheduleError(f"bad schedule: {exc}") from exc
 
     def to_json(self, indent: int = 2) -> str:
         """Deterministic JSON text (sorted keys, fixed indent)."""
@@ -232,7 +265,12 @@ class FaultSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":
-        return cls.from_jsonable(json.loads(text))
+        """Parse :meth:`to_json` text (see :meth:`from_jsonable`)."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an int too long
+            raise FaultScheduleError(f"not JSON: {exc}") from exc
+        return cls.from_jsonable(data)
 
     def save(self, path: str) -> None:
         """Write the schedule as JSON; a failed write keeps the old file."""
@@ -244,6 +282,59 @@ class FaultSchedule:
     def load(cls, path: str) -> "FaultSchedule":
         with open(path) as handle:
             return cls.from_json(handle.read())
+
+
+def _event_from_jsonable(row, index: int) -> FaultEvent:
+    """Event ``index`` of a schedule document, or a typed error naming
+    it and the offending field."""
+    if not isinstance(row, dict):
+        raise FaultScheduleError(
+            f"event {index} must be a JSON object, got {type(row).__name__}")
+    for name in _EVENT_FIELDS:
+        if name not in row:
+            raise FaultScheduleError(f"event {index} lacks field {name!r}")
+    kinds = [kind.value for kind in FaultKind]
+    if row["kind"] not in kinds:
+        raise FaultScheduleError(
+            f"event {index} field 'kind': unknown kind {row['kind']!r}, "
+            f"expected one of {kinds}")
+    if not isinstance(row["fault_id"], str):
+        raise FaultScheduleError(
+            f"event {index} field 'fault_id' must be a string, got "
+            f"{type(row['fault_id']).__name__}")
+    targets = row["targets"]
+    if not isinstance(targets, list):
+        raise FaultScheduleError(
+            f"event {index} field 'targets' must be a list, got "
+            f"{type(targets).__name__}")
+    for position, target in enumerate(targets):
+        if not isinstance(target, str):
+            raise FaultScheduleError(
+                f"event {index} field 'targets' item {position} must be a "
+                f"string, got {type(target).__name__}")
+    where = f"event {index} field"
+    _finite(row["start_s"], f"{where} 'start_s'")
+    if row.get("duration_s") is not None:
+        _finite(row["duration_s"], f"{where} 'duration_s'")
+    try:
+        return FaultEvent.from_dict(row)
+    except ValueError as exc:
+        raise FaultScheduleError(f"event {index}: {exc}") from exc
+
+
+def _finite(value, where: str) -> float:
+    """``value`` as a float, or a typed error when it is not a finite
+    JSON number (``json`` reads ``NaN`` and ``Infinity``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FaultScheduleError(
+            f"{where} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise FaultScheduleError(f"{where} must be finite, got {number}")
+    return number
 
 
 def combine(*schedules: FaultSchedule) -> FaultSchedule:

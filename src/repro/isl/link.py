@@ -191,6 +191,121 @@ def best_link_between(node_a: str, terminals_a: Sequence[Terminal],
 
 
 @dataclass(frozen=True)
+class _LinkForm:
+    """The scalars one priced technology batch shares across its links.
+
+    ``extra_loss_db`` is None when the extra loss varies per link; the
+    optical ``ceiling_bps`` is None for RF.  Values keep the types the
+    budget code computed them as, because snapshot digests hash reprs.
+    """
+
+    technology: LinkTechnology
+    tx_power_dbw: float
+    tx_gain_dbi: float
+    rx_gain_dbi: float
+    extra_loss_db: Optional[float]
+    noise_power_dbw: float
+    bandwidth_hz: float
+    ceiling_bps: Optional[float]
+
+
+class IslLinkArrays:
+    """A set of ISL links as parallel arrays, one entry per link.
+
+    Endpoints are int32 indices into a node list the owner keeps;
+    ``form`` indexes :attr:`forms`, which holds each link's technology
+    and per-batch budget scalars.  Only these per-link fields are kept,
+    never the batch-wide budget arrays they were taken from.
+    :meth:`links` makes the :class:`IslLink` objects
+    :func:`best_link_between` would return, field types included.
+    """
+
+    #: The per-link arrays, in constructor order.
+    COLUMNS = ("node_a", "node_b", "distance_km", "capacity_bps",
+               "path_loss_db", "extra_loss_db", "form", "at_ceiling")
+    __slots__ = COLUMNS + ("forms",)
+
+    def __init__(self, node_a: np.ndarray, node_b: np.ndarray,
+                 distance_km: np.ndarray, capacity_bps: np.ndarray,
+                 path_loss_db: np.ndarray, extra_loss_db: np.ndarray,
+                 form: np.ndarray, at_ceiling: np.ndarray,
+                 forms: Sequence[_LinkForm]):
+        self.node_a = np.asarray(node_a, dtype=np.int32)
+        self.node_b = np.asarray(node_b, dtype=np.int32)
+        self.distance_km = np.asarray(distance_km, dtype=float)
+        self.capacity_bps = np.asarray(capacity_bps, dtype=float)
+        self.path_loss_db = np.asarray(path_loss_db, dtype=float)
+        self.extra_loss_db = np.asarray(extra_loss_db, dtype=float)
+        self.form = np.asarray(form, dtype=np.int32)
+        #: Optical links whose capacity is the terminal ceiling, which
+        #: the scalar path keeps as a Python float.
+        self.at_ceiling = np.asarray(at_ceiling, dtype=bool)
+        self.forms = list(forms)
+
+    @classmethod
+    def empty(cls) -> "IslLinkArrays":
+        none = np.empty(0)
+        return cls(none, none, none, none, none, none, none, none, [])
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["IslLinkArrays"]
+                    ) -> "IslLinkArrays":
+        """The links of every part, in order (form indices rebased)."""
+        if not parts:
+            return cls.empty()
+        columns = {name: np.concatenate([getattr(part, name)
+                                         for part in parts])
+                   for name in cls.COLUMNS}
+        offsets = np.cumsum([0] + [len(part.forms) for part in parts[:-1]])
+        columns["form"] = np.concatenate(
+            [part.form + offset for part, offset in zip(parts, offsets)])
+        return cls(**columns,
+                   forms=[form for part in parts for form in part.forms])
+
+    def take(self, positions: np.ndarray) -> "IslLinkArrays":
+        """The listed links, in the listed order."""
+        return IslLinkArrays(
+            *(getattr(self, name)[positions] for name in self.COLUMNS),
+            self.forms,
+        )
+
+    def __len__(self) -> int:
+        return int(self.node_a.shape[0])
+
+    def links(self, node_ids: Sequence[str]) -> List[IslLink]:
+        """One :class:`IslLink` per link, endpoints named by ``node_ids``.
+
+        Field types follow the scalar path, since snapshot digests hash
+        reprs: the range is a Python float, the path loss a numpy
+        float64, an edge-independent extra loss the scalar it was
+        computed as, and the optical capacity the float64 Shannon term
+        unless the Python-float ceiling binds.
+        """
+        forms = self.forms
+        links = []
+        for a, b, distance, loss, extra, capacity, raw_capacity, form_index, \
+                at_ceiling in zip(
+                    self.node_a.tolist(), self.node_b.tolist(),
+                    self.distance_km.tolist(), list(self.path_loss_db),
+                    list(self.extra_loss_db), self.capacity_bps.tolist(),
+                    list(self.capacity_bps), self.form.tolist(),
+                    self.at_ceiling.tolist()):
+            form = forms[form_index]
+            if form.extra_loss_db is not None:
+                extra = form.extra_loss_db
+            if form.ceiling_bps is not None:
+                capacity = form.ceiling_bps if at_ceiling else raw_capacity
+            links.append(IslLink(
+                node_ids[a], node_ids[b], form.technology, distance,
+                LinkBudget(form.tx_power_dbw, form.tx_gain_dbi,
+                           form.rx_gain_dbi, loss, extra,
+                           form.noise_power_dbw, form.bandwidth_hz),
+                capacity,
+            ))
+        return links
+
+
+@dataclass(frozen=True)
 class _TechnologyArrays:
     """One technology's budgets and capacities over a batch of ranges."""
 
@@ -202,38 +317,31 @@ class _TechnologyArrays:
     shannon_bps: Optional[np.ndarray] = None
     ceiling_bps: Optional[float] = None
 
-    def links_at(self, indices: np.ndarray, nodes_a: Sequence[str],
-                 nodes_b: Sequence[str],
-                 distances_km: Sequence[float]) -> List[IslLink]:
-        """The :class:`IslLink` :func:`_evaluate` builds, per listed
-        usable edge.
-
-        Field types follow the scalar path too, since snapshot digests
-        hash reprs: the path loss stays a numpy float64, an
-        edge-independent extra loss stays the scalar it was computed as,
-        and the optical capacity is the float64 Shannon term unless the
-        ceiling binds.
-        """
+    def link_arrays(self, indices: np.ndarray, node_a: np.ndarray,
+                    node_b: np.ndarray,
+                    distances_km: np.ndarray) -> IslLinkArrays:
+        """The listed usable edges' fields, as :func:`_evaluate` sets
+        them."""
         budgets = self.budgets
-        path_loss = list(budgets.path_loss_db[indices])
         extra = budgets.extra_loss_db
-        extras = (list(extra[indices]) if isinstance(extra, np.ndarray)
-                  else [extra] * len(path_loss))
+        per_link = isinstance(extra, np.ndarray)
+        form = _LinkForm(self.technology, budgets.tx_power_dbw,
+                         budgets.tx_gain_dbi, budgets.rx_gain_dbi,
+                         None if per_link else extra,
+                         budgets.noise_power_dbw, budgets.bandwidth_hz,
+                         self.ceiling_bps)
         if self.shannon_bps is None:
-            capacities = self.capacity_bps[indices].tolist()
+            at_ceiling = np.zeros(indices.shape, dtype=bool)
         else:
-            # The scalar path's min(shannon, ceiling) on float64 items.
-            capacities = [min(shannon, self.ceiling_bps)
-                          for shannon in self.shannon_bps[indices]]
-        return [
-            IslLink(node_a, node_b, self.technology, distance_km,
-                    LinkBudget(budgets.tx_power_dbw, budgets.tx_gain_dbi,
-                               budgets.rx_gain_dbi, loss, extra_loss,
-                               budgets.noise_power_dbw, budgets.bandwidth_hz),
-                    capacity)
-            for node_a, node_b, distance_km, loss, extra_loss, capacity in zip(
-                nodes_a, nodes_b, distances_km, path_loss, extras, capacities)
-        ]
+            # The scalar path's min(shannon, ceiling) returns the ceiling
+            # only when it is strictly smaller.
+            at_ceiling = self.ceiling_bps < self.shannon_bps[indices]
+        return IslLinkArrays(
+            node_a, node_b, distances_km, self.capacity_bps[indices],
+            budgets.path_loss_db[indices],
+            extra[indices] if per_link else np.full(indices.shape, extra),
+            np.zeros(indices.shape, dtype=np.int32), at_ceiling, [form],
+        )
 
 
 def _evaluate_arrays(tech: LinkTechnology, term_a: Terminal,
@@ -259,8 +367,9 @@ class BestLinkArrays:
     Every mutually supported technology is priced once over the whole
     batch; per edge the choice is the scalar path's — the first
     technology, in declaration order, with strictly the highest usable
-    capacity — so :meth:`links_at` returns exactly the links
-    :func:`best_link_between` would.
+    capacity — so :meth:`link_arrays` (made into objects by
+    :meth:`IslLinkArrays.links`) holds exactly the links
+    :func:`best_link_between` would return.
 
     Args:
         terminals_a: ISL terminals of every edge's first endpoint.
@@ -304,28 +413,40 @@ class BestLinkArrays:
         """Per edge, True when some candidate closes."""
         return self._choice >= 0
 
-    def links_at(self, indices: np.ndarray, nodes_a: Sequence[str],
-                 nodes_b: Sequence[str],
-                 distances_km: Sequence[float]) -> List[Optional[IslLink]]:
-        """The selected link of each listed edge (None where none closes).
+    def link_arrays(self, indices: np.ndarray, node_a: np.ndarray,
+                    node_b: np.ndarray,
+                    distances_km: np.ndarray) -> IslLinkArrays:
+        """The selected link of each listed usable edge, in that order.
 
         Args:
-            indices: Edge positions in the batch.
-            nodes_a: First endpoint id per listed edge.
-            nodes_b: Second endpoint id per listed edge.
+            indices: Positions of usable edges in the batch.
+            node_a: First endpoint index per listed edge.
+            node_b: Second endpoint index per listed edge.
             distances_km: Range per listed edge, stored on the link.
         """
         indices = np.asarray(indices, dtype=np.intp)
-        choice = self._choice[indices]
-        links: List[Optional[IslLink]] = [None] * indices.size
-        for option_index, option in enumerate(self._options):
-            where = np.flatnonzero(choice == option_index).tolist()
-            if not where:
-                continue
-            made = option.links_at(
-                indices[where], [nodes_a[i] for i in where],
-                [nodes_b[i] for i in where], [distances_km[i] for i in where],
-            )
-            for at, link in zip(where, made):
-                links[at] = link
-        return links
+        columns = (indices, node_a, node_b, distances_km)
+        return gather_link_arrays(self._choice[indices],
+                                  [(option, columns) for option in self._options])
+
+
+def gather_link_arrays(choice: np.ndarray,
+                       sources: Sequence[tuple]) -> IslLinkArrays:
+    """Per entry, the links of source ``choice[entry]``, in entry order.
+
+    Each source is ``(priced batch, (indices, node_a, node_b,
+    distances))``; the batch's ``link_arrays`` receives the entries that
+    chose it.
+    """
+    parts = []
+    wheres = []
+    for number, (batch, columns) in enumerate(sources):
+        where = np.flatnonzero(choice == number)
+        if where.size:
+            parts.append(batch.link_arrays(*(column[where]
+                                             for column in columns)))
+            wheres.append(where)
+    if not parts:
+        return IslLinkArrays.empty()
+    merged = IslLinkArrays.concatenate(parts)
+    return merged.take(np.argsort(np.concatenate(wheres), kind="stable"))

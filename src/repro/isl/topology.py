@@ -11,13 +11,20 @@ for heterogeneous fleets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
-from repro.isl.link import BestLinkArrays, IslLink, Terminal
+from repro.isl.link import (
+    BestLinkArrays,
+    IslLink,
+    IslLinkArrays,
+    Terminal,
+    gather_link_arrays,
+)
 
 # The scalar oracle of BestLinkArrays stays importable from here, where
 # benchmarks/e2e/tracer.py looks it up.
@@ -118,23 +125,13 @@ class _ShellBudgets:
             self.usable[members] = batch.usable
             self._batches.append(batch)
 
-    def links_at(self, positions: np.ndarray, nodes_a: Sequence[str],
-                 nodes_b: Sequence[str],
-                 distances_km: Sequence[float]) -> List[IslLink]:
+    def link_arrays(self, positions: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray,
+                    distances_km: np.ndarray) -> IslLinkArrays:
         """The links of the usable pairs at ``positions``, in that order."""
-        links: List[Optional[IslLink]] = [None] * positions.size
-        group_of = self._group_of[positions]
-        for group, batch in enumerate(self._batches):
-            where = np.flatnonzero(group_of == group).tolist()
-            if not where:
-                continue
-            made = batch.links_at(
-                self._slot[positions[where]], [nodes_a[i] for i in where],
-                [nodes_b[i] for i in where], [distances_km[i] for i in where],
-            )
-            for at, link in zip(where, made):
-                links[at] = link
-        return links
+        columns = (self._slot[positions], rows, cols, distances_km)
+        return gather_link_arrays(self._group_of[positions],
+                       [(batch, columns) for batch in self._batches])
 
 
 @dataclass
@@ -157,71 +154,145 @@ class IslNode:
     owner: str = "unknown"
 
 
-@dataclass
+#: Positions a snapshot can be built from: ECI position per node id, or
+#: an ``(N, 3)`` matrix in the builder's node order.
+Positions = Union[Mapping[str, np.ndarray], np.ndarray]
+
+
 class TopologySnapshot:
-    """The ISL graph at one instant.
+    """The ISL topology at one instant, held as arrays.
+
+    :attr:`graph` is a networkx view derived from the arrays on first
+    read and cached.  Mutating it changes neither the arrays nor
+    anything compiled from them.
+
+    Args:
+        time_s: Snapshot timestamp.
+        nodes: The participating spacecraft, in builder order.
+        links: The accepted links in greedy acceptance order; endpoints
+            index ``nodes``.
 
     Attributes:
         time_s: Snapshot timestamp.
-        graph: Undirected graph; nodes are spacecraft ids, each edge holds
-            its :class:`IslLink` under the ``"link"`` attribute plus
-            ``"delay_s"`` and ``"capacity_bps"`` convenience attributes.
-        positions: Node id -> ECI position (km) at the snapshot time.
+        node_ids: Ids of ``nodes``; link endpoints index this list.
+        links: :class:`~repro.isl.link.IslLinkArrays` of the snapshot.
     """
 
-    time_s: float
-    graph: nx.Graph
-    positions: Dict[str, np.ndarray] = field(default_factory=dict)
+    def __init__(self, time_s: float, nodes: Sequence[IslNode],
+                 links: IslLinkArrays):
+        self.time_s = time_s
+        self.node_ids = [node.node_id for node in nodes]
+        self._owners = [node.owner for node in nodes]
+        self.links = links
 
-    def link_between(self, node_a: str, node_b: str) -> Optional[IslLink]:
-        """The ISL between two nodes, or None when absent."""
-        data = self.graph.get_edge_data(node_a, node_b)
-        return data["link"] if data else None
+    @cached_property
+    def link_objects(self) -> List[IslLink]:
+        """One :class:`IslLink` per link, made once and shared by every
+        graph view of this snapshot."""
+        return self.links.links(self.node_ids)
+
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """Undirected graph view: nodes are spacecraft ids (builder
+        order) with an ``owner`` attribute; each edge, added in
+        acceptance order, holds its :class:`IslLink` under ``"link"``
+        plus ``"delay_s"`` and ``"capacity_bps"``."""
+        graph = nx.Graph()
+        graph.add_nodes_from(
+            (node, {"owner": owner})
+            for node, owner in zip(self.node_ids, self._owners)
+        )
+        graph.add_edges_from(
+            (link.node_a, link.node_b, isl_edge_attrs(link))
+            for link in self.link_objects
+        )
+        return graph
+
+    @cached_property
+    def _index(self) -> Dict[str, int]:
+        return {node: i for i, node in enumerate(self.node_ids)}
 
     @property
     def link_count(self) -> int:
-        return self.graph.number_of_edges()
+        return len(self.links)
 
-    def degree_of(self, node_id: str) -> int:
-        return self.graph.degree(node_id) if node_id in self.graph else 0
-
-    def edge_set(self) -> frozenset:
-        """The snapshot's edges as canonical ``(min_id, max_id)`` pairs."""
-        return frozenset(
-            (a, b) if a <= b else (b, a) for a, b in self.graph.edges
-        )
+    def pair_keys(self) -> np.ndarray:
+        """Each link as one int64 ``low * N + high`` over node indices."""
+        low = np.minimum(self.links.node_a, self.links.node_b)
+        high = np.maximum(self.links.node_a, self.links.node_b)
+        return low.astype(np.int64) * len(self.node_ids) + high
 
 
-@dataclass(frozen=True)
+def isl_edge_attrs(link: IslLink) -> dict:
+    """The edge attributes every graph view gives one ISL."""
+    return {"link": link, "delay_s": link.propagation_delay_s,
+            "capacity_bps": link.capacity_bps}
+
+
+def _named_pairs(node_ids: Sequence[str], first: np.ndarray,
+                 second: np.ndarray) -> List[Tuple[str, str]]:
+    """Index pairs as canonical ``(min_id, max_id)`` id tuples."""
+    pairs = []
+    for a, b in zip(first.tolist(), second.tolist()):
+        a, b = node_ids[a], node_ids[b]
+        pairs.append((a, b) if a <= b else (b, a))
+    return pairs
+
+
 class TopologyDelta:
     """Edge-set difference between two consecutive topology snapshots.
 
-    Pairs are canonical ``(min_id, max_id)`` tuples, each list sorted, so
-    deltas are deterministic regardless of graph iteration order.
+    Held as node-index pairs over the node list both snapshots share;
+    the canonical ``(min_id, max_id)`` tuples are built, and sorted, only
+    when :attr:`appeared`, :attr:`disappeared` or :attr:`persisted` is
+    read, so deltas are deterministic regardless of build order.
 
-    Attributes:
-        appeared: Edges present now but not previously.
-        disappeared: Edges present previously but gone now.
-        persisted: Edges present in both snapshots (their link objects
+    Args:
+        node_ids: The node list the pairs index.
+        appeared: ``(k, 2)`` pairs present now but not previously.
+        disappeared: Pairs present previously but gone now.
+        persisted: Pairs present in both snapshots (their link objects
             are still re-evaluated — the distance moved).
         full_rebuild: True when there was no comparable previous snapshot
-            (first epoch, or the participating node set changed), in
+            (first epoch, or the participating node list changed), in
             which case ``appeared`` holds every edge.
     """
 
-    appeared: Tuple[Tuple[str, str], ...]
-    disappeared: Tuple[Tuple[str, str], ...]
-    persisted: Tuple[Tuple[str, str], ...]
-    full_rebuild: bool = False
+    def __init__(self, node_ids: Sequence[str], appeared: np.ndarray,
+                 disappeared: np.ndarray, persisted: np.ndarray,
+                 full_rebuild: bool = False):
+        self.node_ids = node_ids
+        self.appeared_pairs = np.asarray(appeared, dtype=np.int64).reshape(-1, 2)
+        self.disappeared_pairs = np.asarray(
+            disappeared, dtype=np.int64).reshape(-1, 2)
+        self.persisted_pairs = np.asarray(
+            persisted, dtype=np.int64).reshape(-1, 2)
+        self.full_rebuild = full_rebuild
+
+    def _named(self, pairs: np.ndarray) -> Tuple[Tuple[str, str], ...]:
+        return tuple(sorted(_named_pairs(self.node_ids, pairs[:, 0],
+                                         pairs[:, 1])))
+
+    @cached_property
+    def appeared(self) -> Tuple[Tuple[str, str], ...]:
+        return self._named(self.appeared_pairs)
+
+    @cached_property
+    def disappeared(self) -> Tuple[Tuple[str, str], ...]:
+        return self._named(self.disappeared_pairs)
+
+    @cached_property
+    def persisted(self) -> Tuple[Tuple[str, str], ...]:
+        return self._named(self.persisted_pairs)
 
     @property
     def changed_count(self) -> int:
-        return len(self.appeared) + len(self.disappeared)
+        return len(self.appeared_pairs) + len(self.disappeared_pairs)
 
     @property
     def churn_fraction(self) -> float:
         """Changed edges over total edges involved (0 for identical sets)."""
-        total = self.changed_count + len(self.persisted)
+        total = self.changed_count + len(self.persisted_pairs)
         return self.changed_count / total if total else 0.0
 
 
@@ -249,21 +320,19 @@ class IslTopologyBuilder:
         # Nodes carrying equal terminal lists share a profile, and each
         # profile pair gets one batched link-budget pass per shell.
         profiles: Dict[Tuple[Terminal, ...], int] = {}
-        self._profile_of = {
-            node.node_id: profiles.setdefault(tuple(node.terminals),
-                                              len(profiles))
-            for node in self.nodes
-        }
+        self._profile = np.array(
+            [profiles.setdefault(tuple(node.terminals), len(profiles))
+             for node in self.nodes], dtype=np.int64,
+        )
         self._profiles = list(profiles)
 
     def node(self, node_id: str) -> IslNode:
         """Look up a node by id (raises KeyError for unknown ids)."""
         return self._by_id[node_id]
 
-    def snapshot(self, time_s: float,
-                 positions: Dict[str, np.ndarray],
+    def snapshot(self, time_s: float, positions: Positions,
                  exclude: Optional[Sequence[str]] = None) -> TopologySnapshot:
-        """Build the ISL graph for one instant.
+        """Build the ISL topology for one instant.
 
         Candidate pairs are accepted nearest-first (ties by node order)
         while both endpoints have spare ISL degree — shorter links close
@@ -273,41 +342,38 @@ class IslTopologyBuilder:
 
         Args:
             time_s: Snapshot timestamp (stored on the result).
-            positions: ECI position per node id; every participating node
-                must appear.
+            positions: ECI position per node id, where every
+                participating node must appear, or an ``(N, 3)`` matrix
+                with one row per builder node, in :attr:`nodes` order.
             exclude: Node ids to leave out entirely (failed satellites):
-                they take no graph node, no candidate pair, and no degree
+                they take no node, no candidate pair, and no degree
                 slot, so the result is identical to building from the
                 surviving fleet alone.
         """
         excluded = frozenset(exclude or ())
-        nodes = [n for n in self.nodes if n.node_id not in excluded]
-        missing = [n.node_id for n in nodes if n.node_id not in positions]
-        if missing:
-            raise ValueError(f"positions missing for nodes: {missing}")
-        graph = nx.Graph()
-        for node in nodes:
-            graph.add_node(node.node_id, owner=node.owner)
-        if len(nodes) >= 2:
-            pos_matrix = np.stack(
-                [np.asarray(positions[n.node_id], dtype=float) for n in nodes]
-            )
-            for link in self._assign_links(nodes, pos_matrix):
-                graph.add_edge(
-                    link.node_a,
-                    link.node_b,
-                    link=link,
-                    delay_s=link.propagation_delay_s,
-                    capacity_bps=link.capacity_bps,
+        included = np.array([i for i, node in enumerate(self.nodes)
+                             if node.node_id not in excluded], dtype=np.intp)
+        nodes = [self.nodes[i] for i in included.tolist()]
+        if isinstance(positions, np.ndarray):
+            if positions.shape != (len(self.nodes), 3):
+                raise ValueError(
+                    f"position matrix must be ({len(self.nodes)}, 3), "
+                    f"got {positions.shape}"
                 )
-        return TopologySnapshot(
-            time_s=time_s,
-            graph=graph,
-            positions={k: np.asarray(v, dtype=float) for k, v in positions.items()},
-        )
+            pos_matrix = positions[included]
+        else:
+            missing = [n.node_id for n in nodes if n.node_id not in positions]
+            if missing:
+                raise ValueError(f"positions missing for nodes: {missing}")
+            pos_matrix = np.array(
+                [np.asarray(positions[n.node_id], dtype=float) for n in nodes]
+            ).reshape(len(nodes), 3)
+        links = (self._assign_links(nodes, included, pos_matrix)
+                 if len(nodes) >= 2 else IslLinkArrays.empty())
+        return TopologySnapshot(time_s, nodes, links)
 
-    def _assign_links(self, nodes: Sequence[IslNode],
-                      pos_matrix: np.ndarray) -> List[IslLink]:
+    def _assign_links(self, nodes: Sequence[IslNode], included: np.ndarray,
+                      pos_matrix: np.ndarray) -> IslLinkArrays:
         """The greedy nearest-first assignment, in acceptance order.
 
         The greedy walks every feasible pair sorted by ``(distance, row,
@@ -320,16 +386,18 @@ class IslTopologyBuilder:
         that is full at a shell's start would be skipped anyway.  The
         payoff is that the wide shells, where nearly every pair lies,
         only see the few nodes still open.
+
+        Returns:
+            The accepted links, endpoints indexing ``nodes``.
         """
         max_degree = [node.max_degree for node in nodes]
         degree = [0] * len(nodes)
         limits = np.asarray(max_degree)
-        profile = np.array([self._profile_of[n.node_id] for n in nodes],
-                           dtype=np.int64)
+        profile = self._profile[included]
         optical = np.array([n.allow_optical for n in nodes], dtype=bool)
         pair_source = (_kdtree_pairs if len(nodes) >= SPATIAL_AUTO_THRESHOLD
                        else _triangle_pairs)
-        links: List[IslLink] = []
+        shells: List[IslLinkArrays] = []
         inner_km = -math.inf
         for shell in reversed(range(ASSIGNMENT_SHELLS)):
             radius_km = self.max_range_km / 2 ** shell
@@ -346,13 +414,10 @@ class IslTopologyBuilder:
             )
             accepted = _greedy_accept(rows, cols, budgets.usable, degree,
                                       max_degree, open_idx.size)
-            links.extend(budgets.links_at(
-                accepted,
-                [nodes[row].node_id for row in rows[accepted].tolist()],
-                [nodes[col].node_id for col in cols[accepted].tolist()],
-                distances[accepted].tolist(),
+            shells.append(budgets.link_arrays(
+                accepted, rows[accepted], cols[accepted], distances[accepted],
             ))
-        return links
+        return IslLinkArrays.concatenate(shells)
 
     def _sorted_feasible(self, pos_matrix: np.ndarray, rows: np.ndarray,
                          cols: np.ndarray, inner_km: float, radius_km: float,
@@ -370,8 +435,7 @@ class IslTopologyBuilder:
         order = order[np.argsort(distances[order], kind="stable")]
         return rows[order], cols[order], distances[order]
 
-    def snapshot_delta(self, time_s: float,
-                       positions: Dict[str, np.ndarray],
+    def snapshot_delta(self, time_s: float, positions: Positions,
                        exclude: Optional[Sequence[str]] = None,
                        previous: Optional[TopologySnapshot] = None,
                        ) -> Tuple[TopologySnapshot, TopologyDelta]:
@@ -380,33 +444,32 @@ class IslTopologyBuilder:
         The new snapshot is always an honest rebuild (greedy assignment
         over freshly evaluated geometry — persisting a link requires
         re-evaluating its budget at the new distance anyway), so the
-        result is byte-identical to :meth:`snapshot`.  The delta tells
-        churn accounting (see
+        result is identical to :meth:`snapshot`.  The delta tells churn
+        accounting (see
         :attr:`repro.core.network.OpenSpaceNetwork.last_snapshot_delta`)
-        exactly which edges changed.
+        exactly which edges changed; it diffs int pair keys, and names
+        the edges only when read.
 
         Args:
             time_s: Snapshot timestamp.
-            positions: ECI position per node id.
+            positions: As for :meth:`snapshot`.
             exclude: Node ids to leave out (failed satellites).
             previous: The prior epoch's snapshot; ``None`` (or a snapshot
-                over a different node set) yields a full-rebuild delta.
+                over a different node list) yields a full-rebuild delta.
         """
         snap = self.snapshot(time_s, positions, exclude=exclude)
-        new_edges = snap.edge_set()
-        if previous is None or set(previous.graph.nodes) != set(snap.graph.nodes):
-            delta = TopologyDelta(
-                appeared=tuple(sorted(new_edges)),
-                disappeared=(),
-                persisted=(),
-                full_rebuild=True,
-            )
+        keys = snap.pair_keys()
+        if previous is None or previous.node_ids != snap.node_ids:
+            none = np.empty(0, dtype=np.int64)
+            delta = _key_delta(snap.node_ids, np.sort(keys), none, none,
+                               full_rebuild=True)
             return snap, delta
-        prev_edges = previous.edge_set()
-        delta = TopologyDelta(
-            appeared=tuple(sorted(new_edges - prev_edges)),
-            disappeared=tuple(sorted(prev_edges - new_edges)),
-            persisted=tuple(sorted(new_edges & prev_edges)),
+        prev_keys = previous.pair_keys()
+        delta = _key_delta(
+            snap.node_ids,
+            np.setdiff1d(keys, prev_keys, assume_unique=True),
+            np.setdiff1d(prev_keys, keys, assume_unique=True),
+            np.intersect1d(keys, prev_keys, assume_unique=True),
         )
         return snap, delta
 
@@ -419,3 +482,16 @@ class IslTopologyBuilder:
             positions_at: Callable ``time_s -> {node_id: position}``.
         """
         return [self.snapshot(t, positions_at(t)) for t in times_s]
+
+
+def _key_delta(node_ids: Sequence[str], appeared: np.ndarray,
+               disappeared: np.ndarray, persisted: np.ndarray,
+               full_rebuild: bool = False) -> TopologyDelta:
+    """A :class:`TopologyDelta` from ``low * N + high`` pair keys."""
+    count = max(len(node_ids), 1)
+
+    def pairs(keys: np.ndarray) -> np.ndarray:
+        return np.stack(np.divmod(keys, count), axis=-1)
+
+    return TopologyDelta(node_ids, pairs(appeared), pairs(disappeared),
+                         pairs(persisted), full_rebuild=full_rebuild)

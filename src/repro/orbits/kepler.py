@@ -15,7 +15,7 @@ cites).
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,6 +213,26 @@ class KeplerPropagator:
             self._raan_dot = 0.0
             self._argp_dot = 0.0
             self._mean_dot = self._n
+        self._rotation_t: Optional[np.ndarray] = None
+
+    @property
+    def fixed_rotation_t(self) -> np.ndarray:
+        """The transposed perifocal-to-ECI rotation without J2, built once.
+
+        Without J2 the orbital plane is inertially fixed, so one matrix
+        serves every time.  The transpose is materialized contiguously
+        because matmul dispatches a different (last-ulp-different)
+        kernel for strided views depending on the time-grid width; the
+        contiguous product is shape-independent, which keeps primed epoch
+        grids bitwise equal to per-epoch solves.
+        """
+        if self._rotation_t is None:
+            el = self.elements
+            rot = _perifocal_to_eci_matrix(
+                el.inclination_rad, el.raan_rad, el.arg_perigee_rad
+            )
+            self._rotation_t = np.ascontiguousarray(rot.T)
+        return self._rotation_t
 
     def state_at(self, time_s: float) -> Tuple[np.ndarray, np.ndarray]:
         """ECI position (km) and velocity (km/s) at simulation time ``time_s``."""
@@ -284,17 +304,7 @@ class KeplerPropagator:
              np.zeros_like(sin_nu)], axis=-1
         )
         if self._raan_dot == 0.0 and self._argp_dot == 0.0:
-            # Without J2 the orbital plane is inertially fixed: one
-            # rotation matrix serves every timestep.  The transpose is
-            # materialized contiguously because matmul dispatches a
-            # different (last-ulp-different) kernel for strided views
-            # depending on T — the contiguous product is shape-
-            # independent, which keeps primed epoch grids bitwise equal
-            # to per-epoch solves.
-            rot = _perifocal_to_eci_matrix(
-                el.inclination_rad, el.raan_rad, el.arg_perigee_rad
-            )
-            rot_t = np.ascontiguousarray(rot.T)
+            rot_t = self.fixed_rotation_t
             return pos_pf @ rot_t, vel_pf @ rot_t
         raan = el.raan_rad + self._raan_dot * dt
         argp = el.arg_perigee_rad + self._argp_dot * dt
@@ -425,17 +435,10 @@ def _batch_states_flat(propagators: Sequence[KeplerPropagator],
         [-v_factor * sin_nu, v_factor * (ecc[:, None] + cos_nu), zeros],
         axis=-1,
     )
-    rots = np.stack([
-        _perifocal_to_eci_matrix(
-            el.inclination_rad, el.raan_rad, el.arg_perigee_rad
-        )
-        for el in elements
-    ])
-    # Contiguous transpose: matmul over a strided view picks a different
-    # kernel (and rounds the last ulp differently) depending on T; the
-    # contiguous product is shape-independent, so a whole primed grid is
-    # bitwise equal to T separate single-epoch solves.
-    rots_t = np.ascontiguousarray(rots.transpose(0, 2, 1))
+    # Contiguous transposes (see KeplerPropagator.fixed_rotation_t): the
+    # product is shape-independent, so a whole primed grid is bitwise
+    # equal to T separate single-epoch solves.
+    rots_t = np.stack([p.fixed_rotation_t for p in propagators])
     return np.matmul(pos_pf, rots_t), np.matmul(vel_pf, rots_t)
 
 

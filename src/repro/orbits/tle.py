@@ -11,8 +11,9 @@ published/consumed through the same public-data format real systems use.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Tuple
 
 from repro.orbits.constants import EARTH_MU_KM3_S2
 from repro.orbits.elements import OrbitalElements
@@ -21,11 +22,49 @@ _TWO_PI = 2.0 * math.pi
 _SECONDS_PER_DAY = 86400.0
 
 
+class TleFormatError(ValueError):
+    """A TLE record that does not parse or holds an out-of-range field;
+    the message names the line and the columns."""
+
+
+#: What a numeric field may hold: an optional sign, digits and at most
+#: one decimal point, padded with spaces (nothing Python's ``float``
+#: would also take, like ``"1_0"``, ``"inf"`` or ``"1e5"``).
+_NUMBER = re.compile(r" *[+-]?([0-9]+\.?[0-9]*|\.[0-9]+) *")
+_INTEGER = re.compile(r" *[+-]?[0-9]+ *")
+#: The eccentricity field: digits after an implied leading "0.".
+_DIGITS = re.compile(r" *[0-9]+ *")
+
+
+def _field(lines: Tuple[str, str], line_number: int, start: int, end: int,
+           name: str, pattern: "re.Pattern[str]",
+           convert: Callable[[str], float]):
+    """Parse 1-based columns ``start``-``end`` of TLE line ``line_number``."""
+    text = lines[line_number - 1][start - 1:end]
+    if not pattern.fullmatch(text):
+        raise TleFormatError(
+            f"line {line_number} columns {start}-{end} ({name}): cannot "
+            f"parse {text!r}"
+        )
+    return convert(text)
+
+
+def _check_range(value: float, low: float, high: float, closed: bool,
+                 line_number: int, start: int, end: int, name: str) -> None:
+    inside = low <= value <= high if closed else low <= value < high
+    if not inside:
+        bracket = "]" if closed else ")"
+        raise TleFormatError(
+            f"line {line_number} columns {start}-{end} ({name}): {value} is "
+            f"outside [{low:g}, {high:g}{bracket}"
+        )
+
+
 def _checksum(line: str) -> int:
     """TLE modulo-10 checksum: digits count as themselves, '-' counts as 1."""
     total = 0
     for char in line[:68]:
-        if char.isdigit():
+        if char in "0123456789":
             total += int(char)
         elif char == "-":
             total += 1
@@ -79,7 +118,11 @@ def parse_tle(lines: List[str]) -> TwoLineElement:
     """Parse a 2- or 3-line TLE record (title line optional).
 
     Raises:
-        ValueError: On malformed lines or checksum failure.
+        TleFormatError: On malformed lines, a checksum failure, a field
+            that does not parse (naming its line and columns), or an
+            out-of-range field: inclination outside [0, 180] degrees,
+            RAAN, argument of perigee or mean anomaly outside [0, 360)
+            degrees, or a mean motion that is not positive.
     """
     stripped = [line.rstrip("\n") for line in lines if line.strip()]
     if len(stripped) == 3:
@@ -87,39 +130,64 @@ def parse_tle(lines: List[str]) -> TwoLineElement:
     elif len(stripped) == 2:
         name, (line1, line2) = "UNKNOWN", stripped
     else:
-        raise ValueError(f"expected 2 or 3 TLE lines, got {len(stripped)}")
+        raise TleFormatError(
+            f"expected 2 or 3 TLE lines, got {len(stripped)}")
     if not line1.startswith("1 ") or not line2.startswith("2 "):
-        raise ValueError("TLE lines must start with '1 ' and '2 '")
-    for line in (line1, line2):
+        raise TleFormatError("TLE lines must start with '1 ' and '2 '")
+    for number, line in ((1, line1), (2, line2)):
         if len(line) < 69:
-            raise ValueError(f"TLE line too short ({len(line)} chars): {line!r}")
+            raise TleFormatError(
+                f"line {number} too short ({len(line)} chars): {line!r}")
+        if line[68] not in "0123456789":
+            raise TleFormatError(
+                f"line {number} column 69 (checksum): cannot parse "
+                f"{line[68]!r}")
         if int(line[68]) != _checksum(line):
-            raise ValueError(f"TLE checksum mismatch on line: {line!r}")
-    catalog = int(line1[2:7])
-    epoch_year = int(line1[18:20])
-    epoch_day = float(line1[20:32])
-    inclination = float(line2[8:16])
-    raan = float(line2[17:25])
-    eccentricity = float("0." + line2[26:33].strip())
-    arg_perigee = float(line2[34:42])
-    mean_anomaly = float(line2[43:51])
-    mean_motion = float(line2[52:63])
+            raise TleFormatError(
+                f"line {number} column 69 (checksum): mismatch on line "
+                f"{line!r}")
+    both = (line1, line2)
+    inclination = _field(both, 2, 9, 16, "inclination", _NUMBER, float)
+    _check_range(inclination, 0.0, 180.0, True, 2, 9, 16, "inclination")
+    angles = {}
+    for field_name, start, end in (("raan", 18, 25), ("arg_perigee", 35, 42),
+                                   ("mean_anomaly", 44, 51)):
+        angle = _field(both, 2, start, end, field_name, _NUMBER, float)
+        _check_range(angle, 0.0, 360.0, False, 2, start, end, field_name)
+        angles[field_name] = angle
+    mean_motion = _field(both, 2, 53, 63, "mean_motion", _NUMBER, float)
+    if not mean_motion > 0.0:
+        raise TleFormatError(
+            f"line 2 columns 53-63 (mean_motion): {mean_motion} is not "
+            f"positive")
     return TwoLineElement(
         name=name.strip(),
-        catalog_number=catalog,
-        epoch_year=epoch_year,
-        epoch_day=epoch_day,
+        catalog_number=_field(both, 1, 3, 7, "catalog_number", _INTEGER, int),
+        epoch_year=_field(both, 1, 19, 20, "epoch_year", _INTEGER, int),
+        epoch_day=_field(both, 1, 21, 32, "epoch_day", _NUMBER, float),
         inclination_deg=inclination,
-        raan_deg=raan,
-        eccentricity=eccentricity,
-        arg_perigee_deg=arg_perigee,
-        mean_anomaly_deg=mean_anomaly,
+        raan_deg=angles["raan"],
+        eccentricity=_field(both, 2, 27, 33, "eccentricity", _DIGITS,
+                            lambda text: float("0." + text.strip())),
+        arg_perigee_deg=angles["arg_perigee"],
+        mean_anomaly_deg=angles["mean_anomaly"],
         mean_motion_rev_day=mean_motion,
     )
 
 
+def _angle_field(degrees: float) -> str:
+    """An angle as an 8.4f field in [0, 360): one that rounds up to
+    360.0000 wraps to 0.0000, so every emitted record parses."""
+    text = f"{degrees % 360.0:8.4f}"
+    return "  0.0000" if text == "360.0000" else text
+
+
 def emit_tle(tle: TwoLineElement) -> List[str]:
-    """Render a :class:`TwoLineElement` to a checksummed 3-line record."""
+    """Render a :class:`TwoLineElement` to a checksummed 3-line record.
+
+    RAAN, argument of perigee and mean anomaly are written modulo 360
+    degrees, the range :func:`parse_tle` accepts.
+    """
     ecc_field = f"{tle.eccentricity:.7f}"[2:9]
     line1 = (
         f"1 {tle.catalog_number:05d}U 00000A   "
@@ -130,8 +198,10 @@ def emit_tle(tle: TwoLineElement) -> List[str]:
     line1 += str(_checksum(line1))
     line2 = (
         f"2 {tle.catalog_number:05d} {tle.inclination_deg:8.4f} "
-        f"{tle.raan_deg:8.4f} {ecc_field} {tle.arg_perigee_deg:8.4f} "
-        f"{tle.mean_anomaly_deg:8.4f} {tle.mean_motion_rev_day:11.8f}    0"
+        f"{_angle_field(tle.raan_deg)} {ecc_field} "
+        f"{_angle_field(tle.arg_perigee_deg)} "
+        f"{_angle_field(tle.mean_anomaly_deg)} "
+        f"{tle.mean_motion_rev_day:11.8f}    0"
     )
     line2 = line2[:68].ljust(68)
     line2 += str(_checksum(line2))

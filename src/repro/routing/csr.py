@@ -110,7 +110,6 @@ class CsrAdjacency:
             nodes = list(graph.nodes)
         index = {n: i for i, n in enumerate(nodes)}
         weight_fn = _weight_callable(weight)
-        directed = bool(graph.is_directed())
 
         rows: List[int] = []
         cols: List[int] = []
@@ -121,22 +120,45 @@ class CsrAdjacency:
             if iu is None or iv is None or iu == iv:
                 continue
             cost = weight_fn(u, v, data)
-            if cost is None or not np.isfinite(cost):
+            if cost is None:
                 continue
             rows.append(iu)
             cols.append(iv)
             weights.append(float(cost))
-            if not directed:
-                rows.append(iv)
-                cols.append(iu)
-                weights.append(float(cost))
+        return cls.from_edges(nodes, np.asarray(rows, dtype=np.int64),
+                              np.asarray(cols, dtype=np.int64),
+                              np.asarray(weights, dtype=np.float64),
+                              directed=bool(graph.is_directed()))
 
+    @classmethod
+    def from_edges(cls, nodes: List[Hashable], rows: np.ndarray,
+                   cols: np.ndarray, weights: np.ndarray,
+                   directed: bool = False) -> "CsrAdjacency":
+        """Compile parallel edge arrays into a CSR adjacency.
+
+        Self-loops and edges with a non-finite weight are dropped; an
+        undirected edge is stored in both directions.  Every row's
+        entries are sorted by neighbour index, so the arrays depend only
+        on the node order and the edge set, never on the edge order.
+
+        Args:
+            nodes: Node ids; row ``i`` is ``nodes[i]``.
+            rows: Source node index per edge.
+            cols: Target node index per edge (no duplicate pairs).
+            weights: Cost per edge.
+            directed: Store only the listed direction.
+        """
+        keep = (rows != cols) & np.isfinite(weights)
+        row_arr = rows[keep].astype(np.int64, copy=False)
+        col_arr = cols[keep].astype(np.int64, copy=False)
+        data_arr = weights[keep].astype(np.float64, copy=False)
+        if not directed:
+            row_arr, col_arr = (np.concatenate([row_arr, col_arr]),
+                                np.concatenate([col_arr, row_arr]))
+            data_arr = np.concatenate([data_arr, data_arr])
         count = len(nodes)
-        row_arr = np.asarray(rows, dtype=np.int64)
-        col_arr = np.asarray(cols, dtype=np.int64)
-        data_arr = np.asarray(weights, dtype=np.float64)
-        # Stable (row, col) sort = insertion-order rows, index-sorted
-        # neighbors: the deterministic tie ordering the digests rely on.
+        # (row, col) sort = node-order rows, index-sorted neighbours:
+        # the deterministic tie ordering the digests rely on.
         order = np.lexsort((col_arr, row_arr))
         row_arr = row_arr[order]
         col_arr = col_arr[order]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import networkx as nx
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,20 @@ class EdgeCostModel:
         if capacity < self.min_capacity_bps:
             cost += self.bottleneck_penalty_s
         return cost
+
+    def edge_costs(self, delay_s: np.ndarray, queue_delay_s: np.ndarray,
+                   tariff_per_gb: np.ndarray,
+                   capacity_bps: np.ndarray) -> np.ndarray:
+        """:meth:`edge_cost` over parallel attribute arrays.
+
+        The same float operations in the same order, so every entry
+        equals the scalar cost bit for bit; pass zeros for attributes an
+        edge lacks, as :meth:`edge_cost` defaults them.
+        """
+        cost = delay_s + self.queue_weight * queue_delay_s
+        cost = cost + self.tariff_weight * tariff_per_gb
+        return np.where(capacity_bps < self.min_capacity_bps,
+                        cost + self.bottleneck_penalty_s, cost)
 
     def weight_fn(self):
         """A networkx-compatible ``weight(u, v, data)`` callable."""

@@ -1,24 +1,123 @@
-"""The scalar user overlay the access-link pricer is checked against.
+"""The graph-built network assembly the array snapshots are checked against.
 
-``OpenSpaceNetwork.snapshot(t, users=...)`` and
-``OpenSpaceNetwork.gateway_probe_paths`` price every user access link in
-one array pass.  This module keeps the per-user loop that pass replaced:
-one elevation pass per user over the alive fleet, and one scalar
-``rf_link_budget`` per satellite above the user's mask, each closing link
-added to the graph as it is found.  It is slow and obviously right, which
-is all a referee needs to be.
+``OpenSpaceNetwork`` assembles every snapshot as arrays and derives its
+networkx ``.graph`` view, CSR compiles, probes and digest from them.
+This module keeps the assembly those arrays replaced, one networkx edit
+at a time:
+
+* the ISL graph of the scalar greedy (``tests/isl/oracle.py``);
+* a copy of it with the satellite attributes, minus the failed links;
+* each alive ground station attached with one scalar ``rf_link_budget``
+  per satellite above its mask;
+* a copy of that with the users overlaid one at a time, again one scalar
+  budget per satellite above the user's mask.
+
+It is slow and obviously right, which is all a referee needs to be.
 """
 
 import math
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.network import NetworkSnapshot
+from repro.core.network import content_digest
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.visibility import elevation_angles
 from repro.phy.modulation import achievable_rate_bps
 from repro.phy.rf import rf_link_budget
+from repro.routing.csr import CsrAdjacency
+from repro.routing.metrics import PROPAGATION_ONLY, path_metrics
+from tests.isl.oracle import oracle_graph
+
+
+def graph_digest(time_s: float, graph) -> str:
+    """``NetworkSnapshot.digest`` of a graph: its nodes sorted by id, its
+    edges as ``(min id, max id)`` pairs sorted."""
+    return content_digest(
+        time_s, sorted(graph.nodes(data=True)),
+        sorted((min(a, b), max(a, b), data)
+               for a, b, data in graph.edges(data=True)),
+    )
+
+
+class OracleSnapshot:
+    """A graph-built snapshot: the combined graph and the ISL graph."""
+
+    def __init__(self, time_s: float, graph, isl_graph):
+        self.time_s = time_s
+        self.graph = graph
+        self.isl_graph = isl_graph
+
+    def digest(self) -> str:
+        return graph_digest(self.time_s, self.graph)
+
+    def csr_adjacency(self, cost_model=None) -> CsrAdjacency:
+        return CsrAdjacency.from_graph(self.graph,
+                                       weight=cost_model or PROPAGATION_ONLY)
+
+    def nodes_of_kind(self, kind: str) -> List[str]:
+        return [node for node, data in self.graph.nodes(data=True)
+                if data.get("kind") == kind]
+
+    def nearest_ground_station_route(self, source: str, cost_model=None):
+        """Best route from ``source`` to any station, over the graph."""
+        if source not in self.graph:
+            return None
+        paths = self.csr_adjacency(cost_model).single_source(source)
+        best = None
+        for station in self.nodes_of_kind("ground_station"):
+            path = paths.path(source, station)
+            if path is None:
+                continue
+            metrics = path_metrics(self.graph, path)
+            if best is None or metrics.total_delay_s < best.total_delay_s:
+                best = metrics
+        return best
+
+
+def _alive(network) -> list:
+    return [spec for spec in network.satellites
+            if spec.satellite_id not in network.failed_satellites]
+
+
+def add_station_edges(graph, network, station, alive, positions,
+                      time_s) -> None:
+    """Attach one station node and its ground links to ``graph``."""
+    station_pos = station.position_eci(time_s)
+    graph.add_node(station.station_id, kind="ground_station",
+                   owner=station.owner)
+    if not alive:
+        return
+    mask_rad = math.radians(max(network.ground_elevation_mask_deg,
+                                station.min_elevation_deg))
+    alive_matrix = np.stack([positions[spec.satellite_id] for spec in alive])
+    elevations = elevation_angles(station_pos, alive_matrix)
+    deltas = alive_matrix - station_pos
+    distances = np.sqrt((deltas * deltas).sum(axis=-1))
+    for index in np.nonzero(elevations >= mask_rad)[0]:
+        spec = alive[int(index)]
+        distance = float(distances[index])
+        capacity = 0.0
+        if spec.ground_terminal is not None:
+            budget = rf_link_budget(
+                spec.ground_terminal,
+                network._station_terminal(spec.ground_terminal.band_name),
+                distance, elevation_rad=float(elevations[index]),
+                rain_rate_mm_h=station.rain_rate_mm_h,
+            )
+            capacity = achievable_rate_bps(budget.snr_db, budget.bandwidth_hz)
+        if capacity <= 0.0:
+            continue
+        graph.add_edge(
+            spec.satellite_id, station.station_id,
+            delay_s=distance / SPEED_OF_LIGHT_KM_S,
+            capacity_bps=min(float(capacity), station.backhaul_capacity_bps),
+            owner=station.owner,
+            tariff_per_gb=station.visitor_tariff_per_gb(),
+            queue_delay_s=station.queue_delay_s(),
+            kind="ground_link",
+        )
 
 
 def add_user_edges(graph, user, alive, positions, time_s) -> None:
@@ -53,23 +152,52 @@ def add_user_edges(graph, user, alive, positions, time_s) -> None:
         )
 
 
+@lru_cache(maxsize=32)
+def _base(network, fault_epoch: int, time_s: float) -> OracleSnapshot:
+    positions = network.satellite_positions(time_s)
+    builder = network._builder
+    isl_graph = oracle_graph(builder.nodes, positions,
+                             max_range_km=builder.max_range_km,
+                             grazing_altitude_km=builder.grazing_altitude_km,
+                             exclude=network.failed_satellites)
+    graph = isl_graph.copy()
+    alive = _alive(network)
+    for spec in alive:
+        graph.nodes[spec.satellite_id]["kind"] = "satellite"
+        graph.nodes[spec.satellite_id]["owner"] = spec.owner
+    for node_a, node_b in network.failed_links:
+        if graph.has_edge(node_a, node_b):
+            graph.remove_edge(node_a, node_b)
+    for station in network.ground_stations:
+        if station.station_id not in network.failed_stations:
+            add_station_edges(graph, network, station, alive, positions,
+                              time_s)
+    return OracleSnapshot(time_s, graph, isl_graph)
+
+
+def base_snapshot(network, time_s: float) -> OracleSnapshot:
+    """``network.snapshot(time_s)``, assembled graph edit by graph edit.
+
+    Cached per network, fault epoch and time; treat it as read-only.
+    """
+    return _base(network, network.fault_epoch, float(time_s))
+
+
 def user_snapshot(network, time_s: float,
-                  users: Sequence) -> NetworkSnapshot:
+                  users: Sequence) -> OracleSnapshot:
     """``network.snapshot(time_s, users=users)``, overlaid user by user."""
-    base = network.snapshot(time_s)
+    base = base_snapshot(network, time_s)
     graph = base.graph.copy()
-    alive = [spec for spec in network.satellites
-             if spec.satellite_id not in network.failed_satellites]
+    alive = _alive(network)
+    positions = network.satellite_positions(time_s)
     for user in users:
-        add_user_edges(graph, user, alive, base.isl_snapshot.positions,
-                       time_s)
-    return NetworkSnapshot(time_s=time_s, graph=graph,
-                           isl_snapshot=base.isl_snapshot)
+        add_user_edges(graph, user, alive, positions, time_s)
+    return OracleSnapshot(time_s, graph, base.isl_graph)
 
 
 def probe(network, time_s: float, user,
           cost_model=None) -> Optional[List[str]]:
-    """One user's nearest-gateway path over the scalar overlay, or None."""
+    """One user's nearest-gateway path over the oracle overlay, or None."""
     snap = user_snapshot(network, time_s, [user])
     metrics = snap.nearest_ground_station_route(user.user_id, cost_model)
     return None if metrics is None else list(metrics.path)

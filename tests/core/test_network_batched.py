@@ -102,6 +102,23 @@ class TestGatewayProbePaths:
             assert (primed.gateway_probe_paths(float(time_s), users)
                     == cold.gateway_probe_paths(float(time_s), users))
 
+    def test_loaded_gateways_trade_queueing_for_distance(self, users):
+        # Saturated gateways queue for up to 1 s, so the probe must weigh
+        # queueing against propagation to pick the same gateway.
+        net = _make_network()
+        for index, station in enumerate(net.ground_stations):
+            station.current_load_bps = (0.999 if index % 2 else 0.5) * \
+                station.backhaul_capacity_bps
+        routed_to_idle = 0
+        for time_s in (0.0, 900.0, 1800.0):
+            batched = net.gateway_probe_paths(time_s, users)
+            assert batched == _scalar_probes(net, users, time_s)
+            idle = set(net.snapshot(time_s).nodes_of_kind("ground_station")
+                       [::2])
+            routed_to_idle += sum(path is not None and path[-1] in idle
+                                  for path in batched.values())
+        assert routed_to_idle > 0
+
     def test_matches_oracle_on_mixed_fleet(self):
         # Every third satellite carries a weaker Ku terminal and every
         # seventh none at all; users alternate between two Ku terminals.

@@ -13,6 +13,7 @@ from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
+from tests.core.oracle import graph_digest
 
 
 def walker_network(count=60, planes=6, stations=True, **kwargs):
@@ -150,31 +151,28 @@ class TestPrimedPositions:
 
 class TestDigest:
     def test_digest_ignores_insertion_order(self):
-        import networkx as nx
-        from repro.core.network import NetworkSnapshot
-        from repro.isl.topology import TopologySnapshot
-
-        g1 = nx.Graph()
-        g1.add_edge("a", "b", delay_s=1.0)
-        g1.add_edge("b", "c", delay_s=2.0)
-        g2 = nx.Graph()
-        g2.add_edge("c", "b", delay_s=2.0)
-        g2.add_edge("b", "a", delay_s=1.0)
-        snap1 = NetworkSnapshot(0.0, g1, TopologySnapshot(0.0, g1))
-        snap2 = NetworkSnapshot(0.0, g2, TopologySnapshot(0.0, g2))
-        assert snap1.digest() == snap2.digest()
+        # Station order changes node order, not content (satellite order
+        # would: the greedy breaks range ties by it).
+        forward = walker_network(count=24, planes=4)
+        backward = OpenSpaceNetwork(
+            forward.satellites, list(reversed(forward.ground_stations)),
+            max_isl_range_km=3000.0,
+        )
+        snap = forward.snapshot(300.0)
+        reordered = backward.snapshot(300.0)
+        assert snap.nodes != reordered.nodes
+        assert snap.digest() == reordered.digest()
+        assert snap.digest() == graph_digest(300.0, snap.graph)
+        assert snap.digest() == graph_digest(300.0, reordered.graph)
 
     def test_digest_sensitive_to_attributes_and_time(self):
-        import networkx as nx
-        from repro.core.network import NetworkSnapshot
-        from repro.isl.topology import TopologySnapshot
-
-        g1 = nx.Graph()
-        g1.add_edge("a", "b", delay_s=1.0)
-        g2 = nx.Graph()
-        g2.add_edge("a", "b", delay_s=1.0 + 1e-12)
-        base = NetworkSnapshot(0.0, g1, TopologySnapshot(0.0, g1))
-        tweaked = NetworkSnapshot(0.0, g2, TopologySnapshot(0.0, g2))
-        later = NetworkSnapshot(1.0, g1, TopologySnapshot(1.0, g1))
-        assert base.digest() != tweaked.digest()
-        assert base.digest() != later.digest()
+        net = walker_network(count=24, planes=4)
+        base = net.snapshot(300.0).digest()
+        assert base != net.snapshot(301.0).digest()
+        assert any(kind == "ground_link"
+                   for _, _, kind in net.snapshot(300.0).graph.edges(
+                       data="kind"))
+        for station in net.ground_stations:  # raises tariffs and queues
+            station.current_load_bps = 5e9
+        net.invalidate_snapshot_cache()
+        assert base != net.snapshot(300.0).digest()

@@ -1,11 +1,16 @@
 """Tests for the fault-schedule model."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.model import (
     FaultEvent,
     FaultKind,
     FaultSchedule,
+    FaultScheduleError,
     combine,
     link_target,
     parse_link_target,
@@ -155,6 +160,127 @@ class TestFaultSchedule:
                                 horizon_s=100.0).shifted(5.0)
         assert shifted.events[0].start_s == 15.0
         assert shifted.horizon_s == 105.0
+
+
+def _event_row(**changes):
+    row = _event("e0").as_dict()
+    row.update(changes)
+    return row
+
+
+class TestScheduleErrors:
+    """Every malformed document raises one typed error naming the field
+    (and the event index inside ``events``)."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "JSON object, got list"),
+        ('"schedule"', "JSON object, got str"),
+        ("{}", "lacks field 'events'"),
+        ('{"horizon_s": 60.0}', "lacks field 'events'"),
+        ('{"events": {}}', "field 'events' must be a list, got dict"),
+        ('{"events": [3]}', "event 0 must be a JSON object, got int"),
+        ("{not json", "not JSON"),
+    ])
+    def test_document_shape(self, text, message):
+        with pytest.raises(FaultScheduleError, match=message):
+            FaultSchedule.from_json(text)
+
+    @pytest.mark.parametrize("field", ["fault_id", "kind", "targets",
+                                       "start_s"])
+    def test_event_missing_field(self, field):
+        row = _event_row()
+        del row[field]
+        text = json.dumps({"events": [_event_row(fault_id="ok"), row]})
+        with pytest.raises(FaultScheduleError,
+                           match=f"event 1 lacks field '{field}'"):
+            FaultSchedule.from_json(text)
+
+    def test_unknown_kind(self):
+        text = json.dumps({"events": [_event_row(kind="meteor")]})
+        with pytest.raises(FaultScheduleError,
+                           match="event 0 field 'kind': unknown kind 'meteor'"):
+            FaultSchedule.from_json(text)
+
+    def test_bad_values_name_the_event(self):
+        for row, message in [
+            (_event_row(targets="sat-a-0"), "field 'targets' must be a list"),
+            (_event_row(start_s="soon"),
+             "event 0 field 'start_s' must be a number, got str"),
+            (_event_row(start_s=True),
+             "event 0 field 'start_s' must be a number, got bool"),
+            (_event_row(start_s=-5.0), "event 0: fault 'e0' starts at"),
+            (_event_row(fault_id=7),
+             "event 0 field 'fault_id' must be a string, got int"),
+            (_event_row(kind="isl_link", targets=[5]),
+             "event 0 field 'targets' item 0 must be a string, got int"),
+            (_event_row(targets=["sat-a-0", None]),
+             "event 0 field 'targets' item 1 must be a string, got NoneType"),
+        ]:
+            with pytest.raises(FaultScheduleError, match=message):
+                FaultSchedule.from_json(json.dumps({"events": [row]}))
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"events": [{"fault_id": "x", "kind": "satellite", '
+         '"targets": ["s"], "start_s": NaN}]}',
+         "event 0 field 'start_s' must be finite, got nan"),
+        ('{"events": [{"fault_id": "x", "kind": "satellite", '
+         '"targets": ["s"], "start_s": 0, "duration_s": Infinity}]}',
+         "event 0 field 'duration_s' must be finite, got inf"),
+        ('{"events": [{"fault_id": "x", "kind": "satellite", '
+         '"targets": ["s"], "start_s": 1' + "0" * 400 + '}]}',
+         "event 0 field 'start_s' must be finite, got inf"),
+        ('{"events": [], "horizon_s": NaN}',
+         "field 'horizon_s' must be finite, got nan"),
+        ('{"events": [], "horizon_s": -Infinity}',
+         "field 'horizon_s' must be finite, got -inf"),
+        ('{"events": [], "horizon_s": "1h"}',
+         "field 'horizon_s' must be a number, got str"),
+        ('{"events": [], "horizon_s": 1' + "0" * 5000 + '}', "not JSON"),
+    ])
+    def test_non_finite_times(self, text, message):
+        with pytest.raises(FaultScheduleError, match=message):
+            FaultSchedule.from_json(text)
+
+    def test_horizon_stays_optional(self):
+        schedule = FaultSchedule.from_json(json.dumps({"events": []}))
+        assert schedule.horizon_s == 0.0 and len(schedule) == 0
+
+    def test_is_a_value_error(self):
+        assert issubclass(FaultScheduleError, ValueError)
+
+
+_IDS = st.text(alphabet="abcdefghij-0123456789", min_size=1, max_size=8)
+_TIMES = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
+
+
+@st.composite
+def _schedules(draw):
+    ids = draw(st.lists(_IDS, max_size=6, unique=True))
+    events = []
+    for fault_id in ids:
+        kind = draw(st.sampled_from(list(FaultKind)))
+        if kind is FaultKind.ISL_LINK:
+            targets = draw(st.lists(st.tuples(_IDS, _IDS).map(
+                lambda pair: link_target(*pair)), min_size=1, max_size=3))
+        else:
+            targets = draw(st.lists(_IDS, min_size=1, max_size=3))
+        events.append(FaultEvent(
+            fault_id=fault_id, kind=kind, targets=tuple(targets),
+            start_s=draw(_TIMES),
+            duration_s=draw(st.one_of(st.none(), _TIMES)),
+            cause=draw(st.sampled_from(["", "mtbf", "plane-loss"])),
+        ))
+    return FaultSchedule(events=events, horizon_s=draw(_TIMES))
+
+
+class TestScheduleRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(schedule=_schedules())
+    def test_emit_then_parse_is_identity(self, schedule):
+        text = schedule.to_json()
+        restored = FaultSchedule.from_json(text)
+        assert restored == schedule
+        assert restored.to_json() == text
 
 
 class TestValidateAgainst:

@@ -145,8 +145,9 @@ class TestBestLink:
         assert optical.capacity_bps == rf_capacity
         link = best_link_between("a", terms, "b", terms, 100.0)
         assert link.technology is LinkTechnology.RF_SBAND
-        (batched,) = BestLinkArrays(terms, terms, np.array([100.0])).links_at(
-            np.array([0]), ["a"], ["b"], [100.0])
+        (batched,) = BestLinkArrays(terms, terms, np.array([100.0])).link_arrays(
+            np.array([0]), np.array([0]), np.array([1]), np.array([100.0]),
+        ).links(["a", "b"])
         assert repr(batched) == repr(link)
 
 
@@ -159,17 +160,19 @@ class TestBestLinkArrays:
             batch = BestLinkArrays(self.FULL, TestBestLink.RF_ONLY + [
                 OpticalTerminal(tx_power_w=0.01)], np.array(distances),
                 prefer_optical=prefer_optical)
-            links = batch.links_at(np.arange(len(distances)),
-                                   ["a"] * len(distances),
-                                   ["b"] * len(distances), distances)
-            for distance, usable, link in zip(distances, batch.usable,
-                                              links):
+            usable = np.flatnonzero(batch.usable)
+            links = iter(batch.link_arrays(
+                usable, np.zeros(usable.size), np.ones(usable.size),
+                np.array(distances)[usable],
+            ).links(["a", "b"]))
+            for distance, closes in zip(distances, batch.usable):
                 expected = best_link_between(
                     "a", self.FULL, "b", TestBestLink.RF_ONLY + [
                         OpticalTerminal(tx_power_w=0.01)],
                     distance, prefer_optical=prefer_optical)
-                assert repr(link) == repr(expected)
-                assert usable == (expected is not None)
+                assert closes == (expected is not None)
+                if closes:
+                    assert repr(next(links)) == repr(expected)
 
     def test_no_common_technology_is_unusable(self):
         batch = BestLinkArrays([standard_uhf_isl_terminal()],

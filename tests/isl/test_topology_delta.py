@@ -25,6 +25,11 @@ def walker_fixture(count=120, planes=10):
     return nodes, positions_at
 
 
+def edge_set(snapshot):
+    """The snapshot's edges as canonical ``(min_id, max_id)`` pairs."""
+    return {(a, b) if a <= b else (b, a) for a, b in snapshot.graph.edges}
+
+
 def edge_payload(snapshot):
     """Every edge with its attribute reprs, canonically ordered."""
     return sorted(
@@ -41,7 +46,7 @@ class TestSnapshotDelta:
         assert delta.full_rebuild
         assert delta.disappeared == ()
         assert delta.persisted == ()
-        assert set(delta.appeared) == snap.edge_set()
+        assert set(delta.appeared) == edge_set(snap)
 
     def test_delta_reconciles_edge_sets(self):
         nodes, positions_at = walker_fixture(count=60, planes=6)
@@ -56,8 +61,8 @@ class TestSnapshotDelta:
         assert appeared.isdisjoint(disappeared)
         assert appeared.isdisjoint(persisted)
         assert disappeared.isdisjoint(persisted)
-        assert prev.edge_set() == persisted | disappeared
-        assert snap.edge_set() == persisted | appeared
+        assert edge_set(prev) == persisted | disappeared
+        assert edge_set(snap) == persisted | appeared
 
     def test_delta_snapshot_matches_plain_snapshot(self):
         nodes, positions_at = walker_fixture(count=60, planes=6)
@@ -78,20 +83,26 @@ class TestSnapshotDelta:
         assert delta.full_rebuild
 
     def test_churn_fraction(self):
-        delta = TopologyDelta(
-            appeared=(("a", "b"),), disappeared=(("c", "d"), ("e", "f")),
-            persisted=(("g", "h"),),
-        )
+        ids = ["a", "b", "c", "d", "e", "f", "g", "h"]
+        delta = TopologyDelta(ids, appeared=[[1, 0]],
+                              disappeared=[[2, 3], [4, 5]],
+                              persisted=[[6, 7]])
         assert delta.changed_count == 3
         assert delta.churn_fraction == pytest.approx(0.75)
-        empty = TopologyDelta(appeared=(), disappeared=(), persisted=())
+        assert delta.appeared == (("a", "b"),)
+        assert delta.disappeared == (("c", "d"), ("e", "f"))
+        assert delta.persisted == (("g", "h"),)
+        empty = TopologyDelta(ids, appeared=[], disappeared=[], persisted=[])
         assert empty.churn_fraction == 0.0
+        assert empty.appeared == ()
 
     def test_edge_set_is_canonical(self):
         nodes, positions_at = walker_fixture(count=24, planes=4)
         builder = IslTopologyBuilder(nodes, max_range_km=3000.0)
-        snap = builder.snapshot(0.0, positions_at(0.0))
-        for a, b in snap.edge_set():
+        snap, delta = builder.snapshot_delta(0.0, positions_at(0.0))
+        assert snap.link_count > 0
+        assert delta.appeared == tuple(sorted(delta.appeared))
+        for a, b in delta.appeared:
             assert a <= b
 
 

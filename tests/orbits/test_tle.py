@@ -3,9 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.tle import (
+    TleFormatError,
+    TwoLineElement,
+    _checksum,
     catalog_from_constellation,
     elements_from_tle,
     emit_tle,
@@ -120,3 +125,114 @@ class TestCatalog:
     def test_catalog_names_carry_prefix(self, iridium):
         records = catalog_from_constellation(iridium, name_prefix="ACME")
         assert records[0][0].startswith("ACME-")
+
+
+def _with_checksum(line: str) -> str:
+    """A line with its checksum column recomputed."""
+    return line[:68] + str(_checksum(line))
+
+
+def _replace(line: str, start: int, text: str) -> str:
+    """``line`` with 1-based columns from ``start`` replaced by ``text``."""
+    return _with_checksum(line[:start - 1] + text + line[start - 1 + len(text):])
+
+
+class TestTypedErrors:
+    def test_non_digit_checksum_names_the_column(self):
+        bad = ISS_TLE[1][:68] + "X"
+        with pytest.raises(TleFormatError,
+                           match=r"line 1 column 69 \(checksum\)"):
+            parse_tle([bad, ISS_TLE[2]])
+
+    def test_unparsable_field_names_line_and_columns(self):
+        bad = _replace(ISS_TLE[2], 9, " 51.6x16")
+        with pytest.raises(TleFormatError,
+                           match=r"line 2 columns 9-16 \(inclination\): "
+                                 r"cannot parse ' 51.6x16'"):
+            parse_tle([ISS_TLE[1], bad])
+
+    def test_python_only_number_spellings_are_rejected(self):
+        for text in (" 51_6416", "   1e1  ", "     inf"):
+            with pytest.raises(TleFormatError, match="columns 9-16"):
+                parse_tle([ISS_TLE[1], _replace(ISS_TLE[2], 9, text)])
+
+    @pytest.mark.parametrize("start, text, field", [
+        (9, "999.9999", "inclination"),
+        (9, "180.0001", "inclination"),
+        (9, " -0.0001", "inclination"),
+        (18, "360.0000", "raan"),
+        (35, "-10.0000", "arg_perigee"),
+        (44, "400.0000", "mean_anomaly"),
+        (53, " 0.00000000", "mean_motion"),
+        (53, "-1.00000000", "mean_motion"),
+    ])
+    def test_out_of_range_fields(self, start, text, field):
+        bad = _replace(ISS_TLE[2], start, text)
+        with pytest.raises(TleFormatError, match=rf"line 2 columns {start}-"
+                                                 rf"\d+ \({field}\)"):
+            parse_tle([ISS_TLE[1], bad])
+
+    def test_range_edges_accepted(self):
+        line = _replace(_replace(ISS_TLE[2], 9, "180.0000"), 18, "  0.0000")
+        tle = parse_tle([ISS_TLE[1], line])
+        assert tle.inclination_deg == 180.0 and tle.raan_deg == 0.0
+
+    def test_is_a_value_error(self):
+        assert issubclass(TleFormatError, ValueError)
+
+    def test_emit_wraps_angles_into_range(self):
+        tle = parse_tle(ISS_TLE)
+        wrapped = parse_tle(emit_tle(TwoLineElement(
+            **{**tle.__dict__, "raan_deg": 359.99999, "mean_anomaly_deg": -90.0})))
+        assert wrapped.raan_deg == 0.0
+        assert wrapped.mean_anomaly_deg == 270.0
+
+
+def _grid(low: int, high: int, decimals: int):
+    """Values ``k / 10**decimals``: exact in the field's fixed format."""
+    return st.integers(low, high).map(lambda k: k / 10 ** decimals)
+
+
+@st.composite
+def _records(draw):
+    return TwoLineElement(
+        name=draw(st.text(alphabet="ABCDEFGHIJ0123456789-()", min_size=1,
+                          max_size=20)),
+        catalog_number=draw(st.integers(0, 99999)),
+        epoch_year=draw(st.integers(0, 99)),
+        epoch_day=draw(_grid(10 ** 8, 366 * 10 ** 8, 8)),
+        inclination_deg=draw(_grid(0, 180 * 10 ** 4, 4)),
+        raan_deg=draw(_grid(0, 360 * 10 ** 4 - 1, 4)),
+        eccentricity=draw(_grid(0, 10 ** 7 - 1, 7)),
+        arg_perigee_deg=draw(_grid(0, 360 * 10 ** 4 - 1, 4)),
+        mean_anomaly_deg=draw(_grid(0, 360 * 10 ** 4 - 1, 4)),
+        mean_motion_rev_day=draw(_grid(1, 99 * 10 ** 8, 8)),
+    )
+
+
+class TestCodecProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(record=_records())
+    def test_emit_then_parse_is_identity(self, record):
+        assert parse_tle(emit_tle(record)) == record
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=_records(), line=st.sampled_from([1, 2]),
+           column=st.integers(0, 68),
+           char=st.characters(min_codepoint=32, max_codepoint=0x6ff))
+    def test_single_character_corruption(self, record, line, column, char):
+        lines = emit_tle(record)
+        text = lines[line]
+        lines[line] = text[:column] + char + text[column + 1:]
+        try:
+            tle = parse_tle(lines)
+        except TleFormatError:
+            return
+        # A corruption that survives the checksum still yields fields in
+        # range.
+        assert 0.0 <= tle.inclination_deg <= 180.0
+        for angle in (tle.raan_deg, tle.arg_perigee_deg,
+                      tle.mean_anomaly_deg):
+            assert 0.0 <= angle < 360.0
+        assert tle.mean_motion_rev_day > 0.0
+        assert 0.0 <= tle.eccentricity < 1.0

@@ -36,8 +36,14 @@ def _network(**kwargs):
                             **kwargs)
 
 
+def _isl_edges(snap):
+    """The ISLs as canonical ``(min_id, max_id)`` pairs."""
+    return {(a, b) if a <= b else (b, a)
+            for a, b in snap.isl_snapshot.graph.edges}
+
+
 #: ISLs that exist at t = 0, so failed links usually cut a real edge.
-LINKS = sorted(_network().snapshot(0.0).isl_snapshot.edge_set())
+LINKS = sorted(_isl_edges(_network().snapshot(0.0)))
 
 #: Repeated instants exercise cache hits, instants a fraction of a
 #: second apart must not share one, and free floats exercise misses.
@@ -94,8 +100,8 @@ def _ground_pairs(snap):
 def _assert_delta_matches(delta, faults):
     before = _fresh_snapshot(delta.base_time_s, faults)
     after = _fresh_snapshot(delta.time_s, faults)
-    old_edges = before.isl_snapshot.edge_set()
-    new_edges = after.isl_snapshot.edge_set()
+    old_edges = _isl_edges(before)
+    new_edges = _isl_edges(after)
     assert set(delta.isl.appeared) == new_edges - old_edges
     assert set(delta.isl.disappeared) == old_edges - new_edges
     assert set(delta.isl.persisted) == new_edges & old_edges

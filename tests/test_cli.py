@@ -369,6 +369,28 @@ class TestFaultsCommands:
         assert main(["faults", "replay", str(bad)]) == 1
         assert "malformed schedule" in capsys.readouterr().err
 
+    def test_replay_list_document(self, capsys, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        assert main(["faults", "replay", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("malformed schedule file: ")
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize("event, message", [
+        ('{"fault_id": "x", "kind": "isl_link", "targets": [5], '
+         '"start_s": 0}', "event 0 field 'targets' item 0 must be a string"),
+        ('{"fault_id": "x", "kind": "satellite", "targets": ["s"], '
+         '"start_s": NaN}', "event 0 field 'start_s' must be finite"),
+    ])
+    def test_replay_malformed_event(self, capsys, tmp_path, event, message):
+        bad = tmp_path / "event.json"
+        bad.write_text('{"events": [' + event + ']}')
+        assert main(["faults", "replay", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("malformed schedule file: ")
+        assert message in err
+
     def test_sweep_trace_records_fault_lifecycle(self, capsys, tmp_path):
         from repro.obs.export import read_jsonl
 
