@@ -67,9 +67,14 @@ def _cmd_figure2b(args: argparse.Namespace) -> int:
     from repro.experiments.figure2 import figure_2b_latency
 
     counts = args.counts or [4, 10, 16, 25, 40, 55, 70]
-    result = figure_2b_latency(satellite_counts=counts, trials=args.trials,
-                               epochs=args.epochs, seed=args.seed,
-                               jobs=args.jobs, engine=args.engine)
+    try:
+        result = figure_2b_latency(satellite_counts=counts,
+                                   trials=args.trials, epochs=args.epochs,
+                                   seed=args.seed, jobs=args.jobs,
+                                   engine=args.engine)
+    except ValueError as exc:
+        print(f"bad figure2b options: {exc}", file=sys.stderr)
+        return 1
     series = {row["x"]: row for row in result["series"]}
     print("satellites reachability latency_mean_ms latency_p95_ms")
     for count in counts:
@@ -87,8 +92,12 @@ def _cmd_figure2c(args: argparse.Namespace) -> int:
     from repro.experiments.figure2 import figure_2c_coverage
 
     counts = args.counts or [1, 4, 12, 25, 50, 80]
-    rows = figure_2c_coverage(satellite_counts=counts, trials=args.trials,
-                              seed=args.seed, jobs=args.jobs)
+    try:
+        rows = figure_2c_coverage(satellite_counts=counts, trials=args.trials,
+                                  seed=args.seed, jobs=args.jobs)
+    except ValueError as exc:
+        print(f"bad figure2c options: {exc}", file=sys.stderr)
+        return 1
     print("satellites union worst_case cluster")
     for row in rows:
         print(f"{row['satellites']:>10.0f} {row['union']:>5.2f} "

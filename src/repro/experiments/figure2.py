@@ -32,8 +32,9 @@ from repro.orbits.constants import (
     IRIDIUM_ALTITUDE_KM,
     SPEED_OF_LIGHT_KM_S,
 )
-from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci
+from repro.orbits.coordinates import GeodeticPoint
 from repro.orbits.visibility import (
+    chord_clears_grazing,
     cluster_coverage_fraction,
     coverage_fraction,
     elevation_angles,
@@ -125,6 +126,31 @@ def _figure_2a_constellation(time_s: float) -> ConstellationReport:
     )
 
 
+def _checked_counts(satellite_counts: Sequence[int],
+                    altitude_km: float) -> List[int]:
+    """The sweep's fleet sizes as ints, after the checks both Figure 2
+    sweeps make before any fleet is built.
+
+    Raises:
+        ValueError: no count, a count below one, a count named twice (its
+            seeded trials would be pooled twice), or an altitude that is
+            not a finite positive number.
+    """
+    counts = [int(count) for count in satellite_counts]
+    if not counts:
+        raise ValueError("satellite_counts must name at least one fleet size")
+    for count in counts:
+        if count < 1:
+            raise ValueError(f"need at least one satellite, got {count}")
+    repeated = sorted({count for count in counts if counts.count(count) > 1})
+    if repeated:
+        raise ValueError(f"satellite counts repeat: {repeated}")
+    if not (math.isfinite(altitude_km) and altitude_km > 0.0):
+        raise ValueError(
+            f"altitude must be a finite positive number, got {altitude_km}")
+    return counts
+
+
 def _relay_latency_batch_s(positions_all: np.ndarray,
                            user_ecis: np.ndarray,
                            gateway_ecis: np.ndarray,
@@ -134,12 +160,27 @@ def _relay_latency_batch_s(positions_all: np.ndarray,
 
     Builds a block-diagonal CSR matrix — one disjoint relay graph per
     epoch, ``N + 2`` nodes each (satellites, user, gateway) — straight
-    from the vectorized elevation/range/line-of-sight masks, with no
+    from vectorized elevation, range and line-of-sight tests, with no
     intermediate ``networkx`` graph, then answers every epoch's
-    user→gateway distance with one multi-source Dijkstra.  Per-edge
-    weights are elementwise ``range / c`` divisions, and an epoch's
-    block is disjoint from every other, so each epoch's distance is
-    bit-identical to a standalone single-epoch search.
+    user→gateway distance with one ``min_only`` Dijkstra.
+
+    Cheap closed forms only propose candidates or certify a predicate;
+    the exact formulas decide every kept value:
+
+    * a batched Gram bound proposes ISL pairs, and the exact
+      ``sqrt(((a - b) ** 2).sum(-1)) <= max_isl_range_km`` test and
+      ``range / c`` weight run on those candidates only;
+    * :func:`chord_clears_grazing` certifies line of sight for the whole
+      batch from the lowest satellite radius and the range cap, and
+      :func:`line_of_sight_mask` runs on in-range pairs only when it
+      cannot;
+    * ground slant ranges are computed for visible pairs only.
+
+    The epoch blocks share no edges, and a Dijkstra distance is the
+    minimum of ``d[u] + w`` over settled in-neighbours ``u`` whatever
+    order the heap pops them in, so the one vector of distances from all
+    sources holds, per block, the bits of a standalone single-epoch
+    search.
 
     Args:
         positions_all: ``(N, K, 3)`` satellite ECI positions over epochs.
@@ -162,33 +203,32 @@ def _relay_latency_batch_s(positions_all: np.ndarray,
     cols: List[np.ndarray] = []
     data: List[np.ndarray] = []
     for offset, ground_ecis in ((count, user_ecis), (count + 1, gateway_ecis)):
-        ground = np.asarray(ground_ecis, dtype=float)[:, None, :]
-        elevations = elevation_angles(ground, pts)
-        deltas = pts - ground
-        ranges = np.sqrt((deltas * deltas).sum(axis=-1))
-        vis_epoch, vis_sat = np.nonzero(elevations >= mask_rad)
+        ground = np.asarray(ground_ecis, dtype=float)
+        vis_epoch, vis_sat = np.nonzero(
+            elevation_angles(ground[:, None, :], pts) >= mask_rad)
         if vis_epoch.size == 0:
             continue
+        deltas = pts[vis_epoch, vis_sat] - ground[vis_epoch]
+        weights = np.sqrt((deltas * deltas).sum(axis=-1)) / SPEED_OF_LIGHT_KM_S
         ground_nodes = vis_epoch * stride + offset
         sat_nodes = vis_epoch * stride + vis_sat
-        weights = ranges[vis_epoch, vis_sat] / SPEED_OF_LIGHT_KM_S
         rows.extend((ground_nodes, sat_nodes))
         cols.extend((sat_nodes, ground_nodes))
         data.extend((weights, weights))
-    if count >= 2:
-        # Candidate pairs: upper triangle only, with the line-of-sight
-        # test (the expensive segment geometry) restricted to pairs that
-        # already pass the range gate.
-        rows_idx, cols_idx = np.triu_indices(count, k=1)
-        diff = pts[:, rows_idx, :] - pts[:, cols_idx, :]
-        distances = np.sqrt((diff * diff).sum(axis=-1))
-        in_epoch, in_pair = np.nonzero(distances <= max_isl_range_km)
-        clear = line_of_sight_mask(pts[in_epoch, rows_idx[in_pair]],
-                                   pts[in_epoch, cols_idx[in_pair]])
-        keep_epoch, keep_pair = in_epoch[clear], in_pair[clear]
-        isl_rows = keep_epoch * stride + rows_idx[keep_pair]
-        isl_cols = keep_epoch * stride + cols_idx[keep_pair]
-        weights = distances[keep_epoch, keep_pair] / SPEED_OF_LIGHT_KM_S
+    if count >= 2 and epochs:
+        norms = (pts * pts).sum(axis=-1)
+        isl_epoch, first, second, distances = _isl_in_range(
+            pts, norms, max_isl_range_km)
+        if not chord_clears_grazing(math.sqrt(float(norms.min())),
+                                    max_isl_range_km):
+            clear = line_of_sight_mask(pts[isl_epoch, first],
+                                       pts[isl_epoch, second])
+            isl_epoch, first, second, distances = (
+                isl_epoch[clear], first[clear], second[clear],
+                distances[clear])
+        isl_rows = isl_epoch * stride + first
+        isl_cols = isl_epoch * stride + second
+        weights = distances / SPEED_OF_LIGHT_KM_S
         rows.extend((isl_rows, isl_cols))
         cols.extend((isl_cols, isl_rows))
         data.extend((weights, weights))
@@ -204,8 +244,51 @@ def _relay_latency_batch_s(positions_all: np.ndarray,
     sources = np.arange(epochs) * stride + count
     with _obs.span("routing.relay.shortest_path_batch",
                    epochs=epochs, nodes=size, edges=int(data_arr.size // 2)):
-        dist = _csgraph_dijkstra(matrix, directed=True, indices=sources)
-    return dist[np.arange(epochs), sources + 1]
+        dist = _csgraph_dijkstra(matrix, directed=True, indices=sources,
+                                 min_only=True)
+    return dist[sources + 1]
+
+
+def _isl_in_range(pts: np.ndarray, norms: np.ndarray, max_range_km: float):
+    """Every ``(epoch, i < j)`` satellite pair within ``max_range_km``.
+
+    One batched ``np.matmul`` gives each epoch's Gram matrix, and
+    ``|a|^2 + |b|^2 - 2 a.b <= cap^2 + slack`` proposes candidates.
+    With every norm at most ``R``, that expression is within about
+    ``10 eps R^2`` of the true squared distance (three roundings in each
+    norm and dot product, two to combine them), and a pair the exact
+    test keeps is at most ``cap^2 (1 + 4 eps)`` apart squared, so a
+    slack of ``64 eps (cap^2 + R^2)`` misses none.  The exact test and
+    distance then run on the candidates alone.
+
+    Args:
+        pts: ``(K, N, 3)`` positions, epoch axis first.
+        norms: ``(K, N)`` squared norms, ``(pts * pts).sum(-1)``.
+        max_range_km: Inclusive range cap.
+
+    Returns:
+        ``(epoch, first, second, distance_km)`` arrays of the kept pairs,
+        epoch-major with ``first < second`` in row-major order.
+    """
+    bound = np.matmul(pts, pts.transpose(0, 2, 1))
+    bound *= -2.0
+    bound += norms[:, :, None]
+    bound += norms[:, None, :]
+    cap_sq = max_range_km * max_range_km
+    slack = 64.0 * np.finfo(float).eps * (cap_sq + float(norms.max()))
+    count = pts.shape[1]
+    upper = np.triu(np.ones((count, count), dtype=bool), k=1)
+    # Flat index (epoch * N + first) * N + second: its quotient by N is
+    # the first satellite's row in the flattened (K * N, 3) positions.
+    row_a, second = np.divmod(
+        np.flatnonzero((bound <= cap_sq + slack) & upper), count)
+    epoch, first = np.divmod(row_a, count)
+    flat_pts = pts.reshape(-1, 3)
+    diff = (np.take(flat_pts, row_a, axis=0)
+            - np.take(flat_pts, row_a - first + second, axis=0))
+    distances = np.sqrt((diff * diff).sum(axis=-1))
+    keep = distances <= max_range_km
+    return epoch[keep], first[keep], second[keep], distances[keep]
 
 
 def _figure_2b_point(args: tuple) -> Dict:
@@ -213,12 +296,13 @@ def _figure_2b_point(args: tuple) -> Dict:
 
     Module-level so :func:`repro.parallel.run_grid` can pickle it into
     worker processes; all randomness comes from the point's derived
-    seed, so results are identical at any job count.
+    seed, so results are identical at any job count.  The epoch grid and
+    the ``(epochs, 3)`` user and gateway ECI tracks on it are the same
+    for every point, so the sweep computes them once.
     """
-    (count, trials, epochs, point_seed, altitude_km,
-     user_site, gateway_site, engine) = args
+    (count, trials, point_seed, altitude_km, epoch_times,
+     user_track, gateway_track, engine) = args
     rng = np.random.default_rng(point_seed)
-    epoch_times = np.linspace(0.0, 86400.0, epochs, endpoint=False)
     recorder = _obs.active()
     samples: List[float] = []
     reached = 0
@@ -233,8 +317,8 @@ def _figure_2b_point(args: tuple) -> Dict:
         # trial-major, epoch-ascending order the event loop would emit,
         # and every float is bit-identical to the scalar engine's.
         with recorder.span("experiment.figure2b.sweep_point",
-                           satellites=count, trials=trials, epochs=epochs,
-                           engine=engine):
+                           satellites=count, trials=trials,
+                           epochs=len(epoch_times), engine=engine):
             trial_tensors = []
             for _ in range(trials):
                 constellation = random_constellation(count, rng,
@@ -244,8 +328,6 @@ def _figure_2b_point(args: tuple) -> Dict:
                         constellation.positions_over(epoch_times)
                     )
             positions_merged = merge_trial_epochs(trial_tensors)
-            user_track = ground_eci_track(user_site, epoch_times)
-            gateway_track = ground_eci_track(gateway_site, epoch_times)
             with recorder.phase("figure2b.relay_path"):
                 latencies = _relay_latency_batch_s(
                     positions_merged,
@@ -277,23 +359,17 @@ def _figure_2b_point(args: tuple) -> Dict:
                                  latency_s * 1000.0, label=str(count))
 
     with recorder.span("experiment.figure2b.sweep_point",
-                       satellites=count, trials=trials, epochs=epochs):
+                       satellites=count, trials=trials,
+                       epochs=len(epoch_times)):
         for _ in range(trials):
             constellation = random_constellation(count, rng,
                                                  altitude_km=altitude_km)
             # One broadcast propagation covers every epoch of the trial.
             with recorder.phase("figure2b.propagate"):
                 positions_all = constellation.positions_over(epoch_times)
-            user_ecis = np.stack([
-                ecef_to_eci(user_site.ecef(), float(t)) for t in epoch_times
-            ])
-            gateway_ecis = np.stack([
-                ecef_to_eci(gateway_site.ecef(), float(t))
-                for t in epoch_times
-            ])
             with recorder.phase("figure2b.relay_path"):
                 latencies = _relay_latency_batch_s(
-                    positions_all, user_ecis, gateway_ecis,
+                    positions_all, user_track, gateway_track,
                     min_elevation_deg=0.0,
                 )
             # The epoch samples run as discrete events so the sweep
@@ -336,30 +412,40 @@ def figure_2b_latency(satellite_counts: Sequence[int] = tuple(
     changing any value in the result.
 
     ``engine`` selects how a sweep point executes: ``"scalar"`` walks
-    trials through the discrete-event engine (the oracle), one
-    :func:`scipy.sparse.csgraph.dijkstra` call per trial; ``"batched"``
-    flattens all of a point's trials and epochs into one tensor pipeline
-    — one merged ``(sats, trials * epochs, 3)`` position tensor, one
-    vectorized geometry pass, one block-diagonal shortest-path call.
-    Both engines return bit-identical results (the benchmark digest gate
-    holds them together).
+    trials through the discrete-event engine (the oracle), one relay
+    kernel call per trial; ``"batched"`` flattens all of a point's trials
+    and epochs into one tensor pipeline — one merged
+    ``(sats, trials * epochs, 3)`` position tensor and one relay kernel
+    call.  Both engines run the same kernel (Gram-bound ISL candidates,
+    the chord certificate for line of sight, one ``min_only``
+    :func:`scipy.sparse.csgraph.dijkstra` call over the block-diagonal
+    relay graph) and return bit-identical results (the benchmark digest
+    gate holds them together).
 
     Returns:
         ``{"series": [...rows...], "reachability": {count: fraction}}``
         where each series row is ``{"x", "mean", "p50", "p95", "n"}`` with
         latency in milliseconds.
+
+    Raises:
+        ValueError: before any fleet is built, for an empty, repeated or
+            non-positive satellite count, a non-finite or non-positive
+            altitude, no trials, no epochs, or an unknown engine.
     """
+    counts = _checked_counts(satellite_counts, altitude_km)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if epochs < 1:
         raise ValueError(f"need at least one epoch, got {epochs}")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    epoch_times = np.linspace(0.0, 86400.0, epochs, endpoint=False)
+    user_track = ground_eci_track(user_site, epoch_times)
+    gateway_track = ground_eci_track(gateway_site, epoch_times)
     points = [
-        (int(count), trials, epochs,
-         derive_seed(seed, "figure2b", int(count)),
-         altitude_km, user_site, gateway_site, engine)
-        for count in satellite_counts
+        (count, trials, derive_seed(seed, "figure2b", count), altitude_km,
+         epoch_times, user_track, gateway_track, engine)
+        for count in counts
     ]
     results = run_grid(_figure_2b_point, points, jobs=jobs, label="figure2b")
     series = SeriesCollector("latency_ms")
@@ -438,13 +524,18 @@ def figure_2c_coverage(satellite_counts: Sequence[int] = tuple(
     Returns:
         One row per satellite count:
         ``{"satellites", "union", "worst_case", "cluster"}`` (trial means).
+
+    Raises:
+        ValueError: before any fleet is built, for an empty, repeated or
+            non-positive satellite count, a non-finite or non-positive
+            altitude, or no trials.
     """
+    counts = _checked_counts(satellite_counts, altitude_km)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     points = [
-        (int(count), trials, derive_seed(seed, "figure2c", int(count)),
-         altitude_km)
-        for count in satellite_counts
+        (count, trials, derive_seed(seed, "figure2c", count), altitude_km)
+        for count in counts
     ]
     rows = run_grid(_figure_2c_point, points, jobs=jobs, label="figure2c")
     recorder = _obs.active()

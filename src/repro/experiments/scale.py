@@ -23,13 +23,17 @@ from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
 from repro.parallel import run_grid
-from repro.routing.csr import CsrAdjacency, delay_weight
+from repro.routing.metrics import EdgeCostModel
 
 FLEET_OWNER = "scale-fleet"
 
 #: Latency probe endpoints: a transatlantic gateway pair from the
 #: default station network (present in every snapshot's station set).
 PROBE_STATIONS = ("gs-virginia", "gs-frankfurt")
+
+#: Raw propagation delay per edge: the snapshot arrays compile the same
+#: CSR under this model as the graph view does under ``delay_weight``.
+PROBE_COSTS = EdgeCostModel(queue_weight=0.0)
 
 
 def plane_count_for(satellites: int) -> int:
@@ -46,12 +50,16 @@ def plane_count_for(satellites: int) -> int:
     return min(divisors, key=lambda d: (abs(d - target), d))
 
 
-def _probe_latency_ms(graph) -> float:
-    """Shortest-path delay between the probe gateways, NaN if unreachable."""
+def _probe_latency_ms(snap) -> float:
+    """Shortest-path delay between the probe gateways, NaN if unreachable.
+
+    Routes on the snapshot's array-compiled CSR, so no networkx graph is
+    built.
+    """
     src, dst = PROBE_STATIONS
-    if src not in graph or dst not in graph:
+    adjacency = snap.csr_adjacency(PROBE_COSTS)
+    if src not in adjacency or dst not in adjacency:
         return math.nan
-    adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
     delay_s = adjacency.single_source(src).distance(src, dst)
     if not math.isfinite(delay_s):
         return math.nan
@@ -77,7 +85,7 @@ def _scale_point(args: tuple) -> Dict:
     for t in times:
         snap = network.snapshot(t)
         edge_counts.append(snap.isl_snapshot.link_count)
-        latencies.append(_probe_latency_ms(snap.graph))
+        latencies.append(_probe_latency_ms(snap))
         last = network.last_snapshot_delta
         if last is not None and last.isl is not None:
             churn.append(last.isl.churn_fraction)

@@ -57,8 +57,10 @@ class OrbitalElements:
         epoch_s: float = 0.0,
     ) -> "OrbitalElements":
         """Build elements for a circular orbit at the given altitude."""
-        if altitude_km <= 0.0:
-            raise ValueError(f"altitude must be positive, got {altitude_km}")
+        if not (math.isfinite(altitude_km) and altitude_km > 0.0):
+            raise ValueError(
+                f"altitude must be a finite positive number, got {altitude_km}"
+            )
         return cls(
             semi_major_axis_km=EARTH_RADIUS_KM + altitude_km,
             eccentricity=0.0,

@@ -226,22 +226,27 @@ def random_constellation(satellite_count: int, rng: np.random.Generator,
     """
     if satellite_count <= 0:
         raise ValueError(f"need at least one satellite, got {satellite_count}")
-    elements = []
-    for _ in range(satellite_count):
-        incl = (
-            inclination_deg
-            if inclination_deg is not None
-            else float(rng.uniform(70.0, 100.0))
+    # One draw for the whole fleet.  The generator fills the array row by
+    # row with the same ``low + (high - low) * u`` a scalar call computes,
+    # so row i holds the (inclination,) RAAN and mean anomaly that
+    # per-satellite scalar draws would give satellite i.
+    if inclination_deg is None:
+        draws = rng.uniform((70.0, 0.0, 0.0), (100.0, _TWO_PI, _TWO_PI),
+                            size=(satellite_count, 3)).tolist()
+    else:
+        draws = [[inclination_deg, raan, anomaly] for raan, anomaly
+                 in rng.uniform(0.0, _TWO_PI,
+                                size=(satellite_count, 2)).tolist()]
+    elements = [
+        OrbitalElements.circular(
+            altitude_km=altitude_km,
+            inclination_rad=math.radians(incl),
+            raan_rad=raan,
+            mean_anomaly_rad=anomaly,
+            epoch_s=epoch_s,
         )
-        elements.append(
-            OrbitalElements.circular(
-                altitude_km=altitude_km,
-                inclination_rad=math.radians(incl),
-                raan_rad=float(rng.uniform(0.0, _TWO_PI)),
-                mean_anomaly_rad=float(rng.uniform(0.0, _TWO_PI)),
-                epoch_s=epoch_s,
-            )
-        )
+        for incl, raan, anomaly in draws
+    ]
     return WalkerConstellation(
         elements=elements,
         plane_count=satellite_count,

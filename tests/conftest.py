@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -37,3 +38,17 @@ def network(medium_fleet):
 def network_snapshot(network):
     """The network graph at epoch (no users)."""
     return network.snapshot(0.0)
+
+
+@pytest.fixture
+def graph_constructions(monkeypatch):
+    """The type of every networkx graph built while the test runs."""
+    constructed = []
+    original = nx.Graph.__init__
+
+    def counting_init(graph, *args, **kwargs):
+        constructed.append(type(graph))
+        original(graph, *args, **kwargs)
+
+    monkeypatch.setattr(nx.Graph, "__init__", counting_init)
+    return constructed

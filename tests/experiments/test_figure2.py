@@ -5,13 +5,33 @@ numbers: the reproduction runs on a synthetic substrate, so who-wins and
 where the curves bend is what must hold (see EXPERIMENTS.md).
 """
 
+import math
+
 import pytest
 
+from repro.experiments import figure2
 from repro.experiments.figure2 import (
     figure_2a_constellation,
     figure_2b_latency,
     figure_2c_coverage,
 )
+
+#: ``(keyword arguments, error message pattern)`` both Figure 2 sweeps
+#: reject before building any fleet.
+BAD_SWEEP_ARGUMENTS = [
+    (dict(satellite_counts=[]), "at least one fleet size"),
+    (dict(satellite_counts=[4, 0]), "at least one satellite, got 0"),
+    (dict(satellite_counts=[-3]), "at least one satellite, got -3"),
+    (dict(satellite_counts=[25, 10, 25]), r"repeat: \[25\]"),
+    (dict(satellite_counts=[4], altitude_km=math.nan), "finite positive"),
+    (dict(satellite_counts=[4], altitude_km=math.inf), "finite positive"),
+    (dict(satellite_counts=[4], altitude_km=0.0), "finite positive"),
+    (dict(satellite_counts=[4], altitude_km=-780.0), "finite positive"),
+]
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep started before its arguments were checked")
 
 
 class TestFigure2a:
@@ -69,6 +89,15 @@ class TestFigure2b:
         with pytest.raises(ValueError):
             figure_2b_latency(epochs=0)
 
+    @pytest.mark.parametrize("kwargs, message", BAD_SWEEP_ARGUMENTS)
+    def test_bad_sweep_arguments_fail_before_any_work(self, monkeypatch,
+                                                      kwargs, message):
+        # A repeated count used to pool the same seeded trials twice, and
+        # a NaN altitude reported reachability 0.0 without complaint.
+        monkeypatch.setattr(figure2, "run_grid", _no_sweep)
+        with pytest.raises(ValueError, match=message):
+            figure_2b_latency(trials=2, epochs=2, engine="batched", **kwargs)
+
 
 class TestFigure2c:
     @pytest.fixture(scope="class")
@@ -105,6 +134,13 @@ class TestFigure2c:
         with pytest.raises(ValueError):
             figure_2c_coverage(trials=0)
 
+    @pytest.mark.parametrize("kwargs, message", BAD_SWEEP_ARGUMENTS)
+    def test_bad_sweep_arguments_fail_before_any_work(self, monkeypatch,
+                                                      kwargs, message):
+        monkeypatch.setattr(figure2, "run_grid", _no_sweep)
+        with pytest.raises(ValueError, match=message):
+            figure_2c_coverage(trials=2, **kwargs)
+
 
 class TestRelayBackendEquality:
     """The batched CSR relay path is bit-identical to the networkx oracle."""
@@ -125,9 +161,10 @@ class TestRelayBackendEquality:
 
         rng = np.random.default_rng(99)
         times = np.linspace(0.0, 86400.0, 5, endpoint=False)
-        for count in (1, 4, 25):
-            constellation = random_constellation(count, rng)
-            positions_all = constellation.positions_over(times)
+        for count in (0, 1, 2, 4, 25):
+            positions_all = (
+                random_constellation(count, rng).positions_over(times)
+                if count else np.empty((0, len(times), 3)))
             user_ecis = np.stack([
                 ecef_to_eci(DEFAULT_USER_SITE.ecef(), float(t))
                 for t in times

@@ -2,9 +2,23 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.experiments.scale import plane_count_for, scale_sweep
+from repro.core.interop import SizeClass, build_fleet
+from repro.core.network import OpenSpaceNetwork
+from repro.experiments.scale import (
+    FLEET_OWNER,
+    PROBE_COSTS,
+    PROBE_STATIONS,
+    _probe_latency_ms,
+    _scale_point,
+    plane_count_for,
+    scale_sweep,
+)
+from repro.ground.station import default_station_network
+from repro.orbits.walker import walker_delta
+from repro.routing.csr import CsrAdjacency, delay_weight
 
 SMALL = dict(satellite_counts=(48,), epochs=3)
 
@@ -53,6 +67,33 @@ class TestScaleSweep:
             scale_sweep(satellite_counts=(48,), epochs=0)
         with pytest.raises(ValueError):
             scale_sweep(satellite_counts=(48,), max_range_km=0.0)
+
+
+class TestProbeOnSnapshotArrays:
+    """The latency probe routes on the snapshot's array-compiled CSR."""
+
+    @pytest.mark.parametrize("time_s", [0.0, 1913.0])
+    def test_csr_bit_identical_to_graph_compile(self, time_s):
+        constellation = walker_delta(96, plane_count_for(96))
+        network = OpenSpaceNetwork(
+            build_fleet(constellation, FLEET_OWNER, SizeClass.MEDIUM),
+            default_station_network(), max_isl_range_km=3000.0)
+        snap = network.snapshot(time_s)
+        arrays = snap.csr_adjacency(PROBE_COSTS)
+        graph = CsrAdjacency.from_graph(snap.graph, weight=delay_weight)
+        assert arrays.nodes == graph.nodes
+        for name in ("indptr", "indices", "data"):
+            assert getattr(arrays, name).dtype == getattr(graph, name).dtype
+            assert np.array_equal(getattr(arrays, name),
+                                  getattr(graph, name))
+        src, dst = PROBE_STATIONS
+        delay_s = graph.single_source(src).distance(src, dst)
+        assert _probe_latency_ms(snap) == delay_s * 1000.0
+
+    def test_scale_point_builds_no_graph(self, graph_constructions):
+        row = _scale_point((96, 3, 3000.0))
+        assert row["probe_reachable_epochs"] > 0
+        assert graph_constructions == []
 
 
 class TestPlaneCountFor:

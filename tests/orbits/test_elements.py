@@ -20,6 +20,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="altitude"):
             OrbitalElements.circular(-100.0, inclination_rad=0.0)
 
+    @pytest.mark.parametrize("altitude", [math.nan, math.inf, -math.inf])
+    def test_circular_rejects_non_finite_altitude(self, altitude):
+        # NaN passes an `altitude <= 0` test, so it needs its own check.
+        with pytest.raises(ValueError, match="finite positive"):
+            OrbitalElements.circular(altitude, inclination_rad=0.0)
+
     def test_rejects_nonpositive_semi_major_axis(self):
         with pytest.raises(ValueError, match="semi-major"):
             OrbitalElements(semi_major_axis_km=-1.0)

@@ -142,6 +142,23 @@ class TestRandomConstellation:
         degs = [math.degrees(el.inclination_rad) for el in c]
         assert all(70.0 <= d <= 100.0 for d in degs)
 
+    @pytest.mark.parametrize("inclination_deg", [None, 53.0])
+    def test_fleet_draw_matches_per_satellite_scalar_draws(
+            self, inclination_deg):
+        # Seeded sweeps (and their digests) depend on this order: each
+        # satellite in turn draws its inclination (unless fixed), RAAN
+        # and mean anomaly, and the generator ends in the same state.
+        rng = np.random.default_rng(11)
+        fleet = random_constellation(30, rng, inclination_deg=inclination_deg)
+        ref = np.random.default_rng(11)
+        for el in fleet:
+            incl = (inclination_deg if inclination_deg is not None
+                    else float(ref.uniform(70.0, 100.0)))
+            assert el.inclination_rad == math.radians(incl)
+            assert el.raan_rad == float(ref.uniform(0.0, 2 * math.pi))
+            assert el.mean_anomaly_rad == float(ref.uniform(0.0, 2 * math.pi))
+        assert rng.random() == ref.random()
+
     def test_rejects_zero_count(self, rng):
         with pytest.raises(ValueError):
             random_constellation(0, rng)

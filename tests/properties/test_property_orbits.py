@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.orbits.constants import EARTH_RADIUS_KM
@@ -19,9 +19,11 @@ from repro.orbits.elements import OrbitalElements
 from repro.orbits.kepler import KeplerPropagator, solve_kepler
 from repro.orbits.tle import elements_from_tle, tle_from_elements
 from repro.orbits.visibility import (
+    chord_clears_grazing,
     footprint_area_km2,
     footprint_half_angle,
     has_line_of_sight,
+    line_of_sight_mask,
 )
 
 altitudes = st.floats(min_value=300.0, max_value=2000.0)
@@ -111,6 +113,75 @@ class TestVisibilityProperties:
         a = np.array([r, 0.0, 0.0])
         b = r * np.array([math.cos(theta), math.sin(theta), 0.0])
         assert has_line_of_sight(a, b) == has_line_of_sight(b, a)
+
+
+def _unit_rows(rng, count):
+    rows = rng.normal(size=(count, 3))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+def _symmetric_pairs(rng, count, radius, length):
+    """Pairs at ``radius``, ``length`` apart, symmetric about the
+    segment's closest approach to the Earth's centre."""
+    along = _unit_rows(rng, count)
+    # Gram-Schmidt a second direction orthogonal to the first.
+    across = _unit_rows(rng, count)
+    across -= (across * along).sum(axis=-1, keepdims=True) * along
+    across /= np.linalg.norm(across, axis=-1, keepdims=True)
+    depth = math.sqrt(radius * radius - 0.25 * length * length)
+    middle = depth * along
+    return middle + 0.5 * length * across, middle - 0.5 * length * across
+
+
+class TestChordBound:
+    """:func:`chord_clears_grazing` against :func:`line_of_sight_mask`."""
+
+    @given(radius=st.floats(min_value=EARTH_RADIUS_KM + 100.0,
+                            max_value=EARTH_RADIUS_KM + 2500.0),
+           length=st.floats(min_value=100.0, max_value=12000.0),
+           grazing=st.sampled_from([0.0, 80.0, 400.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_certified_segments_all_clear(self, radius, length, grazing,
+                                          seed):
+        assume(chord_clears_grazing(radius, length, grazing))
+        rng = np.random.default_rng(seed)
+        # Random pairs, plus the worst case: both ends at the lowest
+        # radius, the longest length, symmetric about the closest point.
+        a = _unit_rows(rng, 400) * (radius + rng.uniform(0.0, 3000.0,
+                                                         (400, 1)))
+        b = a + (_unit_rows(rng, 400)
+                 * rng.uniform(0.0, length, (400, 1)))
+        worst_a, worst_b = _symmetric_pairs(rng, 50, radius * (1 + 1e-12),
+                                            length * (1 - 1e-12))
+        a = np.concatenate([a, worst_a])
+        b = np.concatenate([b, worst_b])
+
+        def norm(rows):
+            return np.sqrt((rows * rows).sum(axis=-1))
+
+        kept = (norm(a) >= radius) & (norm(b) >= radius) & (
+            norm(a - b) <= length)
+        assert kept[-50:].all()
+        assert line_of_sight_mask(a[kept], b[kept], grazing).all()
+
+    @pytest.mark.parametrize("altitude", [550.0, 780.0, 1200.0])
+    def test_bound_is_tight_at_the_chord(self, altitude):
+        radius = EARTH_RADIUS_KM + altitude
+        limit = EARTH_RADIUS_KM + 80.0
+        chord = 2.0 * math.sqrt(radius * radius - limit * limit)
+        assert chord_clears_grazing(radius, chord * (1.0 - 1e-6))
+        longer = chord * (1.0 + 1e-6)
+        assert not chord_clears_grazing(radius, longer)
+        a, b = _symmetric_pairs(np.random.default_rng(3), 20, radius,
+                                longer)
+        assert not line_of_sight_mask(a, b).any()
+
+    def test_paper_settings(self):
+        # The Figure 2(b) relay graph: a 6,000 km cap at 780 km is
+        # certified (the chord is ~6,175 km), at 550 km it is not.
+        assert chord_clears_grazing(EARTH_RADIUS_KM + 780.0, 6000.0)
+        assert not chord_clears_grazing(EARTH_RADIUS_KM + 550.0, 6000.0)
 
 
 class TestTleProperties:

@@ -55,6 +55,19 @@ class TestFigureCommands:
         out = capsys.readouterr().out
         assert "union" in out
 
+    @pytest.mark.parametrize("command", ["figure2b", "figure2c"])
+    @pytest.mark.parametrize("options, message", [
+        (["--counts", "0"], "need at least one satellite, got 0"),
+        (["--counts", "25", "25"], "satellite counts repeat: [25]"),
+        (["--trials", "0"], "need at least one trial, got 0"),
+    ])
+    def test_figure_sweeps_reject_bad_options(self, capsys, command,
+                                              options, message):
+        assert main([command] + options) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad {command} options: {message}" in captured.err
+
 
 class TestCatalog:
     def test_emits_parseable_tles(self, capsys):
