@@ -6,8 +6,6 @@ the same rows/series the paper reports, so `pytest benchmarks/
 absolute values are recorded in EXPERIMENTS.md.
 """
 
-import pytest
-
 
 def print_table(title, rows, columns):
     """Render experiment rows as an aligned text table."""

@@ -3,15 +3,20 @@
 Paper claims: per-path volumes "tracked by all parties involved ...
 create an easily cross-verifiable account"; symmetric interdependence
 leads providers to peer; the BGP provider/customer hierarchy cannot
-express the meshed paths OpenSpace produces.
+express the meshed paths OpenSpace produces.  Discussion Q4: under an
+all-or-nothing business model, Shapley revenue sharing makes
+collaboration pay for every operator.
 """
 
 from conftest import print_table
 
 import numpy as np
 
+from repro.core.interop import SizeClass, build_fleet
 from repro.economics.bgp import AsRelationship, BgpEconomy, RelationshipKind
+from repro.economics.incentives import revenue_sharing, viable_service_utility
 from repro.experiments.ablations import ablation_economics
+from repro.orbits.walker import iridium_like
 
 
 def test_ledger_settlement_and_peering(benchmark):
@@ -69,3 +74,24 @@ def test_bgp_model_misfit(benchmark):
     # The paper's misfit argument: most meshed paths violate the
     # hierarchical model.
     assert fraction < 0.5
+
+
+def test_all_or_nothing_makes_collaboration_pay(benchmark):
+    """Paper Q4: under the all-or-nothing model everyone gains."""
+    fleet = build_fleet(iridium_like(), "x", SizeClass.SMALL)
+    fleets = {"big": fleet[:40], "small1": fleet[40:53], "small2": fleet[53:]}
+
+    def share():
+        utility = viable_service_utility(fleets, viability_threshold=0.95)
+        return revenue_sharing(list(fleets), utility, 1000.0)
+
+    report = benchmark.pedantic(share, rounds=1, iterations=1)
+    print_table("Q4: Shapley revenue sharing (all-or-nothing, 95% viability)",
+                [{"operator": name, "payment_usd": report.payments[name]}
+                 for name in fleets],
+                ["operator", "payment_usd"])
+    assert report.all_gain
+    assert all(v > 0.0 for v in report.payments.values())
+    # The big operator is paid more than either small one.
+    assert report.payments["big"] > report.payments["small1"]
+    assert report.payments["big"] > report.payments["small2"]

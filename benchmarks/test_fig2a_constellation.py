@@ -3,12 +3,19 @@
 Paper claim: an Iridium-like Walker Star (66 satellites, 780 km, 6
 near-polar planes) "achieves global coverage while maintaining
 inter-satellite distances and trajectories that allow for simple and
-sustained ISLs."
+sustained ISLs."  The paper also cites the CBO reference design (72
+satellites, 12 per plane in 6 planes at 80 deg) at ~95% coverage; our
+coverage pipeline must land near that external number.
 """
 
 from conftest import print_table
 
+import pytest
+
 from repro.experiments.figure2 import figure_2a_constellation
+from repro.orbits.constants import CBO_EXPECTED_COVERAGE
+from repro.orbits.visibility import coverage_fraction
+from repro.orbits.walker import cbo_reference
 
 
 def test_fig2a_constellation(benchmark):
@@ -58,3 +65,21 @@ def test_fig2a_sustained_over_time(benchmark):
                 rows, ["time_s", "isls", "connected", "coverage_union"])
     assert all(r.connected for r in reports)
     assert all(r.coverage_union > 0.99 for r in reports)
+
+
+def test_cbo_reference_cross_check(benchmark):
+    """The whole coverage pipeline against the paper's cited CBO figure."""
+
+    def cbo_coverage():
+        constellation = cbo_reference()
+        return coverage_fraction(
+            constellation.positions_at(0.0), 780.0,
+            min_elevation_deg=10.0, grid_resolution=36,
+        )
+
+    coverage = benchmark.pedantic(cbo_coverage, rounds=1, iterations=1)
+    print_table("Figure 2(a): CBO reference cross-check",
+                [{"design": "cbo-reference", "coverage": coverage,
+                  "cited": CBO_EXPECTED_COVERAGE}],
+                ["design", "coverage", "cited"])
+    assert coverage == pytest.approx(CBO_EXPECTED_COVERAGE, abs=0.06)

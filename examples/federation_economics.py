@@ -23,7 +23,6 @@ from repro.economics.capex import constellation_budget, entry_cost_comparison
 from repro.economics.ledger import TrafficLedger
 from repro.economics.peering import PeeringAdvisor
 from repro.economics.settlement import RateCard, SettlementEngine
-from repro.ground.station import default_station_network
 from repro.orbits.walker import iridium_like
 from repro.simulation.scenario import Scenario
 from repro.simulation.traffic import uniform_land_users

@@ -20,7 +20,6 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from repro.core.interop import SizeClass
-from repro.ground.station import default_station_network
 from repro.simulation.scenario import Scenario
 from repro.simulation.traffic import (
     UNDERSERVED_REGIONS,

@@ -10,7 +10,7 @@ Subpackages (bottom-up):
 
 * :mod:`repro.orbits` — propagation, frames, constellations, visibility.
 * :mod:`repro.phy` — channels, antennas, link budgets, MODCODs.
-* :mod:`repro.mac` — CSMA/CA, TDMA, OFDMA.
+* :mod:`repro.mac` — CSMA/CA, TDMA, slotted ALOHA.
 * :mod:`repro.isl` — link selection, power, topology.
 * :mod:`repro.routing` — proactive / QoS / on-demand / adaptive /
   time-expanded routing.

@@ -141,12 +141,16 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     from repro.orbits.tle import catalog_from_constellation
     from repro.orbits.walker import iridium_like, walker_delta, walker_star
 
-    if args.kind == "iridium":
-        constellation = iridium_like()
-    elif args.kind == "star":
-        constellation = walker_star(args.satellites, args.planes)
-    else:
-        constellation = walker_delta(args.satellites, args.planes)
+    try:
+        if args.kind == "iridium":
+            constellation = iridium_like()
+        elif args.kind == "star":
+            constellation = walker_star(args.satellites, args.planes)
+        else:
+            constellation = walker_delta(args.satellites, args.planes)
+    except ValueError as exc:
+        print(f"bad catalog options: {exc}", file=sys.stderr)
+        return 1
     for record in catalog_from_constellation(constellation,
                                              name_prefix=args.prefix):
         for line in record:
@@ -160,8 +164,13 @@ def _cmd_availability(args: argparse.Namespace) -> int:
         resilience_sweep,
     )
 
+    try:
+        availability = availability_sweep(epochs=args.epochs)
+    except ValueError as exc:
+        print(f"bad availability options: {exc}", file=sys.stderr)
+        return 1
     print("== availability vs fleet size ==")
-    for row in availability_sweep(epochs=args.epochs):
+    for row in availability:
         print(f"{row['satellites']:>4} sats ({row['layout']}): "
               f"mean availability {row['mean']:.2f}")
     print("== resilience to failures ==")
@@ -261,10 +270,14 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     from repro.orbits.coordinates import GeodeticPoint
     from repro.orbits.walker import iridium_like
 
+    try:
+        user = UserTerminal("cli-user", GeodeticPoint(args.lat, args.lon),
+                            "cli", min_elevation_deg=args.mask)
+    except ValueError as exc:
+        print(f"bad latency options: {exc}", file=sys.stderr)
+        return 1
     fleet = build_fleet(iridium_like(), "cli", SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, default_station_network())
-    user = UserTerminal("cli-user", GeodeticPoint(args.lat, args.lon),
-                        "cli", min_elevation_deg=args.mask)
     latency = network.user_to_internet_latency_s(user, args.time)
     if latency is None:
         print("unreachable: no satellite overhead or no gateway path")
@@ -307,12 +320,16 @@ def _cmd_faults_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.resilience_dynamic import dynamic_resilience_sweep
 
     mttr = None if args.mttr < 0 else args.mttr
-    rows = dynamic_resilience_sweep(
-        mtbf_hours=tuple(args.mtbf_hours), mttr_s=mttr,
-        horizon_s=args.horizon, epochs=args.epochs, seed=args.seed,
-        reroute_delay_s=args.reroute_delay, jobs=args.jobs,
-        engine=args.engine,
-    )
+    try:
+        rows = dynamic_resilience_sweep(
+            mtbf_hours=tuple(args.mtbf_hours), mttr_s=mttr,
+            horizon_s=args.horizon, epochs=args.epochs, seed=args.seed,
+            reroute_delay_s=args.reroute_delay, jobs=args.jobs,
+            engine=args.engine,
+        )
+    except ValueError as exc:
+        print(f"bad faults sweep options: {exc}", file=sys.stderr)
+        return 1
     _print_recovery_rows(rows)
     return 0
 
@@ -336,16 +353,24 @@ def _cmd_faults_inject(args: argparse.Namespace) -> int:
     fleet = build_fleet(iridium_like(), "faults", SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, stations)
     mttr = None if args.mttr < 0 else args.mttr
-    schedule = satellite_mtbf_schedule(
-        [spec.satellite_id for spec in fleet], args.horizon,
-        mtbf_s=args.mtbf_hours * 3600.0, mttr_s=mttr, seed=args.seed,
-    )
-    if args.station_mtbf_hours is not None:
-        schedule = combine(schedule, ground_station_outage_schedule(
-            [station.station_id for station in stations], args.horizon,
-            mtbf_s=args.station_mtbf_hours * 3600.0, mttr_s=mttr,
-            seed=args.seed + 1,
-        ))
+    try:
+        schedule = satellite_mtbf_schedule(
+            [spec.satellite_id for spec in fleet], args.horizon,
+            mtbf_s=args.mtbf_hours * 3600.0, mttr_s=mttr, seed=args.seed,
+        )
+        if args.station_mtbf_hours is not None:
+            schedule = combine(schedule, ground_station_outage_schedule(
+                [station.station_id for station in stations], args.horizon,
+                mtbf_s=args.station_mtbf_hours * 3600.0, mttr_s=mttr,
+                seed=args.seed + 1,
+            ))
+        result = run_fault_scenario(network, schedule, _sample_users(),
+                                    horizon_s=args.horizon,
+                                    epochs=args.epochs,
+                                    reroute_delay_s=args.reroute_delay)
+    except ValueError as exc:
+        print(f"bad faults inject options: {exc}", file=sys.stderr)
+        return 1
     if args.schedule_out:
         schedule.save(args.schedule_out)
         print(f"wrote {args.schedule_out} ({len(schedule)} fault events)")
@@ -353,9 +378,6 @@ def _cmd_faults_inject(args: argparse.Namespace) -> int:
         print(f"t={event.start_s:9.1f}  {event.kind.value:<14} "
               f"{','.join(event.targets)}  "
               f"{'permanent' if event.end_s is None else f'until {event.end_s:.1f} s'}")
-    result = run_fault_scenario(network, schedule, _sample_users(),
-                                horizon_s=args.horizon, epochs=args.epochs,
-                                reroute_delay_s=args.reroute_delay)
     _print_recovery_summary(result)
     return 0
 
@@ -386,9 +408,13 @@ def _cmd_faults_replay(args: argparse.Namespace) -> int:
     network = OpenSpaceNetwork(build_fleet(iridium_like(), "faults",
                                            SizeClass.MEDIUM),
                                default_station_network())
-    result = run_fault_scenario(network, schedule, _sample_users(),
-                                horizon_s=horizon, epochs=args.epochs,
-                                reroute_delay_s=args.reroute_delay)
+    try:
+        result = run_fault_scenario(network, schedule, _sample_users(),
+                                    horizon_s=horizon, epochs=args.epochs,
+                                    reroute_delay_s=args.reroute_delay)
+    except ValueError as exc:
+        print(f"bad faults replay options: {exc}", file=sys.stderr)
+        return 1
     print(f"replayed {len(schedule)} fault events over {horizon:.0f} s")
     _print_recovery_summary(result)
     return 0
@@ -398,13 +424,18 @@ def _cmd_reliability_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.reliability import reliability_sweep
 
     mttr = None if args.mttr < 0 else args.mttr
-    rows = reliability_sweep(
-        loss_rates=tuple(args.loss), flap_mtbf_hours=tuple(args.mtbf_hours),
-        horizon_s=args.horizon, probes=args.probes, seed=args.seed,
-        mttr_s=mttr, flap_fraction=args.flap_fraction,
-        max_attempts=args.max_attempts, timeout_s=args.timeout,
-        jobs=args.jobs,
-    )
+    try:
+        rows = reliability_sweep(
+            loss_rates=tuple(args.loss),
+            flap_mtbf_hours=tuple(args.mtbf_hours),
+            horizon_s=args.horizon, probes=args.probes, seed=args.seed,
+            mttr_s=mttr, flap_fraction=args.flap_fraction,
+            max_attempts=args.max_attempts, timeout_s=args.timeout,
+            jobs=args.jobs,
+        )
+    except ValueError as exc:
+        print(f"bad reliability sweep options: {exc}", file=sys.stderr)
+        return 1
     print("loss mtbf_h auth_ok baseline_ok attempts inflation "
           "degraded breaker_opens exch_fail")
     for row in rows:

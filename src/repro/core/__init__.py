@@ -7,8 +7,6 @@ service that is owned, controlled, and managed by distributed entities":
   profile every participating spacecraft must meet, and spacecraft specs.
 * :mod:`repro.core.beacon` — standardized presence beacons with orbital
   information.
-* :mod:`repro.core.pairing` — the ISL pairing handshake (RF association,
-  spec exchange, optional laser beamforming negotiation).
 * :mod:`repro.core.association` — user association + home-ISP RADIUS
   authentication over ISLs + roaming certificates.
 * :mod:`repro.core.handover` — predictive successor handover vs the
@@ -25,18 +23,11 @@ from repro.core.interop import (
     InteroperabilityProfile,
     SizeClass,
     SpacecraftSpec,
-    derate_power_for_eclipse,
     small_spacecraft,
     medium_spacecraft,
     large_spacecraft,
 )
 from repro.core.beacon import Beacon, BeaconEvaluator
-from repro.core.pairing import (
-    PairingProtocol,
-    PairingOutcome,
-    PairRequest,
-    predict_hold_duration_s,
-)
 from repro.core.association import AssociationProtocol, AssociationResult
 from repro.core.handover import (
     HandoverScheme,
@@ -65,16 +56,11 @@ __all__ = [
     "InteroperabilityProfile",
     "SizeClass",
     "SpacecraftSpec",
-    "derate_power_for_eclipse",
     "small_spacecraft",
     "medium_spacecraft",
     "large_spacecraft",
     "Beacon",
     "BeaconEvaluator",
-    "PairingProtocol",
-    "PairingOutcome",
-    "PairRequest",
-    "predict_hold_duration_s",
     "AssociationProtocol",
     "AssociationResult",
     "HandoverScheme",

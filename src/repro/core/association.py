@@ -24,7 +24,7 @@ import networkx as nx
 import numpy as np
 
 from repro import obs as _obs
-from repro.core.beacon import Beacon, BeaconEvaluator
+from repro.core.beacon import BeaconEvaluator
 from repro.ground.user import UserTerminal
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.routing.metrics import path_metrics, shortest_path

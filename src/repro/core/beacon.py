@@ -16,7 +16,6 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.core.interop import SpacecraftSpec
-from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.kepler import KeplerPropagator
 from repro.orbits.visibility import elevation_angle, slant_range
@@ -144,10 +143,3 @@ class BeaconEvaluator:
             raise ValueError(f"limit must be >= 1, got {limit}")
         ranked = self.rank(receiver_position_eci, time_s)
         return [beacon for _range, beacon in ranked[:limit]]
-
-
-def beacon_reception_delay_s(distance_km: float) -> float:
-    """One-way beacon propagation delay."""
-    if distance_km < 0.0:
-        raise ValueError(f"distance must be >= 0, got {distance_km}")
-    return distance_km / SPEED_OF_LIGHT_KM_S

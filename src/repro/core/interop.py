@@ -51,7 +51,7 @@ class SizeClass(enum.Enum):
 class SpacecraftSpec:
     """Everything one spacecraft declares to the federation.
 
-    This is the payload of the pairing protocol's spec exchange — "a pair
+    This is the payload of the paper's ISL pairing spec exchange — "a pair
     request which contains its technical specifications (for example
     whether optical links are supported, and the exact position of its
     laser diodes)".
@@ -217,32 +217,6 @@ def large_spacecraft(satellite_id: str, owner: str,
         power=largesat_power_budget(),
         laser_boresights_deg=[0.0, 90.0, 180.0, 270.0],
     )
-
-
-def derate_power_for_eclipse(spec: SpacecraftSpec,
-                             start_s: float = 0.0) -> SpacecraftSpec:
-    """Scale a spacecraft's solar generation by its lit orbit fraction.
-
-    Factory power budgets quote full-sun panel output; the effective
-    orbit-average generation is lower by the eclipse fraction — the
-    "energy budget" heterogeneity the paper highlights is partly an
-    orbit-geometry effect.  Returns the same spec with a derated
-    :class:`PowerBudget` (other fields untouched).
-    """
-    from repro.orbits.eclipse import eclipse_fraction
-    from repro.orbits.kepler import KeplerPropagator
-
-    fraction = eclipse_fraction(KeplerPropagator(spec.elements),
-                                start_s=start_s)
-    derated = PowerBudget(
-        battery_capacity_wh=spec.power.battery_capacity_wh,
-        solar_generation_w=spec.power.solar_generation_w * (1.0 - fraction),
-        bus_load_w=spec.power.bus_load_w,
-        max_concurrent_isls=spec.power.max_concurrent_isls,
-        charge_wh=spec.power.charge_wh,
-    )
-    spec.power = derated
-    return spec
 
 
 def build_fleet(constellation, owner: str, size_class: SizeClass,

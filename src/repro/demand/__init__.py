@@ -28,7 +28,6 @@ from repro.demand.grid import (
     CELL_ID_FORMAT,
     GridSpec,
     PopulationGrid,
-    grid_from_population,
     population_grid,
 )
 from repro.demand.profile import (
@@ -52,7 +51,6 @@ __all__ = [
     "QosClassDemand",
     "congestion_state",
     "diurnal_factor",
-    "grid_from_population",
     "local_solar_hour",
     "map_cells_to_routes",
     "mean_demand_bps_per_user",

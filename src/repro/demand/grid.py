@@ -11,10 +11,7 @@ Cell populations come from the same distributions the per-user
 generators in :mod:`repro.simulation.traffic` draw from: area-uniform
 over the inhabited band (``uniform_land``) or clustered around the
 paper's motivating underserved regions (``underserved``), rasterized
-onto the grid and realized with one seeded multinomial draw.  Existing
-:class:`~repro.simulation.traffic.UserPopulation` objects can also be
-aggregated onto a grid for apples-to-apples comparisons with the
-per-user simulators.
+onto the grid and realized with one seeded multinomial draw.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import numpy as np
 
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
-from repro.simulation.traffic import UNDERSERVED_REGIONS, UserPopulation
+from repro.simulation.traffic import UNDERSERVED_REGIONS
 
 #: Cell-id format shared by the grid, the fluid engine, and exports.
 CELL_ID_FORMAT = "cell-{index:05d}"
@@ -237,34 +234,4 @@ def population_grid(total_users: int, rng: np.random.Generator,
     return PopulationGrid(spec=spec, lat_deg=lat_deg, lon_deg=lon_deg,
                           area_weight=area,
                           users=counts.astype(np.int64),
-                          _band_of_cell=band)
-
-
-def grid_from_population(population: UserPopulation,
-                         spec: Optional[GridSpec] = None) -> PopulationGrid:
-    """Aggregate an existing per-user population onto a grid.
-
-    Users outside the latitude cap clip to the nearest edge band (the
-    per-user generators can place users beyond the cap only via
-    underserved-region jitter).
-    """
-    spec = spec or GridSpec()
-    lat_deg, lon_deg, area, band = _cell_geometry(spec)
-    counts = np.zeros(len(lat_deg), dtype=np.int64)
-    sin_edges = spec.band_sin_edges()
-    columns = spec.columns_per_band()
-    band_start = np.zeros(spec.bands, dtype=np.int64)
-    band_start[1:] = np.cumsum(columns)[:-1]
-    for user in population.users:
-        sin_lat = math.sin(math.radians(user.location.latitude_deg))
-        band_index = int(np.clip(
-            np.searchsorted(sin_edges, sin_lat, side="right") - 1,
-            0, spec.bands - 1,
-        ))
-        cols = int(columns[band_index])
-        lon = ((user.location.longitude_deg + 180.0) % 360.0)
-        col = min(cols - 1, int(lon / (360.0 / cols)))
-        counts[band_start[band_index] + col] += 1
-    return PopulationGrid(spec=spec, lat_deg=lat_deg, lon_deg=lon_deg,
-                          area_weight=area, users=counts,
                           _band_of_cell=band)

@@ -12,7 +12,6 @@ from repro.experiments.figure2 import (
     figure_2c_coverage,
 )
 from repro.experiments.provider_mix import MixResult, provider_mix_sweep
-from repro.experiments.export import figure_2b_to_csv, rows_to_csv
 from repro.experiments.availability import (
     availability_sweep,
     resilience_sweep,
@@ -57,6 +56,4 @@ __all__ = [
     "scale_sweep",
     "dynamic_resilience_sweep",
     "run_fault_scenario",
-    "figure_2b_to_csv",
-    "rows_to_csv",
 ]

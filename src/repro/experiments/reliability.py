@@ -277,6 +277,10 @@ def reliability_sweep(loss_rates: Sequence[float] = (0.0, 0.05, 0.2),
         ``flap_mtbf_hours`` order, each carrying the scenario aggregates
         plus the ``loss`` / ``flap_mtbf_h`` coordinates.
     """
+    if probes < 1:
+        raise ValueError(f"need at least one probe, got {probes}")
+    if horizon_s <= 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon_s}")
     for loss in loss_rates:
         if not 0.0 <= loss <= 1.0:
             raise ValueError(f"loss rate must be in [0, 1], got {loss}")

@@ -241,6 +241,10 @@ def dynamic_resilience_sweep(mtbf_hours: Sequence[float] = (1.0, 3.0, 12.0),
         "flows_rerouted", "flows_dropped", "mean_availability",
         "mean_time_to_reroute_s", "observed_mttr_s", ...}``.
     """
+    if epochs < 1:
+        raise ValueError(f"need at least one epoch, got {epochs}")
+    if horizon_s <= 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon_s}")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     points = []

@@ -24,16 +24,13 @@ from repro.faults.model import (
     combine,
     link_target,
     parse_link_target,
-    validate_against,
 )
 from repro.faults.schedule import (
-    fraction_loss_schedule,
     great_circle_km,
     ground_station_outage_schedule,
     link_flap_schedule,
     plane_loss_event,
     plane_members,
-    provider_withdrawal_event,
     regional_blackout_event,
     satellite_mtbf_schedule,
     satellite_outage_event,
@@ -56,15 +53,15 @@ __all__ = [
     "combine",
     "link_target",
     "parse_link_target",
-    "validate_against",
     "satellite_mtbf_schedule",
     "ground_station_outage_schedule",
     "link_flap_schedule",
     "plane_members",
     "plane_loss_event",
-    "provider_withdrawal_event",
     "satellite_outage_event",
-    "fraction_loss_schedule",
+    "great_circle_km",
+    "stations_within",
+    "regional_blackout_event",
     "FaultInjector",
     "RecoveryTracker",
     "AvailabilityTimeline",

@@ -18,7 +18,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.export import atomic_write
 
@@ -343,31 +343,3 @@ def combine(*schedules: FaultSchedule) -> FaultSchedule:
     for schedule in schedules:
         merged = merged.extended(schedule)
     return merged
-
-
-def validate_against(schedule: FaultSchedule,
-                     satellite_ids: Iterable[str],
-                     station_ids: Iterable[str] = (),
-                     providers: Iterable[str] = ()) -> List[str]:
-    """Targets in ``schedule`` that no known element matches.
-
-    Unknown targets are not an error at injection time (a satellite may
-    already be quarantined out of the fleet); this helper lets callers
-    surface them up front when strictness is wanted.
-    """
-    sats = set(satellite_ids)
-    stations = set(station_ids)
-    owners = set(providers)
-    unknown: List[str] = []
-    for event in schedule:
-        if event.kind in (FaultKind.SATELLITE, FaultKind.PLANE):
-            unknown.extend(t for t in event.targets if t not in sats)
-        elif event.kind is FaultKind.GROUND_STATION:
-            unknown.extend(t for t in event.targets if t not in stations)
-        elif event.kind is FaultKind.ISL_LINK:
-            for target in event.targets:
-                node_a, node_b = parse_link_target(target)
-                unknown.extend(n for n in (node_a, node_b) if n not in sats)
-        elif event.kind is FaultKind.PROVIDER:
-            unknown.extend(t for t in event.targets if t not in owners)
-    return unknown

@@ -163,26 +163,6 @@ def plane_loss_event(fleet, plane_index: int, start_s: float,
     )
 
 
-def provider_withdrawal_event(provider: str, start_s: float,
-                              duration_s: Optional[float] = None,
-                              fault_id: Optional[str] = None) -> FaultEvent:
-    """A provider pulls its whole fleet out of the federation.
-
-    The multi-operator failure mode unique to OpenSpace: bankruptcy,
-    regulatory cutoff, or a voluntary withdrawal takes every satellite
-    the provider owns. The injector expands the provider name against
-    the live fleet's ``owner`` fields at apply time.
-    """
-    return FaultEvent(
-        fault_id=fault_id or f"withdrawal-{provider}",
-        kind=FaultKind.PROVIDER,
-        targets=(provider,),
-        start_s=start_s,
-        duration_s=duration_s,
-        cause="provider-withdrawal",
-    )
-
-
 #: Mean Earth radius used for great-circle footprints, km.
 EARTH_RADIUS_KM = 6371.0
 
@@ -289,39 +269,13 @@ def satellite_outage_event(satellite_ids: Sequence[str], start_s: float = 0.0,
     )
 
 
-def fraction_loss_schedule(satellite_ids: Sequence[str], fraction: float,
-                           seed: RngLike = 0, start_s: float = 0.0,
-                           duration_s: Optional[float] = None) -> FaultSchedule:
-    """Fail a random fraction of the fleet as one correlated event.
-
-    Draws ``round(fraction * n)`` distinct indices with
-    ``rng.choice(n, size, replace=False)`` — the same draw the original
-    static ``resilience_sweep`` made, so seeded results carry over.
-    """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"failure fraction must be in [0, 1), got {fraction}")
-    rng = _rng_of(seed)
-    count = int(round(fraction * len(satellite_ids)))
-    events: List[FaultEvent] = []
-    if count:
-        indices = rng.choice(len(satellite_ids), size=count, replace=False)
-        chosen = [satellite_ids[int(i)] for i in sorted(indices)]
-        events.append(satellite_outage_event(
-            chosen, start_s=start_s, duration_s=duration_s,
-            fault_id=f"fraction-loss-{fraction:g}",
-        ))
-    return FaultSchedule(events=events, horizon_s=start_s)
-
-
 __all__ = [
     "satellite_mtbf_schedule",
     "ground_station_outage_schedule",
     "link_flap_schedule",
     "plane_members",
     "plane_loss_event",
-    "provider_withdrawal_event",
     "satellite_outage_event",
-    "fraction_loss_schedule",
     "great_circle_km",
     "stations_within",
     "regional_blackout_event",

@@ -8,8 +8,7 @@ their services differently."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -54,59 +53,3 @@ class GatewayPricing:
             )
             rate *= 1.0 + overload * (self.congestion_multiplier - 1.0)
         return rate
-
-
-@dataclass
-class GatewayUsageMeter:
-    """Tracks metered usage of one gateway by many providers.
-
-    "Ground stations should measure traffic through their gateways from
-    users associated with different providers" — this is that meter; its
-    records feed the cross-verifiable settlement ledger.
-    """
-
-    station_id: str
-    owner: str
-    pricing: GatewayPricing = field(default_factory=GatewayPricing)
-    bytes_by_provider: Dict[str, float] = field(default_factory=dict)
-    passes_by_provider: Dict[str, int] = field(default_factory=dict)
-
-    def record_transfer(self, provider: str, transferred_bytes: float,
-                        utilization: float = 0.0) -> float:
-        """Meter a transfer; returns the charge in dollars.
-
-        Args:
-            provider: Provider whose traffic crossed the gateway.
-            transferred_bytes: Bytes transferred.
-            utilization: Gateway utilization at transfer time (drives the
-                visitor congestion surcharge).
-        """
-        if transferred_bytes < 0.0:
-            raise ValueError(f"bytes must be >= 0, got {transferred_bytes}")
-        self.bytes_by_provider[provider] = (
-            self.bytes_by_provider.get(provider, 0.0) + transferred_bytes
-        )
-        visitor = provider != self.owner
-        rate = self.pricing.effective_rate_per_gb(utilization, visitor)
-        return rate * transferred_bytes / 1e9
-
-    def record_pass(self, provider: str) -> float:
-        """Meter one satellite contact; returns the per-pass fee."""
-        self.passes_by_provider[provider] = (
-            self.passes_by_provider.get(provider, 0) + 1
-        )
-        return 0.0 if provider == self.owner else self.pricing.per_pass_fee
-
-    def statement(self) -> List[Tuple[str, float, int]]:
-        """Per-provider (bytes, passes) usage statement, provider-sorted."""
-        providers = sorted(
-            set(self.bytes_by_provider) | set(self.passes_by_provider)
-        )
-        return [
-            (
-                provider,
-                self.bytes_by_provider.get(provider, 0.0),
-                self.passes_by_provider.get(provider, 0),
-            )
-            for provider in providers
-        ]

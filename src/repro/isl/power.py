@@ -5,8 +5,8 @@ establishing those links, satellites may have power consumption constraints
 that limit the number of ISLs they can establish and the size of data
 transfers they can facilitate."  This module models that constraint: an
 energy budget replenished by solar generation and drained by terminal
-operation and attitude slews, plus a slew-time model used by the pairing
-protocol.
+operation and attitude slews, plus a slew-time model for repointing a
+laser terminal.
 """
 
 from __future__ import annotations

@@ -115,10 +115,3 @@ class SlottedAlohaSimulator:
                     if head[1] >= cfg.max_attempts:
                         queues[sid].pop(0)
         return result
-
-
-def theoretical_throughput(offered_load: float) -> float:
-    """Slotted-ALOHA throughput ``S = G e^{-G}`` (per-slot successes)."""
-    if offered_load < 0.0:
-        raise ValueError(f"offered load must be >= 0, got {offered_load}")
-    return offered_load * np.exp(-offered_load)

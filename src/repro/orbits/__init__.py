@@ -2,7 +2,7 @@
 
 This subpackage provides everything the paper's simulation study relies on:
 Keplerian orbit propagation (with optional J2 secular perturbations),
-coordinate transforms between inertial, Earth-fixed, and geodetic frames,
+coordinate transforms from geodetic to Earth-fixed to inertial frames,
 Walker Star / Delta constellation generators (the paper's Iridium-like
 reference design), a TLE parser/emitter standing in for the public orbital
 catalogs the paper cites (N2YO, AstriaGraph), and geometric visibility /
@@ -24,16 +24,12 @@ from repro.orbits.elements import OrbitalElements
 from repro.orbits.kepler import (
     KeplerPropagator,
     mean_motion,
-    orbital_period,
     solve_kepler,
 )
 from repro.orbits.coordinates import (
     GeodeticPoint,
-    ecef_to_geodetic,
-    eci_to_ecef,
     ecef_to_eci,
     geodetic_to_ecef,
-    look_angles,
 )
 from repro.orbits.walker import (
     WalkerConstellation,
@@ -49,19 +45,11 @@ from repro.orbits.visibility import (
     footprint_half_angle,
     footprint_area_km2,
     has_line_of_sight,
-    is_visible,
     slant_range,
     worst_case_coverage_fraction,
 )
 from repro.orbits.tle import TwoLineElement, elements_from_tle, tle_from_elements
 from repro.orbits.contact import ContactWindow, contact_windows
-from repro.orbits.eclipse import (
-    eclipse_fraction,
-    eclipse_windows,
-    in_eclipse,
-    orbit_average_generation_w,
-    sun_direction,
-)
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -73,14 +61,10 @@ __all__ = [
     "OrbitalElements",
     "KeplerPropagator",
     "mean_motion",
-    "orbital_period",
     "solve_kepler",
     "GeodeticPoint",
-    "ecef_to_geodetic",
-    "eci_to_ecef",
     "ecef_to_eci",
     "geodetic_to_ecef",
-    "look_angles",
     "WalkerConstellation",
     "walker_delta",
     "walker_star",
@@ -92,7 +76,6 @@ __all__ = [
     "footprint_half_angle",
     "footprint_area_km2",
     "has_line_of_sight",
-    "is_visible",
     "slant_range",
     "worst_case_coverage_fraction",
     "TwoLineElement",
@@ -100,9 +83,4 @@ __all__ = [
     "tle_from_elements",
     "ContactWindow",
     "contact_windows",
-    "eclipse_fraction",
-    "eclipse_windows",
-    "in_eclipse",
-    "orbit_average_generation_w",
-    "sun_direction",
 ]

@@ -4,8 +4,8 @@ Because every OpenSpace participant can see the public orbital catalog, the
 set of overhead satellites at any ground location — and the times at which
 they will be available — is "entirely predictable".  This module computes
 those prediction tables: time windows during which a satellite is visible
-from a ground point (or two satellites have line of sight), which feed the
-proactive routing and predictive handover machinery.
+from a ground point, which feed the proactive routing and predictive
+handover machinery.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci, ecef_to_eci_over
-from repro.orbits.kepler import KeplerPropagator, batch_positions
-from repro.orbits.visibility import (
-    elevation_angle,
-    elevation_angles,
-    line_of_sight_mask,
-)
+from repro.orbits.kepler import KeplerPropagator
+from repro.orbits.visibility import elevation_angle, elevation_angles
 import math
 
 
@@ -127,33 +123,3 @@ def contact_windows(ground: GeodeticPoint,
             )
     windows.sort(key=lambda w: (w.start_s, w.satellite_index))
     return windows
-
-
-def isl_feasibility_schedule(propagators: List[KeplerPropagator],
-                             start_s: float, end_s: float,
-                             step_s: float = 30.0,
-                             max_range_km: Optional[float] = None) -> dict:
-    """For each satellite pair, the fraction of time an ISL is feasible.
-
-    Feasible means line-of-sight above the atmosphere and (optionally)
-    within ``max_range_km``.  Used by the topology planner to pick stable
-    ISL assignments.
-
-    Returns:
-        Mapping ``(i, j) -> feasible_fraction`` for ``i < j``.
-    """
-    times = np.arange(start_s, end_s + step_s, step_s)
-    count = len(propagators)
-    feasible = {}
-    # (N, T, 3) in one batched propagation, then one vectorized range +
-    # line-of-sight pass per pair over the whole time grid.
-    positions = batch_positions(propagators, times)
-    for i in range(count):
-        for j in range(i + 1, count):
-            hits = line_of_sight_mask(positions[i], positions[j])
-            if max_range_km is not None:
-                diff = positions[i] - positions[j]
-                within = np.sqrt((diff * diff).sum(axis=-1)) <= max_range_km
-                hits = hits & within
-            feasible[(i, j)] = float(hits.sum()) / len(times)
-    return feasible

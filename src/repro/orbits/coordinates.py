@@ -1,16 +1,15 @@
-"""Coordinate frames: ECI <-> ECEF <-> geodetic, plus ground-observer geometry.
+"""Coordinate frames: geodetic -> ECEF -> ECI.
 
 The simulation treats the Earth as a rotating sphere of mean radius
 ``EARTH_RADIUS_KM`` for visibility/coverage purposes (matching the paper's
-simplified study) but provides WGS-84 geodetic conversions for realistic
-ground-station placement.
+simplified study) but places ground sites with the WGS-84 geodetic
+conversion, then rotates them into the inertial frame the orbits use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -67,38 +66,6 @@ def geodetic_to_ecef(point: GeodeticPoint) -> np.ndarray:
     return np.array([x, y, z])
 
 
-def ecef_to_geodetic(ecef_km: np.ndarray, tol: float = 1e-10,
-                     max_iterations: int = 20) -> GeodeticPoint:
-    """Convert an ECEF vector (km) to geodetic coordinates (iterative)."""
-    x, y, z = (float(v) for v in ecef_km)
-    lon = math.atan2(y, x)
-    p = math.hypot(x, y)
-    e2 = EARTH_FLATTENING * (2.0 - EARTH_FLATTENING)
-    if p < 1e-9:
-        # On the polar axis the longitude is undefined; pick 0.
-        lat = math.copysign(math.pi / 2.0, z)
-        n = EARTH_RADIUS_KM / math.sqrt(1.0 - e2)
-        alt = abs(z) - n * (1.0 - e2)
-        return GeodeticPoint(math.degrees(lat), 0.0, alt)
-    lat = math.atan2(z, p * (1.0 - e2))
-    for _ in range(max_iterations):
-        sin_lat = math.sin(lat)
-        n = EARTH_RADIUS_KM / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
-        alt = p / math.cos(lat) - n
-        new_lat = math.atan2(z, p * (1.0 - e2 * n / (n + alt)))
-        if abs(new_lat - lat) < tol:
-            lat = new_lat
-            break
-        lat = new_lat
-    sin_lat = math.sin(lat)
-    n = EARTH_RADIUS_KM / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
-    alt = p / math.cos(lat) - n
-    lon_deg = math.degrees(lon)
-    if lon_deg <= -180.0:
-        lon_deg += 360.0
-    return GeodeticPoint(math.degrees(lat), lon_deg, alt)
-
-
 def _gmst_rad(time_s: float) -> float:
     """Greenwich mean sidereal angle at simulation time ``time_s``.
 
@@ -106,14 +73,6 @@ def _gmst_rad(time_s: float) -> float:
     with the ECI x-axis, so GMST is simply the accumulated Earth rotation.
     """
     return (EARTH_ROTATION_RAD_S * time_s) % _TWO_PI
-
-
-def eci_to_ecef(eci_km: np.ndarray, time_s: float) -> np.ndarray:
-    """Rotate an ECI vector into the Earth-fixed frame at ``time_s``."""
-    theta = _gmst_rad(time_s)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    rot = np.array([[cos_t, sin_t, 0.0], [-sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
-    return rot @ np.asarray(eci_km, dtype=float)
 
 
 def ecef_to_eci(ecef_km: np.ndarray, time_s: float) -> np.ndarray:
@@ -143,47 +102,3 @@ def ecef_to_eci_over(ecef_km: np.ndarray, times_s) -> np.ndarray:
         [cos_t * x - sin_t * y, sin_t * x + cos_t * y,
          np.full_like(times, z)], axis=-1
     )
-
-
-def look_angles(observer: GeodeticPoint,
-                target_ecef_km: np.ndarray) -> Tuple[float, float, float]:
-    """Azimuth, elevation (radians) and slant range (km) from an observer.
-
-    Azimuth is measured clockwise from true north; elevation is positive
-    above the local horizon.
-
-    Args:
-        observer: Ground observer location.
-        target_ecef_km: Target position in the Earth-fixed frame, km.
-
-    Returns:
-        ``(azimuth_rad, elevation_rad, range_km)``.
-    """
-    obs_ecef = observer.ecef()
-    delta = np.asarray(target_ecef_km, dtype=float) - obs_ecef
-    lat, lon = observer.latitude_rad, observer.longitude_rad
-    sin_lat, cos_lat = math.sin(lat), math.cos(lat)
-    sin_lon, cos_lon = math.sin(lon), math.cos(lon)
-    # Rotate the ECEF delta into the local East-North-Up frame.
-    east = -sin_lon * delta[0] + cos_lon * delta[1]
-    north = (
-        -sin_lat * cos_lon * delta[0]
-        - sin_lat * sin_lon * delta[1]
-        + cos_lat * delta[2]
-    )
-    up = (
-        cos_lat * cos_lon * delta[0]
-        + cos_lat * sin_lon * delta[1]
-        + sin_lat * delta[2]
-    )
-    range_km = float(np.linalg.norm(delta))
-    if range_km == 0.0:
-        return 0.0, math.pi / 2.0, 0.0
-    elevation = math.asin(max(-1.0, min(1.0, up / range_km)))
-    azimuth = math.atan2(east, north) % _TWO_PI
-    return azimuth, elevation, range_km
-
-
-def subsatellite_point(eci_km: np.ndarray, time_s: float) -> GeodeticPoint:
-    """The geodetic point directly beneath a satellite at ``time_s``."""
-    return ecef_to_geodetic(eci_to_ecef(eci_km, time_s))

@@ -32,11 +32,6 @@ def mean_motion(semi_major_axis_km: float) -> float:
     return math.sqrt(EARTH_MU_KM3_S2 / semi_major_axis_km**3)
 
 
-def orbital_period(semi_major_axis_km: float) -> float:
-    """Orbital period in seconds for the given semi-major axis."""
-    return _TWO_PI / mean_motion(semi_major_axis_km)
-
-
 def solve_kepler_array(mean_anomaly_rad: np.ndarray, eccentricity: float,
                        tol: float = 1e-12,
                        max_iterations: int = 50) -> np.ndarray:

@@ -13,7 +13,7 @@ Implements the geometric primitives behind the paper's Figure 2:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,17 +28,6 @@ GRAZING_ALTITUDE_KM = 80.0
 def slant_range(pos_a_km: np.ndarray, pos_b_km: np.ndarray) -> float:
     """Euclidean distance between two position vectors, km."""
     return float(np.linalg.norm(np.asarray(pos_a_km) - np.asarray(pos_b_km)))
-
-
-def pairwise_slant_ranges(positions_km: np.ndarray) -> np.ndarray:
-    """All pairwise distances for ``(N, 3)`` positions; shape ``(N, N)``.
-
-    One broadcast pass replacing the O(N^2) scalar :func:`slant_range`
-    loop in topology construction and relay-graph building.
-    """
-    pos = np.atleast_2d(np.asarray(positions_km, dtype=float))
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def line_of_sight_mask(pos_a_km: np.ndarray, pos_b_km: np.ndarray,
@@ -101,14 +90,6 @@ def chord_clears_grazing(min_radius_km: float, max_length_km: float,
     return bool(depth_sq >= limit * limit * (1.0 + CHORD_MARGIN))
 
 
-def pairwise_line_of_sight(positions_km: np.ndarray,
-                           grazing_altitude_km: float = GRAZING_ALTITUDE_KM) -> np.ndarray:
-    """Line-of-sight matrix for ``(N, 3)`` positions; shape ``(N, N)``."""
-    pos = np.atleast_2d(np.asarray(positions_km, dtype=float))
-    return line_of_sight_mask(pos[:, None, :], pos[None, :, :],
-                              grazing_altitude_km)
-
-
 def elevation_angles(ground_ecef_km: np.ndarray,
                      satellite_ecef_km: np.ndarray) -> np.ndarray:
     """Vectorized :func:`elevation_angle`, radians.
@@ -168,14 +149,6 @@ def elevation_angle(ground_ecef_km: np.ndarray,
         return math.pi / 2.0
     sin_el = float(delta @ ground) / (range_km * ground_norm)
     return math.asin(max(-1.0, min(1.0, sin_el)))
-
-
-def is_visible(ground_ecef_km: np.ndarray, satellite_ecef_km: np.ndarray,
-               min_elevation_deg: float = 10.0) -> bool:
-    """True when the satellite is above the ground point's elevation mask."""
-    return elevation_angle(ground_ecef_km, satellite_ecef_km) >= math.radians(
-        min_elevation_deg
-    )
 
 
 def footprint_half_angle(altitude_km: float,
@@ -359,17 +332,3 @@ def surface_grid(resolution: int = 24):
     weights_arr = np.array(weights)
     weights_arr /= weights_arr.sum()
     return points_arr, weights_arr
-
-
-def visible_satellites(ground_ecef_km: np.ndarray,
-                       satellite_positions_ecef_km: Sequence[np.ndarray],
-                       min_elevation_deg: float = 10.0) -> list:
-    """Indices of satellites visible from a ground point, nearest first."""
-    ground = np.asarray(ground_ecef_km, dtype=float)
-    hits = []
-    for index, sat in enumerate(satellite_positions_ecef_km):
-        sat = np.asarray(sat, dtype=float)
-        if is_visible(ground, sat, min_elevation_deg):
-            hits.append((slant_range(ground, sat), index))
-    hits.sort()
-    return [index for _, index in hits]

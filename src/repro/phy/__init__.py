@@ -8,7 +8,7 @@ routing layer sees realistic heterogeneous capacities:
 
 * free-space path loss, atmospheric/rain attenuation, thermal noise;
 * parabolic/patch antenna gains and optical terminal geometry;
-* pointing-acquisition-tracking (PAT) losses for the narrow laser beams;
+* pointing losses for the narrow laser beams;
 * Shannon and MODCOD-table capacity estimates.
 """
 
@@ -18,17 +18,11 @@ from repro.phy.channel import (
     noise_power_dbw,
     rain_attenuation_db,
 )
-from repro.phy.antennas import (
-    dish_gain_dbi,
-    effective_aperture_m2,
-    half_power_beamwidth_deg,
-)
+from repro.phy.antennas import dish_gain_dbi
 from repro.phy.bands import Band, BAND_CATALOG
 from repro.phy.rf import RFTerminal, rf_link_budget, rf_link_budget_arrays
 from repro.phy.optical import (
     OpticalTerminal,
-    PATController,
-    PATState,
     optical_link_budget,
     optical_link_budget_arrays,
     pointing_loss_db,
@@ -38,15 +32,8 @@ from repro.phy.linkbudget import (
     LinkBudgetArrays,
     shannon_capacity_bps,
 )
-from repro.phy.doppler import (
-    doppler_shift_hz,
-    max_doppler_over_pass,
-    range_rate_km_s,
-    worst_case_doppler_ppm,
-)
 from repro.phy.interference import (
     angular_separation_rad,
-    downlink_sinr_db,
     interference_pairs,
 )
 from repro.phy.modulation import (
@@ -63,28 +50,19 @@ __all__ = [
     "noise_power_dbw",
     "rain_attenuation_db",
     "dish_gain_dbi",
-    "effective_aperture_m2",
-    "half_power_beamwidth_deg",
     "Band",
     "BAND_CATALOG",
     "RFTerminal",
     "rf_link_budget",
     "rf_link_budget_arrays",
     "OpticalTerminal",
-    "PATController",
-    "PATState",
     "optical_link_budget",
     "optical_link_budget_arrays",
     "pointing_loss_db",
     "LinkBudget",
     "LinkBudgetArrays",
     "shannon_capacity_bps",
-    "doppler_shift_hz",
-    "max_doppler_over_pass",
-    "range_rate_km_s",
-    "worst_case_doppler_ppm",
     "angular_separation_rad",
-    "downlink_sinr_db",
     "interference_pairs",
     "ModCod",
     "MODCOD_TABLE",

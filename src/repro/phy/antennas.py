@@ -1,8 +1,8 @@
 """Antenna models for RF terminals.
 
-Parabolic-dish gain/beamwidth formulas plus a small helper for effective
-aperture.  Small OpenSpace spacecraft use patch or low-gain antennas
-(modelled as a fixed gain); larger craft and ground stations use dishes.
+Parabolic-dish gain and the quadratic main-lobe pointing loss.  Small
+OpenSpace spacecraft use patch or low-gain antennas (modelled as a fixed
+gain); larger craft and ground stations use dishes.
 """
 
 from __future__ import annotations
@@ -30,21 +30,6 @@ def dish_gain_dbi(diameter_m: float, frequency_hz: float,
     wavelength = SPEED_OF_LIGHT_M_S / frequency_hz
     gain = efficiency * (math.pi * diameter_m / wavelength) ** 2
     return 10.0 * math.log10(gain)
-
-
-def half_power_beamwidth_deg(diameter_m: float, frequency_hz: float) -> float:
-    """Half-power (-3 dB) beamwidth of a dish, degrees (70 lambda/D rule)."""
-    if diameter_m <= 0.0:
-        raise ValueError(f"diameter must be positive, got {diameter_m}")
-    wavelength = SPEED_OF_LIGHT_M_S / frequency_hz
-    return 70.0 * wavelength / diameter_m
-
-
-def effective_aperture_m2(gain_dbi: float, frequency_hz: float) -> float:
-    """Effective aperture corresponding to a gain at a frequency, m^2."""
-    wavelength = SPEED_OF_LIGHT_M_S / frequency_hz
-    gain = 10.0 ** (gain_dbi / 10.0)
-    return gain * wavelength**2 / (4.0 * math.pi)
 
 
 def pointing_loss_db_rf(off_axis_deg: float, beamwidth_deg: float) -> float:

@@ -132,15 +132,3 @@ def noise_power_dbw(bandwidth_hz: float, system_noise_temp_k: float = 290.0) -> 
     if system_noise_temp_k <= 0.0:
         raise ValueError(f"noise temperature must be positive, got {system_noise_temp_k}")
     return 10.0 * math.log10(BOLTZMANN_J_K * system_noise_temp_k * bandwidth_hz)
-
-
-def db_to_linear(value_db: float) -> float:
-    """Convert a dB quantity to its linear ratio."""
-    return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a positive linear ratio to dB."""
-    if value <= 0.0:
-        raise ValueError(f"value must be positive to convert to dB, got {value}")
-    return 10.0 * math.log10(value)

@@ -9,7 +9,7 @@ ITU-style geometry for NGSO sharing).  This module computes:
 * the angular separation of two satellites as seen from a ground point;
 * the interference power a victim terminal receives from an off-axis
   interferer (transmit power through the victim antenna's off-axis gain);
-* SINR given a serving link and a set of co-channel interferers.
+* the satellite pairs some ground point cannot tell apart.
 
 The coordination protocol that *avoids* these collisions lives in
 :mod:`repro.core.spectrum`.
@@ -23,7 +23,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.phy.antennas import pointing_loss_db_rf
-from repro.phy.channel import free_space_path_loss_db, noise_power_dbw
+from repro.phy.channel import free_space_path_loss_db
 from repro.phy.rf import RFTerminal
 
 
@@ -68,55 +68,6 @@ def received_power_dbw(tx: RFTerminal, rx: RFTerminal, distance_km: float,
         tx.tx_power_dbw + tx.gain_dbi + effective_rx_gain - path_loss
         - tx.implementation_loss_db - rx.implementation_loss_db
     )
-
-
-def downlink_sinr_db(ground_km: np.ndarray, serving_pos_km: np.ndarray,
-                     serving_tx: RFTerminal, user_rx: RFTerminal,
-                     interferer_positions_km: Sequence[np.ndarray],
-                     interferer_txs: Sequence[RFTerminal],
-                     rx_beamwidth_deg: float = 6.0) -> float:
-    """SINR at a user terminal with co-channel interferers.
-
-    Args:
-        ground_km: User position (same frame as the satellites).
-        serving_pos_km: Serving satellite position.
-        serving_tx: Serving satellite's downlink terminal.
-        user_rx: The user's terminal.
-        interferer_positions_km: Co-channel satellites' positions.
-        interferer_txs: Their downlink terminals (same length).
-        rx_beamwidth_deg: User antenna beamwidth (discrimination).
-
-    Returns:
-        SINR in dB.
-    """
-    if len(interferer_positions_km) != len(interferer_txs):
-        raise ValueError(
-            f"{len(interferer_positions_km)} interferer positions for "
-            f"{len(interferer_txs)} terminals"
-        )
-    ground = np.asarray(ground_km, float)
-    serving_distance = float(np.linalg.norm(
-        np.asarray(serving_pos_km, float) - ground
-    ))
-    signal_dbw = received_power_dbw(
-        serving_tx, user_rx, serving_distance, 0.0, rx_beamwidth_deg
-    )
-    noise_w = 10.0 ** (
-        noise_power_dbw(user_rx.band.bandwidth_hz, user_rx.noise_temp_k)
-        / 10.0
-    )
-    interference_w = 0.0
-    for position, tx in zip(interferer_positions_km, interferer_txs):
-        separation_deg = math.degrees(angular_separation_rad(
-            ground, serving_pos_km, position
-        ))
-        distance = float(np.linalg.norm(np.asarray(position, float) - ground))
-        power_dbw = received_power_dbw(
-            tx, user_rx, distance, separation_deg, rx_beamwidth_deg
-        )
-        interference_w += 10.0 ** (power_dbw / 10.0)
-    signal_w = 10.0 ** (signal_dbw / 10.0)
-    return 10.0 * math.log10(signal_w / (noise_w + interference_w))
 
 
 def interference_pairs(ground_points_km: Sequence[np.ndarray],

@@ -1,16 +1,15 @@
-"""Optical (laser) ISL terminals and pointing-acquisition-tracking (PAT).
+"""Optical (laser) ISL terminals and their link budgets.
 
 The paper: laser ISLs offer "higher throughput than RF, with lower energy
 cost", but terminals cost ~$500,000, occupy 0.0234 m^3 and weigh at least
 15 kg — infeasible for small spacecraft.  The narrow transmission beam
-"poses unique challenges in accurate data transfer"; pointing, acquisition,
-and tracking methods from prior work are adapted here as a three-state
-controller whose residual jitter drives a pointing loss in the link budget.
+"poses unique challenges in accurate data transfer"; the residual
+pointing jitter of a tracking terminal drives a pointing loss in the link
+budget, and a link still in acquisition pays the worst-case loss.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -85,8 +84,8 @@ def pointing_loss_db(jitter_urad: float, beam_divergence_urad: float) -> float:
     """Average pointing loss for a Gaussian beam under RMS jitter, dB.
 
     Uses the Gaussian-beam form ``L = 8 * (sigma / theta_div)^2 * 10/ln10``
-    truncated at 30 dB (beyond that the link is effectively lost and the PAT
-    controller drops back to acquisition).
+    truncated at 30 dB (beyond that the link is effectively lost and the
+    terminal drops back to acquisition).
     """
     if beam_divergence_urad <= 0.0:
         raise ValueError(
@@ -150,70 +149,3 @@ def optical_link_budget_arrays(tx: OpticalTerminal, rx: OpticalTerminal,
         noise_power_dbw=noise_power_dbw(bandwidth, 1000.0),
         bandwidth_hz=bandwidth,
     )
-
-
-class PATState(enum.Enum):
-    """Pointing-acquisition-tracking controller states."""
-
-    IDLE = "idle"
-    POINTING = "pointing"
-    ACQUIRING = "acquiring"
-    TRACKING = "tracking"
-
-
-@dataclass
-class PATController:
-    """A simple PAT state machine for establishing a laser ISL.
-
-    Timing follows the beaconless-pointing literature the paper cites:
-    open-loop pointing from orbital knowledge, a spiral-scan acquisition
-    whose duration scales with the pointing uncertainty cone over the beam
-    divergence, then closed-loop tracking.
-
-    Attributes:
-        terminal: The local optical terminal.
-        open_loop_error_urad: Pointing uncertainty after open-loop slewing
-            (star-tracker + ephemeris error budget).
-        slew_rate_deg_s: Body/gimbal slew rate used for the pointing phase.
-        acquisition_scan_rate_hz: Spiral scan cells examined per second.
-    """
-
-    terminal: OpticalTerminal
-    open_loop_error_urad: float = 500.0
-    slew_rate_deg_s: float = 1.0
-    acquisition_scan_rate_hz: float = 200.0
-    state: PATState = PATState.IDLE
-
-    def pointing_time_s(self, slew_angle_deg: float) -> float:
-        """Time to slew the terminal onto the open-loop pointing solution."""
-        if slew_angle_deg < 0.0:
-            raise ValueError(f"slew angle must be >= 0, got {slew_angle_deg}")
-        return slew_angle_deg / self.slew_rate_deg_s
-
-    def acquisition_time_s(self) -> float:
-        """Expected spiral-scan time to find the peer's beacon.
-
-        The uncertainty cone holds ``(uncertainty / divergence)^2`` beam
-        cells; on average half are scanned before lock.
-        """
-        cells = (
-            self.open_loop_error_urad / self.terminal.beam_divergence_urad
-        ) ** 2
-        return max(cells, 1.0) / (2.0 * self.acquisition_scan_rate_hz)
-
-    def establish(self, slew_angle_deg: float) -> float:
-        """Run the full PAT sequence; returns total time to tracking, s."""
-        self.state = PATState.POINTING
-        total = self.pointing_time_s(slew_angle_deg)
-        self.state = PATState.ACQUIRING
-        total += self.acquisition_time_s()
-        self.state = PATState.TRACKING
-        return total
-
-    def drop(self) -> None:
-        """Lose lock (peer out of range or occluded); back to idle."""
-        self.state = PATState.IDLE
-
-    @property
-    def is_tracking(self) -> bool:
-        return self.state is PATState.TRACKING

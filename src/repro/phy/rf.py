@@ -3,7 +3,8 @@
 Every OpenSpace spacecraft "must permit RF-based communication links at a
 minimum"; this module models those terminals across the ISL bands (UHF,
 S-band) and the ground bands (Ku, Ka).  Terminals carry the hardware
-parameters that the pairing protocol exchanges during association.
+parameters each spacecraft declares in its interoperability spec
+(:class:`~repro.core.interop.SpacecraftSpec`).
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from repro.reliability.channel import (
     DeliveryAttempt,
     HopModel,
     LossyControlChannel,
-    perfect_channel,
 )
 from repro.reliability.exchange import (
     NO_RETRY,
@@ -47,7 +46,7 @@ from repro.reliability.policy import (
 
 __all__ = [
     "DEFAULT_CAPACITY_KNEE_BPS", "DeliveryAttempt", "HopModel",
-    "LossyControlChannel", "perfect_channel",
+    "LossyControlChannel",
     "NO_RETRY", "AttemptFn", "BreakerState", "CircuitBreaker",
     "CircuitBreakerRegistry", "ExchangeResult", "ReliableExchange",
     "RetryPolicy", "deterministic_jitter",

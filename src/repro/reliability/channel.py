@@ -16,7 +16,7 @@ same seeded scenario deliver and drop exactly the same messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import math
 
@@ -233,9 +233,3 @@ class LossyControlChannel:
         if self.messages_sent == 0:
             return 0.0
         return self.messages_lost / self.messages_sent
-
-
-#: A channel that never loses anything — the perfect-delivery baseline.
-def perfect_channel(network=None) -> LossyControlChannel:
-    """A zero-loss channel (delivery draws short-circuit; no RNG use)."""
-    return LossyControlChannel(loss_scale=0.0, base_loss=0.0, network=network)

@@ -23,7 +23,6 @@ from repro.routing.metrics import EdgeCostModel, RouteMetrics, path_metrics
 from repro.routing.proactive import ProactiveRouter, RoutingTable, StaticRoute
 from repro.routing.qos import QosRequirement, QosRouter
 from repro.routing.distributed import OnDemandRouter, RouteDiscoveryResult
-from repro.routing.kpaths import k_shortest_paths
 from repro.routing.adaptive import (
     LoadAdaptiveRouter,
     StaticNearestRouter,
@@ -46,7 +45,6 @@ __all__ = [
     "QosRouter",
     "OnDemandRouter",
     "RouteDiscoveryResult",
-    "k_shortest_paths",
     "LoadAdaptiveRouter",
     "StaticNearestRouter",
     "gateway_load_profile",

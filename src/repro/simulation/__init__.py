@@ -37,12 +37,6 @@ from repro.simulation.sessionsim import (
     SessionSimulator,
     SessionTrace,
 )
-from repro.simulation.config import (
-    load_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
 
 __all__ = [
     "ground_eci_track",
@@ -67,8 +61,4 @@ __all__ = [
     "SessionSample",
     "SessionSimulator",
     "SessionTrace",
-    "load_scenario",
-    "save_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
 ]

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.interop import SizeClass, SpacecraftSpec, build_fleet
+from repro.core.interop import SizeClass, SpacecraftSpec
 from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import GroundStation, default_station_network
 from repro.orbits.walker import (

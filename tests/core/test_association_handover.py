@@ -17,7 +17,7 @@ from repro.core.handover import (
 from repro.ground.user import UserTerminal
 from repro.orbits.contact import ContactWindow
 from repro.orbits.coordinates import GeodeticPoint
-from repro.reliability.channel import LossyControlChannel, perfect_channel
+from repro.reliability.channel import LossyControlChannel
 from repro.reliability.exchange import (
     NO_RETRY,
     CircuitBreakerRegistry,
@@ -25,6 +25,7 @@ from repro.reliability.exchange import (
     RetryPolicy,
 )
 from repro.security.auth import RadiusServer
+from tests.fixtures import perfect_channel
 
 
 @pytest.fixture

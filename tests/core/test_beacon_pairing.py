@@ -1,32 +1,15 @@
-"""Tests for the beacon protocol and the ISL pairing handshake."""
+"""Tests for the beacon protocol."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.beacon import Beacon, BeaconEvaluator, beacon_reception_delay_s
-from repro.core.interop import medium_spacecraft, small_spacecraft
-from repro.core.pairing import PairingProtocol, PairRequest
+from repro.core.beacon import Beacon, BeaconEvaluator
+from repro.core.interop import medium_spacecraft
 from repro.orbits.constants import EARTH_RADIUS_KM
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci
 from repro.orbits.elements import OrbitalElements
-
-
-def spec_over(lat_deg, lon_deg, owner="op", optical=True, name="sat"):
-    """A spacecraft whose epoch position is over the given ground point.
-
-    Uses an equatorial-ish circular orbit positioned by mean anomaly; for
-    test purposes only the epoch position matters.
-    """
-    elements = OrbitalElements.circular(
-        780.0,
-        inclination_rad=math.radians(max(abs(lat_deg), 0.1) * 2),
-        mean_anomaly_rad=0.0,
-        raan_rad=math.radians(lon_deg),
-    )
-    factory = medium_spacecraft if optical else small_spacecraft
-    return factory(name, owner, elements)
 
 
 @pytest.fixture
@@ -63,11 +46,6 @@ class TestBeacon:
         beacon = Beacon.from_spec(overhead_spec, 0.0)
         pos = beacon.position_at(0.0)
         assert np.linalg.norm(pos) == pytest.approx(EARTH_RADIUS_KM + 780.0)
-
-    def test_reception_delay(self):
-        assert beacon_reception_delay_s(2997.92458) == pytest.approx(0.01)
-        with pytest.raises(ValueError):
-            beacon_reception_delay_s(-1.0)
 
 
 class TestBeaconEvaluator:
@@ -108,154 +86,3 @@ class TestBeaconEvaluator:
         evaluator.receive(Beacon.from_spec(overhead_spec, 0.0))
         user_eci = ecef_to_eci(GeodeticPoint(0.0, 0.0).ecef(), 0.0)
         assert evaluator.best(user_eci, 0.0) is not None
-
-
-class TestPairRequest:
-    def test_from_spec(self, overhead_spec):
-        request = PairRequest.from_spec(overhead_spec)
-        assert request.initiator_id == "sat-over"
-        assert request.supports_optical
-        assert request.laser_boresights_deg == (0.0,)
-        assert "s_band" in request.rf_bands
-
-
-class TestPairingProtocol:
-    def _specs(self, optical_a=True, optical_b=True):
-        el_a = OrbitalElements.circular(780.0, inclination_rad=0.0)
-        el_b = OrbitalElements.circular(780.0, inclination_rad=0.0,
-                                        mean_anomaly_rad=0.3)
-        factory_a = medium_spacecraft if optical_a else small_spacecraft
-        factory_b = medium_spacecraft if optical_b else small_spacecraft
-        return factory_a("a", "op-a", el_a), factory_b("b", "op-b", el_b)
-
-    def test_both_optical_upgrades(self):
-        spec_a, spec_b = self._specs()
-        outcome = PairingProtocol().pair(spec_a, spec_b, 2000.0)
-        assert outcome.succeeded
-        assert outcome.upgraded_to_optical
-        assert outcome.pat_s > 0.0
-        assert outcome.link.technology.value == "optical"
-
-    def test_rf_only_partner_stays_rf(self):
-        spec_a, spec_b = self._specs(optical_b=False)
-        outcome = PairingProtocol().pair(spec_a, spec_b, 2000.0)
-        assert outcome.succeeded
-        assert not outcome.upgraded_to_optical
-        assert outcome.slew_s == 0.0
-        assert outcome.link.technology.is_rf
-
-    def test_short_encounter_skips_optical(self):
-        spec_a, spec_b = self._specs()
-        outcome = PairingProtocol(min_optical_hold_s=60.0).pair(
-            spec_a, spec_b, 2000.0, expected_hold_s=10.0
-        )
-        assert outcome.succeeded
-        assert not outcome.upgraded_to_optical
-
-    def test_power_starved_partner_stays_rf(self):
-        spec_a, spec_b = self._specs()
-        for i in range(spec_b.power.max_concurrent_isls):
-            spec_b.power.activate_isl(f"l{i}", 10.0)
-        outcome = PairingProtocol().pair(spec_a, spec_b, 2000.0)
-        assert outcome.succeeded
-        assert not outcome.upgraded_to_optical
-
-    def test_handshake_time_scales_with_distance(self):
-        spec_a, spec_b = self._specs(optical_a=False, optical_b=False)
-        near = PairingProtocol().pair(spec_a, spec_b, 500.0)
-        far = PairingProtocol().pair(spec_a, spec_b, 5000.0)
-        assert far.rf_handshake_s > near.rf_handshake_s
-
-    def test_extreme_distance_fails_with_reason(self):
-        spec_a, spec_b = self._specs(optical_a=False, optical_b=False)
-        outcome = PairingProtocol().pair(spec_a, spec_b, 50000.0)
-        assert not outcome.succeeded
-        assert "no common RF band closes" in outcome.failure_reason
-
-    def test_rejects_zero_distance(self):
-        spec_a, spec_b = self._specs()
-        with pytest.raises(ValueError):
-            PairingProtocol().pair(spec_a, spec_b, 0.0)
-
-    def test_slew_uses_nearest_boresight(self):
-        spec_a, spec_b = self._specs()
-        # Four boresights 90 degrees apart: worst-case slew 45 degrees.
-        spec_a.laser_boresights_deg = [0.0, 90.0, 180.0, 270.0]
-        spec_b.laser_boresights_deg = [0.0, 90.0, 180.0, 270.0]
-        protocol = PairingProtocol()
-        outcome = protocol.pair(spec_a, spec_b, 2000.0,
-                                bearing_a_to_b_deg=44.0)
-        max_slew = spec_a.slew.slew_time_s(45.0)
-        assert outcome.slew_s <= max_slew + 1e-9
-
-    def test_pair_from_beacon(self):
-        spec_a, spec_b = self._specs()
-        beacon = Beacon.from_spec(spec_b, 0.0)
-        receiver_position = spec_a.elements  # epoch position of a
-        from repro.orbits.kepler import KeplerPropagator
-        pos_a = KeplerPropagator(spec_a.elements).position_at(0.0)
-        outcome = PairingProtocol().pair_from_beacon(
-            spec_a, beacon, 0.0, pos_a
-        )
-        assert outcome.succeeded
-
-    def test_total_time_is_sum_of_phases(self):
-        spec_a, spec_b = self._specs()
-        outcome = PairingProtocol().pair(spec_a, spec_b, 2000.0)
-        assert outcome.total_time_s == pytest.approx(
-            outcome.rf_handshake_s + outcome.slew_s + outcome.pat_s
-        )
-
-
-class TestHoldPrediction:
-    def test_coplanar_neighbours_hold_through_horizon(self, iridium):
-        from repro.core.interop import medium_spacecraft
-        from repro.core.pairing import predict_hold_duration_s
-        # Same plane, adjacent slots: the geometry never breaks.
-        spec_a = medium_spacecraft("a", "op", iridium.elements[0])
-        spec_b = medium_spacecraft("b", "op", iridium.elements[1])
-        hold = predict_hold_duration_s(spec_a, spec_b, 0.0, horizon_s=3600.0)
-        assert hold == 3600.0
-
-    def test_unlinkable_pair_returns_zero(self, iridium):
-        from repro.core.interop import medium_spacecraft
-        from repro.core.pairing import predict_hold_duration_s
-        import math
-        from repro.orbits.elements import OrbitalElements
-        spec_a = medium_spacecraft("a", "op", OrbitalElements.circular(
-            780.0, inclination_rad=0.0, mean_anomaly_rad=0.0))
-        spec_b = medium_spacecraft("b", "op", OrbitalElements.circular(
-            780.0, inclination_rad=0.0, mean_anomaly_rad=math.pi))
-        assert predict_hold_duration_s(spec_a, spec_b, 0.0) == 0.0
-
-    def test_cross_plane_hold_is_finite(self, iridium):
-        from repro.core.interop import medium_spacecraft
-        from repro.core.pairing import predict_hold_duration_s
-        # Counter-phased cross-plane pair: linkable now, breaks later.
-        spec_a = medium_spacecraft("a", "op", iridium.elements[0])
-        spec_b = medium_spacecraft("b", "op", iridium.elements[12])
-        hold = predict_hold_duration_s(spec_a, spec_b, 0.0,
-                                       horizon_s=6100.0)
-        assert 0.0 <= hold <= 6100.0
-
-    def test_validation(self, iridium):
-        from repro.core.interop import medium_spacecraft
-        from repro.core.pairing import predict_hold_duration_s
-        spec = medium_spacecraft("a", "op", iridium.elements[0])
-        import pytest as _pytest
-        with _pytest.raises(ValueError):
-            predict_hold_duration_s(spec, spec, 0.0, horizon_s=0.0)
-
-    def test_feeds_pairing_decision(self, iridium):
-        from repro.core.interop import medium_spacecraft
-        from repro.core.pairing import (
-            PairingProtocol,
-            predict_hold_duration_s,
-        )
-        spec_a = medium_spacecraft("a", "op-a", iridium.elements[0])
-        spec_b = medium_spacecraft("b", "op-b", iridium.elements[1])
-        hold = predict_hold_duration_s(spec_a, spec_b, 0.0)
-        outcome = PairingProtocol().pair(spec_a, spec_b, 3000.0,
-                                         expected_hold_s=hold)
-        assert outcome.succeeded
-        assert outcome.upgraded_to_optical  # long hold amortizes the PAT

@@ -117,32 +117,3 @@ class TestBuildFleet:
     def test_elements_preserved(self, iridium):
         fleet = build_fleet(iridium, "acme", SizeClass.LARGE)
         assert fleet[7].elements == iridium.elements[7]
-
-
-class TestEclipseDerating:
-    def test_equatorial_orbit_loses_about_a_third(self, elements):
-        from repro.core.interop import derate_power_for_eclipse
-        spec = medium_spacecraft("m1", "op", OrbitalElements.circular(
-            780.0, inclination_rad=0.0))
-        full_sun = spec.power.solar_generation_w
-        derate_power_for_eclipse(spec)
-        ratio = spec.power.solar_generation_w / full_sun
-        assert 0.6 < ratio < 0.75
-
-    def test_dawn_dusk_orbit_nearly_unaffected(self):
-        import math
-        from repro.core.interop import derate_power_for_eclipse
-        spec = medium_spacecraft("m2", "op", OrbitalElements.circular(
-            780.0, inclination_rad=math.pi / 2, raan_rad=math.pi / 2))
-        full_sun = spec.power.solar_generation_w
-        derate_power_for_eclipse(spec)
-        assert spec.power.solar_generation_w > 0.95 * full_sun
-
-    def test_other_fields_untouched(self, elements):
-        from repro.core.interop import derate_power_for_eclipse
-        spec = medium_spacecraft("m3", "op", elements)
-        ceiling = spec.power.max_concurrent_isls
-        terminals = list(spec.isl_terminals)
-        derate_power_for_eclipse(spec)
-        assert spec.power.max_concurrent_isls == ceiling
-        assert spec.isl_terminals == terminals

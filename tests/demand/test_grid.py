@@ -1,19 +1,12 @@
 """Tests for the equal-area population grid."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.demand.grid import (
     GridSpec,
     PopulationGrid,
-    grid_from_population,
     population_grid,
-)
-from repro.simulation.traffic import (
-    underserved_region_users,
-    uniform_land_users,
 )
 
 
@@ -109,31 +102,3 @@ class TestPopulationGrid:
         grid = population_grid(100, rng)
         with pytest.raises(ValueError, match="provider"):
             grid.terminals([])
-
-
-class TestGridFromPopulation:
-    def test_conserves_users(self, rng):
-        pop = uniform_land_users(300, rng, ["op"])
-        grid = grid_from_population(pop)
-        assert grid.total_users == 300
-
-    def test_cells_match_user_locations(self, rng):
-        pop = uniform_land_users(50, rng, ["op"])
-        spec = GridSpec(bands=18, equator_columns=36)
-        grid = grid_from_population(pop, spec)
-        # Every occupied cell is within one band height + column width
-        # of some user.
-        for index in grid.occupied:
-            nearest = min(
-                abs(grid.lat_deg[index] - u.location.latitude_deg)
-                for u in pop.users
-            )
-            assert nearest < 180.0 / spec.bands
-
-    def test_out_of_band_users_clip_to_edge_bands(self, rng):
-        # Underserved jitter can land users beyond the 70 deg cap; they
-        # must bin into the outermost bands, not crash.
-        pop = underserved_region_users(20, rng, ["op"], spread_deg=40.0)
-        grid = grid_from_population(pop)
-        assert grid.total_users == len(pop.users)
-        assert math.isclose(float(grid.area_weight.sum()), 1.0)

@@ -5,12 +5,13 @@ import pytest
 
 from repro import obs
 from repro.dtn import Bundle, CustodyTransfer
-from repro.reliability.channel import LossyControlChannel, perfect_channel
+from repro.reliability.channel import LossyControlChannel
 from repro.reliability.exchange import (
     NO_RETRY,
     CircuitBreakerRegistry,
     RetryPolicy,
 )
+from tests.fixtures import perfect_channel
 
 
 @pytest.fixture

@@ -22,8 +22,8 @@ from repro.ground.station import GroundStation
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
 from repro.orbits.walker import walker_delta
-from repro.reliability.channel import perfect_channel
 from repro.simulation.engine import SimulationEngine
+from tests.fixtures import perfect_channel
 
 REGION_LAT = -1.3
 REGION_LON = 36.8

@@ -109,15 +109,3 @@ class TestCoverageUtilities:
         with pytest.raises(ValueError):
             viable_service_utility(three_operator_fleets,
                                    viability_threshold=0.0)
-
-    def test_all_or_nothing_makes_collaboration_pay(self,
-                                                    three_operator_fleets):
-        """Paper Q4: under the all-or-nothing model everyone gains."""
-        utility = viable_service_utility(three_operator_fleets,
-                                         viability_threshold=0.95)
-        report = revenue_sharing(list(three_operator_fleets), utility, 1000.0)
-        assert report.all_gain
-        assert all(v > 0.0 for v in report.payments.values())
-        # The big operator is paid more than either small one.
-        assert report.payments["big"] > report.payments["small1"]
-        assert report.payments["big"] > report.payments["small2"]

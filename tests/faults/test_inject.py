@@ -6,13 +6,11 @@ from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
 from repro.faults.inject import FaultInjector
 from repro.faults.model import FaultEvent, FaultKind, FaultSchedule
-from repro.faults.schedule import (
-    provider_withdrawal_event,
-    satellite_outage_event,
-)
+from repro.faults.schedule import satellite_outage_event
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_star
 from repro.simulation.engine import SimulationEngine
+from tests.fixtures import provider_withdrawal_event
 
 
 @pytest.fixture()

@@ -14,7 +14,6 @@ from repro.faults.model import (
     combine,
     link_target,
     parse_link_target,
-    validate_against,
 )
 
 
@@ -281,27 +280,3 @@ class TestScheduleRoundTripProperty:
         restored = FaultSchedule.from_json(text)
         assert restored == schedule
         assert restored.to_json() == text
-
-
-class TestValidateAgainst:
-    def test_flags_unknown_targets(self):
-        schedule = FaultSchedule(events=[
-            _event("known", targets=("sat-a-0",)),
-            _event("ghost", targets=("sat-ghost",)),
-        ])
-        unknown = validate_against(schedule, satellite_ids=["sat-a-0"])
-        assert unknown == ["sat-ghost"]
-
-    def test_provider_checked_against_owners(self):
-        schedule = FaultSchedule(events=[
-            _event("w", kind=FaultKind.PROVIDER, targets=("nobody",)),
-        ])
-        assert validate_against(schedule, satellite_ids=[],
-                                providers=["acme"]) == ["nobody"]
-
-    def test_link_endpoints_checked(self):
-        schedule = FaultSchedule(events=[
-            _event("l", kind=FaultKind.ISL_LINK, targets=("sat-a|sat-z",)),
-        ])
-        assert validate_against(schedule,
-                                satellite_ids=["sat-a"]) == ["sat-z"]

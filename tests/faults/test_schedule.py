@@ -6,16 +6,15 @@ import pytest
 from repro.core.interop import SizeClass, build_fleet
 from repro.faults.model import FaultKind
 from repro.faults.schedule import (
-    fraction_loss_schedule,
     ground_station_outage_schedule,
     link_flap_schedule,
     plane_loss_event,
     plane_members,
-    provider_withdrawal_event,
     satellite_mtbf_schedule,
     satellite_outage_event,
 )
 from repro.orbits.walker import walker_star
+from tests.fixtures import provider_withdrawal_event
 
 SATS = [f"sat-x-{i}" for i in range(6)]
 
@@ -120,29 +119,6 @@ class TestCorrelatedEvents:
         assert event.start_s == 0.0
         assert event.permanent
         assert event.targets == ("s1", "s2")
-
-
-class TestFractionLoss:
-    def test_zero_fraction_empty(self):
-        assert len(fraction_loss_schedule(SATS, 0.0, seed=1)) == 0
-
-    def test_draw_matches_legacy_rng_sequence(self):
-        # The schedule must make the exact rng.choice draw the original
-        # static resilience_sweep made, so seeded results carry over.
-        rng = np.random.default_rng(99)
-        count = int(round(0.5 * len(SATS)))
-        expected_idx = sorted(
-            int(i) for i in rng.choice(len(SATS), size=count, replace=False)
-        )
-        schedule = fraction_loss_schedule(
-            SATS, 0.5, seed=np.random.default_rng(99))
-        assert list(schedule.events[0].targets) == [
-            SATS[i] for i in expected_idx
-        ]
-
-    def test_rejects_out_of_range_fraction(self):
-        with pytest.raises(ValueError):
-            fraction_loss_schedule(SATS, 1.0)
 
 
 class TestRegionalBlackout:

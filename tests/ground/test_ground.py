@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ground.gsaas import GatewayPricing, GatewayUsageMeter
+from repro.ground.gsaas import GatewayPricing
 from repro.ground.station import GroundStation, default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
@@ -35,35 +35,6 @@ class TestGatewayPricing:
             GatewayPricing(base_rate_per_gb=-0.1)
         with pytest.raises(ValueError):
             GatewayPricing(congestion_threshold=1.5)
-
-
-class TestUsageMeter:
-    def test_owner_rides_free_per_pass(self):
-        meter = GatewayUsageMeter("gs1", owner="op-a")
-        assert meter.record_pass("op-a") == 0.0
-        assert meter.record_pass("op-b") == meter.pricing.per_pass_fee
-
-    def test_transfer_charges_by_class(self):
-        meter = GatewayUsageMeter("gs1", owner="op-a")
-        own = meter.record_transfer("op-a", 1e9)
-        visitor = meter.record_transfer("op-b", 1e9)
-        assert visitor > own
-
-    def test_statement_aggregates(self):
-        meter = GatewayUsageMeter("gs1", owner="op-a")
-        meter.record_transfer("op-b", 2e9)
-        meter.record_transfer("op-b", 3e9)
-        meter.record_pass("op-b")
-        statement = dict(
-            (provider, (volume, passes))
-            for provider, volume, passes in meter.statement()
-        )
-        assert statement["op-b"] == (5e9, 1)
-
-    def test_rejects_negative_bytes(self):
-        meter = GatewayUsageMeter("gs1", owner="op-a")
-        with pytest.raises(ValueError):
-            meter.record_transfer("op-b", -1.0)
 
 
 class TestGroundStation:

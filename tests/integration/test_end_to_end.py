@@ -15,7 +15,6 @@ from repro.core.federation import Federation, Operator
 from repro.core.handover import HandoverScheme, HandoverSimulator
 from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
-from repro.core.pairing import PairingProtocol
 from repro.economics.ledger import TrafficLedger
 from repro.economics.peering import PeeringAdvisor
 from repro.economics.settlement import SettlementEngine
@@ -161,22 +160,6 @@ class TestFederatedLifecycle:
         finally:
             # Reinstate for other tests sharing the module fixture.
             monitor.tick(3600.0 * 100)
-
-    def test_pairing_between_federated_neighbours(self, live_network):
-        snap = live_network.snapshot(0.0)
-        graph = snap.isl_snapshot.graph
-        u, v = next(iter(graph.edges))
-        spec_u = next(s for s in live_network.satellites
-                      if s.satellite_id == u)
-        spec_v = next(s for s in live_network.satellites
-                      if s.satellite_id == v)
-        distance = graph[u][v]["link"].distance_km
-        outcome = PairingProtocol().pair(spec_u, spec_v, distance)
-        assert outcome.succeeded
-        # A single-boresight craft may need a large slew (~180 deg at
-        # 1 deg/s); the handshake itself is sub-second.
-        assert outcome.rf_handshake_s < 1.0
-        assert outcome.total_time_s < 300.0
 
     def test_peering_emerges_from_symmetric_federated_traffic(self, live_network):
         rng = np.random.default_rng(8)

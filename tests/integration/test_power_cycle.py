@@ -3,17 +3,53 @@
 The paper: satellites "may have power consumption constraints that limit
 the number of ISLs they can establish and the size of data transfers they
 can facilitate."  This test drives a spacecraft's power budget through a
-real orbit's eclipse windows with ISLs active, verifying the battery
+real orbit's eclipse cycle with ISLs active, verifying the battery
 cycles as physics says it should and that an undersized craft must shed
-ISL load to survive the night.
+ISL load to survive the night.  Eclipse is the standard cylindrical-shadow
+approximation under a mean sun advancing along the ecliptic from the
+vernal equinox at t=0.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.isl.power import PowerBudget
-from repro.orbits.eclipse import eclipse_windows, in_eclipse, sun_direction
+from repro.orbits.constants import EARTH_RADIUS_KM
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.kepler import KeplerPropagator
+
+#: Obliquity of the ecliptic, radians.
+ECLIPTIC_OBLIQUITY_RAD = math.radians(23.439)
+
+#: Length of the (modelled) year, seconds.
+YEAR_S = 365.25 * 86400.0
+
+
+def sun_direction(time_s: float) -> np.ndarray:
+    """Unit vector from the Earth to the Sun in ECI at ``time_s``.
+
+    The Sun advances uniformly along the ecliptic from the vernal equinox
+    at t=0 — a mean-sun model, adequate for eclipse statistics.
+    """
+    mean_longitude = 2.0 * math.pi * (time_s / YEAR_S)
+    cos_l, sin_l = math.cos(mean_longitude), math.sin(mean_longitude)
+    cos_e, sin_e = math.cos(ECLIPTIC_OBLIQUITY_RAD), math.sin(
+        ECLIPTIC_OBLIQUITY_RAD
+    )
+    return np.array([cos_l, sin_l * cos_e, sin_l * sin_e])
+
+
+def in_eclipse(position_eci_km: np.ndarray, time_s: float) -> bool:
+    """Whether a satellite is inside the Earth's (cylindrical) shadow."""
+    position = np.asarray(position_eci_km, dtype=float)
+    sun = sun_direction(time_s)
+    along_sun = float(position @ sun)
+    if along_sun >= 0.0:
+        return False  # sunward side: lit
+    radial = position - along_sun * sun
+    return float(np.linalg.norm(radial)) < EARTH_RADIUS_KM
 
 
 def run_orbit(budget, propagator, isl_draw_w, step_s=60.0):
@@ -83,23 +119,3 @@ class TestPowerThroughEclipse:
         budget.deactivate_isl("isl")
         budget.step(equatorial_propagator.period_s / 2.0)
         assert budget.charge_wh == pytest.approx(600.0)
-
-    def test_eclipse_windows_drive_the_cycle(self, equatorial_propagator):
-        windows = eclipse_windows(
-            equatorial_propagator, 0.0, equatorial_propagator.period_s,
-            step_s=30.0,
-        )
-        assert windows, "an equatorial LEO orbit at equinox must eclipse"
-        total_dark = sum(end - start for start, end in windows)
-        # ~30-40 minutes of a ~100-minute orbit.
-        assert 1200.0 < total_dark < 3000.0
-
-    def test_sun_vector_consistent_with_windows(self, equatorial_propagator):
-        windows = eclipse_windows(
-            equatorial_propagator, 0.0, equatorial_propagator.period_s,
-            step_s=30.0,
-        )
-        mid = (windows[0][0] + windows[0][1]) / 2.0
-        position = equatorial_propagator.position_at(mid)
-        # Mid-eclipse, the satellite is on the anti-sun side.
-        assert float(position @ sun_direction(mid)) < 0.0

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mac.aloha import (
-    AlohaConfig,
-    SlottedAlohaSimulator,
-    theoretical_throughput,
-)
+from repro.mac.aloha import AlohaConfig, SlottedAlohaSimulator
 from repro.mac.csma import CsmaCaConfig, CsmaCaSimulator
 
 
@@ -72,16 +68,3 @@ class TestBehaviour:
             10, CsmaCaConfig(), 0.4, np.random.default_rng(6)
         ).run(400.0)
         assert csma.delivery_ratio >= aloha.delivery_ratio - 0.02
-
-
-class TestTheory:
-    def test_peak_at_g_equals_one(self):
-        assert theoretical_throughput(1.0) == pytest.approx(
-            np.exp(-1.0)
-        )
-        assert theoretical_throughput(0.5) < theoretical_throughput(1.0)
-        assert theoretical_throughput(2.0) < theoretical_throughput(1.0)
-
-    def test_rejects_negative_load(self):
-        with pytest.raises(ValueError):
-            theoretical_throughput(-0.1)

@@ -1,7 +1,6 @@
 """Tests for JSONL/CSV export, the run manifest, and trace summaries."""
 
 import csv
-import json
 
 import pytest
 

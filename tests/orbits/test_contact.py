@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.orbits.contact import ContactWindow, contact_windows, isl_feasibility_schedule
+from repro.orbits.contact import ContactWindow, contact_windows
 from repro.orbits.coordinates import GeodeticPoint
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.kepler import KeplerPropagator
@@ -88,21 +88,3 @@ class TestContactWindows:
             step_s=30.0, min_elevation_deg=25.0,
         )
         assert len(windows) >= 3
-
-
-class TestIslFeasibility:
-    def test_adjacent_iridium_satellites_always_feasible(self, iridium):
-        props = iridium.propagators()
-        # Same plane, adjacent slots.
-        schedule = isl_feasibility_schedule(
-            [props[0], props[1]], 0.0, 3000.0, step_s=300.0,
-        )
-        assert schedule[(0, 1)] == pytest.approx(1.0)
-
-    def test_range_limit_prunes(self, iridium):
-        props = iridium.propagators()
-        schedule = isl_feasibility_schedule(
-            [props[0], props[5]], 0.0, 3000.0, step_s=300.0,
-            max_range_km=100.0,
-        )
-        assert schedule[(0, 1)] == 0.0

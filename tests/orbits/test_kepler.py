@@ -11,7 +11,6 @@ from repro.orbits.kepler import (
     KeplerPropagator,
     batch_positions,
     mean_motion,
-    orbital_period,
     solve_kepler,
     solve_kepler_array,
     true_anomaly_from_eccentric,
@@ -48,10 +47,6 @@ class TestMeanMotion:
     def test_rejects_nonpositive_axis(self):
         with pytest.raises(ValueError):
             mean_motion(0.0)
-
-    def test_period_times_motion_is_two_pi(self):
-        a = 7000.0
-        assert mean_motion(a) * orbital_period(a) == pytest.approx(2 * math.pi)
 
 
 class TestPropagation:
@@ -141,6 +136,74 @@ class TestJ2:
         prop = KeplerPropagator(el, include_j2=True)
         r = np.linalg.norm(prop.position_at(5000.0))
         assert r == pytest.approx(el.semi_major_axis_km, rel=1e-9)
+
+
+#: Published constants (WGS-84 radius, EGM J2), written out here so the
+#: closed-form checks below share nothing with the package's values.
+MU_KM3_S2 = 398600.4418
+R_EARTH_KM = 6378.137
+J2 = 1.08262668e-3
+DAY_S = 86400.0
+TROPICAL_YEAR_DAYS = 365.2422
+
+
+def closed_form_raan_rate(a_km, inclination_rad):
+    """Secular J2 nodal rate -(3/2) n J2 (R/p)^2 cos i, with p = a (circular)."""
+    n = math.sqrt(MU_KM3_S2 / a_km**3)
+    return -1.5 * n * J2 * (R_EARTH_KM / a_km) ** 2 * math.cos(inclination_rad)
+
+
+def node_of_plane(propagator, t, dt_s=5.0):
+    """RAAN of the plane through two propagated positions ``dt_s`` apart."""
+    normal = np.cross(propagator.position_at(t),
+                      propagator.position_at(t + dt_s))
+    return math.atan2(normal[0], -normal[1])
+
+
+def measured_raan_rate(propagator, span_s=10 * DAY_S):
+    """Nodal drift over ``span_s``, rad/s, from positions alone.
+
+    The two positions lie in planes rotated apart by the drift between
+    them, so the two-point node wobbles around the mean node by up to
+    the nodal rate over the mean motion (1e-4 to 1e-3 rad here).  The
+    span must be long: over one day the wobble reaches ~0.5% of the
+    drift, over ten days it stays under 0.1%.
+    """
+    drift = node_of_plane(propagator, span_s) - node_of_plane(propagator, 0.0)
+    return ((drift + math.pi) % (2 * math.pi) - math.pi) / span_s
+
+
+class TestJ2ClosedForm:
+    @pytest.mark.parametrize("altitude_km, inclination_deg", [
+        (780.0, 53.0),
+        (780.0, 98.5),
+        (550.0, 30.0),
+        (1200.0, 120.0),
+    ])
+    def test_raan_drift_matches_secular_rate(self, altitude_km,
+                                             inclination_deg):
+        a = R_EARTH_KM + altitude_km
+        inclination = math.radians(inclination_deg)
+        prop = KeplerPropagator(
+            OrbitalElements(semi_major_axis_km=a, inclination_rad=inclination),
+            include_j2=True,
+        )
+        assert measured_raan_rate(prop) == pytest.approx(
+            closed_form_raan_rate(a, inclination), rel=1e-3
+        )
+
+    def test_sun_synchronous_inclination_tracks_the_sun(self):
+        a = R_EARTH_KM + 780.0
+        sun_rate = 2 * math.pi / (TROPICAL_YEAR_DAYS * DAY_S)
+        # Solve the closed form for the inclination whose node follows
+        # the mean sun: 360 deg per tropical year.
+        inclination = math.acos(sun_rate / closed_form_raan_rate(a, 0.0))
+        assert math.degrees(inclination) == pytest.approx(98.52, abs=0.01)
+        prop = KeplerPropagator(
+            OrbitalElements(semi_major_axis_km=a, inclination_rad=inclination),
+            include_j2=True,
+        )
+        assert measured_raan_rate(prop) == pytest.approx(sun_rate, rel=1e-3)
 
 
 class TestShapeContracts:

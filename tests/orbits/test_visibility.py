@@ -14,10 +14,8 @@ from repro.orbits.visibility import (
     footprint_area_km2,
     footprint_half_angle,
     has_line_of_sight,
-    is_visible,
     slant_range,
     surface_grid,
-    visible_satellites,
     worst_case_coverage_fraction,
 )
 
@@ -85,14 +83,6 @@ class TestElevation:
         ground = geodetic_to_ecef(GeodeticPoint(0.0, 0.0, 0.0))
         sat = sat_at(0.0, 120.0)
         assert elevation_angle(ground, sat) < 0.0
-
-    def test_is_visible_mask(self):
-        ground = geodetic_to_ecef(GeodeticPoint(0.0, 0.0, 0.0))
-        overhead = sat_at(2.0, 2.0)
-        assert is_visible(ground, overhead, min_elevation_deg=10.0)
-        low = sat_at(0.0, 24.0)
-        assert not is_visible(ground, low, min_elevation_deg=10.0)
-        assert is_visible(ground, low, min_elevation_deg=0.0)
 
 
 class TestFootprint:
@@ -198,16 +188,3 @@ class TestSurfaceGrid:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             surface_grid(1)
-
-
-class TestVisibleSatellites:
-    def test_orders_nearest_first(self):
-        ground = geodetic_to_ecef(GeodeticPoint(0.0, 0.0, 0.0))
-        sats = [sat_at(10.0, 0.0), sat_at(2.0, 0.0), sat_at(5.0, 0.0)]
-        order = visible_satellites(ground, sats, min_elevation_deg=5.0)
-        assert order == [1, 2, 0]
-
-    def test_filters_below_mask(self):
-        ground = geodetic_to_ecef(GeodeticPoint(0.0, 0.0, 0.0))
-        sats = [sat_at(0.0, 90.0)]
-        assert visible_satellites(ground, sats) == []

@@ -6,9 +6,7 @@ import pytest
 
 from repro.phy.channel import (
     atmospheric_loss_db,
-    db_to_linear,
     free_space_path_loss_db,
-    linear_to_db,
     noise_power_dbw,
     rain_attenuation_db,
 )
@@ -101,16 +99,3 @@ class TestNoise:
             noise_power_dbw(0.0)
         with pytest.raises(ValueError):
             noise_power_dbw(1e6, 0.0)
-
-
-class TestDbHelpers:
-    def test_round_trip(self):
-        assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3)
-
-    def test_db_to_linear_known(self):
-        assert db_to_linear(10.0) == pytest.approx(10.0)
-        assert db_to_linear(3.0) == pytest.approx(2.0, abs=0.01)
-
-    def test_linear_to_db_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)

@@ -1,86 +1,18 @@
-"""Tests for Doppler and co-channel interference models."""
+"""Tests for the co-channel interference model."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.orbits.coordinates import GeodeticPoint
-from repro.orbits.elements import OrbitalElements
-from repro.orbits.kepler import KeplerPropagator
-from repro.phy.doppler import (
-    doppler_shift_hz,
-    ground_observer,
-    max_doppler_over_pass,
-    range_rate_km_s,
-    worst_case_doppler_ppm,
-)
 from repro.phy.interference import (
     angular_separation_rad,
-    downlink_sinr_db,
     interference_pairs,
     received_power_dbw,
 )
 from repro.phy.rf import RFTerminal, standard_ku_user_terminal
 
 R_ORBIT = 6378.137 + 780.0
-
-
-class TestRangeRate:
-    def test_receding_target_positive(self):
-        rate = range_rate_km_s([0, 0, 0], [0, 0, 0], [100, 0, 0], [5, 0, 0])
-        assert rate == pytest.approx(5.0)
-
-    def test_approaching_target_negative(self):
-        rate = range_rate_km_s([0, 0, 0], [0, 0, 0], [100, 0, 0], [-5, 0, 0])
-        assert rate == pytest.approx(-5.0)
-
-    def test_tangential_motion_zero(self):
-        rate = range_rate_km_s([0, 0, 0], [0, 0, 0], [100, 0, 0], [0, 7, 0])
-        assert rate == pytest.approx(0.0)
-
-    def test_coincident_zero(self):
-        assert range_rate_km_s([1, 1, 1], [0, 0, 0], [1, 1, 1], [3, 0, 0]) == 0.0
-
-
-class TestDopplerShift:
-    def test_sign_convention(self):
-        # Receding (positive range rate) -> negative (red) shift.
-        assert doppler_shift_hz(1e9, 7.5) < 0.0
-        assert doppler_shift_hz(1e9, -7.5) > 0.0
-
-    def test_magnitude(self):
-        # 7.5 km/s at 12 GHz: ~300 kHz.
-        shift = abs(doppler_shift_hz(12e9, 7.5))
-        assert shift == pytest.approx(300e3, rel=0.01)
-
-    def test_rejects_bad_carrier(self):
-        with pytest.raises(ValueError):
-            doppler_shift_hz(0.0, 1.0)
-
-    def test_pass_extremes_within_theoretical_bound(self):
-        element = OrbitalElements.circular(780.0, inclination_rad=0.0)
-        propagator = KeplerPropagator(element)
-        observer = ground_observer(GeodeticPoint(0.0, 0.0))
-        carrier = 11.7e9
-        lo, hi = max_doppler_over_pass(carrier, propagator, observer,
-                                       0.0, 6000.0)
-        bound_hz = worst_case_doppler_ppm() * 1e-6 * carrier
-        assert abs(lo) <= bound_hz * 1.05
-        assert abs(hi) <= bound_hz * 1.05
-        # A full orbit sees both approach and recession.
-        assert lo < 0.0 < hi or hi == pytest.approx(0.0, abs=1e3)
-
-    def test_worst_case_ppm_reasonable(self):
-        # LEO orbital speed ~7.5 km/s -> ~25 ppm.
-        assert 20.0 < worst_case_doppler_ppm(780.0) < 30.0
-
-    def test_bad_window_rejected(self):
-        element = OrbitalElements.circular(780.0, inclination_rad=0.0)
-        observer = ground_observer(GeodeticPoint(0.0, 0.0))
-        with pytest.raises(ValueError):
-            max_doppler_over_pass(1e9, KeplerPropagator(element), observer,
-                                  10.0, 10.0)
 
 
 class TestAngularSeparation:
@@ -113,53 +45,6 @@ class TestReceivedPower:
         far_off = received_power_dbw(space, user, 1000.0, 90.0, 6.0)
         farther_off = received_power_dbw(space, user, 1000.0, 150.0, 6.0)
         assert far_off == pytest.approx(farther_off)
-
-
-class TestSinr:
-    def _geometry(self):
-        ground = np.array([6378.137, 0.0, 0.0])
-        serving = np.array([R_ORBIT, 0.0, 0.0])
-        space = RFTerminal(band_name="ku_downlink", tx_power_w=20.0,
-                           antenna_gain_dbi=32.0)
-        user = standard_ku_user_terminal()
-        return ground, serving, space, user
-
-    def test_no_interferers_equals_snr(self):
-        ground, serving, space, user = self._geometry()
-        sinr = downlink_sinr_db(ground, serving, space, user, [], [])
-        assert sinr > 5.0
-
-    def test_close_interferer_crushes_sinr(self):
-        ground, serving, space, user = self._geometry()
-        clean = downlink_sinr_db(ground, serving, space, user, [], [])
-        # 0.3 deg of Earth-central angle is ~33 km laterally at 780 km,
-        # i.e. only ~2.4 deg off the user's boresight — inside the beam.
-        theta = math.radians(0.3)
-        interferer = R_ORBIT * np.array(
-            [math.cos(theta), math.sin(theta), 0.0]
-        )
-        jammed = downlink_sinr_db(
-            ground, serving, space, user, [interferer], [space]
-        )
-        assert jammed < clean - 10.0
-
-    def test_distant_interferer_negligible(self):
-        ground, serving, space, user = self._geometry()
-        clean = downlink_sinr_db(ground, serving, space, user, [], [])
-        theta = math.radians(40.0)
-        interferer = R_ORBIT * np.array(
-            [math.cos(theta), math.sin(theta), 0.0]
-        )
-        polite = downlink_sinr_db(
-            ground, serving, space, user, [interferer], [space]
-        )
-        assert polite > clean - 3.0
-
-    def test_length_mismatch_rejected(self):
-        ground, serving, space, user = self._geometry()
-        with pytest.raises(ValueError, match="interferer"):
-            downlink_sinr_db(ground, serving, space, user,
-                             [serving], [])
 
 
 class TestInterferencePairs:

@@ -1,12 +1,10 @@
-"""Property-based tests for spectrum coordination and antenna scheduling."""
+"""Property-based tests for spectrum coordination."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.spectrum import SpectrumCoordinator
-from repro.ground.scheduling import AntennaScheduler, ContactRequest
-from repro.orbits.contact import ContactWindow
 from repro.orbits.walker import random_constellation
 
 
@@ -41,76 +39,3 @@ class TestSpectrumProperties:
         coordinator = SpectrumCoordinator(grid_resolution=8)
         assert (coordinator.plan(positions).assignments
                 == coordinator.plan(positions).assignments)
-
-
-def window_strategy():
-    return st.tuples(
-        st.floats(min_value=0.0, max_value=5000.0),   # start
-        st.floats(min_value=120.0, max_value=1000.0),  # duration
-        st.floats(min_value=1.0, max_value=5.0),       # priority
-    )
-
-
-class TestSchedulingProperties:
-    @given(specs=st.lists(window_strategy(), min_size=1, max_size=20),
-           antennas=st.integers(min_value=1, max_value=3),
-           gap=st.floats(min_value=0.0, max_value=60.0))
-    @settings(max_examples=40, deadline=None)
-    def test_reservations_never_overlap_on_one_antenna(self, specs,
-                                                       antennas, gap):
-        requests = [
-            ContactRequest(
-                request_id=f"r{i}", provider=f"op-{i % 3}",
-                window=ContactWindow(i, start, start + duration, 1.0),
-                min_duration_s=60.0, priority=priority,
-            )
-            for i, (start, duration, priority) in enumerate(specs)
-        ]
-        scheduler = AntennaScheduler(antenna_count=antennas, slew_gap_s=gap)
-        result = scheduler.schedule(requests)
-        by_antenna = {}
-        for reservation in result.reservations:
-            by_antenna.setdefault(reservation.antenna, []).append(
-                (reservation.start_s, reservation.end_s)
-            )
-        for slots in by_antenna.values():
-            ordered = sorted(slots)
-            for (s1, e1), (s2, _e2) in zip(ordered[:-1], ordered[1:]):
-                assert s2 >= e1 + gap - 1e-9
-
-    @given(specs=st.lists(window_strategy(), min_size=1, max_size=20))
-    @settings(max_examples=40, deadline=None)
-    def test_grants_respect_windows_and_minimums(self, specs):
-        requests = [
-            ContactRequest(
-                request_id=f"r{i}", provider="op",
-                window=ContactWindow(i, start, start + duration, 1.0),
-                min_duration_s=60.0, priority=priority,
-            )
-            for i, (start, duration, priority) in enumerate(specs)
-        ]
-        result = AntennaScheduler(antenna_count=2).schedule(requests)
-        windows = {r.request_id: r.window for r in requests}
-        minimums = {r.request_id: r.min_duration_s for r in requests}
-        for reservation in result.reservations:
-            window = windows[reservation.request_id]
-            assert reservation.start_s >= window.start_s - 1e-9
-            assert reservation.end_s <= window.end_s + 1e-9
-            assert reservation.duration_s >= minimums[reservation.request_id] - 1e-9
-
-    @given(specs=st.lists(window_strategy(), min_size=1, max_size=15))
-    @settings(max_examples=30, deadline=None)
-    def test_every_request_granted_or_rejected_exactly_once(self, specs):
-        requests = [
-            ContactRequest(
-                request_id=f"r{i}", provider="op",
-                window=ContactWindow(i, start, start + duration, 1.0),
-                priority=priority,
-            )
-            for i, (start, duration, priority) in enumerate(specs)
-        ]
-        result = AntennaScheduler().schedule(requests)
-        granted = {r.request_id for r in result.reservations}
-        rejected = {r.request_id for r in result.rejected}
-        assert granted | rejected == {r.request_id for r in requests}
-        assert granted & rejected == set()

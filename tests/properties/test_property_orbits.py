@@ -8,13 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.orbits.constants import EARTH_RADIUS_KM
-from repro.orbits.coordinates import (
-    GeodeticPoint,
-    ecef_to_eci,
-    ecef_to_geodetic,
-    eci_to_ecef,
-    geodetic_to_ecef,
-)
+from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci, geodetic_to_ecef
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.kepler import KeplerPropagator, solve_kepler
 from repro.orbits.tle import elements_from_tle, tle_from_elements
@@ -25,6 +19,7 @@ from repro.orbits.visibility import (
     has_line_of_sight,
     line_of_sight_mask,
 )
+from tests.orbits.oracle import ecef_to_geodetic, eci_to_ecef
 
 altitudes = st.floats(min_value=300.0, max_value=2000.0)
 angles = st.floats(min_value=0.0, max_value=2 * math.pi - 1e-9)

@@ -9,8 +9,8 @@ from repro.reliability.channel import (
     DEFAULT_CAPACITY_KNEE_BPS,
     HopModel,
     LossyControlChannel,
-    perfect_channel,
 )
+from tests.fixtures import perfect_channel
 
 
 def little_graph(capacity_bps=1e9, delay_s=0.01, queue_delay_s=0.0):

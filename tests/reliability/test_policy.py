@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.handover import HandoverScheme, HandoverSimulator
 from repro.orbits.contact import ContactWindow
-from repro.reliability.channel import LossyControlChannel, perfect_channel
+from repro.reliability.channel import LossyControlChannel
 from repro.reliability.exchange import (
     NO_RETRY,
     CircuitBreakerRegistry,
@@ -18,6 +18,7 @@ from repro.reliability.policy import (
     reselect_timeline,
 )
 from repro.routing.proactive import ProactiveRouter
+from tests.fixtures import perfect_channel
 
 
 class FakeSnapshot:
@@ -165,8 +166,7 @@ class TestPackageExports:
         for name in ("LossyControlChannel", "ReliableExchange",
                      "RetryPolicy", "NO_RETRY", "CircuitBreaker",
                      "CircuitBreakerRegistry", "BreakerState",
-                     "ResilientRouter", "reselect_timeline",
-                     "perfect_channel"):
+                     "ResilientRouter", "reselect_timeline"):
             assert hasattr(reliability, name), name
 
 

@@ -7,7 +7,8 @@ module holds the independent references it is checked against:
 * networkx's pure-Python Dijkstra (distances and paths) under the same
   edge-weight rules as :meth:`CsrAdjacency.from_graph`;
 * the per-epoch Figure 2(b) relay measurement, built as a networkx graph
-  one epoch at a time;
+  one epoch at a time from dense pairwise range and line-of-sight
+  matrices;
 * an eager all-pairs ``{(src, dst): path}`` table.
 
 They are slow and obviously right, which is all a referee needs to be.
@@ -20,9 +21,9 @@ import numpy as np
 
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.visibility import (
+    GRAZING_ALTITUDE_KM,
     elevation_angles,
-    pairwise_line_of_sight,
-    pairwise_slant_ranges,
+    line_of_sight_mask,
 )
 from repro.routing.metrics import PROPAGATION_ONLY, EdgeCostModel
 
@@ -98,6 +99,25 @@ def all_pairs_paths(graph, weight=None):
             if target != source:
                 table[(source, target)] = nodes
     return table
+
+
+def pairwise_slant_ranges(positions_km: np.ndarray) -> np.ndarray:
+    """All pairwise distances for ``(N, 3)`` positions; shape ``(N, N)``.
+
+    One broadcast pass replacing the O(N^2) scalar :func:`slant_range`
+    loop in topology construction and relay-graph building.
+    """
+    pos = np.atleast_2d(np.asarray(positions_km, dtype=float))
+    diff = pos[:, None, :] - pos[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def pairwise_line_of_sight(positions_km: np.ndarray,
+                           grazing_altitude_km: float = GRAZING_ALTITUDE_KM) -> np.ndarray:
+    """Line-of-sight matrix for ``(N, 3)`` positions; shape ``(N, N)``."""
+    pos = np.atleast_2d(np.asarray(positions_km, dtype=float))
+    return line_of_sight_mask(pos[:, None, :], pos[None, :, :],
+                              grazing_altitude_km)
 
 
 def relay_latency_s(positions, user_eci, gateway_eci,

@@ -14,13 +14,11 @@ from repro.core.federation import Federation, Operator
 from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
 from repro.faults.inject import FaultInjector
-from repro.faults.schedule import (
-    provider_withdrawal_event,
-    satellite_outage_event,
-)
+from repro.faults.schedule import satellite_outage_event
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_star
 from repro.security.badactor import BadActorMonitor
+from tests.fixtures import provider_withdrawal_event
 
 
 def _federation_with_quarantined_evil():

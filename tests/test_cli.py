@@ -5,6 +5,15 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def assert_rejected(capsys, argv, command, message):
+    """``argv`` exits 1 with a one-line options error and no output."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad {command} options: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -84,12 +93,21 @@ class TestCatalog:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 66 * 3
 
+    def test_rejects_bad_options(self, capsys):
+        assert_rejected(capsys, ["catalog", "--kind", "star", "--satellites",
+                                 "10", "--planes", "3"],
+                        "catalog", "plane count 3 must evenly divide 10")
+
 
 class TestLatency:
     def test_served_location(self, capsys):
         assert main(["latency", "--lat", "-1.29", "--lon", "36.82"]) == 0
         out = capsys.readouterr().out
         assert "ms" in out
+
+    def test_rejects_bad_options(self, capsys):
+        assert_rejected(capsys, ["latency", "--lat", "100", "--lon", "0"],
+                        "latency", "latitude out of range: 100.0")
 
 
 class TestDemand:
@@ -333,6 +351,10 @@ class TestAvailabilityCommand:
         assert "walker-star" in out
         assert "resilience to failures" in out
 
+    def test_rejects_bad_options(self, capsys):
+        assert_rejected(capsys, ["availability", "--epochs", "0"],
+                        "availability", "need at least one epoch, got 0")
+
 
 class TestFaultsCommands:
     QUICK_SWEEP = ["faults", "sweep", "--mtbf-hours", "2", "--mttr", "600",
@@ -353,6 +375,33 @@ class TestFaultsCommands:
     def test_sweep_requires_faults_subcommand(self):
         with pytest.raises(SystemExit):
             main(["faults"])
+
+    @pytest.mark.parametrize("options, message", [
+        (["--mtbf-hours", "-1"], "MTBF must be positive, got -1.0"),
+        (["--epochs", "0"], "need at least one epoch, got 0"),
+        (["--horizon", "0"], "horizon must be positive, got 0.0"),
+    ])
+    def test_sweep_rejects_bad_options(self, capsys, options, message):
+        # Checked before any sweep point runs, so no worker wraps the
+        # error in a SweepPointError.
+        assert_rejected(capsys, ["faults", "sweep"] + options,
+                        "faults sweep", message)
+
+    def test_inject_rejects_bad_options(self, capsys, tmp_path):
+        out_file = tmp_path / "schedule.json"
+        assert_rejected(capsys, ["faults", "inject", "--epochs", "0",
+                                 "--schedule-out", str(out_file)],
+                        "faults inject", "need at least one epoch, got 0")
+        assert not out_file.exists()
+
+    def test_replay_rejects_bad_options(self, capsys, tmp_path):
+        from repro.faults.model import FaultSchedule
+
+        schedule = tmp_path / "schedule.json"
+        FaultSchedule(horizon_s=600.0).save(schedule)
+        assert_rejected(capsys, ["faults", "replay", str(schedule),
+                                 "--epochs", "0"],
+                        "faults replay", "need at least one epoch, got 0")
 
     def test_inject_schedule_out_then_replay(self, tmp_path, capsys):
         out_file = tmp_path / "schedule.json"
@@ -449,6 +498,15 @@ class TestReliabilityCommand:
     def test_requires_reliability_subcommand(self):
         with pytest.raises(SystemExit):
             main(["reliability"])
+
+    @pytest.mark.parametrize("options, message", [
+        (["--loss", "1.5"], "loss rate must be in [0, 1], got 1.5"),
+        (["--probes", "0"], "need at least one probe, got 0"),
+        (["--horizon", "0"], "horizon must be positive, got 0.0"),
+    ])
+    def test_sweep_rejects_bad_options(self, capsys, options, message):
+        assert_rejected(capsys, ["reliability", "sweep"] + options,
+                        "reliability sweep", message)
 
     def test_sweep_trace_records_exchange_metrics(self, capsys, tmp_path):
         from repro.obs.export import read_jsonl

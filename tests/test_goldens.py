@@ -53,10 +53,6 @@ class TestPhysicsGoldens:
         rate = achievable_rate_bps(budget.snr_db, budget.bandwidth_hz)
         assert rate == pytest.approx(9.9e6, rel=0.02)
 
-    def test_ku_doppler_bound(self):
-        from repro.phy.doppler import worst_case_doppler_ppm
-        assert worst_case_doppler_ppm(780.0) == pytest.approx(24.9, abs=0.2)
-
 
 class TestEconomicsGoldens:
     def test_medium_fleet_capex(self):
