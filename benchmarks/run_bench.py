@@ -13,8 +13,7 @@ Measures these things and writes them to ``BENCH_parallel.json``:
    with the recorder enabled vs disabled; gates the promise that a
    disabled recorder costs one attribute check per emit site.
 4. **Determinism** — SHA-256 digests of each sweep's output at
-   ``jobs=1`` vs ``jobs=2``, and on the batched tensor engine vs the
-   scalar walk; they must be identical.
+   ``jobs=1`` vs ``jobs=2``; they must be identical.
 
 Speedups are wall-clock *ratios* measured on the same machine in the
 same run, so they transfer across hardware; ``--check`` gates the
@@ -199,13 +198,12 @@ def bench_relay_mesh() -> dict:
 
 
 def bench_figure2_sweep() -> dict:
-    """A Figure 2(b)-shaped sweep: scalar reference vs the batched engine.
+    """A Figure 2(b)-shaped sweep: scalar reference vs the tensor pipeline.
 
-    This is the acceptance measurement for the tensor pipeline: the
-    batched engine (flat epoch propagation, merged trial tensors, one
-    block-diagonal Dijkstra per sweep point, no event loop) against the
-    honest per-element scalar reference — on identical work, with the
-    engine-equivalence digests proving identical output.
+    This is the acceptance measurement for the tensor pipeline (flat
+    epoch propagation, merged trial tensors, one block-diagonal Dijkstra
+    per sweep point, no event loop) against the honest per-element
+    scalar reference, on identical work.
     """
     counts, trials, epochs, seed = (10, 25, 45, 70), 2, 6, 42
     scalar_s = _timeit(
@@ -213,8 +211,7 @@ def bench_figure2_sweep() -> dict:
         repeat=2)
     optimized_s = _timeit(
         lambda: figure_2b_latency(satellite_counts=counts, trials=trials,
-                                  epochs=epochs, seed=seed, jobs=1,
-                                  engine="batched"),
+                                  epochs=epochs, seed=seed, jobs=1),
         repeat=2)
     return {"scalar_s": scalar_s, "vectorized_s": optimized_s,
             "speedup": scalar_s / optimized_s}
@@ -519,33 +516,6 @@ def bench_determinism(jobs: int) -> dict:
     }
 
 
-def bench_engine_equivalence(jobs: int) -> dict:
-    """Digest the figure2/faults sweeps on the scalar vs batched engine.
-
-    The batched tensor engine must be a pure performance change: sweep
-    output is bitwise identical to the scalar walk, at every job count.
-    """
-
-    def both(fn) -> dict:
-        digests = {
-            "scalar": _digest(fn(engine="scalar", jobs=1)),
-            "batched": _digest(fn(engine="batched", jobs=1)),
-            "batched_parallel": _digest(fn(engine="batched", jobs=jobs)),
-        }
-        digests["match"] = (
-            digests["scalar"] == digests["batched"] == digests["batched_parallel"]
-        )
-        return digests
-
-    return {
-        "figure2b": both(lambda **kw: figure_2b_latency(
-            satellite_counts=(10, 25, 45), trials=2, epochs=4, seed=42,
-            **kw)),
-        "faults": both(lambda **kw: dynamic_resilience_sweep(
-            mtbf_hours=(1.0, 3.0), horizon_s=1800.0, epochs=4, **kw)),
-    }
-
-
 BENCH_CASES = {
     "propagation": bench_propagation,
     "relay_mesh": bench_relay_mesh,
@@ -559,9 +529,8 @@ BENCH_CASES = {
 
 
 #: Digest-section pseudo-cases accepted by ``--only`` alongside the
-#: timed cases in :data:`BENCH_CASES` (e.g. the CI smoke path pairs
-#: ``figure2_sweep`` with ``engine_equivalence``).
-SECTION_CASES = ("determinism", "engine_equivalence")
+#: timed cases in :data:`BENCH_CASES`.
+SECTION_CASES = ("determinism",)
 
 
 def run_all(jobs: int, only=None) -> dict:
@@ -592,9 +561,6 @@ def run_all(jobs: int, only=None) -> dict:
     result["determinism"] = (
         bench_determinism(jobs) if "determinism" in sections else {}
     )
-    result["engine_equivalence"] = (
-        bench_engine_equivalence(jobs) if "engine_equivalence" in sections else {}
-    )
     return result
 
 
@@ -605,11 +571,6 @@ def check(result: dict, baseline: dict, tolerance: float) -> list:
         if not case["match"]:
             problems.append(
                 f"determinism: {name} parallel digest diverges from serial"
-            )
-    for name, case in result.get("engine_equivalence", {}).items():
-        if not case["match"]:
-            problems.append(
-                f"engine: {name} batched digest diverges from scalar"
             )
     for name, base_case in baseline.get("benchmarks", {}).items():
         current = result["benchmarks"].get(name)
@@ -647,10 +608,9 @@ def main(argv=None) -> int:
                         help="also write the measured ratios as the new "
                              "baseline")
     parser.add_argument("--only", nargs="+", metavar="NAME", default=None,
-                        help="run only the named benchmark cases; digest "
-                             "sections (determinism, engine_equivalence) "
-                             "run only when named (incompatible with "
-                             "--check)")
+                        help="run only the named benchmark cases; the "
+                             "determinism digest section runs only when "
+                             "named (incompatible with --check)")
     parser.add_argument("--scale-satellites", type=int,
                         default=MEGA_SCALE_SATELLITES, metavar="N",
                         help="fleet size for the scale benchmark's "
@@ -685,9 +645,6 @@ def main(argv=None) -> int:
     for name, case in result["determinism"].items():
         status = "ok" if case["match"] else "DIVERGED"
         print(f"  determinism {name}: {status}")
-    for name, case in result["engine_equivalence"].items():
-        status = "ok" if case["match"] else "DIVERGED"
-        print(f"  engine {name}: {status}")
 
     if args.write_baseline:
         # Cache-hit ratios reach four digits and jitter wildly with

@@ -70,8 +70,7 @@ def _cmd_figure2b(args: argparse.Namespace) -> int:
     try:
         result = figure_2b_latency(satellite_counts=counts,
                                    trials=args.trials, epochs=args.epochs,
-                                   seed=args.seed, jobs=args.jobs,
-                                   engine=args.engine)
+                                   seed=args.seed, jobs=args.jobs)
     except ValueError as exc:
         print(f"bad figure2b options: {exc}", file=sys.stderr)
         return 1
@@ -325,7 +324,6 @@ def _cmd_faults_sweep(args: argparse.Namespace) -> int:
             mtbf_hours=tuple(args.mtbf_hours), mttr_s=mttr,
             horizon_s=args.horizon, epochs=args.epochs, seed=args.seed,
             reroute_delay_s=args.reroute_delay, jobs=args.jobs,
-            engine=args.engine,
         )
     except ValueError as exc:
         print(f"bad faults sweep options: {exc}", file=sys.stderr)
@@ -626,11 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     p2b.add_argument("--trials", type=int, default=4)
     p2b.add_argument("--epochs", type=int, default=8)
     p2b.add_argument("--seed", type=int, default=42)
-    p2b.add_argument("--engine", choices=("scalar", "batched"),
-                     default="scalar",
-                     help="sweep-point engine: scalar event walk (oracle) "
-                          "or the batched tensor pipeline (identical "
-                          "results)")
     p2b.set_defaults(func=_cmd_figure2b)
 
     p2c = sub.add_parser("figure2c", parents=[obs_flags, jobs_flags],
@@ -693,11 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mean time to repair, s (negative = permanent)")
     pfs.add_argument("--horizon", type=float, default=7200.0)
     pfs.add_argument("--seed", type=int, default=43)
-    pfs.add_argument("--engine", choices=("scalar", "batched"),
-                     default="scalar",
-                     help="probe engine: per-user scalar probes (oracle) "
-                          "or one batched array pass per probe instant "
-                          "(identical results)")
     _faults_common(pfs)
     pfs.set_defaults(func=_cmd_faults_sweep)
 

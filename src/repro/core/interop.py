@@ -17,7 +17,6 @@ from typing import List, Optional, Union
 from repro.isl.link import LinkTechnology, technology_of
 from repro.isl.power import (
     PowerBudget,
-    SlewModel,
     largesat_power_budget,
     midsat_power_budget,
     smallsat_power_budget,
@@ -64,7 +63,6 @@ class SpacecraftSpec:
         isl_terminals: ISL-capable terminals (RF and/or optical).
         ground_terminal: The user/ground-facing terminal.
         power: Electrical power budget.
-        slew: Attitude-slew model (laser pointing).
         laser_boresights_deg: Body-frame azimuths of mounted laser
             terminals ("the exact position of its laser diodes").
     """
@@ -76,7 +74,6 @@ class SpacecraftSpec:
     isl_terminals: List[Terminal] = field(default_factory=list)
     ground_terminal: Optional[RFTerminal] = None
     power: PowerBudget = field(default_factory=smallsat_power_budget)
-    slew: SlewModel = field(default_factory=SlewModel)
     laser_boresights_deg: List[float] = field(default_factory=list)
 
     @property

@@ -221,6 +221,8 @@ def population_grid(total_users: int, rng: np.random.Generator,
     if distribution == "uniform_land":
         weights = area.copy()
     elif distribution == "underserved":
+        if not spread_deg > 0.0:
+            raise ValueError(f"spread must be positive, got {spread_deg}")
         weights = _underserved_weights(lat_deg, lon_deg, spread_deg) * area
     else:
         raise ValueError(

@@ -177,7 +177,9 @@ def demand_sweep(satellite_counts: Sequence[int] = (24, 66),
 
     Raises:
         ValueError: For an empty grid or an out-of-range argument,
-            before any fleet is built.
+            before any fleet is built; for ``"underserved"``, also for a
+            spread that is not positive or too narrow to place weight on
+            any grid cell.
     """
     if not satellite_counts:
         raise ValueError("satellite_counts must name at least one fleet size")
@@ -198,6 +200,12 @@ def demand_sweep(satellite_counts: Sequence[int] = (24, 66),
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}; "
                          f"expected one of {DISTRIBUTIONS}")
+    if distribution == "underserved":
+        # One throwaway draw runs the grid's own spread and weight checks
+        # here rather than inside a worker.
+        population_grid(1, np.random.default_rng(0),
+                        GridSpec(bands=bands, equator_columns=equator_columns),
+                        distribution=distribution, spread_deg=spread_deg)
 
     points = [
         (int(count), float(hour), row_index, total_users, bands,

@@ -31,7 +31,7 @@ from repro.faults.schedule import regional_blackout_event, stations_within
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
-from repro.orbits.walker import walker_delta
+from repro.orbits.walker import WalkerConstellation, walker_delta
 from repro.parallel import derive_seed, run_grid
 from repro.reliability.channel import LossyControlChannel
 from repro.reliability.exchange import RetryPolicy
@@ -49,6 +49,12 @@ REGION_LON_DEG = 36.8
 #: Blackout onset as a fraction of the horizon (bundles exist before,
 #: during, and after the outage).
 BLACKOUT_START_FRACTION = 0.25
+
+
+def _fleet_constellation(satellite_count: int) -> WalkerConstellation:
+    """The sweep's 6-plane Walker-Delta fleet at 780 km, 66 deg."""
+    return walker_delta(satellite_count, 6, phasing=1, altitude_km=780.0,
+                        inclination_deg=66.0)
 
 
 def _make_sensors(count: int, seed: int,
@@ -168,11 +174,8 @@ def _disrupted_point(args: tuple) -> Dict:
      sensor_count, satellite_count, interval_s, size_bytes, ttl_s,
      seed) = args
     stations = default_station_network()
-    fleet = build_fleet(
-        walker_delta(satellite_count, 6, phasing=1, altitude_km=780.0,
-                     inclination_deg=66.0),
-        PROVIDER, SizeClass.MEDIUM,
-    )
+    fleet = build_fleet(_fleet_constellation(satellite_count), PROVIDER,
+                        SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, stations)
     sensors = _make_sensors(sensor_count,
                             seed=derive_seed(seed, "disrupted-sensors"))
@@ -246,6 +249,13 @@ def disrupted_sweep(radii_km: Sequence[float] = (0.0, 1500.0, 3500.0),
     Returns:
         One row dict per grid point, in ``radii_km`` x ``durations_s``
         x ``buffer_kb`` order.
+
+    Raises:
+        ValueError: before any point runs, for a negative radius, a
+            non-positive duration, buffer budget, step, horizon, bundle
+            interval, bundle size or TTL, no sensors, a loss rate outside
+            ``[0, 1]``, or a fleet size that is not a positive multiple
+            of 6.
     """
     for radius in radii_km:
         if radius < 0.0:
@@ -266,6 +276,15 @@ def disrupted_sweep(radii_km: Sequence[float] = (0.0, 1500.0, 3500.0),
         raise ValueError(
             f"bundle interval must be positive, got {bundle_interval_s}"
         )
+    if bundle_bytes < 1:
+        raise ValueError(f"bundle size must be positive, got {bundle_bytes}")
+    if not ttl_s > 0.0:
+        raise ValueError(f"bundle TTL must be positive, got {ttl_s}")
+    if not 0.0 <= loss <= 1.0:
+        raise ValueError(f"loss rate must be in [0, 1], got {loss}")
+    # Build the fleet's layout once: a size the 6-plane Walker cannot
+    # hold fails here, not inside a worker.
+    _fleet_constellation(satellites)
 
     points = [
         (float(radius), float(duration), float(budget), float(horizon_s),

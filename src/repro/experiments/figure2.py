@@ -44,12 +44,8 @@ from repro.orbits.visibility import (
 from repro.orbits.walker import iridium_like, random_constellation
 from repro.parallel import derive_seed, run_grid
 from repro.phy.rf import standard_sband_isl_terminal
-from repro.simulation.batched import ground_eci_track, merge_trial_epochs
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.batched import ground_eci_track
 from repro.simulation.metrics import SeriesCollector
-
-#: Engine names accepted by the figure-2(b) driver.
-ENGINES = ("scalar", "batched")
 
 #: The paper's fixed endpoints: a user in an underserved region and a
 #: gateway on another continent (exact coordinates are not given in the
@@ -299,90 +295,45 @@ def _figure_2b_point(args: tuple) -> Dict:
     seed, so results are identical at any job count.  The epoch grid and
     the ``(epochs, 3)`` user and gateway ECI tracks on it are the same
     for every point, so the sweep computes them once.
+
+    Every trial's constellation is drawn in turn from the point's RNG
+    and propagated over the epoch grid; the trial tensors are joined
+    along the epoch axis and ONE relay kernel call answers every
+    ``(trial, epoch)`` measurement.  Samples come out trial-major,
+    epoch-ascending.
     """
     (count, trials, point_seed, altitude_km, epoch_times,
-     user_track, gateway_track, engine) = args
+     user_track, gateway_track) = args
     rng = np.random.default_rng(point_seed)
     recorder = _obs.active()
     samples: List[float] = []
     reached = 0
     total = 0
-
-    if engine == "batched":
-        # The pure tensor pipeline: draw every trial's constellation (same
-        # RNG call order as the scalar walk), stack all trials' epoch
-        # tensors along the epoch axis, and answer every (trial, epoch)
-        # relay measurement with ONE block-diagonal csgraph call.  No
-        # discrete-event engine runs; samples land in the same
-        # trial-major, epoch-ascending order the event loop would emit,
-        # and every float is bit-identical to the scalar engine's.
-        with recorder.span("experiment.figure2b.sweep_point",
-                           satellites=count, trials=trials,
-                           epochs=len(epoch_times), engine=engine):
-            trial_tensors = []
-            for _ in range(trials):
-                constellation = random_constellation(count, rng,
-                                                     altitude_km=altitude_km)
-                with recorder.phase("figure2b.propagate"):
-                    trial_tensors.append(
-                        constellation.positions_over(epoch_times)
-                    )
-            positions_merged = merge_trial_epochs(trial_tensors)
-            with recorder.phase("figure2b.relay_path"):
-                latencies = _relay_latency_batch_s(
-                    positions_merged,
-                    np.tile(user_track, (trials, 1)),
-                    np.tile(gateway_track, (trials, 1)),
-                    min_elevation_deg=0.0,
-                )
-            for value in latencies:
-                total += 1
-                latency = float(value)
-                if math.isfinite(latency):
-                    samples.append(latency * 1000.0)
-                    reached += 1
-                    if recorder.enabled:
-                        recorder.observe("figure2b.latency_ms",
-                                         latency * 1000.0, label=str(count))
-        return {"count": count, "samples": samples,
-                "reached": reached, "total": total}
-
-    def sample_epoch(latency_s: float) -> None:
-        """Record one (constellation, epoch) relay measurement."""
-        nonlocal reached, total
-        total += 1
-        if math.isfinite(latency_s):
-            samples.append(latency_s * 1000.0)
-            reached += 1
-            if recorder.enabled:
-                recorder.observe("figure2b.latency_ms",
-                                 latency_s * 1000.0, label=str(count))
-
     with recorder.span("experiment.figure2b.sweep_point",
                        satellites=count, trials=trials,
                        epochs=len(epoch_times)):
+        trial_tensors = []
         for _ in range(trials):
             constellation = random_constellation(count, rng,
                                                  altitude_km=altitude_km)
-            # One broadcast propagation covers every epoch of the trial.
             with recorder.phase("figure2b.propagate"):
-                positions_all = constellation.positions_over(epoch_times)
-            with recorder.phase("figure2b.relay_path"):
-                latencies = _relay_latency_batch_s(
-                    positions_all, user_track, gateway_track,
-                    min_elevation_deg=0.0,
-                )
-            # The epoch samples run as discrete events so the sweep
-            # exercises (and is measured through) the same engine the
-            # protocol simulations use.
-            engine = SimulationEngine()
-            for time_s, latency_s in zip(epoch_times, latencies):
-                engine.schedule(
-                    float(time_s),
-                    lambda value=float(latency_s): sample_epoch(value),
-                    label="figure2b.epoch",
-                )
-            engine.run()
+                trial_tensors.append(constellation.positions_over(epoch_times))
+        with recorder.phase("figure2b.relay_path"):
+            latencies = _relay_latency_batch_s(
+                np.concatenate(trial_tensors, axis=1),
+                np.tile(user_track, (trials, 1)),
+                np.tile(gateway_track, (trials, 1)),
+                min_elevation_deg=0.0,
+            )
+        for value in latencies:
+            total += 1
+            latency = float(value)
+            if math.isfinite(latency):
+                samples.append(latency * 1000.0)
+                reached += 1
+                if recorder.enabled:
+                    recorder.observe("figure2b.latency_ms",
+                                     latency * 1000.0, label=str(count))
     return {"count": count, "samples": samples,
             "reached": reached, "total": total}
 
@@ -396,7 +347,7 @@ def figure_2b_latency(satellite_counts: Sequence[int] = tuple(
                       user_site: GeodeticPoint = DEFAULT_USER_SITE,
                       gateway_site: GeodeticPoint = DEFAULT_GATEWAY_SITE,
                       jobs: int = 1,
-                      engine: str = "scalar") -> Dict:
+                      engine: str = "batched") -> Dict:
     """Propagation latency vs constellation size (paper Figure 2(b)).
 
     For each satellite count, ``trials`` random constellations are drawn;
@@ -411,16 +362,13 @@ def figure_2b_latency(satellite_counts: Sequence[int] = tuple(
     derived seed, so ``jobs > 1`` fans points across processes without
     changing any value in the result.
 
-    ``engine`` selects how a sweep point executes: ``"scalar"`` walks
-    trials through the discrete-event engine (the oracle), one relay
-    kernel call per trial; ``"batched"`` flattens all of a point's trials
-    and epochs into one tensor pipeline — one merged
-    ``(sats, trials * epochs, 3)`` position tensor and one relay kernel
-    call.  Both engines run the same kernel (Gram-bound ISL candidates,
-    the chord certificate for line of sight, one ``min_only``
-    :func:`scipy.sparse.csgraph.dijkstra` call over the block-diagonal
-    relay graph) and return bit-identical results (the benchmark digest
-    gate holds them together).
+    A sweep point runs as one tensor pipeline: every trial's constellation
+    is propagated over the epoch grid, the trial tensors are joined into
+    one ``(sats, trials * epochs, 3)`` tensor, and one relay kernel call
+    (Gram-bound ISL candidates, the chord certificate for line of sight,
+    one ``min_only`` :func:`scipy.sparse.csgraph.dijkstra` call over the
+    block-diagonal relay graph) answers every ``(trial, epoch)`` pair.
+    ``engine`` names that pipeline; ``"batched"`` is its only value.
 
     Returns:
         ``{"series": [...rows...], "reachability": {count: fraction}}``
@@ -437,14 +385,15 @@ def figure_2b_latency(satellite_counts: Sequence[int] = tuple(
         raise ValueError(f"need at least one trial, got {trials}")
     if epochs < 1:
         raise ValueError(f"need at least one epoch, got {epochs}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if engine != "batched":
+        raise ValueError(f"unknown engine {engine!r}; the only engine is "
+                         "'batched'")
     epoch_times = np.linspace(0.0, 86400.0, epochs, endpoint=False)
     user_track = ground_eci_track(user_site, epoch_times)
     gateway_track = ground_eci_track(gateway_site, epoch_times)
     points = [
         (count, trials, derive_seed(seed, "figure2b", count), altitude_km,
-         epoch_times, user_track, gateway_track, engine)
+         epoch_times, user_track, gateway_track)
         for count in counts
     ]
     results = run_grid(_figure_2b_point, points, jobs=jobs, label="figure2b")

@@ -62,8 +62,7 @@ def _flap_links(network: OpenSpaceNetwork,
     )
     if not edges or fraction <= 0.0:
         return []
-    step = max(1, round(1.0 / min(1.0, fraction)))
-    return edges[::step]
+    return edges[::round(1.0 / fraction)]
 
 
 def _make_users() -> List[UserTerminal]:
@@ -222,13 +221,12 @@ def _reliability_point(args: tuple) -> Dict:
     at any job count.
     """
     (loss, mtbf_h, row_index, horizon_s, probes, seed, mttr_s,
-     flap_fraction, max_attempts, timeout_s) = args
+     flap_fraction, policy) = args
     stations = default_station_network()
     fleet = build_fleet(iridium_like(), PROVIDER, SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, stations)
     users = _make_users()
     links = _flap_links(network, flap_fraction)
-    policy = RetryPolicy(max_attempts=max_attempts, timeout_s=timeout_s)
     if mtbf_h > 0.0 and links:
         schedule = link_flap_schedule(
             links, horizon_s, mtbf_s=mtbf_h * 3600.0,
@@ -266,7 +264,8 @@ def reliability_sweep(loss_rates: Sequence[float] = (0.0, 0.05, 0.2),
         probes: Association probes per grid point.
         seed: Root seed; every grid point derives its own sub-seeds.
         mttr_s: Flap repair time, seconds (None = permanent cuts).
-        flap_fraction: Fraction of the epoch-0 ISL set that flaps.
+        flap_fraction: Fraction of the epoch-0 ISL set that flaps, in
+            ``[0, 1]``.
         max_attempts: Retransmission bound of the auth exchanges.
         timeout_s: Per-attempt timeout of the auth exchanges.
         jobs: Worker processes for the grid fan-out; every job count
@@ -276,6 +275,12 @@ def reliability_sweep(loss_rates: Sequence[float] = (0.0, 0.05, 0.2),
         One row dict per grid point, in ``loss_rates`` x
         ``flap_mtbf_hours`` order, each carrying the scenario aggregates
         plus the ``loss`` / ``flap_mtbf_h`` coordinates.
+
+    Raises:
+        ValueError: before any point runs, for no probes, a non-positive
+            horizon, a loss rate or flap fraction outside ``[0, 1]``, a
+            negative flap MTBF, or a retry policy
+            :class:`~repro.reliability.exchange.RetryPolicy` rejects.
     """
     if probes < 1:
         raise ValueError(f"need at least one probe, got {probes}")
@@ -287,10 +292,14 @@ def reliability_sweep(loss_rates: Sequence[float] = (0.0, 0.05, 0.2),
     for mtbf_h in flap_mtbf_hours:
         if mtbf_h < 0.0:
             raise ValueError(f"flap MTBF must be >= 0, got {mtbf_h}")
+    if not 0.0 <= flap_fraction <= 1.0:
+        raise ValueError(
+            f"flap fraction must be in [0, 1], got {flap_fraction}")
+    policy = RetryPolicy(max_attempts=max_attempts, timeout_s=timeout_s)
 
     points = [
         (float(loss), float(mtbf_h), row_index, horizon_s, probes, seed,
-         mttr_s, flap_fraction, max_attempts, timeout_s)
+         mttr_s, flap_fraction, policy)
         for row_index, (loss, mtbf_h) in enumerate(
             (loss, mtbf_h)
             for loss in loss_rates for mtbf_h in flap_mtbf_hours)

@@ -41,47 +41,20 @@ def _sample_users(provider: str = "resil-dyn") -> List[UserTerminal]:
     ]
 
 
-#: Engine names accepted by the fault-scenario and figure-2 drivers.
-ENGINES = ("scalar", "batched")
-
-
-def _probe_path(network: OpenSpaceNetwork, user: UserTerminal,
-                time_s: float) -> Optional[List[str]]:
-    """The user's current gateway path, or None when unreachable."""
-    snap = network.snapshot(time_s, users=[user])
-    metrics = snap.nearest_ground_station_route(user.user_id)
-    return None if metrics is None else list(metrics.path)
-
-
-def _probe_paths(network: OpenSpaceNetwork,
-                 users: Sequence[UserTerminal], time_s: float,
-                 engine: str) -> Dict[str, Optional[List[str]]]:
-    """Every monitored user's gateway path at one instant.
-
-    The batched engine answers all users with one array pass
-    (:meth:`~repro.core.network.OpenSpaceNetwork.gateway_probe_paths`);
-    the scalar engine is the per-user oracle.  Both return identical
-    paths — the engine digest gate in the benchmark suite holds them
-    together.
-    """
-    if engine == "batched":
-        return network.gateway_probe_paths(time_s, users)
-    return {
-        user.user_id: _probe_path(network, user, time_s) for user in users
-    }
-
-
 def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
                        users: Sequence[UserTerminal],
                        horizon_s: float, epochs: int = 8,
                        reroute_delay_s: float = 15.0,
-                       router=None, engine: str = "scalar") -> Dict:
+                       router=None) -> Dict:
     """Replay one fault schedule and measure recovery.
 
     The engine carries two event streams: the schedule's fail/repair
     transitions (each followed by an immediate probe of every monitored
     user, classifying severed flows as rerouted or dropped) and periodic
-    availability probes at ``epochs`` instants across the horizon.
+    availability probes at ``epochs`` instants across the horizon.  Every
+    probe answers all monitored users with one array pass
+    (:meth:`~repro.core.network.OpenSpaceNetwork.gateway_probe_paths`),
+    and the periodic probe grid's propagation is primed up front.
 
     Args:
         network: The network under test (its fault state is reset first).
@@ -93,10 +66,6 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
             with an alternate path (see
             :class:`~repro.faults.metrics.RecoveryTracker`).
         router: Optional proactive router to invalidate on failures.
-        engine: ``"scalar"`` probes each user through its own snapshot
-            (the oracle); ``"batched"`` answers every probe instant with
-            one array pass over all users and primes the periodic epoch
-            grid's propagation up front.  Results are bit-identical.
 
     Returns:
         The tracker summary (see
@@ -108,15 +77,12 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
         raise ValueError(f"need at least one epoch, got {epochs}")
     if horizon_s <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon_s}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     network.clear_fault_state()
     probe_times = np.linspace(0.0, horizon_s, epochs, endpoint=False)
-    if engine == "batched":
-        # One (N, epochs) propagation covers every periodic probe; primed
-        # columns are bitwise identical to per-epoch solves, so this is
-        # purely a speedup (fault-transition instants still solve lazily).
-        network.prime_positions(probe_times)
+    # One (N, epochs) propagation covers every periodic probe; primed
+    # columns are bitwise identical to per-epoch solves, so this is
+    # purely a speedup (fault-transition instants still solve lazily).
+    network.prime_positions(probe_times)
     tracker = RecoveryTracker(reroute_delay_s=reroute_delay_s,
                               horizon_s=horizon_s)
     injector = FaultInjector(network, tracker=tracker, router=router)
@@ -127,7 +93,7 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
     first_sample = [True]
 
     def probe_all(time_s: float) -> None:
-        paths = _probe_paths(network, users, time_s, engine)
+        paths = network.gateway_probe_paths(time_s, users)
         for user in users:
             tracker.record_probe(time_s, user.user_id, paths[user.user_id])
         recorder = _obs.active()
@@ -149,7 +115,7 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
             return
         if transition.phase == "fail":
             nodes, links = injector.failed_elements_of(transition.event)
-            paths = _probe_paths(network, users, time_s, engine)
+            paths = network.gateway_probe_paths(time_s, users)
             for user in users:
                 tracker.probe_after_fault(
                     time_s, transition.event, nodes, links, user.user_id,
@@ -181,8 +147,7 @@ def _dynamic_resilience_point(args: tuple) -> Dict:
     the schedule seed (``seed + 7919 * index``) matches what the serial
     sweep has always used, so rows are unchanged at any job count.
     """
-    (mtbf_h, index, mttr_s, horizon_s, epochs, seed, reroute_delay_s,
-     probe_engine) = args
+    mtbf_h, index, mttr_s, horizon_s, epochs, seed, reroute_delay_s = args
     stations = default_station_network()
     fleet = build_fleet(iridium_like(), "resil-dyn", SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, stations)
@@ -195,7 +160,6 @@ def _dynamic_resilience_point(args: tuple) -> Dict:
     result = run_fault_scenario(
         network, schedule, users, horizon_s=horizon_s,
         epochs=epochs, reroute_delay_s=reroute_delay_s,
-        engine=probe_engine,
     )
     row = {
         key: value for key, value in result.items()
@@ -212,7 +176,7 @@ def dynamic_resilience_sweep(mtbf_hours: Sequence[float] = (1.0, 3.0, 12.0),
                              seed: int = 43,
                              reroute_delay_s: float = 15.0,
                              jobs: int = 1,
-                             engine: str = "scalar") -> List[Dict]:
+                             engine: str = "batched") -> List[Dict]:
     """Recovery metrics vs failure intensity on the reference fleet.
 
     Each row injects an independent per-satellite MTBF/MTTR failure
@@ -232,27 +196,35 @@ def dynamic_resilience_sweep(mtbf_hours: Sequence[float] = (1.0, 3.0, 12.0),
         reroute_delay_s: Control-plane reconvergence charge.
         jobs: Worker processes for the row fan-out; every job count
             yields identical rows.
-        engine: Probe engine per row (``"scalar"`` or ``"batched"``);
-            see :func:`run_fault_scenario`.  Rows are identical either
-            way — the benchmark's engine-equivalence digest enforces it.
+        engine: The probe engine; ``"batched"`` (one array pass per
+            probe instant, see :func:`run_fault_scenario`) is its only
+            value.
 
     Returns:
         Rows of ``{"mtbf_h", "faults_injected", "faults_absorbed",
         "flows_rerouted", "flows_dropped", "mean_availability",
         "mean_time_to_reroute_s", "observed_mttr_s", ...}``.
+
+    Raises:
+        ValueError: before any point runs, for no epochs, a non-positive
+            horizon or MTBF, a negative reroute delay, or an engine other
+            than ``"batched"``.
     """
     if epochs < 1:
         raise ValueError(f"need at least one epoch, got {epochs}")
     if horizon_s <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon_s}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if engine != "batched":
+        raise ValueError(f"unknown engine {engine!r}; the only engine is "
+                         "'batched'")
+    # The tracker rejects a negative reroute delay here, not in a worker.
+    RecoveryTracker(reroute_delay_s=reroute_delay_s, horizon_s=horizon_s)
     points = []
     for index, mtbf_h in enumerate(mtbf_hours):
         if mtbf_h <= 0.0:
             raise ValueError(f"MTBF must be positive, got {mtbf_h}")
         points.append((float(mtbf_h), index, mttr_s, horizon_s, epochs,
-                       seed, reroute_delay_s, engine))
+                       seed, reroute_delay_s))
     with _obs.active().span("experiment.resilience_dynamic.sweep",
                             points=len(points)):
         return run_grid(_dynamic_resilience_point, points, jobs=jobs,

@@ -12,7 +12,7 @@ from repro.isl.link import (
     LinkTechnology,
     best_link_between,
 )
-from repro.isl.power import PowerBudget, SlewModel
+from repro.isl.power import PowerBudget
 from repro.isl.topology import IslTopologyBuilder, TopologySnapshot
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "LinkTechnology",
     "best_link_between",
     "PowerBudget",
-    "SlewModel",
     "IslTopologyBuilder",
     "TopologySnapshot",
 ]

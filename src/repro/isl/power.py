@@ -1,17 +1,15 @@
-"""Spacecraft power and slew budgets for ISL establishment.
+"""Spacecraft power budgets for ISL establishment.
 
 The paper: "given the power cost of executing rotations for ISLs and
 establishing those links, satellites may have power consumption constraints
 that limit the number of ISLs they can establish and the size of data
 transfers they can facilitate."  This module models that constraint: an
-energy budget replenished by solar generation and drained by terminal
-operation and attitude slews, plus a slew-time model for repointing a
-laser terminal.
+energy budget replenished by solar generation and drained by housekeeping
+and active ISL terminals, with a ceiling on concurrent ISLs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -105,43 +103,6 @@ class PowerBudget:
     def depleted(self) -> bool:
         """True when the battery has run flat (ISLs must shed load)."""
         return self.charge_wh <= 0.0
-
-
-@dataclass(frozen=True)
-class SlewModel:
-    """Attitude-slew timing and energy for (re)pointing a laser terminal.
-
-    "Laser-links between satellites, even if available, are directional,
-    which means that the satellites once paired, can re-orient (i.e., spin)
-    to maintain a reliable link."
-
-    Attributes:
-        max_rate_deg_s: Peak slew rate.
-        acceleration_deg_s2: Angular acceleration (bang-bang profile).
-        power_w: Reaction-wheel/gimbal power while slewing.
-    """
-
-    max_rate_deg_s: float = 1.0
-    acceleration_deg_s2: float = 0.1
-    power_w: float = 15.0
-
-    def slew_time_s(self, angle_deg: float) -> float:
-        """Time for a rest-to-rest slew through ``angle_deg`` (bang-bang)."""
-        if angle_deg < 0.0:
-            raise ValueError(f"angle must be >= 0, got {angle_deg}")
-        if angle_deg == 0.0:
-            return 0.0
-        # Distance covered accelerating to (and braking from) peak rate.
-        ramp_angle = self.max_rate_deg_s**2 / self.acceleration_deg_s2
-        if angle_deg <= ramp_angle:
-            return 2.0 * math.sqrt(angle_deg / self.acceleration_deg_s2)
-        ramp_time = 2.0 * self.max_rate_deg_s / self.acceleration_deg_s2
-        cruise_time = (angle_deg - ramp_angle) / self.max_rate_deg_s
-        return ramp_time + cruise_time
-
-    def slew_energy_wh(self, angle_deg: float) -> float:
-        """Energy consumed by a slew through ``angle_deg``."""
-        return self.power_w * self.slew_time_s(angle_deg) / 3600.0
 
 
 def smallsat_power_budget() -> PowerBudget:

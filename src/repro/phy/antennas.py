@@ -1,8 +1,8 @@
 """Antenna models for RF terminals.
 
-Parabolic-dish gain and the quadratic main-lobe pointing loss.  Small
-OpenSpace spacecraft use patch or low-gain antennas (modelled as a fixed
-gain); larger craft and ground stations use dishes.
+Parabolic-dish gain.  Small OpenSpace spacecraft use patch or low-gain
+antennas (modelled as a fixed gain); larger craft and ground stations use
+dishes.
 """
 
 from __future__ import annotations
@@ -30,14 +30,3 @@ def dish_gain_dbi(diameter_m: float, frequency_hz: float,
     wavelength = SPEED_OF_LIGHT_M_S / frequency_hz
     gain = efficiency * (math.pi * diameter_m / wavelength) ** 2
     return 10.0 * math.log10(gain)
-
-
-def pointing_loss_db_rf(off_axis_deg: float, beamwidth_deg: float) -> float:
-    """Gain loss for an RF beam pointed ``off_axis_deg`` off boresight, dB.
-
-    Standard quadratic (Gaussian main-lobe) approximation:
-    ``L = 12 * (theta / theta_3dB)^2``.
-    """
-    if beamwidth_deg <= 0.0:
-        raise ValueError(f"beamwidth must be positive, got {beamwidth_deg}")
-    return 12.0 * (off_axis_deg / beamwidth_deg) ** 2

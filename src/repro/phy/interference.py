@@ -7,8 +7,6 @@ only by the angular separation its antenna sees (the standard
 ITU-style geometry for NGSO sharing).  This module computes:
 
 * the angular separation of two satellites as seen from a ground point;
-* the interference power a victim terminal receives from an off-axis
-  interferer (transmit power through the victim antenna's off-axis gain);
 * the satellite pairs some ground point cannot tell apart.
 
 The coordination protocol that *avoids* these collisions lives in
@@ -21,10 +19,6 @@ import math
 from typing import List, Sequence
 
 import numpy as np
-
-from repro.phy.antennas import pointing_loss_db_rf
-from repro.phy.channel import free_space_path_loss_db
-from repro.phy.rf import RFTerminal
 
 
 def angular_separation_rad(ground_km: np.ndarray, sat_a_km: np.ndarray,
@@ -39,35 +33,6 @@ def angular_separation_rad(ground_km: np.ndarray, sat_a_km: np.ndarray,
         return 0.0
     cosine = float(to_a @ to_b) / (norm_a * norm_b)
     return math.acos(max(-1.0, min(1.0, cosine)))
-
-
-def received_power_dbw(tx: RFTerminal, rx: RFTerminal, distance_km: float,
-                       off_axis_deg: float,
-                       rx_beamwidth_deg: float) -> float:
-    """Power a terminal receives from a (possibly off-axis) transmitter.
-
-    The receive antenna is pointed at its serving satellite; an
-    interferer ``off_axis_deg`` away is attenuated by the main-lobe
-    roll-off (quadratic model, floored at a -10 dBi sidelobe level).
-
-    Args:
-        tx: Transmitting (serving or interfering) space terminal.
-        rx: Victim ground terminal.
-        distance_km: Transmitter-victim slant range.
-        off_axis_deg: Angle between the victim's boresight and the
-            transmitter.
-        rx_beamwidth_deg: Victim antenna's half-power beamwidth.
-    """
-    path_loss = free_space_path_loss_db(
-        distance_km, tx.band.centre_frequency_hz
-    )
-    rolloff = pointing_loss_db_rf(off_axis_deg, rx_beamwidth_deg)
-    # Sidelobe floor: gain never drops below -10 dBi.
-    effective_rx_gain = max(rx.gain_dbi - rolloff, -10.0)
-    return (
-        tx.tx_power_dbw + tx.gain_dbi + effective_rx_gain - path_loss
-        - tx.implementation_loss_db - rx.implementation_loss_db
-    )
 
 
 def interference_pairs(ground_points_km: Sequence[np.ndarray],

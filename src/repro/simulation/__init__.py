@@ -7,10 +7,7 @@ patterns"); metric collectors aggregate latency/coverage/throughput
 series for the experiment drivers.
 """
 
-from repro.simulation.batched import (
-    ground_eci_track,
-    merge_trial_epochs,
-)
+from repro.simulation.batched import ground_eci_track
 from repro.simulation.engine import Event, SimulationEngine
 from repro.simulation.traffic import (
     FlowSpec,
@@ -40,7 +37,6 @@ from repro.simulation.sessionsim import (
 
 __all__ = [
     "ground_eci_track",
-    "merge_trial_epochs",
     "Event",
     "SimulationEngine",
     "FlowSpec",

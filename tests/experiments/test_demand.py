@@ -86,6 +86,21 @@ class TestDemandSweep:
         with pytest.raises(ValueError, match=argument):
             demand_sweep(**{**SMALL, argument: value})
 
+    def test_underserved_spread_checked_before_any_point_runs(
+            self, monkeypatch):
+        import repro.experiments.demand as demand_module
+
+        monkeypatch.setattr(demand_module, "run_grid",
+                            lambda *args, **kwargs: [])
+        for spread, message in ((0.0, "spread must be positive"),
+                                (-6.0, "spread must be positive"),
+                                (0.001, "placed no weight")):
+            with pytest.raises(ValueError, match=message):
+                demand_sweep(**SMALL, distribution="underserved",
+                             spread_deg=spread)
+        # uniform_land ignores the spread, so it is not checked there.
+        assert demand_sweep(**SMALL, spread_deg=0.0) == []
+
 
 class TestHelpers:
     def test_plane_count_deterministic_and_bounded(self):

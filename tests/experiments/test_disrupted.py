@@ -71,3 +71,14 @@ class TestDisruptedSweep:
             disrupted_sweep(**{**QUICK, "sensors": 0})
         with pytest.raises(ValueError, match="interval"):
             disrupted_sweep(**{**QUICK, "bundle_interval_s": 0.0})
+        with pytest.raises(ValueError, match="bundle size"):
+            disrupted_sweep(**{**QUICK, "bundle_bytes": 0})
+        with pytest.raises(ValueError, match="TTL"):
+            disrupted_sweep(**{**QUICK, "ttl_s": 0.0})
+        for loss in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="loss rate"):
+                disrupted_sweep(**{**QUICK, "loss": loss})
+        with pytest.raises(ValueError, match="at least one satellite"):
+            disrupted_sweep(**{**QUICK, "satellites": 0})
+        with pytest.raises(ValueError, match="evenly divide 7"):
+            disrupted_sweep(**{**QUICK, "satellites": 7})

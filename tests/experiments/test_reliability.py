@@ -1,10 +1,13 @@
 """Tests for the control-plane reliability sweep."""
 
+import math
+
 import pytest
 
 from repro import obs
 from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
+from repro.experiments import reliability
 from repro.experiments.reliability import (
     PROVIDER,
     _flap_links,
@@ -64,6 +67,19 @@ class TestSweep:
     def test_rejects_bad_mtbf(self):
         with pytest.raises(ValueError, match="MTBF"):
             reliability_sweep(flap_mtbf_hours=(-1.0,))
+
+    def test_point_arguments_checked_before_any_point(self, monkeypatch):
+        monkeypatch.setattr(reliability, "run_grid", lambda *a, **k: [])
+        # The bounds of the flap fraction stay valid: 0 flaps nothing.
+        assert reliability_sweep(flap_fraction=0.0) == []
+        assert reliability_sweep(flap_fraction=1.0) == []
+        for fraction in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="flap fraction"):
+                reliability_sweep(flap_fraction=fraction)
+        with pytest.raises(ValueError, match="max_attempts"):
+            reliability_sweep(max_attempts=0)
+        with pytest.raises(ValueError, match="timeout_s"):
+            reliability_sweep(timeout_s=-1.0)
 
 
 class TestScenario:

@@ -116,17 +116,42 @@ class TestDynamicResilienceSweep:
 
 
 class TestEngineEquality:
-    """`--engine batched` probes must leave every row untouched."""
+    """The one probe engine against the per-user oracle engine.
 
-    KWARGS = dict(mtbf_hours=(2.0,), mttr_s=600.0, horizon_s=1800.0,
-                  epochs=3, seed=7)
+    Patching ``gateway_probe_paths`` with one graph-built oracle probe
+    per user (``tests/core/oracle.py``) and ``prime_positions`` with a
+    no-op rebuilds the per-user scalar probe engine; every summary and
+    sweep row must come out exactly as production gives it.
+    """
 
-    def test_sweep_rows_identical_across_engines(self):
+    # A harsh enough regime that flows are both rerouted and dropped.
+    KWARGS = dict(mtbf_hours=(0.5,), mttr_s=600.0, horizon_s=1800.0,
+                  epochs=3, seed=43)
+
+    @staticmethod
+    def _use_oracle(monkeypatch):
+        from tests.core import oracle
+
+        def per_user_probes(network, time_s, users, cost_model=None):
+            return {user.user_id: oracle.probe(network, time_s, user,
+                                               cost_model)
+                    for user in users}
+
+        monkeypatch.setattr(OpenSpaceNetwork, "gateway_probe_paths",
+                            per_user_probes)
+        monkeypatch.setattr(OpenSpaceNetwork, "prime_positions",
+                            lambda network, times_s: 0)
+
+    def test_sweep_rows_identical_across_engines(self, monkeypatch):
         pytest.importorskip("scipy")
-        assert (dynamic_resilience_sweep(**self.KWARGS, engine="scalar")
-                == dynamic_resilience_sweep(**self.KWARGS, engine="batched"))
+        production = dynamic_resilience_sweep(**self.KWARGS, jobs=1)
+        assert production[0]["flows_rerouted"] > 0
+        assert production[0]["flows_dropped"] > 0
+        self._use_oracle(monkeypatch)
+        assert dynamic_resilience_sweep(**self.KWARGS, jobs=1) == production
 
-    def test_scenario_identical_across_engines(self, small_network, users):
+    def test_scenario_identical_across_engines(self, small_network, users,
+                                               monkeypatch):
         pytest.importorskip("scipy")
         satellite_ids = [
             s.satellite_id for s in small_network.satellites
@@ -134,20 +159,20 @@ class TestEngineEquality:
         schedule = satellite_mtbf_schedule(
             satellite_ids, 1200.0, mtbf_s=1800.0, mttr_s=300.0, seed=3)
 
-        def run(engine):
+        def run():
             result = run_fault_scenario(
                 small_network, schedule, users, horizon_s=1200.0,
-                epochs=4, engine=engine)
+                epochs=4)
             return {k: v for k, v in result.items()
                     if not k.startswith("_")}
 
-        assert run("scalar") == run("batched")
+        production = run()
+        assert production["faults_injected"] > 0
+        self._use_oracle(monkeypatch)
+        assert run() == production
 
-    def test_unknown_engine_rejected(self, small_network, users):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_fault_scenario(small_network, FaultSchedule(events=[]),
-                               users, horizon_s=600.0, epochs=2,
-                               engine="warp")
-        with pytest.raises(ValueError, match="unknown engine"):
-            dynamic_resilience_sweep(mtbf_hours=(2.0,), horizon_s=600.0,
-                                     epochs=2, engine="warp")
+    def test_unknown_engine_rejected(self):
+        for engine in ("scalar", "warp"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                dynamic_resilience_sweep(mtbf_hours=(2.0,), horizon_s=600.0,
+                                         epochs=2, engine=engine)

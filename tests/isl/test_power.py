@@ -1,10 +1,9 @@
-"""Tests for power budgets and slew models."""
+"""Tests for spacecraft power budgets."""
 
 import pytest
 
 from repro.isl.power import (
     PowerBudget,
-    SlewModel,
     largesat_power_budget,
     midsat_power_budget,
     smallsat_power_budget,
@@ -81,32 +80,3 @@ class TestPowerBudget:
         assert (small.solar_generation_w < mid.solar_generation_w
                 < large.solar_generation_w)
         assert small.max_concurrent_isls <= mid.max_concurrent_isls
-
-
-class TestSlewModel:
-    def test_zero_angle_zero_time(self):
-        assert SlewModel().slew_time_s(0.0) == 0.0
-
-    def test_time_grows_with_angle(self):
-        model = SlewModel()
-        assert model.slew_time_s(90.0) > model.slew_time_s(10.0)
-
-    def test_small_angle_triangular_profile(self):
-        model = SlewModel(max_rate_deg_s=10.0, acceleration_deg_s2=1.0)
-        # Below the ramp angle (100 deg) the profile never cruises:
-        # t = 2 sqrt(angle / accel).
-        assert model.slew_time_s(25.0) == pytest.approx(10.0)
-
-    def test_large_angle_includes_cruise(self):
-        model = SlewModel(max_rate_deg_s=1.0, acceleration_deg_s2=0.1)
-        # Ramp angle = 10 deg; 70 deg cruises for 60 s after a 20 s ramp.
-        assert model.slew_time_s(70.0) == pytest.approx(80.0)
-
-    def test_energy_proportional_to_time(self):
-        model = SlewModel(power_w=36.0)
-        t = model.slew_time_s(45.0)
-        assert model.slew_energy_wh(45.0) == pytest.approx(36.0 * t / 3600.0)
-
-    def test_rejects_negative_angle(self):
-        with pytest.raises(ValueError):
-            SlewModel().slew_time_s(-5.0)

@@ -3,14 +3,8 @@
 import math
 
 import numpy as np
-import pytest
 
-from repro.phy.interference import (
-    angular_separation_rad,
-    interference_pairs,
-    received_power_dbw,
-)
-from repro.phy.rf import RFTerminal, standard_ku_user_terminal
+from repro.phy.interference import angular_separation_rad, interference_pairs
 
 R_ORBIT = 6378.137 + 780.0
 
@@ -26,25 +20,6 @@ class TestAngularSeparation:
         a = np.array([6378.0 + 200.0, 2000.0, 0.0])
         b = np.array([6378.0 + 200.0, -2000.0, 0.0])
         assert angular_separation_rad(ground, a, b) > math.radians(90.0)
-
-
-class TestReceivedPower:
-    def _terminals(self):
-        space = RFTerminal(band_name="ku_downlink", tx_power_w=20.0,
-                           antenna_gain_dbi=32.0)
-        return space, standard_ku_user_terminal()
-
-    def test_off_axis_weaker_than_boresight(self):
-        space, user = self._terminals()
-        boresight = received_power_dbw(space, user, 1000.0, 0.0, 6.0)
-        off = received_power_dbw(space, user, 1000.0, 12.0, 6.0)
-        assert off < boresight
-
-    def test_sidelobe_floor(self):
-        space, user = self._terminals()
-        far_off = received_power_dbw(space, user, 1000.0, 90.0, 6.0)
-        farther_off = received_power_dbw(space, user, 1000.0, 150.0, 6.0)
-        assert far_off == pytest.approx(farther_off)
 
 
 class TestInterferencePairs:

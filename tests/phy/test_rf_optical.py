@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.orbits.constants import SPEED_OF_LIGHT_M_S
-from repro.phy.antennas import dish_gain_dbi, pointing_loss_db_rf
+from repro.phy.antennas import dish_gain_dbi
 from repro.phy.bands import BAND_CATALOG, get_band
 from repro.phy.modulation import achievable_rate_bps
 from repro.phy.optical import (
@@ -61,10 +61,6 @@ class TestAntennas:
         wavelength = SPEED_OF_LIGHT_M_S / 12e9
         aperture = 10.0 ** (gain / 10.0) * wavelength**2 / (4.0 * math.pi)
         assert aperture == pytest.approx(math.pi * 0.25, rel=0.01)
-
-    def test_pointing_loss_quadratic(self):
-        assert pointing_loss_db_rf(1.0, 2.0) == pytest.approx(3.0)
-        assert pointing_loss_db_rf(2.0, 2.0) == pytest.approx(12.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro.orbits.kepler import KeplerPropagator, solve_kepler
 from repro.orbits.tle import elements_from_tle, tle_from_elements
 from repro.orbits.visibility import (
     chord_clears_grazing,
+    elevation_angle,
     footprint_area_km2,
     footprint_half_angle,
     has_line_of_sight,
@@ -108,6 +109,42 @@ class TestVisibilityProperties:
         a = np.array([r, 0.0, 0.0])
         b = r * np.array([math.cos(theta), math.sin(theta), 0.0])
         assert has_line_of_sight(a, b) == has_line_of_sight(b, a)
+
+
+class TestFootprintClosedForm:
+    """The footprint against its geometry: a ground point on the cap's
+    edge sees the satellite at the mask elevation, and the cap's area is
+    the spherical-cap formula."""
+
+    ALTITUDES_KM = (300.0, 550.0, 780.0, 1200.0, 2000.0, 35786.0)
+    MASKS_DEG = (0.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0)
+
+    def test_cap_edge_sees_the_satellite_at_the_mask(self):
+        # The sub-satellite point is off every axis so no coordinate of
+        # the geometry is exactly zero.
+        zenith = np.array([0.3, -0.5, 0.8])
+        zenith /= np.linalg.norm(zenith)
+        east = np.cross([0.0, 0.0, 1.0], zenith)
+        east /= np.linalg.norm(east)
+        for altitude in self.ALTITUDES_KM:
+            satellite = (EARTH_RADIUS_KM + altitude) * zenith
+            for mask in self.MASKS_DEG:
+                half_angle = footprint_half_angle(altitude, mask)
+                ground = EARTH_RADIUS_KM * (math.cos(half_angle) * zenith
+                                            + math.sin(half_angle) * east)
+                elevation = elevation_angle(ground, satellite)
+                assert abs(elevation - math.radians(mask)) <= 1e-12, (
+                    altitude, mask)
+
+    def test_area_is_the_spherical_cap(self):
+        radius_km = 6378.137
+        for altitude in self.ALTITUDES_KM:
+            for mask in self.MASKS_DEG:
+                half_angle = footprint_half_angle(altitude, mask)
+                cap = (2.0 * math.pi * radius_km**2
+                       * (1.0 - math.cos(half_angle)))
+                assert footprint_area_km2(altitude, mask) == pytest.approx(
+                    cap, rel=1e-12, abs=0.0)
 
 
 def _unit_rows(rng, count):

@@ -6,7 +6,9 @@ range test, the chord bound certifies line of sight for a whole batch
 (the mask runs only when it cannot), and one ``min_only`` Dijkstra
 answers every epoch.  Every latency must equal the per-epoch networkx
 oracle (``tests.routing.oracle.relay_latency_s``) bit for bit, with
-``inf`` where the oracle returns ``None``.
+``inf`` where the oracle returns ``None``.  Two metamorphic properties
+need no oracle at all: relabelling satellites changes no latency, and
+adding a satellite never raises one.
 """
 
 import math
@@ -20,7 +22,7 @@ from repro.experiments import figure2
 from repro.experiments.figure2 import _relay_latency_batch_s
 from repro.orbits.constants import EARTH_RADIUS_KM
 from repro.orbits.walker import random_constellation
-from repro.simulation.batched import ground_eci_track, merge_trial_epochs
+from repro.simulation.batched import ground_eci_track
 from tests.routing import oracle
 
 
@@ -102,9 +104,9 @@ class TestRelayKernelOracle:
         # longer than the 6,000 km cap: no in-range pair can be blocked.
         rng = np.random.default_rng(17)
         times = np.linspace(0.0, 86400.0, 4, endpoint=False)
-        positions = merge_trial_epochs([
+        positions = np.concatenate([
             random_constellation(40, rng).positions_over(times)
-            for _ in range(2)])
+            for _ in range(2)], axis=1)
         user = np.tile(ground_eci_track(figure2.DEFAULT_USER_SITE, times),
                        (2, 1))
         gateway = np.tile(
@@ -128,6 +130,55 @@ class TestRelayKernelOracle:
         assert len(mask_calls) == 1
         in_range, removed = mask_calls[0]
         assert 0 < removed < in_range
+
+
+@st.composite
+def mixed_altitude_fleets(draw):
+    """``(positions, user, gateway)`` for 2-60 satellites at 550, 780 or
+    1,200 km.  At the paper's 6,000 km cap the chord bound certifies a
+    fleet with no 550 km satellite and sends one with any to the mask,
+    so both branches of the kernel run."""
+    count = draw(st.integers(min_value=2, max_value=60))
+    epochs = draw(st.integers(min_value=1, max_value=4))
+    altitudes = np.array(draw(st.lists(
+        st.sampled_from([550.0, 780.0, 1200.0]),
+        min_size=count, max_size=count)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = (_unit_rows(rng, (count, epochs))
+                 * (EARTH_RADIUS_KM + altitudes)[:, None, None])
+    user = _unit_rows(rng, (epochs,))
+    gateway = user + 0.6 * _unit_rows(rng, (epochs,))
+    gateway /= np.linalg.norm(gateway, axis=-1, keepdims=True)
+    return positions, EARTH_RADIUS_KM * user, EARTH_RADIUS_KM * gateway
+
+
+class TestRelayKernelMetamorphic:
+    """Properties of the unconstrained relay mesh, where every in-range,
+    line-of-sight pair links.  The degree-capped ISL builder
+    (``repro.isl.topology``) is not monotone: a new satellite can take a
+    degree slot that an existing path used."""
+
+    @given(case=mixed_altitude_fleets(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_relabelling_satellites_changes_no_latency(self, case, seed):
+        positions, user, gateway = case
+        order = np.random.default_rng(seed).permutation(positions.shape[0])
+        assert np.array_equal(
+            _relay_latency_batch_s(positions[order], user, gateway,
+                                   min_elevation_deg=0.0),
+            _relay_latency_batch_s(positions, user, gateway,
+                                   min_elevation_deg=0.0))
+
+    @given(case=mixed_altitude_fleets(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_adding_a_satellite_never_raises_a_latency(self, case, data):
+        positions, user, gateway = case
+        extra = data.draw(st.integers(0, positions.shape[0] - 1))
+        fewer = np.delete(positions, extra, axis=0)
+        more = _relay_latency_batch_s(positions, user, gateway,
+                                      min_elevation_deg=0.0)
+        assert np.all(more <= _relay_latency_batch_s(
+            fewer, user, gateway, min_elevation_deg=0.0))
 
 
 class TestRangeCapBoundary:

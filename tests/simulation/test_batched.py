@@ -1,16 +1,16 @@
-"""The figure2 array helpers must match their scalar walks bit for bit.
+"""The figure2 ground-track helper must match per-epoch rotations bit
+for bit.
 
-``repro.simulation.batched`` holds the ground-track and trial-merge
-helpers behind the figure2 batched engine, so each is held to the
-reproducibility contract: identical float64 bits to the scalar path it
-replaces, not just numerical closeness.
+``repro.simulation.batched.ground_eci_track`` feeds the Figure 2(b)
+relay kernel, so it is held to the reproducibility contract: identical
+float64 bits to a per-epoch ``ecef_to_eci``, not just numerical
+closeness.
 """
 
 import numpy as np
-import pytest
 
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci
-from repro.simulation.batched import ground_eci_track, merge_trial_epochs
+from repro.simulation.batched import ground_eci_track
 
 SITE = GeodeticPoint(-1.29, 36.82)  # Nairobi, as in the figure2 driver
 
@@ -23,17 +23,3 @@ class TestGroundEciTrack:
         ecef = SITE.ecef()
         for e, t in enumerate(times):
             assert np.array_equal(track[e], ecef_to_eci(ecef, float(t)))
-
-
-class TestMergeTrialEpochs:
-    def test_blocks_preserved_bitwise(self):
-        rng = np.random.default_rng(3)
-        trials = [rng.normal(size=(4, 3, 3)) for _ in range(3)]
-        merged = merge_trial_epochs(trials)
-        assert merged.shape == (4, 9, 3)
-        for t, tensor in enumerate(trials):
-            assert np.array_equal(merged[:, 3 * t:3 * (t + 1), :], tensor)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            merge_trial_epochs([])

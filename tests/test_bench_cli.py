@@ -64,17 +64,18 @@ class TestRepeatFlag:
 
 class TestSectionCases:
     def test_error_catalog_lists_digest_sections(self):
-        # `--only engine_equivalence` is how the CI smoke matrix pairs a
-        # timed case with its digest gate, so the catalog in the error
-        # message must advertise the section names too.
+        # `--only determinism` runs the digest gate beside a timed case,
+        # so the catalog in the error message must advertise the section
+        # name too.
         proc = run_bench("--only", "bogus-case")
         assert proc.returncode == 1
-        assert "engine_equivalence" in proc.stderr
         assert "determinism" in proc.stderr
-        # One shortest-path implementation: no backend digest section.
+        # One shortest-path implementation and one engine: no backend or
+        # engine digest section.
         assert "backend_equivalence" not in proc.stderr
+        assert "engine_equivalence" not in proc.stderr
 
     def test_unknown_name_beside_section_still_fails(self):
-        proc = run_bench("--only", "engine_equivalence", "bogus-case")
+        proc = run_bench("--only", "determinism", "bogus-case")
         assert proc.returncode == 1
         assert "bogus-case" in proc.stderr

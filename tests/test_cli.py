@@ -38,26 +38,6 @@ class TestFigureCommands:
         assert "reachability" in out
         assert "40" in out
 
-    def test_figure2b_engine_flag_output_identical(self, capsys):
-        pytest.importorskip("scipy")
-        args = ["figure2b", "--counts", "10", "25", "--trials", "2",
-                "--epochs", "3"]
-        assert main(args + ["--engine", "batched"]) == 0
-        batched = capsys.readouterr().out
-        assert main(args + ["--engine", "scalar"]) == 0
-        assert capsys.readouterr().out == batched
-        assert main(args) == 0  # scalar is the default
-        assert capsys.readouterr().out == batched
-
-    def test_faults_sweep_engine_flag_output_identical(self, capsys):
-        pytest.importorskip("scipy")
-        args = ["faults", "sweep", "--mtbf-hours", "2", "--mttr", "600",
-                "--horizon", "1800", "--epochs", "3", "--seed", "7"]
-        assert main(args + ["--engine", "batched"]) == 0
-        batched = capsys.readouterr().out
-        assert main(args + ["--engine", "scalar"]) == 0
-        assert capsys.readouterr().out == batched
-
     def test_figure2c_quick(self, capsys):
         assert main(["figure2c", "--counts", "4", "25",
                      "--trials", "2"]) == 0
@@ -139,12 +119,32 @@ class TestDemand:
         assert "bad demand sweep options:" in err
         assert argument in err
 
+    @pytest.mark.parametrize("spread, message", [
+        ("0", "spread must be positive, got 0.0"),
+        ("0.001", "distribution placed no weight on the grid"),
+    ])
+    def test_sweep_rejects_underserved_spread(self, capsys, spread,
+                                              message):
+        # Checked before any sweep point runs, so no worker wraps the
+        # error in a SweepPointError.
+        assert_rejected(capsys, ["demand", "sweep", "--distribution",
+                                 "underserved", "--spread", spread],
+                        "demand sweep", message)
+
 
 class TestObservability:
     def test_trace_covers_engine_routing_and_experiment(self, capsys,
                                                         tmp_path):
         from repro import obs
         from repro.obs.export import read_jsonl
+
+        def layers_and_counters(path):
+            records = read_jsonl(path)
+            spans = {record["name"].split(".")[0]
+                     for record in records if record["type"] == "span"}
+            counters = {(record["name"], record["label"])
+                        for record in records if record["type"] == "counter"}
+            return records, spans, counters
 
         trace = tmp_path / "out.jsonl"
         metrics = tmp_path / "metrics.csv"
@@ -153,21 +153,23 @@ class TestObservability:
                      "--metrics-out", str(metrics)]) == 0
         # The recorder must not leak past the command.
         assert obs.active() is obs.NULL_RECORDER
-        records = read_jsonl(trace)
+        records, spans, counters = layers_and_counters(trace)
         assert records[0]["type"] == "manifest"
         assert records[0]["command"] == "figure2b"
         assert records[0]["seed"] == 42
-        span_layers = {
-            record["name"].split(".")[0]
-            for record in records if record["type"] == "span"
-        }
-        assert {"engine", "routing", "experiment"} <= span_layers
-        counters = {
-            (record["name"], record["label"])
-            for record in records if record["type"] == "counter"
-        }
-        assert ("engine.events", "figure2b.epoch") in counters
+        assert {"routing", "experiment"} <= spans
+        assert ("figure2b.epochs", "25") in counters
         assert metrics.read_text().startswith("type,name,label")
+
+        # The discrete-event engine drives the fault scenarios.
+        faults_trace = tmp_path / "faults.jsonl"
+        assert main(["faults", "sweep", "--mtbf-hours", "2", "--mttr", "600",
+                     "--horizon", "1800", "--epochs", "3", "--seed", "7",
+                     "--trace", str(faults_trace)]) == 0
+        assert obs.active() is obs.NULL_RECORDER
+        _, spans, counters = layers_and_counters(faults_trace)
+        assert {"engine", "experiment"} <= spans
+        assert ("engine.events", "faults.probe") in counters
 
     def test_same_seed_runs_have_identical_metric_values(self, capsys,
                                                          tmp_path):
@@ -380,6 +382,7 @@ class TestFaultsCommands:
         (["--mtbf-hours", "-1"], "MTBF must be positive, got -1.0"),
         (["--epochs", "0"], "need at least one epoch, got 0"),
         (["--horizon", "0"], "horizon must be positive, got 0.0"),
+        (["--reroute-delay", "-1"], "reroute delay must be >= 0, got -1.0"),
     ])
     def test_sweep_rejects_bad_options(self, capsys, options, message):
         # Checked before any sweep point runs, so no worker wraps the
@@ -503,6 +506,12 @@ class TestReliabilityCommand:
         (["--loss", "1.5"], "loss rate must be in [0, 1], got 1.5"),
         (["--probes", "0"], "need at least one probe, got 0"),
         (["--horizon", "0"], "horizon must be positive, got 0.0"),
+        (["--max-attempts", "0"], "max_attempts must be >= 1, got 0"),
+        (["--timeout", "-1"], "timeout_s must be >= 0, got -1.0"),
+        (["--flap-fraction", "1.5"],
+         "flap fraction must be in [0, 1], got 1.5"),
+        (["--flap-fraction", "-0.1"],
+         "flap fraction must be in [0, 1], got -0.1"),
     ])
     def test_sweep_rejects_bad_options(self, capsys, options, message):
         assert_rejected(capsys, ["reliability", "sweep"] + options,
@@ -553,6 +562,21 @@ class TestDtnCommand:
     def test_sweep_rejects_bad_options(self, capsys):
         assert main(["dtn", "sweep", "--radius", "-5"]) != 0
         assert "bad dtn sweep options" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options, message", [
+        (["--loss", "1.5"], "loss rate must be in [0, 1], got 1.5"),
+        (["--loss", "-0.1"], "loss rate must be in [0, 1], got -0.1"),
+        (["--satellites", "0"], "need at least one satellite, got 0"),
+        (["--satellites", "7"], "plane count 6 must evenly divide 7"),
+        (["--bundle-bytes", "0"], "bundle size must be positive, got 0"),
+        (["--ttl", "0"], "bundle TTL must be positive, got 0.0"),
+    ])
+    def test_sweep_rejects_bad_point_options(self, capsys, options,
+                                             message):
+        # Checked before any sweep point runs, so no worker wraps the
+        # error in a SweepPointError.
+        assert_rejected(capsys, ["dtn", "sweep"] + options, "dtn sweep",
+                        message)
 
     def test_requires_dtn_subcommand(self):
         with pytest.raises(SystemExit):
