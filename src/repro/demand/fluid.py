@@ -2,8 +2,11 @@
 
 Millions of users become array operations: each loaded ground cell is
 one *aggregate flow* from its cell terminal to its serving gateway.
-Routes come from one batched multi-source Dijkstra over the snapshot's
-CSR adjacency (every cell in a single ``scipy.sparse.csgraph`` call);
+Routes come from one reverse Dijkstra out of every gateway over the
+snapshot's CSR adjacency, with a margin certificate proving each cell's
+route is the one its own search would return; only cells it cannot
+prove (exact ties) run that search
+(:meth:`~repro.routing.csr.CsrAdjacency.nearest_target_paths`);
 per-link offered load is a scatter-add over the flow→edge incidence
 arrays; and rates come from a demand-capped max-min-fair waterfilling
 fixed point — the same progressive-filling fairness the flow-level
@@ -150,9 +153,12 @@ def map_cells_to_routes(graph, cell_ids: Sequence[str],
                         ) -> List[Optional[List[str]]]:
     """Serving route (cell → cheapest gateway) for every cell at once.
 
-    One batched multi-source Dijkstra for the whole cell set, then an
-    argmin over the gateway columns of the distance matrix (first-listed
-    gateway wins ties, matching the per-source routers).
+    Each route is the forward rule's: the cell's Dijkstra, the
+    first-listed gateway at the least delay, that gateway's path.
+    :meth:`CsrAdjacency.nearest_target_paths` answers it for the whole
+    cell set from one reverse search out of the gateways, and runs the
+    forward search only for the cells whose route its margin
+    certificate cannot prove.
 
     Returns:
         One node path per cell id, ``None`` where no gateway is
@@ -167,20 +173,8 @@ def map_cells_to_routes(graph, cell_ids: Sequence[str],
         return [None] * len(cell_list)
     adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
     known = [cell for cell in cell_list if cell in adjacency]
-    paths_by_cell: Dict[str, Optional[List[str]]] = {}
-    if known:
-        shortest = adjacency.shortest_paths(known)
-        gateway_cols = np.asarray(
-            [adjacency.index[g] for g in gateways], dtype=np.int64
-        )
-        distances = shortest.dist[:, gateway_cols]
-        best = np.argmin(distances, axis=1)
-        for row, cell in enumerate(known):
-            column = int(best[row])
-            if not np.isfinite(distances[row, column]):
-                paths_by_cell[cell] = None
-                continue
-            paths_by_cell[cell] = shortest.path(cell, gateways[column])
+    paths_by_cell = dict(zip(known,
+                             adjacency.nearest_target_paths(known, gateways)))
     return [paths_by_cell.get(cell) for cell in cell_list]
 
 

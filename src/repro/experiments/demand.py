@@ -5,8 +5,9 @@ Walker-Delta fleet, aggregates the modeled subscriber population onto an
 equal-area ground grid (:mod:`repro.demand.grid`), applies the local-
 solar-time diurnal curve and QoS flow mix (:mod:`repro.demand.profile`),
 and drives the offered load through the vectorized fluid engine
-(:mod:`repro.demand.fluid`): one batched multi-source Dijkstra maps
-every loaded cell to its serving gateway, then a max-min-fair
+(:mod:`repro.demand.fluid`): one reverse search out of the gateways
+maps every loaded cell to its serving gateway (a per-cell search runs
+only where a route is not provably unique), then a max-min-fair
 waterfilling fixed point allocates link capacity.  Each point reports
 the congestion headline numbers (served fraction, mean/peak utilization,
 p95 queueing-delay inflation) and the settlement revenue the carried
@@ -19,7 +20,6 @@ CI job diffs two runs and a ``--jobs 2`` run).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from repro.demand.congestion import (
 from repro.demand.fluid import run_fluid, weighted_percentile
 from repro.demand.grid import DISTRIBUTIONS, GridSpec, population_grid
 from repro.demand.profile import offered_load_bps
+from repro.experiments.scale import plane_count_for
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
 from repro.parallel import derive_seed, run_grid
@@ -44,11 +45,6 @@ from repro.parallel import derive_seed, run_grid
 #: billable cross-operator transit.
 PROVIDERS = ("op-a", "op-b")
 FLEET_OWNER = "demand-fleet"
-
-
-def plane_count_for(satellites: int) -> int:
-    """Deterministic Walker plane count: near-square lattice, >= 3."""
-    return max(3, int(round(math.sqrt(satellites / 2.0))))
 
 
 def scale_access_capacity(graph, users_by_cell: Dict[str, int]) -> int:

@@ -7,6 +7,10 @@ index table plus ``indptr``/``indices``/``data`` arrays) and answers
 **batched multi-source Dijkstra** through
 :func:`scipy.sparse.csgraph.dijkstra` — one C call for any number of
 sources, with paths reconstructed lazily from the predecessor matrix.
+Nearest-target queries (every demand cell to its closest gateway) take
+one reverse search from the targets instead, and search forward only
+from the sources whose route it cannot certify
+(:meth:`CsrAdjacency.nearest_target_paths`).
 
 This is the pre-computation the paper says proactive routing should make
 cheap ("pre-computation of static routes between any set of satellites
@@ -33,6 +37,7 @@ import numpy as np
 from scipy.sparse import csr_matrix as _scipy_csr_matrix
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
+from repro import obs as _obs
 from repro.routing.metrics import EdgeCostModel, PROPAGATION_ONLY
 
 #: scipy.sparse.csgraph's "no predecessor" sentinel.
@@ -225,6 +230,118 @@ class CsrAdjacency:
             cached = self.shortest_paths([source])
             self._sp_cache[source] = cached
         return cached
+
+    def nearest_target_paths(self, sources: Sequence[Hashable],
+                             targets: Sequence[Hashable],
+                             ) -> List[Optional[List[Hashable]]]:
+        """Each source's path to its nearest target, ``None`` if none.
+
+        The answer is by definition the forward rule's:
+        ``shortest_paths(sources)``, the first-listed target with the
+        least distance, that target's ``.path``.  It is computed in
+        three steps instead of one search per source:
+
+        1. One ``min_only`` Dijkstra over the transpose, from every
+           target at once, gives each node ``x`` its distance ``D[x]``
+           to the nearest target and its next hop toward it.
+        2. Node ``x`` is *certified* when every out-entry ``(x, y)``
+           other than that next hop costs ``w(x, y) + D[y] > D[x] + tau``
+           (at a target, every out-entry counts).  A source is
+           certified when every node on its next-hop chain is; pointer
+           doubling checks all chains in ``ceil(log2 N)`` array steps.
+           A certified source's path is its chain.
+        3. Every other source that reaches a target runs the forward
+           rule itself.  Exact ties (symmetric fleets, zero-weight
+           edges) land here; their count goes on the obs bus as
+           ``routing.nearest_paths.fallback_sources``.
+
+        Why a certified chain is the forward answer: csgraph's forward
+        distance to a node is the least left-to-right float sum over
+        all paths to it.  Any path from the source to any target other
+        than the chain leaves it at some chain node ``x`` (or runs on
+        past its target) through an entry ``(x, y)``, so its exact cost
+        is at least the chain's prefix to ``x`` plus ``w(x, y)`` plus
+        the exact distance from ``y``; the chain costs that prefix plus
+        its exact suffix from ``x``.  Forward sums and ``D`` (reverse
+        sums) each add at most ``N - 1`` non-negative terms, so each is
+        within ``gamma = N eps / 2`` relative of the exact sum it
+        rounds; ``D[y]`` over-states ``y``'s exact distance and ``D[x]``
+        under-states the suffix by at most that much.  With ``M``, the
+        largest finite ``D``, bounding ``D[x]`` and the whole chain, the
+        other path's forward sum exceeds the chain's by more than
+        ``tau - 4 gamma M`` to first order in ``gamma``.  So
+        ``tau = 4 N eps M`` (twice what is needed; at most about
+        ``1e-12`` s on the demand snapshots) makes the chain the unique
+        least float sum, and the forward search returns that path and
+        that target whatever its tie order.  Rounding is monotone, so
+        the float comparison implies the exact one.
+
+        Args:
+            sources: Search origins; unknown ids raise ``KeyError``.
+            targets: Candidate endpoints; unknown ids raise
+                ``KeyError``.
+
+        Returns:
+            One node path per source, in order; ``None`` where no target
+            is reachable.
+        """
+        source_list = list(sources)
+        target_list = list(targets)
+        source_idx = np.asarray([self.index[s] for s in source_list],
+                                dtype=np.int64)
+        target_idx = np.asarray([self.index[t] for t in target_list],
+                                dtype=np.int64)
+        paths: List[Optional[List[Hashable]]] = [None] * len(source_list)
+        if not source_list or not target_list:
+            return paths
+        count = self.node_count
+        dist, next_hop, _ = _scipy_dijkstra(
+            self.matrix().T, directed=True, indices=target_idx,
+            min_only=True, return_predecessors=True,
+        )
+        tau = (4.0 * count * np.finfo(np.float64).eps
+               * float(dist[np.isfinite(dist)].max()))
+
+        # Cheapest way out of each node other than its next hop.
+        entry_rows = np.repeat(np.arange(count), np.diff(self.indptr))
+        detour = self.data + dist[self.indices]
+        detour[self.indices == next_hop[entry_rows]] = np.inf
+        best_detour = np.full(count, np.inf)
+        starts = self.indptr[:-1]
+        nonempty = starts < self.indptr[1:]
+        if nonempty.any():
+            best_detour[nonempty] = np.minimum.reduceat(detour,
+                                                        starts[nonempty])
+        certified = best_detour > dist + tau
+        jump = np.where(next_hop >= 0, next_hop, np.arange(count))
+        for _ in range((count - 1).bit_length()):
+            certified &= certified[jump]
+            jump = jump[jump]
+
+        reachable = np.isfinite(dist[source_idx])
+        chained = reachable & certified[source_idx]
+        nodes = self.nodes
+        hops = next_hop.tolist()
+        for k in np.flatnonzero(chained).tolist():
+            cursor = int(source_idx[k])
+            path = [nodes[cursor]]
+            while hops[cursor] >= 0:
+                cursor = hops[cursor]
+                path.append(nodes[cursor])
+            paths[k] = path
+
+        fallback = np.flatnonzero(reachable & ~chained).tolist()
+        recorder = _obs.active()
+        if recorder.enabled:
+            recorder.count("routing.nearest_paths.fallback_sources",
+                           len(fallback))
+        if fallback:
+            forward = self.shortest_paths([source_list[k] for k in fallback])
+            nearest = np.argmin(forward.dist[:, target_idx], axis=1)
+            for row, k in enumerate(fallback):
+                paths[k] = forward.path(source_list[k],
+                                        target_list[int(nearest[row])])
+        return paths
 
     def append_leaf_arrays(self, neighbor_indices: np.ndarray,
                            weights: np.ndarray,

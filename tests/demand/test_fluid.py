@@ -4,14 +4,24 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.core.interop import SizeClass, build_fleet
+from repro.core.network import OpenSpaceNetwork
 from repro.demand.fluid import (
     map_cells_to_routes,
     run_fluid,
     waterfill_rates,
     weighted_percentile,
 )
-from repro.routing.csr import delay_weight
+from repro.demand.grid import GridSpec, population_grid
+from repro.experiments.demand import FLEET_OWNER, PROVIDERS, plane_count_for
+from repro.ground.station import default_station_network
+from repro.orbits.walker import walker_delta
+from repro.parallel import derive_seed
+from repro.routing.csr import CsrAdjacency, delay_weight
 from tests.routing import oracle
+
+FALLBACK = "routing.nearest_paths.fallback_sources"
 
 
 def star_graph():
@@ -127,6 +137,57 @@ class TestRouteMapping:
             expected.append(None if nearest is None else paths[nearest])
         assert map_cells_to_routes(graph, cells) == expected
         assert expected[1] == ["cell-00001", "gw-far"]
+
+
+def demand_point_graph(satellites, hour, distribution):
+    """Snapshot graph and loaded cells of one 1 M-user ``demand_sweep``
+    point (18x36 grid, seed 7), built as ``_demand_point`` builds it."""
+    users = 1_000_000
+    rng = np.random.default_rng(
+        derive_seed(7, "demand-grid", users, distribution))
+    grid = population_grid(users, rng, GridSpec(bands=18, equator_columns=36),
+                           distribution=distribution)
+    fleet = build_fleet(walker_delta(satellites, plane_count_for(satellites)),
+                        FLEET_OWNER, SizeClass.MEDIUM)
+    network = OpenSpaceNetwork(fleet, default_station_network())
+    graph = network.snapshot(hour * 3600.0,
+                             users=grid.terminals(PROVIDERS)).graph
+    return graph, grid.cell_ids(grid.occupied)
+
+
+def forward_routes(graph, cells):
+    """One forward search per cell: the route map's defining rule."""
+    gateways = [node for node, data in graph.nodes(data=True)
+                if data.get("kind") == "ground_station"]
+    adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
+    return oracle.nearest_paths(adjacency, cells, gateways)
+
+
+def routes_and_fallbacks(graph, cells):
+    recorder = obs.Recorder()
+    with obs.use(recorder):
+        paths = map_cells_to_routes(graph, cells)
+    return paths, recorder.metrics.counter_value(FALLBACK)
+
+
+class TestRouteCertificate:
+    @pytest.mark.parametrize("distribution", ["uniform_land", "underserved"])
+    def test_walker_ties_fall_back_to_the_forward_search(self, distribution):
+        # The symmetric 512-satellite fleet at 00:00 UTC gives some cells
+        # two routes of equal delay up to rounding; the reverse tree
+        # alone picks the other route for 5 (uniform_land) and 4
+        # (underserved) of them, so the certificate must send such cells
+        # to the forward search.
+        graph, cells = demand_point_graph(512, 0.0, distribution)
+        paths, fallbacks = routes_and_fallbacks(graph, cells)
+        assert paths == forward_routes(graph, cells)
+        assert fallbacks > 0
+
+    def test_no_fallback_off_the_ties(self):
+        graph, cells = demand_point_graph(264, 4.0, "uniform_land")
+        paths, fallbacks = routes_and_fallbacks(graph, cells)
+        assert paths == forward_routes(graph, cells)
+        assert fallbacks == 0
 
 
 class TestRunFluid:

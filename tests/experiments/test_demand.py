@@ -107,6 +107,10 @@ class TestHelpers:
         assert plane_count_for(24) >= 3
         assert plane_count_for(66) == plane_count_for(66)
         assert plane_count_for(400) > plane_count_for(66)
+        # The scale sweep's rule: every fleet size gets a Walker layout.
+        assert plane_count_for(7) == 1
+        assert all(count % plane_count_for(count) == 0
+                   for count in range(1, 400))
 
     def test_scale_access_capacity_idempotent(self):
         import networkx as nx

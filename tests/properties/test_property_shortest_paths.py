@@ -5,12 +5,14 @@ nodes, undirected and directed graphs, cost models and weight callables
 that drop edges with ``None`` or ``inf`` — every CSR distance must equal
 the oracle's bit for bit, and every reconstructed path must start and
 end where asked, avoid excluded nodes, and sum to exactly its distance.
+The nearest-target route map must return, for every source, what one
+forward search per source returns.
 """
 
 import math
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.routing.csr import CsrAdjacency, delay_weight
@@ -31,6 +33,36 @@ def _flagged_weight(_u, _v, data):
     if data["flag"] == "cut":
         return math.inf
     return data["delay_s"]
+
+
+#: Integer weights tie exactly (zeros included), decimal ones tie up to
+#: float association order, uniform ones almost never tie.
+_NEAREST_WEIGHTS = {
+    "integer": st.integers(min_value=0, max_value=3).map(float),
+    "decimal": st.sampled_from([0.1, 0.2, 0.3, 0.7]),
+    "uniform": st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+}
+
+
+@st.composite
+def nearest_target_cases(draw):
+    """``(graph, targets)``: 2-40 nodes, often in several parts."""
+    graph = nx.DiGraph() if draw(st.booleans()) else nx.Graph()
+    count = draw(st.integers(min_value=2, max_value=40))
+    names = [f"n{i}" for i in range(count)]
+    graph.add_nodes_from(names)
+    weights = _NEAREST_WEIGHTS[draw(st.sampled_from(sorted(_NEAREST_WEIGHTS)))]
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, count - 1), st.integers(0, count - 1),
+                  weights),
+        max_size=3 * count,
+    ))
+    for u, v, delay in edges:
+        if u != v:
+            graph.add_edge(names[u], names[v], delay_s=delay)
+    targets = draw(st.lists(st.sampled_from(names), min_size=1,
+                            max_size=count, unique=True))
+    return graph, targets
 
 
 @st.composite
@@ -91,3 +123,50 @@ class TestCsrMatchesOracle:
                 assert path[0] == source and path[-1] == target
                 assert not excluded.intersection(path)
                 assert oracle.path_cost(graph, path, weight=weight) == got
+
+
+def _association_near_tie():
+    """n1's two routes to n0 both cost 1.0 exactly.  Summed from n1
+    (forward), 0.7 + 0.2 + 0.1 = 0.9999999999999999 beats 0.7 + 0.3 = 1.0;
+    summed from n0 (reverse), 0.3 beats 0.1 + 0.2 = 0.30000000000000004.
+    Only the margin ``tau`` keeps the certificate from trusting the
+    reverse tree here."""
+    graph = nx.Graph()
+    graph.add_nodes_from(["n0", "n1", "n2", "n3"])
+    for u, v, delay in (("n0", "n3", 0.1), ("n0", "n2", 0.3),
+                        ("n1", "n2", 0.7), ("n2", "n3", 0.2)):
+        graph.add_edge(u, v, delay_s=delay)
+    return graph, ["n0"]
+
+
+class TestNearestTargetPaths:
+    @given(case=nearest_target_cases())
+    @example(case=_association_near_tie())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_forward_search_per_source(self, case):
+        graph, targets = case
+        adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
+        sources = list(adjacency.nodes)
+        assert (adjacency.nearest_target_paths(sources, targets)
+                == oracle.nearest_paths(adjacency, sources, targets))
+
+    def test_certificate_covers_the_whole_chain(self):
+        # Nine hops from n9 to g, then a free hop to the first-listed
+        # target g0: forward, every route ends at g0, so the tie at the
+        # far end of n9's chain must send n9 to the forward search.
+        graph = nx.Graph()
+        nx.add_path(graph, [f"n{i}" for i in range(9, 0, -1)] + ["g"],
+                    delay_s=1.0)
+        graph.add_edge("g", "g0", delay_s=0.0)
+        adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
+        sources = list(adjacency.nodes)
+        paths = adjacency.nearest_target_paths(sources, ["g0", "g"])
+        assert paths == oracle.nearest_paths(adjacency, sources, ["g0", "g"])
+        assert paths[0] == [f"n{i}" for i in range(9, 0, -1)] + ["g", "g0"]
+
+    def test_no_sources_or_no_targets(self):
+        graph = nx.Graph()
+        graph.add_edge("a", "b", delay_s=1.0)
+        adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
+        assert adjacency.nearest_target_paths([], ["a"]) == []
+        assert adjacency.nearest_target_paths(["a", "b"], []) == [None, None]

@@ -9,7 +9,8 @@ module holds the independent references it is checked against:
 * the per-epoch Figure 2(b) relay measurement, built as a networkx graph
   one epoch at a time from dense pairwise range and line-of-sight
   matrices;
-* an eager all-pairs ``{(src, dst): path}`` table.
+* an eager all-pairs ``{(src, dst): path}`` table;
+* the forward nearest-target rule, one full search per source.
 
 They are slow and obviously right, which is all a referee needs to be.
 """
@@ -99,6 +100,27 @@ def all_pairs_paths(graph, weight=None):
             if target != source:
                 table[(source, target)] = nodes
     return table
+
+
+def nearest_paths(adjacency, sources, targets):
+    """Each source's path to its nearest target, one search per source.
+
+    ``adjacency.shortest_paths(sources)``, then per source the
+    first-listed target at the least distance and that target's
+    ``.path`` (``None`` when no target is reachable): the rule
+    ``CsrAdjacency.nearest_target_paths`` must reproduce.
+    """
+    sources = list(sources)
+    targets = list(targets)
+    shortest = adjacency.shortest_paths(sources)
+    columns = [adjacency.index[target] for target in targets]
+    paths = []
+    for row, source in enumerate(sources):
+        distances = shortest.dist[row, columns]
+        best = int(np.argmin(distances))
+        paths.append(shortest.path(source, targets[best])
+                     if math.isfinite(distances[best]) else None)
+    return paths
 
 
 def pairwise_slant_ranges(positions_km: np.ndarray) -> np.ndarray:

@@ -106,6 +106,46 @@ class TestDemand:
         assert main(["demand", "sweep", "--satellites", "24",
                      "--hours", "25"]) != 0
 
+    def test_sweep_runs_any_fleet_size(self, capsys):
+        # 7 satellites fit no near-square lattice; the plane count
+        # snaps to a divisor instead of failing inside the worker.
+        assert main(["demand", "sweep", "--satellites", "7",
+                     "--hours", "4", "20", "--users", "20000",
+                     "--bands", "8", "--equator-columns", "16"]) == 0
+        rows = [line.split()
+                for line in capsys.readouterr().out.splitlines()
+                if line.split() and line.split()[0] == "7"]
+        assert [row[1] for row in rows] == ["4.0", "20.0"]
+
+    def test_interrupted_sweep_writes_nothing(self, capsys, tmp_path,
+                                              monkeypatch):
+        import repro.experiments.demand as demand_module
+
+        real_point = demand_module._demand_point
+        calls = []
+
+        def interrupted_point(args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_point(args)
+
+        monkeypatch.setattr(demand_module, "_demand_point",
+                            interrupted_point)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("earlier trace\n")
+        events = tmp_path / "events.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            main(["demand", "sweep", "--satellites", "24",
+                  "--hours", "4", "20", "--users", "20000",
+                  "--bands", "8", "--equator-columns", "16",
+                  "--trace", str(trace), "--events-out", str(events)])
+        assert len(calls) == 2
+        assert "-- flight recorder: last" in capsys.readouterr().err
+        assert not events.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+        assert trace.read_text() == "earlier trace\n"
+
     @pytest.mark.parametrize("flag, argument", [
         ("--users", "total_users"),
         ("--bands", "bands"),
