@@ -280,20 +280,20 @@ def bench_obs_overhead() -> dict:
             "speedup": enabled_s / disabled_s}
 
 
-def _scalar_fluid_rates(demand, paths, graph):
+def _scalar_fluid_rates(demand, paths, capacity_of):
     """Per-flow reference of the whole fluid evaluation (given routes).
 
     The honest pre-vectorization implementation: python loops and dicts
-    over individual flows — edge interning, offered-load accumulation,
-    and progressive-filling waterfill with the same semantics, edge
-    indexing, and tie-breaking as ``repro.demand.fluid.run_fluid``
-    (so the resulting rates match bitwise-close).
+    over individual flows — edge interning and progressive-filling
+    waterfill with the same semantics, edge indexing, and tie-breaking
+    as ``repro.demand.fluid.run_fluid`` (so the resulting rates match
+    bitwise-close).  ``capacity_of`` maps each canonical ``(u, v)`` edge
+    key to the capacity the engine sees.
     """
     flows = len(demand)
     edge_slot = {}
     capacities = []
     flow_edge_slots = []
-    offered = []
     for i, path in enumerate(paths):
         slots = []
         if path is not None and len(path) >= 2:
@@ -303,12 +303,8 @@ def _scalar_fluid_rates(demand, paths, graph):
                 if slot is None:
                     slot = len(capacities)
                     edge_slot[key] = slot
-                    capacities.append(float(
-                        graph[u][v].get("capacity_bps", math.inf)
-                    ))
-                    offered.append(0.0)
+                    capacities.append(capacity_of[key])
                 slots.append(slot)
-                offered[slot] += demand[i]
         flow_edge_slots.append(slots)
     rates = [0.0] * flows
     residual = list(capacities)
@@ -368,8 +364,9 @@ def bench_demand_fluid() -> dict:
     identical fixed point, with the fixed point converging.
     """
     from repro.demand import GridSpec, offered_load_bps, population_grid
-    from repro.demand.fluid import map_cells_to_routes, run_fluid
-    from repro.experiments.demand import PROVIDERS, scale_access_capacity
+    from repro.demand.fluid import edge_key, map_cells_to_routes, run_fluid
+    from repro.experiments.demand import PROVIDERS, access_capacity_bps
+    from repro.experiments.scale import PROBE_COSTS
 
     total_users = 1_200_000
     grid = population_grid(total_users, np.random.default_rng(7),
@@ -378,31 +375,38 @@ def bench_demand_fluid() -> dict:
     fleet = build_fleet(iridium_like(), "bench-fleet", SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, default_station_network())
     terminals = grid.terminals(PROVIDERS, min_elevation_deg=10.0)
-    graph = network.snapshot(72000.0, users=terminals).graph
+    snap = network.snapshot(72000.0, users=terminals)
     occupied = grid.occupied
     cell_ids = grid.cell_ids(occupied)
-    scale_access_capacity(graph, {
-        cell_id: int(grid.users[index])
-        for cell_id, index in zip(cell_ids, occupied)
-    })
+    edges = snap.edges._replace(
+        capacity_bps=access_capacity_bps(snap, grid.users[occupied]))
     demand = offered_load_bps(grid.users[occupied], grid.lon_deg[occupied],
                               hour_utc=20.0)
     # Route mapping is shared setup; the ratio isolates the fluid fixed
     # point itself.
-    paths = map_cells_to_routes(graph, cell_ids)
+    adjacency = snap.csr_adjacency(PROBE_COSTS)
+    gateways = snap.nodes_of_kind("ground_station")
+    paths = map_cells_to_routes(adjacency, gateways, cell_ids)
 
-    result = run_fluid(graph, cell_ids, demand, paths=paths)
+    result = run_fluid(adjacency, edges, gateways, cell_ids, demand,
+                       paths=paths)
     assert result.converged, "fluid fixed point failed to converge"
 
+    nodes = snap.nodes
+    capacity_of = {
+        edge_key(nodes[u], nodes[v]): capacity
+        for u, v, capacity in zip(edges.u.tolist(), edges.v.tolist(),
+                                  edges.capacity_bps.tolist())
+    }
     demand_list = [float(d) for d in demand]
-    scalar_rates, _ = _scalar_fluid_rates(demand_list, paths, graph)
+    scalar_rates, _ = _scalar_fluid_rates(demand_list, paths, capacity_of)
     assert np.allclose(scalar_rates, result.rate_bps, rtol=1e-9), \
         "scalar reference diverged from vectorized waterfill"
 
     scalar_s = _timeit(lambda: _scalar_fluid_rates(
-        demand_list, paths, graph), repeat=2)
+        demand_list, paths, capacity_of), repeat=2)
     vectorized_s = _timeit(lambda: run_fluid(
-        graph, cell_ids, demand, paths=paths), repeat=2)
+        adjacency, edges, gateways, cell_ids, demand, paths=paths), repeat=2)
     return {"scalar_s": scalar_s, "vectorized_s": vectorized_s,
             "speedup": scalar_s / vectorized_s,
             "modeled_users": grid.total_users,

@@ -27,7 +27,8 @@ from repro import obs as _obs
 from repro.core.beacon import BeaconEvaluator
 from repro.ground.user import UserTerminal
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
-from repro.routing.metrics import path_metrics, shortest_path
+from repro.routing.csr import shortest_path_csr
+from repro.routing.metrics import path_metrics
 from repro.security.auth import AccessAccept, RadiusServer
 
 
@@ -153,7 +154,7 @@ class AssociationProtocol:
                 ),
             )
 
-        path = shortest_path(graph, beacon.satellite_id, anchor)
+        path = shortest_path_csr(graph, beacon.satellite_id, anchor)
         if path is None:
             return AssociationResult(
                 user_id=user.user_id, satellite_id=beacon.satellite_id,
@@ -297,7 +298,7 @@ class ReliableAssociationProtocol(AssociationProtocol):
                          / SPEED_OF_LIGHT_KM_S)
             link_setup_s = self.link_setup_messages * one_way_s
             for anchor_index, anchor in enumerate(anchors):
-                path = shortest_path(graph, beacon.satellite_id, anchor)
+                path = shortest_path_csr(graph, beacon.satellite_id, anchor)
                 if path is None:
                     last_failure = (
                         f"serving satellite {beacon.satellite_id} cannot "

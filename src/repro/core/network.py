@@ -143,6 +143,14 @@ class SnapshotEdges(NamedTuple):
     def concatenate(cls, parts: Sequence["SnapshotEdges"]) -> "SnapshotEdges":
         return cls(*(np.concatenate(column) for column in zip(*parts)))
 
+    def pair_rows(self, node_count: int) -> Dict[int, int]:
+        """Each edge's row, keyed ``low * node_count + high`` by its
+        endpoint indices."""
+        low = np.minimum(self.u, self.v).astype(np.int64)
+        high = np.maximum(self.u, self.v)
+        return dict(zip((low * node_count + high).tolist(),
+                        range(low.shape[0])))
+
 
 def _edge_part(u: np.ndarray, v: np.ndarray, distance_km: np.ndarray,
                capacity_bps: np.ndarray,
@@ -339,14 +347,19 @@ class NetworkSnapshot:
         return {node: i for i, node in enumerate(self.nodes)}
 
     @cached_property
+    def owners(self) -> List[str]:
+        """Each node's owner, parallel to :attr:`nodes`: a satellite's
+        operator, a station's owner, a user's home provider."""
+        return (self._satellite_owners
+                + [record.owner for record in self._stations]
+                + [owner for _, owner in self._users])
+
+    @cached_property
     def _hops(self) -> Tuple[Dict[int, int], list, list]:
         """Edge lookup by ``low * N + high`` key, with per-edge delays
         and queue delays as Python floats."""
         edges = self.edges
-        low = np.minimum(edges.u, edges.v).astype(np.int64)
-        high = np.maximum(edges.u, edges.v)
-        keys = (low * len(self.nodes) + high).tolist()
-        return (dict(zip(keys, range(len(keys)))), edges.delay_s.tolist(),
+        return (edges.pair_rows(len(self.nodes)), edges.delay_s.tolist(),
                 edges.queue_delay_s.tolist())
 
     def _edge_between(self, a: int, b: int) -> int:
@@ -357,14 +370,12 @@ class NetworkSnapshot:
 
     def _node_attrs(self, index: int) -> dict:
         """The graph view's attribute dict of node ``index``."""
+        owner = self.owners[index]
         if index < self._first_station:
-            return {"owner": self._satellite_owners[index],
-                    "kind": "satellite"}
+            return {"owner": owner, "kind": "satellite"}
         if index < self._first_user:
-            return {"kind": "ground_station",
-                    "owner": self._stations[index - self._first_station].owner}
-        return {"kind": "user",
-                "owner": self._users[index - self._first_user][1]}
+            return {"kind": "ground_station", "owner": owner}
+        return {"kind": "user", "owner": owner}
 
     def _edge_attrs(self, edge: int) -> dict:
         """The graph view's attribute dict of edge ``edge``."""

@@ -4,10 +4,9 @@
 aggregate into equal-area ground cells (:mod:`repro.demand.grid`) with
 diurnal and heavy-tail demand profiles (:mod:`repro.demand.profile`);
 the vectorized fluid engine (:mod:`repro.demand.fluid`) routes every
-loaded cell through one batched multi-source Dijkstra and waterfills a
-max-min-fair fixed point over link capacities; and the congestion state
-feeds routing costs, the health plane, and settlement
-(:mod:`repro.demand.congestion`).
+loaded cell over a snapshot's CSR and waterfills a max-min-fair fixed
+point over its link capacities; and the congestion state feeds routing
+costs, the health plane, and settlement (:mod:`repro.demand.congestion`).
 """
 
 from repro.demand.congestion import (

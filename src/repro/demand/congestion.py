@@ -4,14 +4,14 @@ The fluid fixed point (:mod:`repro.demand.fluid`) produces per-link
 utilization.  This module converts that into the shapes the rest of the
 system consumes:
 
-* queueing-delay inflation written back onto snapshot edges, so the
-  metric-aware routers (:class:`repro.routing.qos.QosRouter` cost
-  models) price congested links higher;
+* utilization maps for :class:`repro.routing.qos.QosRouter`
+  (``link_utilization``), so metric-aware routing prices congested
+  links higher;
 * background-load maps for :class:`repro.routing.adaptive
   .LoadAdaptiveRouter`, so per-flow adaptive routing avoids links the
   fluid plane already filled;
 * utilization samples for the :class:`repro.obs.health.HealthPlane`
-  link series (the PR 6 flight-recorder plane);
+  link series (the flight-recorder plane);
 * transit volumes filed into :class:`repro.economics.ledger
   .TrafficLedger` and settled into operator revenue.
 """
@@ -19,11 +19,11 @@ system consumes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.demand.fluid import MAX_UTILIZATION, FluidResult
+from repro.demand.fluid import FluidResult
 from repro.economics.ledger import TrafficLedger
 from repro.economics.settlement import Invoice, RateCard, SettlementEngine
 
@@ -38,31 +38,10 @@ class CongestionState:
     Attributes:
         utilization: ``(u, v) -> load / capacity`` for every route edge.
         load_bps: ``(u, v) -> allocated bits/s`` for loaded edges.
-        queue_delay_s: ``(u, v) -> added M/M/1 queueing delay`` at the
-            link's utilization (``delay * u / (1 - u)``, utilization
-            clamped below 1 so saturated links stay finite).
     """
 
     utilization: Dict[Tuple[str, str], float]
     load_bps: Dict[Tuple[str, str], float]
-    queue_delay_s: Dict[Tuple[str, str], float]
-
-    def inflate_queue_delays(self, graph) -> int:
-        """Add congestion queueing delay onto snapshot edges, in place.
-
-        Edges accumulate into their ``queue_delay_s`` attribute (created
-        at 0.0 for space links, which normally omit it), so cost models
-        with a ``queue_weight`` price congestion without any new edge
-        schema.  Returns the number of edges touched.
-        """
-        touched = 0
-        for (u, v), added in self.queue_delay_s.items():
-            if added <= 0.0 or not graph.has_edge(u, v):
-                continue
-            data = graph[u][v]
-            data["queue_delay_s"] = data.get("queue_delay_s", 0.0) + added
-            touched += 1
-        return touched
 
     def background_load_bps(self) -> Dict[Tuple[str, str], float]:
         """Loaded links' absolute bits/s, for ``LoadAdaptiveRouter``."""
@@ -74,7 +53,6 @@ def congestion_state(result: FluidResult) -> CongestionState:
     """Derive the :class:`CongestionState` of one fluid fixed point."""
     utilization = {}
     load_bps = {}
-    queue_delay = {}
     order = sorted(range(len(result.edge_keys)),
                    key=lambda slot: result.edge_keys[slot])
     for slot in order:
@@ -86,11 +64,7 @@ def congestion_state(result: FluidResult) -> CongestionState:
         utilization[key] = fraction
         if load > 0.0:
             load_bps[key] = load
-        clamped = min(fraction, MAX_UTILIZATION)
-        queue_delay[key] = (float(result.edge_delay_s[slot])
-                            * clamped / (1.0 - clamped))
-    return CongestionState(utilization=utilization, load_bps=load_bps,
-                           queue_delay_s=queue_delay)
+    return CongestionState(utilization=utilization, load_bps=load_bps)
 
 
 @dataclass
@@ -110,7 +84,8 @@ class DemandSettlement:
     net_positions: Dict[str, float]
 
 
-def settle_demand(result: FluidResult, graph, duration_s: float,
+def settle_demand(result: FluidResult, owners: Mapping[str, str],
+                  duration_s: float,
                   rate_cards: Optional[Dict[str, RateCard]] = None,
                   segment_kind: str = "gateway",
                   time_s: float = 0.0) -> DemandSettlement:
@@ -124,8 +99,8 @@ def settle_demand(result: FluidResult, graph, duration_s: float,
 
     Args:
         result: A converged fluid fixed point.
-        graph: The snapshot the fixed point was computed on (provides
-            node ``owner`` attributes).
+        owners: Owner of every node on a route (the snapshot's
+            :attr:`~repro.core.network.NetworkSnapshot.owners`).
         duration_s: Interval the fluid rates were sustained for.
         rate_cards: Carrier rate cards (default cards otherwise).
         segment_kind: Technology class used for billing.
@@ -145,10 +120,8 @@ def settle_demand(result: FluidResult, graph, duration_s: float,
         if rate <= 0.0:
             continue
         gigabytes = rate * duration_s / 8.0 / 1e9
-        source = graph.nodes[path[0]].get("owner", "unknown")
-        carriers = [
-            graph.nodes[node].get("owner", "unknown") for node in path[1:]
-        ]
+        source = owners[path[0]]
+        carriers = [owners[node] for node in path[1:]]
         ledger.file_path_transfer(
             transfer_id=f"{cell_id}@{time_s:.0f}",
             source_isp=source, carrier_path=carriers,

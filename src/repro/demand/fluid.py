@@ -2,14 +2,16 @@
 
 Millions of users become array operations: each loaded ground cell is
 one *aggregate flow* from its cell terminal to its serving gateway.
-Routes come from one reverse Dijkstra out of every gateway over the
-snapshot's CSR adjacency, with a margin certificate proving each cell's
-route is the one its own search would return; only cells it cannot
-prove (exact ties) run that search
-(:meth:`~repro.routing.csr.CsrAdjacency.nearest_target_paths`);
-per-link offered load is a scatter-add over the flow→edge incidence
-arrays; and rates come from a demand-capped max-min-fair waterfilling
-fixed point — the same progressive-filling fairness the flow-level
+The engine reads a snapshot's arrays, never a graph view: routes come
+from one reverse Dijkstra out of every gateway over the snapshot's CSR
+adjacency, with a margin certificate proving each cell's route is the
+one its own search would return; only cells it cannot prove (exact
+ties) run that search
+(:meth:`~repro.routing.csr.CsrAdjacency.nearest_target_paths`); each
+hop's capacity and delay are read from the snapshot's edge arrays
+(:class:`~repro.core.network.SnapshotEdges`); and rates come from a
+demand-capped max-min-fair waterfilling fixed point over the flow→edge
+incidence arrays — the same progressive-filling fairness the flow-level
 simulator (:func:`repro.simulation.flowsim.max_min_fair_rates`)
 computes per flow, evaluated here as whole-array steps.
 
@@ -29,7 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs as _obs
-from repro.routing.csr import CsrAdjacency, delay_weight
+from repro.core.network import SnapshotEdges
+from repro.routing.csr import CsrAdjacency
 
 #: Utilization is clamped below 1 when deriving queueing-delay
 #: inflation so saturated links price as very expensive, not infinite.
@@ -59,7 +62,6 @@ class FluidResult:
         edge_keys: Canonical (u, v) per edge slot.
         edge_capacity_bps: Link capacity per edge slot.
         edge_load_bps: Allocated load per edge slot.
-        edge_offered_bps: Offered (pre-waterfilling) load per edge slot.
         edge_delay_s: Propagation delay per edge slot.
         iterations: Waterfilling iterations used.
         converged: Fixed point reached and verified.
@@ -73,7 +75,6 @@ class FluidResult:
     edge_keys: List[Tuple[str, str]]
     edge_capacity_bps: np.ndarray
     edge_load_bps: np.ndarray
-    edge_offered_bps: np.ndarray
     edge_delay_s: np.ndarray
     iterations: int
     converged: bool
@@ -149,29 +150,32 @@ def weighted_percentile(values: np.ndarray, weights: np.ndarray,
     return float(values[order[min(index, values.size - 1)]])
 
 
-def map_cells_to_routes(graph, cell_ids: Sequence[str],
+def map_cells_to_routes(adjacency: CsrAdjacency, gateways: Sequence[str],
+                        cell_ids: Sequence[str],
                         ) -> List[Optional[List[str]]]:
     """Serving route (cell → cheapest gateway) for every cell at once.
 
     Each route is the forward rule's: the cell's Dijkstra, the
-    first-listed gateway at the least delay, that gateway's path.
+    first-listed gateway at the least cost, that gateway's path.
     :meth:`CsrAdjacency.nearest_target_paths` answers it for the whole
     cell set from one reverse search out of the gateways, and runs the
     forward search only for the cells whose route its margin
     certificate cannot prove.
 
+    Args:
+        adjacency: The snapshot's CSR under the route cost (propagation
+            delay for the demand sweep).
+        gateways: Gateway node ids, in tie-break order.
+        cell_ids: The cells to route; ids absent from ``adjacency`` get
+            no route.
+
     Returns:
         One node path per cell id, ``None`` where no gateway is
         reachable.
     """
-    gateways = [
-        node for node, data in graph.nodes(data=True)
-        if data.get("kind") == "ground_station"
-    ]
     cell_list = list(cell_ids)
     if not gateways or not cell_list:
         return [None] * len(cell_list)
-    adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
     known = [cell for cell in cell_list if cell in adjacency]
     paths_by_cell = dict(zip(known,
                              adjacency.nearest_target_paths(known, gateways)))
@@ -263,15 +267,20 @@ def waterfill_rates(demand_bps: np.ndarray, entry_flow: np.ndarray,
     return rate, iterations, converged
 
 
-def run_fluid(graph, cell_ids: Sequence[str], demand_bps: Sequence[float],
+def run_fluid(adjacency: CsrAdjacency, edges: SnapshotEdges,
+              gateways: Sequence[str], cell_ids: Sequence[str],
+              demand_bps: Sequence[float],
               paths: Optional[Sequence[Optional[List[str]]]] = None,
               ) -> FluidResult:
     """Evaluate the fluid fixed point for one snapshot and demand vector.
 
     Args:
-        graph: Snapshot graph containing the cell terminals and at least
-            one ``ground_station`` node; edges carry ``capacity_bps``
-            and ``delay_s``.
+        adjacency: The snapshot's CSR under the route cost; its
+            ``nodes`` are the ids ``edges`` indexes.
+        edges: The snapshot's edge arrays, carrying the capacity each
+            link offers the fluid plane (every edge on a route needs
+            one row).
+        gateways: Gateway node ids the cells route to.
         cell_ids: Aggregate-flow source nodes (cell terminals).
         demand_bps: Offered load per cell, parallel to ``cell_ids``.
         paths: Pre-computed routes (skips the Dijkstra stage); mainly
@@ -289,47 +298,41 @@ def run_fluid(graph, cell_ids: Sequence[str], demand_bps: Sequence[float],
     recorder = _obs.active()
     with recorder.span("demand.fluid", cells=len(cell_list)):
         if paths is None:
-            paths = map_cells_to_routes(graph, cell_list)
+            paths = map_cells_to_routes(adjacency, gateways, cell_list)
         else:
             paths = list(paths)
         routed = np.asarray(
             [path is not None and len(path) >= 2 for path in paths]
         )
 
-        # Deterministic edge interning in first-use order.
-        edge_slot: Dict[Tuple[str, str], int] = {}
-        edge_keys: List[Tuple[str, str]] = []
+        # Edge slots in first-use order: waterfill_rates breaks
+        # bottleneck ties by the lowest slot.
+        index = adjacency.index
+        count = adjacency.node_count
+        row_of_pair = edges.pair_rows(count)
+        slot_of_row: Dict[int, int] = {}
         entry_flow: List[int] = []
         entry_edge: List[int] = []
         for flow_index, path in enumerate(paths):
             if path is None or len(path) < 2:
                 continue
-            for u, v in zip(path[:-1], path[1:]):
-                key = edge_key(u, v)
-                slot = edge_slot.get(key)
-                if slot is None:
-                    slot = len(edge_keys)
-                    edge_slot[key] = slot
-                    edge_keys.append(key)
+            hops = [index[node] for node in path]
+            for a, b in zip(hops[:-1], hops[1:]):
+                row = row_of_pair[a * count + b if a < b else b * count + a]
                 entry_flow.append(flow_index)
-                entry_edge.append(slot)
+                entry_edge.append(slot_of_row.setdefault(row,
+                                                         len(slot_of_row)))
         entry_flow_arr = np.asarray(entry_flow, dtype=np.int64)
         entry_edge_arr = np.asarray(entry_edge, dtype=np.int64)
-
-        capacity = np.asarray([
-            float(graph[u][v].get("capacity_bps", float("inf")))
-            for u, v in edge_keys
-        ])
-        delay = np.asarray([
-            float(graph[u][v].get("delay_s", 0.0)) for u, v in edge_keys
-        ])
+        rows = np.fromiter(slot_of_row, dtype=np.int64,
+                           count=len(slot_of_row))
+        nodes = adjacency.nodes
+        edge_keys = [edge_key(nodes[u], nodes[v]) for u, v in
+                     zip(edges.u[rows].tolist(), edges.v[rows].tolist())]
+        capacity = edges.capacity_bps[rows]
+        delay = edges.delay_s[rows]
 
         effective = np.where(routed, demand, 0.0)
-        offered = np.bincount(
-            entry_edge_arr, weights=effective[entry_flow_arr],
-            minlength=len(edge_keys),
-        ) if entry_flow_arr.size else np.zeros(len(edge_keys))
-
         rate, iterations, converged = waterfill_rates(
             effective, entry_flow_arr, entry_edge_arr, capacity,
         )
@@ -352,7 +355,7 @@ def run_fluid(graph, cell_ids: Sequence[str], demand_bps: Sequence[float],
         cell_ids=cell_list, demand_bps=demand, rate_bps=rate,
         routed=routed, paths=list(paths), edge_keys=edge_keys,
         edge_capacity_bps=capacity, edge_load_bps=load,
-        edge_offered_bps=offered, edge_delay_s=delay,
+        edge_delay_s=delay,
         iterations=iterations, converged=converged,
         entry_flow=entry_flow_arr, entry_edge=entry_edge_arr,
     )

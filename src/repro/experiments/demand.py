@@ -5,13 +5,16 @@ Walker-Delta fleet, aggregates the modeled subscriber population onto an
 equal-area ground grid (:mod:`repro.demand.grid`), applies the local-
 solar-time diurnal curve and QoS flow mix (:mod:`repro.demand.profile`),
 and drives the offered load through the vectorized fluid engine
-(:mod:`repro.demand.fluid`): one reverse search out of the gateways
-maps every loaded cell to its serving gateway (a per-cell search runs
-only where a route is not provably unique), then a max-min-fair
-waterfilling fixed point allocates link capacity.  Each point reports
-the congestion headline numbers (served fraction, mean/peak utilization,
-p95 queueing-delay inflation) and the settlement revenue the carried
-traffic produces (:mod:`repro.demand.congestion`).
+(:mod:`repro.demand.fluid`) on the snapshot's own arrays: one reverse
+search over the snapshot's CSR maps every loaded cell to its serving
+gateway (a per-cell search runs only where a route is not provably
+unique), then a max-min-fair waterfilling fixed point allocates link
+capacity, each cell's access links scaled by its subscriber count.  Each
+point reports the congestion headline numbers (served fraction,
+mean/peak utilization, p95 queueing-delay inflation) and the settlement
+revenue the carried traffic produces (:mod:`repro.demand.congestion`).
+The snapshot is never modified, and its networkx view is built only
+when an enabled recorder samples the health plane.
 
 Everything is a pure function of the seed — the same sweep re-run, at
 any ``--jobs`` count, prints byte-identical rows (the ``demand-smoke``
@@ -26,7 +29,7 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.core.interop import SizeClass, build_fleet
-from repro.core.network import OpenSpaceNetwork
+from repro.core.network import NetworkSnapshot, OpenSpaceNetwork
 from repro.demand.congestion import (
     congestion_state,
     peak_statistics,
@@ -35,7 +38,7 @@ from repro.demand.congestion import (
 from repro.demand.fluid import run_fluid, weighted_percentile
 from repro.demand.grid import DISTRIBUTIONS, GridSpec, population_grid
 from repro.demand.profile import offered_load_bps
-from repro.experiments.scale import plane_count_for
+from repro.experiments.scale import PROBE_COSTS, plane_count_for
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
 from repro.parallel import derive_seed, run_grid
@@ -47,32 +50,32 @@ PROVIDERS = ("op-a", "op-b")
 FLEET_OWNER = "demand-fleet"
 
 
-def scale_access_capacity(graph, users_by_cell: Dict[str, int]) -> int:
-    """Scale each cell's access links by its aggregated user count.
+def access_capacity_bps(snap: NetworkSnapshot,
+                        cell_users: np.ndarray) -> np.ndarray:
+    """Edge capacities with each cell's access links scaled by its users.
 
     A grid cell's terminal stands in for thousands of independent user
     terminals, each with its own access link; the aggregate access
     capacity is the per-terminal capacity times the cell's subscriber
     count (the congestion question then lives on the shared ISL and
-    gateway links, which is the point of the fluid model).  Idempotent:
-    already-scaled edges (marked ``aggregated_users``) are skipped.
+    gateway links, which is the point of the fluid model).  Cells of at
+    most one user and every non-access edge keep their capacity.
+    ``snap.edges`` is not modified.
+
+    Args:
+        snap: A snapshot whose users are the cell terminals.
+        cell_users: Subscribers per cell, in the snapshot's user order.
 
     Returns:
-        The number of access edges scaled.
+        One capacity per row of ``snap.edges``.
     """
-    scaled = 0
-    for cell_id, users in users_by_cell.items():
-        if cell_id not in graph or users <= 1:
-            continue
-        for _, _, data in graph.edges(cell_id, data=True):
-            if data.get("kind") != "access_link":
-                continue
-            if "aggregated_users" in data:
-                continue
-            data["capacity_bps"] = data["capacity_bps"] * users
-            data["aggregated_users"] = users
-            scaled += 1
-    return scaled
+    # Users are the last nodes, and an access link joins one user to one
+    # satellite, so the endpoint factors' product is that user's count.
+    factor = np.ones(len(snap.nodes))
+    factor[len(snap.nodes) - len(snap.nodes_of_kind("user")):] = np.maximum(
+        cell_users, 1)
+    edges = snap.edges
+    return edges.capacity_bps * (factor[edges.u] * factor[edges.v])
 
 
 def _demand_point(args: tuple) -> Dict:
@@ -96,31 +99,26 @@ def _demand_point(args: tuple) -> Dict:
     constellation = walker_delta(satellites, plane_count_for(satellites))
     fleet = build_fleet(constellation, FLEET_OWNER, SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, default_station_network())
-    terminals = grid.terminals(PROVIDERS)
     time_s = hour * 3600.0
-    graph = network.snapshot(time_s, users=terminals).graph
+    snap = network.snapshot(time_s, users=grid.terminals(PROVIDERS))
 
     occupied = grid.occupied
     cell_ids = grid.cell_ids(occupied)
-    users_by_cell = {
-        cell_id: int(grid.users[index])
-        for cell_id, index in zip(cell_ids, occupied)
-    }
-    scale_access_capacity(graph, users_by_cell)
-    demand = offered_load_bps(grid.users[occupied], grid.lon_deg[occupied],
-                              hour_utc=hour)
-
-    result = run_fluid(graph, cell_ids, demand)
-    state = congestion_state(result)
-    state.inflate_queue_delays(graph)
-    _obs.active().sample_health(time_s, graph,
-                                utilization=state.utilization, reset=True)
+    users = grid.users[occupied]
+    demand = offered_load_bps(users, grid.lon_deg[occupied], hour_utc=hour)
+    edges = snap.edges._replace(capacity_bps=access_capacity_bps(snap, users))
+    result = run_fluid(snap.csr_adjacency(PROBE_COSTS), edges,
+                       snap.nodes_of_kind("ground_station"), cell_ids, demand)
+    recorder = _obs.active()
+    if recorder.enabled:
+        utilization = congestion_state(result).utilization
+        recorder.sample_health(time_s, snap.graph, utilization=utilization,
+                               reset=True)
 
     stats = peak_statistics(result)
     inflation = result.delay_inflation()
-    cell_users = grid.users[occupied].astype(np.float64)
-    settlement = settle_demand(result, graph, duration_s=duration_s,
-                               time_s=time_s)
+    settlement = settle_demand(result, dict(zip(snap.nodes, snap.owners)),
+                               duration_s=duration_s, time_s=time_s)
     return {
         "satellites": int(satellites),
         "hour_utc": float(hour),
@@ -133,7 +131,7 @@ def _demand_point(args: tuple) -> Dict:
         "peak_utilization": stats["peak_utilization"],
         "hot_link_share": stats["hot_link_share"],
         "p95_delay_inflation": weighted_percentile(
-            inflation, cell_users, 0.95
+            inflation, users.astype(np.float64), 0.95
         ),
         "revenue_usd": settlement.revenue_usd,
         "carried_gb": settlement.carried_gb,

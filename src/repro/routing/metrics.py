@@ -10,7 +10,7 @@ into a single additive edge weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import networkx as nx
 import numpy as np
@@ -139,12 +139,3 @@ def path_metrics(graph: nx.Graph, path: Sequence[str]) -> RouteMetrics:
         operators=operators,
     )
 
-
-def shortest_path(graph: nx.Graph, source: str, target: str,
-                  cost_model: Optional[EdgeCostModel] = None,
-                  ) -> Optional[List[str]]:
-    """Dijkstra shortest path under a cost model (propagation delay by
-    default); None when unreachable."""
-    from repro.routing.csr import shortest_path_csr  # csr imports this module
-
-    return shortest_path_csr(graph, source, target, weight=cost_model)

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.routing.csr import shortest_path_csr
 from repro.routing.metrics import (
     EdgeCostModel,
     PROPAGATION_ONLY,
     path_metrics,
-    shortest_path,
 )
 
 
@@ -106,7 +106,7 @@ def route_churn(snapshots: Sequence,
         epoch_length_s=snapshots[1].time_s - snapshots[0].time_s
     )
     previous_routes: Dict[Tuple[str, str], Optional[List[str]]] = {
-        pair: shortest_path(snapshots[0].graph, *pair, model)
+        pair: shortest_path_csr(snapshots[0].graph, *pair, model)
         for pair in pairs
     }
     previous_snap = snapshots[0]
@@ -117,7 +117,7 @@ def route_churn(snapshots: Sequence,
         latency_deltas: List[float] = []
         current_routes: Dict[Tuple[str, str], Optional[List[str]]] = {}
         for pair in pairs:
-            new_path = shortest_path(snap.graph, *pair, model)
+            new_path = shortest_path_csr(snap.graph, *pair, model)
             current_routes[pair] = new_path
             old_path = previous_routes[pair]
             if old_path is None:

@@ -13,34 +13,44 @@ from repro.demand.fluid import run_fluid
 from repro.routing.adaptive import LoadAdaptiveRouter
 from repro.routing.qos import BEST_EFFORT, QosRouter
 from repro.simulation.traffic import FlowSpec
+from tests.demand.tables import edge_table
 from tests.routing import oracle
+
+#: Node -> (kind, owner).
+NODES = {
+    "cell-00000": ("user", "op-a"),
+    "sat-short": ("satellite", "fleet"),
+    "sat-long": ("satellite", "fleet"),
+    "gw": ("ground_station", "gs-op"),
+}
+OWNERS = {node: owner for node, (_, owner) in NODES.items()}
+#: Two parallel satellite routes; the short one will congest.
+ROWS = [
+    ("cell-00000", "sat-short", 0.004, 200e6),
+    ("cell-00000", "sat-long", 0.009, 200e6),
+    ("sat-short", "gw", 0.003, 40e6),
+    ("sat-long", "gw", 0.008, 200e6),
+]
 
 
 def loaded_graph():
-    """Two parallel satellite routes; the short one will congest."""
+    """The same network as a graph, for the routers and the health plane."""
     g = nx.Graph()
-    g.add_node("cell-00000", kind="user", owner="op-a")
-    g.add_node("sat-short", kind="satellite", owner="fleet")
-    g.add_node("sat-long", kind="satellite", owner="fleet")
-    g.add_node("gw", kind="ground_station", owner="gs-op")
-    g.add_edge("cell-00000", "sat-short", delay_s=0.004,
-               capacity_bps=200e6)
-    g.add_edge("cell-00000", "sat-long", delay_s=0.009,
-               capacity_bps=200e6)
-    g.add_edge("sat-short", "gw", delay_s=0.003, capacity_bps=40e6)
-    g.add_edge("sat-long", "gw", delay_s=0.008, capacity_bps=200e6)
+    for node, (kind, owner) in NODES.items():
+        g.add_node(node, kind=kind, owner=owner)
+    for u, v, delay, capacity in ROWS:
+        g.add_edge(u, v, delay_s=delay, capacity_bps=capacity)
     return g
 
 
 def congested_result():
-    graph = loaded_graph()
-    result = run_fluid(graph, ["cell-00000"], [120e6])
-    return graph, result
+    adjacency, edges = edge_table(list(NODES), ROWS)
+    return run_fluid(adjacency, edges, ["gw"], ["cell-00000"], [120e6])
 
 
 class TestCongestionState:
     def test_utilization_and_loads(self):
-        graph, result = congested_result()
+        result = congested_result()
         state = congestion_state(result)
         # The fluid plane picked the short route and filled its 40 Mbps
         # gateway link.
@@ -48,24 +58,14 @@ class TestCongestionState:
         assert state.background_load_bps()[("gw", "sat-short")] == \
             pytest.approx(40e6)
 
-    def test_queue_delay_written_onto_graph(self):
-        graph, result = congested_result()
-        state = congestion_state(result)
-        touched = state.inflate_queue_delays(graph)
-        assert touched >= 1
-        data = graph["sat-short"]["gw"]
-        # Saturated link: inflation clamps at u=0.99 -> 99x delay.
-        assert data["queue_delay_s"] == pytest.approx(
-            0.003 * 0.99 / 0.01)
-
     def test_keys_sorted_for_determinism(self):
-        _, result = congested_result()
+        result = congested_result()
         state = congestion_state(result)
         keys = list(state.utilization)
         assert keys == sorted(keys)
 
     def test_peak_statistics(self):
-        _, result = congested_result()
+        result = congested_result()
         stats = peak_statistics(result)
         assert stats["peak_utilization"] == pytest.approx(1.0)
         assert 0.0 < stats["mean_utilization"] <= 1.0
@@ -79,7 +79,7 @@ class TestRoutingIntegration:
         clean = LoadAdaptiveRouter()(graph, flow, [])
         assert clean[1] == "sat-short"
 
-        _, result = congested_result()
+        result = congested_result()
         state = congestion_state(result)
         loaded = LoadAdaptiveRouter(
             background_load_bps=state.background_load_bps()
@@ -91,7 +91,7 @@ class TestRoutingIntegration:
         clean = QosRouter().route(graph, "cell-00000", "gw", BEST_EFFORT)
         assert clean.metrics.path[1] == "sat-short"
 
-        _, result = congested_result()
+        result = congested_result()
         state = congestion_state(result)
         congested = QosRouter(link_utilization=state.utilization).route(
             graph, "cell-00000", "gw", BEST_EFFORT)
@@ -100,7 +100,7 @@ class TestRoutingIntegration:
 
     def test_qos_backends_agree_under_utilization(self):
         graph = loaded_graph()
-        _, result = congested_result()
+        result = congested_result()
         util = congestion_state(result).utilization
         router = QosRouter(link_utilization=util)
         for requirement in (BEST_EFFORT,):
@@ -111,22 +111,13 @@ class TestRoutingIntegration:
             assert routed.metrics.path == reference == [
                 "cell-00000", "sat-long", "gw"]
 
-    def test_inflated_queue_delay_feeds_default_cost_model(self):
-        # The alternative wiring: write queue delay onto the snapshot
-        # and let the stock cost model (queue_weight=1) price it.
-        graph, result = congested_result()
-        congestion_state(result).inflate_queue_delays(graph)
-        routed = QosRouter().route(graph, "cell-00000", "gw", BEST_EFFORT)
-        assert routed.metrics.path[1] == "sat-long"
-
 
 class TestHealthIntegration:
     def test_utilization_lands_in_health_plane(self):
-        graph, result = congested_result()
-        state = congestion_state(result)
+        state = congestion_state(congested_result())
         recorder = _obs.Recorder()
         with _obs.use(recorder):
-            recorder.sample_health(0.0, graph,
+            recorder.sample_health(0.0, loaded_graph(),
                                    utilization=state.utilization,
                                    reset=True)
         rows = recorder.health.rows()
@@ -141,8 +132,8 @@ class TestHealthIntegration:
 
 class TestSettlement:
     def test_cross_operator_transit_is_billed(self):
-        graph, result = congested_result()
-        settlement = settle_demand(result, graph, duration_s=3600.0)
+        settlement = settle_demand(congested_result(), OWNERS,
+                                   duration_s=3600.0)
         assert settlement.carried_gb == pytest.approx(
             40e6 * 3600.0 / 8.0 / 1e9 * 2)  # fleet + gateway segments
         assert settlement.revenue_usd > 0.0
@@ -152,17 +143,16 @@ class TestSettlement:
         assert carriers == {"fleet", "gs-op"}
 
     def test_net_positions_balance(self):
-        graph, result = congested_result()
-        settlement = settle_demand(result, graph, duration_s=600.0)
+        settlement = settle_demand(congested_result(), OWNERS,
+                                   duration_s=600.0)
         assert sum(settlement.net_positions.values()) == pytest.approx(0.0)
 
     def test_zero_duration_rejected(self):
-        graph, result = congested_result()
         with pytest.raises(ValueError, match="duration"):
-            settle_demand(result, graph, duration_s=0.0)
+            settle_demand(congested_result(), OWNERS, duration_s=0.0)
 
     def test_deterministic(self):
-        graph, result = congested_result()
-        a = settle_demand(result, graph, duration_s=3600.0)
-        b = settle_demand(result, graph, duration_s=3600.0)
+        result = congested_result()
+        a = settle_demand(result, OWNERS, duration_s=3600.0)
+        b = settle_demand(result, OWNERS, duration_s=3600.0)
         assert a.invoices == b.invoices

@@ -15,27 +15,33 @@ from repro.demand.fluid import (
 )
 from repro.demand.grid import GridSpec, population_grid
 from repro.experiments.demand import FLEET_OWNER, PROVIDERS, plane_count_for
+from repro.experiments.scale import PROBE_COSTS
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
 from repro.parallel import derive_seed
 from repro.routing.csr import CsrAdjacency, delay_weight
+from tests.demand.tables import edge_table
 from tests.routing import oracle
 
 FALLBACK = "routing.nearest_paths.fallback_sources"
 
+#: Two cells -> one satellite -> one gateway, plus an isolated cell.
+STAR_NODES = ["cell-00000", "cell-00001", "cell-00002", "sat-0", "gw"]
+STAR_ROWS = [
+    ("cell-00000", "sat-0", 0.004, 100e6),
+    ("cell-00001", "sat-0", 0.004, 100e6),
+    ("sat-0", "gw", 0.003, 50e6),
+]
 
-def star_graph():
-    """Two cells -> one satellite -> one gateway, plus a spur cell."""
-    g = nx.Graph()
-    g.add_node("cell-00000", kind="user", owner="op-a")
-    g.add_node("cell-00001", kind="user", owner="op-b")
-    g.add_node("cell-00002", kind="user", owner="op-a")  # isolated
-    g.add_node("sat-0", kind="satellite", owner="fleet")
-    g.add_node("gw", kind="ground_station", owner="gs-op")
-    g.add_edge("cell-00000", "sat-0", delay_s=0.004, capacity_bps=100e6)
-    g.add_edge("cell-00001", "sat-0", delay_s=0.004, capacity_bps=100e6)
-    g.add_edge("sat-0", "gw", delay_s=0.003, capacity_bps=50e6)
-    return g
+
+def star_routes(cells):
+    adjacency, _ = edge_table(STAR_NODES, STAR_ROWS)
+    return map_cells_to_routes(adjacency, ["gw"], cells)
+
+
+def star_fluid(cells, demand_bps):
+    adjacency, edges = edge_table(STAR_NODES, STAR_ROWS)
+    return run_fluid(adjacency, edges, ["gw"], cells, demand_bps)
 
 
 class TestWaterfill:
@@ -107,27 +113,26 @@ class TestWaterfill:
 
 class TestRouteMapping:
     def test_routes_reach_gateway(self):
-        paths = map_cells_to_routes(star_graph(),
-                                    ["cell-00000", "cell-00001"])
+        paths = star_routes(["cell-00000", "cell-00001"])
         for path in paths:
             assert path is not None
             assert path[-1] == "gw"
 
     def test_unreachable_cell_gets_none(self):
-        paths = map_cells_to_routes(star_graph(), ["cell-00002"])
-        assert paths == [None]
+        assert star_routes(["cell-00002"]) == [None]
 
     def test_unknown_cell_gets_none(self):
-        paths = map_cells_to_routes(star_graph(), ["cell-99999"])
-        assert paths == [None]
+        assert star_routes(["cell-99999"]) == [None]
 
     def test_backends_agree(self):
         # Each cell's route is the oracle's path to its nearest gateway
         # (first-listed gateway on ties).
-        graph = star_graph()
-        graph.add_node("gw-far", kind="ground_station", owner="gs-op")
-        graph.add_edge("cell-00001", "gw-far", delay_s=0.006,
-                       capacity_bps=10e6)
+        nodes = STAR_NODES + ["gw-far"]
+        rows = STAR_ROWS + [("cell-00001", "gw-far", 0.006, 10e6)]
+        graph = nx.Graph()
+        graph.add_nodes_from(nodes)
+        for u, v, delay, capacity in rows:
+            graph.add_edge(u, v, delay_s=delay, capacity_bps=capacity)
         cells = ["cell-00000", "cell-00001", "cell-00002"]
         expected = []
         for cell in cells:
@@ -135,13 +140,15 @@ class TestRouteMapping:
             reachable = [g for g in ("gw", "gw-far") if g in dist]
             nearest = min(reachable, key=dist.__getitem__, default=None)
             expected.append(None if nearest is None else paths[nearest])
-        assert map_cells_to_routes(graph, cells) == expected
+        adjacency, _ = edge_table(nodes, rows)
+        assert map_cells_to_routes(adjacency, ["gw", "gw-far"],
+                                   cells) == expected
         assert expected[1] == ["cell-00001", "gw-far"]
 
 
-def demand_point_graph(satellites, hour, distribution):
-    """Snapshot graph and loaded cells of one 1 M-user ``demand_sweep``
-    point (18x36 grid, seed 7), built as ``_demand_point`` builds it."""
+def demand_point_snapshot(satellites, hour, distribution):
+    """Snapshot and loaded cells of one 1 M-user ``demand_sweep`` point
+    (18x36 grid, seed 7), built as ``_demand_point`` builds it."""
     users = 1_000_000
     rng = np.random.default_rng(
         derive_seed(7, "demand-grid", users, distribution))
@@ -150,23 +157,26 @@ def demand_point_graph(satellites, hour, distribution):
     fleet = build_fleet(walker_delta(satellites, plane_count_for(satellites)),
                         FLEET_OWNER, SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, default_station_network())
-    graph = network.snapshot(hour * 3600.0,
-                             users=grid.terminals(PROVIDERS)).graph
-    return graph, grid.cell_ids(grid.occupied)
+    snap = network.snapshot(hour * 3600.0, users=grid.terminals(PROVIDERS))
+    return snap, grid.cell_ids(grid.occupied)
 
 
-def forward_routes(graph, cells):
-    """One forward search per cell: the route map's defining rule."""
+def forward_routes(snap, cells):
+    """One forward search per cell over the graph view's compile: the
+    route map's defining rule."""
+    graph = snap.graph
     gateways = [node for node, data in graph.nodes(data=True)
                 if data.get("kind") == "ground_station"]
     adjacency = CsrAdjacency.from_graph(graph, weight=delay_weight)
     return oracle.nearest_paths(adjacency, cells, gateways)
 
 
-def routes_and_fallbacks(graph, cells):
+def routes_and_fallbacks(snap, cells):
     recorder = obs.Recorder()
     with obs.use(recorder):
-        paths = map_cells_to_routes(graph, cells)
+        paths = map_cells_to_routes(snap.csr_adjacency(PROBE_COSTS),
+                                    snap.nodes_of_kind("ground_station"),
+                                    cells)
     return paths, recorder.metrics.counter_value(FALLBACK)
 
 
@@ -178,58 +188,60 @@ class TestRouteCertificate:
         # alone picks the other route for 5 (uniform_land) and 4
         # (underserved) of them, so the certificate must send such cells
         # to the forward search.
-        graph, cells = demand_point_graph(512, 0.0, distribution)
-        paths, fallbacks = routes_and_fallbacks(graph, cells)
-        assert paths == forward_routes(graph, cells)
+        snap, cells = demand_point_snapshot(512, 0.0, distribution)
+        paths, fallbacks = routes_and_fallbacks(snap, cells)
+        assert paths == forward_routes(snap, cells)
         assert fallbacks > 0
 
     def test_no_fallback_off_the_ties(self):
-        graph, cells = demand_point_graph(264, 4.0, "uniform_land")
-        paths, fallbacks = routes_and_fallbacks(graph, cells)
-        assert paths == forward_routes(graph, cells)
+        snap, cells = demand_point_snapshot(264, 4.0, "uniform_land")
+        paths, fallbacks = routes_and_fallbacks(snap, cells)
+        assert paths == forward_routes(snap, cells)
         assert fallbacks == 0
 
 
 class TestRunFluid:
     def test_shared_gateway_link_splits_fairly(self):
-        result = run_fluid(star_graph(), ["cell-00000", "cell-00001"],
-                           [100e6, 100e6])
+        result = star_fluid(["cell-00000", "cell-00001"], [100e6, 100e6])
         assert result.converged
         assert result.rate_bps == pytest.approx([25e6, 25e6])
         util = result.utilization[("gw", "sat-0")]
         assert util == pytest.approx(1.0)
 
     def test_unrouted_cell_rate_zero(self):
-        result = run_fluid(star_graph(),
-                           ["cell-00000", "cell-00002"], [10e6, 10e6])
+        result = star_fluid(["cell-00000", "cell-00002"], [10e6, 10e6])
         assert result.converged
         assert bool(result.routed[0]) and not bool(result.routed[1])
         assert result.rate_bps[1] == 0.0
         assert result.served_fraction == pytest.approx(0.5)
 
     def test_light_load_fully_served(self):
-        result = run_fluid(star_graph(), ["cell-00000", "cell-00001"],
-                           [1e6, 2e6])
+        result = star_fluid(["cell-00000", "cell-00001"], [1e6, 2e6])
         assert result.converged
         assert result.served_fraction == pytest.approx(1.0)
         assert result.rate_bps == pytest.approx([1e6, 2e6])
 
     def test_delay_inflation_grows_under_load(self):
-        light = run_fluid(star_graph(), ["cell-00000"], [1e6])
-        heavy = run_fluid(star_graph(), ["cell-00000"], [200e6])
+        light = star_fluid(["cell-00000"], [1e6])
+        heavy = star_fluid(["cell-00000"], [200e6])
         assert float(light.delay_inflation()[0]) < \
             float(heavy.delay_inflation()[0])
         assert float(light.delay_inflation()[0]) >= 1.0
 
+    def test_edge_slots_in_first_use_order(self):
+        # waterfill_rates breaks bottleneck ties by the lowest slot, so
+        # slots follow the routes, not the snapshot's edge rows.
+        result = star_fluid(["cell-00001", "cell-00000"], [1e6, 1e6])
+        assert result.edge_keys == [("cell-00001", "sat-0"), ("gw", "sat-0"),
+                                    ("cell-00000", "sat-0")]
+
     def test_demand_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="cells"):
-            run_fluid(star_graph(), ["cell-00000"], [1e6, 2e6])
+            star_fluid(["cell-00000"], [1e6, 2e6])
 
     def test_deterministic(self):
-        a = run_fluid(star_graph(), ["cell-00000", "cell-00001"],
-                      [60e6, 70e6])
-        b = run_fluid(star_graph(), ["cell-00000", "cell-00001"],
-                      [60e6, 70e6])
+        a = star_fluid(["cell-00000", "cell-00001"], [60e6, 70e6])
+        b = star_fluid(["cell-00000", "cell-00001"], [60e6, 70e6])
         assert np.array_equal(a.rate_bps, b.rate_bps)
         assert a.edge_keys == b.edge_keys
         assert a.utilization == b.utilization

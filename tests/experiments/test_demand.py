@@ -1,15 +1,26 @@
 """Tests for the diurnal demand sweep."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
+from repro import obs
+from repro.core.interop import SizeClass, build_fleet
+from repro.core.network import OpenSpaceNetwork
+from repro.demand.grid import GridSpec, population_grid
 from repro.experiments.demand import (
+    FLEET_OWNER,
+    PROVIDERS,
+    access_capacity_bps,
     demand_sweep,
     plane_count_for,
-    scale_access_capacity,
 )
+from repro.ground.station import default_station_network
+from repro.orbits.walker import walker_delta
 
 SMALL = dict(satellite_counts=(24,), hours_utc=(4.0, 20.0),
              total_users=50_000, bands=8, equator_columns=16)
+ONE_POINT = dict(SMALL, hours_utc=(4.0,))
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +113,18 @@ class TestDemandSweep:
         assert demand_sweep(**SMALL, spread_deg=0.0) == []
 
 
+@pytest.fixture(scope="module")
+def cell_snapshot():
+    """A 24-satellite snapshot whose users are a grid's cell terminals."""
+    grid = population_grid(50_000, np.random.default_rng(7),
+                           GridSpec(bands=8, equator_columns=16))
+    fleet = build_fleet(walker_delta(24, plane_count_for(24)),
+                        FLEET_OWNER, SizeClass.MEDIUM)
+    network = OpenSpaceNetwork(fleet, default_station_network())
+    snap = network.snapshot(4 * 3600.0, users=grid.terminals(PROVIDERS))
+    return snap, grid.users[grid.occupied]
+
+
 class TestHelpers:
     def test_plane_count_deterministic_and_bounded(self):
         assert plane_count_for(24) >= 3
@@ -112,24 +135,75 @@ class TestHelpers:
         assert all(count % plane_count_for(count) == 0
                    for count in range(1, 400))
 
-    def test_scale_access_capacity_idempotent(self):
-        import networkx as nx
-        g = nx.Graph()
-        g.add_edge("cell-00000", "sat", kind="access_link",
-                   capacity_bps=10e6, delay_s=0.004)
-        g.add_edge("sat", "gw", kind="ground_link", capacity_bps=1e9)
-        assert scale_access_capacity(g, {"cell-00000": 100}) == 1
-        assert g["cell-00000"]["sat"]["capacity_bps"] == 10e6 * 100
-        # Second call must not double-scale.
-        assert scale_access_capacity(g, {"cell-00000": 100}) == 0
-        assert g["cell-00000"]["sat"]["capacity_bps"] == 10e6 * 100
+    def test_scale_access_capacity_idempotent(self, cell_snapshot):
+        snap, users = cell_snapshot
+        before = snap.edges.capacity_bps.copy()
+        first = access_capacity_bps(snap, users)
+        assert np.any(first != before)
+        # A second call must not scale the first call's capacities again.
+        assert np.array_equal(access_capacity_bps(snap, users), first)
+        assert np.array_equal(snap.edges.capacity_bps, before)
         # Non-access links untouched.
-        assert g["sat"]["gw"]["capacity_bps"] == 1e9
+        user_rows = len(snap.nodes) - len(users)
+        ground = (snap.edges.u < user_rows) & (snap.edges.v < user_rows)
+        assert ground.any()
+        assert np.array_equal(first[ground], before[ground])
 
-    def test_scale_skips_singleton_cells(self):
-        import networkx as nx
-        g = nx.Graph()
-        g.add_edge("cell-00001", "sat", kind="access_link",
-                   capacity_bps=10e6)
-        assert scale_access_capacity(g, {"cell-00001": 1}) == 0
-        assert g["cell-00001"]["sat"]["capacity_bps"] == 10e6
+    def test_scale_skips_singleton_cells(self, cell_snapshot):
+        snap, users = cell_snapshot
+        singletons = np.ones_like(users)
+        assert np.array_equal(access_capacity_bps(snap, singletons),
+                              snap.edges.capacity_bps)
+
+
+class TestAccessCapacity:
+    def test_each_cell_scales_its_own_access_links(self, cell_snapshot):
+        snap, users = cell_snapshot
+        users = users.copy()
+        users[::2] = 1
+        before = snap.edges.capacity_bps.copy()
+
+        scaled = access_capacity_bps(snap, users)
+
+        count_of = dict(zip(snap.nodes_of_kind("user"), users.tolist()))
+        nodes = snap.nodes
+        scaled_links = singleton_links = 0
+        for row, (u, v) in enumerate(zip(snap.edges.u.tolist(),
+                                         snap.edges.v.tolist())):
+            cells = [nodes[u], nodes[v]]
+            cell = next((c for c in cells if c in count_of), None)
+            if cell is None:
+                assert scaled[row] == before[row]
+            elif count_of[cell] == 1:
+                assert scaled[row] == before[row]
+                singleton_links += 1
+            else:
+                assert scaled[row] == float(before[row]) * count_of[cell]
+                scaled_links += 1
+        assert scaled_links > 0 and singleton_links > 0
+        assert np.array_equal(snap.edges.capacity_bps, before)
+
+    def test_a_point_leaves_its_snapshot_unmodified(self, monkeypatch):
+        built = []
+        real_snapshot = OpenSpaceNetwork.snapshot
+
+        def recording_snapshot(network, *args, **kwargs):
+            snap = real_snapshot(network, *args, **kwargs)
+            built.append((snap, snap.edges.capacity_bps.copy()))
+            return snap
+
+        monkeypatch.setattr(OpenSpaceNetwork, "snapshot", recording_snapshot)
+        demand_sweep(**ONE_POINT)
+        assert built
+        for snap, capacity in built:
+            assert np.array_equal(snap.edges.capacity_bps, capacity)
+
+
+class TestNoGraphView:
+    def test_a_point_builds_a_graph_only_for_the_health_plane(
+            self, graph_constructions):
+        demand_sweep(**ONE_POINT)
+        assert graph_constructions == []
+        with obs.use(obs.Recorder()):
+            demand_sweep(**ONE_POINT)
+        assert graph_constructions == [nx.Graph]

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.orbits.constants import EARTH_ROTATION_RAD_S
 from repro.orbits.contact import ContactWindow, contact_windows
 from repro.orbits.coordinates import GeodeticPoint
 from repro.orbits.elements import OrbitalElements
@@ -88,3 +90,43 @@ class TestContactWindows:
             step_s=30.0, min_elevation_deg=25.0,
         )
         assert len(windows) >= 3
+
+
+class TestOverheadPassDuration:
+    """A J2-free circular orbit passing straight over a station stays
+    above the mask for ``2 lambda / rate``, where ``lambda = arccos(r_g
+    cos e / a) - e`` is the Earth-central half-angle of the pass and
+    ``rate`` the satellite's angular rate relative to the station."""
+
+    @pytest.mark.parametrize("mask_deg", [0.0, 10.0, 25.0])
+    @pytest.mark.parametrize("altitude_km", [550.0, 780.0, 1200.0])
+    @pytest.mark.parametrize("plane", ["polar", "equatorial"])
+    def test_duration_matches_circular_orbit_formula(self, plane,
+                                                     altitude_km, mask_deg):
+        if plane == "polar":
+            # Over the north pole, which Earth rotation does not move;
+            # the scan runs equator to equator.
+            ground = GeodeticPoint(90.0, 0.0, 0.0)
+            elements = OrbitalElements.circular(
+                altitude_km, inclination_rad=math.pi / 2.0)
+            rate = elements.mean_motion_rad_s
+            horizon_s = math.pi / rate
+        else:
+            # Starting opposite the station, the scan runs one full
+            # relative revolution.
+            ground = GeodeticPoint(0.0, 0.0, 0.0)
+            elements = OrbitalElements.circular(
+                altitude_km, inclination_rad=0.0, mean_anomaly_rad=math.pi)
+            rate = elements.mean_motion_rad_s - EARTH_ROTATION_RAD_S
+            horizon_s = 2.0 * math.pi / rate
+        mask = math.radians(mask_deg)
+        station_radius_km = float(np.linalg.norm(ground.ecef()))
+        half_angle = math.acos(station_radius_km * math.cos(mask)
+                               / elements.semi_major_axis_km) - mask
+
+        (window,) = contact_windows(ground, [KeplerPropagator(elements)],
+                                    0.0, horizon_s,
+                                    min_elevation_deg=mask_deg)
+
+        assert window.duration_s == pytest.approx(2.0 * half_angle / rate,
+                                                  abs=1e-3)

@@ -1,16 +1,79 @@
 """Property-based tests for flow simulation and time-expanded routing."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.demand.fluid import waterfill_rates
 from repro.simulation.flowsim import (
     ActiveFlow,
     FlowSimulator,
     max_min_fair_rates,
 )
 from repro.simulation.traffic import FlowSpec
+
+#: Finite link capacities and flow demands, with zeros and integer ties
+#: (no subnormals: a subnormal capacity's fair share underflows to 0).
+AMOUNTS = st.one_of(st.integers(min_value=0, max_value=4).map(float),
+                    st.floats(min_value=0.0, max_value=1e9,
+                              allow_subnormal=False))
+
+
+@st.composite
+def sharing_instances(draw):
+    """1-40 flows over 1-12 links, each flow on at most 4 of them."""
+    edge_count = draw(st.integers(min_value=1, max_value=12))
+    flow_count = draw(st.integers(min_value=1, max_value=40))
+    capacity = np.array(draw(st.lists(AMOUNTS, min_size=edge_count,
+                                      max_size=edge_count)))
+    demand = np.array(draw(st.lists(AMOUNTS, min_size=flow_count,
+                                    max_size=flow_count)))
+    paths = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=edge_count - 1),
+                 max_size=4, unique=True),
+        min_size=flow_count, max_size=flow_count))
+    return capacity, demand, paths
+
+
+def waterfill(capacity, demand, paths):
+    entry_flow = [flow for flow, path in enumerate(paths) for _ in path]
+    entry_edge = [edge for path in paths for edge in path]
+    rates, _, converged = waterfill_rates(
+        demand, np.array(entry_flow, dtype=np.int64),
+        np.array(entry_edge, dtype=np.int64), capacity)
+    assert converged
+    return rates
+
+
+def flowsim_rates(capacity, paths):
+    flows = [
+        ActiveFlow(spec=FlowSpec(f"f{index}", "u", 0.0, 1e6), path=[],
+                   edges=[(f"e{edge}", "x") for edge in path],
+                   remaining_bytes=1e6, admitted_at_s=0.0)
+        for index, path in enumerate(paths)
+    ]
+    max_min_fair_rates(flows, {(f"e{edge}", "x"): float(cap)
+                               for edge, cap in enumerate(capacity)})
+    return np.array([flow.rate_bps for flow in flows])
+
+
+def assert_max_min_certificate(rates, demand, paths, capacity):
+    """Every flow held below its demand crosses a saturated link on
+    which no other flow gets more."""
+    load = np.zeros(capacity.size)
+    top = np.zeros(capacity.size)
+    for flow, path in enumerate(paths):
+        for edge in path:
+            load[edge] += rates[flow]
+            top[edge] = max(top[edge], rates[flow])
+    saturated = load >= capacity * (1.0 - 1e-9)
+    for flow, path in enumerate(paths):
+        if rates[flow] < demand[flow]:
+            assert any(saturated[edge]
+                       and rates[flow] >= top[edge] * (1.0 - 1e-9)
+                       for edge in path), (flow, rates, load)
 
 
 def line_flow(flow_id, size_bytes, start_s=0.0):
@@ -57,6 +120,25 @@ class TestMaxMinFairProperties:
             used = sum(f.rate_bps for f in flows if key in f.edges)
             assert used <= cap * (1 + 1e-9)
         assert all(f.rate_bps > 0.0 for f in flows)
+
+    @given(instance=sharing_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_both_allocators_are_max_min_fair_and_agree(self, instance):
+        capacity, demand, paths = instance
+        rates = waterfill(capacity, demand, paths)
+        assert np.all(rates <= demand)
+        assert_max_min_certificate(rates, demand, paths, capacity)
+        unbounded = np.full(demand.size, np.inf)
+        flowsim = flowsim_rates(capacity, paths)
+        assert_max_min_certificate(flowsim, unbounded, paths, capacity)
+        # With no demand cap the max-min allocation is unique, so the
+        # two allocators may differ only by rounding.
+        fluid = waterfill(capacity, unbounded, paths)
+        assert np.array_equal(np.isinf(fluid), np.isinf(flowsim))
+        finite = np.isfinite(fluid)
+        assert np.all(np.abs(fluid[finite] - flowsim[finite])
+                      <= 1e-12 * np.maximum(np.abs(fluid[finite]),
+                                            np.abs(flowsim[finite])))
 
 
 class TestFlowSimulatorProperties:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.routing.csr import CsrAdjacency, delay_weight, shortest_path_csr
-from repro.routing.metrics import EdgeCostModel, shortest_path
+from repro.routing.metrics import EdgeCostModel
 from tests.routing import oracle
 
 
@@ -111,7 +111,7 @@ class TestDisconnected:
         with pytest.raises(nx.NetworkXNoPath):
             nx.dijkstra_path(graph, "a", "island", weight="delay_s")
         # The shared helper agrees with the oracle: None, no exception.
-        assert shortest_path(graph, "a", "island") is None
+        assert shortest_path_csr(graph, "a", "island") is None
         assert oracle.path(graph, "a", "island") is None
 
     def test_two_components(self):
@@ -180,7 +180,7 @@ class TestNetworkxEquality:
         graph.add_edge("b", "c", delay_s=0.01, capacity_bps=1e9)
         graph.add_edge("a", "c", delay_s=0.018, capacity_bps=1e9)
         model = EdgeCostModel(queue_weight=1.0, tariff_weight=0.002)
-        assert (shortest_path(graph, "a", "c", model)
+        assert (shortest_path_csr(graph, "a", "c", model)
                 == oracle.path(graph, "a", "c", model)
                 == ["a", "c"])
 

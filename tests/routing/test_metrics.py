@@ -3,11 +3,11 @@
 import networkx as nx
 import pytest
 
+from repro.routing.csr import shortest_path_csr
 from repro.routing.metrics import (
     EdgeCostModel,
     PROPAGATION_ONLY,
     path_metrics,
-    shortest_path,
 )
 
 
@@ -78,17 +78,17 @@ class TestShortestPath:
     def test_picks_lowest_total_cost(self, toy_graph):
         # Under propagation+queue cost, the b-route (20 ms) beats the
         # c-route (10 ms prop + 50 ms queue).
-        path = shortest_path(toy_graph, "a", "d")
+        path = shortest_path_csr(toy_graph, "a", "d")
         assert path == ["a", "b", "d"]
 
     def test_pure_delay_model_prefers_detour(self, toy_graph):
         model = EdgeCostModel(queue_weight=0.0)
-        path = shortest_path(toy_graph, "a", "d", model)
+        path = shortest_path_csr(toy_graph, "a", "d", model)
         assert path == ["a", "c", "d"]
 
     def test_unreachable_returns_none(self, toy_graph):
         toy_graph.add_node("island")
-        assert shortest_path(toy_graph, "a", "island") is None
+        assert shortest_path_csr(toy_graph, "a", "island") is None
 
     def test_unknown_node_returns_none(self, toy_graph):
-        assert shortest_path(toy_graph, "a", "ghost") is None
+        assert shortest_path_csr(toy_graph, "a", "ghost") is None

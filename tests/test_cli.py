@@ -3,6 +3,16 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.demand import _demand_point
+from repro.parallel import SweepPointError
+
+
+def point_failing_at_hour_20(args):
+    """A demand point that raises at 20:00 UTC.  Module-level, so a
+    process pool can pickle it by name."""
+    if args[1] == 20.0:
+        raise ValueError("no fluid fixed point at hour 20")
+    return _demand_point(args)
 
 
 def assert_rejected(capsys, argv, command, message):
@@ -141,6 +151,26 @@ class TestDemand:
                   "--bands", "8", "--equator-columns", "16",
                   "--trace", str(trace), "--events-out", str(events)])
         assert len(calls) == 2
+        assert "-- flight recorder: last" in capsys.readouterr().err
+        assert not events.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+        assert trace.read_text() == "earlier trace\n"
+
+    def test_failed_pooled_point_writes_nothing(self, capsys, tmp_path,
+                                                monkeypatch):
+        import repro.experiments.demand as demand_module
+
+        monkeypatch.setattr(demand_module, "_demand_point",
+                            point_failing_at_hour_20)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("earlier trace\n")
+        events = tmp_path / "events.jsonl"
+        with pytest.raises(SweepPointError,
+                           match="ValueError: no fluid fixed point at hour 20"):
+            main(["demand", "sweep", "--satellites", "24",
+                  "--hours", "4", "20", "--users", "20000",
+                  "--bands", "8", "--equator-columns", "16", "--jobs", "2",
+                  "--trace", str(trace), "--events-out", str(events)])
         assert "-- flight recorder: last" in capsys.readouterr().err
         assert not events.exists()
         assert not list(tmp_path.glob("*.tmp"))
