@@ -32,6 +32,7 @@ from repro.isl.topology import (
     isl_edge_attrs,
 )
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
+from repro.orbits.coordinates import geodetic_points_to_eci
 from repro.orbits.kepler import KeplerPropagator, batch_positions
 from repro.orbits.visibility import elevation_angles
 from repro.phy.modulation import achievable_rate_bps_array
@@ -41,11 +42,11 @@ from repro.phy.rf import RFTerminal, rf_link_budget_arrays
 # where benchmarks/e2e/tracer.py looks them up.
 from repro.phy.modulation import achievable_rate_bps  # noqa: F401
 from repro.phy.rf import rf_link_budget  # noqa: F401
-from repro.routing.csr import (
-    NO_PREDECESSOR,
-    CsrAdjacency,
-    block_diagonal_dijkstra,
-)
+from repro.routing.csr import NO_PREDECESSOR, CsrAdjacency
+
+# The block-diagonal Dijkstra, which the probe does not call, stays
+# importable from here, where benchmarks/e2e/tracer.py looks it up.
+from repro.routing.csr import block_diagonal_dijkstra  # noqa: F401
 from repro.routing.metrics import (
     PROPAGATION_ONLY,
     EdgeCostModel,
@@ -799,11 +800,13 @@ class OpenSpaceNetwork:
     ) -> _PricedLinks:
         """Every station and user link that closes, in one array pass.
 
-        The ground rows are ``stations`` then ``users``.  One elevation
-        pass over ground rows x ``alive`` satellites, in chunks of rows
-        that keep each geometry temporary near 1 MB; slant ranges only
-        for the pairs above each row's mask (a station's is the larger
-        of the network mask and its own); one
+        The ground rows are ``stations`` then ``users``, placed by one
+        array conversion and one rotation
+        (:func:`~repro.orbits.coordinates.geodetic_points_to_eci`).  One
+        elevation pass over ground rows x ``alive`` satellites, in
+        chunks of rows that keep each geometry temporary near 1 MB;
+        slant ranges only for the pairs above each row's mask (a
+        station's is the larger of the network mask and its own); one
         :func:`~repro.phy.rf.rf_link_budget_arrays` call per (satellite
         ground terminal, ground-side terminal, rain rate) group.  A
         station prices against the gateway dish matched to the
@@ -821,7 +824,9 @@ class OpenSpaceNetwork:
         if not grounds or not alive.size:
             return _PricedLinks.empty()
         sat_matrix = fleet_positions[alive]
-        ground_matrix = np.stack([g.position_eci(time_s) for g in grounds])
+        ground_matrix = geodetic_points_to_eci(
+            [ground.location for ground in grounds], time_s
+        )
         masks = np.array(
             [math.radians(max(self.ground_elevation_mask_deg,
                               station.min_elevation_deg))
@@ -993,10 +998,10 @@ class OpenSpaceNetwork:
         adjacency is compiled once; every user's access links come from
         the same array pass that :meth:`snapshot` uses
         (:meth:`_price_access_links`); each user joins the adjacency as
-        a leaf via
-        :meth:`~repro.routing.csr.CsrAdjacency.append_leaf_arrays`, and
-        every user's search runs in one block-diagonal Dijkstra.  Path
-        delays come from the snapshot's edge arrays.
+        a source-only row after the base nodes
+        (:meth:`~repro.routing.csr.CsrAdjacency.with_source_rows`), and
+        one Dijkstra runs from every user row at once.  Path delays come
+        from the snapshot's edge arrays.
 
         The result is bitwise identical to the per-user probe
         (``snapshot(time_s, users=[user])`` +
@@ -1028,19 +1033,16 @@ class OpenSpaceNetwork:
         zeros = np.zeros(access_delay.shape[0])
         weights = model.edge_costs(access_delay, zeros, zeros,
                                    access.capacity_bps)
-        # The links are row-major: user ``row`` owns one contiguous run;
-        # an alive satellite's index is its node index.
+        # User ``row`` searches from node ``base_count + row``; an alive
+        # satellite's index is its node index.
+        base_count = adjacency.node_count
+        user_ids = [user.user_id for user in users]
+        searches = adjacency.with_source_rows(
+            user_ids, access.rows, access.sats, weights,
+        ).shortest_paths(user_ids)
+        # The links are row-major: user ``row`` owns one contiguous run.
         bounds = np.searchsorted(access.rows,
                                  np.arange(len(users) + 1)).tolist()
-        blocks = [
-            adjacency.append_leaf_arrays(access.sats[start:stop],
-                                         weights[start:stop])
-            for start, stop in zip(bounds[:-1], bounds[1:])
-        ]
-        leaf = adjacency.node_count
-        dist, pred, offsets = block_diagonal_dijkstra(
-            blocks, [leaf] * len(users)
-        )
         _, delays, queues = base._hops
         sat_list = access.sats.tolist()
         access_delays = access_delay.tolist()
@@ -1050,26 +1052,24 @@ class OpenSpaceNetwork:
         for row, user in enumerate(users):
             first_hop = dict(zip(sat_list[bounds[row]:bounds[row + 1]],
                                  access_delays[bounds[row]:bounds[row + 1]]))
-            offset = int(offsets[row])
-            row_dist = dist[row]
-            row_pred = pred[row]
-            source_global = offset + leaf
+            row_dist = searches.dist[row]
+            row_pred = searches.pred[row]
+            source = base_count + row
             best_delay: Optional[float] = None
             best_path: Optional[List[int]] = None
             for station in stations:
-                column = offset + station
-                if not np.isfinite(row_dist[column]):
+                if not np.isfinite(row_dist[station]):
                     continue
-                reversed_idx = [column]
-                cursor = column
-                while cursor != source_global:
+                reversed_idx = [station]
+                cursor = station
+                while cursor != source:
                     cursor = int(row_pred[cursor])
                     if cursor == NO_PREDECESSOR:
                         break
                     reversed_idx.append(cursor)
-                if cursor != source_global:
+                if cursor != source:
                     continue
-                path = [index - offset for index in reversed(reversed_idx)]
+                path = reversed_idx[::-1]
                 # Replicate path_metrics: propagation and queueing delays
                 # accumulate separately in path order, then sum.  The
                 # access hop has no queue delay.

@@ -32,12 +32,13 @@ from repro.isl.link import best_link_between  # noqa: F401
 from repro.orbits.visibility import line_of_sight_mask
 
 #: Fleets at least this large draw candidate pairs from a KD-tree
-#: (``scipy.spatial.cKDTree``) instead of the upper triangle.  Below this
-#: the vectorized triangle scan is cheaper than building a tree, and the
-#: ~0.2 s import of ``scipy.spatial`` is never paid.
+#: (``scipy.spatial.cKDTree``) and assign in radius shells.  Below this
+#: the vectorized triangle scan is cheaper than building a tree, the
+#: ~0.2 s import of ``scipy.spatial`` is never paid, and the greedy runs
+#: in one pass.
 SPATIAL_AUTO_THRESHOLD = 1024
 
-#: Radius shells of the greedy assignment: the first reaches
+#: Radius shells of the KD-tree greedy assignment: the first reaches
 #: ``max_range_km / 2**(ASSIGNMENT_SHELLS - 1)``, each next one doubles,
 #: and the last ends at ``max_range_km``.
 ASSIGNMENT_SHELLS = 4
@@ -337,8 +338,8 @@ class IslTopologyBuilder:
         Candidate pairs are accepted nearest-first (ties by node order)
         while both endpoints have spare ISL degree — shorter links close
         at higher MODCODs, so nearest-first maximizes fleet capacity under
-        the degree caps.  See :meth:`_assign_links` for how the greedy
-        runs shell by shell.
+        the degree caps.  See :meth:`_assign_links` for when the greedy
+        runs in one pass and when shell by shell.
 
         Args:
             time_s: Snapshot timestamp (stored on the result).
@@ -378,14 +379,18 @@ class IslTopologyBuilder:
 
         The greedy walks every feasible pair sorted by ``(distance, row,
         col)`` and accepts a pair when both endpoints have spare degree
-        and a link closes.  Here it runs in radius shells of doubling
-        size, and each shell searches pairs only among nodes that still
-        have spare degree.  That is exact: each shell is the next
-        distance slice of the global order, so concatenating the shells
-        replays it; and degrees only grow, so a pair touching a node
-        that is full at a shell's start would be skipped anyway.  The
-        payoff is that the wide shells, where nearly every pair lies,
-        only see the few nodes still open.
+        and a link closes.  With the KD-tree pair source it runs in
+        radius shells of doubling size, and each shell searches pairs
+        only among nodes that still have spare degree.  That is exact:
+        each shell is the next distance slice of the global order, so
+        concatenating the shells replays it; and degrees only grow, so a
+        pair touching a node that is full at a shell's start would be
+        skipped anyway.  The payoff is that the wide shells, where nearly
+        every pair lies, only see the few nodes still open.  The triangle
+        source proposes every pair whatever the radius, so each shell
+        would re-filter all of them and pay its own sort and budgets;
+        below :data:`SPATIAL_AUTO_THRESHOLD` the greedy therefore runs
+        as one pass, the global walk itself.
 
         Returns:
             The accepted links, endpoints indexing ``nodes``.
@@ -395,11 +400,13 @@ class IslTopologyBuilder:
         limits = np.asarray(max_degree)
         profile = self._profile[included]
         optical = np.array([n.allow_optical for n in nodes], dtype=bool)
-        pair_source = (_kdtree_pairs if len(nodes) >= SPATIAL_AUTO_THRESHOLD
-                       else _triangle_pairs)
+        if len(nodes) >= SPATIAL_AUTO_THRESHOLD:
+            pair_source, shell_count = _kdtree_pairs, ASSIGNMENT_SHELLS
+        else:
+            pair_source, shell_count = _triangle_pairs, 1
         shells: List[IslLinkArrays] = []
         inner_km = -math.inf
-        for shell in reversed(range(ASSIGNMENT_SHELLS)):
+        for shell in reversed(range(shell_count)):
             radius_km = self.max_range_km / 2 ** shell
             open_idx = np.flatnonzero(np.asarray(degree) < limits)
             if open_idx.size < 2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,34 +41,40 @@ class GeodeticPoint:
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValueError(f"latitude out of range: {self.latitude_deg}")
 
-    @property
-    def latitude_rad(self) -> float:
-        return math.radians(self.latitude_deg)
-
-    @property
-    def longitude_rad(self) -> float:
-        return math.radians(self.longitude_deg)
-
     def ecef(self) -> np.ndarray:
         """ECEF position vector in kilometres."""
         return geodetic_to_ecef(self)
 
 
+def geodetic_to_ecef_array(latitude_deg, longitude_deg,
+                           altitude_km) -> np.ndarray:
+    """Convert geodetic coordinates to ECEF vectors (km), WGS-84 ellipsoid.
+
+    Takes equal-shape arrays (or scalars) of degrees and kilometres and
+    returns their ``(..., 3)`` vectors, every element through the same
+    operations in the same order, so a row of a large batch equals the
+    one-point conversion (:func:`geodetic_to_ecef`) bit for bit.
+    """
+    lat = np.radians(latitude_deg)
+    lon = np.radians(longitude_deg)
+    e2 = EARTH_FLATTENING * (2.0 - EARTH_FLATTENING)
+    sin_lat = np.sin(lat)
+    n = EARTH_RADIUS_KM / np.sqrt(1.0 - e2 * sin_lat * sin_lat)
+    x = (n + altitude_km) * np.cos(lat) * np.cos(lon)
+    y = (n + altitude_km) * np.cos(lat) * np.sin(lon)
+    z = (n * (1.0 - e2) + altitude_km) * sin_lat
+    return np.stack([x, y, z], axis=-1)
+
+
 def geodetic_to_ecef(point: GeodeticPoint) -> np.ndarray:
     """Convert geodetic coordinates to an ECEF vector (km), WGS-84 ellipsoid."""
-    lat = point.latitude_rad
-    lon = point.longitude_rad
-    e2 = EARTH_FLATTENING * (2.0 - EARTH_FLATTENING)
-    sin_lat = math.sin(lat)
-    n = EARTH_RADIUS_KM / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
-    x = (n + point.altitude_km) * math.cos(lat) * math.cos(lon)
-    y = (n + point.altitude_km) * math.cos(lat) * math.sin(lon)
-    z = (n * (1.0 - e2) + point.altitude_km) * sin_lat
-    return np.array([x, y, z])
+    return geodetic_to_ecef_array(point.latitude_deg, point.longitude_deg,
+                                  point.altitude_km)
 
 
-def _gmst_rad(time_s: float) -> float:
-    """Greenwich mean sidereal angle at simulation time ``time_s``.
+def _gmst_rad(time_s):
+    """Greenwich mean sidereal angle at simulation time ``time_s`` (a
+    float or an array of times).
 
     The simulation epoch (t=0) is defined to have the prime meridian aligned
     with the ECI x-axis, so GMST is simply the accumulated Earth rotation.
@@ -76,11 +83,29 @@ def _gmst_rad(time_s: float) -> float:
 
 
 def ecef_to_eci(ecef_km: np.ndarray, time_s: float) -> np.ndarray:
-    """Rotate an Earth-fixed vector into the inertial frame at ``time_s``."""
+    """Rotate Earth-fixed vectors into the inertial frame at ``time_s``.
+
+    Takes one ``(3,)`` vector or a ``(..., 3)`` stack and applies the one
+    rotation as ``rot @ v[..., None]``, which rounds every row as the
+    single-vector product does (``V @ rot.T`` would not).
+    """
     theta = _gmst_rad(time_s)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     rot = np.array([[cos_t, -sin_t, 0.0], [sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
-    return rot @ np.asarray(ecef_km, dtype=float)
+    return (rot @ np.asarray(ecef_km, dtype=float)[..., None])[..., 0]
+
+
+def geodetic_points_to_eci(points: Sequence[GeodeticPoint],
+                           time_s: float) -> np.ndarray:
+    """``(len(points), 3)`` inertial positions of ``points`` at ``time_s``:
+    one array conversion and one rotation, row ``k`` equal bit for bit to
+    ``ecef_to_eci(points[k].ecef(), time_s)``."""
+    latitude = np.array([point.latitude_deg for point in points], dtype=float)
+    longitude = np.array([point.longitude_deg for point in points],
+                         dtype=float)
+    altitude = np.array([point.altitude_km for point in points], dtype=float)
+    return ecef_to_eci(geodetic_to_ecef_array(latitude, longitude, altitude),
+                       time_s)
 
 
 def ecef_to_eci_over(ecef_km: np.ndarray, times_s) -> np.ndarray:
@@ -95,7 +120,7 @@ def ecef_to_eci_over(ecef_km: np.ndarray, times_s) -> np.ndarray:
         of calling :func:`ecef_to_eci` per time.
     """
     times = np.asarray(times_s, dtype=float)
-    theta = (EARTH_ROTATION_RAD_S * times) % _TWO_PI
+    theta = _gmst_rad(times)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     x, y, z = np.asarray(ecef_km, dtype=float)
     return np.stack(

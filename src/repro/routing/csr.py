@@ -343,6 +343,51 @@ class CsrAdjacency:
                                         target_list[int(nearest[row])])
         return paths
 
+    def with_source_rows(self, sources: Sequence[Hashable],
+                         rows: np.ndarray, neighbor_indices: np.ndarray,
+                         weights: np.ndarray) -> "CsrAdjacency":
+        """This adjacency plus one source-only row per listed node.
+
+        Source ``k`` takes index ``node_count + k``, and its row holds
+        the entries whose ``rows`` value is ``k``, sorted by neighbour
+        index.  No entry points into an appended row, so a search can
+        start at one but never enters or crosses one.  This is how
+        user-terminal probes join a base snapshot compiled once: one
+        matrix of ``node_count + len(sources)`` nodes, one search with
+        the appended rows as sources.
+
+        A search from an appended row relaxes exactly what a search from
+        the same node appended as a leaf (:meth:`append_leaf_arrays`)
+        does: a search never re-enters its source, so the leaf's
+        incoming entries never reach the heap.  Distances and
+        predecessors over the base nodes are therefore equal bit for
+        bit, with the leaf's index read as the source row's.
+
+        Args:
+            sources: Ids of the new nodes, in row order.
+            rows: Per entry, the source (``0 .. len(sources) - 1``) that
+                owns it.
+            neighbor_indices: Per entry, the base node it points to (no
+                duplicate pair within one source).
+            weights: Per entry, its weight.
+
+        Returns:
+            A new adjacency over ``nodes + sources``; the receiver's own
+            arrays are never mutated.
+        """
+        row_arr = np.asarray(rows, dtype=np.int64)
+        neighbors = np.asarray(neighbor_indices, dtype=np.int64)
+        order = np.lexsort((neighbors, row_arr))
+        counts = np.bincount(row_arr, minlength=len(sources))
+        return CsrAdjacency(
+            self.nodes + list(sources),
+            np.concatenate([self.indptr, self.indptr[-1] + np.cumsum(counts)]),
+            np.concatenate([self.indices,
+                            neighbors[order].astype(np.int32, copy=False)]),
+            np.concatenate([self.data,
+                            np.asarray(weights, dtype=np.float64)[order]]),
+        )
+
     def append_leaf_arrays(self, neighbor_indices: np.ndarray,
                            weights: np.ndarray,
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,9 +398,10 @@ class CsrAdjacency:
         own row sits last: exactly the arrays
         :meth:`from_graph` would produce for the same graph with the
         leaf added after every existing node (the lexsorted ``(row,
-        col)`` layout is preserved without re-sorting anything).  This
-        is the vectorized augmentation step for user-terminal probes:
-        base snapshot compiled once, one ``np.insert`` per probe batch.
+        col)`` layout is preserved without re-sorting anything).  Each
+        call copies the whole adjacency; probes append users with
+        :meth:`with_source_rows` instead, and this leaf layout is the
+        referee its tests compare against.
 
         Args:
             neighbor_indices: Indices of the leaf's neighbors (need not

@@ -28,9 +28,10 @@ def ground_eci_track(site: GeodeticPoint, times_s) -> np.ndarray:
 
     Deliberately loops :func:`~repro.orbits.coordinates.ecef_to_eci` per
     epoch instead of calling the vectorized ``ecef_to_eci_over``: the
-    batched helper reduces GMST modulo 2*pi before the trig, so its
-    rotations differ from a per-epoch ``ecef_to_eci`` in the last ulp —
-    and the oracle tests demand the per-epoch bits.  Epoch grids are
+    batched helper rotates component-wise (``cos * x - sin * y``), not
+    through the matrix product, so its rotations differ from a
+    per-epoch ``ecef_to_eci`` in the last ulp — and the oracle tests
+    demand the per-epoch bits.  Epoch grids are
     tiny (a few entries per trial), so the loop costs nothing.
     """
     ecef = site.ecef()

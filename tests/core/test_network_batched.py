@@ -1,8 +1,8 @@
 """Batched gateway probes must match the scalar per-user oracle exactly.
 
 ``OpenSpaceNetwork.gateway_probe_paths`` answers every monitored user
-with one block-diagonal Dijkstra; every fault-scenario probe stands on
-it.  The contract is bitwise: the same path, node for node, as a
+with one Dijkstra over the base snapshot's CSR plus one source-only row
+per user; every fault-scenario probe stands on it.  The contract is bitwise: the same path, node for node, as a
 per-user probe over the scalar access-link overlay
 (``tests/core/oracle.py``) — through fault state, primed position grids,
 and a fleet of mixed satellite and user terminals.

@@ -1,4 +1,5 @@
-"""The shell-wise greedy builder against the scalar greedy oracle.
+"""The greedy builder (one pass below the KD-tree threshold, shell-wise
+at and above it) against the scalar greedy oracle.
 
 Every test compares the builder's graph with :func:`oracle_graph` edge
 for edge, in insertion order, through the repr of each edge's attribute
@@ -195,6 +196,14 @@ class TestEdgeCases:
         positions = {f"b{i}": np.array([x, y, 0.0])
                      for i, y in enumerate(offsets)}
         nodes = [IslNode(name, [LASER], max_degree=2) for name in positions]
+        # Only KD-tree fleets assign in shells: fillers with no degree
+        # slot, each far out of everyone's range, pad to the threshold.
+        fillers = SPATIAL_AUTO_THRESHOLD - len(nodes)
+        for k in range(fillers):
+            angle = 2.0 * math.pi * k / fillers
+            positions[f"f{k:04d}"] = 1e7 * np.array(
+                [math.cos(angle), math.sin(angle), 1.0])
+            nodes.append(IslNode(f"f{k:04d}", [LASER], max_degree=0))
         got = assert_matches_oracle(nodes, positions, max_range_km)
         assert got.number_of_edges() == ASSIGNMENT_SHELLS
 

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from repro.ground.station import GroundStation
+from repro.ground.user import UserTerminal
 from repro.orbits.constants import EARTH_POLAR_RADIUS_KM, EARTH_RADIUS_KM
-from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci, geodetic_to_ecef
+from repro.orbits.coordinates import (
+    GeodeticPoint,
+    ecef_to_eci,
+    geodetic_points_to_eci,
+    geodetic_to_ecef,
+)
 from tests.orbits.oracle import ecef_to_geodetic, eci_to_ecef
 
 
@@ -16,11 +23,6 @@ class TestGeodeticPoint:
             GeodeticPoint(91.0, 0.0)
         with pytest.raises(ValueError, match="latitude"):
             GeodeticPoint(-90.5, 0.0)
-
-    def test_radian_properties(self):
-        p = GeodeticPoint(45.0, -90.0)
-        assert p.latitude_rad == pytest.approx(math.pi / 4)
-        assert p.longitude_rad == pytest.approx(-math.pi / 2)
 
 
 class TestGeodeticEcef:
@@ -85,3 +87,46 @@ class TestEciEcef:
         rotated = eci_to_ecef(vec, SIDEREAL_DAY_S / 4.0)
         assert rotated[0] == pytest.approx(0.0, abs=1e-6)
         assert rotated[1] == pytest.approx(-7000.0, rel=1e-9)
+
+
+class TestBatchedGroundPositions:
+    """One array conversion and one rotation place every ground row of
+    the access-link pricer; each row must equal the terminal's own
+    ``position_eci`` bit for bit, or snapshot digests would move."""
+
+    @staticmethod
+    def _sites():
+        edges = [
+            GeodeticPoint(90.0, 0.0), GeodeticPoint(-90.0, 37.0),
+            GeodeticPoint(90.0, 180.0, 0.4), GeodeticPoint(-90.0, -180.0),
+            GeodeticPoint(0.0, 180.0), GeodeticPoint(0.0, -180.0),
+            GeodeticPoint(12.5, 179.99999999), GeodeticPoint(-33.0, -179.9999),
+            GeodeticPoint(89.9999999, -45.0, 2.5),
+            GeodeticPoint(0.0, 0.0, -0.43), GeodeticPoint(51.5, -0.1, 8.848),
+        ]
+        rng = np.random.default_rng(11)
+        randoms = [
+            GeodeticPoint(float(lat), float(lon), float(alt))
+            for lat, lon, alt in zip(rng.uniform(-90.0, 90.0, 300),
+                                     rng.uniform(-180.0, 180.0, 300),
+                                     rng.choice([0.0, 0.01, 1.2, 35.0], 300))
+        ]
+        return edges + randoms
+
+    @pytest.mark.parametrize("time_s", [
+        0.0, 1.5, 3600.0, 3.3 * 86400.0, 7.0 * 86400.0 + 0.125, 1e6,
+    ])
+    def test_rows_equal_each_terminal_bit_for_bit(self, time_s):
+        sites = self._sites()
+        grounds = [
+            GroundStation(f"gs{k}", site, "op") if k % 3 == 0
+            else UserTerminal(f"u{k}", site, "op")
+            for k, site in enumerate(sites)
+        ]
+        batched = geodetic_points_to_eci(sites, time_s)
+        expected = np.stack([g.position_eci(time_s) for g in grounds])
+        assert batched.shape == (len(sites), 3)
+        assert batched.tobytes() == expected.tobytes()
+
+    def test_empty(self):
+        assert geodetic_points_to_eci([], 10.0).shape == (0, 3)

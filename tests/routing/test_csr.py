@@ -2,8 +2,9 @@
 
 Covers the edge cases — disconnected components, single-node and empty
 graphs, non-string node ids, fault-masked exclusion — plus structure
-clones that reprice an unchanged edge set, and equality with the
-networkx oracle on distances and path costs.
+clones that reprice an unchanged edge set, equality with the networkx
+oracle on distances and path costs, and source-only rows searching
+exactly like the leaf layout they replace.
 """
 
 import math
@@ -11,8 +12,16 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.routing.csr import CsrAdjacency, delay_weight, shortest_path_csr
+from repro.routing.csr import (
+    NO_PREDECESSOR,
+    CsrAdjacency,
+    block_diagonal_dijkstra,
+    delay_weight,
+    shortest_path_csr,
+)
 from repro.routing.metrics import EdgeCostModel
 from tests.routing import oracle
 
@@ -200,3 +209,80 @@ class TestNetworkxEquality:
         adjacency = CsrAdjacency.from_graph(line_graph(),
                                             weight=delay_weight)
         assert adjacency.single_source("a") is adjacency.single_source("a")
+
+
+#: Edge weights with zeros and repeats, so searches meet equal-cost ties.
+TIE_WEIGHTS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 1.0, 2.0])
+
+
+@st.composite
+def graphs_with_sources(draw):
+    """A CSR graph of 1-40 nodes plus 1-4 sources of 0-4 entries each:
+    ``(adjacency, [(neighbours, weights), ...])``."""
+    count = draw(st.integers(min_value=1, max_value=40))
+    directed = draw(st.booleans())
+    node = st.integers(min_value=0, max_value=count - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * count))
+    if directed:
+        edges = sorted({(u, v) for u, v in pairs if u != v})
+    else:
+        edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    weights = [draw(TIE_WEIGHTS) for _ in edges]
+    adjacency = CsrAdjacency.from_edges(
+        list(range(count)),
+        np.array([u for u, _ in edges], dtype=np.int64),
+        np.array([v for _, v in edges], dtype=np.int64),
+        np.array(weights, dtype=np.float64),
+        directed=directed,
+    )
+    sources = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        neighbours = draw(st.lists(node, max_size=4, unique=True))
+        sources.append((neighbours, [draw(TIE_WEIGHTS) for _ in neighbours]))
+    return adjacency, sources
+
+
+class TestSourceRows:
+    @settings(max_examples=200, deadline=None)
+    @given(case=graphs_with_sources())
+    def test_source_rows_search_like_leaf_blocks(self, case):
+        # The leaf layout (each source appended as a leaf, every leaf in
+        # one block-diagonal search) is the referee: dist and pred over
+        # the base nodes must agree bit for bit.
+        adjacency, sources = case
+        count = adjacency.node_count
+        names = [f"s{k}" for k in range(len(sources))]
+        extended = adjacency.with_source_rows(
+            names,
+            np.concatenate([np.full(len(neighbours), k, dtype=np.int64)
+                            for k, (neighbours, _) in enumerate(sources)]),
+            np.concatenate([np.asarray(neighbours, dtype=np.int64)
+                            for neighbours, _ in sources]),
+            np.concatenate([np.asarray(weights, dtype=np.float64)
+                            for _, weights in sources]),
+        )
+        assert extended.node_count == count + len(sources)
+        assert np.array_equal(extended.indptr[:count + 1], adjacency.indptr)
+        searches = extended.shortest_paths(names)
+
+        blocks = [adjacency.append_leaf_arrays(
+                      np.asarray(neighbours, dtype=np.int64),
+                      np.asarray(weights, dtype=np.float64))
+                  for neighbours, weights in sources]
+        dist, pred, offsets = block_diagonal_dijkstra(
+            blocks, [count] * len(sources))
+        for k, offset in enumerate(offsets.tolist()):
+            # The source row holds the leaf row's entries, in its order.
+            leaf_indptr, leaf_indices, leaf_data = blocks[k]
+            start, stop = extended.indptr[count + k:count + k + 2]
+            assert np.array_equal(extended.indices[start:stop],
+                                  leaf_indices[leaf_indptr[count]:])
+            assert (extended.data[start:stop].tobytes()
+                    == leaf_data[leaf_indptr[count]:].tobytes())
+            leaf_dist = dist[k, offset:offset + count]
+            leaf_pred = pred[k, offset:offset + count].astype(np.int64)
+            inside = leaf_pred != NO_PREDECESSOR
+            leaf_pred[inside] -= offset
+            leaf_pred[leaf_pred == count] = count + k
+            assert searches.dist[k, :count].tobytes() == leaf_dist.tobytes()
+            assert np.array_equal(searches.pred[k, :count], leaf_pred)
