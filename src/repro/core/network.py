@@ -42,7 +42,7 @@ from repro.phy.rf import RFTerminal, rf_link_budget_arrays
 # where benchmarks/e2e/tracer.py looks them up.
 from repro.phy.modulation import achievable_rate_bps  # noqa: F401
 from repro.phy.rf import rf_link_budget  # noqa: F401
-from repro.routing.csr import NO_PREDECESSOR, CsrAdjacency
+from repro.routing.csr import CsrAdjacency
 
 # The block-diagonal Dijkstra, which the probe does not call, stays
 # importable from here, where benchmarks/e2e/tracer.py looks it up.
@@ -223,8 +223,8 @@ class NetworkSnapshot:
     ground stations in station order, then the users in request order.
     :attr:`edges` holds every edge's endpoints, delay, capacity, tariff
     and queue delay; CSR compiles, probes and the digest read those
-    arrays.  :meth:`route` and :meth:`nearest_ground_station_route`
-    search the CSR and price the path on :attr:`graph`.
+    arrays.  :meth:`nearest_ground_station_route` searches the CSR and
+    prices the path it picks on :attr:`graph`.
 
     :attr:`graph` is a networkx view derived from the arrays on first
     read and cached.  Nodes carry a ``kind`` attribute
@@ -344,28 +344,12 @@ class NetworkSnapshot:
         return []
 
     @cached_property
-    def _index(self) -> Dict[str, int]:
-        return {node: i for i, node in enumerate(self.nodes)}
-
-    @cached_property
     def owners(self) -> List[str]:
         """Each node's owner, parallel to :attr:`nodes`: a satellite's
         operator, a station's owner, a user's home provider."""
         return (self._satellite_owners
                 + [record.owner for record in self._stations]
                 + [owner for _, owner in self._users])
-
-    @cached_property
-    def _hops(self) -> Tuple[Dict[int, int], list, list]:
-        """Edge lookup by ``low * N + high`` key, with per-edge delays
-        and queue delays as Python floats."""
-        edges = self.edges
-        return (edges.pair_rows(len(self.nodes)), edges.delay_s.tolist(),
-                edges.queue_delay_s.tolist())
-
-    def _edge_between(self, a: int, b: int) -> int:
-        low, high = (a, b) if a < b else (b, a)
-        return self._hops[0][low * len(self.nodes) + high]
 
     # -- graph view and digest -----------------------------------------
 
@@ -457,39 +441,22 @@ class NetworkSnapshot:
 
     # -- routes --------------------------------------------------------
 
-    def route(self, source: str, target: str,
-              cost_model: Optional[EdgeCostModel] = None,
-              ) -> Optional[RouteMetrics]:
-        """Cheapest route between two nodes, or None when disconnected."""
-        if source not in self._index or target not in self._index:
-            return None
-        adjacency = self.csr_adjacency(cost_model)
-        path = adjacency.single_source(source).path(source, target)
-        if path is None:
-            return None
-        return path_metrics(self.graph, path)
-
     def nearest_ground_station_route(
-        self, source: str,
-        cost_model: Optional[EdgeCostModel] = None,
-    ) -> Optional[RouteMetrics]:
-        """Best route from a node to any ground station.
+            self, source: str) -> Optional[RouteMetrics]:
+        """Least-cost route from a node to any ground station, or None.
 
         One single-source Dijkstra (the snapshot memoizes it per source)
-        covers every station.
+        prices every station; the first-listed station at the least cost
+        wins (:meth:`~repro.routing.csr.ShortestPaths.nearest_paths`),
+        and only its path is priced with
+        :func:`~repro.routing.metrics.path_metrics`.
         """
-        if source not in self._index:
+        adjacency = self.csr_adjacency()
+        if source not in adjacency:
             return None
-        paths = self.csr_adjacency(cost_model).single_source(source)
-        best: Optional[RouteMetrics] = None
-        for station in self.nodes_of_kind("ground_station"):
-            path = paths.path(source, station)
-            if path is None:
-                continue
-            metrics = path_metrics(self.graph, path)
-            if best is None or metrics.total_delay_s < best.total_delay_s:
-                best = metrics
-        return best
+        (path,) = adjacency.single_source(source).nearest_paths(
+            self.nodes_of_kind("ground_station"))
+        return None if path is None else path_metrics(self.graph, path)
 
 
 class OpenSpaceNetwork:
@@ -990,7 +957,6 @@ class OpenSpaceNetwork:
 
     def gateway_probe_paths(
         self, time_s: float, users: Sequence[UserTerminal],
-        cost_model: Optional[EdgeCostModel] = None,
     ) -> Dict[str, Optional[List[str]]]:
         """Batched nearest-gateway probe for many users at one instant.
 
@@ -1000,97 +966,48 @@ class OpenSpaceNetwork:
         (:meth:`_price_access_links`); each user joins the adjacency as
         a source-only row after the base nodes
         (:meth:`~repro.routing.csr.CsrAdjacency.with_source_rows`), and
-        one Dijkstra runs from every user row at once.  Path delays come
-        from the snapshot's edge arrays.
+        one Dijkstra runs from every user row at once.  Each user's
+        gateway is read off its distance row
+        (:meth:`~repro.routing.csr.ShortestPaths.nearest_paths`: the
+        first-listed station at the least cost), and only that station's
+        path is rebuilt.
 
-        The result is bitwise identical to the per-user probe
-        (``snapshot(time_s, users=[user])`` +
-        :meth:`NetworkSnapshot.nearest_ground_station_route`) — the same
-        access-link values, the same station iteration order, the same
-        strict ``<`` tie-breaking; ``tests/core/test_network_batched.py``
-        holds it to per-user probes over the graph-built oracle.
+        The result equals the per-user probe, ``snapshot(time_s,
+        users=[user])`` and its
+        :meth:`NetworkSnapshot.nearest_ground_station_route`, path for
+        path; ``tests/core/test_network_batched.py`` holds it to per-user
+        probes over the graph-built oracle.
 
         Args:
             time_s: Probe instant.
             users: User terminals to probe.
-            cost_model: Edge cost model (default
-                :data:`~repro.routing.metrics.PROPAGATION_ONLY`).
 
         Returns:
-            ``{user_id: path}`` with the best gateway path as a node
+            ``{user_id: path}`` with the nearest gateway's path as a node
             list (user first), or None when the user reaches no station.
         """
         users = list(users)
         if not users:
             return {}
-        model = cost_model or PROPAGATION_ONLY
         base = self.snapshot(time_s)
-        adjacency = base.csr_adjacency(model)
         access = self._price_access_links(
             time_s, (), users, self._alive_indices(), base._fleet_positions
         )
-        access_delay = access.distance_km / SPEED_OF_LIGHT_KM_S
-        zeros = np.zeros(access_delay.shape[0])
-        weights = model.edge_costs(access_delay, zeros, zeros,
-                                   access.capacity_bps)
-        # User ``row`` searches from node ``base_count + row``; an alive
-        # satellite's index is its node index.
-        base_count = adjacency.node_count
+        zeros = np.zeros(access.rows.shape[0])
+        weights = PROPAGATION_ONLY.edge_costs(
+            access.distance_km / SPEED_OF_LIGHT_KM_S, zeros, zeros,
+            access.capacity_bps,
+        )
         user_ids = [user.user_id for user in users]
-        searches = adjacency.with_source_rows(
+        # An alive satellite's index is its node index.
+        searches = base.csr_adjacency().with_source_rows(
             user_ids, access.rows, access.sats, weights,
         ).shortest_paths(user_ids)
-        # The links are row-major: user ``row`` owns one contiguous run.
-        bounds = np.searchsorted(access.rows,
-                                 np.arange(len(users) + 1)).tolist()
-        _, delays, queues = base._hops
-        sat_list = access.sats.tolist()
-        access_delays = access_delay.tolist()
-        stations = range(base._first_station, base._first_user)
-        nodes = adjacency.nodes
-        results = {}
-        for row, user in enumerate(users):
-            first_hop = dict(zip(sat_list[bounds[row]:bounds[row + 1]],
-                                 access_delays[bounds[row]:bounds[row + 1]]))
-            row_dist = searches.dist[row]
-            row_pred = searches.pred[row]
-            source = base_count + row
-            best_delay: Optional[float] = None
-            best_path: Optional[List[int]] = None
-            for station in stations:
-                if not np.isfinite(row_dist[station]):
-                    continue
-                reversed_idx = [station]
-                cursor = station
-                while cursor != source:
-                    cursor = int(row_pred[cursor])
-                    if cursor == NO_PREDECESSOR:
-                        break
-                    reversed_idx.append(cursor)
-                if cursor != source:
-                    continue
-                path = reversed_idx[::-1]
-                # Replicate path_metrics: propagation and queueing delays
-                # accumulate separately in path order, then sum.  The
-                # access hop has no queue delay.
-                propagation = first_hop[path[1]]
-                queueing = 0.0
-                for node_a, node_b in zip(path[1:-1], path[2:]):
-                    edge = base._edge_between(node_a, node_b)
-                    propagation += delays[edge]
-                    queueing += queues[edge]
-                total_delay = propagation + queueing
-                if best_delay is None or total_delay < best_delay:
-                    best_delay = total_delay
-                    best_path = path
-            results[user.user_id] = (
-                None if best_path is None
-                else [user.user_id] + [nodes[index] for index in best_path[1:]]
-            )
-        return results
+        return dict(zip(user_ids, searches.nearest_paths(
+            base.nodes_of_kind("ground_station"))))
 
-    def user_to_internet_latency_s(self, user: UserTerminal, time_s: float,
-                                   cost_model: Optional[EdgeCostModel] = None) -> Optional[float]:
+    def user_to_internet_latency_s(self, user: UserTerminal,
+                                   time_s: float) -> Optional[float]:
         """One-way latency from a user to the nearest Internet gateway.
 
         This is the paper's Figure 2(b) measurement: "compute the shortest
@@ -1101,7 +1018,7 @@ class OpenSpaceNetwork:
         Returns None when the user has no path to any gateway.
         """
         snap = self.snapshot(time_s, users=[user])
-        metrics = snap.nearest_ground_station_route(user.user_id, cost_model)
+        metrics = snap.nearest_ground_station_route(user.user_id)
         if metrics is None:
             return None
         return metrics.total_delay_s

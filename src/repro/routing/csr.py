@@ -236,10 +236,11 @@ class CsrAdjacency:
                              ) -> List[Optional[List[Hashable]]]:
         """Each source's path to its nearest target, ``None`` if none.
 
-        The answer is by definition the forward rule's:
-        ``shortest_paths(sources)``, the first-listed target with the
-        least distance, that target's ``.path``.  It is computed in
-        three steps instead of one search per source:
+        The answer is by definition the forward rule's,
+        ``shortest_paths(sources).nearest_paths(targets)``: the
+        first-listed target with the least distance, that target's
+        ``.path``.  It is computed in three steps instead of one search
+        per source:
 
         1. One ``min_only`` Dijkstra over the transpose, from every
            target at once, gives each node ``x`` its distance ``D[x]``
@@ -337,10 +338,8 @@ class CsrAdjacency:
                            len(fallback))
         if fallback:
             forward = self.shortest_paths([source_list[k] for k in fallback])
-            nearest = np.argmin(forward.dist[:, target_idx], axis=1)
-            for row, k in enumerate(fallback):
-                paths[k] = forward.path(source_list[k],
-                                        target_list[int(nearest[row])])
+            for k, path in zip(fallback, forward.nearest_paths(target_list)):
+                paths[k] = path
         return paths
 
     def with_source_rows(self, sources: Sequence[Hashable],
@@ -494,6 +493,25 @@ class ShortestPaths:
                 return None
             reversed_path.append(cursor)
         return [nodes[i] for i in reversed(reversed_path)]
+
+    def nearest_paths(self, targets: Sequence[Hashable],
+                      ) -> List[Optional[List[Hashable]]]:
+        """Each source's path to its nearest target, in source order.
+
+        The nearest target of a row is the first-listed one at the least
+        distance (an ``argmin`` over the targets' columns), and the
+        answer is that one target's :meth:`path`; ``None`` where no
+        target is reachable.  This is the forward rule
+        :meth:`CsrAdjacency.nearest_target_paths` is defined by; unknown
+        targets raise ``KeyError``.
+        """
+        targets = list(targets)
+        if not targets:
+            return [None] * len(self.sources)
+        columns = [self.adjacency.index[target] for target in targets]
+        nearest = np.argmin(self.dist[:, columns], axis=1).tolist()
+        return [self.path(source, targets[best])
+                for source, best in zip(self.sources, nearest)]
 
     def reachable_targets(self, source: Hashable) -> List[Hashable]:
         """Targets with a finite-cost path from ``source`` (itself

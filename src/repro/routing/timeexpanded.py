@@ -96,9 +96,10 @@ class TimeExpandedRouter:
     def _build(self) -> nx.DiGraph:
         graph = nx.DiGraph()
         epoch_ends = self.epoch_times[1:] + [self.horizon_s]
-        entities = set()
-        for snap in self.snapshots:
-            entities.update(snap.graph.nodes)
+        # First-seen order, never set order: node order fixes the CSR
+        # indices, and with them which of two equal-cost plans wins.
+        entities = list(dict.fromkeys(
+            node for snap in self.snapshots for node in snap.graph.nodes))
         for k, (snap, end_s) in enumerate(zip(self.snapshots, epoch_ends)):
             for entity in entities:
                 graph.add_node((entity, k))

@@ -21,7 +21,6 @@ from repro.orbits.walker import (
     iridium_like,
     random_constellation,
 )
-from repro.routing.metrics import EdgeCostModel
 from repro.simulation.metrics import LatencyCollector
 from repro.simulation.traffic import UserPopulation, uniform_land_users
 
@@ -100,7 +99,7 @@ class Scenario:
             self.user_count, rng, list(self.operator_names)
         )
 
-    def run(self, cost_model: Optional[EdgeCostModel] = None) -> "ScenarioResult":
+    def run(self) -> "ScenarioResult":
         """Evaluate user-to-gateway latency for every user at every time."""
         network = self.build_network()
         population = self.build_population()
@@ -108,9 +107,7 @@ class Scenario:
         for time_s in self.sample_times_s:
             snap = network.snapshot(time_s, users=population.users)
             for user in population.users:
-                metrics = snap.nearest_ground_station_route(
-                    user.user_id, cost_model
-                )
+                metrics = snap.nearest_ground_station_route(user.user_id)
                 collector.record(
                     None if metrics is None else metrics.total_delay_s
                 )

@@ -18,7 +18,6 @@ from repro import obs as _obs
 from repro.core.handover import HandoverScheme
 from repro.core.network import OpenSpaceNetwork
 from repro.ground.user import UserTerminal
-from repro.routing.metrics import EdgeCostModel
 
 
 @dataclass(frozen=True)
@@ -100,17 +99,14 @@ class SessionSimulator:
         link_setup_s: Interruption for a predictive handover.
         auth_round_trip_s: Extra interruption per handover when the scheme
             re-authenticates.
-        cost_model: Routing cost model (defaults to propagation+queue).
     """
 
     def __init__(self, network: OpenSpaceNetwork,
                  link_setup_s: float = 0.020,
-                 auth_round_trip_s: float = 0.180,
-                 cost_model: Optional[EdgeCostModel] = None):
+                 auth_round_trip_s: float = 0.180):
         self.network = network
         self.link_setup_s = link_setup_s
         self.auth_round_trip_s = auth_round_trip_s
-        self.cost_model = cost_model
 
     def run(self, user: UserTerminal, start_s: float, end_s: float,
             epoch_s: float = 30.0,
@@ -148,9 +144,7 @@ class SessionSimulator:
         previous_satellite: Optional[str] = None
         for time_s in np.arange(start_s, end_s, epoch_s):
             snap = self.network.snapshot(float(time_s), users=[user])
-            metrics = snap.nearest_ground_station_route(
-                user.user_id, self.cost_model
-            )
+            metrics = snap.nearest_ground_station_route(user.user_id)
             if metrics is None:
                 trace.samples.append(SessionSample(
                     time_s=float(time_s), serving_satellite=None,

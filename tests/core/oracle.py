@@ -29,6 +29,7 @@ from repro.phy.rf import rf_link_budget
 from repro.routing.csr import CsrAdjacency
 from repro.routing.metrics import PROPAGATION_ONLY, path_metrics
 from tests.isl.oracle import oracle_graph
+from tests.routing import oracle as routing_oracle
 
 
 def graph_digest(time_s: float, graph) -> str:
@@ -60,20 +61,15 @@ class OracleSnapshot:
         return [node for node, data in self.graph.nodes(data=True)
                 if data.get("kind") == kind]
 
-    def nearest_ground_station_route(self, source: str, cost_model=None):
-        """Best route from ``source`` to any station, over the graph."""
-        if source not in self.graph:
+    def nearest_ground_station_route(self, source: str):
+        """Route from ``source`` to the first-listed station at the least
+        distance, over the graph (None when no station is reachable)."""
+        stations = self.nodes_of_kind("ground_station")
+        if source not in self.graph or not stations:
             return None
-        paths = self.csr_adjacency(cost_model).single_source(source)
-        best = None
-        for station in self.nodes_of_kind("ground_station"):
-            path = paths.path(source, station)
-            if path is None:
-                continue
-            metrics = path_metrics(self.graph, path)
-            if best is None or metrics.total_delay_s < best.total_delay_s:
-                best = metrics
-        return best
+        (path,) = routing_oracle.nearest_paths(self.csr_adjacency(),
+                                               [source], stations)
+        return None if path is None else path_metrics(self.graph, path)
 
 
 def _alive(network) -> list:
@@ -195,9 +191,8 @@ def user_snapshot(network, time_s: float,
     return OracleSnapshot(time_s, graph, base.isl_graph)
 
 
-def probe(network, time_s: float, user,
-          cost_model=None) -> Optional[List[str]]:
+def probe(network, time_s: float, user) -> Optional[List[str]]:
     """One user's nearest-gateway path over the oracle overlay, or None."""
     snap = user_snapshot(network, time_s, [user])
-    metrics = snap.nearest_ground_station_route(user.user_id, cost_model)
+    metrics = snap.nearest_ground_station_route(user.user_id)
     return None if metrics is None else list(metrics.path)

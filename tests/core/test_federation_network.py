@@ -117,12 +117,6 @@ class TestOpenSpaceNetwork:
         assert "u1" in snap.graph
         assert snap.graph.degree("u1") >= 1
 
-    def test_route_between_satellites(self, network_snapshot):
-        sats = network_snapshot.nodes_of_kind("satellite")
-        metrics = network_snapshot.route(sats[0], sats[30])
-        assert metrics is not None
-        assert metrics.total_delay_s > 0.0
-
     def test_nearest_ground_station_route(self, network):
         user = UserTerminal("u1", GeodeticPoint(-1.29, 36.82), "acme",
                             min_elevation_deg=10.0)

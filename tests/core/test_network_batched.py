@@ -21,7 +21,6 @@ from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
 from repro.orbits.walker import iridium_like
 from repro.phy.rf import RFTerminal
-from repro.routing.metrics import EdgeCostModel
 from tests.core import oracle
 
 
@@ -37,9 +36,8 @@ def _users():
     ]
 
 
-def _scalar_probes(network, users, time_s, cost_model=None):
-    return {u.user_id: oracle.probe(network, time_s, u, cost_model)
-            for u in users}
+def _scalar_probes(network, users, time_s):
+    return {u.user_id: oracle.probe(network, time_s, u) for u in users}
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +142,36 @@ class TestGatewayProbePaths:
             user.terminal = small_dish
         net = OpenSpaceNetwork(fleet, default_station_network())
         net.set_fault_state(failed_satellites=[fleet[4].satellite_id])
-        tariffs = EdgeCostModel(tariff_weight=0.002)
         routed = 0
         for time_s in (0.0, 700.0, 2900.0):
-            for model in (None, tariffs):
-                batched = net.gateway_probe_paths(time_s, users, model)
-                assert batched == _scalar_probes(net, users, time_s, model)
-                routed += sum(path is not None for path in batched.values())
+            batched = net.gateway_probe_paths(time_s, users)
+            assert batched == _scalar_probes(net, users, time_s)
+            routed += sum(path is not None for path in batched.values())
         assert routed > 0
+
+
+class TestNearestGatewayTie:
+    """Two stations at exactly equal cost: the first-listed one wins."""
+
+    @pytest.mark.parametrize("twin_first", [False, True])
+    def test_first_listed_of_two_equal_stations(self, network, twin_first):
+        user = UserTerminal("u-nairobi", GeodeticPoint(-1.29, 36.82),
+                            "probe-op", min_elevation_deg=10.0)
+        gateway = network.gateway_probe_paths(0.0, [user])[user.user_id][-1]
+        # A second record at the gateway's site: every one of its links
+        # prices exactly as the gateway's own.
+        stations = default_station_network()
+        index = [st.station_id for st in stations].index(gateway)
+        twin = dataclasses.replace(stations[index],
+                                   station_id=f"{gateway}-twin")
+        stations.insert(index if twin_first else index + 1, twin)
+        net = OpenSpaceNetwork(network.satellites, stations)
+        snap = net.snapshot(0.0, users=[user])
+        paths = snap.csr_adjacency().single_source(user.user_id)
+        assert (paths.distance(user.user_id, gateway)
+                == paths.distance(user.user_id, twin.station_id))
+        expected = twin.station_id if twin_first else gateway
+        assert net.gateway_probe_paths(0.0, [user])[user.user_id][-1] \
+            == expected
+        assert snap.nearest_ground_station_route(user.user_id).path[-1] \
+            == expected

@@ -132,9 +132,8 @@ class TestEngineEquality:
     def _use_oracle(monkeypatch):
         from tests.core import oracle
 
-        def per_user_probes(network, time_s, users, cost_model=None):
-            return {user.user_id: oracle.probe(network, time_s, user,
-                                               cost_model)
+        def per_user_probes(network, time_s, users):
+            return {user.user_id: oracle.probe(network, time_s, user)
                     for user in users}
 
         monkeypatch.setattr(OpenSpaceNetwork, "gateway_probe_paths",

@@ -16,8 +16,10 @@ masks and binding backhaul, and random user sets, the two must agree on:
   ``PROPAGATION_ONLY`` and under a model with queue, tariff and
   bottleneck terms;
 * ``gateway_probe_paths`` and every field of
-  ``nearest_ground_station_route`` under both models, and the route
-  metrics of random walks;
+  ``nearest_ground_station_route``, and the route metrics of random
+  walks;
+* the nearest-gateway rule itself: both return the path to the
+  first-listed station at the least oracle distance;
 * ``last_snapshot_delta`` and ``delta_stats`` along a walk of instants
   and fault changes.
 
@@ -49,6 +51,7 @@ from repro.routing.csr import CsrAdjacency
 from repro.routing.metrics import PROPAGATION_ONLY, EdgeCostModel, path_metrics
 from tests.core import oracle
 from tests.isl.oracle import oracle_graph
+from tests.routing import oracle as routing_oracle
 
 FLEET = build_fleet(walker_delta(40, 5), "array-op", SizeClass.MEDIUM)
 STATION_SITES = [station.location for station in default_station_network()]
@@ -208,16 +211,14 @@ class TestArraySnapshotMatchesOracle:
         snap = network.snapshot(time_s, users=users)
         reference = oracle.user_snapshot(network, time_s, users)
         _assert_matches_oracle(snap, reference)
-        for model in MODELS:
-            assert network.gateway_probe_paths(time_s, users, model) == {
-                user.user_id: oracle.probe(network, time_s, user, model)
-                for user in users
-            }
-            # Every RouteMetrics field: delays, tariff, bottleneck, owners.
-            for user in users:
-                assert snap.nearest_ground_station_route(user.user_id, model) \
-                    == reference.nearest_ground_station_route(user.user_id,
-                                                              model)
+        assert network.gateway_probe_paths(time_s, users) == {
+            user.user_id: oracle.probe(network, time_s, user)
+            for user in users
+        }
+        # Every RouteMetrics field: delays, tariff, bottleneck, owners.
+        for user in users:
+            assert snap.nearest_ground_station_route(user.user_id) == \
+                reference.nearest_ground_station_route(user.user_id)
         # Route metrics over arbitrary walks, which (unlike shortest
         # paths) often repeat an owner on consecutive hops.
         walk = [data.draw(st.sampled_from(list(reference.graph.nodes)))]
@@ -244,6 +245,36 @@ class TestArraySnapshotMatchesOracle:
             expected.request(network, time_s)
             _assert_delta_equal(network.last_snapshot_delta, expected.last)
             assert network.delta_stats == expected.stats
+
+
+class TestNearestGatewayRule:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), network=networks(), users=user_sets(),
+           time_s=TIMES)
+    def test_first_listed_station_at_least_oracle_distance(
+            self, data, network, users, time_s):
+        # Distances come from networkx over the graph-built overlay; only
+        # the station choice and the path's cost are checked, so a tie
+        # between equal-cost paths to one station may break either way.
+        if data.draw(st.booleans()):
+            network.set_fault_state(*data.draw(fault_states(network)))
+        reference = oracle.user_snapshot(network, time_s, users)
+        stations = reference.nodes_of_kind("ground_station")
+        probes = network.gateway_probe_paths(time_s, users)
+        snap = network.snapshot(time_s, users=users)
+        for user in users:
+            dist, _paths = routing_oracle.dijkstra(reference.graph,
+                                                   user.user_id)
+            reached = [station for station in stations if station in dist]
+            route = snap.nearest_ground_station_route(user.user_id)
+            if not reached:
+                assert probes[user.user_id] is None and route is None
+                continue
+            nearest = min(reached, key=dist.get)  # first of the least
+            assert probes[user.user_id] == route.path
+            assert route.path[-1] == nearest
+            assert routing_oracle.path_cost(reference.graph, route.path) \
+                == dist[nearest]
 
 
 class OracleDeltas:

@@ -108,7 +108,8 @@ def nearest_paths(adjacency, sources, targets):
     ``adjacency.shortest_paths(sources)``, then per source the
     first-listed target at the least distance and that target's
     ``.path`` (``None`` when no target is reachable): the rule
-    ``CsrAdjacency.nearest_target_paths`` must reproduce.
+    ``CsrAdjacency.nearest_target_paths`` and
+    ``ShortestPaths.nearest_paths`` must reproduce.
     """
     sources = list(sources)
     targets = list(targets)

@@ -1,6 +1,10 @@
 """Edge-case tests for time-expanded store-and-forward routing."""
 
 import bisect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -202,3 +206,35 @@ class TestPlanHorizon:
         assert router.earliest_arrival("b", "c", 120.4) is not None
         with pytest.raises(ValueError, match="horizon"):
             router.earliest_arrival("b", "c", 120.5)
+
+
+class TestHashSeedIndependence:
+    def test_equal_cost_plan_does_not_depend_on_hash_seed(self):
+        # A diamond a-b-c / a-d-c of equal-cost contacts: the plan's
+        # tie-break follows the time-expanded node order, which followed
+        # the string hashes while entities were collected in a set
+        # (seed 1 went via b, seeds 2-5 via d).
+        script = (
+            "import networkx as nx\n"
+            "from repro.routing.timeexpanded import TimeExpandedRouter\n"
+            "class Snap:\n"
+            "    def __init__(self, time_s, edges):\n"
+            "        self.time_s = time_s\n"
+            "        self.graph = nx.Graph()\n"
+            "        for u, v in edges:\n"
+            "            self.graph.add_edge(u, v, delay_s=0.01)\n"
+            "router = TimeExpandedRouter([\n"
+            "    Snap(0.0, [('a', 'b'), ('b', 'c'), ('a', 'd'), ('d', 'c')]),\n"
+            "    Snap(60.0, [('a', 'b')]),\n"
+            "])\n"
+            "print(router.earliest_arrival('a', 'c', 0.0).hops)\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        plans = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True,
+                                    check=True)
+            plans.append(result.stdout)
+        assert plans[0] == plans[1]

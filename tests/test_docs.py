@@ -1,9 +1,11 @@
 """Documentation-consistency tests.
 
 DESIGN.md's experiment index and EXPERIMENTS.md's bench pointers must
-reference files that exist, and every example README advertises must run
-as a script.  Docs that drift from the tree fail here, not in a reader's
-terminal.
+reference files that exist, and every example README advertises must
+exist and be listed there.  Docs that drift from the tree fail here, not
+in a reader's terminal.  That each example runs as a script is checked
+by the "Run every example as a script" step of the ``paper-claims`` CI
+job (``.github/workflows/ci.yml``).
 """
 
 import re
