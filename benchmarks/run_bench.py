@@ -1,4 +1,4 @@
-"""Benchmark harness for the vectorized/cached/parallel sweep stack.
+"""Benchmark harness for the vectorized/parallel sweep stack.
 
 Measures these things and writes them to ``BENCH_parallel.json``:
 
@@ -459,7 +459,7 @@ def bench_scale() -> dict:
     fleet = build_fleet(walker_delta(count, plane_count_for(count)),
                         "bench-scale", SizeClass.MEDIUM)
     snapshot_s = _timeit(lambda: OpenSpaceNetwork(
-        fleet, [], max_isl_range_km=3000.0, snapshot_cache_size=0,
+        fleet, [], max_isl_range_km=3000.0,
     ).snapshot(0.0), repeat=2)
 
     start = time.perf_counter()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -423,8 +422,8 @@ class NetworkSnapshot:
         computed from the arrays without building the view.
 
         This is the equality witness the tests compare: a snapshot
-        served after any call history (cache, delta recording, position
-        priming) must hash identically to a fresh network's build at the
+        built after any call history (delta recording, position priming)
+        must hash identically to a fresh network's build at the
         same instant and fault state.
         """
         nodes = self.nodes
@@ -470,9 +469,10 @@ class OpenSpaceNetwork:
         ground_elevation_mask_deg: Minimum elevation for ground links.
         gateway_dish_m: Station-side dish diameter used when deriving the
             station terminal matched to each satellite's ground band.
-        snapshot_cache_size: Maximum cached :meth:`snapshot` results
-            (LRU), keyed on the exact request time.  ``0`` disables
-            caching entirely.
+        snapshot_cache_size: Accepted only as ``0``: the network keeps
+            no snapshot, so every :meth:`snapshot` call is one build.  The
+            keyword stays because the end-to-end benchmark passes
+            ``snapshot_cache_size=0`` for its reference builds.
         snapshot_delta: Record the edge delta of each base snapshot
             against the previous one (:attr:`last_snapshot_delta`,
             :attr:`delta_stats`).  Every base snapshot is assembled from
@@ -486,13 +486,13 @@ class OpenSpaceNetwork:
                  max_isl_range_km: float = 6000.0,
                  ground_elevation_mask_deg: float = 10.0,
                  gateway_dish_m: float = 3.5,
-                 snapshot_cache_size: int = 64,
+                 snapshot_cache_size: int = 0,
                  snapshot_delta: bool = True):
         if not satellites:
             raise ValueError("need at least one satellite")
-        if snapshot_cache_size < 0:
+        if snapshot_cache_size != 0:
             raise ValueError(
-                f"cache size must be >= 0, got {snapshot_cache_size}"
+                f"cache size must be 0, got {snapshot_cache_size}"
             )
         self.satellites = list(satellites)
         self.ground_stations = list(ground_stations)
@@ -514,11 +514,7 @@ class OpenSpaceNetwork:
         self._failed_satellites: frozenset = frozenset()
         self._failed_stations: frozenset = frozenset()
         self._failed_links: frozenset = frozenset()
-        self.snapshot_cache_size = snapshot_cache_size
         self._fault_epoch = 0
-        self._snapshot_cache: "OrderedDict[tuple, NetworkSnapshot]" = (
-            OrderedDict()
-        )
         self.snapshot_delta_enabled = snapshot_delta
         #: The delta recorded by the most recent base-snapshot build.
         self.last_snapshot_delta: Optional[SnapshotDelta] = None
@@ -581,70 +577,20 @@ class OpenSpaceNetwork:
         self._failed_links = frozenset(
             tuple(sorted(pair)) for pair in failed_links
         )
-        self.invalidate_snapshot_cache()
+        self._fault_epoch += 1
 
     def clear_fault_state(self) -> None:
         """Restore every element to service."""
         self._failed_satellites = frozenset()
         self._failed_stations = frozenset()
         self._failed_links = frozenset()
-        self.invalidate_snapshot_cache()
-
-    # -- snapshot cache ------------------------------------------------
-    # Snapshots are pure functions of (time, fault state, user set), so
-    # repeated queries inside flowsim/sessionsim/handover loops reuse the
-    # built snapshot instead of re-running propagation, the greedy ISL
-    # assignment, and every link budget.  The fault injector invalidates
-    # implicitly: every set_fault_state()/clear_fault_state() bumps the
-    # fault epoch that is part of every cache key.
+        self._fault_epoch += 1
 
     @property
     def fault_epoch(self) -> int:
-        """Monotone counter bumped on every fault-state change."""
+        """Monotone counter bumped on every fault-state change; delta
+        recording diffs only against a build of the same epoch."""
         return self._fault_epoch
-
-    def invalidate_snapshot_cache(self) -> None:
-        """Drop every cached snapshot and start a new fault epoch."""
-        self._fault_epoch += 1
-        self._snapshot_cache.clear()
-
-    def _cache_key(self, time_s: float,
-                   users: Sequence[UserTerminal]) -> Optional[tuple]:
-        """Cache key for a snapshot request, or None when uncacheable."""
-        if self.snapshot_cache_size <= 0:
-            return None
-        # Every user field the overlay reads: the node's owner, the
-        # access-link geometry and mask, and the terminal that prices it.
-        try:
-            users_key = tuple(
-                (user.user_id, user.location, user.home_provider,
-                 user.terminal, user.min_elevation_deg)
-                for user in users
-            )
-        except TypeError:  # unhashable location — skip caching, stay correct
-            return None
-        return (float(time_s), self._fault_epoch, users_key)
-
-    def _cache_get(self, key: Optional[tuple]) -> Optional["NetworkSnapshot"]:
-        if key is None:
-            return None
-        snap = self._snapshot_cache.get(key)
-        recorder = _obs.active()
-        if snap is not None:
-            self._snapshot_cache.move_to_end(key)
-            if recorder.enabled:
-                recorder.count("network.snapshot_cache.hit")
-        elif recorder.enabled:
-            recorder.count("network.snapshot_cache.miss")
-        return snap
-
-    def _cache_put(self, key: Optional[tuple],
-                   snap: "NetworkSnapshot") -> None:
-        if key is None:
-            return
-        self._snapshot_cache[key] = snap
-        while len(self._snapshot_cache) > self.snapshot_cache_size:
-            self._snapshot_cache.popitem(last=False)
 
     @property
     def failed_satellites(self) -> frozenset:
@@ -737,28 +683,22 @@ class OpenSpaceNetwork:
         enter the ISL build, failed stations take no node, and failed
         links lose their edge even when geometry would close it.
 
-        Results are cached per ``(time, fault epoch, user set)``
-        — repeated queries for the same instant return the **same**
-        :class:`NetworkSnapshot` object.  A snapshot with users extends
-        the no-user base snapshot with every user's access links from
-        one array pass (:meth:`_price_access_links`, shared with the
-        station links and :meth:`gateway_probe_paths`).
+        Every call is one build from the current fleet, fault and
+        station state; the network keeps no snapshot, so a caller that
+        needs one instant twice holds the snapshot it was given.  A
+        snapshot with users extends the no-user base snapshot with every
+        user's access links from one array pass
+        (:meth:`_price_access_links`, shared with the station links and
+        :meth:`gateway_probe_paths`).
         """
-        key = self._cache_key(time_s, users)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
         base = self._base_snapshot(time_s)
         if not users:
-            self._cache_put(key, base)
             return base
         users = list(users)
         access = self._price_access_links(
             time_s, (), users, self._alive_indices(), base._fleet_positions
         )
-        snap = base.with_users(users, access)
-        self._cache_put(key, snap)
-        return snap
+        return base.with_users(users, access)
 
     def _price_access_links(
         self, time_s: float, stations: Sequence[GroundStation],
@@ -851,7 +791,7 @@ class OpenSpaceNetwork:
                             distances[keep], capacities[keep])
 
     def _base_snapshot(self, time_s: float) -> NetworkSnapshot:
-        """The no-user snapshot (ISLs + ground stations), cached.
+        """The no-user snapshot (ISLs + ground stations).
 
         Every build is one assembly: a fresh ISL build over the fleet
         position matrix, failed links dropped by pair key, and the
@@ -860,10 +800,6 @@ class OpenSpaceNetwork:
         ISL pair keys against that one (see :meth:`_record_delta`); the
         snapshot is the same either way.
         """
-        key = self._cache_key(time_s, ())
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
         positions = self._position_matrix(time_s)
         exclude = self._failed_satellites or None
         isl_delta: Optional[TopologyDelta] = None
@@ -895,7 +831,6 @@ class OpenSpaceNetwork:
         self._delta_prev = isl_snap
         self._delta_prev_epoch = self._fault_epoch
         self._delta_prev_ground = ground_keys
-        self._cache_put(key, snap)
         return snap
 
     def _kept_links(self, isl_snap: TopologySnapshot) -> Optional[np.ndarray]:
@@ -1010,10 +945,14 @@ class OpenSpaceNetwork:
                                    time_s: float) -> Optional[float]:
         """One-way latency from a user to the nearest Internet gateway.
 
-        This is the paper's Figure 2(b) measurement: "compute the shortest
-        path between the satellite that picks up the user's signal, and the
-        satellite that will relay that signal to the ground station, and
-        use this path length to estimate latency."
+        The route follows the paper's Figure 2(b) measurement ("compute
+        the shortest path between the satellite that picks up the user's
+        signal, and the satellite that will relay that signal to the
+        ground station, and use this path length to estimate latency"),
+        but the returned latency is the route's summed propagation and
+        queueing delay (:attr:`RouteMetrics.total_delay_s`): the
+        gateway's queueing proxy counts, as it does in the
+        :data:`~repro.routing.metrics.PROPAGATION_ONLY` route cost.
 
         Returns None when the user has no path to any gateway.
         """

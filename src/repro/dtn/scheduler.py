@@ -136,6 +136,7 @@ class DtnScheduler:
         self._pending: List[Bundle] = []
         self._router: Optional[TimeExpandedRouter] = None
         self._plan_fault_epoch: Optional[int] = None
+        self._plan_start = 0
         self._plan_count = 0
         self._first_sample = True
         self.created_count = 0
@@ -184,7 +185,6 @@ class DtnScheduler:
         end = (self.epoch_times[k + 1] if k + 1 < len(self.epoch_times)
                else self.horizon_s)
         recorder = _obs.active()
-        snap = self.network.snapshot(now, users=self.sensors)
 
         due = sorted(
             (b for b in self._pending if b.created_s <= now),
@@ -206,6 +206,9 @@ class DtnScheduler:
             self.buffers[node_id].purge_expired(now)
 
         self._ensure_plan(k, recorder)
+        # The injector bumps the channel's fault epoch with the network's,
+        # so the current plan holds this epoch's snapshot.
+        snap = self._router.snapshots[k - self._plan_start]
 
         moved: Set[str] = set()
         for node_id in sorted(self.buffers):
@@ -241,6 +244,7 @@ class DtnScheduler:
         ]
         self._router = TimeExpandedRouter(snapshots, horizon_s=self.horizon_s)
         self._plan_fault_epoch = fault_epoch
+        self._plan_start = k
         self._plan_count += 1
         if recorder.enabled and self._plan_count > 1:
             recorder.count("dtn.scheduler.replans")

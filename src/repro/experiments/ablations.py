@@ -337,27 +337,26 @@ def run_all_ablations(jobs: int = 1) -> Dict[str, object]:
 
 
 def _solo_reachability(scenario: Scenario) -> float:
-    """Reachability when each user may only use its home operator's assets."""
+    """Reachability when each user may only use its home operator's assets.
+
+    Each operator's network answers all of its users at one instant with
+    one :meth:`~repro.core.network.OpenSpaceNetwork.gateway_probe_paths`
+    call.
+    """
     from repro.core.network import OpenSpaceNetwork
 
     fleet = scenario.build_fleet()
     stations = default_station_network()
-    population = scenario.build_population()
+    users = scenario.build_population().users
     reached = 0
-    total = 0
-    operators = sorted({spec.owner for spec in fleet})
-    networks = {}
-    for owner in operators:
-        own_fleet = [s for s in fleet if s.owner == owner]
-        if own_fleet:
-            networks[owner] = OpenSpaceNetwork(own_fleet, stations)
-    for time_s in scenario.sample_times_s:
-        for user in population.users:
-            total += 1
-            network = networks.get(user.home_provider)
-            if network is None:
-                continue
-            snap = network.snapshot(time_s, users=[user])
-            if snap.nearest_ground_station_route(user.user_id) is not None:
-                reached += 1
+    for owner in sorted({spec.owner for spec in fleet}):
+        own_users = [user for user in users if user.home_provider == owner]
+        if not own_users:
+            continue
+        network = OpenSpaceNetwork(
+            [spec for spec in fleet if spec.owner == owner], stations)
+        for time_s in scenario.sample_times_s:
+            paths = network.gateway_probe_paths(time_s, own_users)
+            reached += sum(path is not None for path in paths.values())
+    total = len(scenario.sample_times_s) * len(users)
     return reached / total if total else 0.0

@@ -34,15 +34,21 @@ SAMPLE_SITES = [
 ]
 
 
-def _service_availability(network: OpenSpaceNetwork, user: UserTerminal,
-                          times_s: Sequence[float]) -> float:
-    """Fraction of sampled instants the user can reach any gateway."""
-    served = 0
+def _service_availability(network: OpenSpaceNetwork,
+                          users: Sequence[UserTerminal],
+                          times_s: Sequence[float]) -> List[float]:
+    """Fraction of sampled instants each user can reach any gateway.
+
+    One :meth:`~repro.core.network.OpenSpaceNetwork.gateway_probe_paths`
+    call answers every user of one instant, on one snapshot build.
+    """
+    served = [0] * len(users)
     for time_s in times_s:
-        snap = network.snapshot(float(time_s), users=[user])
-        if snap.nearest_ground_station_route(user.user_id) is not None:
-            served += 1
-    return served / len(times_s)
+        paths = network.gateway_probe_paths(float(time_s), users)
+        for index, user in enumerate(users):
+            if paths[user.user_id] is not None:
+                served[index] += 1
+    return [count / len(times_s) for count in served]
 
 
 def availability_sweep(fleet_sizes: Sequence[int] = (12, 24, 40, 55, 66),
@@ -66,19 +72,17 @@ def availability_sweep(fleet_sizes: Sequence[int] = (12, 24, 40, 55, 66),
     rng = np.random.default_rng(seed)
     stations = default_station_network()
     times = np.linspace(0.0, 7200.0, epochs, endpoint=False)
+    users = [UserTerminal(f"u-{name}", site, "avail", min_elevation_deg=10.0)
+             for name, site in SAMPLE_SITES]
     rows = []
 
     def evaluate(constellation, size, layout):
         fleet = build_fleet(constellation, "avail", SizeClass.MEDIUM)
         network = OpenSpaceNetwork(fleet, stations)
         row: Dict = {"satellites": size, "layout": layout}
-        values = []
-        for name, site in SAMPLE_SITES:
-            user = UserTerminal(f"u-{name}", site, "avail",
-                                min_elevation_deg=10.0)
-            availability = _service_availability(network, user, times)
+        values = _service_availability(network, users, times)
+        for (name, _site), availability in zip(SAMPLE_SITES, values):
             row[f"{name}_availability"] = availability
-            values.append(availability)
         row["mean"] = float(np.mean(values))
         return row
 
@@ -123,6 +127,8 @@ def resilience_sweep(failure_fractions: Sequence[float] = (
     full_fleet = build_fleet(constellation, "resil", SizeClass.MEDIUM)
     network = OpenSpaceNetwork(full_fleet, stations)
     times = np.linspace(0.0, 7200.0, epochs, endpoint=False)
+    users = [UserTerminal(f"u-{name}", site, "resil", min_elevation_deg=10.0)
+             for name, site in SAMPLE_SITES]
     rows = []
     for fraction in failure_fractions:
         if not 0.0 <= fraction < 1.0:
@@ -141,11 +147,7 @@ def resilience_sweep(failure_fractions: Sequence[float] = (
                  for index in sorted(failed)],
                 fault_id=f"static-loss-{fraction:g}",
             ))
-        values = []
-        for name, site in SAMPLE_SITES:
-            user = UserTerminal(f"u-{name}", site, "resil",
-                                min_elevation_deg=10.0)
-            values.append(_service_availability(network, user, times))
+        values = _service_availability(network, users, times)
         rows.append({
             "failed_fraction": fraction,
             "surviving": len(full_fleet) - len(failed),

@@ -4,7 +4,7 @@ The on-disk format is JSON Lines: one self-describing record per line,
 discriminated by a ``type`` field —
 
 * ``manifest`` — run identity: config hash, seed, package versions, and
-  run totals (event count, health epochs, snapshot-cache hits/misses);
+  run totals (event count, health epochs);
 * ``counter`` / ``gauge`` / ``histogram`` — registry instruments;
 * ``phase`` — profiler aggregates;
 * ``span`` — individual trace spans (open order, parent links);
@@ -97,19 +97,10 @@ def run_manifest(config: Optional[Dict] = None,
 
 
 def manifest_totals(recorder: Recorder) -> Dict:
-    """Run totals folded into the manifest at export time.
-
-    Reads counters without creating them (a totals pass must not change
-    the instrument set it is summarizing).
-    """
-    metrics = recorder.metrics
+    """Run totals folded into the manifest at export time."""
     return {
         "events": len(recorder.events),
         "health_epochs": len(recorder.health),
-        "snapshot_cache_hits":
-            metrics.counter_value("network.snapshot_cache.hit") or 0.0,
-        "snapshot_cache_misses":
-            metrics.counter_value("network.snapshot_cache.miss") or 0.0,
     }
 
 

@@ -210,8 +210,7 @@ class MetricsRegistry:
     def counter_value(self, name: str, label: str = "") -> Optional[float]:
         """The value of an existing counter, or None — never creates.
 
-        The read path for summaries (e.g. folding cache hit/miss totals
-        into the run manifest) that must not change the export's
+        The read path for summaries that must not change the export's
         instrument set by looking.
         """
         instrument = self._counters.get((name, label))

@@ -52,22 +52,15 @@ def _committed_load(active_flows: Sequence[ActiveFlow],
 def _best_gateway_path(graph: nx.Graph, source: str,
                        gateways: Sequence[str],
                        weight) -> Optional[List[str]]:
-    """Cheapest source→gateway path, first-listed gateway winning ties.
+    """Cheapest source→gateway path, or None when no gateway is reachable.
 
-    One single-source Dijkstra covers every candidate gateway; costs
-    compare with strict ``<`` in gateway order.
+    One single-source Dijkstra covers every candidate gateway; the
+    first-listed gateway at the least cost wins
+    (:meth:`~repro.routing.csr.ShortestPaths.nearest_paths`).
     """
     adjacency = CsrAdjacency.from_graph(graph, weight=weight)
-    paths = adjacency.single_source(source)
-    best_gateway: Optional[str] = None
-    best_cost = float("inf")
-    for gateway in gateways:
-        cost = paths.distance(source, gateway)
-        if cost < best_cost:
-            best_cost, best_gateway = cost, gateway
-    if best_gateway is None:
-        return None
-    return paths.path(source, best_gateway)
+    (path,) = adjacency.single_source(source).nearest_paths(gateways)
+    return path
 
 
 @dataclass

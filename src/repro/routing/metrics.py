@@ -69,7 +69,11 @@ class EdgeCostModel:
         return weight
 
 
-#: Pure propagation-delay cost (the paper's Figure 2(b) metric).
+#: The default route cost: summed propagation and queueing delay
+#: (``queue_weight=1``), no tariff or bottleneck term.  Despite the name,
+#: a route into a gateway pays the station's queueing proxy
+#: (:attr:`~repro.ground.station.GroundStation.queue_delay_s`, 2 ms when
+#: idle) on top of the speed-of-light delay.
 PROPAGATION_ONLY = EdgeCostModel()
 
 

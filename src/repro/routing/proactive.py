@@ -234,7 +234,8 @@ class ProactiveRouter:
 
     Args:
         cost_model: Edge-cost model used for the precomputation; defaults
-            to pure propagation delay (the paper's latency metric).
+            to :data:`~repro.routing.metrics.PROPAGATION_ONLY`, summed
+            propagation and queueing delay.
     """
 
     def __init__(self, cost_model: Optional[EdgeCostModel] = None):

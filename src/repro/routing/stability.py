@@ -91,8 +91,9 @@ def route_churn(snapshots: Sequence,
     Args:
         snapshots: Time-ordered objects with ``time_s`` and ``graph``.
         pairs: (source, target) node pairs to track.
-        cost_model: Routing cost model (propagation-only by default, the
-            same metric the proactive tables use).
+        cost_model: Routing cost model (by default
+            :data:`~repro.routing.metrics.PROPAGATION_ONLY`, summed
+            propagation and queueing delay, as the proactive tables use).
 
     Returns:
         A :class:`StabilityReport` with one churn record per boundary.

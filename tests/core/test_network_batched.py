@@ -175,3 +175,26 @@ class TestNearestGatewayTie:
             == expected
         assert snap.nearest_ground_station_route(user.user_id).path[-1] \
             == expected
+
+
+class TestLatencySplit:
+    """``PROPAGATION_ONLY`` ranks routes by propagation plus queueing."""
+
+    def test_latency_is_propagation_plus_gateway_queue(self, network):
+        # The latency command's Nairobi query: 11.568 ms of light time
+        # plus the idle gateway's 2 ms queueing proxy.
+        user = UserTerminal("u-nairobi", GeodeticPoint(-1.29, 36.82),
+                            "probe-op", min_elevation_deg=10.0)
+        snap = network.snapshot(600.0, users=[user])
+        route = snap.nearest_ground_station_route(user.user_id)
+        assert route.path[-1] == "gs-nairobi"
+        assert route.propagation_delay_s == pytest.approx(11.568e-3,
+                                                          abs=1e-6)
+        assert route.queue_delay_s == 0.002
+        assert network.user_to_internet_latency_s(user, 600.0) == \
+            route.propagation_delay_s + route.queue_delay_s
+        # The CSR adds the same terms hop by hop, so only the order of
+        # the additions differs.
+        distance = snap.csr_adjacency().single_source(
+            user.user_id).distance(user.user_id, "gs-nairobi")
+        assert distance == pytest.approx(route.total_delay_s, rel=1e-12)

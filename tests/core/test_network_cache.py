@@ -1,11 +1,12 @@
-"""Snapshot-cache correctness tests for :class:`OpenSpaceNetwork`.
+"""Snapshot build tests for :class:`OpenSpaceNetwork`.
 
-The cache is keyed by ``(time, fault epoch, user set)``; these tests pin
-the contract: warm queries return the same object, fault-state changes
-invalidate implicitly, ``cache_size=0`` disables caching, every user
-field the overlay reads is part of the key, and a station-state change
-followed by ``invalidate_snapshot_cache()`` yields a snapshot built from
-the new state.
+The network keeps no snapshot: every ``snapshot()`` call is one build
+from the current fleet, fault, station and user state.  These tests pin
+that contract: a repeated request is a fresh build with the same
+content, a fault-state change or a changed user owner or terminal is
+seen at the next request, a station-state change likewise with no call
+in between, ``snapshot_cache_size`` accepts only ``0``, position priming
+changes no bit, and the snapshot's own CSR memo.
 """
 
 import dataclasses
@@ -66,32 +67,17 @@ def network():
 
 
 class TestSnapshotCache:
-    def test_warm_query_returns_same_object(self, network):
-        first = network.snapshot(100.0)
-        assert network.snapshot(100.0) is first
-
     def test_distinct_times_get_distinct_snapshots(self, network):
         assert network.snapshot(0.0) is not network.snapshot(60.0)
 
-    def test_user_snapshot_cached_separately_from_base(self, network):
-        user = _make_user()
-        base = network.snapshot(200.0)
-        with_user = network.snapshot(200.0, users=[user])
-        assert with_user is not base
-        assert user.user_id in with_user.graph
-        assert user.user_id not in base.graph
-        assert network.snapshot(200.0, users=[user]) is with_user
-
     def test_user_overlay_matches_cold_build(self):
-        # A user snapshot assembled incrementally on top of a cached base
-        # must equal one built from scratch with caching disabled.
+        # A user snapshot assembled on top of a base built after another
+        # request must equal one built by a fresh network.
         user = _make_user()
         warm = _make_network()
-        warm.snapshot(300.0)  # prime the base
+        warm.snapshot(300.0)
         incremental = warm.snapshot(300.0, users=[user])
-        cold = _make_network(snapshot_cache_size=0).snapshot(
-            300.0, users=[user]
-        )
+        cold = _make_network().snapshot(300.0, users=[user])
         matcher = nx.algorithms.isomorphism.GraphMatcher(
             incremental.graph, cold.graph
         )
@@ -100,17 +86,21 @@ class TestSnapshotCache:
         assert matcher.is_isomorphic()
 
     def test_fault_state_change_invalidates(self):
+        # Each fault change is seen at the next request, and the build
+        # equals a fresh network's under the same fault state.
         net = _make_network()
         before = net.snapshot(0.0)
         victim = net.satellites[0].satellite_id
         net.set_fault_state(failed_satellites=[victim])
         degraded = net.snapshot(0.0)
-        assert degraded is not before
         assert victim not in degraded.graph
+        fresh = _make_network()
+        fresh.set_fault_state(failed_satellites=[victim])
+        assert degraded.digest() == fresh.snapshot(0.0).digest()
         net.clear_fault_state()
         recovered = net.snapshot(0.0)
-        assert recovered is not degraded
         assert victim in recovered.graph
+        assert recovered.digest() == before.digest()
 
     def test_fault_epoch_monotone(self):
         net = _make_network()
@@ -120,31 +110,23 @@ class TestSnapshotCache:
         net.clear_fault_state()
         assert epoch0 < epoch1 < net.fault_epoch
 
-    def test_explicit_invalidation(self):
-        net = _make_network()
-        first = net.snapshot(0.0)
-        net.invalidate_snapshot_cache()
-        assert net.snapshot(0.0) is not first
-
     def test_cache_size_zero_disables(self):
+        # A repeated instant is a fresh build with the same content.
         net = _make_network(snapshot_cache_size=0)
-        assert net.snapshot(0.0) is not net.snapshot(0.0)
+        first = net.snapshot(0.0)
+        again = net.snapshot(0.0)
+        assert again is not first
+        assert again.digest() == first.digest()
 
     def test_negative_cache_size_rejected(self):
-        with pytest.raises(ValueError, match="cache size"):
-            _make_network(snapshot_cache_size=-1)
-
-    def test_lru_eviction_bounds_memory(self):
-        net = _make_network(snapshot_cache_size=2)
-        oldest = net.snapshot(0.0)
-        net.snapshot(60.0)
-        net.snapshot(120.0)  # evicts the t=0 entry
-        assert len(net._snapshot_cache) == 2
-        assert net.snapshot(0.0) is not oldest
+        # Only 0 is accepted: negative and positive sizes alike raise.
+        for size in (-1, 64):
+            with pytest.raises(ValueError, match="cache size"):
+                _make_network(snapshot_cache_size=size)
 
     def test_user_owner_and_terminal_are_part_of_the_key(self):
         # Same id, site and mask, but another home provider and a larger
-        # dish: the overlay must be rebuilt, not served from the cache.
+        # dish: the next request sees both.
         first = _make_user()
         second = UserTerminal(
             first.user_id, first.location, "other-op",
@@ -155,19 +137,10 @@ class TestSnapshotCache:
         net = _make_network()
         stale = net.snapshot(600.0, users=[first])
         served = net.snapshot(600.0, users=[second])
-        assert served is not stale
-        fresh = _make_network(snapshot_cache_size=0).snapshot(
-            600.0, users=[second]
-        )
+        fresh = _make_network().snapshot(600.0, users=[second])
         assert served.digest() == fresh.digest()
+        assert served.digest() != stale.digest()
         assert served.graph.nodes[first.user_id]["owner"] == "other-op"
-
-    def test_unhashable_user_sets_bypass_cache(self, network):
-        user = _make_user("u-bypass")
-        first = network.snapshot(400.0, users=[user])
-        # Same terminal identity -> cache hit; a distinct equal-by-value
-        # terminal object is a different key, so it rebuilds.
-        assert network.snapshot(400.0, users=[user]) is first
 
 
 class TestPrimedPositions:
@@ -194,9 +167,9 @@ class TestPrimedPositions:
                 assert np.array_equal(position, lazy[sat_id])
 
     def test_primed_snapshots_digest_equal_lazy(self):
-        primed = _make_network(snapshot_cache_size=0)
+        primed = _make_network()
         primed.prime_positions(self.TIMES)
-        cold = _make_network(snapshot_cache_size=0)
+        cold = _make_network()
         for t in self.TIMES:
             assert primed.snapshot(t).digest() == cold.snapshot(t).digest()
 
@@ -210,8 +183,8 @@ class TestPrimedPositions:
 class TestStationStateChange:
     """Station state (rain, queues, tariffs) changes take a new snapshot.
 
-    After the change, ``invalidate_snapshot_cache()`` and ``snapshot()``
-    rebuild every ground link from the new state: links that stopped
+    The next ``snapshot()`` after the change, with no call in between,
+    builds every ground link from the new state: links that stopped
     closing are gone, and the survivors carry the new budgets.
     """
 
@@ -222,7 +195,6 @@ class TestStationStateChange:
         clear_sky = _ground_links(net.snapshot(0.0))
         for station in stations:
             station.rain_rate_mm_h = 100.0
-        net.invalidate_snapshot_cache()
         rainy = net.snapshot(0.0)
         links = _ground_links(rainy)
         assert 0 < len(links) < len(clear_sky)

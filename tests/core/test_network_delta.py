@@ -79,12 +79,19 @@ class TestDeltaBookkeeping:
         assert net.delta_stats["full_builds"] == 1
         assert net.delta_stats["delta_builds"] == 1
 
-    def test_cached_snapshot_does_not_rebuild(self):
+    def test_repeated_instant_is_a_zero_churn_build(self):
         net = walker_network()
-        net.snapshot(0.0)
-        net.snapshot(0.0)
+        first = net.snapshot(0.0)
+        again = net.snapshot(0.0)
+        assert again is not first
+        assert again.digest() == first.digest()
         assert net.delta_stats["full_builds"] == 1
-        assert net.delta_stats["delta_builds"] == 0
+        assert net.delta_stats["delta_builds"] == 1
+        delta = net.last_snapshot_delta
+        assert not delta.full_rebuild and delta.base_time_s == 0.0
+        assert delta.isl.churn_fraction == 0.0
+        assert net.delta_stats["edges_appeared"] == 0
+        assert net.delta_stats["edges_disappeared"] == 0
 
 
 class TestFaultEpochFallback:
@@ -174,5 +181,4 @@ class TestDigest:
                        data="kind"))
         for station in net.ground_stations:  # raises tariffs and queues
             station.current_load_bps = 5e9
-        net.invalidate_snapshot_cache()
         assert base != net.snapshot(300.0).digest()

@@ -286,18 +286,13 @@ class OracleDeltas:
                       "edges_appeared": 0, "edges_disappeared": 0,
                       "edges_persisted": 0}
         self.last = None
-        self._built = set()
         self._previous = None
         self._same_epoch = False
 
     def new_fault_epoch(self):
-        self._built.clear()
         self._same_epoch = False
 
     def request(self, network, time_s):
-        if time_s in self._built:
-            return
-        self._built.add(time_s)
         snap = oracle.base_snapshot(network, time_s)
         isl = _isl_edges(snap)
         ground = _ground_pairs(snap)
@@ -370,7 +365,10 @@ class TestNoGraphOnTheRoutingPath:
             snap.csr_adjacency(LOADED).single_source(source)
             network.snapshot(time_s, users=users).csr_adjacency()
             network.gateway_probe_paths(time_s, users)
-        assert network.delta_stats["delta_builds"] == 1
+        # Each of the three requests an instant is one build: full at
+        # t = 0 and after the fault change, a delta otherwise.
+        assert network.delta_stats["full_builds"] == 2
+        assert network.delta_stats["delta_builds"] == 7
         assert graph_constructions == []
         snap.graph  # the counter does see a graph being built
         assert graph_constructions == [nx.Graph]

@@ -1,10 +1,11 @@
 """Property tests: a snapshot does not depend on the network's call history.
 
 A network snapshot is a pure function of time and fault state.  One
-network with default settings (delta recording and the snapshot cache
-on) walks a random sequence of time steps, fault-state changes, clears
-and position priming; at every time step its snapshot must equal a
-fresh network's (no cache, no delta recording) in the same fault state:
+network with default settings (delta recording on) walks a random
+sequence of time steps, fault-state changes, clears and position
+priming; at every time step its snapshot must equal a fresh network's
+(built with the benchmark's ``snapshot_cache_size=0,
+snapshot_delta=False``) in the same fault state:
 the digest (every attribute, bit for bit) and the CSR arrays (node
 order and neighbour order decide shortest-path tie-breaks).  Whenever
 the walked network recorded a delta, it must span the build right
@@ -45,8 +46,8 @@ def _isl_edges(snap):
 #: ISLs that exist at t = 0, so failed links usually cut a real edge.
 LINKS = sorted(_isl_edges(_network().snapshot(0.0)))
 
-#: Repeated instants exercise cache hits, instants a fraction of a
-#: second apart must not share one, and free floats exercise misses.
+#: Repeated instants record zero-churn deltas, instants a fraction of a
+#: second apart must still differ, and free floats draw any instant.
 TIMES = st.one_of(st.sampled_from([0.0, 0.25, 30.0, 600.0]),
                   st.floats(min_value=0.0, max_value=6000.0))
 

@@ -79,6 +79,24 @@ class TestLoadAdaptiveRouter:
         assert LoadAdaptiveRouter()(two_gateway_graph, flow, []) is None
 
 
+class TestNearestGatewayTie:
+    def test_first_listed_of_two_equal_cost_gateways(self):
+        # Listed first but named last: neither a last-index argmin nor a
+        # by-name order picks it.
+        g = nx.Graph()
+        g.add_node("u", kind="user")
+        g.add_node("s", kind="satellite")
+        for gateway in ("g-zulu", "g-alpha"):
+            g.add_node(gateway, kind="ground_station")
+            g.add_edge("s", gateway, delay_s=0.004, capacity_bps=1e9)
+        g.add_edge("u", "s", delay_s=0.003, capacity_bps=1e9)
+        flow = FlowSpec("f1", "u", 0.0, 1e6)
+        adaptive = LoadAdaptiveRouter()
+        assert StaticNearestRouter()(g, flow, []) == ["u", "s", "g-zulu"]
+        assert adaptive(g, flow, []) == ["u", "s", "g-zulu"]
+        assert adaptive.diversions == 0
+
+
 class FakeSnapshot:
     def __init__(self, time_s, edges):
         self.time_s = time_s
