@@ -33,7 +33,7 @@ from repro.isl.topology import (
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.coordinates import geodetic_points_to_eci
 from repro.orbits.kepler import KeplerPropagator, batch_positions
-from repro.orbits.visibility import elevation_angles
+from repro.orbits.visibility import elevations_and_ranges
 from repro.phy.modulation import achievable_rate_bps_array
 from repro.phy.rf import RFTerminal, rf_link_budget_arrays
 
@@ -54,8 +54,9 @@ from repro.routing.metrics import (
 )
 
 
-#: Ground x satellite pairs per chunk of the access-link elevation pass,
-#: so each ``(rows, satellites, 3)`` float64 temporary stays under ~1 MB.
+#: Ground x satellite pairs per chunk of the access-link visibility
+#: pass, so each of its ``(rows, satellites)`` float64 planes stays near
+#: 320 KB.
 _ACCESS_CHUNK_PAIRS = 40_000
 
 
@@ -710,10 +711,12 @@ class OpenSpaceNetwork:
         The ground rows are ``stations`` then ``users``, placed by one
         array conversion and one rotation
         (:func:`~repro.orbits.coordinates.geodetic_points_to_eci`).  One
-        elevation pass over ground rows x ``alive`` satellites, in
-        chunks of rows that keep each geometry temporary near 1 MB;
-        slant ranges only for the pairs above each row's mask (a
-        station's is the larger of the network mask and its own); one
+        :func:`~repro.orbits.visibility.elevations_and_ranges` pass over
+        ground rows x ``alive`` satellites gives every pair's elevation
+        and slant range on ``(rows, satellites)`` planes, in chunks of
+        rows that keep the pass's temporaries small; the pairs above
+        each row's mask (a station's is the larger of the network mask
+        and its own) keep both values; one
         :func:`~repro.phy.rf.rf_link_budget_arrays` call per (satellite
         ground terminal, ground-side terminal, rain rate) group.  A
         station prices against the gateway dish matched to the
@@ -741,9 +744,9 @@ class OpenSpaceNetwork:
             + [math.radians(user.min_elevation_deg) for user in users]
         )
         chunk = max(1, _ACCESS_CHUNK_PAIRS // alive.size)
-        row_parts, sat_parts, elevation_parts = [], [], []
+        row_parts, sat_parts, elevation_parts, distance_parts = [], [], [], []
         for start in range(0, len(grounds), chunk):
-            elevations = elevation_angles(
+            elevations, ranges = elevations_and_ranges(
                 ground_matrix[start:start + chunk, None, :], sat_matrix[None]
             )
             rows, columns = np.nonzero(
@@ -752,11 +755,11 @@ class OpenSpaceNetwork:
             row_parts.append(rows + start)
             sat_parts.append(columns)
             elevation_parts.append(elevations[rows, columns])
+            distance_parts.append(ranges[rows, columns])
         ground_rows = np.concatenate(row_parts)
         sat_rows = np.concatenate(sat_parts)
         elevations = np.concatenate(elevation_parts)
-        deltas = sat_matrix[sat_rows] - ground_matrix[ground_rows]
-        distances = np.sqrt((deltas * deltas).sum(axis=-1))
+        distances = np.concatenate(distance_parts)
 
         sat_terminals, sat_codes = _value_codes(
             [self.satellites[index].ground_terminal

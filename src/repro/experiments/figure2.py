@@ -37,8 +37,9 @@ from repro.orbits.visibility import (
     chord_clears_grazing,
     cluster_coverage_fraction,
     coverage_fraction,
-    elevation_angles,
+    elevations_and_ranges,
     line_of_sight_mask,
+    squared_norms,
     worst_case_coverage_fraction,
 )
 from repro.orbits.walker import iridium_like, random_constellation
@@ -164,13 +165,15 @@ def _relay_latency_batch_s(positions_all: np.ndarray,
     the exact formulas decide every kept value:
 
     * a batched Gram bound proposes ISL pairs, and the exact
-      ``sqrt(((a - b) ** 2).sum(-1)) <= max_isl_range_km`` test and
+      ``sqrt(squared_norms(a - b)) <= max_isl_range_km`` test and
       ``range / c`` weight run on those candidates only;
     * :func:`chord_clears_grazing` certifies line of sight for the whole
       batch from the lowest satellite radius and the range cap, and
       :func:`line_of_sight_mask` runs on in-range pairs only when it
       cannot;
-    * ground slant ranges are computed for visible pairs only.
+    * one :func:`elevations_and_ranges` pass per ground site gives every
+      (epoch, satellite) elevation and slant range, and the visible
+      pairs' ranges are read from it.
 
     The epoch blocks share no edges, and a Dijkstra distance is the
     minimum of ``d[u] + w`` over settled in-neighbours ``u`` whatever
@@ -199,20 +202,19 @@ def _relay_latency_batch_s(positions_all: np.ndarray,
     cols: List[np.ndarray] = []
     data: List[np.ndarray] = []
     for offset, ground_ecis in ((count, user_ecis), (count + 1, gateway_ecis)):
-        ground = np.asarray(ground_ecis, dtype=float)
-        vis_epoch, vis_sat = np.nonzero(
-            elevation_angles(ground[:, None, :], pts) >= mask_rad)
+        elevations, ranges = elevations_and_ranges(
+            np.asarray(ground_ecis, dtype=float)[:, None, :], pts)
+        vis_epoch, vis_sat = np.nonzero(elevations >= mask_rad)
         if vis_epoch.size == 0:
             continue
-        deltas = pts[vis_epoch, vis_sat] - ground[vis_epoch]
-        weights = np.sqrt((deltas * deltas).sum(axis=-1)) / SPEED_OF_LIGHT_KM_S
+        weights = ranges[vis_epoch, vis_sat] / SPEED_OF_LIGHT_KM_S
         ground_nodes = vis_epoch * stride + offset
         sat_nodes = vis_epoch * stride + vis_sat
         rows.extend((ground_nodes, sat_nodes))
         cols.extend((sat_nodes, ground_nodes))
         data.extend((weights, weights))
     if count >= 2 and epochs:
-        norms = (pts * pts).sum(axis=-1)
+        norms = squared_norms(pts)
         isl_epoch, first, second, distances = _isl_in_range(
             pts, norms, max_isl_range_km)
         if not chord_clears_grazing(math.sqrt(float(norms.min())),
@@ -259,7 +261,8 @@ def _isl_in_range(pts: np.ndarray, norms: np.ndarray, max_range_km: float):
 
     Args:
         pts: ``(K, N, 3)`` positions, epoch axis first.
-        norms: ``(K, N)`` squared norms, ``(pts * pts).sum(-1)``.
+        norms: ``(K, N)`` squared norms, :func:`squared_norms` of
+            ``pts``.
         max_range_km: Inclusive range cap.
 
     Returns:
@@ -280,9 +283,9 @@ def _isl_in_range(pts: np.ndarray, norms: np.ndarray, max_range_km: float):
         np.flatnonzero((bound <= cap_sq + slack) & upper), count)
     epoch, first = np.divmod(row_a, count)
     flat_pts = pts.reshape(-1, 3)
-    diff = (np.take(flat_pts, row_a, axis=0)
-            - np.take(flat_pts, row_a - first + second, axis=0))
-    distances = np.sqrt((diff * diff).sum(axis=-1))
+    distances = np.sqrt(squared_norms(
+        np.take(flat_pts, row_a, axis=0)
+        - np.take(flat_pts, row_a - first + second, axis=0)))
     keep = distances <= max_range_km
     return epoch[keep], first[keep], second[keep], distances[keep]
 

@@ -29,7 +29,7 @@ from repro.isl.link import (
 # The scalar oracle of BestLinkArrays stays importable from here, where
 # benchmarks/e2e/tracer.py looks it up.
 from repro.isl.link import best_link_between  # noqa: F401
-from repro.orbits.visibility import line_of_sight_mask
+from repro.orbits.visibility import line_of_sight_mask, squared_norms
 
 #: Fleets at least this large draw candidate pairs from a KD-tree
 #: (``scipy.spatial.cKDTree``) and assign in radius shells.  Below this
@@ -431,8 +431,9 @@ class IslTopologyBuilder:
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The proposed pairs in ``(inner_km, radius_km]`` with line of
         sight, sorted by ``(distance, row, col)``, with their ranges."""
-        delta = pos_matrix[rows] - pos_matrix[cols]
-        distances = np.sqrt((delta * delta).sum(axis=-1))
+        distances = np.sqrt(squared_norms(
+            np.take(pos_matrix, rows, axis=0)
+            - np.take(pos_matrix, cols, axis=0)))
         keep = (distances > inner_km) & (distances <= radius_km)
         rows, cols, distances = rows[keep], cols[keep], distances[keep]
         keep = line_of_sight_mask(pos_matrix[rows], pos_matrix[cols],

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci, ecef_to_eci_over
 from repro.orbits.kepler import KeplerPropagator
-from repro.orbits.visibility import elevation_angle, elevation_angles
+from repro.orbits.visibility import elevation_angle, elevations_and_ranges
 import math
 
 
@@ -98,7 +98,8 @@ def contact_windows(ground: GeodeticPoint,
     # elevation pass.  Only the sub-second edge refinement stays scalar.
     ground_eci_all = ecef_to_eci_over(ground_ecef, times)
     for index, sat in enumerate(propagators):
-        elevations = elevation_angles(ground_eci_all, sat.positions_at(times))
+        elevations, _ = elevations_and_ranges(ground_eci_all,
+                                              sat.positions_at(times))
         above_prev = bool(elevations[0] >= mask_rad)
         window_start: Optional[float] = float(times[0]) if above_prev else None
         max_elev = float(elevations[0]) if above_prev else -math.pi

@@ -13,7 +13,7 @@ Implements the geometric primitives behind the paper's Figure 2:
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,9 +30,31 @@ def slant_range(pos_a_km: np.ndarray, pos_b_km: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(pos_a_km) - np.asarray(pos_b_km)))
 
 
+def squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of ``(..., 3)`` vectors, shape ``(...)``.
+
+    Computed on the x, y and z component planes and summed x, then y,
+    then z: the order in which numpy's add-reduction sums a length-3
+    last axis, so every value equals ``v * v`` reduced over that axis,
+    bit for bit (``tests/properties/test_property_visibility.py`` pins
+    that order), without the per-row reduction loop.  The reduction
+    starts from +0.0, which changes a sum only when every term is -0.0;
+    a square never is, so no start is needed here (an elevation's dot
+    product needs one: see :func:`elevations_and_ranges`).
+    """
+    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
+    return x * x + y * y + z * z
+
+
 def line_of_sight_mask(pos_a_km: np.ndarray, pos_b_km: np.ndarray,
                        grazing_altitude_km: float = GRAZING_ALTITUDE_KM) -> np.ndarray:
     """Vectorized :func:`has_line_of_sight` over paired position rows.
+
+    Works on the x, y and z component planes, each three-term sum added
+    in :func:`squared_norms`' order, so the mask equals the ``(..., 3)``
+    formulation's (``tests/orbits/oracle.py``) bit for bit.  (A dot
+    product of three -0.0 terms, +0.0 in numpy's reduction, only flips
+    the sign of a zero that is squared before the comparison.)
 
     Args:
         pos_a_km: ``(..., 3)`` segment start positions.
@@ -46,17 +68,18 @@ def line_of_sight_mask(pos_a_km: np.ndarray, pos_b_km: np.ndarray,
     """
     a = np.asarray(pos_a_km, dtype=float)
     b = np.asarray(pos_b_km, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
     limit = EARTH_RADIUS_KM + grazing_altitude_km
-    d = b - a
-    dd = (d * d).sum(axis=-1)
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    dx, dy, dz = b[..., 0] - ax, b[..., 1] - ay, b[..., 2] - az
+    dd = dx * dx + dy * dy + dz * dz
     # Closest point of each segment to the Earth's centre; degenerate
     # (zero-length) segments test the endpoint itself.
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(dd > 0.0, -(a * d).sum(axis=-1) / np.where(dd > 0.0, dd, 1.0), 0.0)
+        t = np.where(dd > 0.0, -(ax * dx + ay * dy + az * dz)
+                     / np.where(dd > 0.0, dd, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
-    closest = a + t[..., None] * d
-    return np.sqrt((closest * closest).sum(axis=-1)) >= limit
+    cx, cy, cz = ax + t * dx, ay + t * dy, az + t * dz
+    return np.sqrt(cx * cx + cy * cy + cz * cz) >= limit
 
 
 #: Relative margin :func:`chord_clears_grazing` keeps on the squared
@@ -90,27 +113,38 @@ def chord_clears_grazing(min_radius_km: float, max_length_km: float,
     return bool(depth_sq >= limit * limit * (1.0 + CHORD_MARGIN))
 
 
-def elevation_angles(ground_ecef_km: np.ndarray,
-                     satellite_ecef_km: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`elevation_angle`, radians.
+def elevations_and_ranges(ground_km: np.ndarray, satellite_km: np.ndarray
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Elevation (radians) and slant range (km) of satellites seen from
+    ground points, in one pass over the x, y and z component planes.
 
-    Supports one ground point against ``(N, 3)`` satellites (returns
-    ``(N,)``) and paired ``(T, 3)`` vs ``(T, 3)`` rows (returns ``(T,)``)
-    — any broadcastable combination of ``(..., 3)`` shapes works.
-    Degenerate zero ranges report zenith, matching the scalar function.
+    The vectorized :func:`elevation_angle` and :func:`slant_range`, and
+    the one vectorized elevation in the package.  Any broadcastable pair
+    of ``(..., 3)`` shapes works: ``(G, 1, 3)`` ground rows against
+    ``(1, S, 3)`` satellites, ``(K, 1, 3)`` against ``(K, N, 3)``,
+    paired ``(T, 3)`` rows.  Both results take the broadcast shape
+    without the last axis; the ground norm is computed once per ground
+    row.  Each three-term sum is added in :func:`squared_norms`' order,
+    and the dot product starts from +0.0 as numpy's reduction does (three
+    -0.0 terms sum to +0.0, not -0.0), so both results equal the
+    ``(..., 3)`` formulation's (``tests/orbits/oracle.py``) bit for bit,
+    and each range is ``sqrt(squared_norms(sat - ground))`` of its pair.
+    Degenerate zero ranges and ground points at the origin report zenith,
+    matching the scalar function.
     """
-    ground = np.asarray(ground_ecef_km, dtype=float)
-    sats = np.asarray(satellite_ecef_km, dtype=float)
-    ground, sats = np.broadcast_arrays(ground, sats)
-    delta = sats - ground
-    range_km = np.sqrt((delta * delta).sum(axis=-1))
-    ground_norm = np.sqrt((ground * ground).sum(axis=-1))
-    denom = range_km * ground_norm
+    ground = np.asarray(ground_km, dtype=float)
+    sats = np.asarray(satellite_km, dtype=float)
+    gx, gy, gz = ground[..., 0], ground[..., 1], ground[..., 2]
+    dx, dy, dz = sats[..., 0] - gx, sats[..., 1] - gy, sats[..., 2] - gz
+    range_km = np.sqrt(dx * dx + dy * dy + dz * dz)
+    denom = range_km * np.sqrt(squared_norms(ground))
     safe = denom > 0.0
     sin_el = np.where(
-        safe, (delta * ground).sum(axis=-1) / np.where(safe, denom, 1.0), 1.0
+        safe,
+        (0.0 + dx * gx + dy * gy + dz * gz) / np.where(safe, denom, 1.0),
+        1.0,
     )
-    return np.arcsin(np.clip(sin_el, -1.0, 1.0))
+    return np.arcsin(np.clip(sin_el, -1.0, 1.0)), range_km
 
 
 def has_line_of_sight(pos_a_km: np.ndarray, pos_b_km: np.ndarray,

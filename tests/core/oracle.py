@@ -23,12 +23,12 @@ import numpy as np
 
 from repro.core.network import content_digest
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
-from repro.orbits.visibility import elevation_angles
 from repro.phy.modulation import achievable_rate_bps
 from repro.phy.rf import rf_link_budget
 from repro.routing.csr import CsrAdjacency
 from repro.routing.metrics import PROPAGATION_ONLY, path_metrics
 from tests.isl.oracle import oracle_graph
+from tests.orbits.oracle import elevation_angles
 from tests.routing import oracle as routing_oracle
 
 

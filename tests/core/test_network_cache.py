@@ -20,11 +20,11 @@ from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
-from repro.orbits.visibility import elevation_angles
 from repro.orbits.walker import iridium_like
 from repro.phy.modulation import achievable_rate_bps
 from repro.phy.rf import rf_link_budget
 from repro.routing.metrics import path_metrics
+from tests.orbits.oracle import elevation_angles
 from tests.routing import oracle
 
 

@@ -12,7 +12,7 @@ import networkx as nx
 import numpy as np
 
 from repro.isl.link import best_link_between
-from repro.orbits.visibility import line_of_sight_mask
+from tests.orbits.oracle import line_of_sight_mask
 
 
 def oracle_graph(nodes, positions, max_range_km=6000.0,

@@ -1,4 +1,5 @@
-"""Inverse frame transforms the coordinate tests referee against.
+"""Orbit-geometry references the coordinate and visibility tests
+referee against.
 
 The stack only ever converts geodetic -> ECEF -> ECI (ground sites into
 the inertial frame the orbits live in).  The tests check those forward
@@ -8,6 +9,16 @@ transforms by round trip, so the inverses live here:
   :func:`~repro.orbits.coordinates.geodetic_to_ecef`;
 * :func:`eci_to_ecef` — the transpose of
   :func:`~repro.orbits.coordinates.ecef_to_eci`'s rotation.
+
+The visibility kernels compute on x, y and z component planes.  The
+``(..., 3)`` forms they replaced stay here, each a broadcast and one
+``.sum(axis=-1)`` per length-3 reduction, as the referee the kernels
+must equal bit for bit and the geometry the digest oracles build on:
+
+* :func:`elevation_angles` — the elevation half of
+  :func:`~repro.orbits.visibility.elevations_and_ranges`;
+* :func:`line_of_sight_mask` — of
+  :func:`~repro.orbits.visibility.line_of_sight_mask`.
 """
 
 import math
@@ -16,6 +27,7 @@ import numpy as np
 
 from repro.orbits.constants import EARTH_FLATTENING, EARTH_RADIUS_KM
 from repro.orbits.coordinates import GeodeticPoint, _gmst_rad
+from repro.orbits.visibility import GRAZING_ALTITUDE_KM
 
 
 def ecef_to_geodetic(ecef_km: np.ndarray, tol: float = 1e-10,
@@ -56,3 +68,57 @@ def eci_to_ecef(eci_km: np.ndarray, time_s: float) -> np.ndarray:
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     rot = np.array([[cos_t, sin_t, 0.0], [-sin_t, cos_t, 0.0], [0.0, 0.0, 1.0]])
     return rot @ np.asarray(eci_km, dtype=float)
+
+
+def elevation_angles(ground_ecef_km: np.ndarray,
+                     satellite_ecef_km: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`~repro.orbits.visibility.elevation_angle`,
+    radians.
+
+    Supports one ground point against ``(N, 3)`` satellites (returns
+    ``(N,)``) and paired ``(T, 3)`` vs ``(T, 3)`` rows (returns ``(T,)``)
+    — any broadcastable combination of ``(..., 3)`` shapes works.
+    Degenerate zero ranges report zenith, matching the scalar function.
+    """
+    ground = np.asarray(ground_ecef_km, dtype=float)
+    sats = np.asarray(satellite_ecef_km, dtype=float)
+    ground, sats = np.broadcast_arrays(ground, sats)
+    delta = sats - ground
+    range_km = np.sqrt((delta * delta).sum(axis=-1))
+    ground_norm = np.sqrt((ground * ground).sum(axis=-1))
+    denom = range_km * ground_norm
+    safe = denom > 0.0
+    sin_el = np.where(
+        safe, (delta * ground).sum(axis=-1) / np.where(safe, denom, 1.0), 1.0
+    )
+    return np.arcsin(np.clip(sin_el, -1.0, 1.0))
+
+
+def line_of_sight_mask(pos_a_km: np.ndarray, pos_b_km: np.ndarray,
+                       grazing_altitude_km: float = GRAZING_ALTITUDE_KM) -> np.ndarray:
+    """Vectorized :func:`~repro.orbits.visibility.has_line_of_sight` over
+    paired position rows.
+
+    Args:
+        pos_a_km: ``(..., 3)`` segment start positions.
+        pos_b_km: ``(..., 3)`` segment end positions (broadcastable
+            against ``pos_a_km``).
+        grazing_altitude_km: Minimum ray altitude.
+
+    Returns:
+        Boolean array of the broadcast shape (without the last axis):
+        True where the segment clears the atmosphere.
+    """
+    a = np.asarray(pos_a_km, dtype=float)
+    b = np.asarray(pos_b_km, dtype=float)
+    a, b = np.broadcast_arrays(a, b)
+    limit = EARTH_RADIUS_KM + grazing_altitude_km
+    d = b - a
+    dd = (d * d).sum(axis=-1)
+    # Closest point of each segment to the Earth's centre; degenerate
+    # (zero-length) segments test the endpoint itself.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(dd > 0.0, -(a * d).sum(axis=-1) / np.where(dd > 0.0, dd, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    closest = a + t[..., None] * d
+    return np.sqrt((closest * closest).sum(axis=-1)) >= limit

@@ -19,7 +19,10 @@ masks and binding backhaul, and random user sets, the two must agree on:
   ``nearest_ground_station_route``, and the route metrics of random
   walks;
 * the nearest-gateway rule itself: both return the path to the
-  first-listed station at the least oracle distance;
+  first-listed station at the least oracle distance, a probe over its
+  user's single-user overlay (its user rows relay nothing), a route over
+  the snapshot it comes from, where another user's terminal may relay
+  it (an expected failure pins that until ground nodes stop relaying);
 * ``last_snapshot_delta`` and ``delta_stats`` along a walk of instants
   and fault changes.
 
@@ -31,6 +34,7 @@ import dataclasses
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,34 +251,98 @@ class TestArraySnapshotMatchesOracle:
             assert network.delta_stats == expected.stats
 
 
+def _assert_nearest_gateway(route, reference, user_id):
+    """``route`` ends at the first-listed station at the least networkx
+    distance over the oracle snapshot ``reference``, at exactly that
+    cost, or is ``None`` when ``reference`` reaches no station.
+
+    Only the station choice and the path's cost are checked, so a tie
+    between equal-cost paths to one station may break either way.
+    """
+    dist, _paths = routing_oracle.dijkstra(reference.graph, user_id)
+    reached = [station for station in reference.nodes_of_kind(
+        "ground_station") if station in dist]
+    if not reached:
+        assert route is None
+        return
+    nearest = min(reached, key=dist.get)  # first of the least
+    assert route.path[-1] == nearest
+    assert routing_oracle.path_cost(reference.graph, route.path) \
+        == dist[nearest]
+
+
+def _two_users():
+    """u0 at (0, 0) and u1 at (34 N, 0) over ``FLEET``: at
+    :data:`TestNearestGatewayRule.RELAY_TIMES` u0 alone reaches no
+    gateway, but with u1 in the snapshot its route relays through u1's
+    terminal."""
+    network = OpenSpaceNetwork(FLEET, default_station_network(),
+                               max_isl_range_km=RANGE_KM)
+    users = [UserTerminal(f"u{index}", GeodeticPoint(latitude, 0.0), "op-a",
+                          terminal=standard_ku_user_terminal(),
+                          min_elevation_deg=0.0)
+             for index, latitude in enumerate((0.0, 34.0))]
+    return network, users
+
+
 class TestNearestGatewayRule:
+    RELAY_TIMES = (270.0, 300.0, 330.0, 360.0, 1020.0, 1050.0, 1080.0,
+                   1800.0)
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), network=networks(), users=user_sets(),
            time_s=TIMES)
     def test_first_listed_station_at_least_oracle_distance(
             self, data, network, users, time_s):
-        # Distances come from networkx over the graph-built overlay; only
-        # the station choice and the path's cost are checked, so a tie
-        # between equal-cost paths to one station may break either way.
+        # A probe answers for each user alone (its source-only user rows
+        # relay nothing), so it is held to the single-user snapshot and
+        # oracle.  In the multi-user snapshot one user's terminal can
+        # relay another's route (ROADMAP item 1); its routes are held to
+        # the multi-user oracle.
         if data.draw(st.booleans()):
             network.set_fault_state(*data.draw(fault_states(network)))
-        reference = oracle.user_snapshot(network, time_s, users)
-        stations = reference.nodes_of_kind("ground_station")
         probes = network.gateway_probe_paths(time_s, users)
         snap = network.snapshot(time_s, users=users)
+        reference = oracle.user_snapshot(network, time_s, users)
         for user in users:
-            dist, _paths = routing_oracle.dijkstra(reference.graph,
-                                                   user.user_id)
-            reached = [station for station in stations if station in dist]
-            route = snap.nearest_ground_station_route(user.user_id)
-            if not reached:
-                assert probes[user.user_id] is None and route is None
-                continue
-            nearest = min(reached, key=dist.get)  # first of the least
-            assert probes[user.user_id] == route.path
-            assert route.path[-1] == nearest
-            assert routing_oracle.path_cost(reference.graph, route.path) \
-                == dist[nearest]
+            alone = network.snapshot(time_s, users=[user])
+            route = alone.nearest_ground_station_route(user.user_id)
+            _assert_nearest_gateway(
+                route, oracle.user_snapshot(network, time_s, [user]),
+                user.user_id)
+            assert probes[user.user_id] == (None if route is None
+                                            else route.path)
+            _assert_nearest_gateway(
+                snap.nearest_ground_station_route(user.user_id), reference,
+                user.user_id)
+
+    def test_probe_answers_for_its_user_alone(self):
+        # At t = 270 s the two-user snapshot routes u0 -> sat-array-op-0
+        # -> u1 -> sat-array-op-33 -> gs-ireland, but u0 alone reaches no
+        # gateway: the probe follows the single-user snapshot.
+        network, users = _two_users()
+        probes = network.gateway_probe_paths(270.0, users)
+        alone = network.snapshot(270.0, users=users[:1])
+        both = network.snapshot(270.0, users=users)
+        assert probes["u0"] is None
+        assert alone.nearest_ground_station_route("u0") is None
+        _assert_nearest_gateway(
+            None, oracle.user_snapshot(network, 270.0, users[:1]), "u0")
+        _assert_nearest_gateway(
+            both.nearest_ground_station_route("u0"),
+            oracle.user_snapshot(network, 270.0, users), "u0")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_no_route_passes_through_a_ground_node(self):
+        network, users = _two_users()
+        for time_s in self.RELAY_TIMES:
+            snap = network.snapshot(time_s, users=users)
+            ground = set(snap.nodes_of_kind("ground_station")) | set(
+                snap.nodes_of_kind("user"))
+            for user in users:
+                route = snap.nearest_ground_station_route(user.user_id)
+                if route is not None:
+                    assert not ground & set(route.path[1:-1])
 
 
 class OracleDeltas:

@@ -21,12 +21,9 @@ import networkx as nx
 import numpy as np
 
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
-from repro.orbits.visibility import (
-    GRAZING_ALTITUDE_KM,
-    elevation_angles,
-    line_of_sight_mask,
-)
+from repro.orbits.visibility import GRAZING_ALTITUDE_KM
 from repro.routing.metrics import PROPAGATION_ONLY, EdgeCostModel
+from tests.orbits.oracle import elevation_angles, line_of_sight_mask
 
 
 def oracle_weight(weight=None):
