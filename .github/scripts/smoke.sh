@@ -7,14 +7,17 @@
 # telemetry stream joins the contract: a double-run to the same
 # --events-out path must match byte for byte (the manifest embeds the
 # output path, so both runs share one), and the rerun's stream must
-# match on everything but the manifest line.  Optionally finishes with a
-# targeted benchmark case whose JSON the workflow uploads as an
-# artifact.
+# match on everything but the manifest line.  With EXPECTED set, the
+# first run's stdout must also equal a committed file, so a change that
+# moves a row fails even though it moves every run alike.  Optionally
+# finishes with a targeted benchmark case whose JSON the workflow
+# uploads as an artifact.
 #
 # Inputs (environment):
 #   SWEEP_CMD   repro subcommand + arguments (required)
 #   RERUN_ARGS  extra flags for the rerun (required; e.g. "--jobs 2")
 #   EVENTS      "true" to exercise --events-out determinism
+#   EXPECTED    committed stdout the first run must print (optional)
 #   BENCH_ONLY  run_bench.py case name(s) to run afterwards (optional)
 #   BENCH_OUT   output JSON path for the benchmark run
 #   BENCH_ARGS  extra run_bench.py flags (optional)
@@ -45,6 +48,10 @@ else
   # shellcheck disable=SC2086
   run ${RERUN_ARGS} > stdout_rerun.txt
   diff stdout_1.txt stdout_rerun.txt
+fi
+
+if [ -n "${EXPECTED:-}" ]; then
+  diff "${EXPECTED}" stdout_1.txt
 fi
 
 if [ -n "${BENCH_ONLY:-}" ]; then

@@ -172,7 +172,10 @@ def _scalar_figure2b_sweep(counts, trials, epochs, seed):
 # -- benchmark cases -------------------------------------------------------
 
 def bench_propagation() -> dict:
-    """Whole-fleet propagation: scalar position_at loop vs batch_states."""
+    """Whole-fleet propagation: scalar ``position_at`` loop vs the
+    stacked :class:`~repro.orbits.kepler.KeplerFleet`.  The vectorized
+    side reuses the constellation's fleet, stacked on the first repeat,
+    across the rest."""
     constellation = iridium_like()
     propagators = constellation.propagators()
     times = np.linspace(0.0, 5400.0, 120)

@@ -7,6 +7,7 @@ proactive route precomputation, coverage estimation, and whole-network
 snapshots.  Regressions here multiply directly into experiment wall-clock.
 """
 
+import numpy as np
 
 from repro import obs
 from repro.core.interop import SizeClass, build_fleet
@@ -20,14 +21,13 @@ from repro.routing.proactive import ProactiveRouter
 
 
 def test_perf_constellation_propagation(benchmark):
+    # The stacked fleet every sweep and snapshot propagates through.
     constellation = iridium_like()
-    propagators = constellation.propagators()
-
-    def propagate():
-        return [p.position_at(1234.5) for p in propagators]
-
-    positions = benchmark(propagate)
-    assert len(positions) == 66
+    positions = benchmark(constellation.positions_at, 1234.5)
+    assert positions.shape == (66, 3)
+    for position, propagator in zip(positions,
+                                    constellation.propagators()):
+        assert np.array_equal(position, propagator.positions_at(1234.5)[0])
 
 
 def test_perf_isl_topology_snapshot(benchmark):

@@ -32,7 +32,7 @@ from repro.isl.topology import (
 )
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.coordinates import geodetic_points_to_eci
-from repro.orbits.kepler import KeplerPropagator, batch_positions
+from repro.orbits.kepler import KeplerFleet, batch_positions
 from repro.orbits.visibility import elevations_and_ranges
 from repro.phy.modulation import achievable_rate_bps_array
 from repro.phy.rf import RFTerminal, rf_link_budget_arrays
@@ -423,7 +423,7 @@ class NetworkSnapshot:
         computed from the arrays without building the view.
 
         This is the equality witness the tests compare: a snapshot
-        built after any call history (delta recording, position priming)
+        built after any call history (delta recording, fault changes)
         must hash identically to a fresh network's build at the
         same instant and fault state.
         """
@@ -503,8 +503,7 @@ class OpenSpaceNetwork:
             [spec.to_isl_node() for spec in self.satellites],
             max_range_km=max_isl_range_km,
         )
-        self._propagators = [KeplerPropagator(spec.elements)
-                             for spec in self.satellites]
+        self._fleet = KeplerFleet([spec.elements for spec in self.satellites])
         self._fleet_ids = [spec.satellite_id for spec in self.satellites]
         self._spec_by_id = {
             spec.satellite_id: spec for spec in self.satellites
@@ -532,8 +531,6 @@ class OpenSpaceNetwork:
         self._delta_prev: Optional[TopologySnapshot] = None
         self._delta_prev_epoch: int = -1
         self._delta_prev_ground = np.empty(0, dtype=np.int64)
-        #: Primed instants -> ``(N, 3)`` fleet positions (matrix columns).
-        self._primed_positions: Dict[float, np.ndarray] = {}
 
     @classmethod
     def from_federation(cls, federation: Federation,
@@ -610,51 +607,16 @@ class OpenSpaceNetwork:
         return bool(self._failed_satellites or self._failed_stations
                     or self._failed_links)
 
-    def prime_positions(self, times_s: Sequence[float]) -> int:
-        """Precompute satellite positions for a whole epoch grid.
-
-        One batched ``(N, T)`` propagation replaces T per-epoch fleet
-        solves; subsequent :meth:`snapshot` / :meth:`satellite_positions`
-        calls at exactly these times reuse the cached columns.
-
-        Primed grids are **bitwise identical** to per-epoch solves: the
-        Kepler batch path solves each element to the same bits at every
-        grid width, and the frame rotation multiplies through a
-        materialized-contiguous matrix so numpy dispatches the same
-        matmul kernel regardless of how many epochs ride along (see
-        ``repro.orbits.kepler``; pinned by
-        ``tests/core/test_network_cache.py``).  Priming is therefore
-        purely an optimization — digest gates pass with one side primed
-        and the other not.
-
-        Returns:
-            The number of epochs primed.
-        """
-        times = [float(t) for t in times_s]
-        if not times:
-            return 0
-        positions = batch_positions(self._propagators, times)
-        for column, time_s in enumerate(times):
-            self._primed_positions[time_s] = positions[:, column, :]
-        return len(times)
-
-    def clear_primed_positions(self) -> None:
-        self._primed_positions.clear()
-
     def _position_matrix(self, time_s: float) -> np.ndarray:
-        """``(N, 3)`` ECI positions of the fleet in fleet order: a primed
-        column, or one batched propagation."""
-        primed = self._primed_positions.get(float(time_s))
-        if primed is not None:
-            return primed
-        return batch_positions(self._propagators, time_s)[:, 0, :]
+        """``(N, 3)`` ECI positions of the fleet in fleet order."""
+        return batch_positions(self._fleet, time_s)[:, 0, :]
 
     def satellite_positions(self, time_s: float) -> Dict[str, np.ndarray]:
         """ECI position of every satellite at ``time_s``.
 
-        One batched propagation for the whole fleet (see
-        :func:`~repro.orbits.kepler.batch_positions`), unless the
-        instant was primed via :meth:`prime_positions`.
+        One :func:`~repro.orbits.kepler.batch_positions` pass over the
+        network's :class:`~repro.orbits.kepler.KeplerFleet`, whose
+        constants are stacked on the first call (the first snapshot).
         """
         return dict(zip(self._fleet_ids, self._position_matrix(time_s)))
 

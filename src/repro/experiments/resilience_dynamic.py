@@ -53,8 +53,7 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
     user, classifying severed flows as rerouted or dropped) and periodic
     availability probes at ``epochs`` instants across the horizon.  Every
     probe answers all monitored users with one array pass
-    (:meth:`~repro.core.network.OpenSpaceNetwork.gateway_probe_paths`),
-    and the periodic probe grid's propagation is primed up front.
+    (:meth:`~repro.core.network.OpenSpaceNetwork.gateway_probe_paths`).
 
     Args:
         network: The network under test (its fault state is reset first).
@@ -79,10 +78,6 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
         raise ValueError(f"horizon must be positive, got {horizon_s}")
     network.clear_fault_state()
     probe_times = np.linspace(0.0, horizon_s, epochs, endpoint=False)
-    # One (N, epochs) propagation covers every periodic probe; primed
-    # columns are bitwise identical to per-epoch solves, so this is
-    # purely a speedup (fault-transition instants still solve lazily).
-    network.prime_positions(probe_times)
     tracker = RecoveryTracker(reroute_delay_s=reroute_delay_s,
                               horizon_s=horizon_s)
     injector = FaultInjector(network, tracker=tracker, router=router)

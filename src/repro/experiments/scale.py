@@ -77,7 +77,6 @@ def _scale_point(args: tuple) -> Dict:
     fleet = build_fleet(constellation, FLEET_OWNER, SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, default_station_network(),
                                max_isl_range_km=max_range_km)
-    network.prime_positions(times)
 
     edge_counts: List[int] = []
     churn: List[float] = []

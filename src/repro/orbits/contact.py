@@ -54,7 +54,9 @@ def contact_windows(ground: GeodeticPoint,
 
     A straightforward fixed-step scan: adequate because LEO passes last
     minutes while the default step is ten seconds.  Window edges are refined
-    by bisection to sub-second accuracy.
+    by bisection to sub-second accuracy.  The scan's last sample is
+    ``end_s``, so every window lies within ``[start_s, end_s]``; a window
+    still open there ends at ``end_s``.
 
     Args:
         ground: Ground observer.
@@ -92,7 +94,10 @@ def contact_windows(ground: GeodeticPoint,
                 lo = mid
         return (lo + hi) / 2.0
 
+    # Every step_s from start_s, ending at end_s itself: a span that is
+    # not a multiple of the step must not sample, or report, past it.
     times = np.arange(start_s, end_s + step_s, step_s)
+    times = np.append(times[times < end_s], end_s)
     # The coarse scan is batched: one ground-track rotation for all
     # sample times, then per satellite one vectorized propagation and one
     # elevation pass.  Only the sub-second edge refinement stays scalar.

@@ -1,10 +1,16 @@
-"""Keplerian orbit propagation with optional J2 secular perturbations.
+"""Keplerian orbit propagation, with optional J2 secular perturbations
+per satellite.
 
-The propagator turns :class:`~repro.orbits.elements.OrbitalElements` into
-Earth-Centred Inertial (ECI) position and velocity vectors at an arbitrary
-simulation time.  For the near-circular LEO orbits the paper studies, the
-dominant perturbation is the Earth's oblateness (J2), which causes secular
-drift of the ascending node and the argument of perigee; both are modelled.
+:class:`KeplerPropagator` turns one satellite's
+:class:`~repro.orbits.elements.OrbitalElements` into Earth-Centred
+Inertial (ECI) position and velocity vectors at an arbitrary simulation
+time.  For the near-circular LEO orbits the paper studies, the dominant
+perturbation is the Earth's oblateness (J2), which causes secular drift
+of the ascending node and the argument of perigee; the propagator models
+both.  Whole fleets propagate J2-free as one array:
+:class:`KeplerFleet` stacks the per-satellite constants once, and
+:func:`batch_positions` computes positions (no velocities) for every
+satellite and time, bit for bit the per-satellite propagator's.
 
 The module deliberately avoids any external ephemeris dependencies so the
 whole stack is self-contained, per the reproduction's substitution rule
@@ -15,7 +21,7 @@ cites).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,27 +133,43 @@ def true_anomaly_from_eccentric(eccentric_anomaly_rad: float,
     )
 
 
+def _rotation_entries(cos_o, sin_o, cos_i, sin_i, cos_w, sin_w) -> tuple:
+    """The nine row-major entries of the perifocal-to-ECI rotation
+    (3-1-3 Euler: node ``o``, inclination ``i``, perigee ``w``).
+
+    The one formula every rotation here evaluates: on ``math`` floats
+    for a fixed orbital plane (:func:`_plane_entries`) and on arrays for
+    the J2-drifting node and perigee (:func:`_perifocal_to_eci_matrices`).
+    """
+    return (
+        cos_o * cos_w - sin_o * sin_w * cos_i,
+        -cos_o * sin_w - sin_o * cos_w * cos_i,
+        sin_o * sin_i,
+        sin_o * cos_w + cos_o * sin_w * cos_i,
+        -sin_o * sin_w + cos_o * cos_w * cos_i,
+        -cos_o * sin_i,
+        sin_w * sin_i,
+        cos_w * sin_i,
+        cos_i,
+    )
+
+
+def _plane_entries(inclination_rad: float, raan_rad: float,
+                   arg_perigee_rad: float) -> tuple:
+    """:func:`_rotation_entries` of one fixed plane, trig by ``math``."""
+    return _rotation_entries(
+        math.cos(raan_rad), math.sin(raan_rad),
+        math.cos(inclination_rad), math.sin(inclination_rad),
+        math.cos(arg_perigee_rad), math.sin(arg_perigee_rad),
+    )
+
+
 def _perifocal_to_eci_matrix(inclination_rad: float, raan_rad: float,
                              arg_perigee_rad: float) -> np.ndarray:
     """Rotation matrix from the perifocal frame to ECI (3-1-3 Euler)."""
-    cos_o, sin_o = math.cos(raan_rad), math.sin(raan_rad)
-    cos_i, sin_i = math.cos(inclination_rad), math.sin(inclination_rad)
-    cos_w, sin_w = math.cos(arg_perigee_rad), math.sin(arg_perigee_rad)
     return np.array(
-        [
-            [
-                cos_o * cos_w - sin_o * sin_w * cos_i,
-                -cos_o * sin_w - sin_o * cos_w * cos_i,
-                sin_o * sin_i,
-            ],
-            [
-                sin_o * cos_w + cos_o * sin_w * cos_i,
-                -sin_o * sin_w + cos_o * cos_w * cos_i,
-                -cos_o * sin_i,
-            ],
-            [sin_w * sin_i, cos_w * sin_i, cos_i],
-        ]
-    )
+        _plane_entries(inclination_rad, raan_rad, arg_perigee_rad)
+    ).reshape(3, 3)
 
 
 def _perifocal_to_eci_matrices(inclination_rad: float, raan_rad: np.ndarray,
@@ -162,19 +184,14 @@ def _perifocal_to_eci_matrices(inclination_rad: float, raan_rad: np.ndarray,
     raan = np.asarray(raan_rad, dtype=float)
     argp = np.asarray(arg_perigee_rad, dtype=float)
     raan, argp = np.broadcast_arrays(raan, argp)
-    cos_o, sin_o = np.cos(raan), np.sin(raan)
-    cos_i, sin_i = math.cos(inclination_rad), math.sin(inclination_rad)
-    cos_w, sin_w = np.cos(argp), np.sin(argp)
+    entries = _rotation_entries(
+        np.cos(raan), np.sin(raan),
+        math.cos(inclination_rad), math.sin(inclination_rad),
+        np.cos(argp), np.sin(argp),
+    )
     rot = np.empty(raan.shape + (3, 3), dtype=float)
-    rot[..., 0, 0] = cos_o * cos_w - sin_o * sin_w * cos_i
-    rot[..., 0, 1] = -cos_o * sin_w - sin_o * cos_w * cos_i
-    rot[..., 0, 2] = sin_o * sin_i
-    rot[..., 1, 0] = sin_o * cos_w + cos_o * sin_w * cos_i
-    rot[..., 1, 1] = -sin_o * sin_w + cos_o * cos_w * cos_i
-    rot[..., 1, 2] = -cos_o * sin_i
-    rot[..., 2, 0] = sin_w * sin_i
-    rot[..., 2, 1] = cos_w * sin_i
-    rot[..., 2, 2] = cos_i
+    for k, entry in enumerate(entries):
+        rot[..., k // 3, k % 3] = entry
     return rot
 
 
@@ -218,8 +235,9 @@ class KeplerPropagator:
         serves every time.  The transpose is materialized contiguously
         because matmul dispatches a different (last-ulp-different)
         kernel for strided views depending on the time-grid width; the
-        contiguous product is shape-independent, which keeps primed epoch
-        grids bitwise equal to per-epoch solves.
+        contiguous product is shape-independent, which keeps epoch grids
+        bitwise equal to per-epoch solves.  :class:`KeplerFleet` stacks
+        the same entries for a whole fleet.
         """
         if self._rotation_t is None:
             el = self.elements
@@ -342,103 +360,118 @@ def _normalize_times(times_s) -> np.ndarray:
     return times
 
 
-def batch_states(propagators: Sequence[KeplerPropagator],
-                 times_s) -> Tuple[np.ndarray, np.ndarray]:
-    """ECI states for a whole fleet over a whole time grid at once.
+class _FleetConstants(NamedTuple):
+    """A fleet's per-satellite constants, one array entry per satellite."""
 
-    The heart of the vectorized sweep path: all satellites x all
-    timesteps in broadcast numpy operations.  Non-J2 fleets (the default
-    everywhere in the repo) take a fully flattened ``(N, T)`` tensor
-    solve — one Kepler iteration, one trig pass, and one batched frame
-    rotation for the whole fleet, with no per-satellite Python loop.
-    J2-perturbed propagators fall back to the per-satellite vectorized
-    path.
+    epoch_s: np.ndarray
+    mean_anomaly_rad: np.ndarray
+    mean_motion_rad_s: np.ndarray
+    eccentricity: np.ndarray
+    #: ``(e, rows)`` per distinct eccentricity; ``rows`` is every row
+    #: (``slice(None)``) for a single group, else a boolean mask.
+    groups: Tuple[Tuple[float, object], ...]
+    semi_major_axis_km: np.ndarray
+    #: ``(N, 3, 3)`` C-contiguous transposed perifocal-to-ECI rotations.
+    rotations_t: np.ndarray
 
-    The flat path is bitwise identical to per-satellite
-    :meth:`KeplerPropagator.states_at` calls: every elementwise
-    operation is shape-independent, the frame rotation is the same
-    stacked ``matmul``, and satellites are grouped by eccentricity so
-    the Newton solve sees the same per-element update sequence
-    (``tests/orbits`` pins this equality as a regression test).
+
+class KeplerFleet:
+    """A J2-free fleet, propagated as one array by :func:`batch_positions`.
+
+    The per-satellite constants are stacked once, on the first
+    :func:`batch_positions` call (so the stacking is timed as
+    propagation): epochs, mean anomalies, mean motions, eccentricities
+    grouped by value, semi-major axes and one contiguous ``(N, 3, 3)``
+    array of transposed frame rotations.  Each constant is the one a
+    J2-free :class:`KeplerPropagator` of the same elements holds: the
+    mean motion is each element set's ``math`` float, and each rotation
+    is :func:`_rotation_entries` evaluated with ``math`` per satellite,
+    which equals :attr:`KeplerPropagator.fixed_rotation_t` by
+    construction.
 
     Args:
-        propagators: One propagator per satellite (N of them).
+        elements: One element set per satellite, in fleet order.
+    """
+
+    def __init__(self, elements: Sequence[OrbitalElements]):
+        self.elements: List[OrbitalElements] = list(elements)
+        self._constants: Optional[_FleetConstants] = None
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def constants(self) -> _FleetConstants:
+        """The stacked constants, built on the first call."""
+        if self._constants is None:
+            elements = self.elements
+
+            def column(name: str) -> np.ndarray:
+                return np.array([getattr(el, name) for el in elements])
+
+            eccentricity = column("eccentricity")
+            values = np.unique(eccentricity)
+            if len(values) == 1:
+                groups = ((float(values[0]), slice(None)),)
+            else:
+                groups = tuple((float(value), eccentricity == value)
+                               for value in values)
+            rotations = np.array([
+                _plane_entries(el.inclination_rad, el.raan_rad,
+                               el.arg_perigee_rad)
+                for el in elements
+            ]).reshape(-1, 3, 3)
+            self._constants = _FleetConstants(
+                epoch_s=column("epoch_s"),
+                mean_anomaly_rad=column("mean_anomaly_rad"),
+                mean_motion_rad_s=column("mean_motion_rad_s"),
+                eccentricity=eccentricity,
+                groups=groups,
+                semi_major_axis_km=column("semi_major_axis_km"),
+                rotations_t=np.ascontiguousarray(
+                    rotations.transpose(0, 2, 1)),
+            )
+        return self._constants
+
+
+def batch_positions(fleet: KeplerFleet, times_s) -> np.ndarray:
+    """ECI positions for a whole fleet over a time grid; ``(N, T, 3)`` km.
+
+    All satellites x all times in one flattened ``(N, T)`` solve: one
+    Kepler iteration per eccentricity group (one call on the whole
+    matrix for the common single-eccentricity fleet), one trig pass and
+    one batched ``matmul`` against the fleet's contiguous rotations.  The
+    result is bitwise identical to per-satellite
+    :meth:`KeplerPropagator.positions_at` calls, whatever the fleet size
+    or grid width: the operations are :meth:`KeplerPropagator.states_at`'s
+    position half in the same order, every elementwise operation and the
+    per-element Newton mask are shape-independent, and the rotation
+    operands have the layout of a stack of contiguous transposes
+    (``tests/orbits`` pins this).
+
+    Args:
+        fleet: The fleet (N satellites); stacks its constants on the
+            first call.
         times_s: Scalar or 1-D array of T simulation times.
 
     Returns:
-        ``(positions, velocities)`` arrays of shape ``(N, T, 3)`` in km
-        and km/s.  ``N = 0`` or ``T = 0`` yield empty arrays of the
-        documented shape.
+        Positions of shape ``(N, T, 3)``; ``N = 0`` or ``T = 0`` yield an
+        empty array of that shape.
     """
     times = _normalize_times(times_s)
-    count = len(propagators)
-    if count and times.shape[0] and all(
-        p._raan_dot == 0.0 and p._argp_dot == 0.0 for p in propagators
-    ):
-        return _batch_states_flat(propagators, times)
-    positions = np.empty((count, times.shape[0], 3), dtype=float)
-    velocities = np.empty((count, times.shape[0], 3), dtype=float)
-    for index, propagator in enumerate(propagators):
-        pos, vel = propagator.states_at(times)
-        positions[index] = pos
-        velocities[index] = vel
-    return positions, velocities
-
-
-def _batch_states_flat(propagators: Sequence[KeplerPropagator],
-                       times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Flattened ``(N, T)`` tensor solve for non-J2 fleets.
-
-    Replicates the exact operation sequence of
-    :meth:`KeplerPropagator.states_at` across the whole fleet so the
-    result is bitwise identical to the per-satellite loop.
-    """
-    elements = [p.elements for p in propagators]
-    epoch = np.array([el.epoch_s for el in elements])
-    m0 = np.array([el.mean_anomaly_rad for el in elements])
-    mean_dot = np.array([p._mean_dot for p in propagators])
-    ecc = np.array([el.eccentricity for el in elements])
-    a = np.array([el.semi_major_axis_km for el in elements])
-
-    dt = times[None, :] - epoch[:, None]
-    mean_anomaly = m0[:, None] + mean_dot[:, None] * dt
-
-    # Group by eccentricity (one group for the common all-circular
-    # Walker case) so each group runs the same masked Newton iteration
-    # the per-satellite solver applies.
+    if not len(fleet) or not times.shape[0]:
+        return np.empty((len(fleet), times.shape[0], 3), dtype=float)
+    fleet_constants = fleet.constants()
+    dt = times[None, :] - fleet_constants.epoch_s[:, None]
+    mean_anomaly = (fleet_constants.mean_anomaly_rad[:, None]
+                    + fleet_constants.mean_motion_rad_s[:, None] * dt)
     ecc_anom = np.empty_like(mean_anomaly)
     nu = np.empty_like(mean_anomaly)
-    for e_value in np.unique(ecc):
-        rows = ecc == e_value
-        e_float = float(e_value)
-        ecc_anom[rows] = solve_kepler_array(mean_anomaly[rows], e_float)
-        nu[rows] = true_anomaly_from_eccentric_array(ecc_anom[rows], e_float)
-
-    r = a[:, None] * (1.0 - ecc[:, None] * np.cos(ecc_anom))
-    cos_nu, sin_nu = np.cos(nu), np.sin(nu)
-    zeros = np.zeros_like(r)
-    pos_pf = np.stack([r * cos_nu, r * sin_nu, zeros], axis=-1)
-    # v_factor per satellite with the scalar path's exact float ops.
-    v_factor = np.array([
-        math.sqrt(
-            EARTH_MU_KM3_S2
-            / (el.semi_major_axis_km * (1.0 - el.eccentricity * el.eccentricity))
-        )
-        for el in elements
-    ])[:, None]
-    vel_pf = np.stack(
-        [-v_factor * sin_nu, v_factor * (ecc[:, None] + cos_nu), zeros],
-        axis=-1,
+    for e_value, rows in fleet_constants.groups:
+        ecc_anom[rows] = solve_kepler_array(mean_anomaly[rows], e_value)
+        nu[rows] = true_anomaly_from_eccentric_array(ecc_anom[rows], e_value)
+    r = fleet_constants.semi_major_axis_km[:, None] * (
+        1.0 - fleet_constants.eccentricity[:, None] * np.cos(ecc_anom)
     )
-    # Contiguous transposes (see KeplerPropagator.fixed_rotation_t): the
-    # product is shape-independent, so a whole primed grid is bitwise
-    # equal to T separate single-epoch solves.
-    rots_t = np.stack([p.fixed_rotation_t for p in propagators])
-    return np.matmul(pos_pf, rots_t), np.matmul(vel_pf, rots_t)
-
-
-def batch_positions(propagators: Sequence[KeplerPropagator],
-                    times_s) -> np.ndarray:
-    """ECI positions for a fleet over a time grid; shape ``(N, T, 3)``."""
-    positions, _ = batch_states(propagators, times_s)
-    return positions
+    pos_pf = np.stack([r * np.cos(nu), r * np.sin(nu), np.zeros_like(r)],
+                      axis=-1)
+    return np.matmul(pos_pf, fleet_constants.rotations_t)

@@ -27,7 +27,7 @@ from repro.orbits.constants import (
     IRIDIUM_SATELLITE_COUNT,
 )
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.kepler import KeplerPropagator, batch_positions
+from repro.orbits.kepler import KeplerFleet, KeplerPropagator, batch_positions
 
 _TWO_PI = 2.0 * math.pi
 
@@ -51,6 +51,9 @@ class WalkerConstellation:
     _propagators: Optional[List[KeplerPropagator]] = field(
         default=None, repr=False, compare=False
     )
+    _fleet: Optional[KeplerFleet] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -66,26 +69,27 @@ class WalkerConstellation:
         """In-plane slot index of the given satellite."""
         return satellite_index % self.satellites_per_plane
 
-    def propagators(self, include_j2: bool = False) -> List[KeplerPropagator]:
-        """One propagator per satellite (cached for the non-J2 case)."""
-        if include_j2:
-            return [KeplerPropagator(el, include_j2=True) for el in self.elements]
+    def propagators(self) -> List[KeplerPropagator]:
+        """One J2-free propagator per satellite (built once), for the
+        per-satellite scans such as contact windows."""
         if self._propagators is None:
             self._propagators = [KeplerPropagator(el) for el in self.elements]
         return self._propagators
 
-    def positions_at(self, time_s: float, include_j2: bool = False) -> np.ndarray:
+    def positions_at(self, time_s: float) -> np.ndarray:
         """ECI positions of every satellite at ``time_s``; shape (N, 3)."""
-        return batch_positions(self.propagators(include_j2), time_s)[:, 0, :]
+        return self.positions_over(time_s)[:, 0, :]
 
-    def positions_over(self, times_s,
-                       include_j2: bool = False) -> np.ndarray:
+    def positions_over(self, times_s) -> np.ndarray:
         """ECI positions over a whole time grid; shape ``(N, T, 3)``.
 
-        One :func:`~repro.orbits.kepler.batch_positions` broadcast pass —
-        the fast path for sweeps that sample many epochs.
+        One :func:`~repro.orbits.kepler.batch_positions` pass over the
+        constellation's :class:`~repro.orbits.kepler.KeplerFleet`, which
+        is built once and stacks its constants on the first call.
         """
-        return batch_positions(self.propagators(include_j2), times_s)
+        if self._fleet is None:
+            self._fleet = KeplerFleet(self.elements)
+        return batch_positions(self._fleet, times_s)
 
     def subset(self, count: int) -> "WalkerConstellation":
         """The first ``count`` satellites, preserving plane bookkeeping."""

@@ -91,14 +91,15 @@ class TestGatewayProbePaths:
         finally:
             net.clear_fault_state()
 
-    def test_primed_positions_change_nothing(self, users):
-        primed = _make_network()
+    def test_walked_probes_equal_fresh_networks(self, users):
+        # One network's fleet is stacked once and serves every instant;
+        # a fresh network per instant must probe the same paths.
+        walked = _make_network()
         times = np.linspace(0.0, 3600.0, 4, endpoint=False)
-        primed.prime_positions(times)
-        cold = _make_network()
         for time_s in times:
-            assert (primed.gateway_probe_paths(float(time_s), users)
-                    == cold.gateway_probe_paths(float(time_s), users))
+            assert (walked.gateway_probe_paths(float(time_s), users)
+                    == _make_network().gateway_probe_paths(float(time_s),
+                                                           users))
 
     def test_loaded_gateways_trade_queueing_for_distance(self, users):
         # Saturated gateways queue for up to 1 s, so the probe must weigh

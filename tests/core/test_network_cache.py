@@ -20,6 +20,7 @@ from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
+from repro.orbits.kepler import KeplerPropagator
 from repro.orbits.walker import iridium_like
 from repro.phy.modulation import achievable_rate_bps
 from repro.phy.rf import rf_link_budget
@@ -143,41 +144,32 @@ class TestSnapshotCache:
         assert served.graph.nodes[first.user_id]["owner"] == "other-op"
 
 
-class TestPrimedPositions:
-    """``prime_positions`` must be a pure speedup, bit for bit.
+class TestFleetPositions:
+    """The network's one stacked fleet carries each satellite's bits.
 
-    The batched engine primes whole epoch grids up front; the digest
-    gates only hold if a primed column carries exactly the same float64
-    bits as a lazy single-epoch solve (grid-width-independent Kepler
-    batch + contiguous-matrix frame rotation; see
-    ``OpenSpaceNetwork.prime_positions``).
+    The network propagates its whole fleet per instant through one
+    :class:`~repro.orbits.kepler.KeplerFleet`, stacked on the first
+    snapshot; every position must equal the satellite's own propagator
+    bit for bit, and a network that has served other instants must
+    build the same snapshot as a fresh one.
     """
 
     TIMES = [0.0, 450.0, 900.0, 1350.0]
 
-    def test_primed_positions_bitwise_equal_lazy(self):
-        primed = _make_network()
-        assert primed.prime_positions(self.TIMES) == len(self.TIMES)
-        cold = _make_network()
-        for t in self.TIMES:
-            by_id = primed.satellite_positions(t)
-            lazy = cold.satellite_positions(t)
-            assert by_id.keys() == lazy.keys()
-            for sat_id, position in by_id.items():
-                assert np.array_equal(position, lazy[sat_id])
-
-    def test_primed_snapshots_digest_equal_lazy(self):
-        primed = _make_network()
-        primed.prime_positions(self.TIMES)
-        cold = _make_network()
-        for t in self.TIMES:
-            assert primed.snapshot(t).digest() == cold.snapshot(t).digest()
-
-    def test_clear_primed_positions(self):
+    def test_positions_bitwise_equal_each_propagator(self):
         net = _make_network()
-        net.prime_positions(self.TIMES)
-        net.clear_primed_positions()
-        assert net.prime_positions([]) == 0
+        for t in self.TIMES:
+            by_id = net.satellite_positions(t)
+            assert list(by_id) == [s.satellite_id for s in net.satellites]
+            for spec in net.satellites:
+                (expected,) = KeplerPropagator(spec.elements).positions_at(t)
+                assert np.array_equal(by_id[spec.satellite_id], expected)
+
+    def test_walked_snapshots_digest_equal_fresh(self):
+        walked = _make_network()
+        for t in self.TIMES:
+            assert walked.snapshot(t).digest() == \
+                _make_network().snapshot(t).digest()
 
 
 class TestStationStateChange:

@@ -3,8 +3,7 @@
 Every base snapshot is assembled from scratch; delta recording only
 books what changed since the previous one.  These tests pin that a
 network recording deltas hashes byte-identical to one that does not,
-the delta bookkeeping and its fault-epoch fallback, and the batched
-position cache.
+and the delta bookkeeping and its fault-epoch fallback.
 """
 
 import numpy as np
@@ -31,12 +30,6 @@ class TestDeltaVsFullDigest:
     def test_delta_builds_hash_identical_to_full_rebuilds(self):
         delta_net = walker_network(snapshot_delta=True)
         full_net = walker_network(snapshot_delta=False)
-        # Prime both (or neither): numpy's vectorized trig can round the
-        # final ulp differently for different time-grid shapes, so the
-        # two networks must share one batched grid for digests to be
-        # comparable.
-        delta_net.prime_positions(EPOCH_TIMES)
-        full_net.prime_positions(EPOCH_TIMES)
         for t in EPOCH_TIMES:
             assert delta_net.snapshot(t).digest() == \
                 full_net.snapshot(t).digest()
@@ -47,8 +40,6 @@ class TestDeltaVsFullDigest:
     def test_delta_csr_arrays_equal_full_rebuild(self):
         delta_net = walker_network(snapshot_delta=True)
         full_net = walker_network(snapshot_delta=False)
-        delta_net.prime_positions(EPOCH_TIMES[:3])
-        full_net.prime_positions(EPOCH_TIMES[:3])
         for t in EPOCH_TIMES[:3]:
             a = delta_net.snapshot(t).csr_adjacency()
             b = full_net.snapshot(t).csr_adjacency()
@@ -110,8 +101,6 @@ class TestFaultEpochFallback:
     def test_faulted_delta_matches_faulted_full_rebuild(self):
         delta_net = walker_network(snapshot_delta=True)
         full_net = walker_network(snapshot_delta=False)
-        delta_net.prime_positions(EPOCH_TIMES)
-        full_net.prime_positions(EPOCH_TIMES)
         sat = delta_net.satellites[7].satellite_id
         pair = sorted([delta_net.satellites[2].satellite_id,
                        delta_net.satellites[3].satellite_id])
@@ -125,35 +114,6 @@ class TestFaultEpochFallback:
             assert not a.graph.has_edge(*pair)
             assert a.digest() == b.digest()
         assert delta_net.delta_stats["delta_builds"] > 0
-
-
-class TestPrimedPositions:
-    def test_prime_positions_counts_and_serves_epochs(self):
-        net = walker_network(stations=False)
-        assert net.prime_positions(EPOCH_TIMES) == len(EPOCH_TIMES)
-        batched = net.satellite_positions(EPOCH_TIMES[2])
-        solo = walker_network(stations=False).satellite_positions(
-            EPOCH_TIMES[2]
-        )
-        assert set(batched) == set(solo)
-        for sat_id in batched:
-            np.testing.assert_allclose(batched[sat_id], solo[sat_id],
-                                       rtol=0.0, atol=1e-9)
-
-    def test_clear_primed_positions(self):
-        net = walker_network(stations=False)
-        net.prime_positions(EPOCH_TIMES[:2])
-        net.clear_primed_positions()
-        assert net._primed_positions == {}
-
-    def test_priming_both_networks_keeps_digests_equal(self):
-        primed = walker_network(snapshot_delta=False)
-        unprimed = walker_network(snapshot_delta=False)
-        primed.prime_positions([0.0])
-        # At t=0 the mean anomaly solve is exact either way, so even the
-        # one epoch where batching cannot jitter must agree.
-        assert primed.snapshot(0.0).digest() == \
-            unprimed.snapshot(0.0).digest()
 
 
 class TestDigest:

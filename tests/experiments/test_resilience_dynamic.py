@@ -119,9 +119,9 @@ class TestEngineEquality:
     """The one probe engine against the per-user oracle engine.
 
     Patching ``gateway_probe_paths`` with one graph-built oracle probe
-    per user (``tests/core/oracle.py``) and ``prime_positions`` with a
-    no-op rebuilds the per-user scalar probe engine; every summary and
-    sweep row must come out exactly as production gives it.
+    per user (``tests/core/oracle.py``) rebuilds the per-user scalar
+    probe engine; every summary and sweep row must come out exactly as
+    production gives it.
     """
 
     # A harsh enough regime that flows are both rerouted and dropped.
@@ -138,8 +138,6 @@ class TestEngineEquality:
 
         monkeypatch.setattr(OpenSpaceNetwork, "gateway_probe_paths",
                             per_user_probes)
-        monkeypatch.setattr(OpenSpaceNetwork, "prime_positions",
-                            lambda network, times_s: 0)
 
     def test_sweep_rows_identical_across_engines(self, monkeypatch):
         pytest.importorskip("scipy")

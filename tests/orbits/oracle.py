@@ -19,14 +19,35 @@ must equal bit for bit and the geometry the digest oracles build on:
   :func:`~repro.orbits.visibility.elevations_and_ranges`;
 * :func:`line_of_sight_mask` — of
   :func:`~repro.orbits.visibility.line_of_sight_mask`.
+
+Fleets propagate as one stacked :class:`~repro.orbits.kepler.KeplerFleet`
+and positions only.  The batch solve it replaced stays here, states and
+all, built from per-satellite propagators on every call, as the referee
+:func:`~repro.orbits.kepler.batch_positions` must equal bit for bit:
+
+* :func:`batch_states` — positions and velocities, ``(N, T, 3)`` each;
+* :func:`perifocal_to_eci_matrix` — the frame rotation written out on
+  its own, so an entry changed in the package's one rotation formula
+  shows against it instead of moving both sides.
 """
 
 import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.orbits.constants import EARTH_FLATTENING, EARTH_RADIUS_KM
+from repro.orbits.constants import (
+    EARTH_FLATTENING,
+    EARTH_MU_KM3_S2,
+    EARTH_RADIUS_KM,
+)
 from repro.orbits.coordinates import GeodeticPoint, _gmst_rad
+from repro.orbits.kepler import (
+    KeplerPropagator,
+    _normalize_times,
+    solve_kepler_array,
+    true_anomaly_from_eccentric_array,
+)
 from repro.orbits.visibility import GRAZING_ALTITUDE_KM
 
 
@@ -122,3 +143,106 @@ def line_of_sight_mask(pos_a_km: np.ndarray, pos_b_km: np.ndarray,
     t = np.clip(t, 0.0, 1.0)
     closest = a + t[..., None] * d
     return np.sqrt((closest * closest).sum(axis=-1)) >= limit
+
+
+def perifocal_to_eci_matrix(inclination_rad: float, raan_rad: float,
+                            arg_perigee_rad: float) -> np.ndarray:
+    """Rotation matrix from the perifocal frame to ECI (3-1-3 Euler)."""
+    cos_o, sin_o = math.cos(raan_rad), math.sin(raan_rad)
+    cos_i, sin_i = math.cos(inclination_rad), math.sin(inclination_rad)
+    cos_w, sin_w = math.cos(arg_perigee_rad), math.sin(arg_perigee_rad)
+    return np.array(
+        [
+            [
+                cos_o * cos_w - sin_o * sin_w * cos_i,
+                -cos_o * sin_w - sin_o * cos_w * cos_i,
+                sin_o * sin_i,
+            ],
+            [
+                sin_o * cos_w + cos_o * sin_w * cos_i,
+                -sin_o * sin_w + cos_o * cos_w * cos_i,
+                -cos_o * sin_i,
+            ],
+            [sin_w * sin_i, cos_w * sin_i, cos_i],
+        ]
+    )
+
+
+def batch_states(propagators: Sequence[KeplerPropagator],
+                 times_s) -> Tuple[np.ndarray, np.ndarray]:
+    """ECI states for a whole fleet over a whole time grid at once.
+
+    Non-J2 fleets take a flattened ``(N, T)`` tensor solve (one Kepler
+    iteration per eccentricity group, one trig pass, one batched frame
+    rotation); J2-perturbed propagators fall back to the per-satellite
+    :meth:`~repro.orbits.kepler.KeplerPropagator.states_at`.
+
+    Returns:
+        ``(positions, velocities)`` arrays of shape ``(N, T, 3)`` in km
+        and km/s.  ``N = 0`` or ``T = 0`` yield empty arrays of the
+        documented shape.
+    """
+    times = _normalize_times(times_s)
+    count = len(propagators)
+    if count and times.shape[0] and all(
+        p._raan_dot == 0.0 and p._argp_dot == 0.0 for p in propagators
+    ):
+        return _batch_states_flat(propagators, times)
+    positions = np.empty((count, times.shape[0], 3), dtype=float)
+    velocities = np.empty((count, times.shape[0], 3), dtype=float)
+    for index, propagator in enumerate(propagators):
+        pos, vel = propagator.states_at(times)
+        positions[index] = pos
+        velocities[index] = vel
+    return positions, velocities
+
+
+def _batch_states_flat(propagators: Sequence[KeplerPropagator],
+                       times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flattened ``(N, T)`` tensor solve for non-J2 fleets, with the
+    exact operation sequence of
+    :meth:`~repro.orbits.kepler.KeplerPropagator.states_at`."""
+    elements = [p.elements for p in propagators]
+    epoch = np.array([el.epoch_s for el in elements])
+    m0 = np.array([el.mean_anomaly_rad for el in elements])
+    mean_dot = np.array([p._mean_dot for p in propagators])
+    ecc = np.array([el.eccentricity for el in elements])
+    a = np.array([el.semi_major_axis_km for el in elements])
+
+    dt = times[None, :] - epoch[:, None]
+    mean_anomaly = m0[:, None] + mean_dot[:, None] * dt
+
+    # Group by eccentricity so each group runs the same masked Newton
+    # iteration the per-satellite solver applies.
+    ecc_anom = np.empty_like(mean_anomaly)
+    nu = np.empty_like(mean_anomaly)
+    for e_value in np.unique(ecc):
+        rows = ecc == e_value
+        e_float = float(e_value)
+        ecc_anom[rows] = solve_kepler_array(mean_anomaly[rows], e_float)
+        nu[rows] = true_anomaly_from_eccentric_array(ecc_anom[rows], e_float)
+
+    r = a[:, None] * (1.0 - ecc[:, None] * np.cos(ecc_anom))
+    cos_nu, sin_nu = np.cos(nu), np.sin(nu)
+    zeros = np.zeros_like(r)
+    pos_pf = np.stack([r * cos_nu, r * sin_nu, zeros], axis=-1)
+    # v_factor per satellite with the scalar path's exact float ops.
+    v_factor = np.array([
+        math.sqrt(
+            EARTH_MU_KM3_S2
+            / (el.semi_major_axis_km * (1.0 - el.eccentricity * el.eccentricity))
+        )
+        for el in elements
+    ])[:, None]
+    vel_pf = np.stack(
+        [-v_factor * sin_nu, v_factor * (ecc[:, None] + cos_nu), zeros],
+        axis=-1,
+    )
+    # Contiguous transposes: the product is shape-independent, so a whole
+    # grid is bitwise equal to T separate single-epoch solves.
+    rots_t = np.stack([
+        np.ascontiguousarray(perifocal_to_eci_matrix(
+            el.inclination_rad, el.raan_rad, el.arg_perigee_rad).T)
+        for el in elements
+    ])
+    return np.matmul(pos_pf, rots_t), np.matmul(vel_pf, rots_t)

@@ -92,6 +92,42 @@ class TestContactWindows:
         assert len(windows) >= 3
 
 
+class TestScanEndsAtEnd:
+    """The scan grid ends at ``end_s``: a span that is not a multiple of
+    the step reports no window, or window end, past it."""
+
+    NAIROBI = GeodeticPoint(-1.29, 36.82, 0.0)
+
+    def test_open_window_ends_at_end_s(self, iridium):
+        # Satellite 11 is overhead from t = 0; a 30 s grid would sample
+        # 120 s and report the window to there.
+        windows = contact_windows(self.NAIROBI, iridium.propagators(), 0.0,
+                                  100.0, step_s=30.0, min_elevation_deg=10.0)
+        assert windows == [ContactWindow(11, 0.0, 100.0,
+                                         windows[0].max_elevation_rad)]
+
+    def test_no_window_starts_after_end_s(self, iridium):
+        # Satellite 21 rises at ~156 s, after the 137 s span; a 45 s grid
+        # would sample 180 s and report it.
+        windows = contact_windows(self.NAIROBI, iridium.propagators(), 0.0,
+                                  137.0, step_s=45.0, min_elevation_deg=10.0)
+        assert [(w.satellite_index, w.start_s, w.end_s)
+                for w in windows] == [(11, 0.0, 137.0)]
+
+    @pytest.mark.parametrize("start_s, end_s, step_s", [
+        (0.0, 100.0, 30.0), (0.0, 137.0, 45.0), (0.0, 2000.0, 45.0),
+        (10.0, 1000.0, 70.0), (0.0, 0.3, 0.1),
+    ])
+    def test_windows_lie_within_the_span(self, iridium, start_s, end_s,
+                                         step_s):
+        windows = contact_windows(self.NAIROBI, iridium.propagators(),
+                                  start_s, end_s, step_s=step_s,
+                                  min_elevation_deg=10.0)
+        assert windows
+        for window in windows:
+            assert start_s <= window.start_s <= window.end_s <= end_s
+
+
 class TestOverheadPassDuration:
     """A J2-free circular orbit passing straight over a station stays
     above the mask for ``2 lambda / rate``, where ``lambda = arccos(r_g

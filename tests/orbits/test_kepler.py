@@ -8,6 +8,7 @@ import pytest
 from repro.orbits.constants import EARTH_MU_KM3_S2, EARTH_RADIUS_KM
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.kepler import (
+    KeplerFleet,
     KeplerPropagator,
     batch_positions,
     mean_motion,
@@ -333,14 +334,21 @@ class TestShapeContracts:
     def test_batch_positions_shape_and_agreement(self):
         props = [self._prop(), self._prop()]
         times = np.array([0.0, 300.0, 600.0])
-        batched = batch_positions(props, times)
+        batched = batch_positions(
+            KeplerFleet([p.elements for p in props]), times)
         assert batched.shape == (2, 3, 3)
         for i, prop in enumerate(props):
             assert np.allclose(batched[i], prop.positions_at(times),
                                atol=1e-9)
 
     def test_batch_positions_empty_fleet(self):
-        assert batch_positions([], np.array([0.0, 1.0])).shape == (0, 2, 3)
+        fleet = KeplerFleet([])
+        assert batch_positions(fleet, np.array([0.0, 1.0])).shape == (0, 2, 3)
+
+    def test_batch_positions_multidimensional_times_rejected(self):
+        fleet = KeplerFleet([self._prop().elements])
+        with pytest.raises(ValueError, match="scalar or 1-D"):
+            batch_positions(fleet, np.zeros((2, 2)))
 
     def test_solve_kepler_array_matches_scalar(self):
         mean_anomalies = np.linspace(0.0, 2.0 * math.pi, 17)
@@ -357,11 +365,12 @@ class TestShapeContracts:
 class TestBitwiseShapeIndependence:
     """Grid width must not change a single bit of any solved state.
 
-    The batched epoch engine concatenates trials and primes whole grids,
-    so the same (satellite, time) pair gets solved through 1-wide,
+    Sweeps propagate whole epoch grids and networks one instant at a
+    time, so the same (satellite, time) pair gets solved through 1-wide,
     T-wide, and fleet-flattened paths — all of which must agree exactly
-    (elementwise ufuncs are exactly rounded and the frame rotation runs
-    through a materialized-contiguous matrix; see ``_batch_states_flat``).
+    (elementwise ufuncs are shape-independent and the frame rotation
+    runs through materialized-contiguous matrices; see
+    ``KeplerFleet``).
     """
 
     def _props(self, count=5):
@@ -383,18 +392,27 @@ class TestBitwiseShapeIndependence:
     def test_batch_positions_bitwise_equals_per_satellite(self):
         props = self._props()
         times = np.linspace(0.0, 7200.0, 6)
-        batched = batch_positions(props, times)
+        batched = batch_positions(
+            KeplerFleet([p.elements for p in props]), times)
         for i, prop in enumerate(props):
             assert np.array_equal(batched[i], prop.positions_at(times))
 
     def test_batch_positions_bitwise_independent_of_fleet_size(self):
         # The flat path lumps every (satellite, time) pair into one array;
         # slicing a bigger fleet must reproduce a smaller one's bits.
-        props = self._props(7)
+        elements = [p.elements for p in self._props(7)]
         times = np.linspace(0.0, 3600.0, 4)
-        full = batch_positions(props, times)
-        subset = batch_positions(props[:3], times)
+        full = batch_positions(KeplerFleet(elements), times)
+        subset = batch_positions(KeplerFleet(elements[:3]), times)
         assert np.array_equal(full[:3], subset)
+
+    def test_batch_positions_bitwise_independent_of_grid_width(self):
+        # A fleet stacked once serves a grid and its columns alike.
+        fleet = KeplerFleet([p.elements for p in self._props(7)])
+        times = np.linspace(0.0, 3600.0, 5)
+        grid = batch_positions(fleet, times)
+        for k, t in enumerate(times):
+            assert np.array_equal(grid[:, k], batch_positions(fleet, t)[:, 0])
 
     def test_states_at_velocities_bitwise_stable(self):
         prop = self._props(1)[0]

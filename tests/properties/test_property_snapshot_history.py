@@ -2,8 +2,8 @@
 
 A network snapshot is a pure function of time and fault state.  One
 network with default settings (delta recording on) walks a random
-sequence of time steps, fault-state changes, clears and position
-priming; at every time step its snapshot must equal a fresh network's
+sequence of time steps, fault-state changes and clears; at every time
+step its snapshot must equal a fresh network's
 (built with the benchmark's ``snapshot_cache_size=0,
 snapshot_delta=False``) in the same fault state:
 the digest (every attribute, bit for bit) and the CSR arrays (node
@@ -55,7 +55,7 @@ TIMES = st.one_of(st.sampled_from([0.0, 0.25, 30.0, 600.0]),
 @st.composite
 def steps(draw):
     """A history change (often none) followed by a snapshot request."""
-    kind = draw(st.sampled_from(["none", "none", "fail", "clear", "prime"]))
+    kind = draw(st.sampled_from(["none", "none", "fail", "clear"]))
     if kind == "fail":
         change = (
             kind,
@@ -65,8 +65,6 @@ def steps(draw):
                           unique=True)),
             draw(st.lists(st.sampled_from(LINKS), max_size=3, unique=True)),
         )
-    elif kind == "prime":
-        change = (kind, draw(st.lists(TIMES, min_size=1, max_size=3)))
     else:
         change = (kind,)
     return change, draw(TIMES)
@@ -124,8 +122,6 @@ class TestSnapshotHistory:
             elif kind == "clear":
                 faults = None
                 network.clear_fault_state()
-            elif kind == "prime":
-                network.prime_positions(*args)
             before = network.last_snapshot_delta
             _assert_same_snapshot(network.snapshot(time_s),
                                   _fresh_snapshot(time_s, faults))
