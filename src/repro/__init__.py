@@ -12,8 +12,8 @@ Subpackages (bottom-up):
 * :mod:`repro.phy` — channels, antennas, link budgets, MODCODs.
 * :mod:`repro.mac` — CSMA/CA, TDMA, slotted ALOHA.
 * :mod:`repro.isl` — link selection, power, topology.
-* :mod:`repro.routing` — proactive / QoS / on-demand / adaptive /
-  time-expanded routing.
+* :mod:`repro.routing` — proactive / QoS / adaptive / time-expanded
+  routing.
 * :mod:`repro.ground` — stations, users, gateway pricing.
 * :mod:`repro.security` — authentication, certificates, bad actors.
 * :mod:`repro.core` — the OpenSpace architecture itself.

@@ -28,8 +28,6 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro import obs as _obs
 from repro.orbits.contact import ContactWindow
 
@@ -163,43 +161,6 @@ def mask_contact_windows(
     return masked
 
 
-class HandoverReliability:
-    """Lossy control signaling for the handover exchanges.
-
-    Each handover's control exchange (successor notification + session
-    setup, or the full re-authentication) runs through a
-    :class:`~repro.reliability.exchange.ReliableExchange`; lost frames
-    cost retransmission timeouts, and a satellite whose exchanges keep
-    failing trips its breaker.  Losses are drawn from a private seeded
-    generator; at ``loss_probability`` 0 no draw happens at all, so the
-    zero-loss timeline is byte-identical to running without reliability.
-
-    Args:
-        exchange: The retry/breaker primitive.
-        loss_probability: Per-exchange-attempt loss chance.
-        seed: Seed for the private loss generator.
-    """
-
-    def __init__(self, exchange, loss_probability: float = 0.0,
-                 seed: int = 0):
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ValueError(
-                f"loss_probability must be in [0, 1], got {loss_probability}"
-            )
-        self.exchange = exchange
-        self.loss_probability = loss_probability
-        self._rng = np.random.default_rng(seed)
-
-    def charge(self, key: str, nominal_s: float, now_s: float):
-        """Run one handover control exchange; returns the ExchangeResult."""
-        def attempt(_index: int):
-            if self.loss_probability <= 0.0:
-                return True, nominal_s
-            delivered = bool(self._rng.random() >= self.loss_probability)
-            return delivered, nominal_s
-        return self.exchange.run(key, attempt, now_s=now_s)
-
-
 class HandoverSimulator:
     """Replays a contact schedule under a handover scheme.
 
@@ -226,8 +187,7 @@ class HandoverSimulator:
         self.switch_s = switch_s
 
     def run(self, windows: Sequence[ContactWindow], scheme: HandoverScheme,
-            start_s: float, end_s: float,
-            reliability: Optional[HandoverReliability] = None) -> PassTimeline:
+            start_s: float, end_s: float) -> PassTimeline:
         """Simulate service over ``[start_s, end_s]`` given contact windows.
 
         The serving satellite is always kept until it sets, then the next
@@ -240,10 +200,6 @@ class HandoverSimulator:
             scheme: Handover protocol to charge.
             start_s: Simulation period start.
             end_s: Simulation period end.
-            reliability: Optional lossy-control-plane model; each event's
-                control exchange is charged through it (retries inflate
-                the interruption, an exhausted exchange degrades to a
-                fresh association).  ``None`` keeps perfect delivery.
         """
         if end_s <= start_s:
             raise ValueError(f"end {end_s} must be after start {start_s}")
@@ -289,24 +245,6 @@ class HandoverSimulator:
                     interruption = self.link_setup_s
                 reauth = False
 
-            if reliability is not None:
-                outcome = reliability.charge(
-                    f"handover:{current.satellite_index}", interruption, now
-                )
-                if outcome.ok:
-                    interruption = outcome.elapsed_s
-                else:
-                    # Control exchange exhausted (or breaker open): the
-                    # user degrades to a fresh association with the
-                    # successor rather than stalling forever.
-                    interruption = (outcome.elapsed_s + self.link_setup_s
-                                    + self.auth_round_trip_s)
-                    reauth = True
-                    recorder = _obs.active()
-                    if recorder.enabled:
-                        recorder.count("reliability.degraded",
-                                       label="handover_control_failed")
-
             timeline.events.append(
                 HandoverEvent(
                     time_s=now,
@@ -340,36 +278,6 @@ class HandoverSimulator:
                     scheme=scheme.value,
                 )
         return timeline
-
-    def reselect(self, windows: Sequence[ContactWindow],
-                 outages: Sequence[Tuple[int, float, float]],
-                 scheme: HandoverScheme, start_s: float, end_s: float,
-                 reliability: Optional[HandoverReliability] = None
-                 ) -> PassTimeline:
-        """Re-run successor selection against the fault-masked schedule.
-
-        When faults consume part (or all) of the planned schedule the
-        timeline degrades — extra handovers, coverage gaps, in the limit
-        an all-gap timeline — but the simulation never raises on a dead
-        successor.
-
-        Args:
-            windows: The originally planned contact windows.
-            outages: ``(satellite_index, start_s, end_s)`` outages (an
-                ``inf`` end is a permanent loss).
-            scheme: Handover scheme to charge.
-            start_s: Period start.
-            end_s: Period end.
-            reliability: Optional lossy-control-plane model (see
-                :meth:`run`).
-        """
-        masked = mask_contact_windows(windows, outages)
-        recorder = _obs.active()
-        if recorder.enabled and len(masked) != len(windows):
-            recorder.count("reliability.degraded",
-                           label="handover_reselection")
-        return self.run(masked, scheme, start_s, end_s,
-                        reliability=reliability)
 
     def compare_schemes(self, windows: Sequence[ContactWindow],
                         start_s: float, end_s: float) -> Dict[str, PassTimeline]:

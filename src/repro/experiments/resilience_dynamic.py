@@ -44,8 +44,7 @@ def _sample_users(provider: str = "resil-dyn") -> List[UserTerminal]:
 def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
                        users: Sequence[UserTerminal],
                        horizon_s: float, epochs: int = 8,
-                       reroute_delay_s: float = 15.0,
-                       router=None) -> Dict:
+                       reroute_delay_s: float = 15.0) -> Dict:
     """Replay one fault schedule and measure recovery.
 
     The engine carries two event streams: the schedule's fail/repair
@@ -64,7 +63,6 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
         reroute_delay_s: Control-plane reconvergence charge for flows
             with an alternate path (see
             :class:`~repro.faults.metrics.RecoveryTracker`).
-        router: Optional proactive router to invalidate on failures.
 
     Returns:
         The tracker summary (see
@@ -80,7 +78,7 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
     probe_times = np.linspace(0.0, horizon_s, epochs, endpoint=False)
     tracker = RecoveryTracker(reroute_delay_s=reroute_delay_s,
                               horizon_s=horizon_s)
-    injector = FaultInjector(network, tracker=tracker, router=router)
+    injector = FaultInjector(network, tracker=tracker)
     sim = SimulationEngine()
     # The scenario's first probe establishes a fresh health-plane diff
     # baseline, so sweeps sample identically whether this scenario shares

@@ -40,9 +40,6 @@ class FaultInjector:
         network: The network whose fault state this injector drives.
         tracker: Optional :class:`~repro.faults.metrics.RecoveryTracker`
             notified of every apply/repair edge.
-        router: Optional :class:`~repro.routing.proactive.ProactiveRouter`
-            whose precomputed routes are invalidated when elements they
-            traverse fail.
         channel: Optional
             :class:`~repro.reliability.channel.LossyControlChannel`
             notified (via ``on_fault_state_changed``) whenever the fault
@@ -50,10 +47,9 @@ class FaultInjector:
             when the network does.
     """
 
-    def __init__(self, network, tracker=None, router=None, channel=None):
+    def __init__(self, network, tracker=None, channel=None):
         self.network = network
         self.tracker = tracker
-        self.router = router
         self.channel = channel
         self._known_satellites = {
             spec.satellite_id for spec in network.satellites
@@ -178,14 +174,6 @@ class FaultInjector:
                 holders.add(event.fault_id)
             self._active[event.fault_id] = event
             self._push_state()
-            if self.router is not None:
-                affected = satellites + stations
-                for node_a, node_b in links:
-                    affected.extend((node_a, node_b))
-                if affected:
-                    self.router.invalidate_routes_through(
-                        affected, from_time_s=now_s
-                    )
         self.applied_count += 1
         self.skipped_targets += len(unknown)
         if recorder.enabled:

@@ -62,11 +62,13 @@ def link_target(node_a: str, node_b: str) -> str:
 
 
 def parse_link_target(target: str) -> Tuple[str, str]:
-    """Split a link target back into its (sorted) endpoint pair."""
+    """Split a link target into its sorted endpoint pair, whichever order
+    the target names them in."""
     parts = target.split(LINK_SEPARATOR)
     if len(parts) != 2 or not all(parts):
         raise ValueError(f"malformed link target {target!r}")
-    return (parts[0], parts[1])
+    first, second = sorted(parts)
+    return (first, second)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ This subpackage provides everything the paper's simulation study relies on:
 Keplerian orbit propagation (with optional J2 secular perturbations),
 coordinate transforms from geodetic to Earth-fixed to inertial frames,
 Walker Star / Delta constellation generators (the paper's Iridium-like
-reference design), a TLE parser/emitter standing in for the public orbital
+reference design), a TLE emitter standing in for the public orbital
 catalogs the paper cites (N2YO, AstriaGraph), and geometric visibility /
 coverage computations.
 
@@ -48,7 +48,7 @@ from repro.orbits.visibility import (
     slant_range,
     worst_case_coverage_fraction,
 )
-from repro.orbits.tle import TwoLineElement, elements_from_tle, tle_from_elements
+from repro.orbits.tle import TwoLineElement, tle_from_elements
 from repro.orbits.contact import ContactWindow, contact_windows
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "slant_range",
     "worst_case_coverage_fraction",
     "TwoLineElement",
-    "elements_from_tle",
     "tle_from_elements",
     "ContactWindow",
     "contact_windows",

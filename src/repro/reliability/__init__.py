@@ -1,9 +1,10 @@
 """repro.reliability — lossy control signaling, retries, degradation.
 
-The control-plane reliability layer: the association/authentication and
-handover story of the paper's Section 2 assumes control messages cross
-ISLs that PR 2's fault injector makes flap.  This package supplies the
-three pieces that let those protocols survive it:
+The control-plane reliability layer: the association/authentication
+story of the paper's Section 2 forwards RADIUS exchanges over ISLs that
+the fault injector (:mod:`repro.faults`) makes flap, and DTN custody
+transfers cross the same links.  This package supplies the three pieces
+that let both survive it:
 
 * :mod:`repro.reliability.channel` — a seeded lossy control-channel
   model deriving per-hop loss and delay from the snapshot link budgets
@@ -11,9 +12,9 @@ three pieces that let those protocols survive it:
 * :mod:`repro.reliability.exchange` — the :class:`ReliableExchange`
   primitive (bounded retransmission, exponential backoff with
   deterministic jitter, per-link circuit breakers);
-* :mod:`repro.reliability.policy` — graceful degradation: proactive
-  routing falls back to on-demand discovery, handover re-selects on the
-  masked schedule, and the degraded-mode counters every policy shares.
+* :mod:`repro.reliability.policy` — the degraded-mode counter that
+  association's fallback (alternate auth anchor, secondary beacon
+  candidate) increments.
 
 Everything is seed-deterministic: a zero-loss channel with retries
 disabled reproduces the perfect-delivery baseline byte-for-byte.
@@ -36,13 +37,7 @@ from repro.reliability.exchange import (
     RetryPolicy,
     deterministic_jitter,
 )
-from repro.reliability.policy import (
-    DEGRADED_COUNTER,
-    ResilientRouter,
-    RouteResolution,
-    note_degraded,
-    reselect_timeline,
-)
+from repro.reliability.policy import DEGRADED_COUNTER, note_degraded
 
 __all__ = [
     "DEFAULT_CAPACITY_KNEE_BPS", "DeliveryAttempt", "HopModel",
@@ -50,6 +45,5 @@ __all__ = [
     "NO_RETRY", "AttemptFn", "BreakerState", "CircuitBreaker",
     "CircuitBreakerRegistry", "ExchangeResult", "ReliableExchange",
     "RetryPolicy", "deterministic_jitter",
-    "DEGRADED_COUNTER", "ResilientRouter", "RouteResolution",
-    "note_degraded", "reselect_timeline",
+    "DEGRADED_COUNTER", "note_degraded",
 ]

@@ -1,8 +1,8 @@
 """Seeded lossy control-channel model.
 
-Control signaling (RADIUS forwarding, successor notifications,
-contact-plan dissemination) rides the same ISLs and ground links the data
-plane uses, so its delivery odds come from the same place: the per-edge
+Control signaling (association's RADIUS forwarding, DTN custody
+transfers) rides the same ISLs and ground links the data plane uses, so
+its delivery odds come from the same place: the per-edge
 ``capacity_bps`` attribute that the phy link budgets produced when the
 snapshot was built, plus the injector-driven fault masks.  A hop on a
 thin, barely-closing RF ISL loses control frames far more often than a
@@ -210,21 +210,6 @@ class LossyControlChannel:
             delivered=forward and reply,
             forward_delivered=forward,
             round_trip_s=2.0 * one_way_s + server_processing_s,
-        )
-
-    def attempt_one_way(self, graph, path: Sequence[str]) -> DeliveryAttempt:
-        """One unacknowledged (fire-and-forget) delivery over a path."""
-        probability, one_way_s = self.path_model(graph, path)
-        delivered = self._deliver(probability)
-        recorder = _obs.active()
-        if recorder.enabled:
-            recorder.count("reliability.channel.messages")
-            if not delivered:
-                recorder.count("reliability.channel.losses")
-        return DeliveryAttempt(
-            delivered=delivered,
-            forward_delivered=delivered,
-            round_trip_s=one_way_s,
         )
 
     @property

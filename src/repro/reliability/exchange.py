@@ -254,7 +254,7 @@ class ReliableExchange:
         breakers: Shared breaker registry; ``None`` disables breaking
             (every exchange is always allowed).
         name: Telemetry label distinguishing exchange classes
-            ("auth", "handover", "dissemination", ...).
+            ("auth", "custody", ...).
     """
 
     def __init__(self, policy: Optional[RetryPolicy] = None,

@@ -1,6 +1,6 @@
 """Routing over the time-varying OpenSpace network.
 
-Three routing regimes from the paper:
+Two routing regimes from the paper:
 
 * **Proactive** (:mod:`repro.routing.proactive`) — because orbital paths
   are public and predictable, "the topology of the satellite network is
@@ -10,10 +10,8 @@ Three routing regimes from the paper:
   to make quality-of-service-aware routing decisions that take into account
   the nature of the network, including available bandwidths of the ISLs",
   plus queueing delays, visitor tariffs, and power constraints.
-* **Distributed on-demand** (:mod:`repro.routing.distributed`) — the
-  reactive baseline from the LEO routing literature the paper cites.
 
-All regimes share one shortest-path implementation
+Every router here shares one shortest-path implementation
 (:mod:`repro.routing.csr`, batched multi-source Dijkstra over CSR
 arrays via scipy).
 """
@@ -22,7 +20,6 @@ from repro.routing.csr import CsrAdjacency, ShortestPaths, shortest_path_csr
 from repro.routing.metrics import EdgeCostModel, RouteMetrics, path_metrics
 from repro.routing.proactive import ProactiveRouter, RoutingTable, StaticRoute
 from repro.routing.qos import QosRequirement, QosRouter
-from repro.routing.distributed import OnDemandRouter, RouteDiscoveryResult
 from repro.routing.adaptive import (
     LoadAdaptiveRouter,
     StaticNearestRouter,
@@ -43,8 +40,6 @@ __all__ = [
     "StaticRoute",
     "QosRequirement",
     "QosRouter",
-    "OnDemandRouter",
-    "RouteDiscoveryResult",
     "LoadAdaptiveRouter",
     "StaticNearestRouter",
     "gateway_load_profile",

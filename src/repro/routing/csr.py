@@ -460,9 +460,6 @@ class ShortestPaths:
         self.pred = np.atleast_2d(pred)
         self._row = {s: i for i, s in enumerate(sources)}
 
-    def has_source(self, source: Hashable) -> bool:
-        return source in self._row
-
     def distance(self, source: Hashable, target: Hashable) -> float:
         """Shortest-path cost, ``inf`` when unreachable or unknown."""
         row = self._row.get(source)

@@ -10,10 +10,7 @@ selected-pairs) static routes; at run time a lookup is O(1).
 Each epoch is a :class:`LazyCsrEpoch`: distance + predecessor matrices
 from one batched multi-source :func:`scipy.sparse.csgraph.dijkstra` call
 (:mod:`repro.routing.csr`), with :class:`StaticRoute` objects
-materialized on first lookup instead of all-pairs up front.  It keeps a
-by-source index (O(out-degree) contact-plan slices for dissemination)
-and a node→route-keys inverted index (fault invalidation touches only
-affected routes instead of rescanning every epoch).
+materialized on first lookup instead of all-pairs up front.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs as _obs
 from repro.routing.csr import CsrAdjacency
@@ -69,8 +66,7 @@ class LazyCsrEpoch:
     """
 
     __slots__ = ("graph", "paths", "sources", "wanted_by_source",
-                 "valid_from_s", "valid_until_s", "_cache", "_dropped",
-                 "_by_source", "_through", "_count")
+                 "valid_from_s", "valid_until_s", "_cache", "_count")
 
     def __init__(self, graph, paths, sources: Sequence[str],
                  valid_from_s: float, valid_until_s: float,
@@ -83,16 +79,12 @@ class LazyCsrEpoch:
         self.valid_from_s = valid_from_s
         self.valid_until_s = valid_until_s
         self._cache: Dict[RouteKey, StaticRoute] = {}
-        self._dropped: Set[RouteKey] = set()
-        self._by_source: Optional[Dict[str, List[str]]] = None
-        self._through: Optional[Dict[str, Set[RouteKey]]] = None
         self._count: Optional[int] = None
 
     # -- validity -------------------------------------------------------
 
     def _is_valid(self, source: str, target: str) -> bool:
-        """Whether the pair has a precomputed (finite, wanted) route,
-        ignoring drops."""
+        """Whether the pair has a precomputed (finite, wanted) route."""
         if source == target:
             return False
         if self.wanted_by_source is not None:
@@ -116,17 +108,15 @@ class LazyCsrEpoch:
             else:
                 self._count = sum(len(self._valid_targets(src))
                                   for src in self.sources)
-        return self._count - len(self._dropped)
+        return self._count
 
     def __contains__(self, key: RouteKey) -> bool:
-        return key not in self._dropped and self._is_valid(*key)
+        return self._is_valid(*key)
 
     # -- epoch-store protocol -------------------------------------------
 
     def get(self, key: RouteKey, default=None) -> Optional[StaticRoute]:
         source, target = key
-        if key in self._dropped:
-            return default
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -144,45 +134,6 @@ class LazyCsrEpoch:
         )
         self._cache[key] = route
         return route
-
-    def from_source(self, source: str) -> Dict[str, StaticRoute]:
-        """Materialize just this source's row of the table."""
-        if self._by_source is None:
-            self._by_source = {}
-        targets = self._by_source.get(source)
-        if targets is None:
-            targets = self._valid_targets(source)
-            self._by_source[source] = targets
-        slice_: Dict[str, StaticRoute] = {}
-        for target in targets:
-            route = self.get((source, target))
-            if route is not None:
-                slice_[target] = route
-        return slice_
-
-    def keys_through(self, node: str) -> Iterable[RouteKey]:
-        """Keys of routes traversing ``node``; the first call walks the
-        predecessor matrices once (paths only, no metrics)."""
-        if self._through is None:
-            through: Dict[str, Set[RouteKey]] = {}
-            for src in self.sources:
-                for target in self._valid_targets(src):
-                    path = self.paths.path(src, target)
-                    if path is None:
-                        continue
-                    key = (src, target)
-                    for hop in path:
-                        through.setdefault(hop, set()).add(key)
-            self._through = through
-        keys = self._through.get(node, ())
-        return tuple(k for k in keys if k not in self._dropped)
-
-    def discard_route(self, key: RouteKey) -> bool:
-        if key in self._dropped or not self._is_valid(*key):
-            return False
-        self._dropped.add(key)
-        self._cache.pop(key, None)
-        return True
 
 
 @dataclass
@@ -308,64 +259,6 @@ class ProactiveRouter:
             valid_until_s=valid_until_s,
             wanted_by_source=wanted_by_source,
         )
-
-    def invalidate_routes_through(self, elements: Sequence[str],
-                                  from_time_s: float = 0.0) -> int:
-        """Drop precomputed routes that traverse any failed element.
-
-        Called by the fault injector when satellites or stations go down:
-        every static route whose path crosses an affected node, in the
-        epoch covering ``from_time_s`` and every later epoch, is removed
-        so lookups miss and callers fall back to live recomputation.
-        Routes that already avoided the element stay valid — repair needs
-        no invalidation (stale-but-working routes heal at the next
-        precompute).
-
-        Each epoch's node→route-keys inverted index makes this touch only
-        the affected routes rather than rescanning every route per fault
-        event.
-
-        Returns:
-            The number of routes dropped.
-        """
-        affected = set(elements)
-        if not affected or not self.table.epochs_s:
-            return 0
-        start = bisect.bisect_right(self.table.epochs_s, from_time_s) - 1
-        start = max(0, start)
-        dropped = 0
-        for index in range(start, len(self.table.routes)):
-            epoch = self.table.routes[index]
-            doomed: Set[RouteKey] = set()
-            for node in affected:
-                doomed.update(epoch.keys_through(node))
-            for key in doomed:
-                if epoch.discard_route(key):
-                    dropped += 1
-        recorder = _obs.active()
-        if recorder.enabled and dropped:
-            recorder.count("routing.proactive.invalidated", dropped)
-            recorder.event("route.invalidated", from_time_s,
-                           subject=",".join(sorted(affected)[:4]),
-                           elements=len(affected), routes=dropped)
-        return dropped
-
-    def routes_from(self, source: str,
-                    time_s: float) -> Dict[str, StaticRoute]:
-        """A source node's slice of the contact plan at one instant.
-
-        This is the unit of contact-plan dissemination: the per-satellite
-        table a controller pushes over control links (see
-        :class:`~repro.reliability.policy.ResilientRouter`).  An empty
-        dict means the node has no precomputed routes in that epoch.
-        Served from the epoch's by-source index — O(out-degree), not
-        O(all routes in the epoch).
-        """
-        try:
-            index = self.table.epoch_index_at(time_s)
-        except LookupError:
-            return {}
-        return self.table.routes[index].from_source(source)
 
     def route(self, source: str, target: str,
               time_s: float) -> Optional[StaticRoute]:

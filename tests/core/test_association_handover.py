@@ -8,7 +8,6 @@ from repro.core.association import (
 )
 from repro.core.beacon import Beacon, BeaconEvaluator
 from repro.core.handover import (
-    HandoverReliability,
     HandoverScheme,
     HandoverSimulator,
     STARLINK_HANDOVER_INTERVAL_S,
@@ -370,88 +369,26 @@ class TestHandover:
             HandoverSimulator().run([], HandoverScheme.PREDICTIVE, 10.0, 10.0)
 
 
-class TestHandoverReliability:
-    def test_zero_loss_timeline_identical_to_no_reliability(self):
-        windows = windows_chain(6)
-        sim = HandoverSimulator()
-        baseline = sim.run(windows, HandoverScheme.PREDICTIVE, 0.0, 660.0)
-        reliability = HandoverReliability(
-            ReliableExchange(NO_RETRY), loss_probability=0.0, seed=3)
-        timeline = sim.run(windows, HandoverScheme.PREDICTIVE, 0.0, 660.0,
-                           reliability=reliability)
-        assert timeline.total_interruption_s == baseline.total_interruption_s
-        assert [e.interruption_s for e in timeline.events] == [
-            e.interruption_s for e in baseline.events
-        ]
-        assert [e.reauthenticated for e in timeline.events] == [
-            e.reauthenticated for e in baseline.events
-        ]
-
-    def test_lossy_control_inflates_interruption(self):
-        windows = windows_chain(6)
-        sim = HandoverSimulator()
-        baseline = sim.run(windows, HandoverScheme.PREDICTIVE, 0.0, 660.0)
-        reliability = HandoverReliability(
-            ReliableExchange(RetryPolicy(max_attempts=6, timeout_s=0.2,
-                                         jitter_fraction=0.0)),
-            loss_probability=0.5, seed=4)
-        lossy = sim.run(windows, HandoverScheme.PREDICTIVE, 0.0, 660.0,
-                        reliability=reliability)
-        assert lossy.total_interruption_s > baseline.total_interruption_s
-
-    def test_exhausted_exchange_degrades_to_reauth(self):
-        windows = windows_chain(4)
-        sim = HandoverSimulator()
-        reliability = HandoverReliability(
-            ReliableExchange(RetryPolicy(max_attempts=2, timeout_s=0.1,
-                                         jitter_fraction=0.0)),
-            loss_probability=1.0, seed=4)
-        timeline = sim.run(windows, HandoverScheme.PREDICTIVE, 0.0, 450.0,
-                           reliability=reliability)
-        # Every control exchange dies; every event degrades to a fresh
-        # association — and nothing raises.
-        assert all(e.reauthenticated for e in timeline.events)
-        per_event_floor = 2 * 0.1 + sim.link_setup_s + sim.auth_round_trip_s
-        assert all(e.interruption_s >= per_event_floor
-                   for e in timeline.events)
-
+class TestMaskContactWindows:
     def test_reselect_with_dead_successor_does_not_raise(self):
         windows = [
             ContactWindow(0, 0.0, 300.0, 1.0),
             ContactWindow(1, 100.0, 400.0, 1.0),
         ]
-        sim = HandoverSimulator()
-        timeline = sim.reselect(windows, [(1, 0.0, float("inf"))],
-                                HandoverScheme.PREDICTIVE, 0.0, 400.0)
+        masked = mask_contact_windows(windows, [(1, 0.0, float("inf"))])
+        timeline = HandoverSimulator().run(masked, HandoverScheme.PREDICTIVE,
+                                           0.0, 400.0)
         assert timeline.events[-1].to_satellite == 0
         assert timeline.coverage_gap_s == pytest.approx(100.0)
 
     def test_reselect_all_outages_degrades_to_gap(self):
-        windows = windows_chain(3)
-        sim = HandoverSimulator()
         outages = [(i, 0.0, float("inf")) for i in range(3)]
-        timeline = sim.reselect(windows, outages,
-                                HandoverScheme.PREDICTIVE, 0.0, 340.0)
+        masked = mask_contact_windows(windows_chain(3), outages)
+        timeline = HandoverSimulator().run(masked, HandoverScheme.PREDICTIVE,
+                                           0.0, 340.0)
         assert timeline.events == []
         assert timeline.coverage_gap_s == pytest.approx(340.0)
 
-    def test_rejects_bad_loss_probability(self):
-        with pytest.raises(ValueError):
-            HandoverReliability(ReliableExchange(NO_RETRY),
-                                loss_probability=1.5)
-
-    def test_zero_loss_consumes_no_rng(self):
-        reliability = HandoverReliability(ReliableExchange(NO_RETRY),
-                                          loss_probability=0.0, seed=77)
-        for _ in range(10):
-            assert reliability.charge("handover:0", 0.02, 0.0).ok
-        import numpy as np
-
-        assert (reliability._rng.random()
-                == np.random.default_rng(77).random())
-
-
-class TestMaskContactWindows:
     def test_no_outages_identity(self):
         windows = [ContactWindow(0, 0.0, 100.0, 1.0)]
         assert mask_contact_windows(windows, []) == windows

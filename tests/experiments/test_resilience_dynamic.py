@@ -1,22 +1,24 @@
 """Tests for the dynamic resilience (fault churn) experiment driver."""
 
+import numpy as np
 import pytest
 
 from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
 from repro.experiments.availability import SAMPLE_SITES, resilience_sweep
 from repro.experiments.resilience_dynamic import (
+    _sample_users,
     dynamic_resilience_sweep,
     run_fault_scenario,
 )
-from repro.faults.model import FaultSchedule
+from repro.faults.model import FaultEvent, FaultKind, FaultSchedule
 from repro.faults.schedule import (
     satellite_mtbf_schedule,
     satellite_outage_event,
 )
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
-from repro.orbits.walker import walker_star
+from repro.orbits.walker import iridium_like, walker_star
 
 
 @pytest.fixture()
@@ -87,6 +89,41 @@ class TestRunFaultScenario:
             horizon_s=600.0, epochs=2)
         assert result["_tracker"].probe_count == 2
         assert result["_injector"].applied_count == 0
+
+    def test_link_fault_rows_do_not_depend_on_endpoint_order(self):
+        # A link target may name its endpoints in either order; both must
+        # see the fault sever the route the previous probe recorded.
+        network = OpenSpaceNetwork(
+            build_fleet(iridium_like(), "faults", SizeClass.MEDIUM),
+            default_station_network())
+        users = _sample_users()
+        satellites = {spec.satellite_id for spec in network.satellites}
+        horizon_s, epochs = 1800.0, 60
+
+        def first_isl_on_a_route():
+            for time_s in np.linspace(0.0, horizon_s, epochs, endpoint=False):
+                paths = network.gateway_probe_paths(float(time_s), users)
+                for path in filter(None, paths.values()):
+                    for hop, nxt in zip(path, path[1:]):
+                        if hop in satellites and nxt in satellites:
+                            return float(time_s), sorted((hop, nxt))
+            raise AssertionError("no probed route crosses an ISL")
+
+        probed_s, (first, second) = first_isl_on_a_route()
+
+        def rows(target):
+            schedule = FaultSchedule(events=[FaultEvent(
+                fault_id="isl", kind=FaultKind.ISL_LINK, targets=(target,),
+                start_s=probed_s + 1.0, duration_s=300.0)],
+                horizon_s=horizon_s)
+            result = run_fault_scenario(network, schedule, users,
+                                        horizon_s=horizon_s, epochs=epochs)
+            return {key: value for key, value in result.items()
+                    if not key.startswith("_")}
+
+        sorted_rows = rows(f"{first}|{second}")
+        assert sorted_rows["faults_user_affecting"] == 1
+        assert rows(f"{second}|{first}") == sorted_rows
 
 
 class TestDynamicResilienceSweep:

@@ -99,6 +99,24 @@ class TestApplyRepair:
         injector.apply(event)
         assert station_id in small_network.failed_stations
 
+    def test_link_fault_in_either_order_holds_one_link(self, small_network):
+        first, second = sorted(spec.satellite_id
+                               for spec in small_network.satellites[:2])
+        forward = FaultEvent(fault_id="ab", kind=FaultKind.ISL_LINK,
+                             targets=(f"{first}|{second}",), start_s=0.0)
+        backward = FaultEvent(fault_id="ba", kind=FaultKind.ISL_LINK,
+                              targets=(f"{second}|{first}",), start_s=0.0)
+        injector = FaultInjector(small_network)
+        assert injector.apply(forward) == 1
+        assert injector.apply(backward) == 0
+        assert injector.failed_links == {(first, second)}
+        assert injector.failed_elements_of(backward) == (
+            set(), {(first, second)})
+        injector.repair(forward)
+        assert injector.failed_links == {(first, second)}
+        injector.repair(backward)
+        assert not small_network.has_faults
+
 
 class TestEngineScheduling:
     def test_transitions_run_in_sim_time(self, small_network):
@@ -144,21 +162,6 @@ class TestEngineScheduling:
         ])
         assert injector.apply_static(schedule) == 3
         assert small_network.failed_satellites == frozenset(sats[:3])
-
-
-class TestRouterInvalidation:
-    def test_router_notified_with_failed_elements(self, small_network):
-        calls = []
-
-        class _Router:
-            def invalidate_routes_through(self, elements, from_time_s=0.0):
-                calls.append((sorted(elements), from_time_s))
-                return 0
-
-        injector = FaultInjector(small_network, router=_Router())
-        event = _sat_event(small_network, count=2, fault_id="r")
-        injector.apply(event, now_s=42.0)
-        assert calls == [(sorted(event.targets), 42.0)]
 
 
 class TestChannelNotification:

@@ -65,6 +65,9 @@ class TestLinkTargets:
     def test_round_trip(self):
         assert parse_link_target(link_target("x", "y")) == ("x", "y")
 
+    def test_parse_sorts_endpoints(self):
+        assert parse_link_target("b|a") == ("a", "b")
+
     def test_rejects_pipe_in_id(self):
         with pytest.raises(ValueError):
             link_target("a|b", "c")

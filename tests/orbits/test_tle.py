@@ -1,4 +1,5 @@
-"""Tests for the TLE codec."""
+"""Tests for the TLE emitter, refereed by the reader in
+:mod:`tests.orbits.tle_oracle`."""
 
 import math
 
@@ -8,14 +9,17 @@ from hypothesis import strategies as st
 
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.tle import (
-    TleFormatError,
     TwoLineElement,
     _checksum,
     catalog_from_constellation,
-    elements_from_tle,
     emit_tle,
-    parse_tle,
     tle_from_elements,
+)
+from tests.orbits.tle_oracle import (
+    TleFormatError,
+    elements_from_tle,
+    parse_tle,
+    to_elements,
 )
 
 #: The canonical ISS TLE example (checksums valid).
@@ -59,7 +63,7 @@ class TestParse:
             parse_tle(["1 25544U", ISS_TLE[2]])
 
     def test_iss_elements_are_leo(self):
-        elements = parse_tle(ISS_TLE).to_elements()
+        elements = to_elements(parse_tle(ISS_TLE))
         assert 300.0 < elements.altitude_km < 450.0
         assert math.degrees(elements.inclination_rad) == pytest.approx(51.64, abs=0.01)
 

@@ -11,7 +11,7 @@ from repro.orbits.constants import EARTH_RADIUS_KM
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci, geodetic_to_ecef
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.kepler import KeplerPropagator, solve_kepler
-from repro.orbits.tle import elements_from_tle, tle_from_elements
+from repro.orbits.tle import tle_from_elements
 from repro.orbits.visibility import (
     chord_clears_grazing,
     elevation_angle,
@@ -21,6 +21,7 @@ from repro.orbits.visibility import (
     line_of_sight_mask,
 )
 from tests.orbits.oracle import ecef_to_geodetic, eci_to_ecef
+from tests.orbits.tle_oracle import elements_from_tle
 
 altitudes = st.floats(min_value=300.0, max_value=2000.0)
 angles = st.floats(min_value=0.0, max_value=2 * math.pi - 1e-9)

@@ -153,12 +153,6 @@ class TestDelivery:
         assert channel.loss_rate == 1.0
         assert channel.messages_sent == 5
 
-    def test_one_way_delivery(self):
-        channel = perfect_channel()
-        attempt = channel.attempt_one_way(little_graph(), ["a", "b"])
-        assert attempt.delivered
-        assert attempt.round_trip_s == pytest.approx(0.01)
-
 
 class TestFaultEpoch:
     def test_injector_callback_bumps_epoch(self):

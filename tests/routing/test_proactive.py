@@ -123,49 +123,12 @@ class TestPrecompute:
         assert table.lookup("a", "island", 0.0) is None
 
 
-class TestInvalidation:
-    def test_routes_through_failed_node_dropped(self, snapshots):
-        router = ProactiveRouter()
-        router.precompute(snapshots)
-        dropped = router.invalidate_routes_through(["b"], from_time_s=0.0)
-        assert dropped > 0
-        # Every surviving a->c route avoids b.
-        assert router.route("a", "c", 10.0) is None  # only a-b-c existed
-        mid = router.route("a", "c", 70.0)
-        assert mid is not None and "b" not in mid.path
-
-    def test_earlier_epochs_untouched(self, snapshots):
-        router = ProactiveRouter()
-        router.precompute(snapshots)
-        router.invalidate_routes_through(["b"], from_time_s=60.0)
-        # The epoch before the fault keeps its routes.
-        assert router.route("a", "c", 10.0) is not None
-        assert router.route("a", "c", 130.0) is None
-
-    def test_unaffected_routes_survive(self, snapshots):
-        router = ProactiveRouter()
-        router.precompute(snapshots)
-        router.invalidate_routes_through(["b"], from_time_s=0.0)
-        mid = router.route("a", "c", 70.0)
-        assert mid.path == ["a", "c"]
-
-    def test_empty_elements_noop(self, snapshots):
-        router = ProactiveRouter()
-        router.precompute(snapshots)
-        before = router.table.route_count
-        assert router.invalidate_routes_through([], from_time_s=0.0) == 0
-        assert router.table.route_count == before
-
-    def test_empty_table_noop(self):
-        assert ProactiveRouter().invalidate_routes_through(["a"]) == 0
-
-
 class OracleRouter:
     """The reference proactive table, built from the oracle's paths.
 
-    Answers the :class:`ProactiveRouter` calls the tests make with
-    linear scans over per-epoch eager ``{(src, dst): path}`` tables —
-    the pre-index behavior the inverted indexes must reproduce.
+    Answers the :class:`ProactiveRouter` lookups the tests make from
+    per-epoch eager ``{(src, dst): path}`` tables, the all-pairs
+    behavior the lazy CSR epochs must reproduce.
     """
 
     def __init__(self, snapshots):
@@ -189,31 +152,6 @@ class OracleRouter:
         graph = self.snapshots[index].graph
         return SimpleNamespace(path=path, metrics=path_metrics(graph, path))
 
-    def routes_from(self, source, time_s):
-        table = self.tables[self._index(time_s)]
-        return {dst: self.route(src, dst, time_s)
-                for src, dst in table if src == source}
-
-    def invalidate_routes_through(self, elements, from_time_s=0.0):
-        doomed = set(elements).intersection
-        dropped = 0
-        for table in self.tables[self._index(from_time_s):]:
-            keys = [key for key, path in table.items() if doomed(path)]
-            for key in keys:
-                del table[key]
-            dropped += len(keys)
-        return dropped
-
-
-def _router(table, snapshots):
-    """The CSR router (``"csr"``) or the oracle reference (``"networkx"``)
-    over the same snapshots."""
-    if table == "networkx":
-        return OracleRouter(snapshots)
-    router = ProactiveRouter()
-    router.precompute(snapshots)
-    return router
-
 
 def _table_as_dicts(router, times, nodes):
     """Materialize every (src, dst) route path for comparison."""
@@ -235,23 +173,13 @@ class TestBackendEquivalence:
     """CSR epochs answer identically to the networkx oracle's tables."""
 
     def test_tables_match_across_backends(self, snapshots):
-        router = _router("csr", snapshots)
+        router = ProactiveRouter()
+        router.precompute(snapshots)
         reference = OracleRouter(snapshots)
         assert router.table.route_count == reference.route_count
         times, nodes = (10.0, 70.0, 130.0), ("a", "b", "c")
         assert (_table_as_dicts(router, times, nodes)
                 == _table_as_dicts(reference, times, nodes))
-
-    def test_routes_from_matches_across_backends(self, snapshots):
-        router = _router("csr", snapshots)
-        reference = OracleRouter(snapshots)
-        for time_s in (0.0, 70.0):
-            for source in ("a", "b", "c", "ghost"):
-                csr_slice = router.routes_from(source, time_s)
-                ref_slice = reference.routes_from(source, time_s)
-                assert set(csr_slice) == set(ref_slice)
-                for target, route in csr_slice.items():
-                    assert route.path == ref_slice[target].path
 
     def test_selected_pairs_csr(self, snapshots):
         router = ProactiveRouter()
@@ -260,50 +188,6 @@ class TestBackendEquivalence:
         assert table.lookup("c", "a", 0.0) is None
         assert table.lookup("a", "b", 0.0) is None
         assert table.route_count == 1
-
-
-class TestInvalidationIndexMatchesScan:
-    """The inverted-index invalidation equals the oracle's scan."""
-
-    @pytest.mark.parametrize("elements,from_time_s", [
-        (["b"], 0.0),
-        (["b"], 60.0),
-        (["a"], 0.0),
-        (["a", "c"], 0.0),
-        (["ghost"], 0.0),
-    ])
-    def test_dropped_count_and_survivors_match(self, snapshots, elements,
-                                               from_time_s):
-        indexed = _router("csr", snapshots)
-        reference = OracleRouter(snapshots)
-
-        dropped_indexed = indexed.invalidate_routes_through(
-            elements, from_time_s=from_time_s)
-        dropped_scan = reference.invalidate_routes_through(
-            elements, from_time_s=from_time_s)
-        assert dropped_indexed == dropped_scan
-        times, nodes = (10.0, 70.0, 130.0), ("a", "b", "c")
-        assert (_table_as_dicts(indexed, times, nodes)
-                == _table_as_dicts(reference, times, nodes))
-
-    def test_csr_epoch_invalidation_matches_scan(self, snapshots):
-        lazy = _router("csr", snapshots)
-        reference = OracleRouter(snapshots)
-
-        dropped_lazy = lazy.invalidate_routes_through(["b"], from_time_s=0.0)
-        dropped_scan = reference.invalidate_routes_through(["b"],
-                                                           from_time_s=0.0)
-        assert dropped_lazy == dropped_scan
-        assert lazy.table.route_count == reference.route_count
-        times, nodes = (10.0, 70.0, 130.0), ("a", "b", "c")
-        assert (_table_as_dicts(lazy, times, nodes)
-                == _table_as_dicts(reference, times, nodes))
-
-    def test_repeated_invalidation_is_idempotent(self, snapshots):
-        router = _router("csr", snapshots)
-        first = router.invalidate_routes_through(["b"], from_time_s=0.0)
-        assert first > 0
-        assert router.invalidate_routes_through(["b"], from_time_s=0.0) == 0
 
 
 class TestLazyMaterialization:

@@ -74,7 +74,7 @@ class TestCatalog:
                      "--planes", "2", "--prefix", "TEST"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 12  # 4 satellites x 3 lines
-        from repro.orbits.tle import parse_tle
+        from tests.orbits.tle_oracle import parse_tle
         record = parse_tle(lines[:3])
         assert record.name.startswith("TEST-")
 
