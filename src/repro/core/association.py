@@ -63,10 +63,6 @@ class AssociationResult:
     degraded_mode: str = ""
 
     @property
-    def total_time_s(self) -> float:
-        return self.link_setup_s + self.auth_round_trip_s
-
-    @property
     def succeeded(self) -> bool:
         return self.authenticated and self.satellite_id is not None
 

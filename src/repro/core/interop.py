@@ -154,14 +154,6 @@ class InteroperabilityProfile:
                 + "; ".join(problems)
             )
 
-    def is_compliant(self, spec: SpacecraftSpec) -> bool:
-        """Boolean convenience wrapper over :meth:`validate`."""
-        try:
-            self.validate(spec)
-        except InteropError:
-            return False
-        return True
-
 
 def small_spacecraft(satellite_id: str, owner: str,
                      elements: OrbitalElements) -> SpacecraftSpec:

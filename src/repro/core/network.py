@@ -602,23 +602,14 @@ class OpenSpaceNetwork:
     def failed_links(self) -> frozenset:
         return self._failed_links
 
-    @property
-    def has_faults(self) -> bool:
-        return bool(self._failed_satellites or self._failed_stations
-                    or self._failed_links)
-
     def _position_matrix(self, time_s: float) -> np.ndarray:
-        """``(N, 3)`` ECI positions of the fleet in fleet order."""
-        return batch_positions(self._fleet, time_s)[:, 0, :]
-
-    def satellite_positions(self, time_s: float) -> Dict[str, np.ndarray]:
-        """ECI position of every satellite at ``time_s``.
+        """``(N, 3)`` ECI positions of the fleet in fleet order.
 
         One :func:`~repro.orbits.kepler.batch_positions` pass over the
         network's :class:`~repro.orbits.kepler.KeplerFleet`, whose
         constants are stacked on the first call (the first snapshot).
         """
-        return dict(zip(self._fleet_ids, self._position_matrix(time_s)))
+        return batch_positions(self._fleet, time_s)[:, 0, :]
 
     def _station_terminal(self, band_name: str) -> RFTerminal:
         """The gateway dish a station points at a satellite's ground band."""

@@ -11,8 +11,8 @@ groundstation outside their region."
 This module models those constraints as data and compiles them into the
 routing layer:
 
-* a :class:`Region` is a latitude/longitude box with a spectrum policy
-  (which ground bands are licensed) and a data-residency flag;
+* a :class:`Region` is a latitude/longitude box with a data-residency
+  flag;
 * a :class:`PolicyRegistry` classifies ground stations into regions and
   compiles a user's constraints into the edge filters the QoS router
   consumes (forbidden gateways, forbidden operators);
@@ -24,7 +24,7 @@ routing layer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 import networkx as nx
 
@@ -40,9 +40,6 @@ class Region:
         name: Region label (e.g. ``"eu"``).
         min_lat_deg / max_lat_deg / min_lon_deg / max_lon_deg: Bounding
             box; longitude boxes may wrap the antimeridian (min > max).
-        licensed_bands: Ground band names licensed for satellite broadband
-            in this region ("the exact spectrum bands used for ground
-            uplink and downlink ... may differ").
         data_residency: When True, traffic originating from users in this
             region must exit through a gateway in the same region.
     """
@@ -52,7 +49,6 @@ class Region:
     max_lat_deg: float
     min_lon_deg: float
     max_lon_deg: float
-    licensed_bands: FrozenSet[str] = frozenset({"ku_downlink", "ku_uplink"})
     data_residency: bool = False
 
     def __post_init__(self) -> None:
@@ -111,12 +107,6 @@ class PolicyRegistry:
                 return region
         return None
 
-    def region_by_name(self, name: str) -> Region:
-        for region in self.regions:
-            if region.name == name:
-                return region
-        raise KeyError(f"unknown region {name!r}")
-
     def station_regions(self, stations: Sequence[GroundStation]) -> Dict[str, Optional[str]]:
         """Station id -> region name (None for open seas)."""
         mapping = {}
@@ -140,14 +130,6 @@ class PolicyRegistry:
             station_id for station_id, region_name in mapping.items()
             if region_name == user_region.name
         }
-
-    def band_licensed(self, band_name: str,
-                      location: GeodeticPoint) -> bool:
-        """Whether a ground band may be used at a location."""
-        region = self.region_of(location)
-        if region is None:
-            return True  # international waters: unregulated here
-        return band_name in region.licensed_bands
 
 
 def apply_policy_to_graph(graph: nx.Graph, user_id: str,

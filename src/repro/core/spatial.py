@@ -140,14 +140,6 @@ class SpatialGridIndex:
 
     # -- structure ------------------------------------------------------
 
-    def cell_of(self, index: int) -> Tuple[int, int]:
-        """``(latitude band, longitude column)`` of one point."""
-        return int(self._band[index]), int(self._col[index])
-
-    @property
-    def occupied_cell_count(self) -> int:
-        return len(self._cells)
-
     def _reaches(self, theta_rad: float):
         """Band reach plus per-band-pair longitude reach parameters."""
         theta_deg = math.degrees(theta_rad)
@@ -232,54 +224,3 @@ class SpatialGridIndex:
         hi = np.concatenate(hi_parts)
         order = np.argsort(lo * np.int64(self.count) + hi, kind="stable")
         return lo[order], hi[order]
-
-    def query_radius(self, position_km: np.ndarray,
-                     max_range_km: float) -> np.ndarray:
-        """Indices of every point that could be within range of a probe.
-
-        A superset by the same central-angle bound, using the probe's own
-        radius when it is below the fleet minimum.  Returns a sorted
-        index array; empty when no occupied cell is reachable.
-        """
-        if self.count == 0:
-            return np.empty(0, dtype=np.int64)
-        probe = np.asarray(position_km, dtype=float).reshape(3)
-        probe_radius = float(np.sqrt((probe * probe).sum()))
-        if probe_radius <= 0.0:
-            return np.arange(self.count, dtype=np.int64)
-        theta = max_central_angle_rad(
-            max_range_km, min(probe_radius, self._radius_min)
-        )
-        if theta >= math.pi:
-            return np.arange(self.count, dtype=np.int64)
-        band_reach, sin_half_sq = self._reaches(theta)
-        lat_q = math.degrees(math.asin(max(-1.0, min(1.0, probe[2] / probe_radius))))
-        lon_q = math.degrees(math.atan2(probe[1], probe[0]))
-        band_q = min(
-            self.n_lat_bands - 1,
-            max(0, int((lat_q + 90.0) // self.cell_size_deg)),
-        )
-        col_q = int((lon_q + 180.0) // self._col_deg) % self.n_lon_cols
-        cos_q = math.cos(math.radians(lat_q))
-
-        parts = []
-        band_lo = max(0, band_q - band_reach)
-        band_hi = min(self.n_lat_bands - 1, band_q + band_reach)
-        for band in range(band_lo, band_hi + 1):
-            reach = self._col_reach(
-                sin_half_sq, cos_q, float(self._band_min_cos[band])
-            )
-            if 2 * reach + 1 >= self.n_lon_cols:
-                cols = range(self.n_lon_cols)
-            else:
-                cols = (
-                    (col_q + d) % self.n_lon_cols
-                    for d in range(-reach, reach + 1)
-                )
-            for col in cols:
-                members = self._cells.get(band * self.n_lon_cols + col)
-                if members is not None:
-                    parts.append(members)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))

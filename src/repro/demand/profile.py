@@ -16,7 +16,6 @@ distribution for flow-level simulators and tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -117,18 +116,6 @@ class QosClassDemand:
         """Mean offered rate per subscriber of this class, bits/s."""
         return (self.flows_per_user_hour * self.mean_flow_bytes() * 8.0
                 / 3600.0)
-
-    def sample_flow_sizes(self, rng: np.random.Generator,
-                          count: int) -> np.ndarray:
-        """Draw flow sizes (bytes) from the class's heavy-tail mix."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if self.size_distribution == "pareto":
-            # numpy's pareto is the Lomax form; shift+scale to classic.
-            draws = (1.0 + rng.pareto(self.pareto_alpha, size=count))
-            return draws * self.pareto_min_mb * 1e6
-        mu = math.log(self.mean_flow_mb * 1e6) - self.sigma ** 2 / 2.0
-        return rng.lognormal(mu, self.sigma, size=count)
 
 
 #: Default subscriber mix: mostly best-effort lognormal traffic, a

@@ -7,9 +7,8 @@ ASes) with fees for bi-directional traffic, based on mutually agreed upon
 contracts."
 
 The model implements Gao-Rexford relationships (customer/provider, peer,
-sibling), valley-free path validity, and the resulting money flows —
-the comparator the ledger-based OpenSpace model is evaluated against in
-the economics ablation.
+sibling) and valley-free path validity — the comparator the ledger-based
+OpenSpace model is evaluated against in the economics ablation.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class AsRelationship:
 
 
 class BgpEconomy:
-    """A set of ASes, their relationships, and traffic settlement.
+    """A set of ASes and their contracted relationships.
 
     The key limitation the paper identifies — "the notion of a 'customer'
     and a 'provider' in BGP is not translatable to a meshed system like
@@ -65,7 +64,6 @@ class BgpEconomy:
     def __init__(self):
         self._relationships: Dict[Tuple[str, str], AsRelationship] = {}
         self._ases: set = set()
-        self.balances: Dict[str, float] = {}
 
     def add_relationship(self, relationship: AsRelationship) -> None:
         """Register a relationship (symmetric lookup)."""
@@ -77,8 +75,6 @@ class BgpEconomy:
             )
         self._relationships[key] = relationship
         self._ases.update(key)
-        for as_name in key:
-            self.balances.setdefault(as_name, 0.0)
 
     def relationship_between(self, a: str, b: str) -> Optional[AsRelationship]:
         return self._relationships.get((a, b)) or self._relationships.get((b, a))
@@ -121,40 +117,6 @@ class BgpEconomy:
             else:  # down
                 phase = "down"
         return True
-
-    def settle_path(self, as_path: Sequence[str], gigabytes: float,
-                    require_valley_free: bool = True) -> Dict[str, float]:
-        """Settle traffic along an AS path; returns per-AS balance deltas.
-
-        On every customer->provider or provider->customer edge the customer
-        pays the contracted rate (BGP transit is billed regardless of
-        direction); peer and sibling edges are free.
-
-        Raises:
-            ValueError: When the path is not valley-free (and checking is
-                on) or uses an uncontracted adjacency.
-        """
-        if gigabytes < 0.0:
-            raise ValueError(f"gigabytes must be >= 0, got {gigabytes}")
-        if require_valley_free and not self.is_valley_free(as_path):
-            raise ValueError(
-                f"path {list(as_path)} is not valley-free under the "
-                "contracted relationships"
-            )
-        deltas: Dict[str, float] = {}
-        for from_as, to_as in zip(as_path[:-1], as_path[1:]):
-            rel = self.relationship_between(from_as, to_as)
-            if rel is None:
-                raise ValueError(
-                    f"no relationship contracted between {from_as!r} and {to_as!r}"
-                )
-            if rel.kind is RelationshipKind.CUSTOMER_PROVIDER:
-                amount = rel.price_per_gb * gigabytes
-                deltas[rel.a] = deltas.get(rel.a, 0.0) - amount
-                deltas[rel.b] = deltas.get(rel.b, 0.0) + amount
-        for as_name, delta in deltas.items():
-            self.balances[as_name] = self.balances.get(as_name, 0.0) + delta
-        return deltas
 
     def valley_free_fraction(self, as_paths: Sequence[Sequence[str]]) -> float:
         """Fraction of observed AS paths the BGP model can even express.

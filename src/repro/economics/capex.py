@@ -74,16 +74,6 @@ class SatelliteCostModel:
             mass += spec.ground_terminal.mass_kg
         return mass
 
-    def unit_cost(self, spec: SpacecraftSpec) -> float:
-        """All-in cost to put one spacecraft on orbit."""
-        hardware = self.hardware_cost(spec)
-        launch = self.launch_mass_kg(spec) * self.launch_cost_per_kg
-        return (
-            hardware * (1.0 + self.integration_overhead)
-            + launch
-            + self.licensing_fee
-        )
-
 
 @dataclass
 class ConstellationBudget:
@@ -104,12 +94,6 @@ class ConstellationBudget:
     licensing_usd: float
     total_usd: float
     annual_operations_usd: float
-
-    @property
-    def per_satellite_usd(self) -> float:
-        if self.fleet_size == 0:
-            return 0.0
-        return self.total_usd / self.fleet_size
 
 
 def constellation_budget(fleet: Sequence[SpacecraftSpec],

@@ -131,26 +131,13 @@ class TrafficLedger:
                 ))
         return mismatches
 
-    def agreed_volume(self, transfer_id: str, carrier_isp: str) -> Optional[float]:
-        """The agreed volume for a segment (None when disputed or absent).
-
-        The agreed figure is the minimum report — a carrier cannot charge
-        for more than every observer concedes.
-        """
-        records = self._by_segment.get((transfer_id, carrier_isp))
-        if not records:
-            return None
-        volumes = [r.gigabytes for r in records]
-        if max(volumes) - min(volumes) > self.tolerance_gb:
-            return None
-        return min(volumes)
-
     def carried_matrix(self, exclude_disputed: bool = True) -> Dict[Tuple[str, str], float]:
         """``(source_isp, carrier_isp) -> total agreed GB carried``.
 
         This is the input to settlement and peering analysis: "the extent
         to which any given ISP's traffic was carried by the rest of the
-        network".
+        network".  A segment's agreed figure is its minimum report — a
+        carrier cannot charge for more than every observer concedes.
         """
         matrix: Dict[Tuple[str, str], float] = {}
         for (transfer_id, carrier), records in self._by_segment.items():

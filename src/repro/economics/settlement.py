@@ -11,7 +11,7 @@ availability, these routes will likely be cheaper than laser-based ISLs."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.economics.ledger import TrafficLedger
 
@@ -98,12 +98,6 @@ class SettlementEngine:
     def are_peers(self, a: str, b: str) -> bool:
         return frozenset({a, b}) in self.peers
 
-    def add_peering(self, a: str, b: str) -> None:
-        """Record a peering agreement between two ISPs."""
-        if a == b:
-            raise ValueError("an ISP cannot peer with itself")
-        self.peers.add(frozenset({a, b}))
-
     def invoices_from_ledger(self, ledger: TrafficLedger,
                              segment_kind: str = "rf") -> List[Invoice]:
         """Bill every agreed (source, carrier) cell of the ledger matrix.
@@ -139,11 +133,3 @@ class SettlementEngine:
                 positions.get(invoice.customer, 0.0) - invoice.amount_usd
             )
         return positions
-
-    def bilateral_flows(self, invoices: List[Invoice]) -> Dict[Tuple[str, str], float]:
-        """Money flowing customer -> carrier per ordered pair."""
-        flows: Dict[Tuple[str, str], float] = {}
-        for invoice in invoices:
-            key = (invoice.customer, invoice.carrier)
-            flows[key] = flows.get(key, 0.0) + invoice.amount_usd
-        return flows

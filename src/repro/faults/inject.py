@@ -287,15 +287,3 @@ class FaultInjector:
             if hook is not None:
                 hook(transition.time_s, transition, self)
         return action
-
-    def apply_static(self, schedule: FaultSchedule) -> int:
-        """Apply every fault at once, ignoring repairs (static mode).
-
-        This is the bridge to the original delete-a-fraction-up-front
-        resilience methodology: the network ends up in the union failure
-        state of the whole schedule.
-        """
-        applied = 0
-        for event in schedule:
-            applied += self.apply(event, now_s=event.start_s)
-        return applied

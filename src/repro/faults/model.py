@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.export import atomic_write
@@ -211,16 +211,6 @@ class FaultSchedule:
         return FaultSchedule(
             events=list(self.events) + list(other.events),
             horizon_s=max(self.horizon_s, other.horizon_s),
-        )
-
-    def shifted(self, offset_s: float) -> "FaultSchedule":
-        """A copy with every event's start moved by ``offset_s``."""
-        return FaultSchedule(
-            events=[
-                replace(event, start_s=event.start_s + offset_s)
-                for event in self.events
-            ],
-            horizon_s=self.horizon_s + offset_s,
         )
 
     # -- serialization -------------------------------------------------

@@ -87,19 +87,6 @@ class GroundStation:
         headroom = max(1e-3, 1.0 - self.utilization)
         return min(1.0, base_s / headroom)
 
-    def offer_load(self, added_bps: float) -> bool:
-        """Try to add traffic through the gateway; False when saturated."""
-        if added_bps < 0.0:
-            raise ValueError(f"load must be >= 0, got {added_bps}")
-        if self.current_load_bps + added_bps > self.backhaul_capacity_bps:
-            return False
-        self.current_load_bps += added_bps
-        return True
-
-    def release_load(self, removed_bps: float) -> None:
-        """Remove previously offered traffic (clamped at zero)."""
-        self.current_load_bps = max(0.0, self.current_load_bps - removed_bps)
-
 
 #: A geographically spread default gateway network: one site per region,
 #: owned by distinct entities, matching the paper's independent-ownership

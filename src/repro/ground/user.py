@@ -46,18 +46,3 @@ class UserTerminal:
     def position_eci(self, time_s: float) -> np.ndarray:
         """ECI position of the user at simulation time ``time_s``."""
         return ecef_to_eci(self.location.ecef(), time_s)
-
-    @property
-    def is_associated(self) -> bool:
-        return self.associated_satellite is not None
-
-    def relocate(self, new_location: GeodeticPoint) -> None:
-        """Move the terminal; drops association and certificate.
-
-        "If a user changes their location such that they are no longer in
-        the same physical region, they will have to go through the initial
-        association and authentication process again."
-        """
-        self.location = new_location
-        self.associated_satellite = None
-        self.session_certificate = None

@@ -83,12 +83,6 @@ class IslLink:
         """True when the link closes with nonzero capacity."""
         return self.capacity_bps > 0.0
 
-    def serialization_delay_s(self, frame_bits: float = 12_000.0) -> float:
-        """Time to clock one frame onto the link (infinite when unusable)."""
-        if not self.usable:
-            return float("inf")
-        return frame_bits / self.capacity_bps
-
 
 def _evaluate(node_a: str, node_b: str, tech: LinkTechnology,
               term_a: Terminal, term_b: Terminal,

@@ -55,40 +55,6 @@ class PowerBudget:
         """Power drawn by currently active ISL terminals."""
         return sum(self._active_isls.values())
 
-    def can_activate_isl(self, draw_w: float) -> bool:
-        """Whether another ISL of the given draw fits in the budget.
-
-        An ISL fits when the concurrency ceiling is not hit and the total
-        load stays within what generation plus a 20%-depth battery assist
-        can sustain.
-        """
-        if self.active_isl_count >= self.max_concurrent_isls:
-            return False
-        sustainable_w = self.solar_generation_w + (
-            0.2 * self.battery_capacity_wh
-        )  # Wh treated as a one-hour assist rate
-        return self.bus_load_w + self.isl_load_w + draw_w <= sustainable_w
-
-    def activate_isl(self, link_id: str, draw_w: float) -> None:
-        """Register an active ISL's power draw.
-
-        Raises:
-            RuntimeError: When the budget cannot host the link (callers
-                should have checked :meth:`can_activate_isl`).
-        """
-        if link_id in self._active_isls:
-            return
-        if not self.can_activate_isl(draw_w):
-            raise RuntimeError(
-                f"power budget exhausted: {self.active_isl_count} active ISLs, "
-                f"load {self.isl_load_w:.0f} W, cannot add {draw_w:.0f} W"
-            )
-        self._active_isls[link_id] = draw_w
-
-    def deactivate_isl(self, link_id: str) -> None:
-        """Drop an ISL's draw; unknown ids are ignored (idempotent teardown)."""
-        self._active_isls.pop(link_id, None)
-
     def step(self, dt_s: float) -> None:
         """Advance the battery state by ``dt_s`` seconds of operation."""
         if dt_s < 0.0:
@@ -98,11 +64,6 @@ class PowerBudget:
             self.battery_capacity_wh,
             max(0.0, self.charge_wh + net_w * dt_s / 3600.0),
         )
-
-    @property
-    def depleted(self) -> bool:
-        """True when the battery has run flat (ISLs must shed load)."""
-        return self.charge_wh <= 0.0
 
 
 def smallsat_power_budget() -> PowerBudget:

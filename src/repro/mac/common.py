@@ -39,13 +39,6 @@ class MacResult:
         return self.frames_delivered / self.frames_offered
 
     @property
-    def channel_utilization(self) -> float:
-        """Fraction of time the channel carried any transmission."""
-        if self.duration_s <= 0.0:
-            return 0.0
-        return self.busy_time_s / self.duration_s
-
-    @property
     def goodput_efficiency(self) -> float:
         """Fraction of time spent on ultimately-delivered payload."""
         if self.duration_s <= 0.0:
@@ -58,24 +51,3 @@ class MacResult:
         if not self.delays_s:
             return 0.0
         return sum(self.delays_s) / len(self.delays_s)
-
-    @property
-    def p95_delay_s(self) -> float:
-        """95th-percentile access delay (0 when no frames delivered)."""
-        if not self.delays_s:
-            return 0.0
-        ordered = sorted(self.delays_s)
-        index = min(len(ordered) - 1, int(0.95 * len(ordered)))
-        return ordered[index]
-
-    @property
-    def fairness_index(self) -> float:
-        """Jain's fairness index over per-station delivered counts."""
-        counts = list(self.per_station_delivered.values())
-        if not counts:
-            return 1.0
-        total = sum(counts)
-        if total == 0:
-            return 1.0
-        squares = sum(c * c for c in counts)
-        return total * total / (len(counts) * squares)

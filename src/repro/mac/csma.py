@@ -60,11 +60,6 @@ class CsmaCaConfig:
         if self.frame_slots < 1:
             raise ValueError(f"frame must last >= 1 slot, got {self.frame_slots}")
 
-    @property
-    def overhead_slots_per_frame(self) -> int:
-        """Fixed per-frame overhead excluding backoff: DIFS + SIFS + ACK."""
-        return self.difs_slots + self.sifs_slots + self.ack_slots
-
 
 class _Station:
     """Per-station MAC state: queue, backoff counter, retry count."""

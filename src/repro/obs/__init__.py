@@ -40,7 +40,6 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.obs.events import DEFAULT_CAPACITY, Event, EventLog, format_events
-from repro.obs.events import ROUTE_INVALIDATED as _ROUTE_INVALIDATED
 from repro.obs.health import HealthPlane
 from repro.obs.profile import PhaseProfiler
 from repro.obs.registry import (
@@ -112,7 +111,6 @@ class Recorder:
         self.events = EventLog(capacity=self.config.flight_recorder_size,
                                retain_all=self.config.retain_events)
         self.health = HealthPlane()
-        self._churn_seen = 0
 
     # -- convenience forwarding (the instrumented-code surface) --------
 
@@ -143,17 +141,12 @@ class Recorder:
                       faults_active: int = 0, reset: bool = False) -> None:
         """Record one health-plane epoch from a snapshot graph.
 
-        Route churn is derived from the ``route.invalidated`` events
-        emitted since the previous sample, and link-set changes since the
-        previous sample become ``link.up`` / ``link.down`` events
-        (suppressed on the baseline sample of a series — pass
-        ``reset=True`` at each scenario start).
+        Link-set changes since the previous sample become ``link.up`` /
+        ``link.down`` events (suppressed on the baseline sample of a
+        series — pass ``reset=True`` at each scenario start).
         """
-        invalidations = self.events.count_of(_ROUTE_INVALIDATED)
-        churn = invalidations - self._churn_seen
-        self._churn_seen = invalidations
         appeared, vanished = self.health.sample(
-            time_s, graph, utilization=utilization, route_churn=churn,
+            time_s, graph, utilization=utilization,
             faults_active=faults_active, reset=reset,
         )
         for link_id in appeared:

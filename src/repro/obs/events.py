@@ -3,8 +3,8 @@
 Where the metrics registry aggregates (a counter tells you *how many*
 handovers happened), the event log keeps the *timeline*: every discrete
 network-state change — link up/down, handover, fault inject/recover,
-circuit-breaker transition, route invalidation, retransmission, session
-admit/drop — as one typed, timestamped record in emission order.
+circuit-breaker transition, retransmission, session admit/drop — as one
+typed, timestamped record in emission order.
 
 Determinism is the design constraint.  Events carry **simulated** time
 only (never wall clock) and a monotone sequence number assigned at
@@ -24,7 +24,6 @@ Two retention surfaces share one log:
 
 from __future__ import annotations
 
-from collections import Counter as _Counter
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -38,7 +37,6 @@ HANDOVER = "handover"
 FAULT_INJECT = "fault.inject"
 FAULT_RECOVER = "fault.recover"
 BREAKER_TRANSITION = "breaker.transition"
-ROUTE_INVALIDATED = "route.invalidated"
 RETRANSMISSION = "retransmission"
 SESSION_ADMIT = "session.admit"
 SESSION_DROP = "session.drop"
@@ -57,7 +55,7 @@ CUSTODY_TIMEOUT = "custody.timeout"
 
 KINDS: Tuple[str, ...] = (
     LINK_UP, LINK_DOWN, HANDOVER, FAULT_INJECT, FAULT_RECOVER,
-    BREAKER_TRANSITION, ROUTE_INVALIDATED, RETRANSMISSION,
+    BREAKER_TRANSITION, RETRANSMISSION,
     SESSION_ADMIT, SESSION_DROP,
     BUNDLE_CREATE, BUNDLE_FORWARD, BUNDLE_DELIVER, BUNDLE_DROP,
     BUNDLE_EXPIRE, CUSTODY_ACCEPT, CUSTODY_TIMEOUT,
@@ -119,14 +117,8 @@ class EventLog:
         self._ring: "deque[Event]" = deque(maxlen=capacity)
         self._all: List[Event] = []
         self._seq = 0
-        self._kind_counts: "_Counter[str]" = _Counter()
 
     def __len__(self) -> int:
-        return self._seq
-
-    @property
-    def next_seq(self) -> int:
-        """Sequence number the next emitted event will get."""
         return self._seq
 
     def emit(self, kind: str, time_s: float, subject: str = "",
@@ -140,7 +132,6 @@ class EventLog:
             attrs=tuple(sorted(attrs.items())),
         )
         self._seq += 1
-        self._kind_counts[kind] += 1
         self._ring.append(event)
         if self.retain_all:
             self._all.append(event)
@@ -160,35 +151,6 @@ class EventLog:
         if count <= 0:
             return []
         return list(self._ring)[-count:]
-
-    def count_of(self, kind: str) -> int:
-        """Total emitted of one kind (whole run, not just retained)."""
-        return self._kind_counts[kind]
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Total emitted per kind (whole run, not just retained events)."""
-        return {kind: self._kind_counts[kind]
-                for kind in sorted(self._kind_counts)}
-
-    def noisiest_subjects(self, top: int = 10,
-                          kinds: Optional[Sequence[str]] = None,
-                          ) -> List[Tuple[str, int]]:
-        """Subjects with the most retained events, descending.
-
-        Args:
-            top: Row cap.
-            kinds: Restrict the rollup to these kinds (None = all).
-        """
-        wanted = None if kinds is None else set(kinds)
-        counts: "_Counter[str]" = _Counter()
-        for event in (self._all if self.retain_all else self._ring):
-            if not event.subject:
-                continue
-            if wanted is not None and event.kind not in wanted:
-                continue
-            counts[event.subject] += 1
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:top]
 
     def rows(self) -> List[Dict]:
         """Every retained event as an export record, in emission order."""

@@ -386,13 +386,11 @@ def summarize_records(records: Sequence[Dict], top: int = 10) -> str:
         if not times:
             continue
         links_up = row.get("links_up", [])
-        churn = row.get("route_churn", [])
         lines.append("")
         lines.append(
             f"health: {len(times)} epochs over "
             f"t=[{times[0]:g}, {times[-1]:g}] s, "
-            f"links_up min={min(links_up)} max={max(links_up)}, "
-            f"route_churn total={sum(churn):g}"
+            f"links_up min={min(links_up)} max={max(links_up)}"
         )
 
     for row in by_type.get("health_links", [])[:1]:

@@ -2,9 +2,9 @@
 
 Samples the network's state once per epoch into compact columnar arrays
 (:mod:`array` typecodes, not Python object lists): per-epoch aggregates
-(links up, nodes up, route churn, active faults), per-link utilization
-samples, and per-node ISL-count samples.  Link and node ids are interned
-to integer indices so a long run stores each id string once.
+(links up, nodes up, active faults), per-link utilization samples, and
+per-node ISL-count samples.  Link and node ids are interned to integer
+indices so a long run stores each id string once.
 
 The plane also diffs consecutive samples: :meth:`HealthPlane.sample`
 returns the link ids that appeared and vanished since the previous
@@ -43,7 +43,6 @@ class HealthPlane:
         self.epoch_t = array("d")
         self.links_up = array("l")
         self.nodes_up = array("l")
-        self.route_churn = array("l")
         self.faults_active = array("l")
         # Per-link utilization samples: (epoch idx, link idx, utilization).
         self._link_epoch = array("l")
@@ -84,7 +83,7 @@ class HealthPlane:
 
     def sample(self, time_s: float, graph,
                utilization: Optional[Dict[Tuple[str, str], float]] = None,
-               route_churn: int = 0, faults_active: int = 0,
+               faults_active: int = 0,
                reset: bool = False) -> Tuple[List[str], List[str]]:
         """Record one epoch from a snapshot graph.
 
@@ -94,7 +93,6 @@ class HealthPlane:
             utilization: Optional ``(u, v) -> load fraction`` for links
                 with known utilization (unlisted links sample as 0 and
                 are omitted from the per-link columns).
-            route_churn: Routes invalidated since the previous sample.
             faults_active: Faults in effect at this epoch.
             reset: Start a fresh diff series (no up/down reported).
 
@@ -109,7 +107,6 @@ class HealthPlane:
         self.epoch_t.append(float(time_s))
         self.links_up.append(len(links))
         self.nodes_up.append(graph.number_of_nodes())
-        self.route_churn.append(int(route_churn))
         self.faults_active.append(int(faults_active))
 
         # Sorted interning: set iteration order varies with string-hash
@@ -143,22 +140,6 @@ class HealthPlane:
             return [], []
         return sorted(links - previous), sorted(previous - links)
 
-    def link_availability(self) -> Dict[str, float]:
-        """Fraction of sampled epochs each known link was up."""
-        epochs = len(self.epoch_t)
-        if epochs == 0:
-            return {}
-        return {
-            link_id: self._link_present[slot] / epochs
-            for link_id, slot in sorted(self._link_slot.items())
-        }
-
-    def worst_links(self, top: int = 10) -> List[Tuple[str, float]]:
-        """Links with the lowest availability, ascending."""
-        ranked = sorted(self.link_availability().items(),
-                        key=lambda item: (item[1], item[0]))
-        return ranked[:top]
-
     def rows(self) -> List[Dict]:
         """The plane as three columnar export records (empty plane: [])."""
         if not self.epoch_t:
@@ -169,7 +150,6 @@ class HealthPlane:
                 "t": list(self.epoch_t),
                 "links_up": list(self.links_up),
                 "nodes_up": list(self.nodes_up),
-                "route_churn": list(self.route_churn),
                 "faults_active": list(self.faults_active),
             },
             {
@@ -194,8 +174,8 @@ class HealthPlane:
 
         Worker epochs append after this plane's current epochs; link and
         node indices are remapped through this plane's intern tables.
-        Presence counts accumulate, so :meth:`link_availability` over the
-        merged plane equals the serial equivalent.
+        Presence counts accumulate, so the merged plane's per-link
+        availability equals the serial equivalent.
 
         Returns:
             The number of epochs merged.
@@ -209,7 +189,6 @@ class HealthPlane:
             for column, target in (
                 ("t", self.epoch_t), ("links_up", self.links_up),
                 ("nodes_up", self.nodes_up),
-                ("route_churn", self.route_churn),
                 ("faults_active", self.faults_active),
             ):
                 target.extend(row.get(column, []))

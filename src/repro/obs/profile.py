@@ -41,10 +41,6 @@ class PhaseProfiler:
             row["total_s"] += elapsed
             row["max_s"] = max(row["max_s"], elapsed)
 
-    @property
-    def phase_count(self) -> int:
-        return len(self._phases)
-
     def total_s(self, name: str) -> float:
         """Accumulated seconds for one phase (0.0 when never entered)."""
         row = self._phases.get(name)

@@ -207,28 +207,6 @@ class MetricsRegistry:
             )
         return instrument
 
-    def counter_value(self, name: str, label: str = "") -> Optional[float]:
-        """The value of an existing counter, or None — never creates.
-
-        The read path for summaries that must not change the export's
-        instrument set by looking.
-        """
-        instrument = self._counters.get((name, label))
-        return None if instrument is None else instrument.value
-
-    def counter_total(self, name: str) -> float:
-        """Sum of an existing counter across all labels (0.0 if absent)."""
-        return sum(
-            instrument.value
-            for (counter_name, _), instrument in self._counters.items()
-            if counter_name == name
-        )
-
-    @property
-    def instrument_count(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms))
-
     def rows(self) -> List[Dict]:
         """Every instrument as a plain row, sorted by (type, name, label).
 

@@ -11,8 +11,8 @@ Sections:
 * run header (command, seed, config hash, totals);
 * an SVG **timeline** of the event stream, one swim-lane per event kind,
   each mark carrying a hover tooltip with the event's subject and attrs;
-* **health sparklines** over the sampled epochs (links up, route churn,
-  active faults);
+* **health sparklines** over the sampled epochs (links up, active
+  faults);
 * the **lowest-availability links** table from the health plane;
 * event counts by kind.
 
@@ -33,7 +33,6 @@ _KIND_COLORS = {
     "fault.inject": "#b01515",
     "fault.recover": "#62b56f",
     "breaker.transition": "#ff7f0e",
-    "route.invalidated": "#9467bd",
     "retransmission": "#e8b417",
     "session.admit": "#17becf",
     "session.drop": "#8c564b",
@@ -209,7 +208,6 @@ def render_report(records: Sequence[Dict], title: str = "repro run",
         body.append("<h2>Health plane</h2>")
         for column, color, label in (
             ("links_up", "#1f77b4", "links up"),
-            ("route_churn", "#9467bd", "route churn"),
             ("faults_active", "#d62728", "active faults"),
         ):
             values = [float(v) for v in epochs.get(column, [])]

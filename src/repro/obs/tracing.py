@@ -95,10 +95,6 @@ class Tracer:
             if top.end_s is None:
                 top.end_s = span.end_s
 
-    @property
-    def open_depth(self) -> int:
-        return len(self._stack)
-
     def by_name(self) -> Dict[str, Dict]:
         """Aggregate closed spans: name -> {count, total_s, max_s}."""
         aggregated: Dict[str, Dict] = {}

@@ -7,7 +7,7 @@ constellation generators, and the TLE codec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.orbits.constants import EARTH_MU_KM3_S2, EARTH_RADIUS_KM
 
@@ -77,14 +77,6 @@ class OrbitalElements:
         return self.semi_major_axis_km - EARTH_RADIUS_KM
 
     @property
-    def perigee_altitude_km(self) -> float:
-        return self.semi_major_axis_km * (1.0 - self.eccentricity) - EARTH_RADIUS_KM
-
-    @property
-    def apogee_altitude_km(self) -> float:
-        return self.semi_major_axis_km * (1.0 + self.eccentricity) - EARTH_RADIUS_KM
-
-    @property
     def mean_motion_rad_s(self) -> float:
         """Mean motion ``n = sqrt(mu / a^3)`` in rad/s."""
         return math.sqrt(EARTH_MU_KM3_S2 / self.semi_major_axis_km**3)
@@ -93,11 +85,3 @@ class OrbitalElements:
     def period_s(self) -> float:
         """Orbital period in seconds."""
         return _TWO_PI / self.mean_motion_rad_s
-
-    def with_mean_anomaly(self, mean_anomaly_rad: float) -> "OrbitalElements":
-        """Return a copy shifted to a new mean anomaly at the same epoch."""
-        return replace(self, mean_anomaly_rad=mean_anomaly_rad % _TWO_PI)
-
-    def with_raan(self, raan_rad: float) -> "OrbitalElements":
-        """Return a copy with a new right ascension of the ascending node."""
-        return replace(self, raan_rad=raan_rad % _TWO_PI)

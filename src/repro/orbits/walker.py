@@ -61,14 +61,6 @@ class WalkerConstellation:
     def __iter__(self) -> Iterator[OrbitalElements]:
         return iter(self.elements)
 
-    def plane_of(self, satellite_index: int) -> int:
-        """Plane index of the given satellite (plane-major ordering)."""
-        return satellite_index // self.satellites_per_plane
-
-    def slot_of(self, satellite_index: int) -> int:
-        """In-plane slot index of the given satellite."""
-        return satellite_index % self.satellites_per_plane
-
     def propagators(self) -> List[KeplerPropagator]:
         """One J2-free propagator per satellite (built once), for the
         per-satellite scans such as contact windows."""

@@ -38,21 +38,9 @@ class _LinkBudgetMath:
         return self.received_power_dbw - self.noise_power_dbw
 
     @property
-    def snr_linear(self):
-        return _db_to_linear(self.snr_db)
-
-    @property
     def shannon_capacity_bps(self):
         """Shannon capacity ``B log2(1 + SNR)`` over the channel bandwidth."""
         return shannon_capacity_bps(self.bandwidth_hz, self.snr_db)
-
-    def closes(self, required_snr_db: float = 0.0,
-               margin_db: float = 3.0):
-        """True when the link closes with the given SNR requirement + margin.
-
-        Elementwise (a boolean array) on :class:`LinkBudgetArrays`.
-        """
-        return self.snr_db >= required_snr_db + margin_db
 
 
 @dataclass(frozen=True)
@@ -101,20 +89,6 @@ class LinkBudgetArrays(_LinkBudgetMath):
 
     def __len__(self) -> int:
         return int(np.broadcast(self.path_loss_db, self.extra_loss_db).size)
-
-    def budget_at(self, index: int) -> LinkBudget:
-        """The scalar :class:`LinkBudget` of one edge in the batch."""
-        path_loss = np.broadcast_to(self.path_loss_db, (len(self),))
-        extra = np.broadcast_to(self.extra_loss_db, (len(self),))
-        return LinkBudget(
-            tx_power_dbw=self.tx_power_dbw,
-            tx_gain_dbi=self.tx_gain_dbi,
-            rx_gain_dbi=self.rx_gain_dbi,
-            path_loss_db=float(path_loss[index]),
-            extra_loss_db=float(extra[index]),
-            noise_power_dbw=self.noise_power_dbw,
-            bandwidth_hz=self.bandwidth_hz,
-        )
 
 
 def _db_to_linear(value_db):

@@ -76,11 +76,6 @@ class RFTerminal:
     def tx_power_dbw(self) -> float:
         return 10.0 * math.log10(self.tx_power_w)
 
-    @property
-    def eirp_dbw(self) -> float:
-        """Effective isotropic radiated power."""
-        return self.tx_power_dbw + self.gain_dbi
-
 
 def rf_link_budget(tx: RFTerminal, rx: RFTerminal, distance_km: float,
                    elevation_rad: Optional[float] = None,

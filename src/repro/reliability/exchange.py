@@ -237,10 +237,6 @@ class ExchangeResult:
     reason: str = ""
     breaker_state: BreakerState = BreakerState.CLOSED
 
-    @property
-    def retried(self) -> bool:
-        return self.attempts > 1
-
 
 #: An attempt callable: ``fn(attempt_index) -> (delivered, round_trip_s)``.
 AttemptFn = Callable[[int], Tuple[bool, float]]

@@ -17,7 +17,7 @@ prices queueing and visitor tariffs alongside propagation delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import networkx as nx
 
@@ -167,17 +167,3 @@ class QosRouter:
                 f"limit {requirement.max_end_to_end_delay_s * 1000:.1f} ms",
             )
         return QosRouteResult(metrics, True)
-
-    def admissible_service_classes(self, graph: nx.Graph, source: str,
-                                   target: str,
-                                   classes: Sequence[QosRequirement]) -> List[QosRequirement]:
-        """Which of the given service classes the network can honour now.
-
-        Used by providers to "preemptively adjust their QoS guarantees":
-        in regions where paths are bottlenecked by bandwidth-limited links,
-        advertised plans reflect the looser guarantees.
-        """
-        return [
-            requirement for requirement in classes
-            if self.route(graph, source, target, requirement).admitted
-        ]

@@ -209,11 +209,3 @@ class RadiusServer:
             request.user_id, certificate,
             self._response_hmac(request, b"accept"),
         )
-
-    def verify_response_hmac(self, request: AccessRequest,
-                             response) -> bool:
-        """NAS-side check that a response really came from this server."""
-        verdict = b"accept" if isinstance(response, AccessAccept) else b"reject"
-        return hmac.compare_digest(
-            response.response_hmac, self._response_hmac(request, verdict)
-        )

@@ -6,10 +6,9 @@ non-OpenSpace agents to intercept user traffic."
 
 The monitor keeps a per-provider trust score driven by observable
 misbehaviour reports (dropped transit traffic, forged certificates,
-ledger-mismatch disputes, interception attempts).  Scores decay back toward
-neutral over time; crossing the cutoff threshold quarantines the provider,
-which the federation layer translates into excluding their satellites from
-routing.
+ledger-mismatch disputes, interception attempts).  Crossing the cutoff
+threshold quarantines the provider, which the federation layer translates
+into excluding their satellites from routing.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ REPORT_SEVERITY: Dict[str, float] = {
 
 @dataclass
 class TrustScore:
-    """One provider's rolling trust state.
+    """One provider's trust state.
 
     Attributes:
         provider: Provider name.
@@ -45,10 +44,6 @@ class TrustScore:
         self.reports[kind] = self.reports.get(kind, 0) + 1
         self.score = max(0.0, self.score - severity)
 
-    def decay(self, dt_s: float, recovery_per_hour: float) -> None:
-        """Recover trust slowly while no new reports arrive."""
-        self.score = min(1.0, self.score + recovery_per_hour * dt_s / 3600.0)
-
 
 class BadActorMonitor:
     """Federation-wide misbehaviour tracking and quarantine.
@@ -56,22 +51,14 @@ class BadActorMonitor:
     Args:
         cutoff_threshold: Providers whose score falls below this are
             quarantined.
-        reinstate_threshold: Quarantined providers whose score recovers
-            above this are reinstated (hysteresis avoids flapping).
-        recovery_per_hour: Trust recovered per report-free hour.
     """
 
-    def __init__(self, cutoff_threshold: float = 0.4,
-                 reinstate_threshold: float = 0.7,
-                 recovery_per_hour: float = 0.02):
-        if not 0.0 <= cutoff_threshold < reinstate_threshold <= 1.0:
+    def __init__(self, cutoff_threshold: float = 0.4):
+        if not 0.0 <= cutoff_threshold <= 1.0:
             raise ValueError(
-                "need 0 <= cutoff < reinstate <= 1, got "
-                f"{cutoff_threshold}, {reinstate_threshold}"
+                f"need 0 <= cutoff <= 1, got {cutoff_threshold}"
             )
         self.cutoff_threshold = cutoff_threshold
-        self.reinstate_threshold = reinstate_threshold
-        self.recovery_per_hour = recovery_per_hour
         self._scores: Dict[str, TrustScore] = {}
         self._quarantined: Set[str] = set()
         self.events: List[Tuple[float, str, str]] = []
@@ -100,25 +87,5 @@ class BadActorMonitor:
             self._quarantined.add(provider)
             self.events.append((now_s, provider, "quarantined"))
 
-    def tick(self, dt_s: float, now_s: float = 0.0) -> None:
-        """Advance time: decay scores, reinstate recovered providers."""
-        if dt_s < 0.0:
-            raise ValueError(f"dt must be >= 0, got {dt_s}")
-        for provider, score in self._scores.items():
-            score.decay(dt_s, self.recovery_per_hour)
-            if (provider in self._quarantined
-                    and score.score >= self.reinstate_threshold):
-                self._quarantined.discard(provider)
-                self.events.append((now_s, provider, "reinstated"))
-
     def is_quarantined(self, provider: str) -> bool:
         return provider in self._quarantined
-
-    @property
-    def quarantined_providers(self) -> Set[str]:
-        return set(self._quarantined)
-
-    def trust_of(self, provider: str) -> float:
-        """Current trust score (1.0 for providers never reported)."""
-        score = self._scores.get(provider)
-        return score.score if score else 1.0

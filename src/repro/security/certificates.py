@@ -13,7 +13,7 @@ import hashlib
 import hmac
 import secrets
 from dataclasses import dataclass
-from typing import Dict, Set
+from typing import Dict
 
 
 class CertificateError(Exception):
@@ -29,7 +29,7 @@ class RoamingCertificate:
         issuer: Home provider name.
         issued_at_s: Issue timestamp (simulation time).
         expires_at_s: Expiry timestamp.
-        serial: Unique serial (revocation handle).
+        serial: Unique serial.
         signature: HMAC over the certificate body.
     """
 
@@ -53,8 +53,7 @@ class CertificateAuthority:
 
     In a deployed system this would be an asymmetric-key PKI; the HMAC
     construction preserves the protocol shape (issue once, verify anywhere
-    the verification key is distributed, revoke by serial) with stdlib
-    crypto.
+    the verification key is distributed) with stdlib crypto.
 
     Args:
         issuer: Provider name appearing on issued certificates.
@@ -64,13 +63,7 @@ class CertificateAuthority:
     def __init__(self, issuer: str, signing_key: bytes = b""):
         self.issuer = issuer
         self._key = signing_key or secrets.token_bytes(32)
-        self._revoked: Set[str] = set()
         self.issued_count = 0
-
-    @property
-    def verification_key(self) -> bytes:
-        """The key other providers use to verify (symmetric stand-in)."""
-        return self._key
 
     def issue(self, user_id: str, now_s: float,
               validity_s: float = 86400.0) -> RoamingCertificate:
@@ -107,28 +100,11 @@ class CertificateAuthority:
         expected = hmac.new(self._key, certificate.body(), hashlib.sha256).digest()
         if not hmac.compare_digest(expected, certificate.signature):
             raise CertificateError("signature verification failed")
-        if certificate.serial in self._revoked:
-            raise CertificateError(f"certificate {certificate.serial} revoked")
         if now_s < certificate.issued_at_s:
             raise CertificateError("certificate not yet valid")
         if now_s > certificate.expires_at_s:
             raise CertificateError("certificate expired")
 
-    def is_valid(self, certificate: RoamingCertificate, now_s: float) -> bool:
-        """Boolean convenience wrapper over :meth:`verify`."""
-        try:
-            self.verify(certificate, now_s)
-        except CertificateError:
-            return False
-        return True
-
-    def revoke(self, serial: str) -> None:
-        """Revoke a certificate by serial (bad-actor cutoff path)."""
-        self._revoked.add(serial)
-
-    @property
-    def revoked_count(self) -> int:
-        return len(self._revoked)
 
 
 class TrustStore:
@@ -156,6 +132,3 @@ class TrustStore:
                 f"no trust anchor for issuer {certificate.issuer!r}"
             )
         authority.verify(certificate, now_s)
-
-    def known_issuers(self) -> Set[str]:
-        return set(self._authorities)

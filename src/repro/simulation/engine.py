@@ -5,11 +5,9 @@ among simultaneous events.  Protocol modules schedule callbacks; the
 engine owns the clock.
 
 Cancellation is lazy (the heap entry stays until popped), but the engine
-tracks live sequences separately so :attr:`SimulationEngine.pending_count`
-reports only events that will actually fire, and a compaction pass
-rebuilds the heap when cancelled entries dominate it — cancelled work
-cannot accumulate without bound across :meth:`SimulationEngine.run_until`
-horizons.
+tracks live sequences separately, and a compaction pass rebuilds the heap
+when cancelled entries dominate it — cancelled work cannot accumulate
+without bound across :meth:`SimulationEngine.run_until` horizons.
 
 Observability: when a :mod:`repro.obs` recorder is active the engine
 counts processed events per label, samples queue depth, and — behind the
@@ -73,16 +71,6 @@ class SimulationEngine:
         """Current simulation time."""
         return self._now
 
-    @property
-    def pending_count(self) -> int:
-        """Live (non-cancelled) events still queued."""
-        return len(self._live)
-
-    @property
-    def cancelled_pending_count(self) -> int:
-        """Cancelled entries still occupying the heap (pre-compaction)."""
-        return len(self._cancelled)
-
     def schedule(self, time_s: float, action: Callable[[], Any],
                  label: str = "") -> Event:
         """Schedule an event at an absolute time.
@@ -98,13 +86,6 @@ class SimulationEngine:
         heapq.heappush(self._heap, (time_s, event.sequence, event))
         self._live.add(event.sequence)
         return event
-
-    def schedule_in(self, delay_s: float, action: Callable[[], Any],
-                    label: str = "") -> Event:
-        """Schedule an event ``delay_s`` after the current time."""
-        if delay_s < 0.0:
-            raise ValueError(f"delay must be >= 0, got {delay_s}")
-        return self.schedule(self._now + delay_s, action, label)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event (lazy removal).

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -113,29 +113,9 @@ class SeriesCollector:
     def xs(self) -> List[float]:
         return sorted(self._points)
 
-    def mean_series(self) -> List[Tuple[float, float]]:
-        """``(x, mean(y))`` rows in ascending x."""
-        return [
-            (x, float(np.mean(self._points[x]))) for x in self.xs()
-        ]
-
     def row(self, x: float) -> List[float]:
         """All y samples at one x (raises KeyError when absent)."""
         return list(self._points[x])
 
     def summary_at(self, x: float) -> SummaryStats:
         return summarize(self._points[x])
-
-    def as_table(self) -> List[Dict[str, float]]:
-        """Rows of ``{"x", "mean", "p50", "p95", "n"}`` for reporting."""
-        table = []
-        for x in self.xs():
-            stats = summarize(self._points[x])
-            table.append({
-                "x": x,
-                "mean": stats.mean,
-                "p50": stats.p50,
-                "p95": stats.p95,
-                "n": stats.count,
-            })
-        return table

@@ -9,7 +9,7 @@ experiment drivers and examples are thin wrappers over scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -131,18 +131,3 @@ class ScenarioResult:
     scenario_name: str
     satellite_count: int
     latency: LatencyCollector
-
-    def report_rows(self) -> Dict[str, float]:
-        """Flat dict of the headline numbers for table printing."""
-        row = {
-            "satellites": float(self.satellite_count),
-            "reachability": self.latency.reachability,
-        }
-        if self.latency.samples_s:
-            stats = self.latency.summary_ms()
-            row.update({
-                "latency_mean_ms": stats.mean,
-                "latency_p50_ms": stats.p50,
-                "latency_p95_ms": stats.p95,
-            })
-        return row

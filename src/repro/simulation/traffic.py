@@ -39,10 +39,6 @@ class FlowSpec:
     size_bytes: float
     qos_class: str = "best_effort"
 
-    @property
-    def size_gb(self) -> float:
-        return self.size_bytes / 1e9
-
 
 #: Representative underserved regions the paper's introduction motivates
 #: (remote communities, disaster-prone and politically unstable areas).

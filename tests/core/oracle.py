@@ -13,16 +13,20 @@ at a time:
   budget per satellite above the user's mask.
 
 It is slow and obviously right, which is all a referee needs to be.
+:func:`satellite_positions` reads the fleet positions every snapshot
+builds on, keyed by satellite id, and :func:`budget_at` splits one row
+out of a batch of array link budgets as the scalar budget it must equal.
 """
 
 import math
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.network import content_digest
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
+from repro.phy.linkbudget import LinkBudget, LinkBudgetArrays
 from repro.phy.modulation import achievable_rate_bps
 from repro.phy.rf import rf_link_budget
 from repro.routing.csr import CsrAdjacency
@@ -70,6 +74,27 @@ class OracleSnapshot:
         (path,) = routing_oracle.nearest_paths(self.csr_adjacency(),
                                                [source], stations)
         return None if path is None else path_metrics(self.graph, path)
+
+
+def satellite_positions(network, time_s: float) -> Dict[str, np.ndarray]:
+    """ECI position of every satellite at ``time_s``, read from the
+    network's fleet propagation, the one every snapshot builds on."""
+    return dict(zip(network._fleet_ids, network._position_matrix(time_s)))
+
+
+def budget_at(arrays: LinkBudgetArrays, index: int) -> LinkBudget:
+    """The scalar :class:`LinkBudget` of one edge of a batch."""
+    path_loss = np.broadcast_to(arrays.path_loss_db, (len(arrays),))
+    extra = np.broadcast_to(arrays.extra_loss_db, (len(arrays),))
+    return LinkBudget(
+        tx_power_dbw=arrays.tx_power_dbw,
+        tx_gain_dbi=arrays.tx_gain_dbi,
+        rx_gain_dbi=arrays.rx_gain_dbi,
+        path_loss_db=float(path_loss[index]),
+        extra_loss_db=float(extra[index]),
+        noise_power_dbw=arrays.noise_power_dbw,
+        bandwidth_hz=arrays.bandwidth_hz,
+    )
 
 
 def _alive(network) -> list:
@@ -150,7 +175,7 @@ def add_user_edges(graph, user, alive, positions, time_s) -> None:
 
 @lru_cache(maxsize=32)
 def _base(network, fault_epoch: int, time_s: float) -> OracleSnapshot:
-    positions = network.satellite_positions(time_s)
+    positions = satellite_positions(network, time_s)
     builder = network._builder
     isl_graph = oracle_graph(builder.nodes, positions,
                              max_range_km=builder.max_range_km,
@@ -185,7 +210,7 @@ def user_snapshot(network, time_s: float,
     base = base_snapshot(network, time_s)
     graph = base.graph.copy()
     alive = _alive(network)
-    positions = network.satellite_positions(time_s)
+    positions = satellite_positions(network, time_s)
     for user in users:
         add_user_edges(graph, user, alive, positions, time_s)
     return OracleSnapshot(time_s, graph, base.isl_graph)

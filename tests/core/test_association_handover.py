@@ -62,7 +62,7 @@ class TestAssociation:
         assert result.succeeded
         assert result.satellite_id is not None
         assert result.auth_round_trip_s > 0.0
-        assert user.is_associated
+        assert user.associated_satellite is not None
         assert user.session_certificate is not None
 
     def test_wrong_password_rejected(self, network, medium_fleet, auth_setup):
@@ -75,7 +75,7 @@ class TestAssociation:
         )
         assert not result.succeeded
         assert "rejected" in result.failure_reason
-        assert not user.is_associated
+        assert user.associated_satellite is None
 
     def test_no_overhead_satellite(self, network, auth_setup):
         _server, protocol = auth_setup

@@ -63,9 +63,10 @@ class TestFederation:
             fed.admit(Operator("op-z", satellites=[bad]))
 
     def test_trust_store_populated(self, two_operator_federation):
-        assert two_operator_federation.trust_store.known_issuers() == {
-            "op-a", "op-b"
-        }
+        fed = two_operator_federation
+        for name in ("op-a", "op-b"):
+            cert = fed.operator(name).authority.issue("alice", now_s=0.0)
+            fed.trust_store.verify(cert, now_s=1.0)
 
     def test_quarantine_excludes_assets(self, two_operator_federation):
         fed = two_operator_federation

@@ -49,7 +49,7 @@ class TestProfile:
     def test_standard_fleets_compliant(self, elements):
         profile = InteroperabilityProfile()
         for factory in (small_spacecraft, medium_spacecraft, large_spacecraft):
-            assert profile.is_compliant(factory("x", "op", elements))
+            profile.validate(factory("x", "op", elements))  # raises if not
 
     def test_no_rf_isl_fails(self, elements):
         spec = SpacecraftSpec(

@@ -43,9 +43,9 @@ class TestPolicyRegistry:
         assert registry.region_of(GeodeticPoint(-40.0, -120.0)) is None
 
     def test_region_by_name(self, registry):
-        assert registry.region_by_name("europe").data_residency
-        with pytest.raises(KeyError):
-            registry.region_by_name("atlantis")
+        by_name = {region.name: region for region in registry.regions}
+        assert by_name["europe"].data_residency
+        assert "atlantis" not in by_name
 
     def test_duplicate_names_rejected(self):
         region = Region("x", 0.0, 1.0, 0.0, 1.0)
@@ -69,16 +69,6 @@ class TestPolicyRegistry:
         allowed = registry.compliant_gateways(GeodeticPoint(-1.29, 36.82),
                                               stations)
         assert len(allowed) == len(stations)
-
-    def test_band_licensing(self):
-        strict = Region("strict", -10.0, 10.0, -10.0, 10.0,
-                        licensed_bands=frozenset({"ka_gateway"}))
-        registry = PolicyRegistry([strict])
-        inside = GeodeticPoint(0.0, 0.0)
-        assert registry.band_licensed("ka_gateway", inside)
-        assert not registry.band_licensed("ku_downlink", inside)
-        # Outside any region: unregulated.
-        assert registry.band_licensed("ku_downlink", GeodeticPoint(50.0, 50.0))
 
 
 class TestApplyPolicyToGraph:
@@ -114,11 +104,11 @@ class TestApplyPolicyToGraph:
         view = apply_policy_to_graph(snap.graph, user.user_id, allowed)
         import networkx as nx_mod
         from repro.routing.metrics import path_metrics
-        try:
-            path = nx_mod.dijkstra_path(view, user.user_id, "gs-frankfurt",
-                                        weight="delay_s")
-        except nx_mod.NetworkXNoPath:
-            pytest.skip("no compliant path at this epoch")
+        # At t = 0 Paris reaches Frankfurt over compliant hops; a lost
+        # path is a policy regression, not a reason to skip.
+        assert nx_mod.has_path(view, user.user_id, "gs-frankfurt")
+        path = nx_mod.dijkstra_path(view, user.user_id, "gs-frankfurt",
+                                    weight="delay_s")
         constrained = path_metrics(snap.graph, path)
         assert constrained.path[-1] in allowed
         assert (constrained.total_delay_s

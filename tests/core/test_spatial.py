@@ -21,6 +21,11 @@ def _from_latlon(lat_deg, lon_deg, radius_km=LEO_RADIUS_KM):
     ])
 
 
+def _cell_of(index, point):
+    """``(latitude band, longitude column)`` the index put one point in."""
+    return int(index._band[point]), int(index._col[point])
+
+
 def _true_pairs(positions, max_range_km):
     count = positions.shape[0]
     rows, cols = np.triu_indices(count, k=1)
@@ -66,7 +71,6 @@ class TestConstruction:
     def test_empty_index(self):
         index = SpatialGridIndex(np.empty((0, 3)))
         assert index.count == 0
-        assert index.occupied_cell_count == 0
         rows, cols = index.candidate_pairs(1000.0)
         assert rows.size == 0 and cols.size == 0
 
@@ -83,7 +87,7 @@ class TestCellAssignment:
         index = SpatialGridIndex(
             _from_latlon(8.0, 16.0).reshape(1, 3), cell_size_deg=8.0
         )
-        band, col = index.cell_of(0)
+        band, col = _cell_of(index, 0)
         assert band == 12
         assert col == int((16.0 + 180.0) // 8.0)
 
@@ -91,7 +95,7 @@ class TestCellAssignment:
         index = SpatialGridIndex(
             _from_latlon(90.0, 0.0).reshape(1, 3), cell_size_deg=8.0
         )
-        band, _ = index.cell_of(0)
+        band, _ = _cell_of(index, 0)
         assert band == index.n_lat_bands - 1
 
     def test_antimeridian_wraps_to_column_zero(self):
@@ -99,8 +103,8 @@ class TestCellAssignment:
             np.stack([_from_latlon(0.0, 180.0), _from_latlon(0.0, -180.0)]),
             cell_size_deg=8.0,
         )
-        assert index.cell_of(0)[1] == 0
-        assert index.cell_of(1)[1] == 0
+        assert _cell_of(index, 0)[1] == 0
+        assert _cell_of(index, 1)[1] == 0
 
 
 class TestCandidatePairs:
@@ -172,40 +176,3 @@ class TestCandidatePairs:
             candidates = set(zip(rows.tolist(), cols.tolist()))
             assert _true_pairs(positions, max_range) <= candidates
 
-
-class TestQueryRadius:
-    def test_superset_around_probe(self):
-        rng = np.random.default_rng(9)
-        vecs = rng.normal(size=(50, 3))
-        positions = vecs / np.linalg.norm(vecs, axis=1, keepdims=True) \
-            * LEO_RADIUS_KM
-        index = SpatialGridIndex(positions, cell_size_deg=10.0)
-        probe = _from_latlon(12.0, 34.0)
-        found = set(index.query_radius(probe, 2000.0).tolist())
-        distances = np.sqrt(((positions - probe) ** 2).sum(axis=1))
-        truly = set(np.nonzero(distances <= 2000.0)[0].tolist())
-        assert truly <= found
-
-    def test_ground_probe_below_fleet_uses_probe_radius(self):
-        # A ground station is far below the fleet's minimum radius; the
-        # central-angle bound must use the probe's own radius or it
-        # would miss overhead satellites.
-        positions = _from_latlon(0.0, 0.0).reshape(1, 3)
-        index = SpatialGridIndex(positions)
-        probe = _from_latlon(0.0, 0.0, radius_km=EARTH_RADIUS_KM)
-        assert index.query_radius(probe, 600.0).tolist() == [0]
-
-    def test_empty_neighborhood(self):
-        positions = _from_latlon(0.0, 0.0).reshape(1, 3)
-        index = SpatialGridIndex(positions, cell_size_deg=4.0)
-        probe = _from_latlon(0.0, 180.0)
-        assert index.query_radius(probe, 100.0).size == 0
-
-    def test_result_is_sorted(self):
-        rng = np.random.default_rng(21)
-        vecs = rng.normal(size=(40, 3))
-        positions = vecs / np.linalg.norm(vecs, axis=1, keepdims=True) \
-            * LEO_RADIUS_KM
-        index = SpatialGridIndex(positions, cell_size_deg=12.0)
-        found = index.query_radius(_from_latlon(45.0, -60.0), 4000.0)
-        assert np.all(np.diff(found) > 0)

@@ -177,7 +177,7 @@ def routes_and_fallbacks(snap, cells):
         paths = map_cells_to_routes(snap.csr_adjacency(PROBE_COSTS),
                                     snap.nodes_of_kind("ground_station"),
                                     cells)
-    return paths, recorder.metrics.counter_value(FALLBACK)
+    return paths, recorder.metrics.counter(FALLBACK).value
 
 
 class TestRouteCertificate:

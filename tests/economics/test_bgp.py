@@ -76,43 +76,6 @@ class TestValleyFree:
         assert not hierarchy.is_valley_free(path)
 
 
-class TestSettlement:
-    def test_customer_pays_on_every_transit_edge(self, hierarchy):
-        deltas = hierarchy.settle_path(
-            ["small1", "big1", "big2", "small2"], gigabytes=100.0
-        )
-        assert deltas["small1"] == pytest.approx(-3.0)
-        assert deltas["big1"] == pytest.approx(3.0)
-        # big1-big2 peering is free; big2-small2 is paid by small2.
-        assert deltas["small2"] == pytest.approx(-3.0)
-        assert deltas["big2"] == pytest.approx(3.0)
-
-    def test_balances_accumulate(self, hierarchy):
-        hierarchy.settle_path(["small1", "big1"], 10.0)
-        hierarchy.settle_path(["small1", "big1"], 10.0)
-        assert hierarchy.balances["small1"] == pytest.approx(-0.6)
-        assert hierarchy.balances["big1"] == pytest.approx(0.6)
-
-    def test_invalid_path_rejected(self, hierarchy):
-        with pytest.raises(ValueError, match="valley-free"):
-            hierarchy.settle_path(["big1", "small1", "big1"], 1.0)
-
-    def test_check_can_be_disabled(self, hierarchy):
-        deltas = hierarchy.settle_path(
-            ["big1", "small1", "big1"], 1.0, require_valley_free=False
-        )
-        assert deltas  # both edges still billed
-
-    def test_uncontracted_edge_rejected(self, hierarchy):
-        with pytest.raises(ValueError, match="no relationship"):
-            hierarchy.settle_path(["small1", "small2"], 1.0,
-                                  require_valley_free=False)
-
-    def test_rejects_negative_volume(self, hierarchy):
-        with pytest.raises(ValueError):
-            hierarchy.settle_path(["small1", "big1"], -1.0)
-
-
 class TestValleyFreeFraction:
     def test_fraction_counts(self, hierarchy):
         paths = [

@@ -34,7 +34,7 @@ class TestCrossVerification:
         ledger = TrafficLedger()
         ledger.file_path_transfer("t1", "isp-a", ["isp-b"], 5.0, 0.0)
         assert ledger.cross_verify() == []
-        assert ledger.agreed_volume("t1", "isp-b") == 5.0
+        assert ledger.carried_matrix() == {("isp-a", "isp-b"): 5.0}
 
     def test_fraud_detected(self):
         ledger = TrafficLedger()
@@ -52,7 +52,7 @@ class TestCrossVerification:
         ledger.file_path_transfer(
             "t1", "isp-a", ["isp-b"], 5.0, 0.0, misreport={"isp-b": 8.0}
         )
-        assert ledger.agreed_volume("t1", "isp-b") is None
+        assert ledger.carried_matrix() == {}
 
     def test_tolerance_absorbs_metering_jitter(self):
         ledger = TrafficLedger(tolerance_gb=0.1)
@@ -61,10 +61,10 @@ class TestCrossVerification:
         )
         assert ledger.cross_verify() == []
         # Agreed volume is the minimum report.
-        assert ledger.agreed_volume("t1", "isp-b") == 5.0
+        assert ledger.carried_matrix() == {("isp-a", "isp-b"): 5.0}
 
     def test_unknown_segment_none(self):
-        assert TrafficLedger().agreed_volume("tx", "isp-z") is None
+        assert TrafficLedger().carried_matrix() == {}
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):

@@ -238,7 +238,6 @@ class TestEngineEquality:
     """The one engine: same output at any job count, no other engine."""
 
     def test_batched_engine_identical_across_job_counts(self):
-        pytest.importorskip("scipy")
         kwargs = dict(satellite_counts=[4, 16], trials=2, epochs=3,
                       seed=13)
         assert (figure_2b_latency(**kwargs, jobs=1)

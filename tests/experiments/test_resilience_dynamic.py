@@ -19,6 +19,7 @@ from repro.faults.schedule import (
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.walker import iridium_like, walker_star
+from tests.fixtures import has_faults
 
 
 @pytest.fixture()
@@ -81,7 +82,7 @@ class TestRunFaultScenario:
             start_s=100.0, duration_s=200.0, fault_id="blip")])
         run_fault_scenario(small_network, schedule, users,
                            horizon_s=600.0, epochs=2)
-        assert not small_network.has_faults
+        assert not has_faults(small_network)
 
     def test_returns_raw_tracker_and_injector(self, small_network, users):
         result = run_fault_scenario(
@@ -177,7 +178,6 @@ class TestEngineEquality:
                             per_user_probes)
 
     def test_sweep_rows_identical_across_engines(self, monkeypatch):
-        pytest.importorskip("scipy")
         production = dynamic_resilience_sweep(**self.KWARGS, jobs=1)
         assert production[0]["flows_rerouted"] > 0
         assert production[0]["flows_dropped"] > 0
@@ -186,7 +186,6 @@ class TestEngineEquality:
 
     def test_scenario_identical_across_engines(self, small_network, users,
                                                monkeypatch):
-        pytest.importorskip("scipy")
         satellite_ids = [
             s.satellite_id for s in small_network.satellites
         ]

@@ -10,7 +10,7 @@ from repro.faults.schedule import satellite_outage_event
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_star
 from repro.simulation.engine import SimulationEngine
-from tests.fixtures import provider_withdrawal_event
+from tests.fixtures import has_faults, provider_withdrawal_event
 
 
 @pytest.fixture()
@@ -42,7 +42,7 @@ class TestApplyRepair:
         event = _sat_event(small_network, fault_id="one")
         injector.apply(event)
         assert injector.repair(event) == 1
-        assert not small_network.has_faults
+        assert not has_faults(small_network)
         assert event.targets[0] in small_network.snapshot(0.0).graph
 
     def test_apply_is_idempotent_per_fault(self, small_network):
@@ -76,7 +76,7 @@ class TestApplyRepair:
                            targets=("sat-nobody-0",), start_s=0.0)
         assert injector.apply(event) == 0
         assert injector.skipped_targets == 1
-        assert not small_network.has_faults
+        assert not has_faults(small_network)
 
     def test_provider_event_expands_to_owned_fleet(self, small_network):
         injector = FaultInjector(small_network)
@@ -115,7 +115,7 @@ class TestApplyRepair:
         injector.repair(forward)
         assert injector.failed_links == {(first, second)}
         injector.repair(backward)
-        assert not small_network.has_faults
+        assert not has_faults(small_network)
 
 
 class TestEngineScheduling:
@@ -138,7 +138,7 @@ class TestEngineScheduling:
         assert injector.schedule_on(engine, schedule, hook=hook) == 2
         engine.run_until(100.0)
         assert seen == [(10.0, "fail", 1), (60.0, "repair", 0)]
-        assert not small_network.has_faults
+        assert not has_faults(small_network)
 
     def test_until_s_drops_late_transitions(self, small_network):
         injector = FaultInjector(small_network)
@@ -160,7 +160,8 @@ class TestEngineScheduling:
             satellite_outage_event(sats[:2], fault_id="a"),
             satellite_outage_event(sats[1:3], fault_id="b"),
         ])
-        assert injector.apply_static(schedule) == 3
+        assert sum(injector.apply(event, now_s=event.start_s)
+                   for event in schedule) == 3
         assert small_network.failed_satellites == frozenset(sats[:3])
 
 
@@ -209,6 +210,6 @@ class TestNetworkFaultState:
     def test_clear_fault_state(self, small_network):
         sat_id = small_network.satellites[0].satellite_id
         small_network.set_fault_state(failed_satellites=[sat_id])
-        assert small_network.has_faults
+        assert has_faults(small_network)
         small_network.clear_fault_state()
-        assert not small_network.has_faults
+        assert not has_faults(small_network)

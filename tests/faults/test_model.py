@@ -157,12 +157,6 @@ class TestFaultSchedule:
             combine(FaultSchedule(events=[_event("a")]),
                     FaultSchedule(events=[_event("a")]))
 
-    def test_shifted(self):
-        shifted = FaultSchedule(events=[_event("a", start_s=10.0)],
-                                horizon_s=100.0).shifted(5.0)
-        assert shifted.events[0].start_s == 15.0
-        assert shifted.horizon_s == 105.0
-
 
 def _event_row(**changes):
     row = _event("e0").as_dict()

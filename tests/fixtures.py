@@ -3,7 +3,8 @@
 * :func:`perfect_channel` — a zero-loss control channel, the
   perfect-delivery baseline the reliability and DTN tests compare against;
 * :func:`provider_withdrawal_event` — a PROVIDER fault, which the injector
-  expands against the live fleet's ``owner`` fields at apply time.
+  expands against the live fleet's ``owner`` fields at apply time;
+* :func:`has_faults` — whether a network holds any failed element.
 """
 
 from typing import Optional
@@ -36,3 +37,9 @@ def provider_withdrawal_event(provider: str, start_s: float,
         duration_s=duration_s,
         cause="provider-withdrawal",
     )
+
+
+def has_faults(network) -> bool:
+    """Whether any satellite, station or link of the network is failed."""
+    return bool(network.failed_satellites or network.failed_stations
+                or network.failed_links)

@@ -25,6 +25,7 @@ from repro.orbits.coordinates import GeodeticPoint
 from repro.orbits.walker import iridium_like
 from repro.routing.qos import QosRequirement, QosRouter
 from repro.security.auth import RadiusServer
+from repro.security.badactor import BadActorMonitor
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +141,8 @@ class TestFederatedLifecycle:
         assert predictive.handover_count == reauth.handover_count
 
     def test_bad_actor_cutoff_reshapes_network(self, federation):
-        monitor = federation.monitor
+        shared = federation.monitor
+        monitor = federation.monitor = BadActorMonitor()
         monitor.report("gamma", "interception_attempt")
         monitor.report("gamma", "forged_certificate")
         assert monitor.is_quarantined("gamma")
@@ -158,8 +160,8 @@ class TestFederatedLifecycle:
             ]
             assert any(l is not None for l in latencies)
         finally:
-            # Reinstate for other tests sharing the module fixture.
-            monitor.tick(3600.0 * 100)
+            # Other tests share the module fixture's monitor.
+            federation.monitor = shared
 
     def test_peering_emerges_from_symmetric_federated_traffic(self, live_network):
         rng = np.random.default_rng(8)

@@ -55,13 +55,14 @@ def in_eclipse(position_eci_km: np.ndarray, time_s: float) -> bool:
 def run_orbit(budget, propagator, isl_draw_w, step_s=60.0):
     """Step a budget through one orbit, gating generation on eclipse.
 
-    Returns the minimum charge reached.
+    One ISL terminal drawing ``isl_draw_w`` stays on throughout.  Returns
+    the minimum charge reached.
     """
     period = propagator.period_s
     base_generation = budget.solar_generation_w
     min_charge = budget.charge_wh
     t = 0.0
-    budget.activate_isl("isl", isl_draw_w)
+    budget._active_isls["isl"] = isl_draw_w
     while t < period:
         dark = in_eclipse(propagator.position_at(t), t)
         budget.solar_generation_w = 0.0 if dark else base_generation
@@ -87,7 +88,7 @@ class TestPowerThroughEclipse:
         min_charge = run_orbit(budget, equatorial_propagator,
                                isl_draw_w=60.0)
         assert min_charge > 0.0
-        assert not budget.depleted
+        assert budget.charge_wh > 0.0
 
     def test_undersized_battery_depletes_in_eclipse(self,
                                                     equatorial_propagator):
@@ -116,6 +117,6 @@ class TestPowerThroughEclipse:
         run_orbit(budget, equatorial_propagator, isl_draw_w=60.0)
         # After a full orbit the craft is back in sun with net surplus;
         # within another half-orbit of sunlight the battery refills.
-        budget.deactivate_isl("isl")
+        del budget._active_isls["isl"]
         budget.step(equatorial_propagator.period_s / 2.0)
         assert budget.charge_wh == pytest.approx(600.0)

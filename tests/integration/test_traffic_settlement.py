@@ -65,7 +65,7 @@ class TestFlowToLedgerPipeline:
             source = user_home[record.spec.user_id]
             ledger.file_path_transfer(
                 f"t{index}", source, metrics.operators,
-                record.spec.size_gb, record.finish_s,
+                record.spec.size_bytes / 1e9, record.finish_s,
             )
         # Honest accounting never mismatches.
         assert ledger.cross_verify() == []
@@ -93,7 +93,7 @@ class TestFlowToLedgerPipeline:
             metrics = path_metrics(snap.graph, list(record.path))
             ledger.file_path_transfer(
                 f"t{index}", user_home[record.spec.user_id],
-                metrics.operators, record.spec.size_gb, record.finish_s,
+                metrics.operators, record.spec.size_bytes / 1e9, record.finish_s,
             )
         matrix = ledger.carried_matrix()
         # With interleaved fleets, roaming is rampant: at least one

@@ -10,7 +10,6 @@ import pytest
 
 from repro.isl.link import (
     BestLinkArrays,
-    IslLink,
     LinkTechnology,
     best_link_between,
     candidate_links,
@@ -197,13 +196,3 @@ class TestIslLinkProperties:
 
     def test_usable_flag(self):
         assert self._link().usable
-
-    def test_serialization_delay(self):
-        link = self._link()
-        expected = 12_000.0 / link.capacity_bps
-        assert link.serialization_delay_s() == pytest.approx(expected)
-
-    def test_serialization_infinite_when_dead(self):
-        dead = IslLink("a", "b", LinkTechnology.RF_UHF, 1.0,
-                       self._link().budget, 0.0)
-        assert dead.serialization_delay_s() == float("inf")

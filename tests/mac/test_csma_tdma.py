@@ -37,10 +37,6 @@ class TestCsmaConfig:
         with pytest.raises(ValueError):
             CsmaCaConfig(frame_slots=0)
 
-    def test_overhead_accounting(self):
-        cfg = CsmaCaConfig(difs_slots=3, sifs_slots=1, ack_slots=1)
-        assert cfg.overhead_slots_per_frame == 5
-
 
 class TestCsmaBehaviour:
     def test_single_station_no_collisions(self):
@@ -68,7 +64,8 @@ class TestCsmaBehaviour:
 
     def test_goodput_below_utilization(self):
         result = run_csma(10, 1.0, duration=200.0)
-        assert result.goodput_efficiency <= result.channel_utilization + 1e-9
+        utilization = result.busy_time_s / result.duration_s
+        assert result.goodput_efficiency <= utilization + 1e-9
 
     def test_reproducible_with_seed(self):
         a = run_csma(6, 0.5, seed=9)
@@ -109,7 +106,9 @@ class TestTdmaBehaviour:
 
     def test_fairness_near_one(self):
         result = run_tdma(6, 0.5, duration=600.0)
-        assert result.fairness_index > 0.9
+        counts = list(result.per_station_delivered.values())
+        jain = sum(counts) ** 2 / (len(counts) * sum(c * c for c in counts))
+        assert jain > 0.9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,11 +140,4 @@ class TestMacResult:
         result = MacResult(duration_s=0.0)
         assert result.delivery_ratio == 0.0
         assert result.mean_delay_s == 0.0
-        assert result.p95_delay_s == 0.0
-        assert result.channel_utilization == 0.0
-        assert result.fairness_index == 1.0
-
-    def test_p95_at_least_mean_for_skewed(self):
-        result = MacResult(duration_s=10.0)
-        result.delays_s = [0.1] * 90 + [2.0] * 10
-        assert result.p95_delay_s >= result.mean_delay_s
+        assert result.goodput_efficiency == 0.0

@@ -10,6 +10,7 @@ from repro.obs.events import (
     EventLog,
     format_events,
 )
+from repro.obs.export import summarize_records
 
 
 class TestEvent:
@@ -24,7 +25,7 @@ class TestEvent:
         }
 
     def test_canonical_kinds_are_distinct(self):
-        assert len(set(KINDS)) == len(KINDS) == 17
+        assert len(set(KINDS)) == len(KINDS) == 16
 
 
 class TestEmission:
@@ -33,7 +34,7 @@ class TestEmission:
         for index in range(5):
             assert log.emit("link.up", float(index)).seq == index
         assert len(log) == 5
-        assert log.next_seq == 5
+        assert log.emit("link.up", 5.0).seq == 5
 
     def test_attrs_sorted_by_key(self):
         log = EventLog()
@@ -64,7 +65,6 @@ class TestRetention:
         assert [e.seq for e in log.events] == [6, 7, 8, 9]
         # Counts still cover the whole run, not just the ring.
         assert len(log) == 10
-        assert log.count_of("handover") == 10
 
     def test_tail_is_bounded_by_capacity(self):
         log = EventLog(capacity=3)
@@ -79,15 +79,24 @@ class TestRetention:
         assert EventLog().capacity == DEFAULT_CAPACITY
 
 
+def _section(summary: str, heading: str, rows: int):
+    """The first ``rows`` lines under a summary heading, split on spaces."""
+    lines = summary.splitlines()
+    start = lines.index(heading) + 1
+    return [line.split() for line in lines[start:start + rows]]
+
+
 class TestRollups:
+    """``repro obs summarize`` rolls an exported stream up by kind and by
+    subject."""
+
     def test_counts_by_kind_sorted(self):
         log = EventLog()
         log.emit("session.drop", 0.0)
         log.emit("handover", 1.0)
         log.emit("handover", 2.0)
-        assert log.counts_by_kind() == {"handover": 2, "session.drop": 1}
-        assert log.count_of("handover") == 2
-        assert log.count_of("never.emitted") == 0
+        assert _section(summarize_records(log.rows()), "events (3 total):",
+                        2) == [["handover", "2"], ["session.drop", "1"]]
 
     def test_noisiest_subjects_ranked_then_alphabetical(self):
         log = EventLog()
@@ -96,13 +105,9 @@ class TestRollups:
         for subject in ("A--B", "C--D"):
             log.emit("link.down", 0.0, subject=subject)
         log.emit("handover", 0.0)  # no subject: excluded
-        assert log.noisiest_subjects(top=2) == [("S1--S2", 3), ("A--B", 1)]
-
-    def test_noisiest_subjects_kind_filter(self):
-        log = EventLog()
-        log.emit("link.down", 0.0, subject="S1--S2")
-        log.emit("handover", 0.0, subject="sat:9")
-        assert log.noisiest_subjects(kinds=["handover"]) == [("sat:9", 1)]
+        summary = summarize_records(log.rows(), top=2)
+        assert _section(summary, "noisiest subjects:", 3) == [
+            ["S1--S2", "3"], ["A--B", "1"]]
 
 
 class TestReplay:
@@ -124,7 +129,7 @@ class TestReplay:
         rows = [{"type": "manifest"}, {"type": "health_epochs"},
                 {"type": "event", "kind": "link.up", "t": 1.0}]
         assert log.replay_rows(rows) == 1
-        assert log.count_of("link.up") == 1
+        assert [e.kind for e in log.events] == ["link.up"]
 
 
 class TestFormat:

@@ -260,9 +260,9 @@ class TestEventExport:
         assert totals == {"events": 3, "health_epochs": 1}
 
     def test_manifest_totals_does_not_create_counters(self, event_recorder):
-        before = event_recorder.metrics.instrument_count
+        before = event_recorder.metrics.rows()
         manifest_totals(event_recorder)
-        assert event_recorder.metrics.instrument_count == before
+        assert event_recorder.metrics.rows() == before
 
     def test_event_rows_without_manifest(self, event_recorder):
         rows = event_rows(event_recorder)

@@ -3,6 +3,7 @@
 import networkx as nx
 
 from repro import obs
+from repro.obs.export import summarize_records
 from repro.obs.health import HealthPlane, link_key
 
 
@@ -23,12 +24,10 @@ class TestLinkKey:
 class TestSampling:
     def test_epoch_aggregates(self):
         plane = HealthPlane()
-        plane.sample(0.0, _graph(("A", "B"), ("B", "C")),
-                     route_churn=2, faults_active=1)
+        plane.sample(0.0, _graph(("A", "B"), ("B", "C")), faults_active=1)
         assert len(plane) == 1
         assert plane.links_up[0] == 2
         assert plane.nodes_up[0] == 3
-        assert plane.route_churn[0] == 2
         assert plane.faults_active[0] == 1
 
     def test_diff_reports_appeared_and_vanished(self):
@@ -63,21 +62,30 @@ class TestSampling:
         assert plane._link_ids[plane._link_index[0]] == "A--B"
 
 
+def _present_epochs(plane):
+    """Link id -> epochs up, from the plane's ``health_links`` record."""
+    links = plane.rows()[1]
+    return dict(zip(links["ids"], links["present_epochs"]))
+
+
 class TestAvailability:
     def test_fraction_of_epochs_present(self):
         plane = HealthPlane()
         plane.sample(0.0, _graph(("A", "B"), ("B", "C")))
         plane.sample(60.0, _graph(("A", "B")))
-        assert plane.link_availability() == {"A--B": 1.0, "B--C": 0.5}
+        assert len(plane) == 2
+        assert _present_epochs(plane) == {"A--B": 2, "B--C": 1}
 
     def test_worst_links_ascending(self):
         plane = HealthPlane()
         plane.sample(0.0, _graph(("A", "B"), ("B", "C")))
         plane.sample(60.0, _graph(("A", "B")))
-        assert plane.worst_links(top=1) == [("B--C", 0.5)]
+        lines = summarize_records(plane.rows(), top=1).splitlines()
+        start = lines.index("lowest-availability links (2 tracked):")
+        assert lines[start + 1].split() == ["B--C", "50.0%", "(1/2", "epochs)"]
+        assert not any("A--B" in line for line in lines[start + 1:])
 
     def test_empty_plane(self):
-        assert HealthPlane().link_availability() == {}
         assert HealthPlane().rows() == []
 
 
@@ -105,9 +113,7 @@ class TestExportReplay:
         assert list(parent.epoch_t) == [0.0, 0.0, 60.0]
         # Presence accumulates across the merge: B--C up in 1 parent epoch
         # + 1 worker epoch out of 3 total.
-        availability = parent.link_availability()
-        assert availability["B--C"] == 2 / 3
-        assert availability["A--B"] == 2 / 3
+        assert _present_epochs(parent) == {"A--B": 2, "B--C": 2}
 
     def test_replay_equals_serial(self):
         graphs = [
@@ -127,14 +133,10 @@ class TestExportReplay:
 
 
 class TestRecorderIntegration:
-    def test_sample_health_emits_link_events_and_churn(self):
+    def test_sample_health_emits_link_events(self):
         recorder = obs.Recorder()
         with obs.use(recorder):
             obs.sample_health(0.0, _graph(("A", "B")), reset=True)
-            obs.event("route.invalidated", 30.0, subject="S1", routes=4)
             obs.sample_health(60.0, _graph(("C", "D")))
-        kinds = recorder.events.counts_by_kind()
-        assert kinds["link.up"] == 1
-        assert kinds["link.down"] == 1
-        # The second epoch picks up the invalidation emitted between them.
-        assert list(recorder.health.route_churn) == [0, 1]
+        assert [(e.kind, e.subject) for e in recorder.events.events] == [
+            ("link.up", "C--D"), ("link.down", "A--B")]

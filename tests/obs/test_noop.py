@@ -63,7 +63,7 @@ class TestInstall:
                 obs.count("deep")
             assert obs.active() is outer
         assert inner.metrics.counter("deep").value == 1.0
-        assert outer.metrics.instrument_count == 0
+        assert outer.metrics.rows() == []
 
 
 class TestEngineInstrumentation:

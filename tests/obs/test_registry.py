@@ -102,7 +102,7 @@ class TestRegistry:
         registry.counter("events", label="b").inc()
         assert registry.counter("events", "a").value == 2
         assert registry.counter("events", "b").value == 1
-        assert registry.instrument_count == 2
+        assert len(registry.rows()) == 2
 
     def test_rows_sorted_regardless_of_creation_order(self):
         forward, backward = MetricsRegistry(), MetricsRegistry()
@@ -117,4 +117,4 @@ class TestRegistry:
         registry.counter("x").inc()
         registry.gauge("x").set(2.0)
         registry.histogram("x").observe(3.0)
-        assert registry.instrument_count == 3
+        assert len(registry.rows()) == 3

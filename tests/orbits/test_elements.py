@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.orbits.constants import EARTH_RADIUS_KM
 from repro.orbits.elements import OrbitalElements
+from repro.orbits.kepler import KeplerPropagator
 
 
 class TestConstruction:
@@ -63,7 +65,15 @@ class TestDerivedQuantities:
         el = OrbitalElements(
             semi_major_axis_km=EARTH_RADIUS_KM + 1000.0, eccentricity=0.1
         )
-        assert el.perigee_altitude_km < 1000.0 < el.apogee_altitude_km
+        times = np.linspace(0.0, el.period_s, 181)
+        radii = np.linalg.norm(KeplerPropagator(el).positions_at(times), axis=1)
+        altitudes = radii - EARTH_RADIUS_KM
+        # Perigee a(1 - e) and apogee a(1 + e) straddle the mean altitude.
+        assert altitudes.min() == pytest.approx(
+            el.semi_major_axis_km * 0.9 - EARTH_RADIUS_KM, abs=1.0)
+        assert altitudes.max() == pytest.approx(
+            el.semi_major_axis_km * 1.1 - EARTH_RADIUS_KM, abs=1.0)
+        assert altitudes.min() < 1000.0 < altitudes.max()
 
     def test_mean_motion_matches_period(self):
         el = OrbitalElements.circular(780.0, inclination_rad=0.2)
@@ -73,18 +83,6 @@ class TestDerivedQuantities:
 
 
 class TestCopies:
-    def test_with_mean_anomaly_replaces_only_anomaly(self):
-        el = OrbitalElements.circular(780.0, inclination_rad=1.0, raan_rad=0.5)
-        moved = el.with_mean_anomaly(2.0)
-        assert moved.mean_anomaly_rad == pytest.approx(2.0)
-        assert moved.raan_rad == el.raan_rad
-        assert moved.semi_major_axis_km == el.semi_major_axis_km
-
-    def test_with_raan_wraps(self):
-        el = OrbitalElements.circular(780.0, inclination_rad=1.0)
-        moved = el.with_raan(7.0)
-        assert moved.raan_rad == pytest.approx(7.0 - 2.0 * math.pi)
-
     def test_elements_are_frozen(self):
         el = OrbitalElements.circular(780.0, inclination_rad=1.0)
         with pytest.raises(Exception):

@@ -53,10 +53,10 @@ class TestWalkerStar:
         assert np.allclose(gaps, 2.0 * math.pi / 6.0)
 
     def test_plane_and_slot_helpers(self):
+        # Plane-major order: satellites 0-2 fill plane 0, 3-5 plane 1.
         c = walker_star(12, 4)
-        assert c.plane_of(0) == 0
-        assert c.plane_of(3) == 1
-        assert c.slot_of(4) == 1
+        raans = [el.raan_rad for el in c]
+        assert raans[0] == raans[2] != raans[3] == raans[5]
 
 
 class TestWalkerDelta:

@@ -81,11 +81,6 @@ class TestLinkBudgetType:
     def test_snr_arithmetic(self):
         assert self._budget(7.0).snr_db == pytest.approx(7.0)
 
-    def test_closes_with_margin(self):
-        budget = self._budget(7.0)
-        assert budget.closes(required_snr_db=3.0, margin_db=3.0)
-        assert not budget.closes(required_snr_db=5.0, margin_db=3.0)
-
     def test_shannon_capacity_property(self):
         budget = self._budget(10.0)
         assert budget.shannon_capacity_bps == pytest.approx(

@@ -85,7 +85,8 @@ class TestRFTerminal:
     def test_eirp(self):
         t = RFTerminal(band_name="s_band", tx_power_w=10.0,
                        antenna_gain_dbi=12.0)
-        assert t.eirp_dbw == pytest.approx(22.0)
+        budget = rf_link_budget(t, t, 1000.0)
+        assert budget.tx_power_dbw + budget.tx_gain_dbi == pytest.approx(22.0)
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
@@ -142,7 +143,7 @@ class TestRFLinkBudget:
         user = standard_ku_user_terminal()
         budget = rf_link_budget(space, user, 900.0,
                                 elevation_rad=math.radians(60.0))
-        assert budget.closes(required_snr_db=1.0)
+        assert budget.snr_db >= 1.0 + 3.0  # 1 dB required, 3 dB margin
 
     def test_gateway_terminal_has_big_gain(self):
         assert standard_gateway_terminal().gain_dbi > 50.0

@@ -126,7 +126,7 @@ def fault_states(draw, network):
     # ISLs of the fault-free fleet at t = 0, so failed links often cut a
     # real edge; drawn from the oracle to leave the network's history be.
     links = sorted(oracle_graph(network._builder.nodes,
-                                network.satellite_positions(0.0),
+                                oracle.satellite_positions(network, 0.0),
                                 max_range_km=RANGE_KM).edges)
     pairs = st.tuples(st.sampled_from(sat_ids), st.sampled_from(sat_ids))
     return (

@@ -23,6 +23,7 @@ from repro.phy import (
     rf_link_budget,
     rf_link_budget_arrays,
 )
+from tests.core.oracle import budget_at
 
 # LEO slant ranges: a near-overhead user pass out to a long ISL chord.
 distance_lists = st.lists(
@@ -40,7 +41,7 @@ def _assert_budget_rows_equal(arrays, scalars):
     """Every row of a LinkBudgetArrays equals its scalar LinkBudget."""
     assert len(arrays) == len(scalars)
     for index, scalar in enumerate(scalars):
-        row = arrays.budget_at(index)
+        row = budget_at(arrays, index)
         assert row == scalar  # dataclass equality: exact float64 fields
         # Derived quantities come from the same fields, but check the
         # array-side reductions too (they run as whole-array ufuncs).

@@ -1,6 +1,7 @@
 """Property-based tests for protocol layers (PHY, MAC, security)."""
 
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from repro.phy.channel import free_space_path_loss_db
 from repro.phy.linkbudget import shannon_capacity_bps
 from repro.phy.modulation import achievable_rate_bps, select_modcod
 from repro.security.auth import _hide_password, _reveal_password
-from repro.security.certificates import CertificateAuthority
+from repro.security.certificates import CertificateAuthority, CertificateError
 from repro.simulation.engine import SimulationEngine
 
 
@@ -60,10 +61,12 @@ class TestAuthProperties:
                                                          validity):
         authority = CertificateAuthority("isp", signing_key=b"k" * 32)
         cert = authority.issue(user, now_s=now, validity_s=validity)
-        assert authority.is_valid(cert, now)
-        assert authority.is_valid(cert, now + validity)
-        assert not authority.is_valid(cert, now + validity + 1.0)
-        assert not authority.is_valid(cert, now - 1.0)
+        authority.verify(cert, now)
+        authority.verify(cert, now + validity)
+        with pytest.raises(CertificateError, match="expired"):
+            authority.verify(cert, now + validity + 1.0)
+        with pytest.raises(CertificateError, match="not yet valid"):
+            authority.verify(cert, now - 1.0)
 
 
 class TestEngineProperties:

@@ -45,24 +45,3 @@ class TestSpatialSupersetProperties:
         if rows.size:
             keys = rows * np.int64(count) + cols
             assert np.all(np.diff(keys) > 0)
-
-    @given(seed=st.integers(min_value=0, max_value=10_000),
-           count=st.integers(min_value=1, max_value=48),
-           lat_deg=st.floats(min_value=-90.0, max_value=90.0),
-           lon_deg=st.floats(min_value=-180.0, max_value=180.0),
-           max_range_km=st.floats(min_value=10.0, max_value=10_000.0))
-    @settings(max_examples=40, deadline=None)
-    def test_query_radius_superset(self, seed, count, lat_deg, lon_deg,
-                                   max_range_km):
-        positions = _positions(seed, count)
-        index = SpatialGridIndex(positions)
-        lat, lon = np.radians(lat_deg), np.radians(lon_deg)
-        probe = EARTH_RADIUS_KM * np.array([
-            np.cos(lat) * np.cos(lon),
-            np.cos(lat) * np.sin(lon),
-            np.sin(lat),
-        ])
-        found = set(index.query_radius(probe, max_range_km).tolist())
-        distances = np.sqrt(((positions - probe) ** 2).sum(axis=1))
-        truly = set(np.nonzero(distances <= max_range_km)[0].tolist())
-        assert truly <= found

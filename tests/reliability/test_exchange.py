@@ -143,7 +143,6 @@ class TestReliableExchange:
         assert result.ok
         assert result.attempts == 1
         assert result.elapsed_s == pytest.approx(0.05)
-        assert not result.retried
 
     def test_no_retry_zero_loss_is_nominal_rtt(self):
         # The byte-identity contract: NO_RETRY + delivered first attempt

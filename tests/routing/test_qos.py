@@ -103,9 +103,10 @@ class TestRouter:
         router = QosRouter()
         classes = [BEST_EFFORT, STANDARD, PREMIUM,
                    QosRequirement(min_bandwidth_bps=10e9)]
-        admitted = router.admissible_service_classes(
-            hetero_graph, "src", "dst", classes
-        )
+        admitted = [
+            requirement for requirement in classes
+            if router.route(hetero_graph, "src", "dst", requirement).admitted
+        ]
         assert BEST_EFFORT in admitted
         assert PREMIUM in admitted
         assert len(admitted) == 3

@@ -1,5 +1,8 @@
 """Tests for RADIUS-style authentication."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.security.auth import (
@@ -12,11 +15,22 @@ from repro.security.auth import (
 )
 
 
+SECRET = b"shared-secret"
+
+
 @pytest.fixture
 def server():
-    s = RadiusServer("isp-home", b"shared-secret")
+    s = RadiusServer("isp-home", SECRET)
     s.enroll("alice", b"correct-horse")
     return s
+
+
+def _nas_accepts(request, response) -> bool:
+    """The NAS-side check that a response came from the secret's holder."""
+    verdict = b"accept" if isinstance(response, AccessAccept) else b"reject"
+    expected = hmac.new(SECRET, request.authenticator + verdict,
+                        hashlib.sha256).digest()
+    return hmac.compare_digest(response.response_hmac, expected)
 
 
 class TestXorBytes:
@@ -101,7 +115,7 @@ class TestServer:
     def test_response_hmac_verifies(self, server):
         request = server.make_request("alice", b"correct-horse", "sat-1")
         response = server.handle(request)
-        assert server.verify_response_hmac(request, response)
+        assert _nas_accepts(request, response)
 
     def test_response_hmac_detects_forgery(self, server):
         request = server.make_request("alice", b"correct-horse", "sat-1")
@@ -111,7 +125,7 @@ class TestServer:
             certificate=response.certificate,
             response_hmac=b"\x00" * 32,
         )
-        assert not server.verify_response_hmac(request, forged)
+        assert not _nas_accepts(request, forged)
 
     def test_requires_secret(self):
         with pytest.raises(ValueError):

@@ -18,13 +18,6 @@ class TestTrustScore:
             score.apply_report("interception_attempt", 0.6)
         assert score.score == 0.0
 
-    def test_decay_recovers_and_caps(self):
-        score = TrustScore("op", score=0.5)
-        score.decay(3600.0, recovery_per_hour=0.1)
-        assert score.score == pytest.approx(0.6)
-        score.decay(36000.0, recovery_per_hour=0.2)
-        assert score.score == 1.0
-
 
 class TestMonitor:
     def test_unknown_kind_rejected(self):
@@ -36,26 +29,13 @@ class TestMonitor:
         monitor.report("evil", "interception_attempt")
         monitor.report("evil", "forged_certificate")
         assert monitor.is_quarantined("evil")
-        assert "evil" in monitor.quarantined_providers
 
     def test_minor_reports_do_not_quarantine(self):
         monitor = BadActorMonitor()
         for _ in range(5):
             monitor.report("sloppy", "transit_drop")
         assert not monitor.is_quarantined("sloppy")
-        assert monitor.trust_of("sloppy") == pytest.approx(0.75)
-
-    def test_recovery_with_hysteresis(self):
-        monitor = BadActorMonitor(cutoff_threshold=0.4,
-                                  reinstate_threshold=0.7,
-                                  recovery_per_hour=0.1)
-        monitor.report("op", "interception_attempt")
-        monitor.report("op", "interception_attempt")  # score 0, quarantined
-        assert monitor.is_quarantined("op")
-        monitor.tick(3600.0 * 5)  # score 0.5 < reinstate threshold
-        assert monitor.is_quarantined("op")
-        monitor.tick(3600.0 * 3)  # score 0.8 >= 0.7
-        assert not monitor.is_quarantined("op")
+        assert "quarantined" not in [kind for _, _, kind in monitor.events]
 
     def test_events_logged(self):
         monitor = BadActorMonitor()
@@ -66,15 +46,13 @@ class TestMonitor:
         assert "quarantined" in kinds
 
     def test_unreported_provider_fully_trusted(self):
-        assert BadActorMonitor().trust_of("anyone") == 1.0
+        assert not BadActorMonitor(cutoff_threshold=1.0).is_quarantined("anyone")
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            BadActorMonitor(cutoff_threshold=0.8, reinstate_threshold=0.5)
-
-    def test_tick_rejects_negative(self):
+            BadActorMonitor(cutoff_threshold=1.5)
         with pytest.raises(ValueError):
-            BadActorMonitor().tick(-1.0)
+            BadActorMonitor(cutoff_threshold=-0.1)
 
     def test_severity_table_covers_paper_threats(self):
         # Interception and forgery — the threats the paper names — must be

@@ -18,7 +18,7 @@ from repro.faults.schedule import satellite_outage_event
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_star
 from repro.security.badactor import BadActorMonitor
-from tests.fixtures import provider_withdrawal_event
+from tests.fixtures import has_faults, provider_withdrawal_event
 
 
 def _federation_with_quarantined_evil():
@@ -63,7 +63,7 @@ class TestQuarantinePlusFaults:
         # Targets already gone: counted and skipped, never double-removed.
         assert injector.apply(event) == 0
         assert injector.skipped_targets == len(evil_sats)
-        assert not network.has_faults
+        assert not has_faults(network)
         assert injector.repair(event) == 0
 
     def test_withdrawal_of_quarantined_provider_skipped(
@@ -86,7 +86,7 @@ class TestQuarantinePlusFaults:
         assert network.failed_satellites == frozenset({good.satellite_id})
         assert injector.skipped_targets == 1
         assert injector.repair(event) == 1
-        assert not network.has_faults
+        assert not has_faults(network)
 
     def test_overlapping_withdrawal_and_outage_no_early_return(
             self, quarantined_setup):
@@ -103,4 +103,4 @@ class TestQuarantinePlusFaults:
         injector.repair(withdrawal)
         assert network.failed_satellites == frozenset({sat_id})
         injector.repair(outage)
-        assert not network.has_faults
+        assert not has_faults(network)

@@ -18,7 +18,6 @@ class TestIssueVerify:
     def test_valid_certificate_verifies(self, authority):
         cert = authority.issue("alice", now_s=0.0, validity_s=100.0)
         authority.verify(cert, now_s=50.0)
-        assert authority.is_valid(cert, 50.0)
 
     def test_expired_certificate_fails(self, authority):
         cert = authority.issue("alice", now_s=0.0, validity_s=100.0)
@@ -43,13 +42,6 @@ class TestIssueVerify:
         with pytest.raises(CertificateError, match="issuer mismatch"):
             authority.verify(cert, now_s=1.0)
 
-    def test_revocation(self, authority):
-        cert = authority.issue("alice", now_s=0.0)
-        authority.revoke(cert.serial)
-        with pytest.raises(CertificateError, match="revoked"):
-            authority.verify(cert, now_s=1.0)
-        assert authority.revoked_count == 1
-
     def test_serials_unique(self, authority):
         serials = {authority.issue("alice", 0.0).serial for _ in range(20)}
         assert len(serials) == 20
@@ -62,7 +54,8 @@ class TestIssueVerify:
     def test_key_generated_when_omitted(self):
         a = CertificateAuthority("x")
         b = CertificateAuthority("x")
-        assert a.verification_key != b.verification_key
+        with pytest.raises(CertificateError, match="signature"):
+            b.verify(a.issue("alice", now_s=0.0), now_s=1.0)
 
 
 class TestTrustStore:
@@ -81,5 +74,7 @@ class TestTrustStore:
     def test_known_issuers(self, authority):
         store = TrustStore()
         store.add_authority(authority)
-        store.add_authority(CertificateAuthority("isp-b"))
-        assert store.known_issuers() == {"isp-home", "isp-b"}
+        other = CertificateAuthority("isp-b")
+        store.add_authority(other)
+        for issuer in (authority, other):
+            store.verify(issuer.issue("alice", now_s=0.0), now_s=1.0)

@@ -31,19 +31,10 @@ class TestScheduling:
         assert seen == [5.0]
         assert engine.now_s == 5.0
 
-    def test_schedule_in_is_relative(self):
-        engine = SimulationEngine(start_s=10.0)
-        seen = []
-        engine.schedule_in(2.5, lambda: seen.append(engine.now_s))
-        engine.run()
-        assert seen == [12.5]
-
     def test_cannot_schedule_in_past(self):
         engine = SimulationEngine(start_s=10.0)
         with pytest.raises(ValueError, match="already at"):
             engine.schedule(5.0, lambda: None)
-        with pytest.raises(ValueError):
-            engine.schedule_in(-1.0, lambda: None)
 
     def test_events_can_schedule_events(self):
         engine = SimulationEngine()
@@ -52,7 +43,7 @@ class TestScheduling:
         def chain(n):
             fired.append(n)
             if n < 3:
-                engine.schedule_in(1.0, lambda: chain(n + 1))
+                engine.schedule(engine.now_s + 1.0, lambda: chain(n + 1))
 
         engine.schedule(0.0, lambda: chain(0))
         engine.run()
@@ -83,17 +74,16 @@ class TestCancel:
         kept = [engine.schedule(float(t), lambda: None) for t in range(3)]
         doomed = engine.schedule(5.0, lambda: None)
         engine.cancel(doomed)
-        assert engine.pending_count == 3
         engine.cancel(kept[0])
-        assert engine.pending_count == 2
+        assert engine.run() == 2
 
     def test_cancel_is_idempotent(self):
         engine = SimulationEngine()
         event = engine.schedule(1.0, lambda: None)
         engine.cancel(event)
         engine.cancel(event)
-        assert engine.pending_count == 0
-        assert engine.cancelled_pending_count == 1
+        assert len(engine._live) == 0
+        assert len(engine._cancelled) == 1
         assert engine.run() == 0
 
     def test_cancel_after_fire_is_noop(self):
@@ -101,8 +91,8 @@ class TestCancel:
         event = engine.schedule(1.0, lambda: None)
         engine.run()
         engine.cancel(event)
-        assert engine.cancelled_pending_count == 0
-        assert engine.pending_count == 0
+        assert len(engine._cancelled) == 0
+        assert len(engine._live) == 0
 
     def test_no_stale_accumulation_across_run_until(self):
         # Cancelled entries beyond the horizon must not pile up in the
@@ -113,12 +103,12 @@ class TestCancel:
             engine.cancel(event)
         live = engine.schedule(200.0, lambda: None)
         engine.run_until(50.0)   # breaks before any cancelled entry pops
-        assert engine.pending_count == 1
+        assert len(engine._live) == 1
         engine.run_until(150.0)  # horizon sweeps past the cancelled block
-        assert engine.cancelled_pending_count == 0
-        assert engine.pending_count == 1
+        assert len(engine._cancelled) == 0
+        assert len(engine._live) == 1
         engine.cancel(live)
-        assert engine.pending_count == 0
+        assert len(engine._live) == 0
 
     def test_mass_cancel_compacts_heap(self):
         engine = SimulationEngine()
@@ -127,10 +117,10 @@ class TestCancel:
         for event in doomed:
             engine.cancel(event)
         # Compaction rebuilt the heap: no cancelled entries linger.
-        assert engine.cancelled_pending_count < 200
-        assert engine.pending_count == 1
+        assert len(engine._cancelled) < 200
+        assert len(engine._live) == 1
         assert engine.run() == 1
-        assert engine.pending_count == 0
+        assert len(engine._live) == 0
         assert survivor.sequence not in engine._cancelled
 
     def test_cancelled_head_does_not_pull_event_past_horizon(self):
@@ -155,7 +145,7 @@ class TestRunUntil:
         assert processed == 1
         assert fired == [1]
         assert engine.now_s == 3.0
-        assert engine.pending_count == 1
+        assert len(engine._live) == 1
 
     def test_clock_advances_even_without_events(self):
         engine = SimulationEngine()
@@ -192,7 +182,7 @@ class TestGuardsAndOrdering:
         engine = SimulationEngine()
 
         def reschedule():
-            engine.schedule_in(0.1, reschedule)
+            engine.schedule(engine.now_s + 0.1, reschedule)
 
         engine.schedule(0.0, reschedule)
         with pytest.raises(RuntimeError, match="runaway"):

@@ -159,10 +159,6 @@ class TestFlowGenerator:
         flows = self._generator(rng).generate(50.0)
         assert len({f.flow_id for f in flows}) == len(flows)
 
-    def test_size_gb_property(self, rng):
-        flows = self._generator(rng).generate(20.0)
-        assert flows[0].size_gb == pytest.approx(flows[0].size_bytes / 1e9)
-
 
 class TestSummarize:
     def test_known_values(self):
@@ -209,16 +205,17 @@ class TestSeriesCollector:
         series.add(10.0, 2.0)
         series.add(5.0, 1.0)
         series.add(10.0, 4.0)
-        assert series.mean_series() == [(5.0, 1.0), (10.0, 3.0)]
+        assert series.xs() == [5.0, 10.0]
+        assert [series.summary_at(x).mean for x in series.xs()] == [1.0, 3.0]
 
     def test_table_rows(self):
         series = SeriesCollector()
         for y in (1.0, 2.0, 3.0):
             series.add(1.0, y)
-        table = series.as_table()
-        assert table[0]["x"] == 1.0
-        assert table[0]["mean"] == 2.0
-        assert table[0]["n"] == 3
+        assert series.xs() == [1.0]
+        stats = series.summary_at(1.0)
+        assert stats.mean == 2.0
+        assert stats.count == 3
 
     def test_row_raises_on_unknown_x(self):
         with pytest.raises(KeyError):
