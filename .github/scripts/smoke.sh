@@ -11,7 +11,9 @@
 # first run's stdout must also equal a committed file, so a change that
 # moves a row fails even though it moves every run alike.  Optionally
 # finishes with a targeted benchmark case whose JSON the workflow
-# uploads as an artifact.
+# uploads as an artifact.  Every sweep runs with networkx unimportable
+# (.github/scripts/no_networkx first on PYTHONPATH); the benchmark case
+# keeps it for its scalar references.
 #
 # Inputs (environment):
 #   SWEEP_CMD   repro subcommand + arguments (required)
@@ -28,7 +30,7 @@ set -euo pipefail
 
 run() {
   # shellcheck disable=SC2086
-  PYTHONPATH=src python -m repro ${SWEEP_CMD} "$@"
+  PYTHONPATH=.github/scripts/no_networkx:src python -m repro ${SWEEP_CMD} "$@"
 }
 
 if [ "${EVENTS:-}" = "true" ]; then

@@ -255,25 +255,23 @@ def bench_obs_overhead() -> dict:
 
     hops = 12
     nodes = [f"n{i}" for i in range(hops + 1)]
-    graph = nx.Graph()
-    for u, v in zip(nodes[:-1], nodes[1:]):
-        graph.add_edge(u, v, capacity_bps=100e6)
+    capacities = {(u, v): 100e6 for u, v in zip(nodes[:-1], nodes[1:])}
     flows = [
         FlowSpec(flow_id=f"f{i}", user_id=f"u{i % 7}",
                  start_s=float(i) * 0.25, size_bytes=2e6)
         for i in range(400)
     ]
 
-    def route(graph_, spec, active):
+    def route(spec, active):
         return nodes
 
     def run_disabled():
-        return FlowSimulator(graph, route).run(flows)
+        return FlowSimulator(capacities, route).run(flows)
 
     def run_enabled():
         recorder = _obs.Recorder()
         with _obs.use(recorder):
-            result = FlowSimulator(graph, route).run(flows)
+            result = FlowSimulator(capacities, route).run(flows)
         return result, len(recorder.events)
 
     assert run_enabled()[1] == len(flows)
@@ -369,7 +367,7 @@ def bench_demand_fluid() -> dict:
     from repro.demand import GridSpec, offered_load_bps, population_grid
     from repro.demand.fluid import edge_key, map_cells_to_routes, run_fluid
     from repro.experiments.demand import PROVIDERS, access_capacity_bps
-    from repro.experiments.scale import PROBE_COSTS
+    from repro.routing.metrics import DELAY_ONLY
 
     total_users = 1_200_000
     grid = population_grid(total_users, np.random.default_rng(7),
@@ -387,7 +385,7 @@ def bench_demand_fluid() -> dict:
                               hour_utc=20.0)
     # Route mapping is shared setup; the ratio isolates the fluid fixed
     # point itself.
-    adjacency = snap.csr_adjacency(PROBE_COSTS)
+    adjacency = snap.csr_adjacency(DELAY_ONLY)
     gateways = snap.nodes_of_kind("ground_station")
     paths = map_cells_to_routes(adjacency, gateways, cell_ids)
 

@@ -21,7 +21,7 @@ from repro.routing.adaptive import (
     StaticNearestRouter,
     gateway_load_profile,
 )
-from repro.simulation.flowsim import FlowSimulator
+from repro.simulation.flowsim import FlowSimulator, link_capacities
 from repro.simulation.scenario import Scenario
 from repro.simulation.traffic import FlowSpec
 
@@ -54,9 +54,12 @@ def _build_snapshot():
         user.min_elevation_deg = 10.0
     snap = network.snapshot(0.0, users=population.users)
     # Throttle ground links so the hotspot gateway saturates quickly.
-    for u, v, data in snap.graph.edges(data=True):
-        if data.get("kind") == "ground_link":
-            data["capacity_bps"] = min(data["capacity_bps"], 150e6)
+    stations = set(snap.nodes_of_kind("ground_station"))
+    at_station = np.array([node in stations for node in snap.nodes])
+    edges = snap.edges
+    ground = at_station[edges.u] | at_station[edges.v]
+    snap.edges = edges._replace(capacity_bps=np.where(
+        ground, np.minimum(edges.capacity_bps, 150e6), edges.capacity_bps))
     return snap
 
 
@@ -65,9 +68,11 @@ def test_adaptive_vs_static_under_hotspot(benchmark):
     flows = _hotspot_workload()
 
     def run_both():
-        static = FlowSimulator(snap.graph, StaticNearestRouter()).run(flows)
-        adaptive_router = LoadAdaptiveRouter()
-        adaptive = FlowSimulator(snap.graph, adaptive_router).run(flows)
+        capacities = link_capacities(snap)
+        static = FlowSimulator(capacities,
+                               StaticNearestRouter(snap)).run(flows)
+        adaptive_router = LoadAdaptiveRouter(snap)
+        adaptive = FlowSimulator(capacities, adaptive_router).run(flows)
         return static, adaptive, adaptive_router
 
     static, adaptive, adaptive_router = benchmark.pedantic(
@@ -79,7 +84,7 @@ def test_adaptive_vs_static_under_hotspot(benchmark):
             "mean_fct_s": static.mean_completion_time_s(),
             "mean_rate_mbps": static.mean_throughput_bps() / 1e6,
             "gateways_used": len(
-                gateway_load_profile(static.completed, snap.graph)
+                gateway_load_profile(static.completed, snap)
             ),
         },
         {
@@ -87,7 +92,7 @@ def test_adaptive_vs_static_under_hotspot(benchmark):
             "mean_fct_s": adaptive.mean_completion_time_s(),
             "mean_rate_mbps": adaptive.mean_throughput_bps() / 1e6,
             "gateways_used": len(
-                gateway_load_profile(adaptive.completed, snap.graph)
+                gateway_load_profile(adaptive.completed, snap)
             ),
         },
     ]

@@ -10,7 +10,8 @@ fleet generates).
 
 from conftest import print_table
 
-from repro.isl.topology import IslNode, IslTopologyBuilder
+from repro.core.interop import SizeClass, SpacecraftSpec
+from repro.core.network import OpenSpaceNetwork
 from repro.orbits.walker import iridium_like
 from repro.phy.rf import standard_sband_isl_terminal
 from repro.routing.stability import route_churn
@@ -21,19 +22,17 @@ PAIRS = [("s0", "s33"), ("s5", "s40"), ("s11", "s50"), ("s20", "s60"),
 
 
 def _sweep():
-    constellation = iridium_like()
-    ids = [f"s{i}" for i in range(66)]
-    nodes = [
-        IslNode(sat_id, [standard_sband_isl_terminal()], max_degree=4)
-        for sat_id in ids
-    ]
-    builder = IslTopologyBuilder(nodes)
+    # An ISL-only network: S-band relays, four ISLs each, no ground.
+    network = OpenSpaceNetwork([
+        SpacecraftSpec(f"s{i}", "bench", SizeClass.SMALL, elements,
+                       isl_terminals=[standard_sband_isl_terminal()],
+                       max_concurrent_isls=4)
+        for i, elements in enumerate(iridium_like().elements)
+    ])
     rows = []
     for epoch_s in EPOCH_LENGTHS_S:
-        snapshots = [
-            builder.snapshot(t, dict(zip(ids, constellation.positions_at(t))))
-            for t in (0.0, epoch_s, 2 * epoch_s, 3 * epoch_s)
-        ]
+        snapshots = [network.snapshot(t)
+                     for t in (0.0, epoch_s, 2 * epoch_s, 3 * epoch_s)]
         report = route_churn(snapshots, PAIRS)
         rows.append({
             "epoch_s": epoch_s,

@@ -13,11 +13,16 @@ from conftest import print_table
 import numpy as np
 
 from repro.isl.topology import IslNode, IslTopologyBuilder
+from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci
 from repro.orbits.visibility import elevation_angle
 from repro.orbits.walker import random_constellation
 from repro.phy.rf import standard_sband_isl_terminal
-from repro.routing.timeexpanded import TimeExpandedRouter
+from repro.routing.timeexpanded import (
+    ContactEpoch,
+    Contacts,
+    TimeExpandedRouter,
+)
 
 USER_SITE = GeodeticPoint(-1.29, 36.82)      # Nairobi
 GATEWAY_SITE = GeodeticPoint(50.11, 8.68)    # Frankfurt
@@ -26,7 +31,8 @@ HORIZON_S = 3600.0
 
 
 def _snapshots_with_ground(constellation):
-    """Topology snapshots including user/gateway access edges."""
+    """Contact epochs: the ISL topology plus user/gateway access
+    contacts."""
     import math
     count = len(constellation)
     nodes = [
@@ -41,18 +47,23 @@ def _snapshots_with_ground(constellation):
             f"s{i}": p
             for i, p in enumerate(constellation.positions_at(float(time_s)))
         }
-        snap = builder.snapshot(float(time_s), positions)
-        user_eci = ecef_to_eci(USER_SITE.ecef(), float(time_s))
-        gateway_eci = ecef_to_eci(GATEWAY_SITE.ecef(), float(time_s))
-        snap.graph.add_node("user")
-        snap.graph.add_node("gateway")
-        for i in range(count):
-            pos = positions[f"s{i}"]
-            if elevation_angle(user_eci, pos) >= mask:
-                snap.graph.add_edge("user", f"s{i}", delay_s=0.005)
-            if elevation_angle(gateway_eci, pos) >= mask:
-                snap.graph.add_edge("gateway", f"s{i}", delay_s=0.005)
-        snapshots.append(snap)
+        links = builder.snapshot(float(time_s), positions).links
+        u = [links.node_a]
+        v = [links.node_b]
+        delay = [links.distance_km / SPEED_OF_LIGHT_KM_S]
+        for node, site in ((count, USER_SITE), (count + 1, GATEWAY_SITE)):
+            site_eci = ecef_to_eci(site.ecef(), float(time_s))
+            seen = [i for i in range(count)
+                    if elevation_angle(site_eci, positions[f"s{i}"]) >= mask]
+            u.append(np.full(len(seen), node))
+            v.append(np.array(seen, dtype=np.int64))
+            delay.append(np.full(len(seen), 0.005))
+        snapshots.append(ContactEpoch(
+            float(time_s),
+            [node.node_id for node in nodes] + ["user", "gateway"],
+            Contacts(np.concatenate(u), np.concatenate(v),
+                     np.concatenate(delay)),
+        ))
     return snapshots
 
 

@@ -10,7 +10,7 @@ snapshots.  Regressions here multiply directly into experiment wall-clock.
 import numpy as np
 
 from repro import obs
-from repro.core.interop import SizeClass, build_fleet
+from repro.core.interop import SizeClass, SpacecraftSpec, build_fleet
 from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.isl.topology import IslNode, IslTopologyBuilder
@@ -45,14 +45,13 @@ def test_perf_isl_topology_snapshot(benchmark):
 
 
 def test_perf_proactive_precompute(benchmark):
-    constellation = iridium_like()
-    ids = [f"s{i}" for i in range(66)]
-    nodes = [
-        IslNode(sat_id, [standard_sband_isl_terminal()], max_degree=4)
-        for sat_id in ids
-    ]
-    builder = IslTopologyBuilder(nodes)
-    snap = builder.snapshot(0.0, dict(zip(ids, constellation.positions_at(0.0))))
+    # An ISL-only network: S-band relays, four ISLs each, no ground.
+    snap = OpenSpaceNetwork([
+        SpacecraftSpec(f"s{i}", "perf", SizeClass.SMALL, elements,
+                       isl_terminals=[standard_sband_isl_terminal()],
+                       max_concurrent_isls=4)
+        for i, elements in enumerate(iridium_like().elements)
+    ]).snapshot(0.0)
 
     def precompute():
         router = ProactiveRouter()
@@ -75,7 +74,7 @@ def test_perf_network_snapshot(benchmark):
     network = OpenSpaceNetwork(fleet, default_station_network())
 
     snap = benchmark(network.snapshot, 0.0)
-    assert snap.graph.number_of_nodes() == 66 + 15
+    assert len(snap.nodes) == 66 + 15
 
 
 # -- observability overhead --------------------------------------------

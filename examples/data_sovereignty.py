@@ -14,16 +14,14 @@ Run:
     python examples/data_sovereignty.py
 """
 
-import networkx as nx
-
 from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
-from repro.core.policy import PolicyRegistry, apply_policy_to_graph
+from repro.core.policy import PolicyRegistry, policy_adjacency
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
 from repro.orbits.walker import iridium_like
-from repro.routing.metrics import path_metrics
+from repro.routing.metrics import DELAY_ONLY, path_metrics
 
 USERS = [
     ("paris", GeodeticPoint(48.86, 2.35)),
@@ -50,17 +48,13 @@ def main():
         snap = network.snapshot(0.0, users=[user])
         free = snap.nearest_ground_station_route(name)
         allowed = registry.compliant_gateways(location, stations)
-        view = apply_policy_to_graph(snap.graph, name, allowed)
+        adjacency = policy_adjacency(snap, allowed, DELAY_ONLY)
         compliant = None
         for gateway in sorted(allowed):
-            if gateway not in view:
+            path = adjacency.shortest_path(name, gateway)
+            if path is None:
                 continue
-            try:
-                path = nx.dijkstra_path(view, name, gateway,
-                                        weight="delay_s")
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                continue
-            metrics = path_metrics(snap.graph, path)
+            metrics = path_metrics(snap, path)
             if compliant is None or (metrics.total_delay_s
                                      < compliant.total_delay_s):
                 compliant = metrics

@@ -24,11 +24,16 @@ import numpy as np
 from repro.core.interop import SizeClass, build_fleet
 from repro.economics.capex import constellation_budget
 from repro.isl.topology import IslNode, IslTopologyBuilder
+from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci
 from repro.orbits.visibility import coverage_fraction, elevation_angle
 from repro.orbits.walker import random_constellation
 from repro.phy.rf import standard_sband_isl_terminal
-from repro.routing.timeexpanded import TimeExpandedRouter
+from repro.routing.timeexpanded import (
+    ContactEpoch,
+    Contacts,
+    TimeExpandedRouter,
+)
 
 USER = GeodeticPoint(-1.29, 36.82)       # Nairobi
 GATEWAY = GeodeticPoint(50.11, 8.68)     # Frankfurt
@@ -38,7 +43,8 @@ EPOCH_S = 120.0
 
 
 def build_plan(constellation):
-    """Snapshots with user/gateway access edges over one hour."""
+    """Contact epochs over one hour: the ISL topology plus user and
+    gateway access contacts (5 ms each)."""
     count = len(constellation)
     nodes = [
         IslNode(f"s{i}", [standard_sband_isl_terminal()], max_degree=4)
@@ -52,18 +58,24 @@ def build_plan(constellation):
             f"s{i}": p
             for i, p in enumerate(constellation.positions_at(float(time_s)))
         }
-        snap = builder.snapshot(float(time_s), positions)
-        snap.graph.add_node("user")
-        snap.graph.add_node("gateway")
-        user_eci = ecef_to_eci(USER.ecef(), float(time_s))
-        gateway_eci = ecef_to_eci(GATEWAY.ecef(), float(time_s))
-        for i in range(count):
-            pos = positions[f"s{i}"]
-            if elevation_angle(user_eci, pos) >= mask:
-                snap.graph.add_edge("user", f"s{i}", delay_s=0.005)
-            if elevation_angle(gateway_eci, pos) >= mask:
-                snap.graph.add_edge("gateway", f"s{i}", delay_s=0.005)
-        snapshots.append(snap)
+        links = builder.snapshot(float(time_s), positions).links
+        u = [links.node_a]
+        v = [links.node_b]
+        delay = [links.distance_km / SPEED_OF_LIGHT_KM_S]
+        # The user and the gateway follow the satellites s0..s{count-1}.
+        for node, site in ((count, USER), (count + 1, GATEWAY)):
+            site_eci = ecef_to_eci(site.ecef(), float(time_s))
+            seen = [i for i in range(count)
+                    if elevation_angle(site_eci, positions[f"s{i}"]) >= mask]
+            u.append(np.full(len(seen), node))
+            v.append(np.array(seen, dtype=np.int64))
+            delay.append(np.full(len(seen), 0.005))
+        snapshots.append(ContactEpoch(
+            float(time_s),
+            [node.node_id for node in nodes] + ["user", "gateway"],
+            Contacts(np.concatenate(u), np.concatenate(v),
+                     np.concatenate(delay)),
+        ))
     return snapshots
 
 

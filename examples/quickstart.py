@@ -72,7 +72,7 @@ def main():
         evaluator.receive(Beacon.from_spec(spec, timestamp_s=0.0))
 
     snapshot = network.snapshot(0.0, users=[user])
-    result = protocol.associate(user, snapshot.graph, evaluator, 0.0,
+    result = protocol.associate(user, snapshot, evaluator, 0.0,
                                 b"correct-horse")
     print(f"\nAssociation: serving satellite {result.satellite_id}, "
           f"authenticated={result.authenticated}, "

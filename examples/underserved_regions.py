@@ -60,7 +60,7 @@ def main():
                 continue
             per_region_latency[region].append(metrics.total_delay_ms)
             serving_sat = metrics.path[1]
-            serving_owner = snapshot.graph.nodes[serving_sat]["owner"]
+            serving_owner = snapshot.owners[snapshot.index[serving_sat]]
             roaming["roamed" if serving_owner != user.home_provider
                     else "home"] += 1
             for operator in metrics.operators:

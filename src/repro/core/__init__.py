@@ -41,7 +41,7 @@ from repro.core.policy import (
     DEFAULT_REGIONS,
     PolicyRegistry,
     Region,
-    apply_policy_to_graph,
+    policy_adjacency,
 )
 from repro.core.spectrum import ChannelPlan, SpectrumCoordinator
 from repro.core.discovery import BeaconDiscoverySimulator, DiscoveryResult
@@ -74,7 +74,7 @@ __all__ = [
     "DEFAULT_REGIONS",
     "PolicyRegistry",
     "Region",
-    "apply_policy_to_graph",
+    "policy_adjacency",
     "ChannelPlan",
     "SpectrumCoordinator",
     "BeaconDiscoverySimulator",

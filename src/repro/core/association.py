@@ -9,7 +9,7 @@ After successful authentication, the user is fully associated with the
 satellite."
 
 The protocol binds together the beacon evaluator (satellite selection),
-the snapshot graph (the ISL path to the home provider's authentication
+the network snapshot (the ISL path to the home provider's authentication
 anchor), and the RADIUS server (credential check + certificate issue), and
 reports the full latency breakdown — the cost that predictive handover
 later avoids.
@@ -20,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro import obs as _obs
 from repro.core.beacon import BeaconEvaluator
 from repro.ground.user import UserTerminal
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
-from repro.routing.csr import shortest_path_csr
 from repro.routing.metrics import path_metrics
 from repro.security.auth import AccessAccept, RadiusServer
 
@@ -73,7 +71,7 @@ class AssociationProtocol:
     Args:
         radius_servers: Home-provider name -> that provider's RADIUS
             server.
-        auth_anchors: Home-provider name -> graph node id where its
+        auth_anchors: Home-provider name -> snapshot node id where its
             authentication server is reachable (typically one of its
             ground stations).
         server_processing_s: RADIUS server processing time.
@@ -90,7 +88,7 @@ class AssociationProtocol:
         self.server_processing_s = server_processing_s
         self.link_setup_messages = link_setup_messages
 
-    def associate(self, user: UserTerminal, graph: nx.Graph,
+    def associate(self, user: UserTerminal, snap,
                   evaluator: BeaconEvaluator, time_s: float,
                   password: bytes) -> AssociationResult:
         """Full association: pick satellite, authenticate, certify.
@@ -98,12 +96,14 @@ class AssociationProtocol:
         Args:
             user: The associating terminal (mutated on success: serving
                 satellite and certificate are stored).
-            graph: Current network snapshot graph (satellites + ground).
+            snap: Current :class:`~repro.core.network.NetworkSnapshot`
+                (satellites + ground); the auth path is its least-cost
+                path under the default cost model.
             evaluator: Beacon evaluator already fed with heard beacons.
             time_s: Current simulation time.
             password: The user's home-ISP credential.
         """
-        result = self._associate(user, graph, evaluator, time_s, password)
+        result = self._associate(user, snap, evaluator, time_s, password)
         recorder = _obs.active()
         if recorder.enabled:
             if result.succeeded:
@@ -121,7 +121,7 @@ class AssociationProtocol:
                 )
         return result
 
-    def _associate(self, user: UserTerminal, graph: nx.Graph,
+    def _associate(self, user: UserTerminal, snap,
                    evaluator: BeaconEvaluator, time_s: float,
                    password: bytes) -> AssociationResult:
         user_pos = user.position_eci(time_s)
@@ -150,7 +150,7 @@ class AssociationProtocol:
                 ),
             )
 
-        path = shortest_path_csr(graph, beacon.satellite_id, anchor)
+        path = snap.csr_adjacency().shortest_path(beacon.satellite_id, anchor)
         if path is None:
             return AssociationResult(
                 user_id=user.user_id, satellite_id=beacon.satellite_id,
@@ -161,7 +161,7 @@ class AssociationProtocol:
                     f"auth anchor {anchor} over ISLs"
                 ),
             )
-        metrics = path_metrics(graph, path)
+        metrics = path_metrics(snap, path)
         auth_rtt_s = 2.0 * metrics.total_delay_s + self.server_processing_s
 
         request = server.make_request(
@@ -244,12 +244,12 @@ class ReliableAssociationProtocol(AssociationProtocol):
                 anchors.append(anchor)
         return anchors
 
-    def _associate(self, user: UserTerminal, graph: nx.Graph,
+    def _associate(self, user: UserTerminal, snap,
                    evaluator: BeaconEvaluator, time_s: float,
                    password: bytes) -> AssociationResult:
         """Associate with retries, breakers, and graceful fallback."""
         if self.channel is None or self.exchange is None:
-            return super()._associate(user, graph, evaluator, time_s,
+            return super()._associate(user, snap, evaluator, time_s,
                                       password)
         from repro.reliability.policy import note_degraded
 
@@ -285,6 +285,7 @@ class ReliableAssociationProtocol(AssociationProtocol):
                 auth_attempts=0,
             )
 
+        adjacency = snap.csr_adjacency()
         total_attempts = 0
         elapsed_auth_s = 0.0
         last_failure = "no ISL path to any authentication anchor"
@@ -294,7 +295,7 @@ class ReliableAssociationProtocol(AssociationProtocol):
                          / SPEED_OF_LIGHT_KM_S)
             link_setup_s = self.link_setup_messages * one_way_s
             for anchor_index, anchor in enumerate(anchors):
-                path = shortest_path_csr(graph, beacon.satellite_id, anchor)
+                path = adjacency.shortest_path(beacon.satellite_id, anchor)
                 if path is None:
                     last_failure = (
                         f"serving satellite {beacon.satellite_id} cannot "
@@ -303,7 +304,7 @@ class ReliableAssociationProtocol(AssociationProtocol):
                     continue
                 outcome = self.exchange.run(
                     f"auth:{beacon.satellite_id}->{anchor}",
-                    lambda _attempt, p=path: self._auth_attempt(graph, p),
+                    lambda _attempt, p=path: self._auth_attempt(snap, p),
                     now_s=time_s,
                 )
                 total_attempts += outcome.attempts
@@ -321,7 +322,7 @@ class ReliableAssociationProtocol(AssociationProtocol):
                     degraded_mode = "alternate_anchor"
                 if degraded_mode:
                     note_degraded(f"association_{degraded_mode}")
-                metrics = path_metrics(graph, path)
+                metrics = path_metrics(snap, path)
                 request = server.make_request(
                     user.user_id, password, nas_id=beacon.satellite_id
                 )
@@ -361,8 +362,8 @@ class ReliableAssociationProtocol(AssociationProtocol):
             auth_attempts=total_attempts,
         )
 
-    def _auth_attempt(self, graph: nx.Graph, path) -> tuple:
+    def _auth_attempt(self, snap, path) -> tuple:
         attempt = self.channel.attempt_round_trip(
-            graph, path, server_processing_s=self.server_processing_s
+            snap, path, server_processing_s=self.server_processing_s
         )
         return attempt.delivered, attempt.round_trip_s

@@ -33,7 +33,8 @@ class Beacon:
             selection and predictive handover).
         supports_optical: Whether the sender carries laser terminals.
         isl_bands: RF ISL band names the sender supports.
-        free_isl_slots: Spare concurrent-ISL capacity right now.
+        free_isl_slots: Concurrent-ISL slots the sender offers: its
+            declared ceiling.
         timestamp_s: Transmission time.
     """
 
@@ -51,16 +52,13 @@ class Beacon:
         bands = tuple(
             t.band_name for t in spec.rf_isl_terminals
         )
-        free = max(
-            0, spec.power.max_concurrent_isls - spec.power.active_isl_count
-        )
         return cls(
             satellite_id=spec.satellite_id,
             owner=spec.owner,
             elements=spec.elements,
             supports_optical=spec.supports_optical,
             isl_bands=bands,
-            free_isl_slots=free,
+            free_isl_slots=spec.max_concurrent_isls,
             timestamp_s=timestamp_s,
         )
 

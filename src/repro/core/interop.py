@@ -4,8 +4,8 @@
 minimal hardware requirement for a satellite to join OpenSpace, as well as
 a protocol to allow satellites to both broadcast their presence, and share
 their ISL specifications."  The profile enforces the paper's minimum: RF
-ISL capability is mandatory; laser terminals are optional and subject to
-power-budget feasibility.
+ISL capability is mandatory; laser terminals are optional, and each
+spacecraft declares the ceiling its power budget puts on concurrent ISLs.
 """
 
 from __future__ import annotations
@@ -15,12 +15,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from repro.isl.link import LinkTechnology, technology_of
-from repro.isl.power import (
-    PowerBudget,
-    largesat_power_budget,
-    midsat_power_budget,
-    smallsat_power_budget,
-)
 from repro.isl.topology import IslNode
 from repro.orbits.elements import OrbitalElements
 from repro.phy.optical import OpticalTerminal
@@ -56,13 +50,16 @@ class SpacecraftSpec:
     laser diodes)".
 
     Attributes:
-        satellite_id: Stable identifier (graph node key).
+        satellite_id: Stable identifier (snapshot node id).
         owner: Operating firm.
         size_class: Coarse capability class.
         elements: The spacecraft's published orbital elements.
         isl_terminals: ISL-capable terminals (RF and/or optical).
         ground_terminal: The user/ground-facing terminal.
-        power: Electrical power budget.
+        max_concurrent_isls: Hard limit on simultaneously active ISLs --
+            the paper's "power consumption constraints that limit the
+            number of ISLs they can establish" (cubesat class 2, smallsat
+            bus 3, megaconstellation class 5).
         laser_boresights_deg: Body-frame azimuths of mounted laser
             terminals ("the exact position of its laser diodes").
     """
@@ -73,8 +70,15 @@ class SpacecraftSpec:
     elements: OrbitalElements
     isl_terminals: List[Terminal] = field(default_factory=list)
     ground_terminal: Optional[RFTerminal] = None
-    power: PowerBudget = field(default_factory=smallsat_power_budget)
+    max_concurrent_isls: int = 2
     laser_boresights_deg: List[float] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.max_concurrent_isls < 0:
+            raise ValueError(
+                f"max concurrent ISLs must be >= 0, got "
+                f"{self.max_concurrent_isls}"
+            )
 
     @property
     def supports_optical(self) -> bool:
@@ -97,7 +101,7 @@ class SpacecraftSpec:
         return IslNode(
             node_id=self.satellite_id,
             terminals=list(self.isl_terminals),
-            max_degree=self.power.max_concurrent_isls,
+            max_degree=self.max_concurrent_isls,
             allow_optical=allow_optical,
             owner=self.owner,
         )
@@ -139,9 +143,9 @@ class InteroperabilityProfile:
             )
         if self.require_ground_terminal and spec.ground_terminal is None:
             problems.append("no ground-facing terminal")
-        if spec.power.max_concurrent_isls < self.min_isl_degree:
+        if spec.max_concurrent_isls < self.min_isl_degree:
             problems.append(
-                f"ISL degree {spec.power.max_concurrent_isls} below minimum "
+                f"ISL degree {spec.max_concurrent_isls} below minimum "
                 f"{self.min_isl_degree}"
             )
         if spec.supports_optical and not spec.laser_boresights_deg:
@@ -168,7 +172,7 @@ def small_spacecraft(satellite_id: str, owner: str,
             standard_sband_isl_terminal(),
         ],
         ground_terminal=standard_ku_space_terminal(),
-        power=smallsat_power_budget(),
+        max_concurrent_isls=2,
     )
 
 
@@ -185,7 +189,7 @@ def medium_spacecraft(satellite_id: str, owner: str,
             OpticalTerminal(),
         ],
         ground_terminal=standard_ku_space_terminal(),
-        power=midsat_power_budget(),
+        max_concurrent_isls=3,
         laser_boresights_deg=[0.0],
     )
 
@@ -203,7 +207,7 @@ def large_spacecraft(satellite_id: str, owner: str,
             OpticalTerminal(tx_power_w=4.0, aperture_m=0.1),
         ],
         ground_terminal=standard_ku_space_terminal(),
-        power=largesat_power_budget(),
+        max_concurrent_isls=5,
         laser_boresights_deg=[0.0, 90.0, 180.0, 270.0],
     )
 

@@ -11,18 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
-import networkx as nx
 import numpy as np
 
 from repro import obs as _obs
 from repro.core.federation import Federation
 from repro.core.interop import SpacecraftSpec
-from repro.ground.station import GroundStation
+from repro.ground.station import (
+    GATEWAY_QUEUE_DELAY_S,
+    VISITOR_TARIFF_PER_GB,
+    GroundStation,
+)
 from repro.ground.user import UserTerminal
 from repro.isl.topology import (
     IslTopologyBuilder,
@@ -52,6 +55,9 @@ from repro.routing.metrics import (
     RouteMetrics,
     path_metrics,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 #: Ground x satellite pairs per chunk of the access-link visibility
@@ -118,7 +124,7 @@ class _StationRecord(NamedTuple):
     def of(cls, station: GroundStation) -> "_StationRecord":
         return cls(station.station_id, station.owner,
                    station.backhaul_capacity_bps,
-                   station.visitor_tariff_per_gb(), station.queue_delay_s())
+                   VISITOR_TARIFF_PER_GB, GATEWAY_QUEUE_DELAY_S)
 
 
 class SnapshotEdges(NamedTuple):
@@ -128,9 +134,10 @@ class SnapshotEdges(NamedTuple):
     station links (station-major), then user access links (user-major);
     satellites ascend within each ground node.  Attributes an edge kind
     lacks hold 0.0, which is what :meth:`EdgeCostModel.edge_cost`
-    defaults them to.  These are the attributes the cost models read;
-    the graph view and the digest take each edge's kind and owner from
-    its position and its endpoints' records.
+    defaults them to.  These are the attributes the cost models and
+    :func:`~repro.routing.metrics.path_metrics` read; an edge's owner
+    (:meth:`NetworkSnapshot.edge_owner`) and kind follow from its
+    position and its endpoints' records.
     """
 
     u: np.ndarray
@@ -143,6 +150,12 @@ class SnapshotEdges(NamedTuple):
     @classmethod
     def concatenate(cls, parts: Sequence["SnapshotEdges"]) -> "SnapshotEdges":
         return cls(*(np.concatenate(column) for column in zip(*parts)))
+
+    def costs(self, model: EdgeCostModel) -> np.ndarray:
+        """Each edge's cost under ``model``: one vectorized
+        :meth:`EdgeCostModel.edge_costs` call (a fresh array)."""
+        return model.edge_costs(self.delay_s, self.queue_delay_s,
+                                self.tariff_per_gb, self.capacity_bps)
 
     def pair_rows(self, node_count: int) -> Dict[int, int]:
         """Each edge's row, keyed ``low * node_count + high`` by its
@@ -174,8 +187,7 @@ class SnapshotDelta:
     (see :attr:`OpenSpaceNetwork.last_snapshot_delta`) so churn
     accounting (the scale sweep, the stage tracer) knows which edges
     moved without diffing graphs itself.  Recording never changes what
-    the snapshot holds.  Station links are diffed as int keys; their
-    ``(satellite_id, station_id)`` tuples are built only when read.
+    the snapshot holds.
 
     Attributes:
         time_s: The new snapshot's timestamp.
@@ -190,30 +202,6 @@ class SnapshotDelta:
     base_time_s: Optional[float]
     isl: Optional[TopologyDelta]
     full_rebuild: bool = False
-    #: ``(appeared keys, disappeared keys, satellite ids, station ids)``,
-    #: each key ``satellite * len(station ids) + station``.
-    _ground: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def _ground_pairs(self, which: int) -> Tuple[Tuple[str, str], ...]:
-        if self._ground is None:
-            return ()
-        keys, sat_ids, station_ids = (self._ground[which], self._ground[2],
-                                      self._ground[3])
-        sats, stations = np.divmod(keys, len(station_ids))
-        return tuple(sorted(
-            (sat_ids[sat], station_ids[station])
-            for sat, station in zip(sats.tolist(), stations.tolist())
-        ))
-
-    @cached_property
-    def ground_appeared(self) -> Tuple[Tuple[str, str], ...]:
-        """Station links present now but not previously."""
-        return self._ground_pairs(0)
-
-    @cached_property
-    def ground_disappeared(self) -> Tuple[Tuple[str, str], ...]:
-        """Station links present previously, gone now."""
-        return self._ground_pairs(1)
 
 
 class NetworkSnapshot:
@@ -222,12 +210,17 @@ class NetworkSnapshot:
     Node order is fixed: the alive satellites in fleet order, the alive
     ground stations in station order, then the users in request order.
     :attr:`edges` holds every edge's endpoints, delay, capacity, tariff
-    and queue delay; CSR compiles, probes and the digest read those
-    arrays.  :meth:`nearest_ground_station_route` searches the CSR and
-    prices the path it picks on :attr:`graph`.
+    and queue delay.  Every consumer reads those arrays: CSR compiles
+    (:meth:`csr_adjacency`, or
+    :meth:`~repro.routing.csr.CsrAdjacency.from_edges` with inadmissible
+    edges priced ``inf``), path pricing
+    (:func:`~repro.routing.metrics.path_metrics` through
+    :meth:`edge_row` and :meth:`edge_owner`), probes, the health plane
+    and the digest.
 
     :attr:`graph` is a networkx view derived from the arrays on first
-    read and cached.  Nodes carry a ``kind`` attribute
+    read and cached, for the end-to-end benchmark and the tests;
+    nothing in the package reads it.  Nodes carry a ``kind`` attribute
     (``"satellite"``, ``"ground_station"`` or ``"user"``) and an
     ``owner`` attribute; edges carry ``delay_s``, ``capacity_bps`` and
     (for ground edges) ``owner``, ``tariff_per_gb``, ``queue_delay_s``.
@@ -320,17 +313,15 @@ class NetworkSnapshot:
 
         Compiled from :attr:`edges` with one vectorized
         :meth:`EdgeCostModel.edge_costs` call, equal bit for bit to
-        ``CsrAdjacency.from_graph(self.graph, weight=cost_model)``.
+        ``CsrAdjacency.from_graph(self.graph, weight=cost_model)``, the
+        referee the tests hold it to.
         """
         model = cost_model or PROPAGATION_ONLY
         adjacency = self._csr_cache.get(model)
         if adjacency is None:
             edges = self.edges
-            adjacency = CsrAdjacency.from_edges(
-                self.nodes, edges.u, edges.v,
-                model.edge_costs(edges.delay_s, edges.queue_delay_s,
-                                 edges.tariff_per_gb, edges.capacity_bps),
-            )
+            adjacency = CsrAdjacency.from_edges(self.nodes, edges.u, edges.v,
+                                                edges.costs(model))
             self._csr_cache[model] = adjacency
         return adjacency
 
@@ -351,6 +342,38 @@ class NetworkSnapshot:
                 + [record.owner for record in self._stations]
                 + [owner for _, owner in self._users])
 
+    @cached_property
+    def index(self) -> Dict[str, int]:
+        """Each node's position in :attr:`nodes`."""
+        return {node: i for i, node in enumerate(self.nodes)}
+
+    @cached_property
+    def _edge_rows(self) -> Dict[int, int]:
+        return self.edges.pair_rows(len(self.nodes))
+
+    def edge_row(self, node_a: str, node_b: str) -> Optional[int]:
+        """The row of :attr:`edges` joining two nodes (either order), or
+        None when they share no edge or either is absent."""
+        index = self.index
+        a, b = index.get(node_a), index.get(node_b)
+        if a is None or b is None:
+            return None
+        low, high = (a, b) if a < b else (b, a)
+        return self._edge_rows.get(low * len(self.nodes) + high)
+
+    def edge_owner(self, row: int) -> Optional[str]:
+        """The owner of edge ``row``: None for an ISL, the station's
+        owner for a station link, the satellite's operator for a user
+        access link."""
+        row -= self._isl_count
+        if row < 0:
+            return None
+        ground = self._ground
+        if row < ground.rows.shape[0]:
+            return self._stations[int(ground.rows[row])].owner
+        row -= ground.rows.shape[0]
+        return self._satellite_owners[int(self._access.sats[row])]
+
     # -- graph view and digest -----------------------------------------
 
     def _node_attrs(self, index: int) -> dict:
@@ -369,6 +392,7 @@ class NetworkSnapshot:
             kept = self._isl_kept
             return isl_edge_attrs(self.isl_snapshot.link_objects[
                 edge if kept is None else int(kept[edge])])
+        owner = self.edge_owner(edge)
         edge -= isl_count
         ground = self._ground
         if edge < ground.rows.shape[0]:
@@ -377,7 +401,7 @@ class NetworkSnapshot:
                 "delay_s": float(ground.distance_km[edge]) / SPEED_OF_LIGHT_KM_S,
                 "capacity_bps": min(float(ground.capacity_bps[edge]),
                                     record.backhaul_capacity_bps),
-                "owner": record.owner,
+                "owner": owner,
                 "tariff_per_gb": record.tariff_per_gb,
                 "queue_delay_s": record.queue_delay_s,
                 "kind": "ground_link",
@@ -387,7 +411,7 @@ class NetworkSnapshot:
         return {
             "delay_s": float(access.distance_km[edge]) / SPEED_OF_LIGHT_KM_S,
             "capacity_bps": float(access.capacity_bps[edge]),
-            "owner": self._satellite_owners[int(access.sats[edge])],
+            "owner": owner,
             "kind": "access_link",
         }
 
@@ -397,8 +421,12 @@ class NetworkSnapshot:
 
         Edges are added by low endpoint, then ISLs in acceptance order,
         then ground edges by far endpoint, which gives every node the
-        neighbour order the class docstring states.
+        neighbour order the class docstring states.  networkx is
+        imported here, on first read, so no package import path loads
+        it.
         """
+        import networkx as nx
+
         nodes = self.nodes
         edges = self.edges
         low = np.minimum(edges.u, edges.v)
@@ -456,7 +484,7 @@ class NetworkSnapshot:
             return None
         (path,) = adjacency.single_source(source).nearest_paths(
             self.nodes_of_kind("ground_station"))
-        return None if path is None else path_metrics(self.graph, path)
+        return None if path is None else path_metrics(self, path)
 
 
 class OpenSpaceNetwork:
@@ -639,7 +667,8 @@ class OpenSpaceNetwork:
 
         Every call is one build from the current fleet, fault and
         station state; the network keeps no snapshot, so a caller that
-        needs one instant twice holds the snapshot it was given.  A
+        needs one instant twice holds the snapshot it was given (a probe
+        hands its base snapshot to :meth:`gateway_probe_paths`).  A
         snapshot with users extends the no-user base snapshot with every
         user's access links from one array pass
         (:meth:`_price_access_links`, shared with the station links and
@@ -823,11 +852,7 @@ class OpenSpaceNetwork:
         ground_appeared = np.setdiff1d(ground_keys, prev_ground)
         ground_disappeared = np.setdiff1d(prev_ground, ground_keys)
         self.last_snapshot_delta = SnapshotDelta(
-            time_s=time_s,
-            base_time_s=base_time_s,
-            isl=isl_delta,
-            _ground=(ground_appeared, ground_disappeared, self._fleet_ids,
-                     [station.station_id for station in self.ground_stations]),
+            time_s=time_s, base_time_s=base_time_s, isl=isl_delta,
         )
         stats["delta_builds"] += 1
         stats["edges_appeared"] += (len(isl_delta.appeared_pairs)
@@ -847,12 +872,13 @@ class OpenSpaceNetwork:
                         dtype=np.int64)
 
     def gateway_probe_paths(
-        self, time_s: float, users: Sequence[UserTerminal],
+        self, base: NetworkSnapshot, users: Sequence[UserTerminal],
     ) -> Dict[str, Optional[List[str]]]:
         """Batched nearest-gateway probe for many users at one instant.
 
-        Builds no user snapshot and no graph.  The base snapshot's CSR
-        adjacency is compiled once; every user's access links come from
+        Builds no user snapshot.  The base snapshot's CSR adjacency is
+        compiled once (and kept on the snapshot, which the caller may
+        also hand to a health sample); every user's access links come from
         the same array pass that :meth:`snapshot` uses
         (:meth:`_price_access_links`); each user joins the adjacency as
         a source-only row after the base nodes
@@ -870,7 +896,8 @@ class OpenSpaceNetwork:
         probes over the graph-built oracle.
 
         Args:
-            time_s: Probe instant.
+            base: This network's no-user snapshot at the probe instant,
+                ``snapshot(time_s)``, built in the current fault state.
             users: User terminals to probe.
 
         Returns:
@@ -880,9 +907,9 @@ class OpenSpaceNetwork:
         users = list(users)
         if not users:
             return {}
-        base = self.snapshot(time_s)
         access = self._price_access_links(
-            time_s, (), users, self._alive_indices(), base._fleet_positions
+            base.time_s, (), users, self._alive_indices(),
+            base._fleet_positions,
         )
         zeros = np.zeros(access.rows.shape[0])
         weights = PROPAGATION_ONLY.edge_costs(

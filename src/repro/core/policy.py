@@ -14,11 +14,11 @@ routing layer:
 * a :class:`Region` is a latitude/longitude box with a data-residency
   flag;
 * a :class:`PolicyRegistry` classifies ground stations into regions and
-  compiles a user's constraints into the edge filters the QoS router
-  consumes (forbidden gateways, forbidden operators);
-* :func:`apply_policy_to_graph` marks non-compliant ground links so
-  policy-aware routing can avoid them while policy-blind routing is
-  measured against it in the sensitivity tests.
+  compiles a user's constraints into the gateways its traffic may exit
+  through;
+* :func:`policy_adjacency` compiles a snapshot with the other gateways
+  masked out, so policy-aware routing avoids them while policy-blind
+  routing is measured against it.
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
-import networkx as nx
+import numpy as np
 
 from repro.ground.station import GroundStation
 from repro.orbits.coordinates import GeodeticPoint
+from repro.routing.csr import CsrAdjacency
+from repro.routing.metrics import EdgeCostModel
 
 
 @dataclass(frozen=True)
@@ -132,18 +134,21 @@ class PolicyRegistry:
         }
 
 
-def apply_policy_to_graph(graph: nx.Graph, user_id: str,
-                          allowed_gateways: Set[str]) -> nx.Graph:
-    """A routing view excluding non-compliant gateways for one user.
+def policy_adjacency(snap, allowed_gateways: Set[str],
+                     cost_model: EdgeCostModel) -> CsrAdjacency:
+    """``snap``'s CSR under ``cost_model`` with non-compliant gateways
+    masked out.
 
-    Gateways outside ``allowed_gateways`` are removed from the view, so
-    any path the router finds is compliant by construction.  Satellites
-    and other users are untouched (the paper's residency constraint binds
-    at the ground exit, not at relays).
+    The policy is a node mask: every ground station outside
+    ``allowed_gateways`` is masked, and each edge touching a masked node
+    is priced ``inf``, so any path the router finds is compliant by
+    construction.  Satellites and users are untouched (the paper's
+    residency constraint binds at the ground exit, not at relays).
     """
-    def node_ok(node):
-        data = graph.nodes[node]
-        if data.get("kind") != "ground_station":
-            return True
-        return node in allowed_gateways
-    return nx.subgraph_view(graph, filter_node=node_ok)
+    allowed = np.ones(len(snap.nodes), dtype=bool)
+    for station in snap.nodes_of_kind("ground_station"):
+        allowed[snap.index[station]] = station in allowed_gateways
+    edges = snap.edges
+    costs = edges.costs(cost_model)
+    costs[~(allowed[edges.u] & allowed[edges.v])] = np.inf
+    return CsrAdjacency.from_edges(snap.nodes, edges.u, edges.v, costs)

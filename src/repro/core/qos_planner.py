@@ -160,7 +160,7 @@ class QosPlanner:
                        requirement: QosRequirement) -> bool:
         """Whether any gateway path honours the requirement right now."""
         for gateway in gateways:
-            if self.router.route(snap.graph, probe_id, gateway,
+            if self.router.route(snap, probe_id, gateway,
                                  requirement).admitted:
                 return True
         return False

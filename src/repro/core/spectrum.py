@@ -11,7 +11,7 @@ auditable coordination scheme:
    satellites a ground terminal cannot angularly discriminate conflicts —
    :func:`repro.phy.interference.interference_pairs`);
 2. color it greedily so conflicting satellites land on different channel
-   slots;
+   slots (:func:`greedy_coloring`, largest degree first);
 3. report per-operator slot usage so the federation can verify no member
    hogs the band.
 
@@ -23,12 +23,39 @@ matching the paper's decentralized ethos.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.phy.interference import interference_pairs
+
+
+def greedy_coloring(node_count: int,
+                    pairs: Sequence[Tuple[int, int]]) -> List[int]:
+    """Each node's color under a greedy in largest-degree-first order.
+
+    Nodes are visited by descending degree, ties in index order (the
+    order networkx's ``greedy_color(strategy="largest_first")`` visits
+    a graph whose nodes were added in index order), and each takes the
+    least color none of its already colored neighbours holds.
+
+    Args:
+        node_count: Nodes ``0 .. node_count - 1``.
+        pairs: Distinct conflicting ``(i, j)`` index pairs, ``i != j``.
+    """
+    neighbours: List[List[int]] = [[] for _ in range(node_count)]
+    for i, j in pairs:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    colors = [-1] * node_count
+    for node in sorted(range(node_count), key=lambda n: len(neighbours[n]),
+                       reverse=True):
+        taken = {colors[other] for other in neighbours[node]}
+        color = 0
+        while color in taken:
+            color += 1
+        colors[node] = color
+    return colors
 
 
 @dataclass(frozen=True)
@@ -64,7 +91,7 @@ class ChannelPlan:
 
 
 class SpectrumCoordinator:
-    """Builds conflict graphs and coordinated channel plans.
+    """Builds interference graphs and coordinated channel plans.
 
     Args:
         min_separation_deg: Angular discrimination limit of user antennas;
@@ -92,19 +119,17 @@ class SpectrumCoordinator:
         points, _weights = surface_grid(self.grid_resolution)
         return [EARTH_RADIUS_KM * p for p in points]
 
-    def conflict_graph(self, positions: Dict[str, np.ndarray]) -> nx.Graph:
-        """The interference graph over the current satellite positions."""
+    def conflict_pairs(self, positions: Dict[str, np.ndarray],
+                       ) -> Tuple[List[str], List[Tuple[int, int]]]:
+        """The interference graph over the current satellite positions:
+        the satellite ids, sorted, and the sorted ``(i, j)`` pairs
+        (``i < j``) of the ids that conflict."""
         ids = sorted(positions)
-        pos_list = [positions[sat_id] for sat_id in ids]
-        graph = nx.Graph()
-        graph.add_nodes_from(ids)
-        for i, j in interference_pairs(
-            self._ground_points(), pos_list,
+        return ids, interference_pairs(
+            self._ground_points(), [positions[sat_id] for sat_id in ids],
             min_separation_deg=self.min_separation_deg,
             min_elevation_deg=self.min_elevation_deg,
-        ):
-            graph.add_edge(ids[i], ids[j])
-        return graph
+        )
 
     def plan(self, positions: Dict[str, np.ndarray],
              available_slots: Optional[int] = None) -> ChannelPlan:
@@ -120,10 +145,8 @@ class SpectrumCoordinator:
         Returns:
             A :class:`ChannelPlan` (deterministic for a given input).
         """
-        graph = self.conflict_graph(positions)
-        coloring = nx.coloring.greedy_color(
-            graph, strategy="largest_first"
-        )
+        ids, pairs = self.conflict_pairs(positions)
+        coloring = dict(zip(ids, greedy_coloring(len(ids), pairs)))
         slots_needed = (max(coloring.values()) + 1) if coloring else 0
         if available_slots is not None:
             if available_slots < 1:
@@ -135,11 +158,9 @@ class SpectrumCoordinator:
             }
             slots_needed = min(slots_needed, available_slots)
         return ChannelPlan(
-            assignments=dict(sorted(coloring.items())),
+            assignments=coloring,
             slot_count=slots_needed,
-            conflict_edges=tuple(sorted(
-                (min(u, v), max(u, v)) for u, v in graph.edges
-            )),
+            conflict_edges=tuple((ids[i], ids[j]) for i, j in pairs),
             available_slots=available_slots,
         )
 
@@ -156,10 +177,6 @@ class SpectrumCoordinator:
         """
         if available_slots < 1:
             raise ValueError(f"need at least one slot, got {available_slots}")
-        graph = self.conflict_graph(positions)
-        choice = {
-            sat: int(rng.integers(0, available_slots)) for sat in graph.nodes
-        }
-        return sum(
-            1 for u, v in graph.edges if choice[u] == choice[v]
-        )
+        ids, pairs = self.conflict_pairs(positions)
+        choice = [int(rng.integers(0, available_slots)) for _ in ids]
+        return sum(1 for i, j in pairs if choice[i] == choice[j])

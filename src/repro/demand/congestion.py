@@ -1,15 +1,9 @@
-"""Wiring fluid congestion outward: routing costs, health, settlement.
+"""Wiring fluid congestion outward: health and settlement.
 
 The fluid fixed point (:mod:`repro.demand.fluid`) produces per-link
 utilization.  This module converts that into the shapes the rest of the
 system consumes:
 
-* utilization maps for :class:`repro.routing.qos.QosRouter`
-  (``link_utilization``), so metric-aware routing prices congested
-  links higher;
-* background-load maps for :class:`repro.routing.adaptive
-  .LoadAdaptiveRouter`, so per-flow adaptive routing avoids links the
-  fluid plane already filled;
 * utilization samples for the :class:`repro.obs.health.HealthPlane`
   link series (the flight-recorder plane);
 * transit volumes filed into :class:`repro.economics.ledger
@@ -32,39 +26,29 @@ from repro.economics.settlement import Invoice, RateCard, SettlementEngine
 class CongestionState:
     """Per-link congestion derived from one fluid fixed point.
 
-    All maps use canonical sorted ``(u, v)`` keys in sorted iteration
+    The map uses canonical sorted ``(u, v)`` keys in sorted iteration
     order (deterministic exports).
 
     Attributes:
         utilization: ``(u, v) -> load / capacity`` for every route edge.
-        load_bps: ``(u, v) -> allocated bits/s`` for loaded edges.
     """
 
     utilization: Dict[Tuple[str, str], float]
-    load_bps: Dict[Tuple[str, str], float]
-
-    def background_load_bps(self) -> Dict[Tuple[str, str], float]:
-        """Loaded links' absolute bits/s, for ``LoadAdaptiveRouter``."""
-        return {key: load for key, load in self.load_bps.items()
-                if load > 0.0}
 
 
 def congestion_state(result: FluidResult) -> CongestionState:
     """Derive the :class:`CongestionState` of one fluid fixed point."""
     utilization = {}
-    load_bps = {}
     order = sorted(range(len(result.edge_keys)),
                    key=lambda slot: result.edge_keys[slot])
     for slot in order:
         key = result.edge_keys[slot]
         capacity = float(result.edge_capacity_bps[slot])
         load = float(result.edge_load_bps[slot])
-        fraction = (load / capacity
-                    if np.isfinite(capacity) and capacity > 0.0 else 0.0)
-        utilization[key] = fraction
-        if load > 0.0:
-            load_bps[key] = load
-    return CongestionState(utilization=utilization, load_bps=load_bps)
+        utilization[key] = (load / capacity
+                            if np.isfinite(capacity) and capacity > 0.0
+                            else 0.0)
+    return CongestionState(utilization=utilization)
 
 
 @dataclass

@@ -71,14 +71,15 @@ class CustodyTransfer:
         self.failure_count = 0
         self.retransmission_count = 0
 
-    def transfer(self, graph, bundle, from_node: str, to_node: str,
+    def transfer(self, snap, bundle, from_node: str, to_node: str,
                  now_s: float = 0.0) -> CustodyResult:
         """Attempt to hand one bundle to the next hop.
 
         Args:
-            graph: The snapshot graph the hop was planned over (the
-                channel still consults the *live* fault masks, so a hop
-                severed after planning fails here).
+            snap: The :class:`~repro.core.network.NetworkSnapshot` the
+                hop was planned over (the channel still consults the
+                *live* fault masks, so a hop severed after planning fails
+                here).
             bundle: The bundle changing custody.
             from_node: Current custodian.
             to_node: Prospective next custodian.
@@ -91,7 +92,7 @@ class CustodyTransfer:
 
         def attempt(_index: int):
             outcome = self.channel.attempt_round_trip(
-                graph, [from_node, to_node]
+                snap, [from_node, to_node]
             )
             return outcome.delivered, outcome.round_trip_s
 

@@ -228,7 +228,7 @@ class DtnScheduler:
             faults_active = (len(self.network.failed_satellites)
                             + len(self.network.failed_stations)
                             + len(self.network.failed_links))
-            recorder.sample_health(now, snap.graph,
+            recorder.sample_health(now, snap,
                                    faults_active=faults_active,
                                    reset=self._first_sample)
             self._first_sample = False
@@ -308,7 +308,7 @@ class DtnScheduler:
             if hop_time >= end or sender != current:
                 break
             outcome = self.custody.transfer(
-                snap.graph, bundle, sender, receiver, now_s=now + offset,
+                snap, bundle, sender, receiver, now_s=now + offset,
             )
             if not outcome.ok:
                 # Sender keeps custody; the bundle retries next epoch.

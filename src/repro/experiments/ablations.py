@@ -88,11 +88,11 @@ def ablation_isl_mix(laser_fractions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1
         pair_count = 40
         for _ in range(pair_count):
             src, dst = rng.choice(sat_ids, size=2, replace=False)
-            result = router.route(snap.graph, str(src), str(dst), premium)
+            result = router.route(snap, str(src), str(dst), premium)
             if result.admitted:
                 admitted += 1
             best_effort = router.route(
-                snap.graph, str(src), str(dst), QosRequirement()
+                snap, str(src), str(dst), QosRequirement()
             )
             if best_effort.admitted:
                 latencies.append(best_effort.metrics.total_delay_ms)
@@ -356,7 +356,8 @@ def _solo_reachability(scenario: Scenario) -> float:
         network = OpenSpaceNetwork(
             [spec for spec in fleet if spec.owner == owner], stations)
         for time_s in scenario.sample_times_s:
-            paths = network.gateway_probe_paths(time_s, own_users)
+            paths = network.gateway_probe_paths(network.snapshot(time_s),
+                                                own_users)
             reached += sum(path is not None for path in paths.values())
     total = len(scenario.sample_times_s) * len(users)
     return reached / total if total else 0.0

@@ -44,7 +44,8 @@ def _service_availability(network: OpenSpaceNetwork,
     """
     served = [0] * len(users)
     for time_s in times_s:
-        paths = network.gateway_probe_paths(float(time_s), users)
+        paths = network.gateway_probe_paths(
+            network.snapshot(float(time_s)), users)
         for index, user in enumerate(users):
             if paths[user.user_id] is not None:
                 served[index] += 1

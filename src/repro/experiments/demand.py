@@ -13,8 +13,8 @@ capacity, each cell's access links scaled by its subscriber count.  Each
 point reports the congestion headline numbers (served fraction,
 mean/peak utilization, p95 queueing-delay inflation) and the settlement
 revenue the carried traffic produces (:mod:`repro.demand.congestion`).
-The snapshot is never modified, and its networkx view is built only
-when an enabled recorder samples the health plane.
+The snapshot is never modified; every step, the health sample of an
+enabled recorder included, reads its arrays.
 
 Everything is a pure function of the seed — the same sweep re-run, at
 any ``--jobs`` count, prints byte-identical rows (the ``demand-smoke``
@@ -38,10 +38,11 @@ from repro.demand.congestion import (
 from repro.demand.fluid import run_fluid, weighted_percentile
 from repro.demand.grid import DISTRIBUTIONS, GridSpec, population_grid
 from repro.demand.profile import offered_load_bps
-from repro.experiments.scale import PROBE_COSTS, plane_count_for
+from repro.experiments.scale import plane_count_for
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
 from repro.parallel import derive_seed, run_grid
+from repro.routing.metrics import DELAY_ONLY
 
 #: Operators whose subscribers the grid cells round-robin across; the
 #: fleet itself is owned by a third operator so carried traffic is
@@ -107,12 +108,12 @@ def _demand_point(args: tuple) -> Dict:
     users = grid.users[occupied]
     demand = offered_load_bps(users, grid.lon_deg[occupied], hour_utc=hour)
     edges = snap.edges._replace(capacity_bps=access_capacity_bps(snap, users))
-    result = run_fluid(snap.csr_adjacency(PROBE_COSTS), edges,
+    result = run_fluid(snap.csr_adjacency(DELAY_ONLY), edges,
                        snap.nodes_of_kind("ground_station"), cell_ids, demand)
     recorder = _obs.active()
     if recorder.enabled:
         utilization = congestion_state(result).utilization
-        recorder.sample_health(time_s, snap.graph, utilization=utilization,
+        recorder.sample_health(time_s, snap, utilization=utilization,
                                reset=True)
 
     stats = peak_statistics(result)

@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro import obs as _obs
 from repro.isl.topology import IslNode, IslTopologyBuilder
@@ -102,9 +103,14 @@ def _figure_2a_constellation(time_s: float) -> ConstellationReport:
     ]
     builder = IslTopologyBuilder(nodes)
     snap = builder.snapshot(time_s, dict(zip(ids, positions)))
-    distances = [
-        data["link"].distance_km for _, _, data in snap.graph.edges(data=True)
-    ]
+    links = snap.links
+    # Link distances by lower endpoint, acceptance order within one: the
+    # order the mean has always summed them in.
+    distances = links.distance_km[np.argsort(
+        np.minimum(links.node_a, links.node_b), kind="stable")]
+    count = len(snap.node_ids)
+    adjacency = csr_matrix((np.ones(len(links)), (links.node_a, links.node_b)),
+                           shape=(count, count))
     elements = constellation.elements[0]
     return ConstellationReport(
         name=constellation.name,
@@ -113,9 +119,12 @@ def _figure_2a_constellation(time_s: float) -> ConstellationReport:
         altitude_km=elements.altitude_km,
         inclination_deg=math.degrees(elements.inclination_rad),
         isl_count=snap.link_count,
-        mean_isl_distance_km=float(np.mean(distances)) if distances else 0.0,
-        max_isl_distance_km=float(np.max(distances)) if distances else 0.0,
-        connected=nx.is_connected(snap.graph),
+        mean_isl_distance_km=(float(np.mean(distances)) if distances.size
+                              else 0.0),
+        max_isl_distance_km=(float(np.max(distances)) if distances.size
+                             else 0.0),
+        connected=connected_components(adjacency, directed=False,
+                                       return_labels=False) == 1,
         coverage_union=coverage_fraction(positions, elements.altitude_km),
         coverage_worst_case=worst_case_coverage_fraction(
             positions, elements.altitude_km
@@ -157,8 +166,8 @@ def _relay_latency_batch_s(positions_all: np.ndarray,
 
     Builds a block-diagonal CSR matrix — one disjoint relay graph per
     epoch, ``N + 2`` nodes each (satellites, user, gateway) — straight
-    from vectorized elevation, range and line-of-sight tests, with no
-    intermediate ``networkx`` graph, then answers every epoch's
+    from vectorized elevation, range and line-of-sight tests, then
+    answers every epoch's
     user→gateway distance with one ``min_only`` Dijkstra.
 
     Cheap closed forms only propose candidates or certify a predicate;
@@ -189,7 +198,6 @@ def _relay_latency_batch_s(positions_all: np.ndarray,
     Returns:
         ``(K,)`` one-way latencies in seconds; ``inf`` where unreachable.
     """
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
     count, epochs = positions_all.shape[0], positions_all.shape[1]

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.interop import SizeClass
 from repro.economics.capex import constellation_budget
 from repro.routing.qos import QosRequirement, QosRouter
-from repro.simulation.flowsim import FlowSimulator
+from repro.simulation.flowsim import FlowSimulator, link_capacities
 from repro.simulation.scenario import Scenario
 from repro.simulation.traffic import PoissonFlowGenerator
 
@@ -60,17 +60,16 @@ class MixResult:
     premium_capacity_per_musd: float
 
 
-def _qos_route_fn(snapshot_graph, qos_router: QosRouter):
-    """A flowsim route_fn that admits flows per their QoS class."""
-    def route(graph, flow, _active):
+def _qos_route_fn(snap, qos_router: QosRouter):
+    """A flowsim route_fn that admits flows per their QoS class over
+    ``snap``."""
+    gateways = snap.nodes_of_kind("ground_station")
+
+    def route(flow, _active):
         requirement = QOS_CLASSES.get(flow.qos_class, QosRequirement())
-        gateways = [
-            node for node, data in graph.nodes(data=True)
-            if data.get("kind") == "ground_station"
-        ]
         best = None
         for gateway in gateways:
-            result = qos_router.route(graph, flow.user_id, gateway,
+            result = qos_router.route(snap, flow.user_id, gateway,
                                       requirement)
             if not result.admitted:
                 continue
@@ -131,7 +130,8 @@ def provider_mix_sweep(mixes: Sequence[Tuple[int, int]] = ((3, 0), (2, 1),
         flows = generator.generate(60.0)[:flow_count]
 
         qos_router = QosRouter()
-        sim = FlowSimulator(snap.graph, _qos_route_fn(snap.graph, qos_router))
+        sim = FlowSimulator(link_capacities(snap),
+                            _qos_route_fn(snap, qos_router))
         outcome = sim.run(flows)
 
         admitted_by_class: Dict[str, List[int]] = {}

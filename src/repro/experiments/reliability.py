@@ -56,9 +56,11 @@ PROVIDER = "relia"
 def _flap_links(network: OpenSpaceNetwork,
                 fraction: float) -> List[Tuple[str, str]]:
     """A deterministic sample of the epoch-0 ISL set to flap."""
+    isl = network.snapshot(0.0).isl_snapshot
+    names = isl.node_ids
     edges = sorted(
-        tuple(sorted(edge))
-        for edge in network.snapshot(0.0).isl_snapshot.graph.edges()
+        tuple(sorted((names[a], names[b])))
+        for a, b in zip(isl.links.node_a.tolist(), isl.links.node_b.tolist())
     )
     if not edges or fraction <= 0.0:
         return []
@@ -157,10 +159,10 @@ def run_reliability_scenario(
             evaluator.receive(Beacon.from_spec(spec, time_s))
         for user in users:
             password = b"pw-" + user.user_id.encode()
-            result = protocol.associate(user, snap.graph, evaluator,
+            result = protocol.associate(user, snap, evaluator,
                                         time_s, password)
             reference = baseline.associate(
-                baseline_users[user.user_id], snap.graph, evaluator,
+                baseline_users[user.user_id], snap, evaluator,
                 time_s, password,
             )
             stats["probed"] += 1

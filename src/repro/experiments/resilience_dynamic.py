@@ -86,13 +86,14 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
     first_sample = [True]
 
     def probe_all(time_s: float) -> None:
-        paths = network.gateway_probe_paths(time_s, users)
+        base = network.snapshot(time_s)
+        paths = network.gateway_probe_paths(base, users)
         for user in users:
             tracker.record_probe(time_s, user.user_id, paths[user.user_id])
         recorder = _obs.active()
         if recorder.enabled:
             recorder.sample_health(
-                time_s, network.snapshot(time_s).graph,
+                time_s, base,
                 faults_active=len(injector.active_faults),
                 reset=first_sample[0],
             )
@@ -108,7 +109,8 @@ def run_fault_scenario(network: OpenSpaceNetwork, schedule: FaultSchedule,
             return
         if transition.phase == "fail":
             nodes, links = injector.failed_elements_of(transition.event)
-            paths = network.gateway_probe_paths(time_s, users)
+            paths = network.gateway_probe_paths(network.snapshot(time_s),
+                                                users)
             for user in users:
                 tracker.probe_after_fault(
                     time_s, transition.event, nodes, links, user.user_id,

@@ -23,17 +23,13 @@ from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
 from repro.parallel import run_grid
-from repro.routing.metrics import EdgeCostModel
+from repro.routing.metrics import DELAY_ONLY
 
 FLEET_OWNER = "scale-fleet"
 
 #: Latency probe endpoints: a transatlantic gateway pair from the
 #: default station network (present in every snapshot's station set).
 PROBE_STATIONS = ("gs-virginia", "gs-frankfurt")
-
-#: Raw propagation delay per edge: the snapshot arrays compile the same
-#: CSR under this model as the graph view does under ``delay_weight``.
-PROBE_COSTS = EdgeCostModel(queue_weight=0.0)
 
 
 def plane_count_for(satellites: int) -> int:
@@ -53,11 +49,11 @@ def plane_count_for(satellites: int) -> int:
 def _probe_latency_ms(snap) -> float:
     """Shortest-path delay between the probe gateways, NaN if unreachable.
 
-    Routes on the snapshot's array-compiled CSR, so no networkx graph is
-    built.
+    Routes on the snapshot's CSR under raw propagation delay
+    (:data:`~repro.routing.metrics.DELAY_ONLY`).
     """
     src, dst = PROBE_STATIONS
-    adjacency = snap.csr_adjacency(PROBE_COSTS)
+    adjacency = snap.csr_adjacency(DELAY_ONLY)
     if src not in adjacency or dst not in adjacency:
         return math.nan
     delay_s = adjacency.single_source(src).distance(src, dst)

@@ -3,8 +3,7 @@
 Stations operate "on standardized radio links, much like those used for
 ISL ... except for specific implementation details such as the exact
 spectrum bands used for ground uplink and downlink".  Each station is owned
-by an independent operator and carries a gateway pricing card (see
-:mod:`repro.ground.gsaas`).
+by an independent operator.
 """
 
 from __future__ import annotations
@@ -14,9 +13,16 @@ from typing import List
 
 import numpy as np
 
-from repro.ground.gsaas import GatewayPricing
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci
 from repro.phy.rf import RFTerminal, standard_gateway_terminal
+
+#: $/GB a gateway charges visiting providers' traffic: the paper's
+#: pay-per-use ground-station-as-a-service tariff, priced into every
+#: station link.
+VISITOR_TARIFF_PER_GB = 0.05
+
+#: Queueing delay proxy of a gateway, seconds, on every station link.
+GATEWAY_QUEUE_DELAY_S = 0.002
 
 
 @dataclass
@@ -24,16 +30,12 @@ class GroundStation:
     """One gateway site.
 
     Attributes:
-        station_id: Stable identifier (graph node key).
+        station_id: Stable identifier (snapshot node id).
         location: Geodetic site location.
         owner: Operator that owns this station.
         terminal: The gateway RF terminal (Ka-band dish by default).
         backhaul_capacity_bps: Internet backhaul capacity.
         min_elevation_deg: Elevation mask for serving satellites.
-        pricing: Gateway-as-a-service rate card.
-        current_load_bps: Present traffic through the gateway — feeds the
-            dynamic "visitor tariff under high load" behaviour from the
-            paper's cost-model discussion.
         rain_rate_mm_h: Local rain rate; degrades Ku/Ka link budgets
             (rain fade), steering traffic to dry gateways.
     """
@@ -44,8 +46,6 @@ class GroundStation:
     terminal: RFTerminal = field(default_factory=standard_gateway_terminal)
     backhaul_capacity_bps: float = 10e9
     min_elevation_deg: float = 10.0
-    pricing: GatewayPricing = field(default_factory=GatewayPricing)
-    current_load_bps: float = 0.0
     rain_rate_mm_h: float = 0.0
 
     def __post_init__(self) -> None:
@@ -61,31 +61,6 @@ class GroundStation:
     def position_eci(self, time_s: float) -> np.ndarray:
         """ECI position of the station at simulation time ``time_s``."""
         return ecef_to_eci(self.location.ecef(), time_s)
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of backhaul capacity in use, clamped to [0, 1]."""
-        return min(1.0, self.current_load_bps / self.backhaul_capacity_bps)
-
-    def visitor_tariff_per_gb(self, visitor: bool = True) -> float:
-        """Current $/GB through this gateway.
-
-        "In the event that a ground station ... is experiencing high
-        traffic, that ground station may prioritize traffic coming from its
-        users, and may place higher tariffs on 'visitor' traffic."
-        """
-        return self.pricing.effective_rate_per_gb(self.utilization, visitor)
-
-    def queue_delay_s(self) -> float:
-        """M/M/1-style queueing delay proxy at the gateway.
-
-        Grows as ``base / (1 - utilization)``; saturates at one second so
-        pathological load does not produce infinities inside the routing
-        cost model.
-        """
-        base_s = 0.002
-        headroom = max(1e-3, 1.0 - self.utilization)
-        return min(1.0, base_s / headroom)
 
 
 #: A geographically spread default gateway network: one site per region,

@@ -1,6 +1,6 @@
 """Time-varying ISL topology construction.
 
-Builds the snapshot graphs that routing consumes.  At each instant the
+Builds the ISL snapshots that routing consumes.  At each instant the
 builder evaluates geometric feasibility (line of sight above the
 atmosphere, range limit), picks the best mutually supported technology per
 pair, and greedily assigns links nearest-first while respecting each
@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
-import networkx as nx
 import numpy as np
 
 from repro.isl.link import (
@@ -30,6 +30,9 @@ from repro.isl.link import (
 # benchmarks/e2e/tracer.py looks it up.
 from repro.isl.link import best_link_between  # noqa: F401
 from repro.orbits.visibility import line_of_sight_mask, squared_norms
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Fleets at least this large draw candidate pairs from a KD-tree
 #: (``scipy.spatial.cKDTree``) and assign in radius shells.  Below this
@@ -140,7 +143,7 @@ class IslNode:
     """What the topology builder needs to know about one spacecraft.
 
     Attributes:
-        node_id: Stable identifier (also the graph node key).
+        node_id: Stable identifier (also the snapshot node id).
         terminals: ISL-capable terminals the spacecraft carries.
         max_degree: Maximum simultaneous ISLs (power/thermal ceiling).
         allow_optical: False when the power budget currently cannot afford
@@ -164,7 +167,8 @@ class TopologySnapshot:
     """The ISL topology at one instant, held as arrays.
 
     :attr:`graph` is a networkx view derived from the arrays on first
-    read and cached.  Mutating it changes neither the arrays nor
+    read and cached, for the end-to-end benchmark and the tests; nothing
+    in the package reads it.  Mutating it changes neither the arrays nor
     anything compiled from them.
 
     Args:
@@ -197,7 +201,10 @@ class TopologySnapshot:
         """Undirected graph view: nodes are spacecraft ids (builder
         order) with an ``owner`` attribute; each edge, added in
         acceptance order, holds its :class:`IslLink` under ``"link"``
-        plus ``"delay_s"`` and ``"capacity_bps"``."""
+        plus ``"delay_s"`` and ``"capacity_bps"``.  networkx is imported
+        here, on first read, so no package import path loads it."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(
             (node, {"owner": owner})
@@ -245,8 +252,8 @@ class TopologyDelta:
 
     Held as node-index pairs over the node list both snapshots share;
     the canonical ``(min_id, max_id)`` tuples are built, and sorted, only
-    when :attr:`appeared`, :attr:`disappeared` or :attr:`persisted` is
-    read, so deltas are deterministic regardless of build order.
+    when :attr:`appeared` is read, so deltas are deterministic regardless
+    of build order.
 
     Args:
         node_ids: The node list the pairs index.
@@ -277,14 +284,6 @@ class TopologyDelta:
     @cached_property
     def appeared(self) -> Tuple[Tuple[str, str], ...]:
         return self._named(self.appeared_pairs)
-
-    @cached_property
-    def disappeared(self) -> Tuple[Tuple[str, str], ...]:
-        return self._named(self.disappeared_pairs)
-
-    @cached_property
-    def persisted(self) -> Tuple[Tuple[str, str], ...]:
-        return self._named(self.persisted_pairs)
 
     @property
     def changed_count(self) -> int:

@@ -76,8 +76,6 @@ class SlottedAlohaSimulator:
         result = MacResult(duration_s=total_slots * cfg.slot_time_s)
         # Per-station: list of (arrival_time, attempts) queued frames.
         queues: List[List[List[float]]] = [[] for _ in range(self.station_count)]
-        for sid in range(self.station_count):
-            result.per_station_delivered[sid] = 0
 
         for slot in range(total_slots):
             now = slot * cfg.slot_time_s
@@ -99,12 +97,10 @@ class SlottedAlohaSimulator:
                     transmitters.append(sid)
             if not transmitters:
                 continue
-            result.busy_time_s += cfg.slot_time_s
             if len(transmitters) == 1:
                 sid = transmitters[0]
                 arrival, _ = queues[sid].pop(0)
                 result.frames_delivered += 1
-                result.per_station_delivered[sid] += 1
                 result.delays_s.append(now + cfg.slot_time_s - arrival)
                 result.useful_time_s += cfg.slot_time_s
             else:

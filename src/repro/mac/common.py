@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 
 @dataclass
@@ -15,21 +15,17 @@ class MacResult:
         frames_offered: Frames generated across all stations.
         frames_delivered: Frames successfully received.
         frames_collided: Frame transmissions lost to collisions.
-        busy_time_s: Time the channel carried (any) transmission energy.
         useful_time_s: Time the channel carried transmissions that were
             ultimately delivered (goodput time).
         delays_s: Per-delivered-frame queueing+access delay samples.
-        per_station_delivered: Delivered-frame count by station id.
     """
 
     duration_s: float
     frames_offered: int = 0
     frames_delivered: int = 0
     frames_collided: int = 0
-    busy_time_s: float = 0.0
     useful_time_s: float = 0.0
     delays_s: List[float] = field(default_factory=list)
-    per_station_delivered: Dict[int, int] = field(default_factory=dict)
 
     @property
     def delivery_ratio(self) -> float:

@@ -64,9 +64,7 @@ class CsmaCaConfig:
 class _Station:
     """Per-station MAC state: queue, backoff counter, retry count."""
 
-    def __init__(self, station_id: int, config: CsmaCaConfig,
-                 rng: np.random.Generator):
-        self.station_id = station_id
+    def __init__(self, config: CsmaCaConfig, rng: np.random.Generator):
         self._config = config
         self._rng = rng
         self.queue: List[float] = []  # arrival times of queued frames
@@ -123,7 +121,7 @@ class CsmaCaSimulator:
             raise ValueError(f"arrival rate must be >= 0, got {arrival_rate_fps}")
         self.config = config
         self._rng = rng
-        self._stations = [_Station(i, config, rng) for i in range(station_count)]
+        self._stations = [_Station(config, rng) for _ in range(station_count)]
         self._p_arrival = min(1.0, arrival_rate_fps * config.slot_time_s)
 
     def run(self, duration_s: float) -> MacResult:
@@ -133,8 +131,6 @@ class CsmaCaSimulator:
         cfg = self.config
         total_slots = int(duration_s / cfg.slot_time_s)
         result = MacResult(duration_s=total_slots * cfg.slot_time_s)
-        for station in self._stations:
-            result.per_station_delivered[station.station_id] = 0
 
         slot = 0
         while slot < total_slots:
@@ -168,13 +164,10 @@ class CsmaCaSimulator:
                 continue
 
             tx_slots = cfg.frame_slots + cfg.sifs_slots + cfg.ack_slots
-            airtime_s = tx_slots * cfg.slot_time_s
-            result.busy_time_s += min(airtime_s, (total_slots - slot) * cfg.slot_time_s)
             if len(transmitters) == 1:
                 station = transmitters[0]
                 arrival = station.on_success()
                 result.frames_delivered += 1
-                result.per_station_delivered[station.station_id] += 1
                 end_s = (slot + tx_slots) * cfg.slot_time_s
                 result.delays_s.append(end_s - arrival)
                 result.useful_time_s += min(

@@ -79,8 +79,6 @@ class TdmaSimulator:
         p_arrival = min(1.0, self._arrival_rate * slot_total_s)
         total_slots = int(duration_s / slot_total_s)
         result = MacResult(duration_s=total_slots * slot_total_s)
-        for sid in range(self.station_count):
-            result.per_station_delivered[sid] = 0
 
         for slot in range(total_slots):
             now_s = slot * slot_total_s
@@ -94,8 +92,6 @@ class TdmaSimulator:
                 arrival = self._queues[owner].pop(0)
                 end_s = now_s + cfg.slot_time_s
                 result.frames_delivered += 1
-                result.per_station_delivered[owner] += 1
                 result.delays_s.append(end_s - arrival)
-                result.busy_time_s += cfg.slot_time_s
                 result.useful_time_s += cfg.slot_time_s
         return result

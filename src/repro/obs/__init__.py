@@ -135,18 +135,18 @@ class Recorder:
         """Append one timeline event (see :mod:`repro.obs.events`)."""
         self.events.emit(kind, time_s, subject=subject, **attrs)
 
-    def sample_health(self, time_s: float, graph,
+    def sample_health(self, time_s: float, snap,
                       utilization: Optional[Dict[Tuple[str, str],
                                                  float]] = None,
                       faults_active: int = 0, reset: bool = False) -> None:
-        """Record one health-plane epoch from a snapshot graph.
+        """Record one health-plane epoch from a network snapshot.
 
         Link-set changes since the previous sample become ``link.up`` /
         ``link.down`` events (suppressed on the baseline sample of a
         series — pass ``reset=True`` at each scenario start).
         """
         appeared, vanished = self.health.sample(
-            time_s, graph, utilization=utilization,
+            time_s, snap, utilization=utilization,
             faults_active=faults_active, reset=reset,
         )
         for link_id in appeared:
@@ -191,7 +191,7 @@ class NullRecorder:
               **attrs) -> None:
         pass
 
-    def sample_health(self, time_s: float, graph,
+    def sample_health(self, time_s: float, snap,
                       utilization: Optional[Dict[Tuple[str, str],
                                                  float]] = None,
                       faults_active: int = 0, reset: bool = False) -> None:
@@ -262,9 +262,9 @@ def event(kind: str, time_s: float, subject: str = "", **attrs) -> None:
     _active.event(kind, time_s, subject, **attrs)
 
 
-def sample_health(time_s: float, graph,
+def sample_health(time_s: float, snap,
                   utilization: Optional[Dict[Tuple[str, str], float]] = None,
                   faults_active: int = 0, reset: bool = False) -> None:
     """Record a health-plane epoch on the active recorder."""
-    _active.sample_health(time_s, graph, utilization=utilization,
+    _active.sample_health(time_s, snap, utilization=utilization,
                           faults_active=faults_active, reset=reset)

@@ -74,9 +74,14 @@ def config_hash(config: Dict) -> str:
 def run_manifest(config: Optional[Dict] = None,
                  seed: Optional[int] = None,
                  command: Optional[str] = None) -> Dict:
-    """The run-identity record written first in every trace file."""
-    import networkx
+    """The run-identity record written first in every trace file.
+
+    ``versions`` names the packages that compute what a run reports:
+    numpy, and scipy, whose csgraph Dijkstra and KD-tree compute every
+    route.
+    """
     import numpy
+    import scipy
 
     from repro import __version__
 
@@ -91,7 +96,7 @@ def run_manifest(config: Optional[Dict] = None,
             "python": platform.python_version(),
             "repro": __version__,
             "numpy": numpy.__version__,
-            "networkx": networkx.__version__,
+            "scipy": scipy.__version__,
         },
     }
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 
 def link_key(node_a: str, node_b: str) -> str:
     """Canonical order-independent id for an undirected link."""
@@ -81,15 +83,17 @@ class HealthPlane:
             self._node_ids.append(node_id)
         return slot
 
-    def sample(self, time_s: float, graph,
+    def sample(self, time_s: float, snap,
                utilization: Optional[Dict[Tuple[str, str], float]] = None,
                faults_active: int = 0,
                reset: bool = False) -> Tuple[List[str], List[str]]:
-        """Record one epoch from a snapshot graph.
+        """Record one epoch from a snapshot's node list and edge arrays.
 
         Args:
             time_s: Simulated sample time.
-            graph: A ``networkx.Graph`` snapshot (nodes carry ``kind``).
+            snap: A :class:`~repro.core.network.NetworkSnapshot`; a
+                satellite's ISL count is its number of edges to other
+                satellites, which lead its node order.
             utilization: Optional ``(u, v) -> load fraction`` for links
                 with known utilization (unlisted links sample as 0 and
                 are omitted from the per-link columns).
@@ -101,12 +105,15 @@ class HealthPlane:
             since the previous sample; both empty on a baseline sample.
         """
         epoch = len(self.epoch_t)
+        nodes = snap.nodes
+        edges = snap.edges
         links = frozenset(
-            link_key(u, v) for u, v in graph.edges()
+            link_key(nodes[u], nodes[v])
+            for u, v in zip(edges.u.tolist(), edges.v.tolist())
         )
         self.epoch_t.append(float(time_s))
         self.links_up.append(len(links))
-        self.nodes_up.append(graph.number_of_nodes())
+        self.nodes_up.append(len(nodes))
         self.faults_active.append(int(faults_active))
 
         # Sorted interning: set iteration order varies with string-hash
@@ -120,19 +127,14 @@ class HealthPlane:
                 self._link_index.append(self._link(link_key(u, v)))
                 self._link_util.append(float(load))
 
-        kinds = {
-            node: data.get("kind") for node, data in graph.nodes(data=True)
-        }
-        for node in sorted(graph.nodes()):
-            if kinds.get(node) != "satellite":
-                continue
-            isls = sum(
-                1 for neighbor in graph.neighbors(node)
-                if kinds.get(neighbor) == "satellite"
-            )
+        satellites = snap.nodes_of_kind("satellite")
+        isl = (edges.u < len(satellites)) & (edges.v < len(satellites))
+        isls = np.bincount(np.concatenate([edges.u[isl], edges.v[isl]]),
+                           minlength=len(satellites)).tolist()
+        for node, index in sorted(zip(satellites, range(len(satellites)))):
             self._node_epoch.append(epoch)
             self._node_index.append(self._node(node))
-            self._node_isls.append(isls)
+            self._node_isls.append(isls[index])
 
         previous = self._previous_links
         self._previous_links = links

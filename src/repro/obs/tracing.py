@@ -95,20 +95,6 @@ class Tracer:
             if top.end_s is None:
                 top.end_s = span.end_s
 
-    def by_name(self) -> Dict[str, Dict]:
-        """Aggregate closed spans: name -> {count, total_s, max_s}."""
-        aggregated: Dict[str, Dict] = {}
-        for span in self.spans:
-            if span.end_s is None:
-                continue
-            row = aggregated.setdefault(
-                span.name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
-            )
-            row["count"] += 1
-            row["total_s"] += span.duration_s
-            row["max_s"] = max(row["max_s"], span.duration_s)
-        return aggregated
-
     def rows(self) -> List[Dict]:
         """Closed spans as export rows, in open order."""
         return [s.as_row() for s in self.spans if s.end_s is not None]

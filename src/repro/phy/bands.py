@@ -39,10 +39,6 @@ class Band:
         if self.bandwidth_hz <= 0.0:
             raise ValueError(f"bandwidth must be positive: {self.bandwidth_hz}")
 
-    @property
-    def wavelength_m(self) -> float:
-        return 299792458.0 / self.centre_frequency_hz
-
 
 #: Bands the OpenSpace interoperability profile recognises.
 BAND_CATALOG: Dict[str, Band] = {

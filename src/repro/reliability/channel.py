@@ -75,8 +75,8 @@ class LossyControlChannel:
         seed: Seed for the private delivery-draw generator.
         network: Optional :class:`~repro.core.network.OpenSpaceNetwork`;
             when given, hops touching its *current* fault masks lose
-            everything even if the graph being routed over predates the
-            fault (stale contact plans meet live outages here).
+            everything even if the snapshot being routed over predates
+            the fault (stale contact plans meet live outages here).
     """
 
     def __init__(self, loss_scale: float = 0.0, base_loss: float = 0.0,
@@ -125,14 +125,16 @@ class LossyControlChannel:
 
     # -- models ----------------------------------------------------------
 
-    def hop_model(self, graph, node_a: str, node_b: str) -> HopModel:
-        """Loss/delay of one hop from the snapshot edge + fault masks."""
+    def hop_model(self, snap, node_a: str, node_b: str) -> HopModel:
+        """Loss/delay of one hop from its row of the snapshot's edge
+        arrays + fault masks; a hop with no edge loses everything."""
         if self._hop_masked(node_a, node_b):
             return HopModel(loss_probability=1.0, delay_s=float("inf"))
-        if not graph.has_edge(node_a, node_b):
+        row = snap.edge_row(node_a, node_b)
+        if row is None:
             return HopModel(loss_probability=1.0, delay_s=float("inf"))
-        data = graph[node_a][node_b]
-        capacity = float(data.get("capacity_bps", float("inf")))
+        edges = snap.edges
+        capacity = float(edges.capacity_bps[row])
         loss = self.base_loss
         if self.loss_scale > 0.0:
             if math.isinf(capacity):
@@ -142,16 +144,17 @@ class LossyControlChannel:
                     -capacity / self.capacity_knee_bps
                 )
             loss = min(1.0, loss + capacity_loss)
-        delay = (float(data.get("delay_s", 0.0))
-                 + float(data.get("queue_delay_s", 0.0))
+        delay = (float(edges.delay_s[row])
+                 + float(edges.queue_delay_s[row])
                  + self.per_hop_processing_s)
         return HopModel(loss_probability=loss, delay_s=delay)
 
-    def path_model(self, graph, path: Sequence[str]) -> Tuple[float, float]:
+    def path_model(self, snap, path: Sequence[str]) -> Tuple[float, float]:
         """Delivery probability and one-way delay of a multi-hop path.
 
         Args:
-            graph: The snapshot graph the path was computed over.
+            snap: The :class:`~repro.core.network.NetworkSnapshot` the
+                path was computed over.
             path: Node ids, source first.
 
         Returns:
@@ -163,7 +166,7 @@ class LossyControlChannel:
         probability = 1.0
         delay = 0.0
         for node_a, node_b in zip(path[:-1], path[1:]):
-            hop = self.hop_model(graph, node_a, node_b)
+            hop = self.hop_model(snap, node_a, node_b)
             probability *= 1.0 - hop.loss_probability
             delay += hop.delay_s
             if probability == 0.0:
@@ -189,7 +192,7 @@ class LossyControlChannel:
             self.messages_lost += 1
         return delivered
 
-    def attempt_round_trip(self, graph, path: Sequence[str],
+    def attempt_round_trip(self, snap, path: Sequence[str],
                            server_processing_s: float = 0.0) -> DeliveryAttempt:
         """One request/response attempt over a path.
 
@@ -197,7 +200,7 @@ class LossyControlChannel:
         or die; the realized RTT is twice the one-way delay plus the far
         end's processing time.
         """
-        probability, one_way_s = self.path_model(graph, path)
+        probability, one_way_s = self.path_model(snap, path)
         forward = self._deliver(probability)
         reply = self._deliver(probability) if forward else False
         recorder = _obs.active()

@@ -9,14 +9,14 @@ Two routing regimes from the paper:
 * **Heterogeneity/QoS-aware** (:mod:`repro.routing.qos`) — "satellites need
   to make quality-of-service-aware routing decisions that take into account
   the nature of the network, including available bandwidths of the ISLs",
-  plus queueing delays, visitor tariffs, and power constraints.
+  plus queueing delays and visitor tariffs.
 
-Every router here shares one shortest-path implementation
-(:mod:`repro.routing.csr`, batched multi-source Dijkstra over CSR
-arrays via scipy).
+Every router here reads a snapshot's edge arrays and shares one
+shortest-path implementation (:mod:`repro.routing.csr`, batched
+multi-source Dijkstra over CSR arrays via scipy).
 """
 
-from repro.routing.csr import CsrAdjacency, ShortestPaths, shortest_path_csr
+from repro.routing.csr import CsrAdjacency, ShortestPaths
 from repro.routing.metrics import EdgeCostModel, RouteMetrics, path_metrics
 from repro.routing.proactive import ProactiveRouter, RoutingTable, StaticRoute
 from repro.routing.qos import QosRequirement, QosRouter
@@ -31,7 +31,6 @@ from repro.routing.stability import EpochChurn, StabilityReport, route_churn
 __all__ = [
     "CsrAdjacency",
     "ShortestPaths",
-    "shortest_path_csr",
     "EdgeCostModel",
     "RouteMetrics",
     "path_metrics",

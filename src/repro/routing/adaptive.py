@@ -20,22 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
-from repro.routing.csr import CsrAdjacency, delay_weight
+from repro.routing.csr import CsrAdjacency
+from repro.routing.metrics import DELAY_ONLY
 from repro.simulation.flowsim import ActiveFlow
 from repro.simulation.traffic import FlowSpec
-
-
-def _edge_key(u: str, v: str) -> Tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
-def _gateway_nodes(graph: nx.Graph) -> List[str]:
-    return [
-        node for node, data in graph.nodes(data=True)
-        if data.get("kind") == "ground_station"
-    ]
 
 
 def _committed_load(active_flows: Sequence[ActiveFlow],
@@ -49,16 +39,17 @@ def _committed_load(active_flows: Sequence[ActiveFlow],
     return load
 
 
-def _best_gateway_path(graph: nx.Graph, source: str,
-                       gateways: Sequence[str],
-                       weight) -> Optional[List[str]]:
+def _best_gateway_path(snap, adjacency: CsrAdjacency,
+                       source: str) -> Optional[List[str]]:
     """Cheapest source→gateway path, or None when no gateway is reachable.
 
-    One single-source Dijkstra covers every candidate gateway; the
+    One single-source Dijkstra covers every gateway of ``snap``; the
     first-listed gateway at the least cost wins
     (:meth:`~repro.routing.csr.ShortestPaths.nearest_paths`).
     """
-    adjacency = CsrAdjacency.from_graph(graph, weight=weight)
+    gateways = snap.nodes_of_kind("ground_station")
+    if source not in snap.index or not gateways:
+        return None
     (path,) = adjacency.single_source(source).nearest_paths(gateways)
     return path
 
@@ -69,15 +60,20 @@ class StaticNearestRouter:
 
     This is what precomputation from public orbital knowledge gives you —
     correct geometry, no view of runtime load.
+
+    Attributes:
+        snap: The :class:`~repro.core.network.NetworkSnapshot` routed
+            over, priced by raw propagation delay
+            (:data:`~repro.routing.metrics.DELAY_ONLY`).
     """
 
-    def __call__(self, graph: nx.Graph, flow: FlowSpec,
+    snap: object
+
+    def __call__(self, flow: FlowSpec,
                  active_flows: List[ActiveFlow]) -> Optional[List[str]]:
-        gateways = _gateway_nodes(graph)
-        if flow.user_id not in graph or not gateways:
-            return None
-        return _best_gateway_path(graph, flow.user_id, gateways,
-                                  delay_weight)
+        return _best_gateway_path(self.snap,
+                                  self.snap.csr_adjacency(DELAY_ONLY),
+                                  flow.user_id)
 
 
 @dataclass
@@ -87,62 +83,54 @@ class LoadAdaptiveRouter:
     Edge cost = ``delay_s + congestion_weight * delay_s * u / (1 - u)``
     where ``u`` is the edge's committed utilization — the M/M/1-shaped
     penalty makes nearly-full edges effectively infinite, diverting new
-    flows to idle detours.
+    flows to idle detours.  An edge without capacity is priced ``inf``.
 
     Attributes:
+        snap: The :class:`~repro.core.network.NetworkSnapshot` routed
+            over; its edge arrays give each edge's delay and capacity.
         congestion_weight: Scales the congestion term against propagation
             delay (1.0 = a fully-loaded edge is much worse than any detour).
         assumed_flow_rate_bps: Rate assumed for flows whose fair share is
             not yet known (fresh arrivals).
-        background_load_bps: Standing per-edge load (canonical sorted
-            keys) added under the committed flows — the fluid demand
-            plane's allocation (``CongestionState.background_load_bps``),
-            so per-flow admissions route around links aggregate demand
-            already filled.
     """
 
+    snap: object
     congestion_weight: float = 1.0
     assumed_flow_rate_bps: float = 10e6
-    background_load_bps: Optional[Dict[Tuple[str, str], float]] = None
     #: Diagnostic: how many admissions diverted from the nearest gateway.
     diversions: int = field(default=0)
 
-    def __call__(self, graph: nx.Graph, flow: FlowSpec,
+    def __call__(self, flow: FlowSpec,
                  active_flows: List[ActiveFlow]) -> Optional[List[str]]:
-        gateways = _gateway_nodes(graph)
-        if flow.user_id not in graph or not gateways:
-            return None
-        load = _committed_load(active_flows, self.assumed_flow_rate_bps)
-        if self.background_load_bps:
-            for edge, rate in self.background_load_bps.items():
-                load[edge] = load.get(edge, 0.0) + rate
-
-        def weight(u, v, data):
-            delay = float(data.get("delay_s", 0.0))
-            capacity = float(data.get("capacity_bps", float("inf")))
-            if capacity <= 0.0:
-                return None  # unusable edge
-            utilization = min(0.999, load.get(_edge_key(u, v), 0.0) / capacity)
-            congestion = (
-                self.congestion_weight * delay * utilization
-                / (1.0 - utilization)
-            )
-            return delay + congestion
-
-        best_path = _best_gateway_path(graph, flow.user_id, gateways,
-                                       weight)
+        snap = self.snap
+        edges = snap.edges
+        load = np.zeros(edges.u.shape[0])
+        for (u, v), rate in _committed_load(
+                active_flows, self.assumed_flow_rate_bps).items():
+            load[snap.edge_row(u, v)] = rate
+        usable = edges.capacity_bps > 0.0
+        utilization = np.zeros(load.shape[0])
+        utilization[usable] = np.minimum(
+            0.999, load[usable] / edges.capacity_bps[usable])
+        congestion = (self.congestion_weight * edges.delay_s * utilization
+                      / (1.0 - utilization))
+        costs = np.where(usable, edges.delay_s + congestion, np.inf)
+        best_path = _best_gateway_path(
+            snap, CsrAdjacency.from_edges(snap.nodes, edges.u, edges.v, costs),
+            flow.user_id,
+        )
         if best_path is None:
             return None
-        nearest = StaticNearestRouter()(graph, flow, [])
+        nearest = StaticNearestRouter(snap)(flow, [])
         if nearest is not None and best_path[-1] != nearest[-1]:
             self.diversions += 1
         return best_path
 
 
-def gateway_load_profile(result_flows: Sequence,
-                         graph: nx.Graph) -> Dict[str, int]:
-    """Completed flows terminated per gateway (ablation diagnostic)."""
-    gateways = set(_gateway_nodes(graph))
+def gateway_load_profile(result_flows: Sequence, snap) -> Dict[str, int]:
+    """Completed flows terminated per gateway of ``snap`` (ablation
+    diagnostic)."""
+    gateways = set(snap.nodes_of_kind("ground_station"))
     profile: Dict[str, int] = {}
     for record in result_flows:
         if not record.completed or not record.path:

@@ -1,9 +1,11 @@
 """Compiled-sparse (CSR) shortest paths: the one routing implementation.
 
 Every routing layer in the stack reduces to the same primitive: shortest
-paths over a snapshot graph whose edges carry additive costs.  This
-module compiles a snapshot into an index-mapped CSR adjacency (node→int
-index table plus ``indptr``/``indices``/``data`` arrays) and answers
+paths over a snapshot whose edges carry additive costs.  This module
+compiles a snapshot's edge arrays into an index-mapped CSR adjacency
+(:meth:`CsrAdjacency.from_edges`: node→int index table plus
+``indptr``/``indices``/``data`` arrays; an edge priced ``inf`` is left
+out, which is how routers express admission filters) and answers
 **batched multi-source Dijkstra** through
 :func:`scipy.sparse.csgraph.dijkstra` — one C call for any number of
 sources, with paths reconstructed lazily from the predecessor matrix.
@@ -20,8 +22,8 @@ epoch is two dense arrays, not a dict of path objects.
 Determinism
 -----------
 
-The CSR build is fully deterministic: nodes are indexed in graph
-insertion order and each row's neighbors are sorted by index (a stable
+The CSR build is fully deterministic: nodes are indexed in the order
+given and each row's neighbors are sorted by index (a stable
 lexsort over ``(row, col)``), so repeated builds of the same snapshot
 produce byte-identical arrays and scipy's Dijkstra returns the same
 distances and predecessors every time.  Where several equal-cost paths
@@ -66,16 +68,11 @@ def _weight_callable(weight: WeightSpec) -> Callable[[Hashable, Hashable, dict],
     )
 
 
-def delay_weight(_u, _v, data) -> float:
-    """Raw ``delay_s`` edge weight (networkx's ``weight="delay_s"``)."""
-    return float(data.get("delay_s", 1.0))
-
-
 class CsrAdjacency:
-    """An index-mapped CSR adjacency compiled from one snapshot graph.
+    """An index-mapped CSR adjacency compiled from one snapshot.
 
-    Node ids (any hashable) are mapped to dense integer indices in graph
-    insertion order; the adjacency is stored as the classic
+    Node ids (any hashable) are mapped to dense integer indices in the
+    order given; the adjacency is stored as the classic
     ``indptr``/``indices``/``data`` triple with each row's entries sorted
     by neighbor index (deterministic tie ordering).  Undirected graphs
     store both directions explicitly, so scipy always runs in directed
@@ -99,6 +96,10 @@ class CsrAdjacency:
     def from_graph(cls, graph, weight: WeightSpec = None,
                    exclude: Optional[Sequence[Hashable]] = None) -> "CsrAdjacency":
         """Compile a networkx graph (or DiGraph) into a CSR adjacency.
+
+        The package compiles snapshots with :meth:`from_edges`; this
+        graph form is the referee the tests hold those compiles to, and
+        the end-to-end benchmark's tracer counts it.
 
         Args:
             graph: The snapshot graph.
@@ -218,6 +219,15 @@ class CsrAdjacency:
             return_predecessors=True,
         )
         return ShortestPaths(self, source_list, dist, pred)
+
+    def shortest_path(self, source: Hashable,
+                      target: Hashable) -> Optional[List[Hashable]]:
+        """The least-cost path from ``source`` to ``target``, or None when
+        either is unknown or ``target`` is unreachable (one memoized
+        :meth:`single_source` search)."""
+        if source not in self.index or target not in self.index:
+            return None
+        return self.single_source(source).path(source, target)
 
     def single_source(self, source: Hashable) -> "ShortestPaths":
         """Dijkstra from one source, memoized per adjacency.
@@ -597,16 +607,3 @@ def block_diagonal_dijkstra(
     )
     return np.atleast_2d(dist), np.atleast_2d(pred), offsets
 
-
-def shortest_path_csr(graph, source: Hashable, target: Hashable,
-                      weight: WeightSpec = None) -> Optional[List[Hashable]]:
-    """One-shot single-pair shortest path.
-
-    Builds the adjacency, runs one single-source Dijkstra, reconstructs
-    the path.  Layers that issue many queries against one snapshot
-    should build a :class:`CsrAdjacency` once instead.
-    """
-    if source not in graph or target not in graph:
-        return None
-    adjacency = CsrAdjacency.from_graph(graph, weight=weight)
-    return adjacency.single_source(source).path(source, target)

@@ -1,10 +1,11 @@
 """Edge cost models and end-to-end route metrics.
 
-Routing operates over :class:`networkx.Graph` snapshots whose edges carry
-``delay_s`` and ``capacity_bps`` (set by the ISL topology builder and the
-ground-segment attachment code) and optionally ``queue_delay_s``,
-``tariff_per_gb``, and ``owner``.  The cost model turns those attributes
-into a single additive edge weight.
+Routing operates over a snapshot's edge arrays
+(:class:`~repro.core.network.SnapshotEdges`): every edge carries
+``delay_s`` and ``capacity_bps``, and a station link also a
+``queue_delay_s`` and a ``tariff_per_gb`` (0.0 on the other edges).  The
+cost model turns those attributes into a single additive edge weight;
+:func:`path_metrics` prices one concrete path from the same arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import networkx as nx
 import numpy as np
 
 
@@ -39,7 +39,9 @@ class EdgeCostModel:
     bottleneck_penalty_s: float = 0.0
 
     def edge_cost(self, data: dict) -> float:
-        """Cost of one edge from its attribute dict."""
+        """Cost of one edge from its attribute dict (the graph views'
+        form, which :meth:`~repro.routing.csr.CsrAdjacency.from_graph`
+        compiles)."""
         cost = float(data.get("delay_s", 0.0))
         cost += self.queue_weight * float(data.get("queue_delay_s", 0.0))
         cost += self.tariff_weight * float(data.get("tariff_per_gb", 0.0))
@@ -62,19 +64,18 @@ class EdgeCostModel:
         return np.where(capacity_bps < self.min_capacity_bps,
                         cost + self.bottleneck_penalty_s, cost)
 
-    def weight_fn(self):
-        """A networkx-compatible ``weight(u, v, data)`` callable."""
-        def weight(_u, _v, data):
-            return self.edge_cost(data)
-        return weight
-
 
 #: The default route cost: summed propagation and queueing delay
 #: (``queue_weight=1``), no tariff or bottleneck term.  Despite the name,
 #: a route into a gateway pays the station's queueing proxy
-#: (:attr:`~repro.ground.station.GroundStation.queue_delay_s`, 2 ms when
-#: idle) on top of the speed-of-light delay.
+#: (:data:`~repro.ground.station.GATEWAY_QUEUE_DELAY_S`, 2 ms) on top of
+#: the speed-of-light delay.
 PROPAGATION_ONLY = EdgeCostModel()
+
+#: Raw propagation delay per edge (no queueing term): the cost of the
+#: scale sweep's gateway probe, the demand route map, the static-nearest
+#: flow router and the data-sovereignty example.
+DELAY_ONLY = EdgeCostModel(queue_weight=0.0)
 
 
 @dataclass(frozen=True)
@@ -108,29 +109,37 @@ class RouteMetrics:
         return self.total_delay_s * 1000.0
 
 
-def path_metrics(graph: nx.Graph, path: Sequence[str]) -> RouteMetrics:
-    """Compute :class:`RouteMetrics` for a node sequence.
+def path_metrics(snap, path: Sequence[str]) -> RouteMetrics:
+    """:class:`RouteMetrics` of a node path over a snapshot's edge arrays.
+
+    Each hop reads its edge's row of ``snap.edges``
+    (:meth:`~repro.core.network.NetworkSnapshot.edge_row`): delays and
+    tariffs add up in path order, the capacity is the least one, and
+    each hop's owner (:meth:`~repro.core.network.NetworkSnapshot
+    .edge_owner`; an ISL has none) joins the operator list when it
+    differs from the last one listed.
 
     Raises:
         ValueError: When the path is shorter than one edge or uses an edge
-            absent from the graph.
+            absent from the snapshot.
     """
     if len(path) < 2:
         raise ValueError(f"path needs at least two nodes, got {list(path)}")
+    edges = snap.edges
     propagation = 0.0
     queueing = 0.0
     tariff = 0.0
     bottleneck = float("inf")
     operators: List[str] = []
     for u, v in zip(path[:-1], path[1:]):
-        data = graph.get_edge_data(u, v)
-        if data is None:
-            raise ValueError(f"edge {u!r}-{v!r} not present in graph")
-        propagation += float(data.get("delay_s", 0.0))
-        queueing += float(data.get("queue_delay_s", 0.0))
-        tariff += float(data.get("tariff_per_gb", 0.0))
-        bottleneck = min(bottleneck, float(data.get("capacity_bps", float("inf"))))
-        owner = data.get("owner")
+        row = snap.edge_row(u, v)
+        if row is None:
+            raise ValueError(f"edge {u!r}-{v!r} not present in snapshot")
+        propagation += float(edges.delay_s[row])
+        queueing += float(edges.queue_delay_s[row])
+        tariff += float(edges.tariff_per_gb[row])
+        bottleneck = min(bottleneck, float(edges.capacity_bps[row]))
+        owner = snap.edge_owner(row)
         if owner is not None and (not operators or operators[-1] != owner):
             operators.append(owner)
     return RouteMetrics(
@@ -142,4 +151,3 @@ def path_metrics(graph: nx.Graph, path: Sequence[str]) -> RouteMetrics:
         hop_count=len(path) - 1,
         operators=operators,
     )
-

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs as _obs
-from repro.routing.csr import CsrAdjacency
 from repro.routing.metrics import (
     EdgeCostModel,
     PROPAGATION_ONLY,
@@ -60,18 +59,19 @@ class LazyCsrEpoch:
 
     Holds the output of one batched multi-source Dijkstra run and
     materializes :class:`StaticRoute` objects (path walk + metric
-    accumulation over the snapshot graph) only when a pair is actually
-    looked up.  ``len()`` — the number of precomputed routes — comes from
+    accumulation over the snapshot's edge arrays) only when a pair is
+    actually looked up.  ``len()`` — the number of precomputed routes — comes from
     the finite-distance count without materializing anything.
     """
 
-    __slots__ = ("graph", "paths", "sources", "wanted_by_source",
+    __slots__ = ("snapshot", "paths", "sources", "wanted_by_source",
                  "valid_from_s", "valid_until_s", "_cache", "_count")
 
-    def __init__(self, graph, paths, sources: Sequence[str],
+    def __init__(self, snapshot, paths, sources: Sequence[str],
                  valid_from_s: float, valid_until_s: float,
                  wanted_by_source: Optional[Dict[str, Set[str]]] = None):
-        self.graph = graph
+        #: The :class:`~repro.core.network.NetworkSnapshot` routed over.
+        self.snapshot = snapshot
         #: A :class:`repro.routing.csr.ShortestPaths` over ``sources``.
         self.paths = paths
         self.sources = list(sources)
@@ -130,7 +130,7 @@ class LazyCsrEpoch:
             target=target,
             valid_from_s=self.valid_from_s,
             valid_until_s=self.valid_until_s,
-            metrics=path_metrics(self.graph, path),
+            metrics=path_metrics(self.snapshot, path),
         )
         self._cache[key] = route
         return route
@@ -201,8 +201,9 @@ class ProactiveRouter:
         materialize lazily on lookup.
 
         Args:
-            snapshots: :class:`~repro.isl.topology.TopologySnapshot` objects
-                (anything with ``time_s`` and ``graph``), time-ordered.
+            snapshots: :class:`~repro.core.network.NetworkSnapshot`
+                objects, time-ordered; each routes on its own CSR under
+                the router's cost model.
             pairs: Source/target pairs to precompute.  None means all pairs
                 (Dijkstra from every source — fine at paper scale).
             horizon_s: Validity end of the final epoch; defaults to the
@@ -226,39 +227,30 @@ class ProactiveRouter:
                            snapshots=len(snapshots),
                            pairs="all" if pairs is None else len(pairs)):
             for snap, valid_until in zip(snapshots, times[1:] + [horizon_s]):
-                graph = snap.graph
                 if pairs is None:
-                    wanted_sources = list(graph.nodes)
+                    wanted_sources = list(snap.nodes)
                     wanted_by_source = None
                 else:
                     wanted_sources = sorted({src for src, _ in pairs})
                     wanted_by_source = {}
                     for src, dst in pairs:
                         wanted_by_source.setdefault(src, set()).add(dst)
-                wanted_sources = [s for s in wanted_sources if s in graph]
-                epoch = self._csr_epoch(snap, graph, wanted_sources,
-                                        wanted_by_source, valid_until)
+                wanted_sources = [s for s in wanted_sources
+                                  if s in snap.index]
+                epoch = LazyCsrEpoch(
+                    snapshot=snap,
+                    paths=snap.csr_adjacency(self.cost_model).shortest_paths(
+                        wanted_sources),
+                    sources=wanted_sources,
+                    valid_from_s=snap.time_s,
+                    valid_until_s=valid_until,
+                    wanted_by_source=wanted_by_source,
+                )
                 if recorder.enabled:
                     recorder.count("routing.proactive.routes", len(epoch))
                     recorder.count("routing.proactive.epochs")
                 self.table.add_epoch(snap.time_s, epoch)
         return self.table
-
-    def _csr_epoch(self, snap, graph, sources, wanted_by_source,
-                   valid_until_s: float) -> LazyCsrEpoch:
-        csr_of = getattr(snap, "csr_adjacency", None)
-        if csr_of is not None:
-            adjacency = csr_of(self.cost_model)
-        else:
-            adjacency = CsrAdjacency.from_graph(graph, weight=self.cost_model)
-        return LazyCsrEpoch(
-            graph=graph,
-            paths=adjacency.shortest_paths(sources),
-            sources=sources,
-            valid_from_s=snap.time_s,
-            valid_until_s=valid_until_s,
-            wanted_by_source=wanted_by_source,
-        )
 
     def route(self, source: str, target: str,
               time_s: float) -> Optional[StaticRoute]:

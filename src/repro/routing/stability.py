@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.routing.csr import shortest_path_csr
 from repro.routing.metrics import (
     EdgeCostModel,
     PROPAGATION_ONLY,
@@ -89,7 +88,9 @@ def route_churn(snapshots: Sequence,
     """Measure route churn for selected pairs across a snapshot series.
 
     Args:
-        snapshots: Time-ordered objects with ``time_s`` and ``graph``.
+        snapshots: Time-ordered
+            :class:`~repro.core.network.NetworkSnapshot` objects; each
+            routes on its own CSR under ``cost_model``.
         pairs: (source, target) node pairs to track.
         cost_model: Routing cost model (by default
             :data:`~repro.routing.metrics.PROPAGATION_ONLY`, summed
@@ -106,9 +107,9 @@ def route_churn(snapshots: Sequence,
     report = StabilityReport(
         epoch_length_s=snapshots[1].time_s - snapshots[0].time_s
     )
+    adjacency = snapshots[0].csr_adjacency(model)
     previous_routes: Dict[Tuple[str, str], Optional[List[str]]] = {
-        pair: shortest_path_csr(snapshots[0].graph, *pair, model)
-        for pair in pairs
+        pair: adjacency.shortest_path(*pair) for pair in pairs
     }
     previous_snap = snapshots[0]
     for snap in snapshots[1:]:
@@ -117,8 +118,9 @@ def route_churn(snapshots: Sequence,
         lost = 0
         latency_deltas: List[float] = []
         current_routes: Dict[Tuple[str, str], Optional[List[str]]] = {}
+        adjacency = snap.csr_adjacency(model)
         for pair in pairs:
-            new_path = shortest_path_csr(snap.graph, *pair, model)
+            new_path = adjacency.shortest_path(*pair)
             current_routes[pair] = new_path
             old_path = previous_routes[pair]
             if old_path is None:
@@ -129,8 +131,8 @@ def route_churn(snapshots: Sequence,
             evaluated += 1
             if new_path != old_path:
                 changed += 1
-            old_ms = path_metrics(previous_snap.graph, old_path).total_delay_ms
-            new_ms = path_metrics(snap.graph, new_path).total_delay_ms
+            old_ms = path_metrics(previous_snap, old_path).total_delay_ms
+            new_ms = path_metrics(snap, new_path).total_delay_ms
             latency_deltas.append(abs(new_ms - old_ms))
         report.epochs.append(EpochChurn(
             from_time_s=previous_snap.time_s,

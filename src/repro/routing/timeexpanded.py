@@ -5,8 +5,8 @@ initial deployments across a small number of initial players".  Sparse
 fleets rarely offer an *instantaneous* relay path between a user and a
 gateway — but because every orbit is public, the future contact schedule
 is known, and data can be carried onboard between contacts (delay-tolerant
-store-and-forward).  This module builds the classic time-expanded graph
-over a sequence of topology snapshots:
+store-and-forward).  This module compiles the classic time-expanded
+graph over a sequence of snapshots straight into CSR arrays:
 
 * node ``(entity, k)`` = the entity during snapshot epoch ``k``;
 * a *storage* edge connects ``(entity, k)`` to ``(entity, k+1)`` with cost
@@ -23,11 +23,30 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
-from repro.routing.csr import CsrAdjacency, delay_weight
+from repro.routing.csr import CsrAdjacency
+
+
+class Contacts(NamedTuple):
+    """One epoch's contacts: endpoints index the epoch's node list."""
+
+    u: np.ndarray
+    v: np.ndarray
+    delay_s: np.ndarray
+
+
+class ContactEpoch(NamedTuple):
+    """One plan epoch in the shape the router reads of a
+    :class:`~repro.core.network.NetworkSnapshot` (``time_s``, ``nodes``
+    and ``edges``), for plans no network snapshot models: an ISL
+    topology with hand-placed ground nodes, say."""
+
+    time_s: float
+    nodes: List[str]
+    edges: Contacts
 
 
 @dataclass(frozen=True)
@@ -60,14 +79,17 @@ class TimeExpandedRouter:
     """Earliest-arrival routing over a snapshot series.
 
     Args:
-        snapshots: Time-ordered objects with ``time_s`` and ``graph``
-            (``TopologySnapshot`` / ``NetworkSnapshot`` both qualify).
+        snapshots: Time-ordered objects with ``time_s``, ``nodes`` and
+            ``edges`` whose ``u``/``v`` index ``nodes`` and whose
+            ``delay_s`` is each contact's delay
+            (:class:`~repro.core.network.NetworkSnapshot` or
+            :class:`ContactEpoch`).
         horizon_s: End of the final epoch; defaults to the last snapshot
             time plus the preceding epoch length.  Must lie after the
             last snapshot time.
 
-    The time-expanded adjacency is compiled once, on the first query,
-    and one single-source run is memoized per distinct departure node.
+    The time-expanded adjacency is compiled once, here, and one
+    single-source run is memoized per distinct departure node.
     """
 
     def __init__(self, snapshots: Sequence, horizon_s: Optional[float] = None):
@@ -76,7 +98,6 @@ class TimeExpandedRouter:
         snapshots = list(snapshots)
         if not snapshots:
             raise ValueError("need at least one snapshot")
-        self._csr: Optional[CsrAdjacency] = None
         times = [snap.time_s for snap in snapshots]
         if any(b <= a for a, b in zip(times[:-1], times[1:])):
             raise ValueError("snapshots must be strictly time-ordered")
@@ -91,32 +112,50 @@ class TimeExpandedRouter:
                 f"time {times[-1]}"
             )
         self.horizon_s = horizon_s
-        self._graph = self._build()
+        self._csr = self._compile()
 
-    def _build(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        epoch_ends = self.epoch_times[1:] + [self.horizon_s]
-        # First-seen order, never set order: node order fixes the CSR
-        # indices, and with them which of two equal-cost plans wins.
+    def _compile(self) -> CsrAdjacency:
+        """The time-expanded graph as one directed CSR adjacency.
+
+        Node ``(entity, k)`` takes index ``k * E + e``, where ``e`` is
+        the entity's first-seen position over the snapshots (never set
+        order: node order fixes the CSR indices, and with them which of
+        two equal-cost plans wins).  Every contact runs both ways.
+        """
         entities = list(dict.fromkeys(
-            node for snap in self.snapshots for node in snap.graph.nodes))
-        for k, (snap, end_s) in enumerate(zip(self.snapshots, epoch_ends)):
-            for entity in entities:
-                graph.add_node((entity, k))
-            # Contact edges within the epoch (bidirectional).
-            for u, v, data in snap.graph.edges(data=True):
-                delay = float(data.get("delay_s", 0.0))
-                graph.add_edge((u, k), (v, k), delay_s=delay, kind="contact")
-                graph.add_edge((v, k), (u, k), delay_s=delay, kind="contact")
-            # Storage edges into the next epoch.
+            node for snap in self.snapshots for node in snap.nodes))
+        count = len(entities)
+        position = {entity: e for e, entity in enumerate(entities)}
+        rows, cols, weights = [], [], []
+        for k, snap in enumerate(self.snapshots):
+            local = k * count + np.array([position[node]
+                                          for node in snap.nodes],
+                                         dtype=np.int64)
+            edges = snap.edges
+            u, v = local[edges.u], local[edges.v]
+            delay = np.asarray(edges.delay_s, dtype=float)
+            rows += [u, v]
+            cols += [v, u]
+            weights += [delay, delay]
             if k + 1 < len(self.snapshots):
-                wait = self.epoch_times[k + 1] - self.epoch_times[k]
-                for entity in entities:
-                    graph.add_edge(
-                        (entity, k), (entity, k + 1),
-                        delay_s=wait, kind="storage",
-                    )
-        return graph
+                stay = k * count + np.arange(count)
+                rows.append(stay)
+                cols.append(stay + count)
+                weights.append(np.full(
+                    count, self.epoch_times[k + 1] - self.epoch_times[k]))
+        nodes = [(entity, k) for k in range(len(self.snapshots))
+                 for entity in entities]
+        return CsrAdjacency.from_edges(
+            nodes, np.concatenate(rows), np.concatenate(cols),
+            np.concatenate(weights), directed=True,
+        )
+
+    def _entry(self, node_a: int, node_b: int) -> float:
+        """The weight of the CSR entry from ``node_a`` to ``node_b``."""
+        csr = self._csr
+        start = int(csr.indptr[node_a])
+        row = csr.indices[start:int(csr.indptr[node_a + 1])]
+        return float(csr.data[start + int(np.searchsorted(row, node_b))])
 
     def _epoch_at(self, time_s: float) -> int:
         if time_s >= self.horizon_s:
@@ -151,7 +190,7 @@ class TimeExpandedRouter:
         """
         start_epoch = self._epoch_at(departure_s)
         start = (source, start_epoch)
-        if start not in self._graph:
+        if start not in self._csr:
             return None
         if source == target:
             # Already there: a zero-delay plan with no transmissions.
@@ -159,9 +198,6 @@ class TimeExpandedRouter:
                 source=source, target=target, departure_s=departure_s,
                 arrival_s=departure_s, hops=(), epochs_waited=0,
             )
-        if self._csr is None:
-            self._csr = CsrAdjacency.from_graph(self._graph,
-                                                weight=delay_weight)
         sp = self._csr.single_source(start)
         best_node = None
         best_cost = float("inf")
@@ -178,13 +214,13 @@ class TimeExpandedRouter:
         if best_node is None:
             return None
         path = sp.path(start, best_node)
+        index = self._csr.index
         hops: List[Tuple[float, str, str]] = []
         clock = departure_s
         waits = 0
         for (u, ku), (v, kv) in zip(path[:-1], path[1:]):
-            edge = self._graph[(u, ku)][(v, kv)]
-            clock += edge["delay_s"]
-            if edge["kind"] == "contact":
+            clock += self._entry(index[(u, ku)], index[(v, kv)])
+            if ku == kv:
                 hops.append((clock, u, v))
             else:
                 waits += 1
@@ -210,4 +246,4 @@ class TimeExpandedRouter:
 
     @property
     def node_count(self) -> int:
-        return self._graph.number_of_nodes()
+        return self._csr.node_count

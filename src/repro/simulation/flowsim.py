@@ -8,18 +8,17 @@ simulates flows sharing link capacities under progressive-filling
 (max-min fair) allocation, advancing in discrete epochs on flow arrival /
 completion events.
 
-The simulator is routing-agnostic: a ``route_fn`` callback maps each
-arriving flow to a node path over the supplied graph, so proactive,
-QoS-aware, and load-adaptive routers can be compared under the identical
-workload (see ``benchmarks/test_ablation_adaptive_routing.py``).
+The simulator is routing-agnostic: it holds link capacities only, and a
+``route_fn`` callback maps each arriving flow to a node path (the router
+holds the snapshot it routes over), so proactive, QoS-aware, and
+load-adaptive routers can be compared under the identical workload (see
+``benchmarks/test_ablation_adaptive_routing.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro import obs as _obs
 from repro.simulation.traffic import FlowSpec
@@ -152,28 +151,40 @@ def max_min_fair_rates(flows: Sequence[ActiveFlow],
                 residual[edge] = max(0.0, residual[edge] - best_share)
 
 
+def _key(u: str, v: str) -> Tuple[str, str]:
+    return (u, v) if u <= v else (v, u)
+
+
+def link_capacities(snap) -> Dict[Tuple[str, str], float]:
+    """Each edge's ``capacity_bps`` of a
+    :class:`~repro.core.network.NetworkSnapshot`, keyed by its sorted
+    endpoint pair: the links a :class:`FlowSimulator` shares."""
+    nodes = snap.nodes
+    edges = snap.edges
+    return {
+        _key(nodes[u], nodes[v]): capacity
+        for u, v, capacity in zip(edges.u.tolist(), edges.v.tolist(),
+                                  edges.capacity_bps.tolist())
+    }
+
+
 class FlowSimulator:
     """Event-driven flow-level simulator.
 
     Args:
-        graph: Network snapshot graph; edges need ``capacity_bps``.
-        route_fn: ``(graph, flow, active_flows) -> path or None``.  Called
-            once per arriving flow; None rejects the flow (no route).
+        capacities: Link capacity in bits/s, keyed by endpoint pair in
+            either order (:func:`link_capacities` of a snapshot).
+        route_fn: ``(flow, active_flows) -> path or None``.  Called once
+            per arriving flow; None rejects the flow (no route).  Every
+            hop of a path must be a listed link.
     """
 
-    def __init__(self, graph: nx.Graph,
-                 route_fn: Callable[[nx.Graph, FlowSpec, List[ActiveFlow]],
+    def __init__(self, capacities: Dict[Tuple[str, str], float],
+                 route_fn: Callable[[FlowSpec, List[ActiveFlow]],
                                     Optional[List[str]]]):
-        self.graph = graph
         self.route_fn = route_fn
-        self._capacities: Dict[Tuple[str, str], float] = {
-            self._key(u, v): float(data.get("capacity_bps", float("inf")))
-            for u, v, data in graph.edges(data=True)
-        }
-
-    @staticmethod
-    def _key(u: str, v: str) -> Tuple[str, str]:
-        return (u, v) if u <= v else (v, u)
+        self._capacities = {_key(u, v): capacity
+                            for (u, v), capacity in capacities.items()}
 
     def run(self, flows: Sequence[FlowSpec]) -> FlowSimResult:
         """Simulate the full workload to completion.
@@ -258,7 +269,7 @@ class FlowSimulator:
             else:
                 spec = pending[index]
                 index += 1
-                path = self.route_fn(self.graph, spec, active)
+                path = self.route_fn(spec, active)
                 if path is None or len(path) < 2:
                     result.rejected.append(CompletedFlow(
                         spec=spec, completed=False, start_s=spec.start_s,
@@ -270,13 +281,12 @@ class FlowSimulator:
                                        user=spec.user_id, reason="no-route",
                                        qos=spec.qos_class)
                     continue
-                edges = [
-                    self._key(u, v) for u, v in zip(path[:-1], path[1:])
-                ]
+                edges = [_key(u, v) for u, v in zip(path[:-1], path[1:])]
                 missing = [e for e in edges if e not in self._capacities]
                 if missing:
                     raise ValueError(
-                        f"route_fn returned edges absent from graph: {missing}"
+                        f"route_fn returned links without a capacity: "
+                        f"{missing}"
                     )
                 active.append(ActiveFlow(
                     spec=spec, path=list(path), edges=edges,

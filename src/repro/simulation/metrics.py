@@ -113,9 +113,5 @@ class SeriesCollector:
     def xs(self) -> List[float]:
         return sorted(self._points)
 
-    def row(self, x: float) -> List[float]:
-        """All y samples at one x (raises KeyError when absent)."""
-        return list(self._points[x])
-
     def summary_at(self, x: float) -> SummaryStats:
         return summarize(self._points[x])

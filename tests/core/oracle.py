@@ -25,12 +25,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.network import content_digest
+from repro.ground.station import GATEWAY_QUEUE_DELAY_S, VISITOR_TARIFF_PER_GB
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.phy.linkbudget import LinkBudget, LinkBudgetArrays
 from repro.phy.modulation import achievable_rate_bps
 from repro.phy.rf import rf_link_budget
 from repro.routing.csr import CsrAdjacency
-from repro.routing.metrics import PROPAGATION_ONLY, path_metrics
+from repro.routing.metrics import PROPAGATION_ONLY
 from tests.isl.oracle import oracle_graph
 from tests.orbits.oracle import elevation_angles
 from tests.routing import oracle as routing_oracle
@@ -73,7 +74,8 @@ class OracleSnapshot:
             return None
         (path,) = routing_oracle.nearest_paths(self.csr_adjacency(),
                                                [source], stations)
-        return None if path is None else path_metrics(self.graph, path)
+        return None if path is None else routing_oracle.path_metrics(
+            self.graph, path)
 
 
 def satellite_positions(network, time_s: float) -> Dict[str, np.ndarray]:
@@ -135,8 +137,8 @@ def add_station_edges(graph, network, station, alive, positions,
             delay_s=distance / SPEED_OF_LIGHT_KM_S,
             capacity_bps=min(float(capacity), station.backhaul_capacity_bps),
             owner=station.owner,
-            tariff_per_gb=station.visitor_tariff_per_gb(),
-            queue_delay_s=station.queue_delay_s(),
+            tariff_per_gb=VISITOR_TARIFF_PER_GB,
+            queue_delay_s=GATEWAY_QUEUE_DELAY_S,
             kind="ground_link",
         )
 

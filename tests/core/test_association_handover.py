@@ -57,7 +57,7 @@ class TestAssociation:
                             min_elevation_deg=10.0)
         snap = network.snapshot(0.0)
         result = protocol.associate(
-            user, snap.graph, self._evaluator(medium_fleet), 0.0, b"pw"
+            user, snap, self._evaluator(medium_fleet), 0.0, b"pw"
         )
         assert result.succeeded
         assert result.satellite_id is not None
@@ -71,7 +71,7 @@ class TestAssociation:
                             min_elevation_deg=10.0)
         snap = network.snapshot(0.0)
         result = protocol.associate(
-            user, snap.graph, self._evaluator(medium_fleet), 0.0, b"wrong"
+            user, snap, self._evaluator(medium_fleet), 0.0, b"wrong"
         )
         assert not result.succeeded
         assert "rejected" in result.failure_reason
@@ -82,7 +82,7 @@ class TestAssociation:
         user = UserTerminal("alice", GeodeticPoint(-1.29, 36.82), "acme")
         empty = BeaconEvaluator()
         snap = network.snapshot(0.0)
-        result = protocol.associate(user, snap.graph, empty, 0.0, b"pw")
+        result = protocol.associate(user, snap, empty, 0.0, b"pw")
         assert not result.succeeded
         assert "no usable satellite" in result.failure_reason
 
@@ -92,7 +92,7 @@ class TestAssociation:
                             "ghost-isp", min_elevation_deg=10.0)
         snap = network.snapshot(0.0)
         result = protocol.associate(
-            user, snap.graph, self._evaluator(medium_fleet), 0.0, b"pw"
+            user, snap, self._evaluator(medium_fleet), 0.0, b"pw"
         )
         assert not result.succeeded
         assert "no" in result.failure_reason and "anchor" in result.failure_reason
@@ -104,7 +104,7 @@ class TestAssociation:
                             min_elevation_deg=10.0)
         snap = network.snapshot(0.0)
         result = protocol.associate(
-            user, snap.graph, self._evaluator(medium_fleet), 0.0, b"pw"
+            user, snap, self._evaluator(medium_fleet), 0.0, b"pw"
         )
         assert result.auth_round_trip_s >= 2.0 * 780.0 / 299792.458
 
@@ -143,7 +143,7 @@ class TestReliableAssociation:
         # must be byte-identical to the perfect-delivery baseline.
         _server, baseline_protocol = auth_setup
         baseline = baseline_protocol.associate(
-            self._user(), network.snapshot(0.0).graph,
+            self._user(), network.snapshot(0.0),
             self._evaluator(medium_fleet), 0.0, b"pw",
         )
         server = RadiusServer("acme", b"secret")
@@ -151,7 +151,7 @@ class TestReliableAssociation:
         reliable_protocol = self._reliable(
             server, perfect_channel(), ReliableExchange(NO_RETRY))
         reliable = reliable_protocol.associate(
-            self._user(), network.snapshot(0.0).graph,
+            self._user(), network.snapshot(0.0),
             self._evaluator(medium_fleet), 0.0, b"pw",
         )
         assert reliable.succeeded and baseline.succeeded
@@ -171,7 +171,7 @@ class TestReliableAssociation:
             auth_anchors={"acme": "gs-nairobi"},
         )
         result = protocol.associate(
-            self._user(), network.snapshot(0.0).graph,
+            self._user(), network.snapshot(0.0),
             self._evaluator(medium_fleet), 0.0, b"pw",
         )
         assert result.succeeded
@@ -186,7 +186,7 @@ class TestReliableAssociation:
                                          jitter_fraction=0.0)),
         )
         result = protocol.associate(
-            self._user(), network.snapshot(0.0).graph,
+            self._user(), network.snapshot(0.0),
             self._evaluator(medium_fleet), 0.0, b"pw",
         )
         assert result.succeeded
@@ -195,7 +195,7 @@ class TestReliableAssociation:
     def test_dead_primary_anchor_falls_back_to_alternate(
             self, network, medium_fleet):
         # A fault mask severing the primary anchor makes its exchange fail
-        # even though the (stale) graph still shows a path; the alternate
+        # even though the (stale) snapshot still shows a path; the alternate
         # anchor of the same provider serves the association instead.
         server = RadiusServer("acme", b"secret")
         server.enroll("alice", b"pw")
@@ -208,7 +208,7 @@ class TestReliableAssociation:
             fallbacks=("gs-capetown",),
         )
         result = protocol.associate(
-            self._user(), network.snapshot(0.0).graph,
+            self._user(), network.snapshot(0.0),
             self._evaluator(medium_fleet), 0.0, b"pw",
         )
         assert result.succeeded
@@ -228,7 +228,7 @@ class TestReliableAssociation:
                                          jitter_fraction=0.0)),
         )
         result = protocol.associate(
-            self._user(), network.snapshot(0.0).graph,
+            self._user(), network.snapshot(0.0),
             self._evaluator(medium_fleet), 0.0, b"pw",
         )
         assert not result.succeeded
@@ -246,10 +246,10 @@ class TestReliableAssociation:
             ReliableExchange(RetryPolicy(max_attempts=2, timeout_s=0.1,
                                          jitter_fraction=0.0), registry),
         )
-        graph = network.snapshot(0.0).graph
-        first = protocol.associate(self._user(), graph,
+        snap = network.snapshot(0.0)
+        first = protocol.associate(self._user(), snap,
                                    self._evaluator(medium_fleet), 0.0, b"pw")
-        second = protocol.associate(self._user(), graph,
+        second = protocol.associate(self._user(), snap,
                                     self._evaluator(medium_fleet), 0.0, b"pw")
         assert not first.succeeded and not second.succeeded
         assert second.auth_attempts < first.auth_attempts
@@ -267,7 +267,7 @@ class TestReliableAssociation:
                                          jitter_fraction=0.0)),
         )
         result = protocol.associate(
-            self._user(), network.snapshot(0.0).graph,
+            self._user(), network.snapshot(0.0),
             self._evaluator(medium_fleet), 0.0, b"pw",
         )
         assert result.succeeded

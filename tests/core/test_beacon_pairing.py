@@ -33,14 +33,7 @@ class TestBeacon:
         assert beacon.satellite_id == "sat-over"
         assert beacon.supports_optical
         assert "s_band" in beacon.isl_bands
-        assert beacon.free_isl_slots == overhead_spec.power.max_concurrent_isls
-
-    def test_free_slots_reflect_active_isls(self, overhead_spec):
-        overhead_spec.power._active_isls["x"] = 10.0
-        beacon = Beacon.from_spec(overhead_spec, 0.0)
-        assert beacon.free_isl_slots == (
-            overhead_spec.power.max_concurrent_isls - 1
-        )
+        assert beacon.free_isl_slots == overhead_spec.max_concurrent_isls
 
     def test_position_propagates_advertised_elements(self, overhead_spec):
         beacon = Beacon.from_spec(overhead_spec, 0.0)
@@ -71,14 +64,14 @@ class TestBeaconEvaluator:
         assert evaluator.best(user_eci, 0.0) is None
 
     def test_full_satellites_skipped(self, overhead_spec):
-        overhead_spec.power.max_concurrent_isls = 0  # no slot free
+        overhead_spec.max_concurrent_isls = 0  # no slot free
         evaluator = BeaconEvaluator(min_elevation_deg=0.0)
         evaluator.receive(Beacon.from_spec(overhead_spec, 0.0))
         user_eci = ecef_to_eci(GeodeticPoint(0.0, 0.0).ecef(), 0.0)
         assert evaluator.best(user_eci, 0.0) is None
 
     def test_require_free_slot_can_be_disabled(self, overhead_spec):
-        overhead_spec.power.max_concurrent_isls = 0  # no slot free
+        overhead_spec.max_concurrent_isls = 0  # no slot free
         evaluator = BeaconEvaluator(min_elevation_deg=0.0,
                                     require_free_slot=False)
         evaluator.receive(Beacon.from_spec(overhead_spec, 0.0))

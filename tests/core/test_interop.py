@@ -35,7 +35,7 @@ class TestSpacecraftSpec:
     def test_to_isl_node_carries_power_ceiling(self, elements):
         spec = medium_spacecraft("m1", "op", elements)
         node = spec.to_isl_node()
-        assert node.max_degree == spec.power.max_concurrent_isls
+        assert node.max_degree == spec.max_concurrent_isls
         assert node.owner == "op"
         assert node.allow_optical
 
@@ -43,6 +43,19 @@ class TestSpacecraftSpec:
         spec = medium_spacecraft("m1", "op", elements)
         node = spec.to_isl_node(allow_optical=False)
         assert not node.allow_optical
+
+    def test_isl_ceilings_grow_with_size_class(self, elements):
+        ceilings = [factory("x", "op", elements).max_concurrent_isls
+                    for factory in (small_spacecraft, medium_spacecraft,
+                                    large_spacecraft)]
+        assert ceilings == [2, 3, 5]
+
+    def test_negative_isl_ceiling_rejected(self, elements):
+        with pytest.raises(ValueError, match="concurrent ISLs"):
+            SpacecraftSpec(
+                satellite_id="bad", owner="op", size_class=SizeClass.SMALL,
+                elements=elements, max_concurrent_isls=-1,
+            )
 
 
 class TestProfile:
@@ -79,14 +92,11 @@ class TestProfile:
             profile.validate(relay_only)
 
     def test_min_degree_requirement(self, elements):
-        from repro.isl.power import PowerBudget
         profile = InteroperabilityProfile(min_isl_degree=2)
         weak = SpacecraftSpec(
             satellite_id="weak", owner="op", size_class=SizeClass.SMALL,
             elements=elements, isl_terminals=[standard_sband_isl_terminal()],
-            power=PowerBudget(battery_capacity_wh=10.0,
-                              solar_generation_w=10.0,
-                              max_concurrent_isls=1),
+            max_concurrent_isls=1,
         )
         with pytest.raises(InteropError, match="degree"):
             profile.validate(weak)

@@ -24,7 +24,6 @@ from repro.orbits.kepler import KeplerPropagator
 from repro.orbits.walker import iridium_like
 from repro.phy.modulation import achievable_rate_bps
 from repro.phy.rf import rf_link_budget
-from repro.routing.metrics import path_metrics
 from tests.core.oracle import satellite_positions
 from tests.orbits.oracle import elevation_angles
 from tests.routing import oracle
@@ -60,7 +59,8 @@ def _oracle_nearest(snap, source):
                if station in dist]
     if not reached:
         return None
-    return path_metrics(snap.graph, paths[min(reached, key=dist.get)])
+    return oracle.path_metrics(snap.graph,
+                               paths[min(reached, key=dist.get)])
 
 
 @pytest.fixture(scope="module")

@@ -139,6 +139,6 @@ class TestDigest:
         assert any(kind == "ground_link"
                    for _, _, kind in net.snapshot(300.0).graph.edges(
                        data="kind"))
-        for station in net.ground_stations:  # raises tariffs and queues
-            station.current_load_bps = 5e9
+        for station in net.ground_stations:  # caps ground-link capacity
+            station.backhaul_capacity_bps = 1e6
         assert base != net.snapshot(300.0).digest()

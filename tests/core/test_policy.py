@@ -3,9 +3,12 @@
 import networkx as nx
 import pytest
 
-from repro.core.policy import PolicyRegistry, Region, apply_policy_to_graph
+from repro.core.policy import PolicyRegistry, Region, policy_adjacency
 from repro.ground.station import default_station_network
 from repro.orbits.coordinates import GeodeticPoint
+from repro.routing.metrics import DELAY_ONLY, path_metrics
+from tests.routing import oracle
+from tests.routing.oracle import GraphSnapshot
 
 
 class TestRegion:
@@ -72,6 +75,8 @@ class TestPolicyRegistry:
 
 
 class TestApplyPolicyToGraph:
+    """The policy as a node mask on the snapshot's CSR compile."""
+
     def test_noncompliant_gateways_removed(self):
         g = nx.Graph()
         g.add_node("u", kind="user")
@@ -81,12 +86,12 @@ class TestApplyPolicyToGraph:
         g.add_edge("u", "s", delay_s=0.01)
         g.add_edge("s", "g-eu", delay_s=0.01)
         g.add_edge("s", "g-us", delay_s=0.005)
-        view = apply_policy_to_graph(g, "u", {"g-eu"})
-        assert "g-us" not in view
-        assert "g-eu" in view
-        # Any path found over the view is compliant by construction.
-        path = nx.shortest_path(view, "u", "g-eu")
-        assert path == ["u", "s", "g-eu"]
+        adjacency = policy_adjacency(GraphSnapshot(g), {"g-eu"}, DELAY_ONLY)
+        search = adjacency.single_source("u")
+        # The masked gateway keeps its index but no edge reaches it, so
+        # any path found is compliant by construction.
+        assert search.path("u", "g-us") is None
+        assert search.path("u", "g-eu") == ["u", "s", "g-eu"]
 
     def test_policy_may_cost_latency(self, network):
         """EU residency forces an EU gateway even when farther."""
@@ -101,15 +106,18 @@ class TestApplyPolicyToGraph:
         allowed = registry.compliant_gateways(
             user.location, network.ground_stations
         )
-        view = apply_policy_to_graph(snap.graph, user.user_id, allowed)
-        import networkx as nx_mod
-        from repro.routing.metrics import path_metrics
+        adjacency = policy_adjacency(snap, allowed, DELAY_ONLY)
         # At t = 0 Paris reaches Frankfurt over compliant hops; a lost
         # path is a policy regression, not a reason to skip.
-        assert nx_mod.has_path(view, user.user_id, "gs-frankfurt")
-        path = nx_mod.dijkstra_path(view, user.user_id, "gs-frankfurt",
-                                    weight="delay_s")
-        constrained = path_metrics(snap.graph, path)
+        path = adjacency.shortest_path(user.user_id, "gs-frankfurt")
+        assert path is not None
+        # The referee: networkx over the view without the other gateways.
+        view = nx.subgraph_view(
+            snap.graph, filter_node=lambda node: node in allowed
+            or snap.graph.nodes[node]["kind"] != "ground_station")
+        assert path == nx.dijkstra_path(view, user.user_id, "gs-frankfurt",
+                                        weight=oracle.delay_weight)
+        constrained = path_metrics(snap, path)
         assert constrained.path[-1] in allowed
         assert (constrained.total_delay_s
                 >= unconstrained.total_delay_s - 1e-9)

@@ -1,9 +1,14 @@
 """Tests for shared-spectrum coordination."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.spectrum import ChannelPlan, SpectrumCoordinator
+from repro.core.spectrum import (
+    ChannelPlan,
+    SpectrumCoordinator,
+    greedy_coloring,
+)
 from repro.orbits.walker import (
     iridium_like,
     merge_constellations,
@@ -31,8 +36,10 @@ class TestCoordinator:
     def test_conflict_graph_covers_all_satellites(self, dual_shell_positions):
         coordinator = SpectrumCoordinator(min_separation_deg=15.0,
                                           grid_resolution=16)
-        graph = coordinator.conflict_graph(dual_shell_positions)
-        assert set(graph.nodes) == set(dual_shell_positions)
+        ids, pairs = coordinator.conflict_pairs(dual_shell_positions)
+        assert ids == sorted(dual_shell_positions)
+        assert pairs == sorted(pairs)
+        assert all(0 <= i < j < len(ids) for i, j in pairs)
 
     def test_overlapping_shells_conflict(self, dual_shell_positions):
         coordinator = SpectrumCoordinator(min_separation_deg=15.0,
@@ -105,3 +112,31 @@ class TestChannelPlan:
             conflict_edges=(("x", "y"),),
         )
         assert not clashing.is_conflict_free()
+
+
+class TestGreedyColoring:
+    """The greedy is held to networkx's ``largest_first`` greedy."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_networkx_largest_first(self, seed):
+        graph = nx.gnp_random_graph(30, 0.15 + 0.05 * seed, seed=seed)
+        pairs = sorted(tuple(sorted(edge)) for edge in graph.edges)
+        assert greedy_coloring(30, pairs) == [
+            nx.coloring.greedy_color(graph, strategy="largest_first")[node]
+            for node in range(30)
+        ]
+
+    def test_plan_matches_networkx_on_the_dual_shell(
+            self, dual_shell_positions):
+        coordinator = SpectrumCoordinator(min_separation_deg=15.0,
+                                          grid_resolution=16)
+        plan = coordinator.plan(dual_shell_positions)
+        graph = nx.Graph()
+        graph.add_nodes_from(sorted(dual_shell_positions))
+        graph.add_edges_from(plan.conflict_edges)
+        assert plan.assignments == dict(sorted(nx.coloring.greedy_color(
+            graph, strategy="largest_first").items()))
+
+    def test_empty_and_edgeless(self):
+        assert greedy_coloring(0, []) == []
+        assert greedy_coloring(3, []) == [0, 0, 0]

@@ -1,4 +1,4 @@
-"""Tests for congestion wiring: routing costs, health, settlement."""
+"""Tests for congestion wiring: health and settlement."""
 
 import networkx as nx
 import pytest
@@ -10,11 +10,8 @@ from repro.demand.congestion import (
     settle_demand,
 )
 from repro.demand.fluid import run_fluid
-from repro.routing.adaptive import LoadAdaptiveRouter
-from repro.routing.qos import BEST_EFFORT, QosRouter
-from repro.simulation.traffic import FlowSpec
 from tests.demand.tables import edge_table
-from tests.routing import oracle
+from tests.routing.oracle import GraphSnapshot
 
 #: Node -> (kind, owner).
 NODES = {
@@ -34,13 +31,13 @@ ROWS = [
 
 
 def loaded_graph():
-    """The same network as a graph, for the routers and the health plane."""
+    """The same network as a snapshot, for the health plane."""
     g = nx.Graph()
     for node, (kind, owner) in NODES.items():
         g.add_node(node, kind=kind, owner=owner)
     for u, v, delay, capacity in ROWS:
         g.add_edge(u, v, delay_s=delay, capacity_bps=capacity)
-    return g
+    return GraphSnapshot(g)
 
 
 def congested_result():
@@ -55,8 +52,7 @@ class TestCongestionState:
         # The fluid plane picked the short route and filled its 40 Mbps
         # gateway link.
         assert state.utilization[("gw", "sat-short")] == pytest.approx(1.0)
-        assert state.background_load_bps()[("gw", "sat-short")] == \
-            pytest.approx(40e6)
+        assert state.utilization == result.utilization
 
     def test_keys_sorted_for_determinism(self):
         result = congested_result()
@@ -70,46 +66,6 @@ class TestCongestionState:
         assert stats["peak_utilization"] == pytest.approx(1.0)
         assert 0.0 < stats["mean_utilization"] <= 1.0
         assert 0.0 <= stats["hot_link_share"] <= 1.0
-
-
-class TestRoutingIntegration:
-    def test_adaptive_router_diverts_around_background_load(self):
-        graph = loaded_graph()
-        flow = FlowSpec("f1", "cell-00000", 0.0, 1e6)
-        clean = LoadAdaptiveRouter()(graph, flow, [])
-        assert clean[1] == "sat-short"
-
-        result = congested_result()
-        state = congestion_state(result)
-        loaded = LoadAdaptiveRouter(
-            background_load_bps=state.background_load_bps()
-        )(graph, flow, [])
-        assert loaded[1] == "sat-long"
-
-    def test_qos_router_prices_congestion(self):
-        graph = loaded_graph()
-        clean = QosRouter().route(graph, "cell-00000", "gw", BEST_EFFORT)
-        assert clean.metrics.path[1] == "sat-short"
-
-        result = congested_result()
-        state = congestion_state(result)
-        congested = QosRouter(link_utilization=state.utilization).route(
-            graph, "cell-00000", "gw", BEST_EFFORT)
-        assert congested.admitted
-        assert congested.metrics.path[1] == "sat-long"
-
-    def test_qos_backends_agree_under_utilization(self):
-        graph = loaded_graph()
-        result = congested_result()
-        util = congestion_state(result).utilization
-        router = QosRouter(link_utilization=util)
-        for requirement in (BEST_EFFORT,):
-            routed = router.route(graph, "cell-00000", "gw", requirement)
-            reference = oracle.path(
-                graph, "cell-00000", "gw",
-                weight=router._admissible_weight(requirement))
-            assert routed.metrics.path == reference == [
-                "cell-00000", "sat-long", "gw"]
 
 
 class TestHealthIntegration:

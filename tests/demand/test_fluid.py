@@ -15,11 +15,12 @@ from repro.demand.fluid import (
 )
 from repro.demand.grid import GridSpec, population_grid
 from repro.experiments.demand import FLEET_OWNER, PROVIDERS, plane_count_for
-from repro.experiments.scale import PROBE_COSTS
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
 from repro.parallel import derive_seed
-from repro.routing.csr import CsrAdjacency, delay_weight
+from repro.routing.csr import CsrAdjacency
+from repro.routing.metrics import DELAY_ONLY
+from tests.routing.oracle import delay_weight
 from tests.demand.tables import edge_table
 from tests.routing import oracle
 
@@ -174,7 +175,7 @@ def forward_routes(snap, cells):
 def routes_and_fallbacks(snap, cells):
     recorder = obs.Recorder()
     with obs.use(recorder):
-        paths = map_cells_to_routes(snap.csr_adjacency(PROBE_COSTS),
+        paths = map_cells_to_routes(snap.csr_adjacency(DELAY_ONLY),
                                     snap.nodes_of_kind("ground_station"),
                                     cells)
     return paths, recorder.metrics.counter(FALLBACK).value

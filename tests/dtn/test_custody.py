@@ -12,13 +12,15 @@ from repro.reliability.exchange import (
     RetryPolicy,
 )
 from tests.fixtures import perfect_channel
+from tests.routing.oracle import GraphSnapshot
 
 
 @pytest.fixture
 def hop_graph():
+    """One a-b hop as a snapshot."""
     g = nx.Graph()
     g.add_edge("a", "b", delay_s=0.01, capacity_bps=1e9)
-    return g
+    return GraphSnapshot(g)
 
 
 def _bundle():

@@ -54,6 +54,33 @@ class TestFigure2a:
         # ISL distances must stay within what S-band budgets close at.
         assert report.max_isl_distance_km < 6000.0
 
+    @pytest.mark.parametrize("time_s", [0.0, 1234.5])
+    def test_isl_statistics_equal_the_graph_view(self, time_s):
+        # The arrays give the ISL mean in the order the networkx view
+        # iterates its edges (by lower endpoint, then acceptance), so
+        # the pairwise-summed mean is bit-equal to the view's.
+        import networkx as nx
+        import numpy as np
+
+        from repro.isl.topology import IslNode, IslTopologyBuilder
+        from repro.orbits.walker import iridium_like
+        from repro.phy.rf import standard_sband_isl_terminal
+
+        constellation = iridium_like()
+        ids = [f"sat{i}" for i in range(len(constellation))]
+        builder = IslTopologyBuilder([
+            IslNode(sat_id, [standard_sband_isl_terminal()], max_degree=4)
+            for sat_id in ids
+        ])
+        snap = builder.snapshot(
+            time_s, dict(zip(ids, constellation.positions_at(time_s))))
+        distances = [data["link"].distance_km
+                     for _, _, data in snap.graph.edges(data=True)]
+        report = figure_2a_constellation(time_s)
+        assert report.mean_isl_distance_km == float(np.mean(distances))
+        assert report.max_isl_distance_km == float(np.max(distances))
+        assert report.connected == nx.is_connected(snap.graph)
+
 
 class TestFigure2b:
     @pytest.fixture(scope="class")

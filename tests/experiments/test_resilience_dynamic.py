@@ -103,7 +103,8 @@ class TestRunFaultScenario:
 
         def first_isl_on_a_route():
             for time_s in np.linspace(0.0, horizon_s, epochs, endpoint=False):
-                paths = network.gateway_probe_paths(float(time_s), users)
+                paths = network.gateway_probe_paths(
+                    network.snapshot(float(time_s)), users)
                 for path in filter(None, paths.values()):
                     for hop, nxt in zip(path, path[1:]):
                         if hop in satellites and nxt in satellites:
@@ -170,8 +171,8 @@ class TestEngineEquality:
     def _use_oracle(monkeypatch):
         from tests.core import oracle
 
-        def per_user_probes(network, time_s, users):
-            return {user.user_id: oracle.probe(network, time_s, user)
+        def per_user_probes(network, base, users):
+            return {user.user_id: oracle.probe(network, base.time_s, user)
                     for user in users}
 
         monkeypatch.setattr(OpenSpaceNetwork, "gateway_probe_paths",

@@ -9,7 +9,6 @@ from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
 from repro.experiments.scale import (
     FLEET_OWNER,
-    PROBE_COSTS,
     PROBE_STATIONS,
     _probe_latency_ms,
     _scale_point,
@@ -18,7 +17,9 @@ from repro.experiments.scale import (
 )
 from repro.ground.station import default_station_network
 from repro.orbits.walker import walker_delta
-from repro.routing.csr import CsrAdjacency, delay_weight
+from repro.routing.csr import CsrAdjacency
+from repro.routing.metrics import DELAY_ONLY
+from tests.routing.oracle import delay_weight
 
 SMALL = dict(satellite_counts=(48,), epochs=3)
 
@@ -79,7 +80,7 @@ class TestProbeOnSnapshotArrays:
             build_fleet(constellation, FLEET_OWNER, SizeClass.MEDIUM),
             default_station_network(), max_isl_range_km=3000.0)
         snap = network.snapshot(time_s)
-        arrays = snap.csr_adjacency(PROBE_COSTS)
+        arrays = snap.csr_adjacency(DELAY_ONLY)
         graph = CsrAdjacency.from_graph(snap.graph, weight=delay_weight)
         assert arrays.nodes == graph.nodes
         for name in ("indptr", "indices", "data"):

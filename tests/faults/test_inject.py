@@ -182,16 +182,16 @@ class TestChannelNotification:
 
         channel = LossyControlChannel(network=small_network)
         injector = FaultInjector(small_network, channel=channel)
-        graph = small_network.snapshot(0.0).graph
-        sat_id = next(spec.satellite_id for spec in small_network.satellites
-                      if graph.degree(spec.satellite_id) > 0)
+        snap = small_network.snapshot(0.0)
+        links = snap.isl_snapshot.links
+        sat_id = snap.nodes[int(links.node_a[0])]
+        neighbor = snap.nodes[int(links.node_b[0])]
         event = satellite_outage_event([sat_id], fault_id="mask")
-        neighbor = next(iter(graph[sat_id]))
-        before = channel.hop_model(graph, sat_id, neighbor)
+        before = channel.hop_model(snap, sat_id, neighbor)
         assert before.loss_probability < 1.0
         injector.apply(event)
-        # Even over the stale pre-fault graph, the live masks sever it.
-        after = channel.hop_model(graph, sat_id, neighbor)
+        # Even over the stale pre-fault snapshot, the live masks sever it.
+        after = channel.hop_model(snap, sat_id, neighbor)
         assert after.loss_probability == 1.0
 
 

@@ -1,40 +1,11 @@
-"""Tests for the ground segment: stations, users, gateway pricing."""
+"""Tests for the ground segment: stations and users."""
 
 import numpy as np
 import pytest
 
-from repro.ground.gsaas import GatewayPricing
 from repro.ground.station import GroundStation, default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
-
-
-class TestGatewayPricing:
-    def test_owner_traffic_at_base_rate(self):
-        pricing = GatewayPricing(base_rate_per_gb=0.02, visitor_rate_per_gb=0.05)
-        assert pricing.effective_rate_per_gb(0.9, visitor=False) == 0.02
-
-    def test_visitor_surcharge_under_congestion(self):
-        pricing = GatewayPricing(visitor_rate_per_gb=0.05,
-                                 congestion_multiplier=3.0,
-                                 congestion_threshold=0.7)
-        calm = pricing.effective_rate_per_gb(0.5, visitor=True)
-        full = pricing.effective_rate_per_gb(1.0, visitor=True)
-        assert calm == 0.05
-        assert full == pytest.approx(0.15)
-
-    def test_surcharge_ramps_linearly(self):
-        pricing = GatewayPricing(visitor_rate_per_gb=0.05,
-                                 congestion_multiplier=3.0,
-                                 congestion_threshold=0.5)
-        mid = pricing.effective_rate_per_gb(0.75, visitor=True)
-        assert mid == pytest.approx(0.05 * 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GatewayPricing(base_rate_per_gb=-0.1)
-        with pytest.raises(ValueError):
-            GatewayPricing(congestion_threshold=1.5)
 
 
 class TestGroundStation:
@@ -52,30 +23,6 @@ class TestGroundStation:
         p1 = station.position_eci(3600.0)
         assert not np.allclose(p0, p1)
         assert np.linalg.norm(p0) == pytest.approx(np.linalg.norm(p1))
-
-    def test_load_accounting(self):
-        station = self._station(backhaul_capacity_bps=1e9,
-                                current_load_bps=0.6e9)
-        assert station.utilization == pytest.approx(0.6)
-        station.current_load_bps = 1.5e9  # overload clamps at full
-        assert station.utilization == 1.0
-
-    def test_queue_delay_grows_with_load(self):
-        station = self._station(backhaul_capacity_bps=1e9)
-        idle = station.queue_delay_s()
-        station.current_load_bps = 0.95e9
-        assert station.queue_delay_s() > idle
-
-    def test_queue_delay_bounded(self):
-        station = self._station(backhaul_capacity_bps=1e9)
-        station.current_load_bps = 1e9
-        assert station.queue_delay_s() <= 1.0
-
-    def test_visitor_tariff_reflects_congestion(self):
-        station = self._station(backhaul_capacity_bps=1e9)
-        calm = station.visitor_tariff_per_gb()
-        station.current_load_bps = 0.99e9
-        assert station.visitor_tariff_per_gb() > calm
 
     def test_rejects_bad_backhaul(self):
         with pytest.raises(ValueError):

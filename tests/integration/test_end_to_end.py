@@ -89,7 +89,7 @@ class TestFederatedLifecycle:
         for spec in live_network.satellites:
             evaluator.receive(Beacon.from_spec(spec, 0.0))
         snap = live_network.snapshot(0.0)
-        result = protocol.associate(user, snap.graph, evaluator, 0.0, b"pw")
+        result = protocol.associate(user, snap, evaluator, 0.0, b"pw")
         assert result.succeeded
         # The certificate roams: every operator can verify it.
         cert = server.authority.issue("wanjiru", now_s=0.0)
@@ -115,9 +115,9 @@ class TestFederatedLifecycle:
         snap = live_network.snapshot(0.0)
         sats = snap.nodes_of_kind("satellite")
         router = QosRouter()
-        best_effort = router.route(snap.graph, sats[0], sats[40],
+        best_effort = router.route(snap, sats[0], sats[40],
                                    QosRequirement())
-        premium = router.route(snap.graph, sats[0], sats[40],
+        premium = router.route(snap, sats[0], sats[40],
                                QosRequirement(min_bandwidth_bps=50e6))
         assert best_effort.admitted
         # The MEDIUM fleet is all-laser, so premium should also admit and

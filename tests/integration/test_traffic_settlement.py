@@ -15,7 +15,7 @@ from repro.economics.ledger import TrafficLedger
 from repro.economics.settlement import RateCard, SettlementEngine
 from repro.routing.adaptive import LoadAdaptiveRouter
 from repro.routing.metrics import path_metrics
-from repro.simulation.flowsim import FlowSimulator
+from repro.simulation.flowsim import FlowSimulator, link_capacities
 from repro.simulation.scenario import Scenario
 from repro.simulation.traffic import PoissonFlowGenerator
 
@@ -37,7 +37,8 @@ def workload_outcome():
         population, arrival_rate_per_s=1.0, rng=rng, mean_flow_mb=5.0,
     )
     flows = generator.generate(30.0)
-    result = FlowSimulator(snap.graph, LoadAdaptiveRouter()).run(flows)
+    result = FlowSimulator(link_capacities(snap),
+                           LoadAdaptiveRouter(snap)).run(flows)
     return snap, result
 
 
@@ -50,18 +51,16 @@ class TestFlowToLedgerPipeline:
     def test_paths_yield_operator_sequences(self, workload_outcome):
         snap, result = workload_outcome
         for record in result.completed:
-            metrics = path_metrics(snap.graph, list(record.path))
+            metrics = path_metrics(snap, list(record.path))
             assert metrics.operators, "route must traverse owned assets"
 
     def test_ledger_settlement_composes(self, workload_outcome):
         snap, result = workload_outcome
         ledger = TrafficLedger()
-        user_home = {}
-        for node, data in snap.graph.nodes(data=True):
-            if data.get("kind") == "user":
-                user_home[node] = data["owner"]
+        user_home = {node: snap.owners[snap.index[node]]
+                     for node in snap.nodes_of_kind("user")}
         for index, record in enumerate(result.completed):
-            metrics = path_metrics(snap.graph, list(record.path))
+            metrics = path_metrics(snap, list(record.path))
             source = user_home[record.spec.user_id]
             ledger.file_path_transfer(
                 f"t{index}", source, metrics.operators,
@@ -84,13 +83,10 @@ class TestFlowToLedgerPipeline:
     def test_roaming_produces_cross_operator_billing(self, workload_outcome):
         snap, result = workload_outcome
         ledger = TrafficLedger()
-        user_home = {
-            node: data["owner"]
-            for node, data in snap.graph.nodes(data=True)
-            if data.get("kind") == "user"
-        }
+        user_home = {node: snap.owners[snap.index[node]]
+                     for node in snap.nodes_of_kind("user")}
         for index, record in enumerate(result.completed):
-            metrics = path_metrics(snap.graph, list(record.path))
+            metrics = path_metrics(snap, list(record.path))
             ledger.file_path_transfer(
                 f"t{index}", user_home[record.spec.user_id],
                 metrics.operators, record.spec.size_bytes / 1e9, record.finish_s,

@@ -44,8 +44,8 @@ class TestSnapshotDelta:
         builder = IslTopologyBuilder(nodes, max_range_km=3000.0)
         snap, delta = builder.snapshot_delta(0.0, positions_at(0.0))
         assert delta.full_rebuild
-        assert delta.disappeared == ()
-        assert delta.persisted == ()
+        assert delta._named(delta.disappeared_pairs) == ()
+        assert delta._named(delta.persisted_pairs) == ()
         assert set(delta.appeared) == edge_set(snap)
 
     def test_delta_reconciles_edge_sets(self):
@@ -56,8 +56,8 @@ class TestSnapshotDelta:
                                              previous=prev)
         assert not delta.full_rebuild
         appeared = set(delta.appeared)
-        disappeared = set(delta.disappeared)
-        persisted = set(delta.persisted)
+        disappeared = set(delta._named(delta.disappeared_pairs))
+        persisted = set(delta._named(delta.persisted_pairs))
         assert appeared.isdisjoint(disappeared)
         assert appeared.isdisjoint(persisted)
         assert disappeared.isdisjoint(persisted)
@@ -90,8 +90,9 @@ class TestSnapshotDelta:
         assert delta.changed_count == 3
         assert delta.churn_fraction == pytest.approx(0.75)
         assert delta.appeared == (("a", "b"),)
-        assert delta.disappeared == (("c", "d"), ("e", "f"))
-        assert delta.persisted == (("g", "h"),)
+        assert delta._named(delta.disappeared_pairs) == (("c", "d"),
+                                                         ("e", "f"))
+        assert delta._named(delta.persisted_pairs) == (("g", "h"),)
         empty = TopologyDelta(ids, appeared=[], disappeared=[], persisted=[])
         assert empty.churn_fraction == 0.0
         assert empty.appeared == ()

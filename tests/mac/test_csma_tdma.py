@@ -62,11 +62,6 @@ class TestCsmaBehaviour:
         many = run_csma(24, 0.4, duration=200.0)
         assert many.mean_delay_s > few.mean_delay_s
 
-    def test_goodput_below_utilization(self):
-        result = run_csma(10, 1.0, duration=200.0)
-        utilization = result.busy_time_s / result.duration_s
-        assert result.goodput_efficiency <= utilization + 1e-9
-
     def test_reproducible_with_seed(self):
         a = run_csma(6, 0.5, seed=9)
         b = run_csma(6, 0.5, seed=9)
@@ -103,12 +98,6 @@ class TestTdmaBehaviour:
         lean = run_tdma(4, 10.0, guard_time_s=0.0)
         padded = run_tdma(4, 10.0, guard_time_s=0.05)
         assert padded.frames_delivered < lean.frames_delivered
-
-    def test_fairness_near_one(self):
-        result = run_tdma(6, 0.5, duration=600.0)
-        counts = list(result.per_station_delivered.values())
-        jain = sum(counts) ** 2 / (len(counts) * sum(c * c for c in counts))
-        assert jain > 0.9
 
     def test_validation(self):
         with pytest.raises(ValueError):

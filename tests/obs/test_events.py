@@ -158,7 +158,7 @@ class TestRecorderIntegration:
 
     def test_null_recorder_event_is_silent(self):
         obs.event("handover", 5.0, subject="sat:1")  # must not raise
-        obs.sample_health(0.0, None)  # graph never touched when disabled
+        obs.sample_health(0.0, None)  # snapshot never read when disabled
         assert obs.active() is obs.NULL_RECORDER
         assert not hasattr(obs.NULL_RECORDER, "events")
 

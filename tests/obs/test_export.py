@@ -23,6 +23,7 @@ from repro.obs.export import (
     write_prometheus_text,
     write_trace_jsonl,
 )
+from tests.routing.oracle import GraphSnapshot
 
 
 @pytest.fixture
@@ -48,8 +49,9 @@ class TestManifest:
         assert manifest["command"] == "figure2b"
         assert manifest["seed"] == 42
         assert len(manifest["config_hash"]) == 16
-        for package in ("python", "repro", "numpy", "networkx"):
+        for package in ("python", "repro", "numpy", "scipy"):
             assert manifest["versions"][package]
+        assert "networkx" not in manifest["versions"]
 
     def test_config_hash_is_order_insensitive(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
@@ -229,7 +231,7 @@ def event_recorder():
     graph.add_edge("G1", "S1")
     instance = obs.Recorder()
     with obs.use(instance):
-        obs.sample_health(0.0, graph, reset=True)
+        obs.sample_health(0.0, GraphSnapshot(graph), reset=True)
         obs.event("handover", 30.0, subject="sat:2", user="u-1")
         obs.event("handover", 60.0, subject="sat:2", user="u-1")
         obs.event("session.drop", 90.0, subject="u-2", reason="no-route")

@@ -5,15 +5,17 @@ import networkx as nx
 from repro import obs
 from repro.obs.export import summarize_records
 from repro.obs.health import HealthPlane, link_key
+from tests.routing.oracle import GraphSnapshot
 
 
 def _graph(*edges, satellites=()):
+    """A hand-drawn snapshot: the listed satellites, then the edges."""
     graph = nx.Graph()
     for node in satellites:
         graph.add_node(node, kind="satellite")
     for u, v in edges:
         graph.add_edge(u, v)
-    return graph
+    return GraphSnapshot(graph)
 
 
 class TestLinkKey:
@@ -53,6 +55,34 @@ class TestSampling:
         # Two satellite rows; S1 has one satellite neighbor (G1 excluded).
         assert list(plane._node_isls) == [1, 1]
         assert plane._node_ids == ["S1", "S2"]
+
+    def test_network_snapshot_samples_as_its_graph_view(self):
+        from repro.core.interop import SizeClass, build_fleet
+        from repro.core.network import OpenSpaceNetwork
+        from repro.ground.station import default_station_network
+        from repro.orbits.walker import walker_delta
+
+        network = OpenSpaceNetwork(
+            build_fleet(walker_delta(40, 5), "op", SizeClass.MEDIUM),
+            default_station_network())
+        network.set_fault_state(
+            failed_satellites=[network.satellites[7].satellite_id])
+        snap = network.snapshot(300.0)
+        plane = HealthPlane()
+        plane.sample(300.0, snap)
+        graph = snap.graph
+        satellites = sorted(node for node, kind in graph.nodes(data="kind")
+                            if kind == "satellite")
+        assert plane.links_up[0] == graph.number_of_edges()
+        assert plane.nodes_up[0] == graph.number_of_nodes()
+        assert sorted(plane._link_ids) == sorted(
+            link_key(u, v) for u, v in graph.edges())
+        assert plane._node_ids == satellites
+        assert list(plane._node_isls) == [
+            sum(graph.nodes[other]["kind"] == "satellite"
+                for other in graph.neighbors(node))
+            for node in satellites
+        ]
 
     def test_utilization_samples_interned(self):
         plane = HealthPlane()

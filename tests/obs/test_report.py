@@ -11,13 +11,14 @@ from repro.obs.report import (
     report_file,
     write_report,
 )
+from tests.routing.oracle import GraphSnapshot
 
 
 def _graph(*edges):
     graph = nx.Graph()
     for u, v in edges:
         graph.add_edge(u, v)
-    return graph
+    return GraphSnapshot(graph)
 
 
 @pytest.fixture

@@ -52,15 +52,6 @@ class TestTracer:
         row = tracer.rows()[0]
         assert row["attrs"] == {"satellites": 66, "seed": 42}
 
-    def test_by_name_aggregates(self):
-        tracer = Tracer()
-        for _ in range(3):
-            with tracer.span("repeat"):
-                pass
-        aggregated = tracer.by_name()
-        assert aggregated["repeat"]["count"] == 3
-        assert aggregated["repeat"]["total_s"] >= 0.0
-
 
 class TestPhaseProfiler:
     def test_accumulates_calls(self):

@@ -39,12 +39,6 @@ class TestBands:
         with pytest.raises(KeyError, match="known bands"):
             get_band("x_band")
 
-    def test_wavelength(self):
-        band = get_band("s_band")
-        assert band.wavelength_m == pytest.approx(
-            299792458.0 / band.centre_frequency_hz
-        )
-
 
 class TestAntennas:
     def test_gain_grows_with_diameter(self):

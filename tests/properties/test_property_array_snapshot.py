@@ -94,7 +94,7 @@ def networks(draw):
             isl_terminals=list(draw(st.sampled_from(ISL_PROFILES))),
             ground_terminal=draw(st.sampled_from(
                 [spec.ground_terminal, spec.ground_terminal, WEAK_KU, None])),
-            power=dataclasses.replace(spec.power, max_concurrent_isls=cap),
+            max_concurrent_isls=cap,
         )
         fleet.append(spec)
     stations = []
@@ -105,9 +105,6 @@ def networks(draw):
             backhaul_capacity_bps=backhaul,
             rain_rate_mm_h=draw(st.sampled_from([0.0, 0.0, 5.0, 60.0])),
             min_elevation_deg=draw(st.sampled_from([0.0, 10.0, 25.0])),
-            # Up to saturation: queue delays from 2 ms to the 1 s cap.
-            current_load_bps=draw(st.floats(min_value=0.0,
-                                            max_value=1.0)) * backhaul,
         ))
     network = OpenSpaceNetwork(
         fleet, stations, max_isl_range_km=RANGE_KM,
@@ -215,7 +212,8 @@ class TestArraySnapshotMatchesOracle:
         snap = network.snapshot(time_s, users=users)
         reference = oracle.user_snapshot(network, time_s, users)
         _assert_matches_oracle(snap, reference)
-        assert network.gateway_probe_paths(time_s, users) == {
+        assert network.gateway_probe_paths(
+            network.snapshot(time_s), users) == {
             user.user_id: oracle.probe(network, time_s, user)
             for user in users
         }
@@ -232,8 +230,8 @@ class TestArraySnapshotMatchesOracle:
                 break
             walk.append(data.draw(st.sampled_from(neighbours)))
         if len(walk) > 1:
-            assert path_metrics(snap.graph, walk) == \
-                path_metrics(reference.graph, walk)
+            assert path_metrics(snap, walk) == \
+                routing_oracle.path_metrics(reference.graph, walk)
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data(), network=networks(),
@@ -301,7 +299,7 @@ class TestNearestGatewayRule:
         # the multi-user oracle.
         if data.draw(st.booleans()):
             network.set_fault_state(*data.draw(fault_states(network)))
-        probes = network.gateway_probe_paths(time_s, users)
+        probes = network.gateway_probe_paths(network.snapshot(time_s), users)
         snap = network.snapshot(time_s, users=users)
         reference = oracle.user_snapshot(network, time_s, users)
         for user in users:
@@ -321,7 +319,7 @@ class TestNearestGatewayRule:
         # -> u1 -> sat-array-op-33 -> gs-ireland, but u0 alone reaches no
         # gateway: the probe follows the single-user snapshot.
         network, users = _two_users()
-        probes = network.gateway_probe_paths(270.0, users)
+        probes = network.gateway_probe_paths(network.snapshot(270.0), users)
         alone = network.snapshot(270.0, users=users[:1])
         both = network.snapshot(270.0, users=users)
         assert probes["u0"] is None
@@ -367,7 +365,7 @@ class OracleDeltas:
         previous = self._previous
         base_time_s = None if previous is None else previous[0]
         if previous is None or not self._same_epoch:
-            self.last = (time_s, base_time_s, None, [], [], True)
+            self.last = (time_s, base_time_s, None, True)
             self.stats["full_builds"] += 1
         else:
             _, old_isl, old_ground = previous
@@ -376,8 +374,7 @@ class OracleDeltas:
             ground_gone = old_ground - ground
             self.last = (time_s, base_time_s,
                          (sorted(appeared), sorted(gone),
-                          sorted(isl & old_isl)),
-                         sorted(ground_appeared), sorted(ground_gone), False)
+                          sorted(isl & old_isl)), False)
             self.stats["delta_builds"] += 1
             self.stats["edges_appeared"] += len(appeared) + len(ground_appeared)
             self.stats["edges_disappeared"] += len(gone) + len(ground_gone)
@@ -398,7 +395,7 @@ def _ground_pairs(snap):
 
 
 def _assert_delta_equal(delta, expected):
-    time_s, base_time_s, isl, appeared, gone, full = expected
+    time_s, base_time_s, isl, full = expected
     assert delta.time_s == time_s
     assert delta.base_time_s == base_time_s
     assert delta.full_rebuild == full
@@ -407,10 +404,8 @@ def _assert_delta_equal(delta, expected):
     else:
         assert not delta.isl.full_rebuild
         assert list(delta.isl.appeared) == isl[0]
-        assert list(delta.isl.disappeared) == isl[1]
-        assert list(delta.isl.persisted) == isl[2]
-    assert list(delta.ground_appeared) == appeared
-    assert list(delta.ground_disappeared) == gone
+        assert list(delta.isl._named(delta.isl.disappeared_pairs)) == isl[1]
+        assert list(delta.isl._named(delta.isl.persisted_pairs)) == isl[2]
 
 
 class TestNoGraphOnTheRoutingPath:
@@ -432,7 +427,7 @@ class TestNoGraphOnTheRoutingPath:
             snap.csr_adjacency().single_source(source)
             snap.csr_adjacency(LOADED).single_source(source)
             network.snapshot(time_s, users=users).csr_adjacency()
-            network.gateway_probe_paths(time_s, users)
+            network.gateway_probe_paths(network.snapshot(time_s), users)
         # Each of the three requests an instant is one build: full at
         # t = 0 and after the fault change, a delta otherwise.
         assert network.delta_stats["full_builds"] == 2

@@ -1,6 +1,5 @@
 """Property-based tests for flow simulation and time-expanded routing."""
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,14 +148,10 @@ class TestFlowSimulatorProperties:
     @settings(max_examples=30, deadline=None)
     def test_conservation_all_admitted_flows_complete(self, sizes, starts):
         count = min(len(sizes), len(starts))
-        graph = nx.Graph()
-        graph.add_node("u", kind="user")
-        graph.add_node("g", kind="ground_station")
-        graph.add_edge("u", "g", delay_s=0.01, capacity_bps=10e6)
         flows = [
             FlowSpec(f"f{i}", "u", starts[i], sizes[i]) for i in range(count)
         ]
-        sim = FlowSimulator(graph, lambda g, f, a: ["u", "g"])
+        sim = FlowSimulator({("u", "g"): 10e6}, lambda f, a: ["u", "g"])
         result = sim.run(flows)
         assert len(result.completed) == count
         # Every flow finishes no earlier than its serial transfer time.
@@ -168,12 +163,9 @@ class TestFlowSimulatorProperties:
                           min_size=2, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_makespan_at_least_total_work(self, sizes):
-        graph = nx.Graph()
-        graph.add_edge("u", "g", capacity_bps=8e6, delay_s=0.0)
-        graph.add_node("u", kind="user")
-        graph.add_node("g", kind="ground_station")
         flows = [FlowSpec(f"f{i}", "u", 0.0, s) for i, s in enumerate(sizes)]
-        result = FlowSimulator(graph, lambda g, f, a: ["u", "g"]).run(flows)
+        result = FlowSimulator({("u", "g"): 8e6},
+                               lambda f, a: ["u", "g"]).run(flows)
         makespan = max(r.finish_s for r in result.completed)
         total_work_s = sum(sizes) * 8.0 / 8e6
         assert makespan == pytest.approx(total_work_s, rel=1e-6)

@@ -15,9 +15,10 @@ import networkx as nx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.routing.csr import CsrAdjacency, delay_weight
+from repro.routing.csr import CsrAdjacency
 from repro.routing.metrics import EdgeCostModel
 from tests.routing import oracle
+from tests.routing.oracle import delay_weight
 
 #: Delays mix exact ties (and zeros) with arbitrary floats.
 _DELAYS = st.one_of(

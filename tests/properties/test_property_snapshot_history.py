@@ -86,27 +86,15 @@ def _assert_same_snapshot(snap, reference):
     assert np.array_equal(walked.data, fresh.data)
 
 
-def _ground_pairs(snap):
-    """``(satellite, station)`` for every ground link."""
-    graph = snap.graph
-    return {
-        (u, v) if graph.nodes[u]["kind"] == "satellite" else (v, u)
-        for u, v, data in graph.edges(data=True)
-        if data.get("kind") == "ground_link"
-    }
-
-
 def _assert_delta_matches(delta, faults):
     before = _fresh_snapshot(delta.base_time_s, faults)
     after = _fresh_snapshot(delta.time_s, faults)
     old_edges = _isl_edges(before)
     new_edges = _isl_edges(after)
     assert set(delta.isl.appeared) == new_edges - old_edges
-    assert set(delta.isl.disappeared) == old_edges - new_edges
-    assert set(delta.isl.persisted) == new_edges & old_edges
-    old_ground, new_ground = _ground_pairs(before), _ground_pairs(after)
-    assert set(delta.ground_appeared) == new_ground - old_ground
-    assert set(delta.ground_disappeared) == old_ground - new_ground
+    isl = delta.isl
+    assert set(isl._named(isl.disappeared_pairs)) == old_edges - new_edges
+    assert set(isl._named(isl.persisted_pairs)) == new_edges & old_edges
 
 
 class TestSnapshotHistory:

@@ -11,15 +11,17 @@ from repro.reliability.channel import (
     LossyControlChannel,
 )
 from tests.fixtures import perfect_channel
+from tests.routing.oracle import GraphSnapshot
 
 
 def little_graph(capacity_bps=1e9, delay_s=0.01, queue_delay_s=0.0):
+    """The path a-b-c as a snapshot, both hops alike."""
     graph = nx.Graph()
     graph.add_edge("a", "b", capacity_bps=capacity_bps, delay_s=delay_s,
                    queue_delay_s=queue_delay_s)
     graph.add_edge("b", "c", capacity_bps=capacity_bps, delay_s=delay_s,
                    queue_delay_s=queue_delay_s)
-    return graph
+    return GraphSnapshot(graph)
 
 
 class FakeFaultyNetwork:

@@ -6,6 +6,11 @@ module holds the independent references it is checked against:
 
 * networkx's pure-Python Dijkstra (distances and paths) under the same
   edge-weight rules as :meth:`CsrAdjacency.from_graph`;
+* the graph form of :func:`~repro.routing.metrics.path_metrics`, which
+  prices a path from each hop's attribute dict, and the raw ``delay_s``
+  weight :data:`~repro.routing.metrics.DELAY_ONLY` compiles to;
+* :class:`GraphSnapshot`, a hand-built graph in the array form every
+  router reads of a :class:`~repro.core.network.NetworkSnapshot`;
 * the per-epoch Figure 2(b) relay measurement, built as a networkx graph
   one epoch at a time from dense pairwise range and line-of-sight
   matrices;
@@ -16,14 +21,120 @@ They are slow and obviously right, which is all a referee needs to be.
 """
 
 import math
+from typing import Dict, List, Optional
 
 import networkx as nx
 import numpy as np
 
+from repro.core.network import SnapshotEdges
 from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
 from repro.orbits.visibility import GRAZING_ALTITUDE_KM
-from repro.routing.metrics import PROPAGATION_ONLY, EdgeCostModel
+from repro.routing.csr import CsrAdjacency
+from repro.routing.metrics import PROPAGATION_ONLY, EdgeCostModel, RouteMetrics
 from tests.orbits.oracle import elevation_angles, line_of_sight_mask
+
+
+def delay_weight(_u, _v, data) -> float:
+    """Raw ``delay_s`` edge weight (networkx's ``weight="delay_s"``)."""
+    return float(data.get("delay_s", 1.0))
+
+
+def path_metrics(graph, path) -> RouteMetrics:
+    """:class:`RouteMetrics` of a node path over a graph's edge dicts.
+
+    Raises:
+        ValueError: When the path is shorter than one edge or uses an edge
+            absent from the graph.
+    """
+    if len(path) < 2:
+        raise ValueError(f"path needs at least two nodes, got {list(path)}")
+    propagation = 0.0
+    queueing = 0.0
+    tariff = 0.0
+    bottleneck = float("inf")
+    operators: List[str] = []
+    for u, v in zip(path[:-1], path[1:]):
+        data = graph.get_edge_data(u, v)
+        if data is None:
+            raise ValueError(f"edge {u!r}-{v!r} not present in graph")
+        propagation += float(data.get("delay_s", 0.0))
+        queueing += float(data.get("queue_delay_s", 0.0))
+        tariff += float(data.get("tariff_per_gb", 0.0))
+        bottleneck = min(bottleneck,
+                         float(data.get("capacity_bps", float("inf"))))
+        owner = data.get("owner")
+        if owner is not None and (not operators or operators[-1] != owner):
+            operators.append(owner)
+    return RouteMetrics(
+        path=list(path),
+        propagation_delay_s=propagation,
+        queue_delay_s=queueing,
+        bottleneck_capacity_bps=bottleneck,
+        total_tariff_per_gb=tariff,
+        hop_count=len(path) - 1,
+        operators=operators,
+    )
+
+
+#: Node kinds in :class:`~repro.core.network.NetworkSnapshot` order;
+#: nodes of any other kind (or none) come last.
+_KIND_ORDER = ("satellite", "ground_station", "user")
+
+
+class GraphSnapshot:
+    """A hand-built undirected graph as the arrays a router reads.
+
+    The stand-in for a :class:`~repro.core.network.NetworkSnapshot` in
+    tests whose topology is drawn by hand: nodes in snapshot order
+    (satellites, stations, users, then any other node, each kind in
+    graph order), one :class:`~repro.core.network.SnapshotEdges` row per
+    edge in graph order with the snapshot's defaults (0.0 for a missing
+    delay, tariff or queue delay, ``inf`` for a missing capacity), and
+    each edge's ``owner`` attribute as its owner.
+    """
+
+    def __init__(self, graph, time_s: float = 0.0):
+        #: The graph this stands for, for the referees.
+        self.graph = graph
+        self.time_s = time_s
+        kinds = dict(graph.nodes(data="kind"))
+        self.nodes = sorted(graph.nodes, key=lambda node: (
+            _KIND_ORDER.index(kinds[node]) if kinds[node] in _KIND_ORDER
+            else len(_KIND_ORDER)))
+        self._kinds = kinds
+        self.owners = [graph.nodes[node].get("owner") for node in self.nodes]
+        self.index: Dict = {node: i for i, node in enumerate(self.nodes)}
+        rows = list(graph.edges(data=True))
+        self.edges = SnapshotEdges(
+            np.array([self.index[u] for u, _, _ in rows], dtype=np.int32),
+            np.array([self.index[v] for _, v, _ in rows], dtype=np.int32),
+            np.array([float(d.get("delay_s", 0.0)) for _, _, d in rows]),
+            np.array([float(d.get("capacity_bps", math.inf))
+                      for _, _, d in rows]),
+            np.array([float(d.get("tariff_per_gb", 0.0)) for _, _, d in rows]),
+            np.array([float(d.get("queue_delay_s", 0.0)) for _, _, d in rows]),
+        )
+        self._edge_owners = [d.get("owner") for _, _, d in rows]
+        self._rows = {frozenset((u, v)): row
+                      for row, (u, v, _) in enumerate(rows)}
+        self._csr: Dict[EdgeCostModel, CsrAdjacency] = {}
+
+    def nodes_of_kind(self, kind: str) -> List:
+        return [node for node in self.nodes if self._kinds[node] == kind]
+
+    def edge_row(self, node_a, node_b) -> Optional[int]:
+        return self._rows.get(frozenset((node_a, node_b)))
+
+    def edge_owner(self, row: int):
+        return self._edge_owners[row]
+
+    def csr_adjacency(self, cost_model=None) -> CsrAdjacency:
+        model = cost_model or PROPAGATION_ONLY
+        if model not in self._csr:
+            edges = self.edges
+            self._csr[model] = CsrAdjacency.from_edges(
+                self.nodes, edges.u, edges.v, edges.costs(model))
+        return self._csr[model]
 
 
 def oracle_weight(weight=None):
@@ -182,3 +293,28 @@ def relay_latency_s(positions, user_eci, gateway_eci,
                                        weight="delay_s")
     except nx.NetworkXNoPath:
         return None
+
+
+def time_expanded_graph(router) -> nx.DiGraph:
+    """A :class:`~repro.routing.timeexpanded.TimeExpandedRouter`'s plan as
+    the networkx graph it stands for, built from each snapshot's
+    ``.graph``: node ``(entity, k)`` per entity (first-seen order) and
+    epoch, a contact edge each way per link, and a storage edge from
+    each epoch to the next."""
+    graph = nx.DiGraph()
+    snapshots = router.snapshots
+    entities = list(dict.fromkeys(
+        node for snap in snapshots for node in snap.graph.nodes))
+    for k, snap in enumerate(snapshots):
+        for entity in entities:
+            graph.add_node((entity, k))
+        for u, v, data in snap.graph.edges(data=True):
+            delay = float(data.get("delay_s", 0.0))
+            graph.add_edge((u, k), (v, k), delay_s=delay, kind="contact")
+            graph.add_edge((v, k), (u, k), delay_s=delay, kind="contact")
+        if k + 1 < len(snapshots):
+            wait = router.epoch_times[k + 1] - router.epoch_times[k]
+            for entity in entities:
+                graph.add_edge((entity, k), (entity, k + 1), delay_s=wait,
+                               kind="storage")
+    return graph

@@ -9,12 +9,13 @@ from repro.routing.adaptive import (
     gateway_load_profile,
 )
 from repro.routing.timeexpanded import TimeExpandedRouter
-from repro.simulation.flowsim import FlowSimulator
+from repro.simulation.flowsim import FlowSimulator, link_capacities
 from repro.simulation.traffic import FlowSpec
+from tests.routing.oracle import GraphSnapshot
 
 
 @pytest.fixture
-def two_gateway_graph():
+def two_gateway_snap():
     """Near-thin gateway g1 vs far-fat gateway g2."""
     g = nx.Graph()
     g.add_node("u", kind="user")
@@ -24,59 +25,61 @@ def two_gateway_graph():
     g.add_edge("u", "s", delay_s=0.003, capacity_bps=1e9)
     g.add_edge("s", "g1", delay_s=0.003, capacity_bps=20e6)
     g.add_edge("s", "g2", delay_s=0.020, capacity_bps=1e9)
-    return g
+    return GraphSnapshot(g)
 
 
 class TestStaticNearestRouter:
-    def test_always_nearest(self, two_gateway_graph):
-        router = StaticNearestRouter()
+    def test_always_nearest(self, two_gateway_snap):
+        router = StaticNearestRouter(two_gateway_snap)
         flow = FlowSpec("f1", "u", 0.0, 1e6)
-        path = router(two_gateway_graph, flow, [])
+        path = router(flow, [])
         assert path == ["u", "s", "g1"]
 
-    def test_unknown_user(self, two_gateway_graph):
+    def test_unknown_user(self, two_gateway_snap):
         flow = FlowSpec("f1", "ghost", 0.0, 1e6)
-        assert StaticNearestRouter()(two_gateway_graph, flow, []) is None
+        assert StaticNearestRouter(two_gateway_snap)(flow, []) is None
 
     def test_no_gateways(self):
         g = nx.Graph()
         g.add_node("u", kind="user")
         flow = FlowSpec("f1", "u", 0.0, 1e6)
-        assert StaticNearestRouter()(g, flow, []) is None
+        assert StaticNearestRouter(GraphSnapshot(g))(flow, []) is None
 
 
 class TestLoadAdaptiveRouter:
-    def test_idle_network_takes_nearest(self, two_gateway_graph):
-        router = LoadAdaptiveRouter()
+    def test_idle_network_takes_nearest(self, two_gateway_snap):
+        router = LoadAdaptiveRouter(two_gateway_snap)
         flow = FlowSpec("f1", "u", 0.0, 1e6)
-        path = router(two_gateway_graph, flow, [])
+        path = router(flow, [])
         assert path == ["u", "s", "g1"]
         assert router.diversions == 0
 
-    def test_diverts_under_load(self, two_gateway_graph):
+    def test_diverts_under_load(self, two_gateway_snap):
         """The paper's Q2 behaviour: re-route to a farther idle gateway."""
-        router = LoadAdaptiveRouter(assumed_flow_rate_bps=10e6)
-        sim = FlowSimulator(two_gateway_graph, router)
+        router = LoadAdaptiveRouter(two_gateway_snap,
+                                    assumed_flow_rate_bps=10e6)
+        sim = FlowSimulator(link_capacities(two_gateway_snap), router)
         flows = [FlowSpec(f"f{i}", "u", i * 0.01, 40e6) for i in range(12)]
         result = sim.run(flows)
-        profile = gateway_load_profile(result.completed, two_gateway_graph)
+        profile = gateway_load_profile(result.completed, two_gateway_snap)
         assert profile.get("g2", 0) > 0, "no flow diverted to the idle gateway"
         assert router.diversions > 0
 
-    def test_adaptive_beats_static_under_congestion(self, two_gateway_graph):
+    def test_adaptive_beats_static_under_congestion(self, two_gateway_snap):
         flows = [FlowSpec(f"f{i}", "u", i * 0.01, 40e6) for i in range(12)]
+        capacities = link_capacities(two_gateway_snap)
         static = FlowSimulator(
-            two_gateway_graph, StaticNearestRouter()
+            capacities, StaticNearestRouter(two_gateway_snap)
         ).run(flows)
         adaptive = FlowSimulator(
-            two_gateway_graph, LoadAdaptiveRouter()
+            capacities, LoadAdaptiveRouter(two_gateway_snap)
         ).run(flows)
         assert (adaptive.mean_completion_time_s()
                 < static.mean_completion_time_s())
 
-    def test_unknown_user_returns_none(self, two_gateway_graph):
+    def test_unknown_user_returns_none(self, two_gateway_snap):
         flow = FlowSpec("f1", "ghost", 0.0, 1e6)
-        assert LoadAdaptiveRouter()(two_gateway_graph, flow, []) is None
+        assert LoadAdaptiveRouter(two_gateway_snap)(flow, []) is None
 
 
 class TestNearestGatewayTie:
@@ -91,19 +94,20 @@ class TestNearestGatewayTie:
             g.add_edge("s", gateway, delay_s=0.004, capacity_bps=1e9)
         g.add_edge("u", "s", delay_s=0.003, capacity_bps=1e9)
         flow = FlowSpec("f1", "u", 0.0, 1e6)
-        adaptive = LoadAdaptiveRouter()
-        assert StaticNearestRouter()(g, flow, []) == ["u", "s", "g-zulu"]
-        assert adaptive(g, flow, []) == ["u", "s", "g-zulu"]
+        snap = GraphSnapshot(g)
+        adaptive = LoadAdaptiveRouter(snap)
+        assert StaticNearestRouter(snap)(flow, []) == ["u", "s", "g-zulu"]
+        assert adaptive(flow, []) == ["u", "s", "g-zulu"]
         assert adaptive.diversions == 0
 
 
-class FakeSnapshot:
-    def __init__(self, time_s, edges):
-        self.time_s = time_s
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(["a", "b", "c"])
-        for u, v, delay in edges:
-            self.graph.add_edge(u, v, delay_s=delay)
+def contact_epoch(time_s, edges):
+    """One contact epoch over a, b, c: ``(u, v, delay)`` contacts."""
+    graph = nx.Graph()
+    graph.add_nodes_from(["a", "b", "c"])
+    for u, v, delay in edges:
+        graph.add_edge(u, v, delay_s=delay)
+    return GraphSnapshot(graph, time_s)
 
 
 class TestTimeExpandedRouter:
@@ -111,9 +115,9 @@ class TestTimeExpandedRouter:
     def intermittent(self):
         """a-b contact in epoch 0; b-c contact only in epoch 2."""
         return [
-            FakeSnapshot(0.0, [("a", "b", 0.01)]),
-            FakeSnapshot(60.0, []),
-            FakeSnapshot(120.0, [("b", "c", 0.01)]),
+            contact_epoch(0.0, [("a", "b", 0.01)]),
+            contact_epoch(60.0, []),
+            contact_epoch(120.0, [("b", "c", 0.01)]),
         ]
 
     def test_store_and_forward_delivery(self, intermittent):
@@ -127,7 +131,7 @@ class TestTimeExpandedRouter:
         assert hop_pairs == [("a", "b"), ("b", "c")]
 
     def test_instantaneous_path_when_available(self):
-        snaps = [FakeSnapshot(0.0, [("a", "b", 0.01), ("b", "c", 0.01)])]
+        snaps = [contact_epoch(0.0, [("a", "b", 0.01), ("b", "c", 0.01)])]
         router = TimeExpandedRouter(snaps)
         route = router.earliest_arrival("a", "c", 0.0)
         assert route.epochs_waited == 0

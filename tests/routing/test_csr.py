@@ -19,11 +19,10 @@ from repro.routing.csr import (
     NO_PREDECESSOR,
     CsrAdjacency,
     block_diagonal_dijkstra,
-    delay_weight,
-    shortest_path_csr,
 )
 from repro.routing.metrics import EdgeCostModel
 from tests.routing import oracle
+from tests.routing.oracle import delay_weight
 
 
 def line_graph():
@@ -119,8 +118,8 @@ class TestDisconnected:
         assert math.isinf(paths.distance("a", "island"))
         with pytest.raises(nx.NetworkXNoPath):
             nx.dijkstra_path(graph, "a", "island", weight="delay_s")
-        # The shared helper agrees with the oracle: None, no exception.
-        assert shortest_path_csr(graph, "a", "island") is None
+        # The one-pair query agrees with the oracle: None, no exception.
+        assert adjacency.shortest_path("a", "island") is None
         assert oracle.path(graph, "a", "island") is None
 
     def test_two_components(self):
@@ -134,9 +133,9 @@ class TestDisconnected:
         assert paths.reachable_targets("a") == ["b"]
 
     def test_unknown_endpoints(self):
-        graph = line_graph()
-        assert shortest_path_csr(graph, "a", "ghost") is None
-        assert shortest_path_csr(graph, "ghost", "a") is None
+        adjacency = CsrAdjacency.from_graph(line_graph(), weight=delay_weight)
+        assert adjacency.shortest_path("a", "ghost") is None
+        assert adjacency.shortest_path("ghost", "a") is None
 
 
 class TestNetworkxEquality:
@@ -189,7 +188,8 @@ class TestNetworkxEquality:
         graph.add_edge("b", "c", delay_s=0.01, capacity_bps=1e9)
         graph.add_edge("a", "c", delay_s=0.018, capacity_bps=1e9)
         model = EdgeCostModel(queue_weight=1.0, tariff_weight=0.002)
-        assert (shortest_path_csr(graph, "a", "c", model)
+        adjacency = CsrAdjacency.from_graph(graph, weight=model)
+        assert (adjacency.shortest_path("a", "c")
                 == oracle.path(graph, "a", "c", model)
                 == ["a", "c"])
 

@@ -3,12 +3,14 @@
 import networkx as nx
 import pytest
 
-from repro.routing.csr import shortest_path_csr
 from repro.routing.metrics import (
+    DELAY_ONLY,
     EdgeCostModel,
     PROPAGATION_ONLY,
     path_metrics,
 )
+from tests.routing import oracle
+from tests.routing.oracle import GraphSnapshot
 
 
 @pytest.fixture
@@ -51,7 +53,7 @@ class TestEdgeCostModel:
 
 class TestPathMetrics:
     def test_aggregates_along_path(self, toy_graph):
-        metrics = path_metrics(toy_graph, ["a", "c", "d"])
+        metrics = path_metrics(GraphSnapshot(toy_graph), ["a", "c", "d"])
         assert metrics.propagation_delay_s == pytest.approx(0.010)
         assert metrics.queue_delay_s == pytest.approx(0.050)
         assert metrics.total_tariff_per_gb == pytest.approx(10.0)
@@ -60,35 +62,44 @@ class TestPathMetrics:
         assert metrics.total_delay_ms == pytest.approx(60.0)
 
     def test_operators_deduplicated_in_order(self, toy_graph):
-        metrics = path_metrics(toy_graph, ["a", "c", "d"])
+        snap = GraphSnapshot(toy_graph)
+        metrics = path_metrics(snap, ["a", "c", "d"])
         assert metrics.operators == ["op2"]
-        cross = path_metrics(toy_graph, ["a", "b", "d"])
+        cross = path_metrics(snap, ["a", "b", "d"])
         assert cross.operators == ["op1"]
 
     def test_rejects_short_path(self, toy_graph):
         with pytest.raises(ValueError, match="at least two"):
-            path_metrics(toy_graph, ["a"])
+            path_metrics(GraphSnapshot(toy_graph), ["a"])
 
     def test_rejects_missing_edge(self, toy_graph):
         with pytest.raises(ValueError, match="not present"):
-            path_metrics(toy_graph, ["a", "d"])
+            path_metrics(GraphSnapshot(toy_graph), ["a", "d"])
+
+    def test_arrays_price_as_the_graph_form(self, toy_graph):
+        snap = GraphSnapshot(toy_graph)
+        for path in (["a", "c", "d"], ["d", "b", "a", "c"], ["c", "a"]):
+            assert path_metrics(snap, path) == oracle.path_metrics(
+                toy_graph, path)
 
 
 class TestShortestPath:
     def test_picks_lowest_total_cost(self, toy_graph):
         # Under propagation+queue cost, the b-route (20 ms) beats the
         # c-route (10 ms prop + 50 ms queue).
-        path = shortest_path_csr(toy_graph, "a", "d")
-        assert path == ["a", "b", "d"]
+        adjacency = GraphSnapshot(toy_graph).csr_adjacency()
+        assert adjacency.shortest_path("a", "d") == ["a", "b", "d"]
 
     def test_pure_delay_model_prefers_detour(self, toy_graph):
-        model = EdgeCostModel(queue_weight=0.0)
-        path = shortest_path_csr(toy_graph, "a", "d", model)
-        assert path == ["a", "c", "d"]
+        adjacency = GraphSnapshot(toy_graph).csr_adjacency(DELAY_ONLY)
+        assert adjacency.shortest_path("a", "d") == ["a", "c", "d"]
 
     def test_unreachable_returns_none(self, toy_graph):
         toy_graph.add_node("island")
-        assert shortest_path_csr(toy_graph, "a", "island") is None
+        adjacency = GraphSnapshot(toy_graph).csr_adjacency()
+        assert adjacency.shortest_path("a", "island") is None
 
     def test_unknown_node_returns_none(self, toy_graph):
-        assert shortest_path_csr(toy_graph, "a", "ghost") is None
+        adjacency = GraphSnapshot(toy_graph).csr_adjacency()
+        assert adjacency.shortest_path("a", "ghost") is None
+        assert adjacency.shortest_path("ghost", "a") is None

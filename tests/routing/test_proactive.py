@@ -6,29 +6,28 @@ from types import SimpleNamespace
 import networkx as nx
 import pytest
 
-from repro.routing.metrics import path_metrics
 from repro.routing.proactive import ProactiveRouter, RoutingTable
 from tests.routing import oracle
+from tests.routing.oracle import GraphSnapshot
 
 
-class FakeSnapshot:
-    """Minimal stand-in for a TopologySnapshot."""
-
-    def __init__(self, time_s, edges):
-        self.time_s = time_s
-        self.graph = nx.Graph()
-        for u, v, delay in edges:
-            self.graph.add_edge(u, v, delay_s=delay, capacity_bps=10e6)
+def fake_snapshot(time_s, edges, nodes=()):
+    """A hand-drawn snapshot: ``(u, v, delay)`` edges of 10 Mbps."""
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    for u, v, delay in edges:
+        graph.add_edge(u, v, delay_s=delay, capacity_bps=10e6)
+    return GraphSnapshot(graph, time_s)
 
 
 @pytest.fixture
 def snapshots():
     """Three epochs; the direct a-c edge exists only in the second."""
     return [
-        FakeSnapshot(0.0, [("a", "b", 0.01), ("b", "c", 0.01)]),
-        FakeSnapshot(60.0, [("a", "b", 0.01), ("b", "c", 0.01),
+        fake_snapshot(0.0, [("a", "b", 0.01), ("b", "c", 0.01)]),
+        fake_snapshot(60.0, [("a", "b", 0.01), ("b", "c", 0.01),
                             ("a", "c", 0.005)]),
-        FakeSnapshot(120.0, [("a", "b", 0.01), ("b", "c", 0.01)]),
+        fake_snapshot(120.0, [("a", "b", 0.01), ("b", "c", 0.01)]),
     ]
 
 
@@ -116,8 +115,7 @@ class TestPrecompute:
         assert route.valid_until_s == 1000.0
 
     def test_disconnected_node_has_no_routes(self):
-        snap = FakeSnapshot(0.0, [("a", "b", 0.01)])
-        snap.graph.add_node("island")
+        snap = fake_snapshot(0.0, [("a", "b", 0.01)], nodes=["island"])
         router = ProactiveRouter()
         table = router.precompute([snap])
         assert table.lookup("a", "island", 0.0) is None
@@ -150,7 +148,8 @@ class OracleRouter:
         if path is None:
             return None
         graph = self.snapshots[index].graph
-        return SimpleNamespace(path=path, metrics=path_metrics(graph, path))
+        return SimpleNamespace(path=path,
+                               metrics=oracle.path_metrics(graph, path))
 
 
 def _table_as_dicts(router, times, nodes):

@@ -9,18 +9,18 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from repro.routing.csr import delay_weight
 from repro.routing.timeexpanded import TimeExpandedRouter
 from tests.routing import oracle
+from tests.routing.oracle import GraphSnapshot, delay_weight
 
 
-class FakeSnapshot:
-    def __init__(self, time_s, edges, nodes=("a", "b", "c")):
-        self.time_s = time_s
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(nodes)
-        for u, v, delay in edges:
-            self.graph.add_edge(u, v, delay_s=delay)
+def contact_epoch(time_s, edges, nodes=("a", "b", "c")):
+    """One contact epoch drawn by hand: ``(u, v, delay)`` contacts."""
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    for u, v, delay in edges:
+        graph.add_edge(u, v, delay_s=delay)
+    return GraphSnapshot(graph, time_s)
 
 
 def _oracle_arrival(router, source, target, departure_s):
@@ -28,9 +28,10 @@ def _oracle_arrival(router, source, target, departure_s):
     graph, or None when the bundle cannot be delivered."""
     start_epoch = bisect.bisect_right(router.epoch_times, departure_s) - 1
     start = (source, start_epoch)
-    if start not in router._graph:
+    graph = oracle.time_expanded_graph(router)
+    if start not in graph:
         return None
-    dist, _paths = oracle.dijkstra(router._graph, start, weight=delay_weight)
+    dist, _paths = oracle.dijkstra(graph, start, weight=delay_weight)
     arrivals = [dist[(target, k)]
                 for k in range(start_epoch, len(router.snapshots))
                 if (target, k) in dist]
@@ -53,9 +54,9 @@ PLANNERS = ["csr", "networkx"]
 def intermittent():
     """a-b contact in epoch 0; b-c contact only in epoch 2."""
     return [
-        FakeSnapshot(0.0, [("a", "b", 0.01)]),
-        FakeSnapshot(60.0, []),
-        FakeSnapshot(120.0, [("b", "c", 0.01)]),
+        contact_epoch(0.0, [("a", "b", 0.01)]),
+        contact_epoch(60.0, []),
+        contact_epoch(120.0, [("b", "c", 0.01)]),
     ]
 
 
@@ -94,8 +95,8 @@ class TestHorizonClipping:
     def test_unreachable_within_horizon(self, planner):
         # c exists but never has a contact: no plan can reach it.
         snaps = [
-            FakeSnapshot(0.0, [("a", "b", 0.01)]),
-            FakeSnapshot(60.0, [("a", "b", 0.01)]),
+            contact_epoch(0.0, [("a", "b", 0.01)]),
+            contact_epoch(60.0, [("a", "b", 0.01)]),
         ]
         router = TimeExpandedRouter(snaps)
         assert _arrival(planner, router, "a", "c", 0.0) is None
@@ -137,7 +138,7 @@ class TestStorageAccounting:
         assert second_hop[0] == pytest.approx(120.02)
 
     def test_no_storage_for_instant_path(self):
-        snaps = [FakeSnapshot(0.0, [("a", "b", 0.01), ("b", "c", 0.01)])]
+        snaps = [contact_epoch(0.0, [("a", "b", 0.01), ("b", "c", 0.01)])]
         router = TimeExpandedRouter(snaps)
         route = router.earliest_arrival("a", "c", 0.0)
         assert route.epochs_waited == 0
@@ -215,14 +216,15 @@ class TestHashSeedIndependence:
         # the string hashes while entities were collected in a set
         # (seed 1 went via b, seeds 2-5 via d).
         script = (
-            "import networkx as nx\n"
-            "from repro.routing.timeexpanded import TimeExpandedRouter\n"
-            "class Snap:\n"
-            "    def __init__(self, time_s, edges):\n"
-            "        self.time_s = time_s\n"
-            "        self.graph = nx.Graph()\n"
-            "        for u, v in edges:\n"
-            "            self.graph.add_edge(u, v, delay_s=0.01)\n"
+            "import numpy as np\n"
+            "from repro.routing.timeexpanded import (\n"
+            "    ContactEpoch, Contacts, TimeExpandedRouter)\n"
+            "def Snap(time_s, edges):\n"
+            "    nodes = list(dict.fromkeys(n for edge in edges for n in edge))\n"
+            "    u = np.array([nodes.index(a) for a, _ in edges])\n"
+            "    v = np.array([nodes.index(b) for _, b in edges])\n"
+            "    return ContactEpoch(time_s, nodes,\n"
+            "                        Contacts(u, v, np.full(len(edges), 0.01)))\n"
             "router = TimeExpandedRouter([\n"
             "    Snap(0.0, [('a', 'b'), ('b', 'c'), ('a', 'd'), ('d', 'c')]),\n"
             "    Snap(60.0, [('a', 'b')]),\n"

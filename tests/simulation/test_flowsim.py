@@ -6,9 +6,11 @@ import pytest
 from repro.simulation.flowsim import (
     ActiveFlow,
     FlowSimulator,
+    link_capacities,
     max_min_fair_rates,
 )
 from repro.simulation.traffic import FlowSpec
+from tests.routing.oracle import GraphSnapshot
 
 
 def make_flow(flow_id, path, size_bytes=1e6, start_s=0.0):
@@ -104,25 +106,26 @@ class TestMaxMinFair:
 
 
 @pytest.fixture
-def simple_graph():
+def simple_links():
+    """The 8 Mbps links of a user-satellite-gateway chain."""
     g = nx.Graph()
     g.add_node("u", kind="user")
     g.add_node("s", kind="satellite")
     g.add_node("g1", kind="ground_station")
     g.add_edge("u", "s", delay_s=0.003, capacity_bps=8e6)
     g.add_edge("s", "g1", delay_s=0.003, capacity_bps=8e6)
-    return g
+    return link_capacities(GraphSnapshot(g))
 
 
 def fixed_router(path):
-    def route(_graph, _flow, _active):
+    def route(_flow, _active):
         return path
     return route
 
 
 class TestFlowSimulator:
-    def test_single_flow_completion_time(self, simple_graph):
-        sim = FlowSimulator(simple_graph, fixed_router(["u", "s", "g1"]))
+    def test_single_flow_completion_time(self, simple_links):
+        sim = FlowSimulator(simple_links, fixed_router(["u", "s", "g1"]))
         flows = [FlowSpec("f1", "u", 0.0, 1e6)]  # 8 Mb over 8 Mbps = 1 s
         result = sim.run(flows)
         assert len(result.completed) == 1
@@ -130,8 +133,8 @@ class TestFlowSimulator:
         assert result.completed[0].mean_rate_bps == pytest.approx(8e6)
         assert result.completed[0].path == ("u", "s", "g1")
 
-    def test_two_overlapping_flows_share(self, simple_graph):
-        sim = FlowSimulator(simple_graph, fixed_router(["u", "s", "g1"]))
+    def test_two_overlapping_flows_share(self, simple_links):
+        sim = FlowSimulator(simple_links, fixed_router(["u", "s", "g1"]))
         flows = [FlowSpec("f1", "u", 0.0, 1e6), FlowSpec("f2", "u", 0.0, 1e6)]
         result = sim.run(flows)
         assert len(result.completed) == 2
@@ -140,8 +143,8 @@ class TestFlowSimulator:
             assert record.finish_s == pytest.approx(2.0)
         assert result.peak_concurrent_flows == 2
 
-    def test_staggered_arrivals(self, simple_graph):
-        sim = FlowSimulator(simple_graph, fixed_router(["u", "s", "g1"]))
+    def test_staggered_arrivals(self, simple_links):
+        sim = FlowSimulator(simple_links, fixed_router(["u", "s", "g1"]))
         flows = [FlowSpec("f1", "u", 0.0, 1e6), FlowSpec("f2", "u", 0.5, 1e6)]
         result = sim.run(flows)
         by_id = {r.spec.flow_id: r for r in result.completed}
@@ -156,33 +159,39 @@ class TestFlowSimulator:
         # flow is never starved: it finishes the instant it arrives.
         graph = nx.Graph()
         graph.add_edge("u", "s")
-        sim = FlowSimulator(graph, fixed_router(["u", "s"]))
+        sim = FlowSimulator(link_capacities(GraphSnapshot(graph)),
+                            fixed_router(["u", "s"]))
         result = sim.run([FlowSpec("f1", "u", 0.0, 1e6)])
         assert len(result.completed) == 1
         assert result.rejected == []
         assert result.completed[0].finish_s == 0.0
 
-    def test_rejection_when_no_route(self, simple_graph):
-        sim = FlowSimulator(simple_graph, fixed_router(None))
+    def test_rejection_when_no_route(self, simple_links):
+        sim = FlowSimulator(simple_links, fixed_router(None))
         result = sim.run([FlowSpec("f1", "u", 0.0, 1e6)])
         assert result.acceptance_ratio == 0.0
         assert len(result.rejected) == 1
         assert not result.rejected[0].completed
 
-    def test_unknown_edge_raises(self, simple_graph):
-        sim = FlowSimulator(simple_graph, fixed_router(["u", "g1"]))
-        with pytest.raises(ValueError, match="absent from graph"):
+    def test_unknown_edge_raises(self, simple_links):
+        sim = FlowSimulator(simple_links, fixed_router(["u", "g1"]))
+        with pytest.raises(ValueError, match="without a capacity"):
             sim.run([FlowSpec("f1", "u", 0.0, 1e6)])
 
-    def test_empty_workload(self, simple_graph):
+    def test_capacity_keys_in_either_order(self):
+        sim = FlowSimulator({("s", "u"): 8e6}, fixed_router(["u", "s"]))
+        result = sim.run([FlowSpec("f1", "u", 0.0, 1e6)])
+        assert result.completed[0].completion_time_s == pytest.approx(1.0)
+
+    def test_empty_workload(self, simple_links):
         result = FlowSimulator(
-            simple_graph, fixed_router(["u", "s", "g1"])
+            simple_links, fixed_router(["u", "s", "g1"])
         ).run([])
         assert result.acceptance_ratio == 0.0
         assert result.completed == []
 
-    def test_aggregate_metrics(self, simple_graph):
-        sim = FlowSimulator(simple_graph, fixed_router(["u", "s", "g1"]))
+    def test_aggregate_metrics(self, simple_links):
+        sim = FlowSimulator(simple_links, fixed_router(["u", "s", "g1"]))
         flows = [FlowSpec(f"f{i}", "u", float(i), 1e6) for i in range(4)]
         result = sim.run(flows)
         assert result.acceptance_ratio == 1.0

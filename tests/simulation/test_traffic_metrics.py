@@ -216,7 +216,3 @@ class TestSeriesCollector:
         stats = series.summary_at(1.0)
         assert stats.mean == 2.0
         assert stats.count == 3
-
-    def test_row_raises_on_unknown_x(self):
-        with pytest.raises(KeyError):
-            SeriesCollector().row(1.0)

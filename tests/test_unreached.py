@@ -6,10 +6,15 @@ interpreter calls those) -- counts as reached when its name appears in
 ``src/``, ``benchmarks/`` or ``examples/`` as an identifier -- a name, an
 attribute, or a word inside a string (the stage tracer names its targets
 in strings) -- outside import statements, ``__all__`` and docstrings (the
-leading string of a module, class or function body).  Its own
-``def``/``class`` name does not count.  Tests do not count either: code
-only a test calls belongs in the test tree.  A name counts wherever it
-appears, so two definitions sharing a name are reached together.
+leading string of a module, class or function body).  A definition at
+class level is reached only through an attribute or a string word: code
+calls a method or reads a property as ``obj.name`` (or by name in a
+string, as ``getattr`` does), so a bare name -- a local variable, a
+parameter, a module-level function -- that shares its name does not
+reach it.  Its own ``def``/``class`` name does not count.  Tests do not
+count either: code only a test calls belongs in the test tree.  A name
+counts wherever it appears, so two definitions sharing a name are
+reached together.
 """
 
 import ast
@@ -29,10 +34,12 @@ _DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 class _Identifiers(ast.NodeVisitor):
     """Every identifier of one module outside imports, ``__all__`` and
-    docstrings."""
+    docstrings: bare names in :attr:`names`, attributes and string words
+    in :attr:`members`."""
 
     def __init__(self, tree: ast.Module):
-        self.found: Set[str] = set()
+        self.names: Set[str] = set()
+        self.members: Set[str] = set()
         self.docstrings = {
             node.body[0].value for node in ast.walk(tree)
             if isinstance(node, _SCOPES)
@@ -55,27 +62,30 @@ class _Identifiers(ast.NodeVisitor):
             self.generic_visit(node)
 
     def visit_Name(self, node):
-        self.found.add(node.id)
+        self.names.add(node.id)
 
     def visit_Attribute(self, node):
-        self.found.add(node.attr)
+        self.members.add(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str) and node not in self.docstrings:
-            self.found.update(_WORD.findall(node.value))
+            self.members.update(_WORD.findall(node.value))
 
 
-def _identifiers(tree: ast.Module) -> Set[str]:
-    """The identifiers of one parsed module that count as reach."""
+def _identifiers(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
+    """``(names, members)`` of one parsed module that count as reach:
+    bare names, and attributes plus string words."""
     visitor = _Identifiers(tree)
     visitor.visit(tree)
-    return visitor.found
+    return visitor.names, visitor.members
 
 
-def _definitions(tree: ast.Module, module: str) -> Iterator[Tuple[str, str]]:
-    """``(qualified name, name)`` of every non-dunder function, class,
-    method and property defined at module or class level."""
+def _definitions(tree: ast.Module,
+                 module: str) -> Iterator[Tuple[str, str, bool]]:
+    """``(qualified name, name, at class level)`` of every non-dunder
+    function, class, method and property defined at module or class
+    level."""
     scopes = [(tree, module)]
     while scopes:
         scope, prefix = scopes.pop()
@@ -83,7 +93,8 @@ def _definitions(tree: ast.Module, module: str) -> Iterator[Tuple[str, str]]:
             if not isinstance(node, _DEFINITIONS):
                 continue
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield f"{prefix}.{node.name}", node.name
+                yield (f"{prefix}.{node.name}", node.name,
+                       isinstance(scope, ast.ClassDef))
             if isinstance(node, ast.ClassDef):
                 scopes.append((node, f"{prefix}.{node.name}"))
 
@@ -91,15 +102,19 @@ def _definitions(tree: ast.Module, module: str) -> Iterator[Tuple[str, str]]:
 def _unreached(package: Dict[str, ast.Module],
                searched: Iterable[ast.Module]) -> FrozenSet[str]:
     """Qualified names of the package's definitions no searched module
-    names."""
-    identifiers: Set[str] = set()
+    reaches: a module-level one by any identifier, a class-level one by
+    an attribute or a string word."""
+    names: Set[str] = set()
+    members: Set[str] = set()
     for tree in searched:
-        identifiers |= _identifiers(tree)
+        tree_names, tree_members = _identifiers(tree)
+        names |= tree_names
+        members |= tree_members
     return frozenset(
         qualified
         for module, tree in package.items()
-        for qualified, name in _definitions(tree, module)
-        if name not in identifiers
+        for qualified, name, in_class in _definitions(tree, module)
+        if name not in members and (in_class or name not in names)
     )
 
 
@@ -129,11 +144,36 @@ def test_docstrings_do_not_count_as_reach():
                 """Function text naming named_in_function_docstring."""
                 return "named_in_string_constant"
     '''))
-    found = _identifiers(tree)
-    assert "named_in_string_constant" in found
-    assert not found & {"named_in_module_docstring",
-                        "named_in_class_docstring",
-                        "named_in_function_docstring"}
+    names, members = _identifiers(tree)
+    assert "named_in_string_constant" in members
+    assert not (names | members) & {"named_in_module_docstring",
+                                    "named_in_class_docstring",
+                                    "named_in_function_docstring"}
+
+
+def test_a_shared_local_name_does_not_reach_a_method():
+    caller = ast.parse(textwrap.dedent('''
+        def main():
+            rows = Series()
+            shared_name = len(rows)
+            module_helper = shared_name
+            return module_helper, rows.read_by_attribute
+    '''))
+    library = ast.parse(textwrap.dedent('''
+        def module_helper():
+            return 0
+
+        class Series:
+            def shared_name(self):
+                return 1
+
+            @property
+            def read_by_attribute(self):
+                return 2
+    '''))
+    assert _unreached({"lib": library}, [caller, library]) == {
+        "lib.Series.shared_name",
+    }
 
 
 def test_gate_covers_methods_properties_and_private_helpers():
