@@ -36,6 +36,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -250,12 +251,23 @@ def bench_obs_overhead() -> dict:
     honestly costs.
     """
     from repro import obs as _obs
+    from repro.core.network import SnapshotEdges
     from repro.simulation.flowsim import FlowSimulator
     from repro.simulation.traffic import FlowSpec
 
     hops = 12
     nodes = [f"n{i}" for i in range(hops + 1)]
-    capacities = {(u, v): 100e6 for u, v in zip(nodes[:-1], nodes[1:])}
+    # A 12-hop chain of 100 Mbps links, as the edge arrays and row lookup
+    # the simulator reads from a snapshot.
+    chain = np.arange(hops)
+    zeros = np.zeros(hops)
+    rows = {frozenset(hop): row
+            for row, hop in enumerate(zip(nodes[:-1], nodes[1:]))}
+    snap = SimpleNamespace(
+        edges=SnapshotEdges(chain, chain + 1, zeros, np.full(hops, 100e6),
+                            zeros, zeros),
+        edge_row=lambda u, v: rows.get(frozenset((u, v))),
+    )
     flows = [
         FlowSpec(flow_id=f"f{i}", user_id=f"u{i % 7}",
                  start_s=float(i) * 0.25, size_bytes=2e6)
@@ -266,12 +278,12 @@ def bench_obs_overhead() -> dict:
         return nodes
 
     def run_disabled():
-        return FlowSimulator(capacities, route).run(flows)
+        return FlowSimulator(snap, route).run(flows)
 
     def run_enabled():
         recorder = _obs.Recorder()
         with _obs.use(recorder):
-            result = FlowSimulator(capacities, route).run(flows)
+            result = FlowSimulator(snap, route).run(flows)
         return result, len(recorder.events)
 
     assert run_enabled()[1] == len(flows)

@@ -21,7 +21,7 @@ from repro.routing.adaptive import (
     StaticNearestRouter,
     gateway_load_profile,
 )
-from repro.simulation.flowsim import FlowSimulator, link_capacities
+from repro.simulation.flowsim import FlowSimulator
 from repro.simulation.scenario import Scenario
 from repro.simulation.traffic import FlowSpec
 
@@ -68,11 +68,9 @@ def test_adaptive_vs_static_under_hotspot(benchmark):
     flows = _hotspot_workload()
 
     def run_both():
-        capacities = link_capacities(snap)
-        static = FlowSimulator(capacities,
-                               StaticNearestRouter(snap)).run(flows)
+        static = FlowSimulator(snap, StaticNearestRouter(snap)).run(flows)
         adaptive_router = LoadAdaptiveRouter(snap)
-        adaptive = FlowSimulator(capacities, adaptive_router).run(flows)
+        adaptive = FlowSimulator(snap, adaptive_router).run(flows)
         return static, adaptive, adaptive_router
 
     static, adaptive, adaptive_router = benchmark.pedantic(

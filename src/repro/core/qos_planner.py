@@ -18,7 +18,7 @@ the schedule of service classes the provider can honestly advertise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -99,20 +99,16 @@ class QosForecast:
 class QosPlanner:
     """Forecasts advertisable QoS per region from orbital knowledge.
 
+    Each region is graded against :data:`DEFAULT_CLASSES` with a default
+    :class:`~repro.routing.qos.QosRouter`.
+
     Args:
         network: The provider's (or federation's) network.
-        classes: Ordered (name, requirement) pairs, most stringent first.
-        router: QoS router used for admissibility checks.
     """
 
-    def __init__(self, network: OpenSpaceNetwork,
-                 classes: Optional[Sequence[Tuple[str, QosRequirement]]] = None,
-                 router: Optional[QosRouter] = None):
+    def __init__(self, network: OpenSpaceNetwork):
         self.network = network
-        self.classes = list(classes) if classes is not None else list(
-            DEFAULT_CLASSES
-        )
-        self.router = router or QosRouter()
+        self.router = QosRouter()
 
     def forecast(self, regions: Dict[str, GeodeticPoint],
                  start_s: float, horizon_s: float,
@@ -144,7 +140,7 @@ class QosPlanner:
             gateways = snap.nodes_of_kind("ground_station")
             for name, probe in probes.items():
                 admissible = []
-                for class_name, requirement in self.classes:
+                for class_name, requirement in DEFAULT_CLASSES:
                     if self._region_admits(snap, probe.user_id, gateways,
                                             requirement):
                         admissible.append(class_name)
@@ -159,8 +155,5 @@ class QosPlanner:
     def _region_admits(self, snap, probe_id: str, gateways: List[str],
                        requirement: QosRequirement) -> bool:
         """Whether any gateway path honours the requirement right now."""
-        for gateway in gateways:
-            if self.router.route(snap, probe_id, gateway,
-                                 requirement).admitted:
-                return True
-        return False
+        return any(result.admitted for result in self.router.routes(
+            snap, probe_id, gateways, requirement))

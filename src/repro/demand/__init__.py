@@ -5,17 +5,12 @@ aggregate into equal-area ground cells (:mod:`repro.demand.grid`) with
 diurnal and heavy-tail demand profiles (:mod:`repro.demand.profile`);
 the vectorized fluid engine (:mod:`repro.demand.fluid`) routes every
 loaded cell over a snapshot's CSR and waterfills a max-min-fair fixed
-point over its link capacities; and the congestion state feeds routing
-costs, the health plane, and settlement (:mod:`repro.demand.congestion`).
+point over its link capacities; and its per-link utilization feeds the
+health plane, the congestion statistics and settlement
+(:mod:`repro.demand.congestion`, which this package does not
+re-export, so importing the allocator loads no ledger code).
 """
 
-from repro.demand.congestion import (
-    CongestionState,
-    DemandSettlement,
-    congestion_state,
-    peak_statistics,
-    settle_demand,
-)
 from repro.demand.fluid import (
     FluidResult,
     map_cells_to_routes,
@@ -41,23 +36,18 @@ from repro.demand.profile import (
 
 __all__ = [
     "CELL_ID_FORMAT",
-    "CongestionState",
     "DEFAULT_QOS_MIX",
-    "DemandSettlement",
     "FluidResult",
     "GridSpec",
     "PopulationGrid",
     "QosClassDemand",
-    "congestion_state",
     "diurnal_factor",
     "local_solar_hour",
     "map_cells_to_routes",
     "mean_demand_bps_per_user",
     "offered_load_bps",
-    "peak_statistics",
     "population_grid",
     "run_fluid",
-    "settle_demand",
     "validate_qos_mix",
     "waterfill_rates",
     "weighted_percentile",

@@ -1,54 +1,24 @@
 """Wiring fluid congestion outward: health and settlement.
 
 The fluid fixed point (:mod:`repro.demand.fluid`) produces per-link
-utilization.  This module converts that into the shapes the rest of the
-system consumes:
-
-* utilization samples for the :class:`repro.obs.health.HealthPlane`
-  link series (the flight-recorder plane);
-* transit volumes filed into :class:`repro.economics.ledger
-  .TrafficLedger` and settled into operator revenue.
+utilization (:attr:`~repro.demand.fluid.FluidResult.utilization`, which
+the :class:`repro.obs.health.HealthPlane` link series samples as is).
+This module converts it into the shapes the rest of the system
+consumes: the congestion headline numbers, and transit volumes filed
+into :class:`repro.economics.ledger.TrafficLedger` and settled into
+operator revenue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.demand.fluid import FluidResult
 from repro.economics.ledger import TrafficLedger
 from repro.economics.settlement import Invoice, RateCard, SettlementEngine
-
-
-@dataclass
-class CongestionState:
-    """Per-link congestion derived from one fluid fixed point.
-
-    The map uses canonical sorted ``(u, v)`` keys in sorted iteration
-    order (deterministic exports).
-
-    Attributes:
-        utilization: ``(u, v) -> load / capacity`` for every route edge.
-    """
-
-    utilization: Dict[Tuple[str, str], float]
-
-
-def congestion_state(result: FluidResult) -> CongestionState:
-    """Derive the :class:`CongestionState` of one fluid fixed point."""
-    utilization = {}
-    order = sorted(range(len(result.edge_keys)),
-                   key=lambda slot: result.edge_keys[slot])
-    for slot in order:
-        key = result.edge_keys[slot]
-        capacity = float(result.edge_capacity_bps[slot])
-        load = float(result.edge_load_bps[slot])
-        utilization[key] = (load / capacity
-                            if np.isfinite(capacity) and capacity > 0.0
-                            else 0.0)
-    return CongestionState(utilization=utilization)
 
 
 @dataclass

@@ -11,9 +11,10 @@ ties) run that search
 hop's capacity and delay are read from the snapshot's edge arrays
 (:class:`~repro.core.network.SnapshotEdges`); and rates come from a
 demand-capped max-min-fair waterfilling fixed point over the flow→edge
-incidence arrays — the same progressive-filling fairness the flow-level
-simulator (:func:`repro.simulation.flowsim.max_min_fair_rates`)
-computes per flow, evaluated here as whole-array steps.
+incidence arrays (:func:`waterfill_rates`).  It is the one max-min-fair
+allocator in the package: the flow-level simulator
+(:class:`repro.simulation.flowsim.FlowSimulator`) calls it at infinite
+demand over the rows of the snapshot it simulates.
 
 Each waterfilling iteration either freezes every demand-limited flow
 below the current water level at once or resolves one bottleneck link,
@@ -184,7 +185,6 @@ def map_cells_to_routes(adjacency: CsrAdjacency, gateways: Sequence[str],
 
 def waterfill_rates(demand_bps: np.ndarray, entry_flow: np.ndarray,
                     entry_edge: np.ndarray, capacity_bps: np.ndarray,
-                    max_iterations: Optional[int] = None,
                     ) -> Tuple[np.ndarray, int, bool]:
     """Demand-capped max-min-fair waterfilling over shared links.
 
@@ -193,14 +193,15 @@ def waterfill_rates(demand_bps: np.ndarray, entry_flow: np.ndarray,
     level freeze at their demand (they never congest anything further),
     otherwise the bottleneck link's flows freeze at the fair share and
     its capacity leaves the pool.  All bookkeeping is bincount
-    scatter-adds over the flow→edge incidence arrays.
+    scatter-adds over the flow→edge incidence arrays.  A flow that
+    crosses only uncapped (``inf``) links takes its demand, ``inf`` at
+    infinite demand.  The loop is bounded at ``flows + 8`` iterations.
 
     Args:
-        demand_bps: Offered load per flow (``>= 0``).
+        demand_bps: Offered load per flow (``>= 0``, may be ``inf``).
         entry_flow: Flow index per incidence entry.
         entry_edge: Edge index per incidence entry (parallel).
         capacity_bps: Capacity per edge slot (may be ``inf``).
-        max_iterations: Safety bound (default ``flows + 8``).
 
     Returns:
         ``(rate_bps, iterations, converged)``.
@@ -218,11 +219,10 @@ def waterfill_rates(demand_bps: np.ndarray, entry_flow: np.ndarray,
     if entry_flow.shape != entry_edge.shape:
         raise ValueError("incidence arrays must be parallel")
     residual = np.asarray(capacity_bps, dtype=np.float64).copy()
-    if max_iterations is None:
-        max_iterations = flows + 8
+    max_iterations = flows + 8
 
     frozen = demand <= 0.0
-    # Flows that touch no finite-capacity link are never constrained.
+    # Flows that touch no link are never constrained.
     entries_per_flow = np.bincount(entry_flow, minlength=flows)
     free = entries_per_flow == 0
     rate[free & ~frozen] = demand[free & ~frozen]
@@ -238,15 +238,16 @@ def waterfill_rates(demand_bps: np.ndarray, entry_flow: np.ndarray,
         active_entry = ~frozen[entry_flow]
         counts = np.bincount(entry_edge[active_entry], minlength=edges)
         loaded = counts > 0
-        if not loaded.any():
-            remaining = ~frozen
-            rate[remaining] = demand[remaining]
-            frozen[remaining] = True
-            break
         share = np.full(edges, np.inf)
         share[loaded] = (np.maximum(residual[loaded], 0.0)
                          / counts[loaded])
         level = share.min()
+        if level == np.inf:
+            # Every unfrozen flow crosses only uncapped links: each takes
+            # its demand, and no residual is left to draw down (inf - inf).
+            remaining = ~frozen
+            rate[remaining] = demand[remaining]
+            break
         demand_limited = ~frozen & (demand <= level * (1.0 + 1e-12))
         if demand_limited.any():
             newly = demand_limited

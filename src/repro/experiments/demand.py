@@ -30,11 +30,7 @@ import numpy as np
 from repro import obs as _obs
 from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import NetworkSnapshot, OpenSpaceNetwork
-from repro.demand.congestion import (
-    congestion_state,
-    peak_statistics,
-    settle_demand,
-)
+from repro.demand.congestion import peak_statistics, settle_demand
 from repro.demand.fluid import run_fluid, weighted_percentile
 from repro.demand.grid import DISTRIBUTIONS, GridSpec, population_grid
 from repro.demand.profile import offered_load_bps
@@ -112,8 +108,7 @@ def _demand_point(args: tuple) -> Dict:
                        snap.nodes_of_kind("ground_station"), cell_ids, demand)
     recorder = _obs.active()
     if recorder.enabled:
-        utilization = congestion_state(result).utilization
-        recorder.sample_health(time_s, snap, utilization=utilization,
+        recorder.sample_health(time_s, snap, utilization=result.utilization,
                                reset=True)
 
     stats = peak_statistics(result)

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.interop import SizeClass
 from repro.economics.capex import constellation_budget
 from repro.routing.qos import QosRequirement, QosRouter
-from repro.simulation.flowsim import FlowSimulator, link_capacities
+from repro.simulation.flowsim import FlowSimulator
 from repro.simulation.scenario import Scenario
 from repro.simulation.traffic import PoissonFlowGenerator
 
@@ -68,9 +68,8 @@ def _qos_route_fn(snap, qos_router: QosRouter):
     def route(flow, _active):
         requirement = QOS_CLASSES.get(flow.qos_class, QosRequirement())
         best = None
-        for gateway in gateways:
-            result = qos_router.route(snap, flow.user_id, gateway,
-                                      requirement)
+        for result in qos_router.routes(snap, flow.user_id, gateways,
+                                        requirement):
             if not result.admitted:
                 continue
             if (best is None
@@ -129,9 +128,7 @@ def provider_mix_sweep(mixes: Sequence[Tuple[int, int]] = ((3, 0), (2, 1),
         )
         flows = generator.generate(60.0)[:flow_count]
 
-        qos_router = QosRouter()
-        sim = FlowSimulator(link_capacities(snap),
-                            _qos_route_fn(snap, qos_router))
+        sim = FlowSimulator(snap, _qos_route_fn(snap, QosRouter()))
         outcome = sim.run(flows)
 
         admitted_by_class: Dict[str, List[int]] = {}

@@ -18,7 +18,7 @@ propagation-shortest path, blind to load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,16 +27,8 @@ from repro.routing.metrics import DELAY_ONLY
 from repro.simulation.flowsim import ActiveFlow
 from repro.simulation.traffic import FlowSpec
 
-
-def _committed_load(active_flows: Sequence[ActiveFlow],
-                    demand_bps: float = None) -> Dict[Tuple[str, str], float]:
-    """Current committed rate per edge from the active flow set."""
-    load: Dict[Tuple[str, str], float] = {}
-    for flow in active_flows:
-        rate = flow.rate_bps if flow.rate_bps > 0.0 else (demand_bps or 0.0)
-        for edge in flow.edges:
-            load[edge] = load.get(edge, 0.0) + rate
-    return load
+#: Rate committed for a flow whose fair share is not yet known.
+ASSUMED_FLOW_RATE_BPS = 10e6
 
 
 def _best_gateway_path(snap, adjacency: CsrAdjacency,
@@ -80,23 +72,19 @@ class StaticNearestRouter:
 class LoadAdaptiveRouter:
     """Runtime congestion-aware gateway selection.
 
-    Edge cost = ``delay_s + congestion_weight * delay_s * u / (1 - u)``
-    where ``u`` is the edge's committed utilization — the M/M/1-shaped
-    penalty makes nearly-full edges effectively infinite, diverting new
-    flows to idle detours.  An edge without capacity is priced ``inf``.
+    Edge cost = ``delay_s + delay_s * u / (1 - u)`` where ``u`` is the
+    edge's committed utilization — the M/M/1-shaped penalty makes
+    nearly-full edges effectively infinite, diverting new flows to idle
+    detours.  An edge without capacity is priced ``inf``.  A flow
+    commits its current fair share to each row of its path, or
+    :data:`ASSUMED_FLOW_RATE_BPS` while it has none.
 
     Attributes:
         snap: The :class:`~repro.core.network.NetworkSnapshot` routed
             over; its edge arrays give each edge's delay and capacity.
-        congestion_weight: Scales the congestion term against propagation
-            delay (1.0 = a fully-loaded edge is much worse than any detour).
-        assumed_flow_rate_bps: Rate assumed for flows whose fair share is
-            not yet known (fresh arrivals).
     """
 
     snap: object
-    congestion_weight: float = 1.0
-    assumed_flow_rate_bps: float = 10e6
     #: Diagnostic: how many admissions diverted from the nearest gateway.
     diversions: int = field(default=0)
 
@@ -105,15 +93,20 @@ class LoadAdaptiveRouter:
         snap = self.snap
         edges = snap.edges
         load = np.zeros(edges.u.shape[0])
-        for (u, v), rate in _committed_load(
-                active_flows, self.assumed_flow_rate_bps).items():
-            load[snap.edge_row(u, v)] = rate
+        if active_flows:
+            load = np.bincount(
+                np.concatenate([f.rows for f in active_flows]),
+                weights=np.repeat(
+                    [f.rate_bps if f.rate_bps > 0.0
+                     else ASSUMED_FLOW_RATE_BPS for f in active_flows],
+                    [len(f.rows) for f in active_flows]),
+                minlength=load.shape[0],
+            )
         usable = edges.capacity_bps > 0.0
         utilization = np.zeros(load.shape[0])
         utilization[usable] = np.minimum(
             0.999, load[usable] / edges.capacity_bps[usable])
-        congestion = (self.congestion_weight * edges.delay_s * utilization
-                      / (1.0 - utilization))
+        congestion = edges.delay_s * utilization / (1.0 - utilization)
         costs = np.where(usable, edges.delay_s + congestion, np.inf)
         best_path = _best_gateway_path(
             snap, CsrAdjacency.from_edges(snap.nodes, edges.u, edges.v, costs),

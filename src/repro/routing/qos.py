@@ -17,7 +17,7 @@ enter the CSR arrays), and runs cheapest-path over what is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,9 @@ class QosRouteResult:
     rejection_reason: str = ""
 
 
+_UNKNOWN_ENDPOINT = "endpoint not in topology"
+
+
 class QosRouter:
     """Cheapest admissible path under per-flow QoS requirements.
 
@@ -86,25 +89,43 @@ class QosRouter:
             target: Target node id.
             requirement: The flow's QoS class.
         """
-        if source not in snap.index or target not in snap.index:
-            return QosRouteResult(None, False, "endpoint not in topology")
+        (result,) = self.routes(snap, source, [target], requirement)
+        return result
+
+    def routes(self, snap, source: str, targets: Sequence[str],
+               requirement: QosRequirement) -> List[QosRouteResult]:
+        """:meth:`route` to every target, in target order, from one CSR
+        compile and one single-source search."""
+        if source not in snap.index:
+            return [QosRouteResult(None, False, _UNKNOWN_ENDPOINT)
+                    for _ in targets]
         edges = snap.edges
         costs = edges.costs(self.cost_model)
         costs[edges.capacity_bps < requirement.min_bandwidth_bps] = np.inf
-        path = CsrAdjacency.from_edges(
+        search = CsrAdjacency.from_edges(
             snap.nodes, edges.u, edges.v, costs,
-        ).shortest_path(source, target)
-        if path is None:
-            return QosRouteResult(
-                None, False,
-                "no path satisfies per-link constraints "
-                f"(min bw {requirement.min_bandwidth_bps:.0f} bps)",
-            )
-        metrics = path_metrics(snap, path)
-        if metrics.total_delay_s > requirement.max_end_to_end_delay_s:
-            return QosRouteResult(
-                metrics, False,
-                f"best path delay {metrics.total_delay_ms:.1f} ms exceeds "
-                f"limit {requirement.max_end_to_end_delay_s * 1000:.1f} ms",
-            )
-        return QosRouteResult(metrics, True)
+        ).single_source(source)
+        return [_admission(snap, search.path(source, target), requirement)
+                if target in snap.index
+                else QosRouteResult(None, False, _UNKNOWN_ENDPOINT)
+                for target in targets]
+
+
+def _admission(snap, path: Optional[List[str]],
+               requirement: QosRequirement) -> QosRouteResult:
+    """Whether the cheapest admissible ``path`` (None: no path) meets
+    the requirement's delay bound."""
+    if path is None:
+        return QosRouteResult(
+            None, False,
+            "no path satisfies per-link constraints "
+            f"(min bw {requirement.min_bandwidth_bps:.0f} bps)",
+        )
+    metrics = path_metrics(snap, path)
+    if metrics.total_delay_s > requirement.max_end_to_end_delay_s:
+        return QosRouteResult(
+            metrics, False,
+            f"best path delay {metrics.total_delay_ms:.1f} ms exceeds "
+            f"limit {requirement.max_end_to_end_delay_s * 1000:.1f} ms",
+        )
+    return QosRouteResult(metrics, True)

@@ -27,7 +27,6 @@ from repro.simulation.flowsim import (
     CompletedFlow,
     FlowSimResult,
     FlowSimulator,
-    max_min_fair_rates,
 )
 from repro.simulation.sessionsim import (
     SessionSample,
@@ -53,7 +52,6 @@ __all__ = [
     "CompletedFlow",
     "FlowSimResult",
     "FlowSimulator",
-    "max_min_fair_rates",
     "SessionSample",
     "SessionSimulator",
     "SessionTrace",

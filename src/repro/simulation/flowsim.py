@@ -8,19 +8,25 @@ simulates flows sharing link capacities under progressive-filling
 (max-min fair) allocation, advancing in discrete epochs on flow arrival /
 completion events.
 
-The simulator is routing-agnostic: it holds link capacities only, and a
-``route_fn`` callback maps each arriving flow to a node path (the router
-holds the snapshot it routes over), so proactive, QoS-aware, and
-load-adaptive routers can be compared under the identical workload (see
-``benchmarks/test_ablation_adaptive_routing.py``).
+The simulator is routing-agnostic: it holds the snapshot it simulates
+over, each admitted flow as the rows of ``snap.edges`` along its path,
+and a ``route_fn`` callback that maps each arriving flow to a node path,
+so proactive, QoS-aware, and load-adaptive routers can be compared under
+the identical workload (see
+``benchmarks/test_ablation_adaptive_routing.py``).  Rates come from
+:func:`repro.demand.fluid.waterfill_rates` at infinite demand, the
+allocator the million-user demand plane uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs as _obs
+from repro.demand.fluid import waterfill_rates
 from repro.simulation.traffic import FlowSpec
 
 
@@ -31,7 +37,7 @@ class ActiveFlow:
     Attributes:
         spec: The originating flow spec.
         path: Node path assigned at admission.
-        edges: Edge keys (sorted node pairs) along the path.
+        rows: The rows of the snapshot's edge arrays along the path.
         remaining_bytes: Bytes left to transfer.
         admitted_at_s: When transfer started.
         rate_bps: Current max-min fair rate (recomputed each epoch).
@@ -39,7 +45,7 @@ class ActiveFlow:
 
     spec: FlowSpec
     path: List[str]
-    edges: List[Tuple[str, str]]
+    rows: List[int]
     remaining_bytes: float
     admitted_at_s: float
     rate_bps: float = 0.0
@@ -102,89 +108,34 @@ class FlowSimResult:
         )
 
 
-def max_min_fair_rates(flows: Sequence[ActiveFlow],
-                       capacities: Dict[Tuple[str, str], float]) -> None:
-    """Assign progressive-filling max-min fair rates in place.
-
-    Classic water-filling: repeatedly find the most constrained link
-    (capacity / unfrozen flows), freeze its flows at that fair share, and
-    continue with residual capacities.  A flow that crosses no
-    finite-capacity link is never constrained and gets an infinite
-    rate, as in :func:`repro.demand.fluid.waterfill_rates`.
-
-    Args:
-        flows: Active flows; ``rate_bps`` is overwritten.
-        capacities: Edge key -> capacity in bps.
-    """
-    residual = dict(capacities)
-    users: Dict[Tuple[str, str], List[ActiveFlow]] = {}
-    for flow in flows:
-        flow.rate_bps = 0.0
-        for edge in flow.edges:
-            users.setdefault(edge, []).append(flow)
-    unfrozen = set(id(flow) for flow in flows)
-
-    while unfrozen:
-        # Fair share on each still-loaded edge.
-        best_edge = None
-        best_share = float("inf")
-        for edge, edge_flows in users.items():
-            active = [f for f in edge_flows if id(f) in unfrozen]
-            if not active:
-                continue
-            share = residual[edge] / len(active)
-            if share < best_share:
-                best_share = share
-                best_edge = edge
-        if best_edge is None:
-            for flow in flows:
-                if id(flow) in unfrozen:
-                    flow.rate_bps = float("inf")
-            break
-        # Freeze every unfrozen flow on the bottleneck edge.
-        for flow in users[best_edge]:
-            if id(flow) not in unfrozen:
-                continue
-            flow.rate_bps = best_share
-            unfrozen.discard(id(flow))
-            for edge in flow.edges:
-                residual[edge] = max(0.0, residual[edge] - best_share)
-
-
-def _key(u: str, v: str) -> Tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
-def link_capacities(snap) -> Dict[Tuple[str, str], float]:
-    """Each edge's ``capacity_bps`` of a
-    :class:`~repro.core.network.NetworkSnapshot`, keyed by its sorted
-    endpoint pair: the links a :class:`FlowSimulator` shares."""
-    nodes = snap.nodes
-    edges = snap.edges
-    return {
-        _key(nodes[u], nodes[v]): capacity
-        for u, v, capacity in zip(edges.u.tolist(), edges.v.tolist(),
-                                  edges.capacity_bps.tolist())
-    }
-
-
 class FlowSimulator:
     """Event-driven flow-level simulator.
 
     Args:
-        capacities: Link capacity in bits/s, keyed by endpoint pair in
-            either order (:func:`link_capacities` of a snapshot).
+        snap: The :class:`~repro.core.network.NetworkSnapshot` simulated
+            over; flows share the ``capacity_bps`` of its edge rows.
         route_fn: ``(flow, active_flows) -> path or None``.  Called once
             per arriving flow; None rejects the flow (no route).  Every
-            hop of a path must be a listed link.
+            hop of a path must be an edge of ``snap``.
     """
 
-    def __init__(self, capacities: Dict[Tuple[str, str], float],
+    def __init__(self, snap,
                  route_fn: Callable[[FlowSpec, List[ActiveFlow]],
                                     Optional[List[str]]]):
+        self.snap = snap
         self.route_fn = route_fn
-        self._capacities = {_key(u, v): capacity
-                            for (u, v), capacity in capacities.items()}
+
+    def _rows(self, path: List[str]) -> List[int]:
+        """The edge row of every hop of ``path`` (either direction)."""
+        hops = list(zip(path[:-1], path[1:]))
+        rows = [self.snap.edge_row(u, v) for u, v in hops]
+        missing = [hop for hop, row in zip(hops, rows) if row is None]
+        if missing:
+            raise ValueError(
+                f"route_fn returned hops that are no links of the "
+                f"snapshot: {missing}"
+            )
+        return rows
 
     def run(self, flows: Sequence[FlowSpec]) -> FlowSimResult:
         """Simulate the full workload to completion.
@@ -215,9 +166,19 @@ class FlowSimulator:
         active: List[ActiveFlow] = []
         now = 0.0
         index = 0
+        capacity = self.snap.edges.capacity_bps
 
         def recompute():
-            max_min_fair_rates(active, self._capacities)
+            if not active:
+                return
+            rows = [flow.rows for flow in active]
+            rates, _, _ = waterfill_rates(
+                np.full(len(active), np.inf),
+                np.repeat(np.arange(len(active)), [len(r) for r in rows]),
+                np.concatenate(rows), capacity,
+            )
+            for flow, rate in zip(active, rates.tolist()):
+                flow.rate_bps = rate
 
         while index < len(pending) or active:
             next_arrival = (
@@ -281,15 +242,8 @@ class FlowSimulator:
                                        user=spec.user_id, reason="no-route",
                                        qos=spec.qos_class)
                     continue
-                edges = [_key(u, v) for u, v in zip(path[:-1], path[1:])]
-                missing = [e for e in edges if e not in self._capacities]
-                if missing:
-                    raise ValueError(
-                        f"route_fn returned links without a capacity: "
-                        f"{missing}"
-                    )
                 active.append(ActiveFlow(
-                    spec=spec, path=list(path), edges=edges,
+                    spec=spec, path=list(path), rows=self._rows(path),
                     remaining_bytes=spec.size_bytes, admitted_at_s=now,
                 ))
                 if recorder.enabled:

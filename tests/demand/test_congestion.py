@@ -4,11 +4,7 @@ import networkx as nx
 import pytest
 
 from repro import obs as _obs
-from repro.demand.congestion import (
-    congestion_state,
-    peak_statistics,
-    settle_demand,
-)
+from repro.demand.congestion import peak_statistics, settle_demand
 from repro.demand.fluid import run_fluid
 from tests.demand.tables import edge_table
 from tests.routing.oracle import GraphSnapshot
@@ -48,17 +44,12 @@ def congested_result():
 class TestCongestionState:
     def test_utilization_and_loads(self):
         result = congested_result()
-        state = congestion_state(result)
         # The fluid plane picked the short route and filled its 40 Mbps
-        # gateway link.
-        assert state.utilization[("gw", "sat-short")] == pytest.approx(1.0)
-        assert state.utilization == result.utilization
-
-    def test_keys_sorted_for_determinism(self):
-        result = congested_result()
-        state = congestion_state(result)
-        keys = list(state.utilization)
-        assert keys == sorted(keys)
+        # gateway link; the long route carries nothing.
+        assert result.utilization == {
+            ("cell-00000", "sat-short"): pytest.approx(40e6 / 200e6),
+            ("gw", "sat-short"): pytest.approx(1.0),
+        }
 
     def test_peak_statistics(self):
         result = congested_result()
@@ -70,11 +61,10 @@ class TestCongestionState:
 
 class TestHealthIntegration:
     def test_utilization_lands_in_health_plane(self):
-        state = congestion_state(congested_result())
         recorder = _obs.Recorder()
         with _obs.use(recorder):
             recorder.sample_health(0.0, loaded_graph(),
-                                   utilization=state.utilization,
+                                   utilization=congested_result().utilization,
                                    reset=True)
         rows = recorder.health.rows()
         links = next(row for row in rows

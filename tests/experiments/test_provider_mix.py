@@ -5,6 +5,13 @@ import pytest
 from repro.experiments.provider_mix import QOS_CLASSES, provider_mix_sweep
 
 
+def _rounded(value):
+    """Floats at ten significant digits, dict values too."""
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    return float(f"{value:.10g}")
+
+
 @pytest.fixture(scope="module")
 def sweep():
     return provider_mix_sweep(
@@ -43,6 +50,26 @@ class TestProviderMix:
     def test_cost_effectiveness_reported(self, sweep):
         for result in sweep:
             assert result.premium_capacity_per_musd >= 0.0
+
+    def test_rows_pinned(self, sweep):
+        # The rows the per-flow allocator and one QoS search per
+        # gateway produced, at ten significant digits (the digests'
+        # rounding): the waterfill and one search per flow keep them.
+        assert [[r.mix_name, _rounded(r.admission_by_class),
+                 _rounded(r.mean_fct_s), _rounded(r.capex_musd),
+                 _rounded(r.premium_capacity_per_musd)] for r in sweep] == [
+            ["3 small + 0 medium", {"best_effort": 0.4666666667,
+                                    "premium": 0.3333333333,
+                                    "standard": 0.3333333333},
+             2.605479858, 25.72362, 12.95825911],
+            ["1 small + 2 medium", {"best_effort": 0.6, "premium": 0.5,
+                                    "standard": 0.5454545455},
+             1.593941387, 120.60282, 4.145840039],
+            ["0 small + 3 medium", {"best_effort": 0.6666666667,
+                                    "premium": 0.3333333333,
+                                    "standard": 0.5},
+             0.09575040274, 168.04242, 1.983626119],
+        ]
 
     def test_rejects_empty_mix(self):
         with pytest.raises(ValueError, match="at least one operator"):

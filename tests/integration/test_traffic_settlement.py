@@ -15,7 +15,7 @@ from repro.economics.ledger import TrafficLedger
 from repro.economics.settlement import RateCard, SettlementEngine
 from repro.routing.adaptive import LoadAdaptiveRouter
 from repro.routing.metrics import path_metrics
-from repro.simulation.flowsim import FlowSimulator, link_capacities
+from repro.simulation.flowsim import FlowSimulator
 from repro.simulation.scenario import Scenario
 from repro.simulation.traffic import PoissonFlowGenerator
 
@@ -37,8 +37,7 @@ def workload_outcome():
         population, arrival_rate_per_s=1.0, rng=rng, mean_flow_mb=5.0,
     )
     flows = generator.generate(30.0)
-    result = FlowSimulator(link_capacities(snap),
-                           LoadAdaptiveRouter(snap)).run(flows)
+    result = FlowSimulator(snap, LoadAdaptiveRouter(snap)).run(flows)
     return snap, result
 
 

@@ -91,6 +91,20 @@ class TestSampling:
         assert list(plane._link_util) == [0.5]
         assert plane._link_ids[plane._link_index[0]] == "A--B"
 
+    def test_keys_sorted_for_determinism(self):
+        # The plane sorts a utilization map itself: the same map in two
+        # key orders writes identical rows.
+        graph = _graph(("A", "B"), ("B", "C"), ("C", "D"))
+        utilization = {("C", "D"): 0.25, ("A", "B"): 0.5, ("B", "C"): 1.0}
+        rows = []
+        for keys in (sorted(utilization), sorted(utilization, reverse=True)):
+            plane = HealthPlane()
+            plane.sample(0.0, graph,
+                         utilization={key: utilization[key] for key in keys})
+            rows.append(plane.rows())
+        assert rows[0] == rows[1]
+        assert rows[0][1]["utilization"] == [0.5, 1.0, 0.25]
+
 
 def _present_epochs(plane):
     """Link id -> epochs up, from the plane's ``health_links`` record."""

@@ -1,17 +1,16 @@
 """Property-based tests for flow simulation and time-expanded routing."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.demand.fluid import waterfill_rates
-from repro.simulation.flowsim import (
-    ActiveFlow,
-    FlowSimulator,
-    max_min_fair_rates,
-)
+from repro.simulation.flowsim import FlowSimulator
 from repro.simulation.traffic import FlowSpec
+from tests.routing.oracle import GraphSnapshot
+from tests.simulation.oracle import max_min_fair_rates
 
 #: Finite link capacities and flow demands, with zeros and integer ties
 #: (no subnormals: a subnormal capacity's fair share underflows to 0).
@@ -46,16 +45,19 @@ def waterfill(capacity, demand, paths):
     return rates
 
 
-def flowsim_rates(capacity, paths):
-    flows = [
-        ActiveFlow(spec=FlowSpec(f"f{index}", "u", 0.0, 1e6), path=[],
-                   edges=[(f"e{edge}", "x") for edge in path],
-                   remaining_bytes=1e6, admitted_at_s=0.0)
-        for index, path in enumerate(paths)
-    ]
-    max_min_fair_rates(flows, {(f"e{edge}", "x"): float(cap)
-                               for edge, cap in enumerate(capacity)})
-    return np.array([flow.rate_bps for flow in flows])
+def referee_rates(capacity, paths):
+    return np.array(max_min_fair_rates(
+        paths, {edge: float(cap) for edge, cap in enumerate(capacity)}))
+
+
+def simulator_rates(flow_links, capacities):
+    """The flow simulator's allocation: the waterfill at infinite demand
+    over links named by the keys of ``capacities``."""
+    slot = {link: i for i, link in enumerate(capacities)}
+    return waterfill(np.array(list(capacities.values())),
+                     np.full(len(flow_links), np.inf),
+                     [[slot[link] for link in links]
+                      for links in flow_links])
 
 
 def assert_max_min_certificate(rates, demand, paths, capacity):
@@ -75,21 +77,19 @@ def assert_max_min_certificate(rates, demand, paths, capacity):
                        for edge in path), (flow, rates, load)
 
 
-def line_flow(flow_id, size_bytes, start_s=0.0):
-    spec = FlowSpec(flow_id, "u", start_s, size_bytes)
-    return ActiveFlow(spec=spec, path=["u", "s", "g"],
-                      edges=[("s", "u"), ("g", "s")],
-                      remaining_bytes=size_bytes, admitted_at_s=start_s)
+def one_link_snap(capacity):
+    """A u-g link of ``capacity`` bps, as a snapshot."""
+    graph = nx.Graph()
+    graph.add_edge("u", "g", capacity_bps=capacity)
+    return GraphSnapshot(graph)
 
 
 class TestMaxMinFairProperties:
     @given(count=st.integers(min_value=1, max_value=12),
            capacity=st.floats(min_value=1e5, max_value=1e9))
     def test_identical_flows_get_equal_rates(self, count, capacity):
-        flows = [line_flow(f"f{i}", 1e6) for i in range(count)]
-        max_min_fair_rates(flows, {("s", "u"): capacity,
-                                   ("g", "s"): capacity})
-        rates = [f.rate_bps for f in flows]
+        rates = simulator_rates([["su", "gs"]] * count,
+                                {"su": capacity, "gs": capacity})
         assert max(rates) - min(rates) < 1e-6 * capacity
         assert sum(rates) <= capacity * (1 + 1e-9)
 
@@ -104,21 +104,19 @@ class TestMaxMinFairProperties:
         for u, v in zip(nodes[:-1], nodes[1:]):
             key = (u, v) if u <= v else (v, u)
             capacities[key] = capacity
-        flows = []
-        for index, span in enumerate(counts):
+        flow_links = []
+        for span in counts:
             path = nodes[: span + 1]
-            edges = [
+            flow_links.append([
                 (u, v) if u <= v else (v, u)
                 for u, v in zip(path[:-1], path[1:])
-            ]
-            spec = FlowSpec(f"f{index}", path[0], 0.0, 1e6)
-            flows.append(ActiveFlow(spec=spec, path=path, edges=edges,
-                                    remaining_bytes=1e6, admitted_at_s=0.0))
-        max_min_fair_rates(flows, capacities)
+            ])
+        rates = simulator_rates(flow_links, capacities)
         for key, cap in capacities.items():
-            used = sum(f.rate_bps for f in flows if key in f.edges)
+            used = sum(rate for rate, links in zip(rates, flow_links)
+                       if key in links)
             assert used <= cap * (1 + 1e-9)
-        assert all(f.rate_bps > 0.0 for f in flows)
+        assert all(rate > 0.0 for rate in rates)
 
     @given(instance=sharing_instances())
     @settings(max_examples=100, deadline=None)
@@ -128,16 +126,17 @@ class TestMaxMinFairProperties:
         assert np.all(rates <= demand)
         assert_max_min_certificate(rates, demand, paths, capacity)
         unbounded = np.full(demand.size, np.inf)
-        flowsim = flowsim_rates(capacity, paths)
-        assert_max_min_certificate(flowsim, unbounded, paths, capacity)
+        referee = referee_rates(capacity, paths)
+        assert_max_min_certificate(referee, unbounded, paths, capacity)
         # With no demand cap the max-min allocation is unique, so the
-        # two allocators may differ only by rounding.
+        # waterfill the flow simulator runs may differ from the referee
+        # only by rounding.
         fluid = waterfill(capacity, unbounded, paths)
-        assert np.array_equal(np.isinf(fluid), np.isinf(flowsim))
+        assert np.array_equal(np.isinf(fluid), np.isinf(referee))
         finite = np.isfinite(fluid)
-        assert np.all(np.abs(fluid[finite] - flowsim[finite])
+        assert np.all(np.abs(fluid[finite] - referee[finite])
                       <= 1e-12 * np.maximum(np.abs(fluid[finite]),
-                                            np.abs(flowsim[finite])))
+                                            np.abs(referee[finite])))
 
 
 class TestFlowSimulatorProperties:
@@ -151,7 +150,7 @@ class TestFlowSimulatorProperties:
         flows = [
             FlowSpec(f"f{i}", "u", starts[i], sizes[i]) for i in range(count)
         ]
-        sim = FlowSimulator({("u", "g"): 10e6}, lambda f, a: ["u", "g"])
+        sim = FlowSimulator(one_link_snap(10e6), lambda f, a: ["u", "g"])
         result = sim.run(flows)
         assert len(result.completed) == count
         # Every flow finishes no earlier than its serial transfer time.
@@ -164,7 +163,7 @@ class TestFlowSimulatorProperties:
     @settings(max_examples=30, deadline=None)
     def test_makespan_at_least_total_work(self, sizes):
         flows = [FlowSpec(f"f{i}", "u", 0.0, s) for i, s in enumerate(sizes)]
-        result = FlowSimulator({("u", "g"): 8e6},
+        result = FlowSimulator(one_link_snap(8e6),
                                lambda f, a: ["u", "g"]).run(flows)
         makespan = max(r.finish_s for r in result.completed)
         total_work_s = sum(sizes) * 8.0 / 8e6

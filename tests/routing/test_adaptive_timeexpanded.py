@@ -1,15 +1,19 @@
 """Tests for load-adaptive routing and time-expanded store-and-forward."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro.core.interop import SizeClass
+from repro.orbits.coordinates import GeodeticPoint
 from repro.routing.adaptive import (
     LoadAdaptiveRouter,
     StaticNearestRouter,
     gateway_load_profile,
 )
 from repro.routing.timeexpanded import TimeExpandedRouter
-from repro.simulation.flowsim import FlowSimulator, link_capacities
+from repro.simulation.flowsim import FlowSimulator
+from repro.simulation.scenario import Scenario
 from repro.simulation.traffic import FlowSpec
 from tests.routing.oracle import GraphSnapshot
 
@@ -56,9 +60,8 @@ class TestLoadAdaptiveRouter:
 
     def test_diverts_under_load(self, two_gateway_snap):
         """The paper's Q2 behaviour: re-route to a farther idle gateway."""
-        router = LoadAdaptiveRouter(two_gateway_snap,
-                                    assumed_flow_rate_bps=10e6)
-        sim = FlowSimulator(link_capacities(two_gateway_snap), router)
+        router = LoadAdaptiveRouter(two_gateway_snap)
+        sim = FlowSimulator(two_gateway_snap, router)
         flows = [FlowSpec(f"f{i}", "u", i * 0.01, 40e6) for i in range(12)]
         result = sim.run(flows)
         profile = gateway_load_profile(result.completed, two_gateway_snap)
@@ -67,12 +70,11 @@ class TestLoadAdaptiveRouter:
 
     def test_adaptive_beats_static_under_congestion(self, two_gateway_snap):
         flows = [FlowSpec(f"f{i}", "u", i * 0.01, 40e6) for i in range(12)]
-        capacities = link_capacities(two_gateway_snap)
         static = FlowSimulator(
-            capacities, StaticNearestRouter(two_gateway_snap)
+            two_gateway_snap, StaticNearestRouter(two_gateway_snap)
         ).run(flows)
         adaptive = FlowSimulator(
-            capacities, LoadAdaptiveRouter(two_gateway_snap)
+            two_gateway_snap, LoadAdaptiveRouter(two_gateway_snap)
         ).run(flows)
         assert (adaptive.mean_completion_time_s()
                 < static.mean_completion_time_s())
@@ -80,6 +82,97 @@ class TestLoadAdaptiveRouter:
     def test_unknown_user_returns_none(self, two_gateway_snap):
         flow = FlowSpec("f1", "ghost", 0.0, 1e6)
         assert LoadAdaptiveRouter(two_gateway_snap)(flow, []) is None
+
+
+def hotspot_snap():
+    """The adaptive-routing ablation's flash crowd: eight users around
+    Nairobi on a 66-satellite, two-operator fleet, every ground link
+    throttled to at most 150 Mbps."""
+    scenario = Scenario(
+        name="hotspot", satellite_count=66,
+        operator_names=("op-a", "op-b"), size_mix=(SizeClass.MEDIUM,),
+        user_count=8, seed=23,
+    )
+    network = scenario.build_network()
+    population = scenario.build_population()
+    rng = np.random.default_rng(23)
+    for user in population.users:
+        user.location = GeodeticPoint(-1.29 + float(rng.normal(0, 1.0)),
+                                      36.82 + float(rng.normal(0, 1.0)))
+        user.min_elevation_deg = 10.0
+    snap = network.snapshot(0.0, users=population.users)
+    stations = set(snap.nodes_of_kind("ground_station"))
+    at_station = np.array([node in stations for node in snap.nodes])
+    edges = snap.edges
+    ground = at_station[edges.u] | at_station[edges.v]
+    snap.edges = edges._replace(capacity_bps=np.where(
+        ground, np.minimum(edges.capacity_bps, 150e6), edges.capacity_bps))
+    return snap
+
+
+def rounded(values):
+    """Floats at ten significant digits (the digests' rounding)."""
+    return [float(f"{value:.10g}") for value in values]
+
+
+class TestHotspotPinned:
+    """The ablation's 40-flow hotspot, pinned to the completion times,
+    rates, gateways and diversions the per-flow allocator produced."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        snap = hotspot_snap()
+        flows = [FlowSpec(f"f{i}", f"user-{i % 8}", start_s=i * 0.05,
+                          size_bytes=40e6) for i in range(40)]
+        static = FlowSimulator(snap, StaticNearestRouter(snap)).run(flows)
+        router = LoadAdaptiveRouter(snap)
+        adaptive = FlowSimulator(snap, router).run(flows)
+        return snap, static, adaptive, router
+
+    def test_static_run(self, runs):
+        snap, static, _, _ = runs
+        assert [f.spec.flow_id for f in static.completed] == [
+            f"f{i}" for i in range(40)]
+        assert rounded(f.completion_time_s for f in static.completed) == [
+            78.77624726, 80.67624726, 81.57624726, 82.14291392,
+            82.54291392, 82.84291392, 83.07624726, 83.26196154,
+            83.41196154, 83.53418376, 83.63418376, 83.71600195,
+            83.78266861, 83.83651477, 83.87937191, 83.91270524,
+            83.93770524, 83.9553523, 83.96646341, 83.97172657,
+            83.97172657, 83.96696466, 83.95787376, 83.94483028,
+            83.92816361, 83.90816361, 83.88508669, 83.85916076,
+            83.83058933, 83.79955485, 83.76622152, 83.73073765,
+            83.69323765, 83.65384371, 83.61266724, 83.56981009,
+            83.52536565, 83.4794197, 83.43205128, 83.38333333,
+        ]
+        assert rounded([static.mean_completion_time_s(),
+                        static.mean_throughput_bps()]) == [
+            83.38333333, 3838273.409]
+        assert gateway_load_profile(static.completed, snap) == {
+            "gs-nairobi": 40}
+
+    def test_adaptive_run(self, runs):
+        snap, _, adaptive, router = runs
+        assert sorted(f.spec.flow_id for f in adaptive.completed) == sorted(
+            f"f{i}" for i in range(40))
+        assert rounded(f.completion_time_s for f in adaptive.completed) == (
+            [2.133333333] * 26 + [
+                27.64057304, 28.84057304, 29.09057304, 29.22390637,
+                29.29890637, 29.33890637, 29.35557304, 29.35557304,
+                29.34307304, 29.32085082, 29.29085082, 29.25448718,
+                29.21282051, 29.16666667,
+            ])
+        assert rounded([adaptive.mean_completion_time_s(),
+                        adaptive.mean_throughput_bps()]) == [
+            11.58, 101346536.1]
+        assert gateway_load_profile(adaptive.completed, snap) == {
+            "gs-nairobi": 1, "gs-mumbai": 2, "gs-bahrain": 1,
+            "gs-frankfurt": 2, "gs-svalbard": 6, "gs-capetown": 2,
+            "gs-ireland": 2, "gs-santiago": 2, "gs-tokyo": 1,
+            "gs-saopaulo": 1, "gs-virginia": 2, "gs-anchorage": 3,
+            "gs-oregon": 1, "gs-sydney": 14,
+        }
+        assert router.diversions == 39
 
 
 class TestNearestGatewayTie:

@@ -90,6 +90,26 @@ class TestRouter:
         assert result.metrics.path == ["src", "rf1", "dst"]
 
 
+class TestTargetList:
+    @pytest.mark.parametrize("requirement", [
+        BEST_EFFORT, STANDARD, PREMIUM,
+        QosRequirement(min_bandwidth_bps=10e9),
+        QosRequirement(max_end_to_end_delay_s=0.001),
+    ])
+    @pytest.mark.parametrize("source", ["src", "rf1", "ghost"])
+    def test_target_list_equals_one_route_per_target(self, hetero_snap,
+                                                     requirement, source):
+        # One compile and one search answer every target exactly as a
+        # route call of its own does, an unknown or repeated one too.
+        router = QosRouter()
+        targets = [target for target in ("dst", "opt1", "ghost", "src",
+                                         "rf1", "dst") if target != source]
+        assert router.routes(hetero_snap, source, targets, requirement) == [
+            router.route(hetero_snap, source, target, requirement)
+            for target in targets
+        ]
+
+
 class TestGraphReferee:
     def test_routes_match_the_graph_view(self):
         # On a mixed RF/laser federation with users, every QoS route is
