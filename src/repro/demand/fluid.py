@@ -27,13 +27,17 @@ share (``converged``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs as _obs
-from repro.core.network import SnapshotEdges
-from repro.routing.csr import CsrAdjacency
+
+if TYPE_CHECKING:
+    # Annotations only: repro.core imports the simulation package, whose
+    # flow simulator imports this allocator.
+    from repro.core.network import SnapshotEdges
+    from repro.routing.csr import CsrAdjacency
 
 #: Utilization is clamped below 1 when deriving queueing-delay
 #: inflation so saturated links price as very expensive, not infinite.
@@ -193,7 +197,8 @@ def waterfill_rates(demand_bps: np.ndarray, entry_flow: np.ndarray,
     level freeze at their demand (they never congest anything further),
     otherwise the bottleneck link's flows freeze at the fair share and
     its capacity leaves the pool.  All bookkeeping is bincount
-    scatter-adds over the flow→edge incidence arrays.  A flow that
+    scatter-adds over the flow→edge incidence arrays: a frozen flow's
+    entries leave each link's count once, when it freezes.  A flow that
     crosses only uncapped (``inf``) links takes its demand, ``inf`` at
     infinite demand.  The loop is bounded at ``flows + 8`` iterations.
 
@@ -208,63 +213,59 @@ def waterfill_rates(demand_bps: np.ndarray, entry_flow: np.ndarray,
     """
     demand = np.asarray(demand_bps, dtype=np.float64)
     flows = demand.size
-    edges = np.asarray(capacity_bps, dtype=np.float64).size
     rate = np.zeros(flows)
     if flows == 0:
         return rate, 0, True
-    if np.any(demand < 0.0):
+    if (demand < 0.0).any():
         raise ValueError("demands must be >= 0")
     entry_flow = np.asarray(entry_flow, dtype=np.int64)
     entry_edge = np.asarray(entry_edge, dtype=np.int64)
     if entry_flow.shape != entry_edge.shape:
         raise ValueError("incidence arrays must be parallel")
-    residual = np.asarray(capacity_bps, dtype=np.float64).copy()
+    residual = np.array(capacity_bps, dtype=np.float64)
+    edges = residual.size
     max_iterations = flows + 8
 
-    frozen = demand <= 0.0
+    unfrozen = ~(demand <= 0.0)
     # Flows that touch no link are never constrained.
-    entries_per_flow = np.bincount(entry_flow, minlength=flows)
-    free = entries_per_flow == 0
-    rate[free & ~frozen] = demand[free & ~frozen]
-    frozen |= free
+    free = np.bincount(entry_flow, minlength=flows) == 0
+    free &= unfrozen
+    rate[free] = demand[free]
+    unfrozen &= ~free
+    # Unfrozen entries per link.
+    counts = np.bincount(entry_edge[unfrozen[entry_flow]], minlength=edges)
+    uncapped = np.full(edges, np.inf)
 
     iterations = 0
     converged = True
-    while not frozen.all():
+    while unfrozen.any():
         iterations += 1
         if iterations > max_iterations:
             converged = False
             break
-        active_entry = ~frozen[entry_flow]
-        counts = np.bincount(entry_edge[active_entry], minlength=edges)
-        loaded = counts > 0
-        share = np.full(edges, np.inf)
-        share[loaded] = (np.maximum(residual[loaded], 0.0)
-                         / counts[loaded])
+        share = np.divide(np.maximum(residual, 0.0), counts,
+                          out=uncapped.copy(), where=counts > 0)
         level = share.min()
         if level == np.inf:
             # Every unfrozen flow crosses only uncapped links: each takes
             # its demand, and no residual is left to draw down (inf - inf).
-            remaining = ~frozen
-            rate[remaining] = demand[remaining]
+            rate[unfrozen] = demand[unfrozen]
             break
-        demand_limited = ~frozen & (demand <= level * (1.0 + 1e-12))
-        if demand_limited.any():
-            newly = demand_limited
+        newly = unfrozen & (demand <= level * (1.0 + 1e-12))
+        if newly.any():
             rate[newly] = demand[newly]
         else:
-            bottleneck = int(np.argmin(share))
-            on_edge = np.zeros(flows, dtype=bool)
-            on_edge[entry_flow[entry_edge == bottleneck]] = True
-            newly = ~frozen & on_edge
+            # The bottleneck link's unfrozen flows take the fair share.
+            newly[entry_flow[entry_edge == share.argmin()]] = True
+            newly &= unfrozen
             rate[newly] = level
-        frozen |= newly
+        unfrozen &= ~newly
         newly_entry = newly[entry_flow]
-        if newly_entry.any():
-            residual -= np.bincount(
-                entry_edge[newly_entry],
-                weights=rate[entry_flow[newly_entry]], minlength=edges,
-            )
+        newly_edge = entry_edge[newly_entry]
+        residual -= np.bincount(newly_edge,
+                                weights=rate[entry_flow[newly_entry]],
+                                minlength=edges)
+        counts -= np.bincount(newly_edge, minlength=edges)
     return rate, iterations, converged
 
 

@@ -1,5 +1,5 @@
-"""Package-integrity tests: every module imports, every export resolves,
-and no import path loads networkx."""
+"""Package-integrity tests: every module imports, every top-level package
+imports first, every export resolves, and no import path loads networkx."""
 
 import importlib
 import os
@@ -61,6 +61,34 @@ def test_version_string():
     assert repro.__version__ == "1.0.0"
 
 
+def _fresh_env():
+    return dict(os.environ,
+                PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+
+
+def test_every_package_imports_first():
+    # An import cycle shows only in a process whose first repro import
+    # enters it at the wrong end; this session imports repro.core first
+    # (conftest), and test_module_imports walks the modules in order.
+    # One fresh interpreter empties its repro module table before each
+    # import, so every top-level package is imported first in turn.
+    packages = [name for name in MODULES if name.count(".") == 1]
+    script = (
+        "import importlib, sys\n"
+        f"for name in {packages!r}:\n"
+        "    for key in [key for key in sys.modules\n"
+        "                if key == 'repro' or key.startswith('repro.')]:\n"
+        "        del sys.modules[key]\n"
+        "    try:\n"
+        "        importlib.import_module(name)\n"
+        "    except Exception as error:\n"
+        "        print(f'{name}: {error!r}')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == ""
+
+
 def test_no_module_loads_networkx():
     # A fresh interpreter: this test session has networkx loaded already
     # (the referees use it).  Snapshots expose networkx views for the
@@ -71,8 +99,6 @@ def test_no_module_loads_networkx():
         "    importlib.import_module(name)\n"
         "print('networkx' in sys.modules)\n"
     )
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
