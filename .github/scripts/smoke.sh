@@ -11,9 +11,9 @@
 # first run's stdout must also equal a committed file, so a change that
 # moves a row fails even though it moves every run alike.  Optionally
 # finishes with a targeted benchmark case whose JSON the workflow
-# uploads as an artifact.  Every sweep runs with networkx unimportable
-# (.github/scripts/no_networkx first on PYTHONPATH); the benchmark case
-# keeps it for its scalar references.
+# uploads as an artifact.  Every sweep and the benchmark case run with
+# networkx unimportable (.github/scripts/no_networkx first on
+# PYTHONPATH).
 #
 # Inputs (environment):
 #   SWEEP_CMD   repro subcommand + arguments (required)
@@ -59,6 +59,6 @@ fi
 if [ -n "${BENCH_ONLY:-}" ]; then
   : "${BENCH_OUT:?BENCH_OUT is required when BENCH_ONLY is set}"
   # shellcheck disable=SC2086
-  PYTHONPATH=src python benchmarks/run_bench.py \
+  PYTHONPATH=.github/scripts/no_networkx:src python benchmarks/run_bench.py \
     --only ${BENCH_ONLY} --output "${BENCH_OUT}" ${BENCH_ARGS:-}
 fi

@@ -2,10 +2,9 @@
 
 Measures these things and writes them to ``BENCH_parallel.json``:
 
-1. **Vectorization speedup** — scalar reference implementations (the
-   pre-vectorization per-element loops, kept here as the honest
-   baseline) against the broadcast paths for orbit propagation, relay
-   mesh construction, and a Figure 2(b)-shaped sweep.
+1. **Vectorization speedup** — the per-flow reference of the fluid
+   traffic plane (kept here as the honest baseline) against the
+   whole-array waterfill.
 2. **Wall-clock records** (no ratio) — all-pairs proactive precompute
    and time-expanded DTN planning on the CSR shortest-path stack, a
    2880-satellite snapshot and a 10k-satellite orbital period.
@@ -14,6 +13,11 @@ Measures these things and writes them to ``BENCH_parallel.json``:
    disabled recorder costs one attribute check per emit site.
 4. **Determinism** — SHA-256 digests of each sweep's output at
    ``jobs=1`` vs ``jobs=2``; they must be identical.
+
+Propagation, the relay mesh and the Figure 2(b) sweep have no ratio
+case: ``benchmarks/e2e``'s ``fleet_sweep`` times a whole Figure 2(b) per
+step in absolute seconds, and its traced ``orbits.propagate``,
+``routing.relay_build`` and ``routing.dijkstra`` stages split that time.
 
 Speedups are wall-clock *ratios* measured on the same machine in the
 same run, so they transfer across hardware; ``--check`` gates the
@@ -38,30 +42,17 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-import networkx as nx
 import numpy as np
 
 from repro.core.interop import SizeClass, build_fleet
 from repro.core.network import OpenSpaceNetwork
-from repro.experiments.figure2 import (
-    DEFAULT_GATEWAY_SITE,
-    DEFAULT_USER_SITE,
-    _relay_latency_batch_s,
-    figure_2b_latency,
-)
+from repro.experiments.figure2 import figure_2b_latency
 from repro.experiments.demand import demand_sweep
 from repro.experiments.disrupted import disrupted_sweep
 from repro.experiments.resilience_dynamic import dynamic_resilience_sweep
 from repro.experiments.scale import plane_count_for, scale_sweep
 from repro.ground.station import default_station_network
-from repro.orbits.constants import SPEED_OF_LIGHT_KM_S
-from repro.orbits.coordinates import ecef_to_eci
-from repro.orbits.visibility import (
-    elevation_angle,
-    has_line_of_sight,
-    slant_range,
-)
-from repro.orbits.walker import iridium_like, random_constellation, walker_delta
+from repro.orbits.walker import iridium_like, walker_delta
 from repro.routing.proactive import ProactiveRouter
 from repro.routing.timeexpanded import TimeExpandedRouter
 
@@ -102,124 +93,7 @@ def _timeit(fn, repeat: int = 3) -> float:
     return best
 
 
-# -- scalar reference implementations --------------------------------------
-# These replicate the pre-vectorization code paths (per-element loops over
-# `position_at` / `slant_range` / `has_line_of_sight`) so the speedup the
-# harness reports is vectorized-vs-scalar on identical work.
-
-def _scalar_positions(propagators, times):
-    return np.array(
-        [[prop.position_at(float(t)) for t in times] for prop in propagators]
-    )
-
-
-def _scalar_relay_latency_s(positions, user_eci, gateway_eci,
-                            min_elevation_deg=0.0, max_isl_range_km=6000.0):
-    count = positions.shape[0]
-    mask_rad = math.radians(min_elevation_deg)
-    graph = nx.Graph()
-    graph.add_node("user")
-    graph.add_node("gateway")
-    for i in range(count):
-        graph.add_node(i)
-        if elevation_angle(user_eci, positions[i]) >= mask_rad:
-            graph.add_edge("user", i,
-                           delay_s=slant_range(user_eci, positions[i])
-                           / SPEED_OF_LIGHT_KM_S)
-        if elevation_angle(gateway_eci, positions[i]) >= mask_rad:
-            graph.add_edge("gateway", i,
-                           delay_s=slant_range(gateway_eci, positions[i])
-                           / SPEED_OF_LIGHT_KM_S)
-    for i in range(count):
-        for j in range(i + 1, count):
-            distance = slant_range(positions[i], positions[j])
-            if distance > max_isl_range_km:
-                continue
-            if not has_line_of_sight(positions[i], positions[j]):
-                continue
-            graph.add_edge(i, j, delay_s=distance / SPEED_OF_LIGHT_KM_S)
-    try:
-        return nx.dijkstra_path_length(graph, "user", "gateway",
-                                       weight="delay_s")
-    except nx.NetworkXNoPath:
-        return None
-
-
-def _scalar_figure2b_sweep(counts, trials, epochs, seed):
-    """The Figure 2(b) inner loop with every scalar path restored."""
-    rng = np.random.default_rng(seed)
-    epoch_times = np.linspace(0.0, 86400.0, epochs, endpoint=False)
-    user_ecef = DEFAULT_USER_SITE.ecef()
-    gateway_ecef = DEFAULT_GATEWAY_SITE.ecef()
-    samples = []
-    for count in counts:
-        for _ in range(trials):
-            constellation = random_constellation(count, rng)
-            propagators = constellation.propagators()
-            for t in epoch_times:
-                positions = np.array(
-                    [p.position_at(float(t)) for p in propagators]
-                )
-                latency = _scalar_relay_latency_s(
-                    positions,
-                    ecef_to_eci(user_ecef, float(t)),
-                    ecef_to_eci(gateway_ecef, float(t)),
-                )
-                if latency is not None:
-                    samples.append(latency)
-    return samples
-
-
 # -- benchmark cases -------------------------------------------------------
-
-def bench_propagation() -> dict:
-    """Whole-fleet propagation: scalar ``position_at`` loop vs the
-    stacked :class:`~repro.orbits.kepler.KeplerFleet`.  The vectorized
-    side reuses the constellation's fleet, stacked on the first repeat,
-    across the rest."""
-    constellation = iridium_like()
-    propagators = constellation.propagators()
-    times = np.linspace(0.0, 5400.0, 120)
-    scalar_s = _timeit(lambda: _scalar_positions(propagators, times))
-    vectorized_s = _timeit(lambda: constellation.positions_over(times))
-    return {"scalar_s": scalar_s, "vectorized_s": vectorized_s,
-            "speedup": scalar_s / vectorized_s}
-
-
-def bench_relay_mesh() -> dict:
-    """Relay mesh plus shortest path for one 70-satellite epoch."""
-    rng = np.random.default_rng(7)
-    positions = random_constellation(70, rng).positions_at(0.0)
-    user_eci = ecef_to_eci(DEFAULT_USER_SITE.ecef(), 0.0)
-    gateway_eci = ecef_to_eci(DEFAULT_GATEWAY_SITE.ecef(), 0.0)
-    scalar_s = _timeit(lambda: _scalar_relay_latency_s(
-        positions, user_eci, gateway_eci))
-    vectorized_s = _timeit(lambda: _relay_latency_batch_s(
-        positions[:, None, :], user_eci[None, :], gateway_eci[None, :],
-        min_elevation_deg=0.0))
-    return {"scalar_s": scalar_s, "vectorized_s": vectorized_s,
-            "speedup": scalar_s / vectorized_s}
-
-
-def bench_figure2_sweep() -> dict:
-    """A Figure 2(b)-shaped sweep: scalar reference vs the tensor pipeline.
-
-    This is the acceptance measurement for the tensor pipeline (flat
-    epoch propagation, merged trial tensors, one block-diagonal Dijkstra
-    per sweep point, no event loop) against the honest per-element
-    scalar reference, on identical work.
-    """
-    counts, trials, epochs, seed = (10, 25, 45, 70), 2, 6, 42
-    scalar_s = _timeit(
-        lambda: _scalar_figure2b_sweep(counts, trials, epochs, seed),
-        repeat=2)
-    optimized_s = _timeit(
-        lambda: figure_2b_latency(satellite_counts=counts, trials=trials,
-                                  epochs=epochs, seed=seed, jobs=1),
-        repeat=2)
-    return {"scalar_s": scalar_s, "vectorized_s": optimized_s,
-            "speedup": scalar_s / optimized_s}
-
 
 def bench_routing_precompute() -> dict:
     """All-pairs proactive precompute: wall-clock record, no ratio.
@@ -534,9 +408,6 @@ def bench_determinism(jobs: int) -> dict:
 
 
 BENCH_CASES = {
-    "propagation": bench_propagation,
-    "relay_mesh": bench_relay_mesh,
-    "figure2_sweep": bench_figure2_sweep,
     "routing_precompute": bench_routing_precompute,
     "obs_overhead": bench_obs_overhead,
     "demand_fluid": bench_demand_fluid,
@@ -664,11 +535,9 @@ def main(argv=None) -> int:
         print(f"  determinism {name}: {status}")
 
     if args.write_baseline:
-        # Stored ratios saturate at the 20x clamp: the `propagation`
-        # baseline reads 16.0 (20 x 0.8), so its gate trips only once the
-        # measured ratio falls below 16 / (1 + tolerance), however far
-        # above 20x it ran before.
-        # The 0.8 headroom absorbs cross-machine variance in the
+        # Stored ratios saturate at the 20x clamp (a baseline of 16.0
+        # trips only below 16 / (1 + tolerance), however far above 20x
+        # the case ran before).  The 0.8 headroom absorbs cross-machine variance in the
         # numpy-vs-interpreter ratio so the gate trips on code
         # regressions, not on a different CPU.
         baseline = {

@@ -95,7 +95,7 @@ def main():
     print("\n[3] handover re-selection on the masked contact schedule")
     site = GeodeticPoint(-1.29, 36.82, 0.0)
     constellation = iridium_like()
-    windows = contact_windows(site, constellation.propagators(), 0.0,
+    windows = contact_windows(site, constellation, 0.0,
                               HORIZON_S, step_s=15.0,
                               min_elevation_deg=10.0)
     longest = max(windows, key=lambda w: w.end_s - w.start_s)

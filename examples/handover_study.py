@@ -30,7 +30,7 @@ def main():
     print(f"Computing contact windows for {len(constellation)} satellites "
           f"over {DURATION_S / 3600:.0f} h...")
     windows = contact_windows(
-        site, constellation.propagators(), 0.0, DURATION_S,
+        site, constellation, 0.0, DURATION_S,
         step_s=15.0, min_elevation_deg=25.0,
     )
     print(f"{len(windows)} visibility windows; mean duration "

@@ -2,9 +2,9 @@
 """A subscriber's session trace: latency, handovers, availability.
 
 Replays 45 minutes of a Nairobi subscriber's session against the live
-three-operator federation, under both handover schemes, and prints the
-QoE dashboard a provider would show: per-epoch serving satellite and
-latency, handover markers, and summary statistics.
+three-operator federation, charged under both handover schemes from one
+walk, and prints the QoE dashboard a provider would show: per-epoch
+serving satellite and latency, handover markers, and summary statistics.
 
 Run:
     python examples/session_qoe.py
@@ -38,8 +38,9 @@ def main():
 
     user = UserTerminal("subscriber", GeodeticPoint(-1.29, 36.82),
                         "beta", min_elevation_deg=10.0)
-    simulator = SessionSimulator(network)
-    trace = simulator.run(user, 0.0, DURATION_S, epoch_s=EPOCH_S)
+    traces = SessionSimulator(network).run(user, 0.0, DURATION_S,
+                                           epoch_s=EPOCH_S)
+    trace = traces[HandoverScheme.PREDICTIVE]
 
     print(f"{'t (min)':>8} | {'serving satellite':>18} | "
           f"{'gateway':>14} | {'ms':>6} | {'Mbps':>7} | note")
@@ -62,8 +63,7 @@ def main():
     print(f"  latency mean {stats['mean']:.1f} ms, p50 {stats['p50']:.1f}, "
           f"p95 {stats['p95']:.1f}")
 
-    reauth = simulator.run(user, 0.0, DURATION_S, epoch_s=EPOCH_S,
-                           scheme=HandoverScheme.REAUTHENTICATE)
+    reauth = traces[HandoverScheme.REAUTHENTICATE]
     print(f"\nSame session re-authenticating on every handover: outage "
           f"{reauth.total_outage_s:.2f} s "
           f"({reauth.total_outage_s / max(1e-9, trace.total_outage_s):.1f}x "

@@ -9,6 +9,7 @@ peers can decide whether an optical upgrade is possible before pairing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -17,7 +18,7 @@ import numpy as np
 from repro import obs as _obs
 from repro.core.interop import SpacecraftSpec
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.kepler import KeplerPropagator
+from repro.orbits.kepler import KeplerFleet, batch_positions
 from repro.orbits.visibility import elevation_angle, slant_range
 
 
@@ -63,8 +64,10 @@ class Beacon:
         )
 
     def position_at(self, time_s: float) -> np.ndarray:
-        """Propagate the advertised elements to a position."""
-        return KeplerPropagator(self.elements).position_at(time_s)
+        """Propagate the advertised elements to a position: a
+        one-satellite :func:`~repro.orbits.kepler.batch_positions`, so it
+        has the bits :meth:`BeaconEvaluator.rank` ranked on."""
+        return batch_positions(KeplerFleet([self.elements]), time_s)[0, 0]
 
 
 @dataclass
@@ -98,19 +101,21 @@ class BeaconEvaluator:
 
         Args:
             receiver_position_eci: Receiver ECI position (km) at ``time_s``.
-            time_s: Evaluation time (beacon elements are propagated to it).
+            time_s: Evaluation time (every candidate beacon's elements
+                are propagated to it in one fleet).
 
         Returns:
             ``(slant_range_km, beacon)`` tuples, nearest first.
         """
-        import math
-
         mask_rad = math.radians(self.min_elevation_deg)
+        candidates = [
+            beacon for beacon in self.heard
+            if not (self.require_free_slot and beacon.free_isl_slots == 0)
+        ]
+        positions = batch_positions(
+            KeplerFleet([beacon.elements for beacon in candidates]), time_s)
         ranked = []
-        for beacon in self.heard:
-            if self.require_free_slot and beacon.free_isl_slots == 0:
-                continue
-            sat_pos = beacon.position_at(time_s)
+        for beacon, (sat_pos,) in zip(candidates, positions):
             if elevation_angle(receiver_position_eci, sat_pos) < mask_rad:
                 continue
             ranked.append((slant_range(receiver_position_eci, sat_pos), beacon))

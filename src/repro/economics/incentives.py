@@ -153,25 +153,23 @@ def coverage_utility(fleet_by_operator: Dict[str, Sequence],
     union), which is what makes collaboration a positive-sum game.
 
     Args:
-        fleet_by_operator: Operator -> list of objects with a
-            ``position_at``/``positions`` convention; accepts either
-            :class:`SpacecraftSpec` lists (propagated here) or prebuilt
-            ``(N, 3)`` position arrays.
+        fleet_by_operator: Operator -> its :class:`SpacecraftSpec` list;
+            every operator's satellites propagate to ``time_s`` in one
+            fleet.
     """
     import numpy as np
 
-    from repro.orbits.kepler import KeplerPropagator
+    from repro.orbits.kepler import KeplerFleet, batch_positions
     from repro.orbits.visibility import coverage_fraction
 
-    positions_by_operator: Dict[str, "np.ndarray"] = {}
-    for operator, fleet in fleet_by_operator.items():
-        if hasattr(fleet, "shape"):
-            positions_by_operator[operator] = fleet
-        else:
-            positions_by_operator[operator] = np.array([
-                KeplerPropagator(spec.elements).position_at(time_s)
-                for spec in fleet
-            ])
+    fleets = [list(fleet) for fleet in fleet_by_operator.values()]
+    positions = batch_positions(
+        KeplerFleet([spec.elements for fleet in fleets for spec in fleet]),
+        time_s)[:, 0]
+    positions_by_operator = dict(zip(
+        fleet_by_operator,
+        np.split(positions, np.cumsum([len(fleet) for fleet in fleets])[:-1]),
+    ))
 
     def utility(coalition: FrozenSet[str]) -> float:
         if not coalition:

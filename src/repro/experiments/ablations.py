@@ -176,7 +176,7 @@ def ablation_handover(duration_s: float = 5400.0,
     """
     constellation = iridium_like()
     windows = contact_windows(
-        user_site, constellation.propagators(), 0.0, duration_s,
+        user_site, constellation, 0.0, duration_s,
         step_s=10.0, min_elevation_deg=25.0,
     )
     simulator = HandoverSimulator(auth_round_trip_s=auth_round_trip_s)

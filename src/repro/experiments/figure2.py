@@ -33,7 +33,7 @@ from repro.orbits.constants import (
     IRIDIUM_ALTITUDE_KM,
     SPEED_OF_LIGHT_KM_S,
 )
-from repro.orbits.coordinates import GeodeticPoint
+from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci_over
 from repro.orbits.visibility import (
     chord_clears_grazing,
     cluster_coverage_fraction,
@@ -46,7 +46,6 @@ from repro.orbits.visibility import (
 from repro.orbits.walker import iridium_like, random_constellation
 from repro.parallel import derive_seed, run_grid
 from repro.phy.rf import standard_sband_isl_terminal
-from repro.simulation.batched import ground_eci_track
 from repro.simulation.metrics import SeriesCollector
 
 #: The paper's fixed endpoints: a user in an underserved region and a
@@ -400,8 +399,8 @@ def figure_2b_latency(satellite_counts: Sequence[int] = tuple(
         raise ValueError(f"unknown engine {engine!r}; the only engine is "
                          "'batched'")
     epoch_times = np.linspace(0.0, 86400.0, epochs, endpoint=False)
-    user_track = ground_eci_track(user_site, epoch_times)
-    gateway_track = ground_eci_track(gateway_site, epoch_times)
+    user_track = ecef_to_eci_over(user_site.ecef(), epoch_times)
+    gateway_track = ecef_to_eci_over(gateway_site.ecef(), epoch_times)
     points = [
         (count, trials, derive_seed(seed, "figure2b", count), altitude_km,
          epoch_times, user_track, gateway_track)

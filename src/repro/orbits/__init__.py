@@ -1,7 +1,7 @@
 """Orbital mechanics substrate for OpenSpace.
 
 This subpackage provides everything the paper's simulation study relies on:
-Keplerian orbit propagation (with optional J2 secular perturbations),
+two-body Keplerian propagation of whole fleets as one array,
 coordinate transforms from geodetic to Earth-fixed to inertial frames,
 Walker Star / Delta constellation generators (the paper's Iridium-like
 reference design), a TLE emitter standing in for the public orbital
@@ -15,17 +15,12 @@ otherwise (``*_deg``, ``*_m``).
 from repro.orbits.constants import (
     EARTH_RADIUS_KM,
     EARTH_MU_KM3_S2,
-    EARTH_J2,
     EARTH_ROTATION_RAD_S,
     SPEED_OF_LIGHT_KM_S,
     SIDEREAL_DAY_S,
 )
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.kepler import (
-    KeplerPropagator,
-    mean_motion,
-    solve_kepler,
-)
+from repro.orbits.kepler import KeplerFleet, batch_positions
 from repro.orbits.coordinates import (
     GeodeticPoint,
     ecef_to_eci,
@@ -44,7 +39,6 @@ from repro.orbits.visibility import (
     elevation_angle,
     footprint_half_angle,
     footprint_area_km2,
-    has_line_of_sight,
     slant_range,
     worst_case_coverage_fraction,
 )
@@ -54,14 +48,12 @@ from repro.orbits.contact import ContactWindow, contact_windows
 __all__ = [
     "EARTH_RADIUS_KM",
     "EARTH_MU_KM3_S2",
-    "EARTH_J2",
     "EARTH_ROTATION_RAD_S",
     "SPEED_OF_LIGHT_KM_S",
     "SIDEREAL_DAY_S",
     "OrbitalElements",
-    "KeplerPropagator",
-    "mean_motion",
-    "solve_kepler",
+    "KeplerFleet",
+    "batch_positions",
     "GeodeticPoint",
     "ecef_to_eci",
     "geodetic_to_ecef",
@@ -75,7 +67,6 @@ __all__ = [
     "elevation_angle",
     "footprint_half_angle",
     "footprint_area_km2",
-    "has_line_of_sight",
     "slant_range",
     "worst_case_coverage_fraction",
     "TwoLineElement",

@@ -19,9 +19,6 @@ EARTH_FLATTENING = 1.0 / 298.257223563
 #: Standard gravitational parameter of the Earth, km^3/s^2.
 EARTH_MU_KM3_S2 = 398600.4418
 
-#: Second zonal harmonic of the Earth's gravity field (dimensionless).
-EARTH_J2 = 1.08262668e-3
-
 #: Earth rotation rate, rad/s (sidereal).
 EARTH_ROTATION_RAD_S = 7.2921150e-5
 

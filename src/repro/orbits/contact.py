@@ -10,15 +10,16 @@ handover machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci, ecef_to_eci_over
-from repro.orbits.kepler import KeplerPropagator
+from repro.orbits.elements import OrbitalElements
+from repro.orbits.kepler import KeplerFleet, batch_positions
 from repro.orbits.visibility import elevation_angle, elevations_and_ranges
-import math
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class ContactWindow:
 
 
 def contact_windows(ground: GeodeticPoint,
-                    propagators: List[KeplerPropagator],
+                    elements: Sequence[OrbitalElements],
                     start_s: float, end_s: float, step_s: float = 10.0,
                     min_elevation_deg: float = 10.0) -> List[ContactWindow]:
     """Scan for visibility windows between a ground point and a fleet.
@@ -60,7 +61,9 @@ def contact_windows(ground: GeodeticPoint,
 
     Args:
         ground: Ground observer.
-        propagators: One propagator per satellite.
+        elements: One element set per satellite (a
+            :class:`~repro.orbits.walker.WalkerConstellation` iterates as
+            one).
         start_s: Scan start time.
         end_s: Scan end time.
         step_s: Coarse scan step.
@@ -73,22 +76,20 @@ def contact_windows(ground: GeodeticPoint,
         raise ValueError(f"end {end_s} must be after start {start_s}")
     if step_s <= 0.0:
         raise ValueError(f"step must be positive, got {step_s}")
+    elements = list(elements)
     mask_rad = math.radians(min_elevation_deg)
     ground_ecef = ground.ecef()
     windows: List[ContactWindow] = []
 
-    def elevation(sat: KeplerPropagator, t: float) -> float:
-        # Compare in the inertial frame: rotate the ground point to ECI.
-        ground_eci = ecef_to_eci(ground_ecef, t)
-        return elevation_angle(ground_eci, sat.position_at(t))
-
-    def refine(sat: KeplerPropagator, lo: float, hi: float,
+    def refine(sat: KeplerFleet, lo: float, hi: float,
                rising: bool) -> float:
-        # Bisect for the elevation-mask crossing between lo and hi.
+        # Bisect for the elevation-mask crossing between lo and hi,
+        # comparing in the inertial frame.
         for _ in range(24):
             mid = (lo + hi) / 2.0
-            above = elevation(sat, mid) >= mask_rad
-            if above == rising:
+            elevation = elevation_angle(ecef_to_eci(ground_ecef, mid),
+                                        batch_positions(sat, mid)[0, 0])
+            if (elevation >= mask_rad) == rising:
                 hi = mid
             else:
                 lo = mid
@@ -98,13 +99,14 @@ def contact_windows(ground: GeodeticPoint,
     # not a multiple of the step must not sample, or report, past it.
     times = np.arange(start_s, end_s + step_s, step_s)
     times = np.append(times[times < end_s], end_s)
-    # The coarse scan is batched: one ground-track rotation for all
-    # sample times, then per satellite one vectorized propagation and one
-    # elevation pass.  Only the sub-second edge refinement stays scalar.
-    ground_eci_all = ecef_to_eci_over(ground_ecef, times)
-    for index, sat in enumerate(propagators):
-        elevations, _ = elevations_and_ranges(ground_eci_all,
-                                              sat.positions_at(times))
+    # The coarse scan is one propagation of the whole fleet and one
+    # elevation pass; only the sub-second edge refinement propagates
+    # one satellite at a time.
+    fleet_elevations, _ = elevations_and_ranges(
+        ecef_to_eci_over(ground_ecef, times),
+        batch_positions(KeplerFleet(elements), times))
+    for index, elevations in enumerate(fleet_elevations):
+        sat = KeplerFleet(elements[index:index + 1])
         above_prev = bool(elevations[0] >= mask_rad)
         window_start: Optional[float] = float(times[0]) if above_prev else None
         max_elev = float(elevations[0]) if above_prev else -math.pi

@@ -72,9 +72,8 @@ def geodetic_to_ecef(point: GeodeticPoint) -> np.ndarray:
                                   point.altitude_km)
 
 
-def _gmst_rad(time_s):
-    """Greenwich mean sidereal angle at simulation time ``time_s`` (a
-    float or an array of times).
+def _gmst_rad(time_s: float) -> float:
+    """Greenwich mean sidereal angle at simulation time ``time_s``.
 
     The simulation epoch (t=0) is defined to have the prime meridian aligned
     with the ECI x-axis, so GMST is simply the accumulated Earth rotation.
@@ -109,21 +108,14 @@ def geodetic_points_to_eci(points: Sequence[GeodeticPoint],
 
 
 def ecef_to_eci_over(ecef_km: np.ndarray, times_s) -> np.ndarray:
-    """Rotate one Earth-fixed vector into ECI at many times at once.
+    """One Earth-fixed vector's inertial positions over a time grid,
+    ``(T, 3)``: row ``k`` is ``ecef_to_eci(ecef_km, times_s[k])``.
 
-    Args:
-        ecef_km: A single ``(3,)`` Earth-fixed position.
-        times_s: 1-D array of T simulation times.
-
-    Returns:
-        ``(T, 3)`` array of inertial positions — the batched counterpart
-        of calling :func:`ecef_to_eci` per time.
+    Rotates per time through :func:`ecef_to_eci`'s ``rot @ v`` product,
+    the one ground rotation in the package, so every row has the bits of
+    the one-instant rotation.  A component-wise ``cos * x - sin * y``
+    form would differ from it in the last ulp.
     """
-    times = np.asarray(times_s, dtype=float)
-    theta = _gmst_rad(times)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    x, y, z = np.asarray(ecef_km, dtype=float)
-    return np.stack(
-        [cos_t * x - sin_t * y, sin_t * x + cos_t * y,
-         np.full_like(times, z)], axis=-1
-    )
+    ecef = np.asarray(ecef_km, dtype=float)
+    return np.stack([ecef_to_eci(ecef, t)
+                     for t in np.asarray(times_s, dtype=float).tolist()])

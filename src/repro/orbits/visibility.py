@@ -48,13 +48,17 @@ def squared_norms(vectors: np.ndarray) -> np.ndarray:
 
 def line_of_sight_mask(pos_a_km: np.ndarray, pos_b_km: np.ndarray,
                        grazing_altitude_km: float = GRAZING_ALTITUDE_KM) -> np.ndarray:
-    """Vectorized :func:`has_line_of_sight` over paired position rows.
+    """True where the segment between paired satellite positions clears
+    the atmosphere.
 
-    Works on the x, y and z component planes, each three-term sum added
-    in :func:`squared_norms`' order, so the mask equals the ``(..., 3)``
-    formulation's (``tests/orbits/oracle.py``) bit for bit.  (A dot
-    product of three -0.0 terms, +0.0 in numpy's reduction, only flips
-    the sign of a zero that is squared before the comparison.)
+    A segment must not dip below ``EARTH_RADIUS_KM + grazing_altitude_km``;
+    the default keeps ISLs above the bulk of the atmosphere, the usual
+    criterion in LEO ISL studies.  Works on the x, y and z component
+    planes, each three-term sum added in :func:`squared_norms`' order, so
+    the mask equals the ``(..., 3)`` formulation's
+    (``tests/orbits/oracle.py``) bit for bit.  (A dot product of three
+    -0.0 terms, +0.0 in numpy's reduction, only flips the sign of a zero
+    that is squared before the comparison.)
 
     Args:
         pos_a_km: ``(..., 3)`` segment start positions.
@@ -145,27 +149,6 @@ def elevations_and_ranges(ground_km: np.ndarray, satellite_km: np.ndarray
         1.0,
     )
     return np.arcsin(np.clip(sin_el, -1.0, 1.0)), range_km
-
-
-def has_line_of_sight(pos_a_km: np.ndarray, pos_b_km: np.ndarray,
-                      grazing_altitude_km: float = GRAZING_ALTITUDE_KM) -> bool:
-    """True when the segment between two satellites clears the atmosphere.
-
-    The segment must not dip below ``EARTH_RADIUS_KM + grazing_altitude_km``;
-    the default keeps ISLs above the bulk of the atmosphere, the usual
-    criterion in LEO ISL studies.
-    """
-    a = np.asarray(pos_a_km, dtype=float)
-    b = np.asarray(pos_b_km, dtype=float)
-    limit = EARTH_RADIUS_KM + grazing_altitude_km
-    d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(np.linalg.norm(a)) >= limit
-    # Closest point of the segment to the Earth's centre.
-    t = max(0.0, min(1.0, float(-(a @ d)) / dd))
-    closest = a + t * d
-    return float(np.linalg.norm(closest)) >= limit
 
 
 def elevation_angle(ground_ecef_km: np.ndarray,

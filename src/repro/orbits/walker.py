@@ -27,7 +27,7 @@ from repro.orbits.constants import (
     IRIDIUM_SATELLITE_COUNT,
 )
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.kepler import KeplerFleet, KeplerPropagator, batch_positions
+from repro.orbits.kepler import KeplerFleet, batch_positions
 
 _TWO_PI = 2.0 * math.pi
 
@@ -48,9 +48,6 @@ class WalkerConstellation:
     plane_count: int
     satellites_per_plane: int
     name: str = "walker"
-    _propagators: Optional[List[KeplerPropagator]] = field(
-        default=None, repr=False, compare=False
-    )
     _fleet: Optional[KeplerFleet] = field(
         default=None, repr=False, compare=False
     )
@@ -60,13 +57,6 @@ class WalkerConstellation:
 
     def __iter__(self) -> Iterator[OrbitalElements]:
         return iter(self.elements)
-
-    def propagators(self) -> List[KeplerPropagator]:
-        """One J2-free propagator per satellite (built once), for the
-        per-satellite scans such as contact windows."""
-        if self._propagators is None:
-            self._propagators = [KeplerPropagator(el) for el in self.elements]
-        return self._propagators
 
     def positions_at(self, time_s: float) -> np.ndarray:
         """ECI positions of every satellite at ``time_s``; shape (N, 3)."""

@@ -7,7 +7,6 @@ patterns"); metric collectors aggregate latency/coverage/throughput
 series for the experiment drivers.
 """
 
-from repro.simulation.batched import ground_eci_track
 from repro.simulation.engine import Event, SimulationEngine
 from repro.simulation.traffic import (
     FlowSpec,
@@ -35,7 +34,6 @@ from repro.simulation.sessionsim import (
 )
 
 __all__ = [
-    "ground_eci_track",
     "Event",
     "SimulationEngine",
     "FlowSpec",

@@ -2,12 +2,8 @@
 
 A binary-heap scheduler with monotonic event ids for stable FIFO ordering
 among simultaneous events.  Protocol modules schedule callbacks; the
-engine owns the clock.
-
-Cancellation is lazy (the heap entry stays until popped), but the engine
-tracks live sequences separately, and a compaction pass rebuilds the heap
-when cancelled entries dominate it — cancelled work cannot accumulate
-without bound across :meth:`SimulationEngine.run_until` horizons.
+engine owns the clock.  A scheduled event always fires: no run cancels
+one.
 
 Observability: when a :mod:`repro.obs` recorder is active the engine
 counts processed events per label, samples queue depth, and — behind the
@@ -22,13 +18,9 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import obs as _obs
-
-#: Rebuild the heap when at least this many cancelled entries linger AND
-#: they outnumber live ones (amortized O(1) per cancel).
-_COMPACT_MIN_CANCELLED = 64
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,6 @@ class SimulationEngine:
         self._now = start_s
         self._heap: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
-        self._live: Set[int] = set()
-        self._cancelled: Set[int] = set()
         self.processed_count = 0
 
     @property
@@ -84,49 +74,21 @@ class SimulationEngine:
             )
         event = Event(time_s, next(self._sequence), action, label)
         heapq.heappush(self._heap, (time_s, event.sequence, event))
-        self._live.add(event.sequence)
         return event
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (lazy removal).
-
-        Idempotent, and a no-op for events that already fired — only live
-        sequences enter the cancelled set, so its size is always bounded
-        by the heap's.
-        """
-        if event.sequence not in self._live:
-            return
-        self._live.discard(event.sequence)
-        self._cancelled.add(event.sequence)
-        if (len(self._cancelled) >= _COMPACT_MIN_CANCELLED
-                and len(self._cancelled) > len(self._live)):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from the heap and re-heapify."""
-        self._heap = [
-            entry for entry in self._heap if entry[1] not in self._cancelled
-        ]
-        heapq.heapify(self._heap)
-        self._cancelled.clear()
 
     def step(self) -> Optional[Event]:
         """Run the next event; returns it, or None when the queue is empty."""
-        while self._heap:
-            time_s, sequence, event = heapq.heappop(self._heap)
-            if sequence in self._cancelled:
-                self._cancelled.discard(sequence)
-                continue
-            self._live.discard(sequence)
-            self._now = time_s
-            recorder = _obs.active()
-            if recorder.enabled:
-                self._step_observed(recorder, event)
-            else:
-                event.action()
-            self.processed_count += 1
-            return event
-        return None
+        if not self._heap:
+            return None
+        time_s, _, event = heapq.heappop(self._heap)
+        self._now = time_s
+        recorder = _obs.active()
+        if recorder.enabled:
+            self._step_observed(recorder, event)
+        else:
+            event.action()
+        self.processed_count += 1
+        return event
 
     def _step_observed(self, recorder, event: Event) -> None:
         """Instrumented event dispatch (only on the enabled path)."""
@@ -141,7 +103,7 @@ class SimulationEngine:
         recorder.count("engine.events", label=event.label or "unlabeled")
         interval = recorder.config.queue_sample_interval
         if self.processed_count % interval == 0:
-            depth = len(self._live)
+            depth = len(self._heap)
             recorder.gauge("engine.queue_depth", depth)
             recorder.observe("engine.queue_depth", depth,
                              buckets=_obs.DEFAULT_SIZE_BUCKETS)
@@ -157,20 +119,9 @@ class SimulationEngine:
         """
         processed = 0
         with _obs.active().span("engine.run_until", end_s=end_s):
-            while self._heap:
-                # Purge cancelled heads so the horizon check sees the next
-                # *live* event (a cancelled head otherwise either blocks
-                # the break or lets step() run an event past end_s).
-                while self._heap and self._heap[0][1] in self._cancelled:
-                    _, sequence, _ = heapq.heappop(self._heap)
-                    self._cancelled.discard(sequence)
-                if not self._heap:
-                    break
-                next_time = self._heap[0][0]
-                if next_time > end_s:
-                    break
-                if self.step() is not None:
-                    processed += 1
+            while self._heap and self._heap[0][0] <= end_s:
+                self.step()
+                processed += 1
                 if processed >= max_events:
                     raise RuntimeError(
                         f"run_until processed {processed} events without "

@@ -2,15 +2,16 @@
 
 Ties the whole stack together for one user: at each epoch the network is
 re-snapshotted, the best gateway route recomputed, serving-satellite
-changes are charged as handovers (predictive or re-authenticating), and
-the user-experienced latency/capacity series is recorded — the trace a
-subscriber's QoE dashboard would show.
+changes are charged as handovers (under both the predictive and the
+re-authenticating scheme, from one walk), and the user-experienced
+latency/capacity series is recorded — the trace a subscriber's QoE
+dashboard would show.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -109,16 +110,22 @@ class SessionSimulator:
         self.auth_round_trip_s = auth_round_trip_s
 
     def run(self, user: UserTerminal, start_s: float, end_s: float,
-            epoch_s: float = 30.0,
-            scheme: HandoverScheme = HandoverScheme.PREDICTIVE) -> SessionTrace:
-        """Simulate the session over ``[start_s, end_s)``.
+            epoch_s: float = 30.0) -> Dict[HandoverScheme, SessionTrace]:
+        """Simulate the session over ``[start_s, end_s)`` under every
+        handover scheme.
+
+        The route walk does not depend on the scheme, so one walk (one
+        snapshot per epoch) serves them all: each scheme's trace holds
+        the walk's samples and the outage that scheme charges.
 
         Args:
             user: The subscriber terminal.
             start_s: Session start.
             end_s: Session end.
             epoch_s: Re-evaluation interval (30 s resolves LEO dynamics).
-            scheme: Handover protocol to charge.
+
+        Returns:
+            One trace per :class:`HandoverScheme`, keyed by it.
         """
         if end_s <= start_s:
             raise ValueError(f"end {end_s} must be after start {start_s}")
@@ -126,27 +133,29 @@ class SessionSimulator:
             raise ValueError(f"epoch must be positive, got {epoch_s}")
         recorder = _obs.active()
         with recorder.span("simulation.session.run", user=user.user_id,
-                           scheme=scheme.value, start_s=start_s,
-                           end_s=end_s):
-            trace = self._replay(user, start_s, end_s, epoch_s, scheme)
+                           start_s=start_s, end_s=end_s):
+            traces = self._replay(user, start_s, end_s, epoch_s)
         if recorder.enabled:
-            recorder.count("session.samples", len(trace.samples))
-            recorder.count("session.handovers", trace.handover_count,
-                           label=scheme.value)
-            recorder.count("session.outage_s", trace.total_outage_s,
-                           label=scheme.value)
-        return trace
+            recorder.count("session.samples",
+                           len(traces[HandoverScheme.PREDICTIVE].samples))
+            for scheme, trace in traces.items():
+                recorder.count("session.handovers", trace.handover_count,
+                               label=scheme.value)
+                recorder.count("session.outage_s", trace.total_outage_s,
+                               label=scheme.value)
+        return traces
 
     def _replay(self, user: UserTerminal, start_s: float, end_s: float,
-                epoch_s: float, scheme: HandoverScheme) -> SessionTrace:
+                epoch_s: float) -> Dict[HandoverScheme, SessionTrace]:
         recorder = _obs.active()
-        trace = SessionTrace(scheme=scheme, epoch_s=epoch_s)
+        samples: List[SessionSample] = []
+        outage_s = dict.fromkeys(HandoverScheme, 0.0)
         previous_satellite: Optional[str] = None
         for time_s in np.arange(start_s, end_s, epoch_s):
             snap = self.network.snapshot(float(time_s), users=[user])
             metrics = snap.nearest_ground_station_route(user.user_id)
             if metrics is None:
-                trace.samples.append(SessionSample(
+                samples.append(SessionSample(
                     time_s=float(time_s), serving_satellite=None,
                     gateway=None, latency_ms=float("nan"),
                     bottleneck_mbps=0.0, handover=False,
@@ -164,20 +173,20 @@ class SessionSimulator:
             if recorder.enabled:
                 if previous_satellite is None:
                     recorder.event("session.admit", float(time_s),
-                                   subject=user.user_id, satellite=serving,
-                                   scheme=scheme.value)
+                                   subject=user.user_id, satellite=serving)
                 elif handover:
                     recorder.event("handover", float(time_s),
                                    subject=serving,
                                    from_satellite=previous_satellite,
-                                   user=user.user_id, scheme=scheme.value)
+                                   user=user.user_id)
             if handover or previous_satellite is None:
-                outage = self.link_setup_s
-                if (scheme is HandoverScheme.REAUTHENTICATE
-                        or previous_satellite is None):
-                    outage += self.auth_round_trip_s
-                trace.total_outage_s += outage
-            trace.samples.append(SessionSample(
+                for scheme in HandoverScheme:
+                    outage = self.link_setup_s
+                    if (scheme is HandoverScheme.REAUTHENTICATE
+                            or previous_satellite is None):
+                        outage += self.auth_round_trip_s
+                    outage_s[scheme] += outage
+            samples.append(SessionSample(
                 time_s=float(time_s),
                 serving_satellite=serving,
                 gateway=metrics.path[-1],
@@ -186,4 +195,9 @@ class SessionSimulator:
                 handover=handover,
             ))
             previous_satellite = serving
-        return trace
+        return {
+            scheme: SessionTrace(samples=list(samples), scheme=scheme,
+                                 total_outage_s=outage_s[scheme],
+                                 epoch_s=epoch_s)
+            for scheme in HandoverScheme
+        }

@@ -1,5 +1,6 @@
 """Tests for the beacon protocol."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from repro.core.interop import medium_spacecraft
 from repro.orbits.constants import EARTH_RADIUS_KM
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci
 from repro.orbits.elements import OrbitalElements
+from repro.orbits.visibility import elevation_angle, slant_range
+from tests.orbits.oracle import KeplerPropagator
 
 
 @pytest.fixture
@@ -77,3 +80,58 @@ class TestBeaconEvaluator:
         evaluator.receive(Beacon.from_spec(overhead_spec, 0.0))
         user_eci = ecef_to_eci(GeodeticPoint(0.0, 0.0).ecef(), 0.0)
         assert evaluator.best(user_eci, 0.0) is not None
+
+
+class TestRankAgainstOracle:
+    """``rank`` propagates every candidate beacon in one fleet; the order
+    and the ranges must be those of propagating each beacon on its own
+    through the oracle (``tests/orbits/oracle.py``) and ranking with the
+    scalar elevation and slant range, bit for bit."""
+
+    SITES = [GeodeticPoint(-1.29, 36.82), GeodeticPoint(45.0, 10.0),
+             GeodeticPoint(-33.9, 151.2)]
+    TIMES = [0.0, 600.0, 1800.0, 4321.5]
+
+    @staticmethod
+    def _oracle_rank(beacons, receiver, time_s, mask_deg):
+        ranked = []
+        for beacon in beacons:
+            if beacon.free_isl_slots == 0:
+                continue
+            (position,) = KeplerPropagator(beacon.elements).positions_at(
+                time_s)
+            if elevation_angle(receiver, position) < math.radians(mask_deg):
+                continue
+            ranked.append((slant_range(receiver, position),
+                           beacon.satellite_id))
+        return sorted(ranked, key=lambda item: item[0])
+
+    def test_order_and_ranges_equal_the_oracle(self, medium_fleet):
+        beacons = [Beacon.from_spec(spec, 0.0) for spec in medium_fleet]
+        # Every fifth satellite is full, so the filter runs before the
+        # one propagation.
+        beacons = [dataclasses.replace(b, free_isl_slots=0) if i % 5 == 0
+                   else b for i, b in enumerate(beacons)]
+        evaluator = BeaconEvaluator(min_elevation_deg=0.0)
+        for beacon in beacons:
+            evaluator.receive(beacon)
+        assert len(evaluator.heard) == 66
+        sizes = []
+        for site in self.SITES:
+            for time_s in self.TIMES:
+                receiver = ecef_to_eci(site.ecef(), time_s)
+                ranked = [(distance, beacon.satellite_id) for distance, beacon
+                          in evaluator.rank(receiver, time_s)]
+                assert ranked == self._oracle_rank(beacons, receiver,
+                                                   time_s, 0.0)
+                sizes.append(len(ranked))
+        # Most instants rank several beacons, so the order is exercised.
+        assert sum(size >= 2 for size in sizes) >= len(sizes) // 2
+
+    def test_position_at_equals_the_oracle(self, medium_fleet):
+        for spec in medium_fleet[:12]:
+            beacon = Beacon.from_spec(spec, 0.0)
+            for time_s in self.TIMES:
+                (expected,) = KeplerPropagator(spec.elements).positions_at(
+                    time_s)
+                assert np.array_equal(beacon.position_at(time_s), expected)

@@ -20,12 +20,11 @@ from repro.core.network import OpenSpaceNetwork
 from repro.ground.station import default_station_network
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
-from repro.orbits.kepler import KeplerPropagator
 from repro.orbits.walker import iridium_like
 from repro.phy.modulation import achievable_rate_bps
 from repro.phy.rf import rf_link_budget
 from tests.core.oracle import satellite_positions
-from tests.orbits.oracle import elevation_angles
+from tests.orbits.oracle import KeplerPropagator, elevation_angles
 from tests.routing import oracle
 
 
@@ -150,9 +149,9 @@ class TestFleetPositions:
 
     The network propagates its whole fleet per instant through one
     :class:`~repro.orbits.kepler.KeplerFleet`, stacked on the first
-    snapshot; every position must equal the satellite's own propagator
-    bit for bit, and a network that has served other instants must
-    build the same snapshot as a fresh one.
+    snapshot; every position must equal the satellite solved on its own
+    (``tests/orbits/oracle.py``) bit for bit, and a network that has
+    served other instants must build the same snapshot as a fresh one.
     """
 
     TIMES = [0.0, 450.0, 900.0, 1350.0]

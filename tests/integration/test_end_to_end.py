@@ -130,7 +130,7 @@ class TestFederatedLifecycle:
         site = GeodeticPoint(-1.29, 36.82)
         constellation = iridium_like()
         windows = contact_windows(
-            site, constellation.propagators(), 0.0, 3600.0,
+            site, constellation, 0.0, 3600.0,
             step_s=20.0, min_elevation_deg=25.0,
         )
         assert windows

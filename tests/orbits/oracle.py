@@ -20,30 +20,31 @@ must equal bit for bit and the geometry the digest oracles build on:
 * :func:`line_of_sight_mask` — of
   :func:`~repro.orbits.visibility.line_of_sight_mask`.
 
-Fleets propagate as one stacked :class:`~repro.orbits.kepler.KeplerFleet`
-and positions only.  The batch solve it replaced stays here, states and
-all, built from per-satellite propagators on every call, as the referee
-:func:`~repro.orbits.kepler.batch_positions` must equal bit for bit:
+Every satellite position in the package comes from one stacked
+:class:`~repro.orbits.kepler.KeplerFleet` and
+:func:`~repro.orbits.kepler.batch_positions`.  The forms it replaced
+stay here as the referees it must equal bit for bit:
 
-* :func:`batch_states` — positions and velocities, ``(N, T, 3)`` each;
+* :class:`KeplerPropagator` — one satellite solved on its own over a
+  time grid (the package's former per-satellite propagator, two-body);
+* :func:`flat_positions` — the former batch solve, built from those
+  propagators on every call;
 * :func:`perifocal_to_eci_matrix` — the frame rotation written out on
   its own, so an entry changed in the package's one rotation formula
-  shows against it instead of moving both sides.
+  shows against it instead of moving both sides;
+* :func:`solve_kepler` — the scalar ``math`` Kepler solve, the
+  reference for :func:`~repro.orbits.kepler.solve_kepler_array`.
 """
 
 import math
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from repro.orbits.constants import (
-    EARTH_FLATTENING,
-    EARTH_MU_KM3_S2,
-    EARTH_RADIUS_KM,
-)
+from repro.orbits.constants import EARTH_FLATTENING, EARTH_RADIUS_KM
 from repro.orbits.coordinates import GeodeticPoint, _gmst_rad
+from repro.orbits.elements import OrbitalElements
 from repro.orbits.kepler import (
-    KeplerPropagator,
     _normalize_times,
     solve_kepler_array,
     true_anomaly_from_eccentric_array,
@@ -117,8 +118,8 @@ def elevation_angles(ground_ecef_km: np.ndarray,
 
 def line_of_sight_mask(pos_a_km: np.ndarray, pos_b_km: np.ndarray,
                        grazing_altitude_km: float = GRAZING_ALTITUDE_KM) -> np.ndarray:
-    """Vectorized :func:`~repro.orbits.visibility.has_line_of_sight` over
-    paired position rows.
+    """The ``(..., 3)`` form of
+    :func:`~repro.orbits.visibility.line_of_sight_mask`.
 
     Args:
         pos_a_km: ``(..., 3)`` segment start positions.
@@ -168,49 +169,77 @@ def perifocal_to_eci_matrix(inclination_rad: float, raan_rad: float,
     )
 
 
-def batch_states(propagators: Sequence[KeplerPropagator],
-                 times_s) -> Tuple[np.ndarray, np.ndarray]:
-    """ECI states for a whole fleet over a whole time grid at once.
+def solve_kepler(mean_anomaly_rad: float, eccentricity: float,
+                 tol: float = 1e-12, max_iterations: int = 50) -> float:
+    """Solve Kepler's equation ``M = E - e sin E`` for one ``M`` with
+    ``math``: Newton-Raphson from ``E = M`` (from ``E = pi`` at
+    ``e >= 0.8``) until a step falls below ``tol``."""
+    if not 0.0 <= eccentricity < 1.0:
+        raise ValueError(f"eccentricity must be in [0, 1), got {eccentricity}")
+    m = mean_anomaly_rad % (2.0 * math.pi)
+    e_anom = m if eccentricity < 0.8 else math.pi
+    for _ in range(max_iterations):
+        delta = (e_anom - eccentricity * math.sin(e_anom) - m) / (
+            1.0 - eccentricity * math.cos(e_anom)
+        )
+        e_anom -= delta
+        if abs(delta) < tol:
+            break
+    return e_anom
 
-    Non-J2 fleets take a flattened ``(N, T)`` tensor solve (one Kepler
-    iteration per eccentricity group, one trig pass, one batched frame
-    rotation); J2-perturbed propagators fall back to the per-satellite
-    :meth:`~repro.orbits.kepler.KeplerPropagator.states_at`.
 
-    Returns:
-        ``(positions, velocities)`` arrays of shape ``(N, T, 3)`` in km
-        and km/s.  ``N = 0`` or ``T = 0`` yield empty arrays of the
-        documented shape.
+class KeplerPropagator:
+    """One satellite's two-body positions, solved on its own.
+
+    Args:
+        elements: Orbital elements at their epoch.
+    """
+
+    def __init__(self, elements: OrbitalElements):
+        self.elements = elements
+        #: The transposed perifocal-to-ECI rotation, contiguous: matmul
+        #: dispatches a different (last-ulp-different) kernel for
+        #: strided views depending on the time-grid width.
+        self.fixed_rotation_t = np.ascontiguousarray(perifocal_to_eci_matrix(
+            elements.inclination_rad, elements.raan_rad,
+            elements.arg_perigee_rad).T)
+
+    def positions_at(self, times_s) -> np.ndarray:
+        """ECI positions (km) for a scalar or 1-D array of times;
+        always shape ``(T, 3)``."""
+        times = _normalize_times(times_s)
+        el = self.elements
+        mean_anomaly = (el.mean_anomaly_rad
+                        + el.mean_motion_rad_s * (times - el.epoch_s))
+        ecc_anom = solve_kepler_array(mean_anomaly, el.eccentricity)
+        nu = true_anomaly_from_eccentric_array(ecc_anom, el.eccentricity)
+        r = el.semi_major_axis_km * (1.0 - el.eccentricity * np.cos(ecc_anom))
+        pos_pf = np.stack([r * np.cos(nu), r * np.sin(nu), np.zeros_like(r)],
+                          axis=-1)
+        return pos_pf @ self.fixed_rotation_t
+
+
+def flat_positions(propagators: Sequence[KeplerPropagator],
+                   times_s) -> np.ndarray:
+    """ECI positions for a whole fleet over a whole time grid at once,
+    ``(N, T, 3)``: one flattened ``(N, T)`` solve (one Kepler iteration
+    per eccentricity group, one trig pass, one batched frame rotation)
+    with the operation sequence of :meth:`KeplerPropagator.positions_at`.
+    ``N = 0`` or ``T = 0`` yield an empty array of that shape.
     """
     times = _normalize_times(times_s)
     count = len(propagators)
-    if count and times.shape[0] and all(
-        p._raan_dot == 0.0 and p._argp_dot == 0.0 for p in propagators
-    ):
-        return _batch_states_flat(propagators, times)
-    positions = np.empty((count, times.shape[0], 3), dtype=float)
-    velocities = np.empty((count, times.shape[0], 3), dtype=float)
-    for index, propagator in enumerate(propagators):
-        pos, vel = propagator.states_at(times)
-        positions[index] = pos
-        velocities[index] = vel
-    return positions, velocities
-
-
-def _batch_states_flat(propagators: Sequence[KeplerPropagator],
-                       times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Flattened ``(N, T)`` tensor solve for non-J2 fleets, with the
-    exact operation sequence of
-    :meth:`~repro.orbits.kepler.KeplerPropagator.states_at`."""
+    if not count or not times.shape[0]:
+        return np.empty((count, times.shape[0], 3), dtype=float)
     elements = [p.elements for p in propagators]
     epoch = np.array([el.epoch_s for el in elements])
     m0 = np.array([el.mean_anomaly_rad for el in elements])
-    mean_dot = np.array([p._mean_dot for p in propagators])
+    mean_motion = np.array([el.mean_motion_rad_s for el in elements])
     ecc = np.array([el.eccentricity for el in elements])
     a = np.array([el.semi_major_axis_km for el in elements])
 
     dt = times[None, :] - epoch[:, None]
-    mean_anomaly = m0[:, None] + mean_dot[:, None] * dt
+    mean_anomaly = m0[:, None] + mean_motion[:, None] * dt
 
     # Group by eccentricity so each group runs the same masked Newton
     # iteration the per-satellite solver applies.
@@ -223,26 +252,9 @@ def _batch_states_flat(propagators: Sequence[KeplerPropagator],
         nu[rows] = true_anomaly_from_eccentric_array(ecc_anom[rows], e_float)
 
     r = a[:, None] * (1.0 - ecc[:, None] * np.cos(ecc_anom))
-    cos_nu, sin_nu = np.cos(nu), np.sin(nu)
-    zeros = np.zeros_like(r)
-    pos_pf = np.stack([r * cos_nu, r * sin_nu, zeros], axis=-1)
-    # v_factor per satellite with the scalar path's exact float ops.
-    v_factor = np.array([
-        math.sqrt(
-            EARTH_MU_KM3_S2
-            / (el.semi_major_axis_km * (1.0 - el.eccentricity * el.eccentricity))
-        )
-        for el in elements
-    ])[:, None]
-    vel_pf = np.stack(
-        [-v_factor * sin_nu, v_factor * (ecc[:, None] + cos_nu), zeros],
-        axis=-1,
-    )
+    pos_pf = np.stack([r * np.cos(nu), r * np.sin(nu), np.zeros_like(r)],
+                      axis=-1)
     # Contiguous transposes: the product is shape-independent, so a whole
     # grid is bitwise equal to T separate single-epoch solves.
-    rots_t = np.stack([
-        np.ascontiguousarray(perifocal_to_eci_matrix(
-            el.inclination_rad, el.raan_rad, el.arg_perigee_rad).T)
-        for el in elements
-    ])
-    return np.matmul(pos_pf, rots_t), np.matmul(vel_pf, rots_t)
+    rots_t = np.stack([p.fixed_rotation_t for p in propagators])
+    return np.matmul(pos_pf, rots_t)

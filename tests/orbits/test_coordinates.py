@@ -11,6 +11,7 @@ from repro.orbits.constants import EARTH_POLAR_RADIUS_KM, EARTH_RADIUS_KM
 from repro.orbits.coordinates import (
     GeodeticPoint,
     ecef_to_eci,
+    ecef_to_eci_over,
     geodetic_points_to_eci,
     geodetic_to_ecef,
 )
@@ -87,6 +88,25 @@ class TestEciEcef:
         rotated = eci_to_ecef(vec, SIDEREAL_DAY_S / 4.0)
         assert rotated[0] == pytest.approx(0.0, abs=1e-6)
         assert rotated[1] == pytest.approx(-7000.0, rel=1e-9)
+
+
+class TestEcefToEciOver:
+    """A ground point's track is the per-time rotation product, stacked:
+    the Figure 2(b) epoch grid and the contact scan's grids (which end
+    at a span's last instant, off the step) rotate with the bits of
+    ``ecef_to_eci`` at each instant."""
+
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 86400.0, 6, endpoint=False),
+        np.append(np.arange(0.0, 137.0, 45.0), 137.0),
+        np.arange(0.0, 5410.0, 10.0),
+    ])
+    def test_rows_equal_per_time_rotation(self, times):
+        ecef = GeodeticPoint(-1.29, 36.82).ecef()
+        track = ecef_to_eci_over(ecef, times)
+        assert track.shape == (len(times), 3)
+        for row, t in zip(track, times):
+            assert np.array_equal(row, ecef_to_eci(ecef, float(t)))
 
 
 class TestBatchedGroundPositions:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.orbits.constants import EARTH_RADIUS_KM
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.kepler import KeplerPropagator
+from repro.orbits.kepler import KeplerFleet, batch_positions
 
 
 class TestConstruction:
@@ -66,7 +66,8 @@ class TestDerivedQuantities:
             semi_major_axis_km=EARTH_RADIUS_KM + 1000.0, eccentricity=0.1
         )
         times = np.linspace(0.0, el.period_s, 181)
-        radii = np.linalg.norm(KeplerPropagator(el).positions_at(times), axis=1)
+        radii = np.linalg.norm(batch_positions(KeplerFleet([el]), times)[0],
+                               axis=1)
         altitudes = radii - EARTH_RADIUS_KM
         # Perigee a(1 - e) and apogee a(1 + e) straddle the mean altitude.
         assert altitudes.min() == pytest.approx(

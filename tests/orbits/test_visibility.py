@@ -13,7 +13,7 @@ from repro.orbits.visibility import (
     elevation_angle,
     footprint_area_km2,
     footprint_half_angle,
-    has_line_of_sight,
+    line_of_sight_mask,
     slant_range,
     surface_grid,
     worst_case_coverage_fraction,
@@ -44,18 +44,18 @@ class TestLineOfSight:
         a = np.array([R + ALT, 0.0, 0.0])
         theta = math.radians(40.0)
         b = (R + ALT) * np.array([math.cos(theta), math.sin(theta), 0.0])
-        assert has_line_of_sight(a, b)
+        assert line_of_sight_mask(a, b)
 
     def test_quarter_orbit_separation_blocked(self):
         # 90 degrees apart the chord dips to (R+ALT)/sqrt(2) < R: blocked.
         a = np.array([R + ALT, 0.0, 0.0])
         b = np.array([0.0, R + ALT, 0.0])
-        assert not has_line_of_sight(a, b)
+        assert not line_of_sight_mask(a, b)
 
     def test_antipodal_satellites_blocked(self):
         a = np.array([R + ALT, 0.0, 0.0])
         b = np.array([-(R + ALT), 0.0, 0.0])
-        assert not has_line_of_sight(a, b)
+        assert not line_of_sight_mask(a, b)
 
     def test_grazing_altitude_tightens_the_test(self):
         # A pair whose ray grazes just above the default limit fails a
@@ -63,12 +63,12 @@ class TestLineOfSight:
         a = np.array([R + ALT, 0.0, 0.0])
         theta = 2.0 * math.acos((R + 100.0) / (R + ALT))
         b = (R + ALT) * np.array([math.cos(theta), math.sin(theta), 0.0])
-        assert has_line_of_sight(a, b, grazing_altitude_km=80.0)
-        assert not has_line_of_sight(a, b, grazing_altitude_km=150.0)
+        assert line_of_sight_mask(a, b, grazing_altitude_km=80.0)
+        assert not line_of_sight_mask(a, b, grazing_altitude_km=150.0)
 
     def test_same_position(self):
         a = np.array([R + ALT, 0.0, 0.0])
-        assert has_line_of_sight(a, a)
+        assert line_of_sight_mask(a, a)
 
 
 class TestElevation:

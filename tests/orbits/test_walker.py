@@ -95,9 +95,12 @@ class TestReferenceConstellations:
         radii = np.linalg.norm(pos, axis=1)
         assert np.allclose(radii, EARTH_RADIUS_KM + IRIDIUM_ALTITUDE_KM)
 
-    def test_propagators_cached(self):
+    def test_fleet_built_once(self):
         c = iridium_like()
-        assert c.propagators() is c.propagators()
+        c.positions_at(0.0)
+        fleet = c._fleet
+        c.positions_over([0.0, 60.0])
+        assert c._fleet is fleet
 
 
 class TestSubset:

@@ -8,14 +8,14 @@ more (where the Newton solve starts from pi), epochs off zero so some
 ``dt`` are negative, inclinations from 0 to pi, and time grids of width
 0, 1 and many or a scalar time -- the positions must equal, bit for bit:
 
-* each satellite's own :meth:`KeplerPropagator.positions_at`;
-* the batch solve kept in ``tests/orbits/oracle.py``, whose frame
+* each satellite solved on its own by the oracle's
+  :meth:`~tests.orbits.oracle.KeplerPropagator.positions_at`;
+* the flat batch solve kept in ``tests/orbits/oracle.py``, whose frame
   rotation is written out on its own;
 * the first rows of any larger fleet the fleet is a prefix of.
 
-The stacked rotations must equal each propagator's
-:attr:`~repro.orbits.kepler.KeplerPropagator.fixed_rotation_t` and the
-oracle's matrix.
+The stacked rotations must equal each oracle propagator's
+``fixed_rotation_t``, the oracle's matrix transposed.
 """
 
 import math
@@ -25,8 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.kepler import KeplerFleet, KeplerPropagator, batch_positions
+from repro.orbits.kepler import KeplerFleet, batch_positions
 from tests.orbits import oracle
+from tests.orbits.oracle import KeplerPropagator
 
 ANGLES = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
 ECCENTRICITIES = st.one_of(
@@ -90,8 +91,8 @@ class TestStackedFleet:
     @settings(max_examples=80, deadline=None)
     def test_positions_equal_the_oracle_batch(self, elements, times):
         propagators = [KeplerPropagator(el) for el in elements]
-        positions, _ = oracle.batch_states(propagators, times)
-        _same_bits(batch_positions(KeplerFleet(elements), times), positions)
+        _same_bits(batch_positions(KeplerFleet(elements), times),
+                   oracle.flat_positions(propagators, times))
 
     @given(elements=fleets(max_size=30).filter(bool))
     @settings(max_examples=60, deadline=None)
@@ -100,8 +101,6 @@ class TestStackedFleet:
         assert rotations_t.flags.c_contiguous
         for row, el in zip(rotations_t, elements):
             _same_bits(row, KeplerPropagator(el).fixed_rotation_t)
-            _same_bits(row, oracle.perifocal_to_eci_matrix(
-                el.inclination_rad, el.raan_rad, el.arg_perigee_rad).T)
 
     @given(elements=fleets(), times=GRIDS, data=st.data())
     @settings(max_examples=60, deadline=None)

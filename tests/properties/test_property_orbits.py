@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from repro.orbits.constants import EARTH_RADIUS_KM
 from repro.orbits.coordinates import GeodeticPoint, ecef_to_eci, geodetic_to_ecef
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.kepler import KeplerPropagator, solve_kepler
+from repro.orbits.kepler import KeplerFleet, batch_positions, solve_kepler_array
 from repro.orbits.tle import tle_from_elements
 from repro.orbits.visibility import (
     chord_clears_grazing,
     elevation_angle,
     footprint_area_km2,
     footprint_half_angle,
-    has_line_of_sight,
     line_of_sight_mask,
 )
 from tests.orbits.oracle import ecef_to_geodetic, eci_to_ecef
@@ -29,11 +28,16 @@ inclinations = st.floats(min_value=0.0, max_value=math.pi)
 times = st.floats(min_value=0.0, max_value=86400.0)
 
 
+def position_at(elements, time_s):
+    """One satellite's ECI position at one time, ``(3,)``."""
+    return batch_positions(KeplerFleet([elements]), time_s)[0, 0]
+
+
 class TestKeplerProperties:
     @given(m=st.floats(min_value=0.0, max_value=2 * math.pi),
            e=st.floats(min_value=0.0, max_value=0.95))
     def test_kepler_solution_satisfies_equation(self, m, e):
-        big_e = solve_kepler(m, e)
+        (big_e,) = solve_kepler_array(np.array([m]), e)
         # The solver wraps M into [0, 2pi); compare in the same revolution.
         residual = (big_e - e * math.sin(big_e) - m) % (2 * math.pi)
         assert min(residual, 2 * math.pi - residual) < 1e-8
@@ -43,7 +47,7 @@ class TestKeplerProperties:
     @settings(max_examples=50)
     def test_circular_orbit_radius_invariant(self, alt, incl, raan, anomaly, t):
         el = OrbitalElements.circular(alt, incl, raan, anomaly)
-        pos = KeplerPropagator(el).position_at(t)
+        pos = position_at(el, t)
         assert np.linalg.norm(pos) == pytest.approx(
             EARTH_RADIUS_KM + alt, rel=1e-9
         )
@@ -52,7 +56,7 @@ class TestKeplerProperties:
     @settings(max_examples=30)
     def test_z_bounded_by_inclination(self, alt, incl, t):
         el = OrbitalElements.circular(alt, incl)
-        pos = KeplerPropagator(el).position_at(t)
+        pos = position_at(el, t)
         max_z = (EARTH_RADIUS_KM + alt) * abs(math.sin(incl)) + 1e-6
         assert abs(pos[2]) <= max_z
 
@@ -60,9 +64,8 @@ class TestKeplerProperties:
     @settings(max_examples=30)
     def test_period_brings_satellite_back(self, alt, incl, raan, anomaly):
         el = OrbitalElements.circular(alt, incl, raan, anomaly)
-        prop = KeplerPropagator(el)
         assert np.allclose(
-            prop.position_at(0.0), prop.position_at(el.period_s), atol=1e-5
+            position_at(el, 0.0), position_at(el, el.period_s), atol=1e-5
         )
 
 
@@ -109,7 +112,7 @@ class TestVisibilityProperties:
         r = EARTH_RADIUS_KM + alt
         a = np.array([r, 0.0, 0.0])
         b = r * np.array([math.cos(theta), math.sin(theta), 0.0])
-        assert has_line_of_sight(a, b) == has_line_of_sight(b, a)
+        assert line_of_sight_mask(a, b) == line_of_sight_mask(b, a)
 
 
 class TestFootprintClosedForm:

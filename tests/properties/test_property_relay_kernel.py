@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from repro.experiments import figure2
 from repro.experiments.figure2 import _relay_latency_batch_s
 from repro.orbits.constants import EARTH_RADIUS_KM
+from repro.orbits.coordinates import ecef_to_eci_over
 from repro.orbits.walker import random_constellation
-from repro.simulation.batched import ground_eci_track
 from tests.routing import oracle
 
 
@@ -107,10 +107,11 @@ class TestRelayKernelOracle:
         positions = np.concatenate([
             random_constellation(40, rng).positions_over(times)
             for _ in range(2)], axis=1)
-        user = np.tile(ground_eci_track(figure2.DEFAULT_USER_SITE, times),
-                       (2, 1))
+        user = np.tile(
+            ecef_to_eci_over(figure2.DEFAULT_USER_SITE.ecef(), times), (2, 1))
         gateway = np.tile(
-            ground_eci_track(figure2.DEFAULT_GATEWAY_SITE, times), (2, 1))
+            ecef_to_eci_over(figure2.DEFAULT_GATEWAY_SITE.ecef(), times),
+            (2, 1))
         latencies = _assert_matches_oracle(positions, user, gateway,
                                            0.0, 6000.0)
         assert mask_calls == []
@@ -124,8 +125,8 @@ class TestRelayKernelOracle:
         times = np.linspace(0.0, 86400.0, 6, endpoint=False)
         positions = random_constellation(
             30, rng, altitude_km=550.0).positions_over(times)
-        user = ground_eci_track(figure2.DEFAULT_USER_SITE, times)
-        gateway = ground_eci_track(figure2.DEFAULT_GATEWAY_SITE, times)
+        user = ecef_to_eci_over(figure2.DEFAULT_USER_SITE.ecef(), times)
+        gateway = ecef_to_eci_over(figure2.DEFAULT_GATEWAY_SITE.ecef(), times)
         _assert_matches_oracle(positions, user, gateway, 0.0, 6000.0)
         assert len(mask_calls) == 1
         in_range, removed = mask_calls[0]

@@ -51,90 +51,6 @@ class TestScheduling:
         assert engine.now_s == 3.0
 
 
-class TestCancel:
-    def test_cancelled_event_does_not_fire(self):
-        engine = SimulationEngine()
-        fired = []
-        event = engine.schedule(1.0, lambda: fired.append("x"))
-        engine.cancel(event)
-        engine.run()
-        assert fired == []
-
-    def test_cancel_one_of_many(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append("keep"))
-        doomed = engine.schedule(1.0, lambda: fired.append("drop"))
-        engine.cancel(doomed)
-        engine.run()
-        assert fired == ["keep"]
-
-    def test_pending_count_excludes_cancelled(self):
-        engine = SimulationEngine()
-        kept = [engine.schedule(float(t), lambda: None) for t in range(3)]
-        doomed = engine.schedule(5.0, lambda: None)
-        engine.cancel(doomed)
-        engine.cancel(kept[0])
-        assert engine.run() == 2
-
-    def test_cancel_is_idempotent(self):
-        engine = SimulationEngine()
-        event = engine.schedule(1.0, lambda: None)
-        engine.cancel(event)
-        engine.cancel(event)
-        assert len(engine._live) == 0
-        assert len(engine._cancelled) == 1
-        assert engine.run() == 0
-
-    def test_cancel_after_fire_is_noop(self):
-        engine = SimulationEngine()
-        event = engine.schedule(1.0, lambda: None)
-        engine.run()
-        engine.cancel(event)
-        assert len(engine._cancelled) == 0
-        assert len(engine._live) == 0
-
-    def test_no_stale_accumulation_across_run_until(self):
-        # Cancelled entries beyond the horizon must not pile up in the
-        # cancelled set forever once the horizon passes them.
-        engine = SimulationEngine()
-        for t in range(10):
-            event = engine.schedule(100.0 + t, lambda: None)
-            engine.cancel(event)
-        live = engine.schedule(200.0, lambda: None)
-        engine.run_until(50.0)   # breaks before any cancelled entry pops
-        assert len(engine._live) == 1
-        engine.run_until(150.0)  # horizon sweeps past the cancelled block
-        assert len(engine._cancelled) == 0
-        assert len(engine._live) == 1
-        engine.cancel(live)
-        assert len(engine._live) == 0
-
-    def test_mass_cancel_compacts_heap(self):
-        engine = SimulationEngine()
-        doomed = [engine.schedule(1.0, lambda: None) for _ in range(200)]
-        survivor = engine.schedule(2.0, lambda: None)
-        for event in doomed:
-            engine.cancel(event)
-        # Compaction rebuilt the heap: no cancelled entries linger.
-        assert len(engine._cancelled) < 200
-        assert len(engine._live) == 1
-        assert engine.run() == 1
-        assert len(engine._live) == 0
-        assert survivor.sequence not in engine._cancelled
-
-    def test_cancelled_head_does_not_pull_event_past_horizon(self):
-        engine = SimulationEngine()
-        fired = []
-        doomed = engine.schedule(1.0, lambda: fired.append("dead"))
-        engine.schedule(10.0, lambda: fired.append("late"))
-        engine.cancel(doomed)
-        processed = engine.run_until(5.0)
-        assert processed == 0
-        assert fired == []
-        assert engine.now_s == 5.0
-
-
 class TestRunUntil:
     def test_stops_at_horizon(self):
         engine = SimulationEngine()
@@ -145,7 +61,7 @@ class TestRunUntil:
         assert processed == 1
         assert fired == [1]
         assert engine.now_s == 3.0
-        assert len(engine._live) == 1
+        assert len(engine._heap) == 1
 
     def test_clock_advances_even_without_events(self):
         engine = SimulationEngine()
@@ -194,17 +110,6 @@ class TestGuardsAndOrdering:
             engine.schedule(float(t), lambda: None)
         assert engine.run_until(20.0, max_events=11) == 10
 
-    def test_cancelled_events_do_not_trip_guard(self):
-        engine = SimulationEngine()
-        for t in range(10):
-            event = engine.schedule(float(t), lambda: None)
-            engine.cancel(event)
-        survivor_fired = []
-        engine.schedule(3.0, lambda: survivor_fired.append(True))
-        # Ten cancelled entries must not count toward max_events.
-        assert engine.run_until(20.0, max_events=2) == 1
-        assert survivor_fired == [True]
-
     def test_fifo_among_simultaneous_interleaved_times(self):
         # Schedule order at equal times must be preserved even when the
         # equal-time events are pushed between events at other times.
@@ -231,14 +136,3 @@ class TestGuardsAndOrdering:
         engine.schedule(0.0, spawn)
         engine.run()
         assert fired == ["parent-after", "child-a", "child-b"]
-
-    def test_fifo_survives_compaction(self):
-        engine = SimulationEngine()
-        fired = []
-        doomed = [engine.schedule(1.0, lambda: None) for _ in range(150)]
-        for name in "abc":
-            engine.schedule(1.0, lambda n=name: fired.append(n))
-        for event in doomed:
-            engine.cancel(event)
-        engine.run()
-        assert fired == ["a", "b", "c"]

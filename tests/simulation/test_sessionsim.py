@@ -15,7 +15,8 @@ def session(network):
     user = UserTerminal("session-user", GeodeticPoint(-1.29, 36.82),
                         "acme", min_elevation_deg=10.0)
     simulator = SessionSimulator(network)
-    return simulator.run(user, 0.0, 1800.0, epoch_s=60.0)
+    return simulator.run(user, 0.0, 1800.0,
+                         epoch_s=60.0)[HandoverScheme.PREDICTIVE]
 
 
 class TestSessionTrace:
@@ -56,13 +57,33 @@ class TestSchemes:
     def test_reauth_scheme_pays_more_outage(self, network):
         user = UserTerminal("scheme-user", GeodeticPoint(-1.29, 36.82),
                             "acme", min_elevation_deg=10.0)
-        simulator = SessionSimulator(network)
-        predictive = simulator.run(user, 0.0, 1800.0, epoch_s=60.0,
-                                   scheme=HandoverScheme.PREDICTIVE)
-        reauth = simulator.run(user, 0.0, 1800.0, epoch_s=60.0,
-                               scheme=HandoverScheme.REAUTHENTICATE)
+        traces = SessionSimulator(network).run(user, 0.0, 1800.0,
+                                               epoch_s=60.0)
+        predictive = traces[HandoverScheme.PREDICTIVE]
+        reauth = traces[HandoverScheme.REAUTHENTICATE]
         assert reauth.total_outage_s > predictive.total_outage_s
         assert reauth.handover_count == predictive.handover_count
+
+    def test_one_walk_serves_every_scheme(self, network, monkeypatch):
+        # One snapshot per instant for both schemes, and both traces
+        # hold the same samples with their own scheme.
+        builds = []
+        snapshot = type(network).snapshot
+
+        def counted(self, *args, **kwargs):
+            builds.append(args[0])
+            return snapshot(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(network), "snapshot", counted)
+        user = UserTerminal("walk-user", GeodeticPoint(-1.29, 36.82),
+                            "acme", min_elevation_deg=10.0)
+        traces = SessionSimulator(network).run(user, 0.0, 600.0,
+                                               epoch_s=60.0)
+        assert builds == [60.0 * k for k in range(10)]
+        assert list(traces) == list(HandoverScheme)
+        for scheme, trace in traces.items():
+            assert trace.scheme is scheme
+            assert trace.samples == traces[HandoverScheme.PREDICTIVE].samples
 
 
 class TestValidation:
