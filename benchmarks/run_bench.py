@@ -1,6 +1,9 @@
 """Benchmark harness for the vectorized/parallel sweep stack.
 
-Measures these things and writes them to ``BENCH_parallel.json``:
+Measures these things and writes them to ``bench-out/run_bench.json``
+(``bench-out/`` is untracked; the committed record
+``benchmarks/BENCH_parallel.json`` changes only through an explicit
+``--output``):
 
 1. **Vectorization speedup** — the per-flow reference of the fluid
    traffic plane (kept here as the honest baseline) against the
@@ -57,7 +60,7 @@ from repro.routing.proactive import ProactiveRouter
 from repro.routing.timeexpanded import TimeExpandedRouter
 
 HERE = Path(__file__).resolve().parent
-DEFAULT_OUTPUT = HERE / "BENCH_parallel.json"
+DEFAULT_OUTPUT = HERE.parent / "bench-out" / "run_bench.json"
 DEFAULT_BASELINE = HERE / "BENCH_baseline.json"
 
 
@@ -514,6 +517,7 @@ def main(argv=None) -> int:
                      "--write-baseline (partial runs are not a gate)")
 
     result = run_all(args.jobs, only=args.only)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(result, indent=2, sort_keys=True)
                            + "\n")
     print(f"wrote {args.output}")

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from repro import obs as _obs
 from repro.core.beacon import BeaconEvaluator
 from repro.ground.user import UserTerminal
@@ -124,16 +122,14 @@ class AssociationProtocol:
     def _associate(self, user: UserTerminal, snap,
                    evaluator: BeaconEvaluator, time_s: float,
                    password: bytes) -> AssociationResult:
-        user_pos = user.position_eci(time_s)
-        beacon = evaluator.best(user_pos, time_s)
-        if beacon is None:
+        ranked = evaluator.rank(user.position_eci(time_s), time_s)
+        if not ranked:
             return AssociationResult(
                 user_id=user.user_id, satellite_id=None, link_setup_s=0.0,
                 auth_path_hops=0, auth_round_trip_s=0.0, authenticated=False,
                 failure_reason="no usable satellite overhead",
             )
-        sat_pos = beacon.position_at(time_s)
-        distance_km = float(np.linalg.norm(user_pos - sat_pos))
+        distance_km, beacon = ranked[0]
         one_way_s = distance_km / SPEED_OF_LIGHT_KM_S
         link_setup_s = self.link_setup_messages * one_way_s
 
@@ -232,6 +228,9 @@ class ReliableAssociationProtocol(AssociationProtocol):
             provider: list(anchors)
             for provider, anchors in (fallback_anchors or {}).items()
         }
+        if max_candidates < 1:
+            raise ValueError(
+                f"max_candidates must be >= 1, got {max_candidates}")
         self.max_candidates = max_candidates
 
     def _anchors_for(self, provider: str) -> list:
@@ -253,10 +252,8 @@ class ReliableAssociationProtocol(AssociationProtocol):
                                       password)
         from repro.reliability.policy import note_degraded
 
-        user_pos = user.position_eci(time_s)
-        candidates = evaluator.best_candidates(
-            user_pos, time_s, limit=self.max_candidates
-        )
+        candidates = evaluator.rank(
+            user.position_eci(time_s), time_s)[:self.max_candidates]
         if not candidates:
             return AssociationResult(
                 user_id=user.user_id, satellite_id=None, link_setup_s=0.0,
@@ -267,11 +264,9 @@ class ReliableAssociationProtocol(AssociationProtocol):
 
         server = self.radius_servers.get(user.home_provider)
         anchors = self._anchors_for(user.home_provider)
-        primary = candidates[0]
-        primary_pos = primary.position_at(time_s)
+        primary_range_km, primary = candidates[0]
         primary_setup_s = self.link_setup_messages * (
-            float(np.linalg.norm(user_pos - primary_pos))
-            / SPEED_OF_LIGHT_KM_S
+            primary_range_km / SPEED_OF_LIGHT_KM_S
         )
         if server is None or not anchors:
             return AssociationResult(
@@ -289,10 +284,8 @@ class ReliableAssociationProtocol(AssociationProtocol):
         total_attempts = 0
         elapsed_auth_s = 0.0
         last_failure = "no ISL path to any authentication anchor"
-        for candidate_index, beacon in enumerate(candidates):
-            sat_pos = beacon.position_at(time_s)
-            one_way_s = (float(np.linalg.norm(user_pos - sat_pos))
-                         / SPEED_OF_LIGHT_KM_S)
+        for candidate_index, (range_km, beacon) in enumerate(candidates):
+            one_way_s = range_km / SPEED_OF_LIGHT_KM_S
             link_setup_s = self.link_setup_messages * one_way_s
             for anchor_index, anchor in enumerate(anchors):
                 path = adjacency.shortest_path(beacon.satellite_id, anchor)

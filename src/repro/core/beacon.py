@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -62,12 +62,6 @@ class Beacon:
             free_isl_slots=spec.max_concurrent_isls,
             timestamp_s=timestamp_s,
         )
-
-    def position_at(self, time_s: float) -> np.ndarray:
-        """Propagate the advertised elements to a position: a
-        one-satellite :func:`~repro.orbits.kepler.batch_positions`, so it
-        has the bits :meth:`BeaconEvaluator.rank` ranked on."""
-        return batch_positions(KeplerFleet([self.elements]), time_s)[0, 0]
 
 
 @dataclass
@@ -126,23 +120,3 @@ class BeaconEvaluator:
             recorder.count("beacon.evaluated", len(self.heard))
             recorder.count("beacon.usable", len(ranked))
         return ranked
-
-    def best(self, receiver_position_eci: np.ndarray,
-             time_s: float) -> Optional[Beacon]:
-        """The closest usable satellite, or None."""
-        ranked = self.rank(receiver_position_eci, time_s)
-        return ranked[0][1] if ranked else None
-
-    def best_candidates(self, receiver_position_eci: np.ndarray,
-                        time_s: float, limit: int = 3) -> List[Beacon]:
-        """The ``limit`` closest usable satellites, nearest first.
-
-        Association under a lossy control plane tries these in order: when
-        the nearest satellite's auth exchange keeps timing out (or its
-        circuit breaker is open), the next candidate is a degraded but
-        serviceable fallback.
-        """
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        ranked = self.rank(receiver_position_eci, time_s)
-        return [beacon for _range, beacon in ranked[:limit]]

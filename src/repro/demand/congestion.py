@@ -12,13 +12,13 @@ operator revenue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 import numpy as np
 
 from repro.demand.fluid import FluidResult
 from repro.economics.ledger import TrafficLedger
-from repro.economics.settlement import Invoice, RateCard, SettlementEngine
+from repro.economics.settlement import Invoice, SettlementEngine
 
 
 @dataclass
@@ -39,10 +39,7 @@ class DemandSettlement:
 
 
 def settle_demand(result: FluidResult, owners: Mapping[str, str],
-                  duration_s: float,
-                  rate_cards: Optional[Dict[str, RateCard]] = None,
-                  segment_kind: str = "gateway",
-                  time_s: float = 0.0) -> DemandSettlement:
+                  duration_s: float, time_s: float = 0.0) -> DemandSettlement:
     """File fluid-interval transit into a ledger and settle it.
 
     Each routed cell's allocated rate over ``duration_s`` becomes one
@@ -50,14 +47,13 @@ def settle_demand(result: FluidResult, owners: Mapping[str, str],
     owners of the nodes along its serving route are the carriers
     ("tracked by all parties involved").  Carrying an ISP's own traffic
     is not billable, so only cross-operator transit produces revenue.
+    Every carrier bills at the default rate card's ``"gateway"`` class.
 
     Args:
         result: A converged fluid fixed point.
         owners: Owner of every node on a route (the snapshot's
             :attr:`~repro.core.network.NetworkSnapshot.owners`).
         duration_s: Interval the fluid rates were sustained for.
-        rate_cards: Carrier rate cards (default cards otherwise).
-        segment_kind: Technology class used for billing.
         time_s: Ledger timestamp for the interval.
 
     Returns:
@@ -66,23 +62,18 @@ def settle_demand(result: FluidResult, owners: Mapping[str, str],
     if duration_s <= 0.0:
         raise ValueError(f"duration must be > 0, got {duration_s}")
     ledger = TrafficLedger()
-    for index, cell_id in enumerate(result.cell_ids):
-        path = result.paths[index]
-        if path is None or len(path) < 2:
+    for cell_id, path, rate in zip(result.cell_ids, result.paths,
+                                   result.rate_bps.tolist()):
+        if path is None or len(path) < 2 or rate <= 0.0:
             continue
-        rate = float(result.rate_bps[index])
-        if rate <= 0.0:
-            continue
-        gigabytes = rate * duration_s / 8.0 / 1e9
-        source = owners[path[0]]
-        carriers = [owners[node] for node in path[1:]]
         ledger.file_path_transfer(
             transfer_id=f"{cell_id}@{time_s:.0f}",
-            source_isp=source, carrier_path=carriers,
-            gigabytes=gigabytes, time_s=time_s,
+            source_isp=owners[path[0]],
+            carrier_path=[owners[node] for node in path[1:]],
+            gigabytes=rate * duration_s / 8.0 / 1e9, time_s=time_s,
         )
-    engine = SettlementEngine(rate_cards=rate_cards)
-    invoices = engine.invoices_from_ledger(ledger, segment_kind=segment_kind)
+    engine = SettlementEngine()
+    invoices = engine.invoices_from_ledger(ledger, segment_kind="gateway")
     return DemandSettlement(
         invoices=invoices,
         revenue_usd=float(sum(i.amount_usd for i in invoices)),
@@ -98,9 +89,8 @@ def peak_statistics(result: FluidResult) -> Dict[str, float]:
     loaded links above 90% utilization (the congestion headline numbers
     the demand sweep reports).
     """
-    fractions = np.asarray(
-        [f for f in result.utilization.values() if f > 0.0]
-    )
+    fractions = result.edge_utilization
+    fractions = fractions[fractions > 0.0]
     if fractions.size == 0:
         return {"mean_utilization": 0.0, "peak_utilization": 0.0,
                 "hot_link_share": 0.0}

@@ -89,18 +89,20 @@ class FluidResult:
     entry_edge: np.ndarray = field(repr=False, default=None)
 
     @property
-    def utilization(self) -> Dict[Tuple[str, str], float]:
-        """Allocated utilization per link, ``(u, v) -> load/capacity``."""
+    def edge_utilization(self) -> np.ndarray:
+        """Allocated load / capacity per edge slot (0 on an uncapped or
+        zero-capacity link)."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.where(
+            return np.where(
                 np.isfinite(self.edge_capacity_bps)
                 & (self.edge_capacity_bps > 0.0),
                 self.edge_load_bps / self.edge_capacity_bps, 0.0,
             )
-        return {
-            key: float(fraction)
-            for key, fraction in zip(self.edge_keys, fractions)
-        }
+
+    @property
+    def utilization(self) -> Dict[Tuple[str, str], float]:
+        """Allocated utilization per link, ``(u, v) -> load/capacity``."""
+        return dict(zip(self.edge_keys, self.edge_utilization.tolist()))
 
     @property
     def served_fraction(self) -> float:
@@ -120,13 +122,7 @@ class FluidResult:
         flows = len(self.cell_ids)
         if flows == 0:
             return np.zeros(0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            util = np.where(
-                np.isfinite(self.edge_capacity_bps)
-                & (self.edge_capacity_bps > 0.0),
-                self.edge_load_bps / self.edge_capacity_bps, 0.0,
-            )
-        util = np.minimum(util, MAX_UTILIZATION)
+        util = np.minimum(self.edge_utilization, MAX_UTILIZATION)
         inflated = self.edge_delay_s / (1.0 - util)
         base = np.bincount(self.entry_flow,
                            weights=self.edge_delay_s[self.entry_edge],

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.ground.user import UserTerminal
 from repro.orbits.coordinates import GeodeticPoint
+from repro.phy.rf import standard_ku_user_terminal
 from repro.simulation.traffic import UNDERSERVED_REGIONS
 
 #: Cell-id format shared by the grid, the fluid engine, and exports.
@@ -125,14 +126,12 @@ class PopulationGrid:
         """Indices of cells with at least one user, ascending."""
         return np.nonzero(self.users > 0)[0]
 
-    def cell_id(self, index: int) -> str:
-        return CELL_ID_FORMAT.format(index=int(index))
-
     def cell_ids(self, indices: Optional[Sequence[int]] = None) -> List[str]:
         """Cell ids for the given indices (default: occupied cells)."""
         if indices is None:
             indices = self.occupied
-        return [self.cell_id(index) for index in indices]
+        return [CELL_ID_FORMAT.format(index=index)
+                for index in np.asarray(indices, dtype=np.int64).tolist()]
 
     def terminals(self, home_providers: Sequence[str],
                   min_elevation_deg: float = 25.0) -> List[UserTerminal]:
@@ -140,43 +139,39 @@ class PopulationGrid:
 
         Home providers round-robin across occupied cells by cell index,
         mirroring the per-user generators: every operator has
-        subscribers everywhere.
+        subscribers everywhere.  Every cell shares one (frozen)
+        :func:`~repro.phy.rf.standard_ku_user_terminal`.
         """
         if not home_providers:
             raise ValueError("need at least one home provider")
-        terminals = []
-        for slot, index in enumerate(self.occupied):
-            terminals.append(UserTerminal(
-                user_id=self.cell_id(index),
-                location=GeodeticPoint(float(self.lat_deg[index]),
-                                       float(self.lon_deg[index])),
+        radio = standard_ku_user_terminal()
+        occupied = self.occupied
+        cells = zip(self.cell_ids(occupied), self.lat_deg[occupied].tolist(),
+                    self.lon_deg[occupied].tolist())
+        return [
+            UserTerminal(
+                user_id=cell_id, location=GeodeticPoint(lat, lon),
                 home_provider=home_providers[slot % len(home_providers)],
-                min_elevation_deg=min_elevation_deg,
-            ))
-        return terminals
+                terminal=radio, min_elevation_deg=min_elevation_deg,
+            )
+            for slot, (cell_id, lat, lon) in enumerate(cells)
+        ]
 
 
 def _cell_geometry(spec: GridSpec):
     """Flattened (lat, lon, area_weight, band index) arrays for a spec."""
     centers = spec.band_center_latitudes()
     columns = spec.columns_per_band()
-    lats: List[float] = []
-    lons: List[float] = []
-    areas: List[float] = []
-    bands: List[int] = []
+    band = np.repeat(np.arange(spec.bands, dtype=np.int64), columns)
+    column = (np.arange(band.size, dtype=np.int64)
+              - np.repeat(np.cumsum(columns) - columns, columns))
+    width = 360.0 / columns
+    lon = -180.0 + width[band] * (column + 0.5)
     # Every band has the same area; a band's cells split it evenly.
     band_area = 1.0 / spec.bands
-    for band, (lat, cols) in enumerate(zip(centers, columns)):
-        width = 360.0 / cols
-        for col in range(int(cols)):
-            lon = -180.0 + width * (col + 0.5)
-            lats.append(float(lat))
-            # Keep longitudes in (-180, 180].
-            lons.append(((lon + 180.0) % 360.0) - 180.0)
-            areas.append(band_area / cols)
-            bands.append(band)
-    return (np.asarray(lats), np.asarray(lons), np.asarray(areas),
-            np.asarray(bands, dtype=np.int64))
+    # Keep longitudes in (-180, 180].
+    return (centers[band], ((lon + 180.0) % 360.0) - 180.0,
+            (band_area / columns)[band], band)
 
 
 def _underserved_weights(lat_deg: np.ndarray, lon_deg: np.ndarray,

@@ -20,7 +20,7 @@ from repro.economics.bgp import (
     BgpEconomy,
     RelationshipKind,
 )
-from repro.economics.ledger import TrafficLedger, TransitRecord, LedgerMismatch
+from repro.economics.ledger import TrafficLedger, LedgerMismatch
 from repro.economics.settlement import RateCard, SettlementEngine, Invoice
 from repro.economics.peering import PeeringAdvisor, PeeringRecommendation
 from repro.economics.capex import (
@@ -41,7 +41,6 @@ __all__ = [
     "BgpEconomy",
     "RelationshipKind",
     "TrafficLedger",
-    "TransitRecord",
     "LedgerMismatch",
     "RateCard",
     "SettlementEngine",

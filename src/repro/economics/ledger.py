@@ -4,10 +4,13 @@
 to create an easily cross-verifiable account of the extent to which any
 given ISP's traffic was carried by the rest of the network."
 
-Every party on a path files its own :class:`TransitRecord` for each
-transfer; the ledger cross-verifies that all observers of the same
-transfer agree on the volume, flags mismatches (which feed the bad-actor
-monitor), and aggregates carried-traffic matrices for settlement.
+Every party on a path files its own report of each transfer segment; the
+ledger cross-verifies that all observers of the same segment agree on the
+volume, flags mismatches (which feed the bad-actor monitor), and
+aggregates carried-traffic matrices for settlement.  Reports are stored
+as columns (reporter, volume, time) with a ``(transfer_id, carrier)``
+index of each segment's rows, so filing a transfer builds no object per
+report.
 """
 
 from __future__ import annotations
@@ -17,38 +20,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
-class TransitRecord:
-    """One party's account of one transfer.
-
-    Attributes:
-        transfer_id: Identifier shared by all observers of the transfer.
-        reporter: The ISP filing this record.
-        source_isp: Whose customer originated the traffic.
-        carrier_isp: Whose infrastructure carried this segment.
-        gigabytes: Volume the reporter observed.
-        time_s: When the transfer completed.
-    """
-
-    transfer_id: str
-    reporter: str
-    source_isp: str
-    carrier_isp: str
-    gigabytes: float
-    time_s: float
-
-    def __post_init__(self) -> None:
-        if self.gigabytes < 0.0:
-            raise ValueError(f"gigabytes must be >= 0, got {self.gigabytes}")
-
-
-@dataclass(frozen=True)
 class LedgerMismatch:
     """A disagreement between observers of the same transfer segment.
 
     Attributes:
         transfer_id: The disputed transfer.
         carrier_isp: The segment in dispute.
-        reported: ``(reporter, gigabytes)`` for every filed record.
+        reported: ``(reporter, gigabytes)`` for every filed report.
         spread_gb: Max minus min reported volume.
     """
 
@@ -59,7 +37,7 @@ class LedgerMismatch:
 
 
 class TrafficLedger:
-    """Collects transit records and cross-verifies them.
+    """Collects transit reports and cross-verifies them.
 
     Args:
         tolerance_gb: Reported volumes within this of each other are
@@ -70,63 +48,80 @@ class TrafficLedger:
         if tolerance_gb < 0.0:
             raise ValueError(f"tolerance must be >= 0, got {tolerance_gb}")
         self.tolerance_gb = tolerance_gb
-        self._records: List[TransitRecord] = []
-        # (transfer_id, carrier) -> records from each observer
-        self._by_segment: Dict[Tuple[str, str], List[TransitRecord]] = {}
-
-    def file(self, record: TransitRecord) -> None:
-        """File one party's record of a transfer segment."""
-        self._records.append(record)
-        key = (record.transfer_id, record.carrier_isp)
-        self._by_segment.setdefault(key, []).append(record)
+        # One entry per filed report, in filing order.
+        self._reporters: List[str] = []
+        self._gigabytes: List[float] = []
+        self._times: List[float] = []
+        # (transfer_id, carrier) -> (source of its first filing, its
+        # report rows); a repeated key merges into one segment.
+        self._segments: Dict[Tuple[str, str], Tuple[str, List[int]]] = {}
 
     def file_path_transfer(self, transfer_id: str, source_isp: str,
                            carrier_path: Sequence[str], gigabytes: float,
                            time_s: float,
                            misreport: Optional[Dict[str, float]] = None) -> None:
-        """File the full record set a clean path transfer produces.
+        """File the full report set a clean path transfer produces.
 
         For each carrier on the path, both the source ISP and the carrier
-        itself file records ("tracked by all parties involved").
+        itself file a report ("tracked by all parties involved").
 
         Args:
             transfer_id: Shared transfer identifier.
             source_isp: Originating ISP.
             carrier_path: ISPs whose infrastructure carried the traffic,
-                in path order (may repeat; duplicates are collapsed).
+                in path order (may repeat; duplicates are collapsed in
+                first-seen order).
             gigabytes: True transferred volume.
             time_s: Completion time.
             misreport: Optional carrier -> claimed_gigabytes overrides used
-                by tests/benchmarks to inject fraudulent accounting.
+                by tests/benchmarks to inject fraudulent accounting;
+                carriers off the path are ignored.
+
+        Raises:
+            ValueError: When the path has a carrier and the volume or a
+                carrier's claim is negative; nothing is filed then.
         """
-        seen = []
-        for carrier in carrier_path:
-            if carrier not in seen:
-                seen.append(carrier)
-        for carrier in seen:
-            claimed = (misreport or {}).get(carrier, gigabytes)
-            self.file(TransitRecord(
-                transfer_id=transfer_id, reporter=source_isp,
-                source_isp=source_isp, carrier_isp=carrier,
-                gigabytes=gigabytes, time_s=time_s,
-            ))
-            self.file(TransitRecord(
-                transfer_id=transfer_id, reporter=carrier,
-                source_isp=source_isp, carrier_isp=carrier,
-                gigabytes=claimed, time_s=time_s,
-            ))
+        carriers = list(dict.fromkeys(carrier_path))
+        if misreport:
+            claims = [misreport.get(carrier, gigabytes) for carrier in carriers]
+            negative = any(claim < 0.0 for claim in claims)
+        else:
+            claims = [gigabytes] * len(carriers)
+            negative = False
+        if carriers and (negative or gigabytes < 0.0):
+            raise ValueError(
+                f"reported gigabytes must be >= 0, got {gigabytes} "
+                f"with claims {claims}"
+            )
+        segments, reporters, volumes = (self._segments, self._reporters,
+                                         self._gigabytes)
+        row = len(volumes)
+        for carrier, claim in zip(carriers, claims):
+            key = (transfer_id, carrier)
+            segment = segments.get(key)
+            if segment is None:
+                segments[key] = (source_isp, [row, row + 1])
+            else:
+                segment[1].extend((row, row + 1))
+            row += 2
+            reporters += (source_isp, carrier)
+            volumes += (gigabytes, claim)
+        self._times += [time_s] * (2 * len(carriers))
 
     def cross_verify(self) -> List[LedgerMismatch]:
         """All segments whose observers disagree beyond tolerance."""
+        reporters, volumes = self._reporters, self._gigabytes
         mismatches = []
-        for (transfer_id, carrier), records in sorted(self._by_segment.items()):
-            volumes = [r.gigabytes for r in records]
-            spread = max(volumes) - min(volumes)
+        for (transfer_id, carrier), (_source, rows) in sorted(
+                self._segments.items()):
+            reported = [volumes[row] for row in rows]
+            spread = max(reported) - min(reported)
             if spread > self.tolerance_gb:
                 mismatches.append(LedgerMismatch(
                     transfer_id=transfer_id,
                     carrier_isp=carrier,
-                    reported=tuple((r.reporter, r.gigabytes) for r in records),
+                    reported=tuple((reporters[row], volumes[row])
+                                   for row in rows),
                     spread_gb=spread,
                 ))
         return mismatches
@@ -138,21 +133,21 @@ class TrafficLedger:
         to which any given ISP's traffic was carried by the rest of the
         network".  A segment's agreed figure is its minimum report — a
         carrier cannot charge for more than every observer concedes.
+        Segments add up in filing order.
         """
+        volumes = self._gigabytes
         matrix: Dict[Tuple[str, str], float] = {}
-        for (transfer_id, carrier), records in self._by_segment.items():
-            volumes = [r.gigabytes for r in records]
-            disputed = max(volumes) - min(volumes) > self.tolerance_gb
-            if disputed and exclude_disputed:
-                continue
-            source = records[0].source_isp
+        for (_transfer_id, carrier), (source, rows) in self._segments.items():
             if source == carrier:
                 continue  # carrying your own traffic is not billable
-            matrix[(source, carrier)] = (
-                matrix.get((source, carrier), 0.0) + min(volumes)
-            )
+            reported = [volumes[row] for row in rows]
+            agreed = min(reported)
+            if exclude_disputed and max(reported) - agreed > self.tolerance_gb:
+                continue
+            key = (source, carrier)
+            matrix[key] = matrix.get(key, 0.0) + agreed
         return matrix
 
     @property
     def record_count(self) -> int:
-        return len(self._records)
+        return len(self._gigabytes)

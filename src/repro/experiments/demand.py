@@ -97,10 +97,11 @@ def _demand_point(args: tuple) -> Dict:
     fleet = build_fleet(constellation, FLEET_OWNER, SizeClass.MEDIUM)
     network = OpenSpaceNetwork(fleet, default_station_network())
     time_s = hour * 3600.0
-    snap = network.snapshot(time_s, users=grid.terminals(PROVIDERS))
+    terminals = grid.terminals(PROVIDERS)
+    snap = network.snapshot(time_s, users=terminals)
 
     occupied = grid.occupied
-    cell_ids = grid.cell_ids(occupied)
+    cell_ids = [terminal.user_id for terminal in terminals]
     users = grid.users[occupied]
     demand = offered_load_bps(users, grid.lon_deg[occupied], hour_utc=hour)
     edges = snap.edges._replace(capacity_bps=access_capacity_bps(snap, users))

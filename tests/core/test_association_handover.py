@@ -177,6 +177,11 @@ class TestReliableAssociation:
         assert result.succeeded
         assert result.auth_attempts == 1
 
+    def test_rejects_no_candidates(self):
+        with pytest.raises(ValueError, match="max_candidates"):
+            ReliableAssociationProtocol(
+                radius_servers={}, auth_anchors={}, max_candidates=0)
+
     def test_lossy_channel_retries_and_succeeds(self, network, medium_fleet):
         server = RadiusServer("acme", b"secret")
         server.enroll("alice", b"pw")

@@ -39,9 +39,14 @@ class TestBeacon:
         assert beacon.free_isl_slots == overhead_spec.max_concurrent_isls
 
     def test_position_propagates_advertised_elements(self, overhead_spec):
-        beacon = Beacon.from_spec(overhead_spec, 0.0)
-        pos = beacon.position_at(0.0)
-        assert np.linalg.norm(pos) == pytest.approx(EARTH_RADIUS_KM + 780.0)
+        # At epoch the advertised orbit puts the satellite straight over
+        # (0, 0): its ranked range is the orbit's altitude.
+        evaluator = BeaconEvaluator(min_elevation_deg=0.0)
+        evaluator.receive(Beacon.from_spec(overhead_spec, 0.0))
+        user_eci = ecef_to_eci(GeodeticPoint(0.0, 0.0).ecef(), 0.0)
+        ((range_km, _beacon),) = evaluator.rank(user_eci, 0.0)
+        assert range_km == pytest.approx(780.0)
+        assert np.linalg.norm(user_eci) == pytest.approx(EARTH_RADIUS_KM)
 
 
 class TestBeaconEvaluator:
@@ -57,21 +62,21 @@ class TestBeaconEvaluator:
         evaluator.receive(Beacon.from_spec(far_spec, 0.0))
         evaluator.receive(Beacon.from_spec(overhead_spec, 0.0))
         user_eci = ecef_to_eci(GeodeticPoint(0.0, 0.0).ecef(), 0.0)
-        best = evaluator.best(user_eci, 0.0)
-        assert best.satellite_id == "sat-over"
+        ranked = evaluator.rank(user_eci, 0.0)
+        assert ranked[0][1].satellite_id == "sat-over"
 
     def test_elevation_mask_filters(self, far_spec):
         evaluator = BeaconEvaluator(min_elevation_deg=25.0)
         evaluator.receive(Beacon.from_spec(far_spec, 0.0))
         user_eci = ecef_to_eci(GeodeticPoint(0.0, 0.0).ecef(), 0.0)
-        assert evaluator.best(user_eci, 0.0) is None
+        assert evaluator.rank(user_eci, 0.0) == []
 
     def test_full_satellites_skipped(self, overhead_spec):
         overhead_spec.max_concurrent_isls = 0  # no slot free
         evaluator = BeaconEvaluator(min_elevation_deg=0.0)
         evaluator.receive(Beacon.from_spec(overhead_spec, 0.0))
         user_eci = ecef_to_eci(GeodeticPoint(0.0, 0.0).ecef(), 0.0)
-        assert evaluator.best(user_eci, 0.0) is None
+        assert evaluator.rank(user_eci, 0.0) == []
 
     def test_require_free_slot_can_be_disabled(self, overhead_spec):
         overhead_spec.max_concurrent_isls = 0  # no slot free
@@ -79,7 +84,7 @@ class TestBeaconEvaluator:
                                     require_free_slot=False)
         evaluator.receive(Beacon.from_spec(overhead_spec, 0.0))
         user_eci = ecef_to_eci(GeodeticPoint(0.0, 0.0).ecef(), 0.0)
-        assert evaluator.best(user_eci, 0.0) is not None
+        assert len(evaluator.rank(user_eci, 0.0)) == 1
 
 
 class TestRankAgainstOracle:
@@ -127,11 +132,3 @@ class TestRankAgainstOracle:
                 sizes.append(len(ranked))
         # Most instants rank several beacons, so the order is exercised.
         assert sum(size >= 2 for size in sizes) >= len(sizes) // 2
-
-    def test_position_at_equals_the_oracle(self, medium_fleet):
-        for spec in medium_fleet[:12]:
-            beacon = Beacon.from_spec(spec, 0.0)
-            for time_s in self.TIMES:
-                (expected,) = KeplerPropagator(spec.elements).positions_at(
-                    time_s)
-                assert np.array_equal(beacon.position_at(time_s), expected)

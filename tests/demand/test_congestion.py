@@ -3,9 +3,12 @@
 import networkx as nx
 import pytest
 
+import repro.experiments.demand as demand_module
 from repro import obs as _obs
 from repro.demand.congestion import peak_statistics, settle_demand
 from repro.demand.fluid import run_fluid
+from repro.experiments.demand import demand_sweep
+from tests.demand import oracle
 from tests.demand.tables import edge_table
 from tests.routing.oracle import GraphSnapshot
 
@@ -102,3 +105,60 @@ class TestSettlement:
         a = settle_demand(result, OWNERS, duration_s=3600.0)
         b = settle_demand(result, OWNERS, duration_s=3600.0)
         assert a.invoices == b.invoices
+
+
+@pytest.fixture(scope="module")
+def demand_points():
+    """``(result, owners, duration_s, time_s)`` of four real demand-sweep
+    points (66 and 264 satellites at 04:00 and 20:00 UTC, 1.2 M users on
+    the 36x72 grid, as the ``diurnal_demand`` benchmark loads them),
+    captured from the sweep's own settlement call."""
+    captured = []
+    real = demand_module.settle_demand
+
+    def capture(result, owners, duration_s, time_s):
+        captured.append((result, owners, duration_s, time_s))
+        return real(result, owners, duration_s=duration_s, time_s=time_s)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(demand_module, "settle_demand", capture)
+    try:
+        demand_sweep(satellite_counts=(66, 264), hours_utc=(4.0, 20.0),
+                     total_users=1_200_000, bands=36, equator_columns=72,
+                     jobs=1)
+    finally:
+        patch.undo()
+    assert len(captured) == 4
+    return captured
+
+
+def _settlement_bits(settlement):
+    return (
+        settlement.revenue_usd.hex(), settlement.carried_gb.hex(),
+        [(i.carrier, i.customer, i.gigabytes.hex(), i.amount_usd.hex())
+         for i in settlement.invoices],
+        [(isp, value.hex()) for isp, value in settlement.net_positions.items()],
+    )
+
+
+class TestAgainstOracle:
+    """The columnar ledger and the array statistics give the record
+    ledger's and the utilization dict's numbers, bit for bit."""
+
+    def test_settlement_equals_the_record_ledger(self, demand_points):
+        for result, owners, duration_s, time_s in demand_points:
+            settled = settle_demand(result, owners, duration_s=duration_s,
+                                    time_s=time_s)
+            assert settled.invoices
+            assert _settlement_bits(settled) == _settlement_bits(
+                oracle.settle_demand(result, owners, duration_s, time_s))
+
+    def test_peak_statistics_equal_the_dict_form(self, demand_points):
+        results = [congested_result()] + [
+            point[0] for point in demand_points]
+        for result in results:
+            stats = peak_statistics(result)
+            expected = oracle.peak_statistics(result)
+            assert list(stats) == list(expected)
+            assert [value.hex() for value in stats.values()] == [
+                value.hex() for value in expected.values()]

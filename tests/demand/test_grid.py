@@ -1,13 +1,23 @@
 """Tests for the equal-area population grid."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.interop import SizeClass, build_fleet
+from repro.core.network import OpenSpaceNetwork
 from repro.demand.grid import (
     GridSpec,
     PopulationGrid,
+    _cell_geometry,
     population_grid,
 )
+from repro.experiments.demand import FLEET_OWNER, PROVIDERS, plane_count_for
+from repro.ground.station import default_station_network
+from repro.orbits.walker import walker_delta
+from repro.phy.rf import standard_ku_user_terminal
+from tests.demand import oracle
 
 
 @pytest.fixture
@@ -40,9 +50,18 @@ class TestGridSpec:
 
     def test_cell_areas_sum_to_one(self):
         spec = GridSpec(bands=7, equator_columns=19)
-        from repro.demand.grid import _cell_geometry
         _, _, area, _ = _cell_geometry(spec)
         assert area.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bands, columns",
+                             [(1, 1), (18, 36), (36, 72), (90, 200)])
+    def test_geometry_equals_the_per_cell_loop(self, bands, columns):
+        spec = GridSpec(bands=bands, equator_columns=columns)
+        for got, expected in zip(_cell_geometry(spec),
+                                 oracle.cell_geometry(spec)):
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestPopulationGrid:
@@ -102,3 +121,36 @@ class TestPopulationGrid:
         grid = population_grid(100, rng)
         with pytest.raises(ValueError, match="provider"):
             grid.terminals([])
+
+
+class TestSharedTerminal:
+    """Every cell terminal carries one shared (frozen) RF terminal; the
+    snapshot priced with them is the one separate terminals priced."""
+
+    #: ``snapshot(4 h).digest()`` of a 24-satellite fleet over a 50,000-
+    #: user 8x16 grid (seed 7), recorded when every cell built its own
+    #: RF terminal.
+    DIGEST = "4864010a814103370ab8b25304ac2a0b386500729c24339bf22581c3813d767f"
+
+    def test_one_terminal_for_every_cell(self, rng):
+        terminals = population_grid(
+            5_000, rng, GridSpec(bands=6, equator_columns=12)
+        ).terminals(PROVIDERS)
+        radio = terminals[0].terminal
+        assert radio == standard_ku_user_terminal()
+        assert all(terminal.terminal is radio for terminal in terminals)
+
+    def test_snapshot_digest_unchanged(self):
+        grid = population_grid(50_000, np.random.default_rng(7),
+                               GridSpec(bands=8, equator_columns=16))
+        network = OpenSpaceNetwork(
+            build_fleet(walker_delta(24, plane_count_for(24)), FLEET_OWNER,
+                        SizeClass.MEDIUM),
+            default_station_network())
+        shared = grid.terminals(PROVIDERS)
+        separate = [dataclasses.replace(terminal,
+                                        terminal=standard_ku_user_terminal())
+                    for terminal in shared]
+        assert network.snapshot(4 * 3600.0, users=shared).digest() == self.DIGEST
+        assert network.snapshot(4 * 3600.0,
+                                users=separate).digest() == self.DIGEST

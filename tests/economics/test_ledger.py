@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.economics.ledger import LedgerMismatch, TrafficLedger, TransitRecord
+from repro.economics.ledger import LedgerMismatch, TrafficLedger
 
 
 class TestRecords:
     def test_rejects_negative_volume(self):
+        ledger = TrafficLedger()
         with pytest.raises(ValueError):
-            TransitRecord("t1", "a", "a", "b", -1.0, 0.0)
+            ledger.file_path_transfer("t1", "a", ["b"], -1.0, 0.0)
+        with pytest.raises(ValueError):
+            ledger.file_path_transfer("t1", "a", ["b", "c"], 1.0, 0.0,
+                                      misreport={"c": -1.0})
+        # A rejected transfer files nothing.
+        assert ledger.record_count == 0
+        assert ledger.carried_matrix() == {}
 
 
 class TestFiling:

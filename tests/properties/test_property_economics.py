@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.economics.ledger import TrafficLedger
 from repro.economics.settlement import RateCard, SettlementEngine
+from tests.economics.oracle import RecordLedger
 
 isp_names = st.sampled_from(["isp-a", "isp-b", "isp-c", "isp-d"])
 
@@ -84,3 +85,76 @@ class TestSettlementProperties:
             assert invoice.amount_usd >= 0.0
             assert invoice.gigabytes >= 0.0
             assert invoice.carrier != invoice.customer
+
+
+@st.composite
+def _claim(draw, gigabytes, tolerance):
+    """A carrier's claim above, within or below ``tolerance`` of the true
+    volume (never negative)."""
+    kind = draw(st.sampled_from(["above", "within", "below"]))
+    if kind == "above":
+        return gigabytes + tolerance + draw(st.floats(1e-3, 10.0))
+    if kind == "within":
+        return max(0.0, gigabytes + draw(st.floats(-tolerance, tolerance)))
+    return max(0.0, gigabytes - tolerance - draw(st.floats(1e-3, 10.0)))
+
+
+@st.composite
+def _filings(draw):
+    """A tolerance and a list of transfers: repeated transfer ids and
+    carriers, zero volumes, and misreports on and off the path."""
+    tolerance = draw(st.sampled_from([0.0, 1e-6, 0.1]))
+    transfers = []
+    for _ in range(draw(st.integers(0, 25))):
+        gigabytes = draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+        misreport = {
+            carrier: draw(_claim(gigabytes, tolerance))
+            for carrier in draw(st.lists(isp_names, max_size=3, unique=True))
+        }
+        transfers.append((
+            draw(st.sampled_from(["t0", "t1", "t2", "t3", "t4"])),
+            draw(isp_names),
+            draw(st.lists(isp_names, max_size=4)),
+            gigabytes,
+            draw(st.floats(0.0, 1e5)),
+            draw(st.sampled_from([None, misreport])),
+        ))
+    return tolerance, transfers
+
+
+def _bits(matrix):
+    return [(key, value.hex()) for key, value in matrix.items()]
+
+
+class TestColumnarLedgerAgainstOracle:
+    """The columnar ledger files, cross-verifies and aggregates exactly as
+    the record-per-report ledger it replaced (``tests/economics/oracle.py``)."""
+
+    @given(filings=_filings())
+    @settings(max_examples=100, deadline=None)
+    def test_same_accounts_as_the_record_ledger(self, filings):
+        tolerance, transfers = filings
+        columnar = TrafficLedger(tolerance_gb=tolerance)
+        oracle = RecordLedger(tolerance_gb=tolerance)
+        for transfer in transfers:
+            columnar.file_path_transfer(*transfer)
+            oracle.file_path_transfer(*transfer)
+        assert columnar.record_count == oracle.record_count
+        assert columnar.cross_verify() == oracle.cross_verify()
+        for exclude_disputed in (True, False):
+            assert _bits(columnar.carried_matrix(exclude_disputed)) == _bits(
+                oracle.carried_matrix(exclude_disputed))
+
+    @given(source=isp_names, path=st.lists(isp_names, min_size=1, max_size=4),
+           gigabytes=st.floats(0.0, 100.0), negative=st.floats(-100.0, -1e-9),
+           on_volume=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_negative_volume_or_claim_rejected_by_both(
+            self, source, path, gigabytes, negative, on_volume):
+        if on_volume:
+            args = ("t0", source, path, negative, 0.0)
+        else:
+            args = ("t0", source, path, gigabytes, 0.0, {path[-1]: negative})
+        for ledger in (TrafficLedger(), RecordLedger()):
+            with pytest.raises(ValueError):
+                ledger.file_path_transfer(*args)
