@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
-import numpy as np
-
 from repro.demand.fluid import FluidResult
 from repro.economics.ledger import TrafficLedger
 from repro.economics.settlement import Invoice, SettlementEngine

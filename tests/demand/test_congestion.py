@@ -154,7 +154,16 @@ class TestAgainstOracle:
                 oracle.settle_demand(result, owners, duration_s, time_s))
 
     def test_peak_statistics_equal_the_dict_form(self, demand_points):
-        results = [congested_result()] + [
+        # An uncapped access hop is a route slot at utilization 0, which
+        # the statistics leave out.
+        adjacency, edges = edge_table(
+            ["cell-00000", "sat-short", "gw"],
+            [("cell-00000", "sat-short", 0.004, float("inf")),
+             ("sat-short", "gw", 0.003, 40e6)])
+        uncapped = run_fluid(adjacency, edges, ["gw"], ["cell-00000"],
+                             [120e6])
+        assert 0.0 in uncapped.utilization.values()
+        results = [congested_result(), uncapped] + [
             point[0] for point in demand_points]
         for result in results:
             stats = peak_statistics(result)
